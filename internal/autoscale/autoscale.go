@@ -20,7 +20,6 @@ import (
 
 	"cllm/internal/par"
 	"cllm/internal/serve"
-	"cllm/internal/sim"
 	"cllm/internal/trace"
 )
 
@@ -248,8 +247,6 @@ func ProbeCapacity(be serve.Backend, scfg serve.Config) (float64, error) {
 	// admission shedding and retries would contaminate it with downtime and
 	// turned-away load, so the probe twin runs failure-free and open-door.
 	cfg.Faults = serve.FaultConfig{}
-	cfg.FailMTBFSec, cfg.FailPlan = 0, nil
-	cfg.Admission, cfg.RetryMax = serve.AdmitFIFO, 0
 	// Probes need only Completed and MakespanSec. Sketch mode skips the
 	// per-request ledger and its quantile sort; a trace run's event stream
 	// is identical in both modes, so the measured rate is unchanged.
@@ -306,14 +303,14 @@ func probeCapacities(cls []Class, cfg Config) error {
 	})
 }
 
-// slot is one provisionable replica instance. Its scheduler (rep) is
-// built lazily on first activation — a class's Max bounds the fleet, it
-// should not cost Max schedulers' state when the load never needs them.
+// slot is one provisionable replica instance. Its scheduler is built
+// lazily on first activation — a class's Max bounds the fleet, it should
+// not cost Max schedulers' state when the load never needs them.
 type slot struct {
 	class int   // index into classes
-	idx   int   // fleet-wide slot index; labels observer events
+	idx   int   // fleet-wide slot index: the replica's pool id
 	seed  int64 // decorrelates this slot's noise stream
-	rep   *serve.Replica
+	built bool
 	// active means billed (operator pays from activation to drain-done).
 	active bool
 	// availableAt is when the slot can first serve (activation + cold
@@ -390,65 +387,31 @@ func Run(classes []Class, cfg Config) (*Report, error) {
 		cls[cheapest].Min = 1
 	}
 
-	arrivals, err := serve.Arrivals(cfg.Serve)
+	f := &fleet{
+		classes:    cls,
+		cfg:        cfg,
+		coldStarts: make([]int, len(cls)),
+		overSince:  make([]float64, len(cls)),
+	}
+	// The serve driver owns the engine, the arrivals and the replicas'
+	// outcome ledgers; the fleet is its dispatcher.
+	p, err := serve.Drive(cfg.Serve, f)
 	if err != nil {
 		return nil, err
 	}
-	// Normalize a local copy the replicas share (NewReplica normalizes
-	// again idempotently; this fixes defaults like HorizonSec up front).
-	scfg := cfg.Serve
-	if err := scfg.Normalize(); err != nil {
-		return nil, err
-	}
-
-	eng := sim.NewEngine()
-	f := &fleet{
-		classes: cls, cfg: cfg, scfg: scfg, eng: eng,
-		totalArrivals: len(arrivals),
-		coldStarts:    make([]int, len(cls)),
-		overSince:     make([]float64, len(cls)),
-	}
-	for ci := range cls {
-		f.overSince[ci] = -1
-		for j := 0; j < cls[ci].Max; j++ {
-			s := &slot{class: ci, idx: len(f.slots), seed: scfg.Seed + int64(len(f.slots))*7919 + 104729}
-			s.active = j < cls[ci].Min // warm standing fleet
-			f.slots = append(f.slots, s)
-			// Construct warm slots now, plus one probe slot per class, so
-			// backend misconfigurations fail at Run time, not mid-event.
-			if (s.active || j == 0) && !f.ensureReplica(s) {
-				return nil, f.err
-			}
-		}
-	}
-	lastArrival := 0.0
-	for _, req := range arrivals {
-		req := req
-		if req.ArrivalSec > lastArrival {
-			lastArrival = req.ArrivalSec
-		}
-		eng.Schedule(sim.Time(req.ArrivalSec), func(*sim.Engine) { f.dispatch(req) })
-	}
-	eng.Schedule(sim.Time(cfg.IntervalSec), f.tick)
-
-	horizon := sim.Time(lastArrival + scfg.HorizonSec)
-	if _, err := eng.RunUntil(horizon, scfg.MaxSteps); err != nil {
-		return nil, err
-	}
-	return f.report()
+	return f.report(p), nil
 }
 
-// fleet is the mutable state of one autoscaling run.
+// fleet is the elastic controller of one autoscaling run: the serve
+// driver's dispatcher.
 type fleet struct {
 	classes []Class
 	cfg     Config
-	scfg    serve.Config
 	slots   []*slot
-	eng     *sim.Engine
+	pool    *serve.Pool
 
-	pending        []serve.Request // arrivals waiting for a servable slot
+	pending        []serve.Arrival // arrivals waiting for a servable slot
 	windowArrivals int
-	totalArrivals  int
 	dispatchedN    int
 	windows        []Window
 	// prevDemand / haveDemand hold the EWMA state of the demand estimator
@@ -463,44 +426,64 @@ type fleet struct {
 	// overSince tracks, per class, when it started exceeding its desired
 	// count (scale-down hysteresis); -1 means not currently over.
 	overSince []float64
-	done      bool
-	// err records a mid-simulation replica-construction failure; it halts
-	// the loop and fails the run.
-	err error
+	// done stops the control loop: every arrival served, or a replica
+	// failed to build (the pool then fails the run).
+	done bool
 }
 
-// ensureReplica lazily constructs a slot's scheduler. A failure (backend
-// misconfiguration) is recorded and halts the control loop.
-func (f *fleet) ensureReplica(s *slot) bool {
-	if s.rep != nil {
-		return true
+// Start lays out the slots and starts the control loop once the first
+// arrivals are on the driver's engine.
+func (f *fleet) Start(p *serve.Pool) error {
+	f.pool = p
+	seed := f.cfg.Serve.Seed
+	for ci := range f.classes {
+		f.overSince[ci] = -1
+		for j := 0; j < f.classes[ci].Max; j++ {
+			s := &slot{class: ci, idx: len(f.slots), seed: seed + int64(len(f.slots))*7919 + 104729}
+			s.active = j < f.classes[ci].Min // warm standing fleet
+			f.slots = append(f.slots, s)
+			// Construct warm slots now, plus one probe slot per class, so
+			// backend misconfigurations fail at Run time, not mid-event.
+			if s.active || j == 0 {
+				if err := f.ensureReplica(s); err != nil {
+					return err
+				}
+			}
+		}
 	}
-	rep, err := serve.NewReplica(f.classes[s.class].Backend, f.scfg, f.eng, s.seed)
-	if err != nil {
-		f.err = err
+	p.After(f.cfg.IntervalSec, f.tick)
+	return nil
+}
+
+// ensureReplica lazily constructs a slot's scheduler. A failure
+// (backend misconfiguration) halts the control loop and fails the run.
+func (f *fleet) ensureReplica(s *slot) error {
+	if s.built {
+		return nil
+	}
+	if err := f.pool.Add(s.idx, f.classes[s.class].Backend, s.seed); err != nil {
 		f.done = true
-		return false
+		return err
 	}
-	rep.SetIndex(s.idx) // observer events carry the fleet-wide slot index
-	s.rep = rep
-	return true
+	s.built = true
+	return nil
 }
 
-// dispatch routes one arrival (or a flushed pending request) to a replica.
-func (f *fleet) dispatch(req serve.Request) {
-	now := float64(f.eng.Now())
+// Dispatch routes one arrival to a replica, or holds it until a slot
+// becomes servable.
+func (f *fleet) Dispatch(p *serve.Pool, a serve.Arrival) {
 	f.windowArrivals++
-	best := f.pick(now)
+	best := f.pick(p.Now())
 	if best == nil {
-		f.pending = append(f.pending, req)
+		f.pending = append(f.pending, a)
 		return
 	}
-	f.submit(best, req)
+	f.submit(best, a)
 }
 
 // submit hands a request to a chosen slot.
-func (f *fleet) submit(s *slot, req serve.Request) {
-	s.rep.Submit(req)
+func (f *fleet) submit(s *slot, a serve.Arrival) {
+	f.pool.Submit(s.idx, a)
 	s.dispatched++
 	f.dispatchedN++
 }
@@ -513,7 +496,7 @@ func (f *fleet) pick(now float64) *slot {
 		if !s.servable(now) {
 			continue
 		}
-		if s.rep.Down() {
+		if f.pool.Down(s.idx) {
 			// Crashed mid-recovery (fault injection): still billed, not a
 			// dispatch target until its TEE cold start completes.
 			continue
@@ -526,11 +509,11 @@ func (f *fleet) pick(now float64) *slot {
 			// slow cheap replica only wins while it is genuinely idle
 			// relative to its service rate.
 			key = [2]float64{
-				(float64(s.rep.Outstanding()) + 1) / c.CapacityReqPerSec,
+				(float64(f.pool.Outstanding(s.idx)) + 1) / c.CapacityReqPerSec,
 				c.HourlyUSD / c.CapacityReqPerSec,
 			}
 		default:
-			key = [2]float64{float64(s.rep.Outstanding()), 0}
+			key = [2]float64{float64(f.pool.Outstanding(s.idx)), 0}
 		}
 		if best == nil || key[0] < bestKey[0] || (key[0] == bestKey[0] && key[1] < bestKey[1]) {
 			best, bestKey = s, key
@@ -544,16 +527,16 @@ func (f *fleet) flushPending() {
 	if len(f.pending) == 0 {
 		return
 	}
-	now := float64(f.eng.Now())
+	now := f.pool.Now()
 	queued := f.pending
 	f.pending = nil
-	for i, req := range queued {
+	for i, a := range queued {
 		best := f.pick(now)
 		if best == nil {
 			f.pending = append(f.pending, queued[i:]...)
 			return
 		}
-		f.submit(best, req)
+		f.submit(best, a)
 	}
 }
 
@@ -562,8 +545,8 @@ func (f *fleet) flushPending() {
 func (f *fleet) outstanding() int {
 	n := len(f.pending)
 	for _, s := range f.slots {
-		if s.rep != nil {
-			n += s.rep.Outstanding()
+		if s.built {
+			n += f.pool.Outstanding(s.idx)
 		}
 	}
 	return n
@@ -572,11 +555,11 @@ func (f *fleet) outstanding() int {
 // tick is one control-loop round: estimate demand, reconcile the fleet
 // toward the desired per-class counts, retire drained slots, record the
 // window, and reschedule until the run is over.
-func (f *fleet) tick(*sim.Engine) {
+func (f *fleet) tick() {
 	if f.done {
 		return
 	}
-	now := float64(f.eng.Now())
+	now := f.pool.Now()
 	interval := f.cfg.IntervalSec
 
 	backlog := f.outstanding()
@@ -592,8 +575,8 @@ func (f *fleet) tick(*sim.Engine) {
 	// Without admission control the delta is always zero.
 	totalSheds := 0
 	for _, s := range f.slots {
-		if s.rep != nil {
-			totalSheds += s.rep.Sheds()
+		if s.built {
+			totalSheds += f.pool.Sheds(s.idx)
 		}
 	}
 	if d := totalSheds - f.lastSheds; d > 0 {
@@ -630,11 +613,11 @@ func (f *fleet) tick(*sim.Engine) {
 
 	// The loop ends once every arrival is dispatched and served; replicas
 	// still active then are billed to the clock in report().
-	if f.dispatchedN == f.totalArrivals && backlog == 0 {
+	if f.dispatchedN == f.pool.Offered() && backlog == 0 {
 		f.done = true
 		return
 	}
-	f.eng.Schedule(sim.Time(interval), f.tick)
+	f.pool.After(interval, f.tick)
 }
 
 // desiredCounts allocates replicas to cover needCapacity at minimum rental
@@ -698,7 +681,7 @@ func (f *fleet) reconcile(now float64, desired []int) {
 					break
 				}
 				if s.class == ci && !s.active {
-					if !f.ensureReplica(s) {
+					if f.ensureReplica(s) != nil {
 						return
 					}
 					s.active = true
@@ -707,7 +690,7 @@ func (f *fleet) reconcile(now float64, desired []int) {
 					if f.classes[ci].ColdStartSec > 0 {
 						f.coldStarts[ci]++
 						availAt := s.availableAt
-						f.eng.Schedule(sim.Time(availAt-now), func(*sim.Engine) { f.flushPending() })
+						f.pool.After(availAt-now, f.flushPending)
 					} else {
 						f.flushPending()
 					}
@@ -734,7 +717,7 @@ func (f *fleet) reconcile(now float64, desired []int) {
 				}
 			}
 			sort.SliceStable(cands, func(a, b int) bool {
-				return cands[a].rep.Outstanding() < cands[b].rep.Outstanding()
+				return f.pool.Outstanding(cands[a].idx) < f.pool.Outstanding(cands[b].idx)
 			})
 			for i := 0; i < surplus && i < len(cands); i++ {
 				cands[i].draining = true
@@ -748,7 +731,7 @@ func (f *fleet) reconcile(now float64, desired []int) {
 // retireDrained deactivates drained slots and closes their billing span.
 func (f *fleet) retireDrained(now float64) {
 	for _, s := range f.slots {
-		if s.active && s.draining && s.rep.Outstanding() == 0 {
+		if s.active && s.draining && f.pool.Outstanding(s.idx) == 0 {
 			s.active = false
 			s.draining = false
 			s.billedHours += (now - s.billStart) / 3600
@@ -756,35 +739,23 @@ func (f *fleet) retireDrained(now float64) {
 	}
 }
 
-// report assembles the run outcome, billing still-active slots to the
-// final clock.
-func (f *fleet) report() (*Report, error) {
-	if f.err != nil {
-		return nil, f.err
-	}
-	now := float64(f.eng.Now())
+// report assembles the run outcome from the drained pool, billing
+// still-active slots to the final clock.
+func (f *fleet) report(p *serve.Pool) *Report {
+	now := p.Now()
 	usage := make([]ClassUsage, len(f.classes))
-	var reps []*serve.Report
 	for i, c := range f.classes {
 		usage[i] = ClassUsage{Name: c.Name, ColdStarts: f.coldStarts[i], ColdStartSec: c.ColdStartSec}
 	}
+	hours := make([]float64, len(f.slots))
 	for _, s := range f.slots {
-		if s.rep == nil {
-			continue // never activated (lazily constructed on demand)
-		}
-		if err := s.rep.Err(); err != nil {
-			return nil, err
-		}
-		hours := s.billedHours
+		hours[s.idx] = s.billedHours
 		if s.active {
-			hours += (now - s.billStart) / 3600
+			hours[s.idx] += (now - s.billStart) / 3600
 		}
 		u := &usage[s.class]
-		u.ReplicaHours += hours
+		u.ReplicaHours += hours[s.idx]
 		u.Dispatched += s.dispatched
-		if s.rep.Submitted() > 0 || hours > 0 {
-			reps = append(reps, s.rep.Report())
-		}
 	}
 	// Peak active per class from the window series.
 	for _, w := range f.windows {
@@ -795,15 +766,17 @@ func (f *fleet) report() (*Report, error) {
 		}
 	}
 	out := &Report{
-		Dispatch:   f.cfg.Dispatch.String(),
-		Aggregate:  serve.MergeReports(f.scfg.OfferedRate(), reps),
+		Dispatch: f.cfg.Dispatch.String(),
+		// Replicas built but never billed nor dispatched to (a class's
+		// probe slot) stay out of the aggregate. Arrivals still pending at
+		// the horizon (mid-cold-start) count as unfinished.
+		Aggregate: p.Aggregate(func(id int) bool {
+			return f.slots[id].dispatched > 0 || hours[id] > 0
+		}),
 		Windows:    f.windows,
 		Usage:      usage,
 		ColdStarts: sum(f.coldStarts),
 	}
-	// Undispatched pending arrivals (horizon hit mid-cold-start) are
-	// offered-but-unserved; account them so attainment cannot overcount.
-	out.Aggregate.Unfinished += len(f.pending)
 	goodTokens := out.Aggregate.GoodOutputTokens
 	if !out.Aggregate.Sketched {
 		// Exact aggregates re-derive goodput from the request ledger (the
@@ -825,7 +798,7 @@ func (f *fleet) report() (*Report, error) {
 	} else {
 		out.USDPerMTok = math.Inf(1)
 	}
-	return out, nil
+	return out
 }
 
 func sum(xs []int) int {

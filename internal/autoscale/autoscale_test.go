@@ -394,3 +394,32 @@ func TestAutoscalePhaseConservation(t *testing.T) {
 		t.Fatalf("autoscaled phase reconciliation failed:\n%s", strings.Join(bad, "\n"))
 	}
 }
+
+// TestRunEpochInvariance: the autoscaler runs through serve's one driver,
+// so sharding the arrivals into epochs (Serve.EpochRequests) must leave
+// the whole report — aggregate, windows, usage, billing — byte-identical to
+// the one-epoch run.
+func TestRunEpochInvariance(t *testing.T) {
+	classes := []Class{
+		{Name: "tdx", Backend: testBackend(tee.TDX()), HourlyUSD: 0.83, ColdStartSec: 12, Min: 1, Max: 3},
+		{Name: "cgpu", Backend: gpuBackend(tee.CGPU()), HourlyUSD: 6.20, ColdStartSec: 20, Min: 0, Max: 1},
+	}
+	run := func(epoch int) *Report {
+		scfg := testServeConfig(t, 64)
+		scfg.EpochRequests = epoch
+		rep, err := Run(classes, Config{Serve: scfg, Dispatch: CostAware, IntervalSec: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	want := run(0)
+	if want.ColdStarts == 0 {
+		t.Fatal("run never scaled; the invariance check would be vacuous")
+	}
+	for _, epoch := range []int{1, 3, 17, 100000} {
+		if got := run(epoch); !reflect.DeepEqual(got, want) {
+			t.Fatalf("epoch %d: report differs from the one-epoch run:\n got %+v\nwant %+v", epoch, got.Aggregate, want.Aggregate)
+		}
+	}
+}

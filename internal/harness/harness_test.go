@@ -191,3 +191,35 @@ func TestResultFormatsRoundTrip(t *testing.T) {
 		t.Fatalf("JSON checks/notes round trip: %+v", doc)
 	}
 }
+
+// TestOverloadAdmissionColumn: the overload table's admission cell names
+// the policy each row actually ran — the shed row sheds requests, so it
+// must not read "fifo".
+func TestOverloadAdmissionColumn(t *testing.T) {
+	e, err := Lookup("overload")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.Run(Options{Seed: 1, Quick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := -1
+	for i, h := range res.Header {
+		if h == "admission" {
+			col = i
+		}
+	}
+	if col < 0 {
+		t.Fatalf("no admission column in %q", res.Header)
+	}
+	for _, row := range res.Rows {
+		if row[0] == "burst+crash shed" {
+			if row[col] != "shed" {
+				t.Fatalf("burst+crash shed row admission = %q, want shed", row[col])
+			}
+			return
+		}
+	}
+	t.Fatal("no burst+crash shed row")
+}

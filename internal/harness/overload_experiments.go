@@ -123,7 +123,7 @@ func runOverload(o Options) (*Result, error) {
 		rep := reps[i]
 		res.Rows = append(res.Rows, []string{
 			sp.name,
-			sp.cfg.Admission.String(),
+			sp.cfg.Faults.Admission.String(),
 			fmt.Sprintf("%d", rep.Completed),
 			fmt.Sprintf("%d", rep.Dropped),
 			fmt.Sprintf("%d", rep.Sheds),

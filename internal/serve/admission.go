@@ -232,8 +232,8 @@ func (s *scheduler) dropQueued(st *reqState, reason DropReason, tokens int) {
 	}
 	st.phase = phaseDropped
 	s.drops[reason]++
-	if s.sink != nil {
-		s.sink.dropped++
+	if s.stream != nil {
+		s.stream.dropped++
 	}
 	if s.obs != nil {
 		s.event(Event{Kind: EvDrop, ReqID: st.req.ID, Tokens: tokens, Drop: reason})

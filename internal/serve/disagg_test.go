@@ -32,7 +32,7 @@ func runDisagg(t *testing.T, cfg Config) *FleetReport {
 }
 
 // TestUnifiedFleetMatchesPrePRGolden pins the refactored construction
-// path (NewFleet/Fleet.Run, buildReplica) to the exact output the
+// path (NewFleet/Fleet.Run, Pool.Add) to the exact output the
 // pre-topology RunFleet produced at commit afa540b: the digest below was
 // recorded by running that commit's RunFleet with this backend and
 // config. Any drift in replica seeding, arrival generation order or

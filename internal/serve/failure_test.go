@@ -106,12 +106,9 @@ func TestFailureDefaultConfigByteIdentical(t *testing.T) {
 	}
 
 	// The resilience knobs at their zero values must not perturb the
-	// report, whether spelled through the Faults sub-struct or the
-	// deprecated flat fields.
+	// report.
 	cfgZ := cfgP
 	cfgZ.Faults = FaultConfig{Policy: FailRequeue, Admission: AdmitFIFO}
-	cfgZ.FailMTBFSec, cfgZ.FailPlan, cfgZ.FailPolicy = 0, nil, FailRequeue
-	cfgZ.Admission, cfgZ.RetryMax, cfgZ.RetryBaseSec = AdmitFIFO, 0, 0
 	repZ, err := Run(cpuBackend(tee.TDX()), cfgZ)
 	if err != nil {
 		t.Fatal(err)
@@ -132,42 +129,23 @@ func TestFailureCrashRequeueConservesBlocks(t *testing.T) {
 	if err := cfg.normalize(); err != nil {
 		t.Fatal(err)
 	}
-	be := cpuBackend(tee.TDX())
-	noise := newNoise(be, cfg.Seed)
-	s, err := newScheduler(be, cfg, sim.NewEngine(), noise)
-	if err != nil {
-		t.Fatal(err)
-	}
-	arrivals, err := genArrivals(cfg, noise.RNG())
-	if err != nil {
-		t.Fatal(err)
-	}
-	states := make([]*reqState, len(arrivals))
-	lastArrival := 0.0
-	for i, req := range arrivals {
-		st := &reqState{req: req}
-		states[i] = st
-		if req.ArrivalSec > lastArrival {
-			lastArrival = req.ArrivalSec
-		}
-		s.eng.Schedule(sim.Time(req.ArrivalSec), func(*sim.Engine) { s.submit(st) })
-	}
 	// Probe conservation right after each crash (replica down, batch
 	// evicted, caches flushed) and mid-recovery.
-	for _, at := range []float64{0.21, 0.35, 0.61, 0.9, 2.5} {
-		s.eng.ScheduleAt(sim.Time(at), func(*sim.Engine) {
-			if err := s.kv.CheckConservation(); err != nil {
-				t.Errorf("conservation broken at t=%.2f: %v", at, err)
-			}
-		})
-	}
-	if _, err := s.eng.RunUntil(sim.Time(lastArrival+cfg.HorizonSec), cfg.MaxSteps); err != nil {
+	probe := &probeDispatcher{be: cpuBackend(tee.TDX()), start: func(p *Pool) {
+		for _, at := range []float64{0.21, 0.35, 0.61, 0.9, 2.5} {
+			p.eng.ScheduleAt(sim.Time(at), func(*sim.Engine) {
+				if err := p.reps[0].kv.CheckConservation(); err != nil {
+					t.Errorf("conservation broken at t=%.2f: %v", at, err)
+				}
+			})
+		}
+	}}
+	p, err := Drive(cfg, probe)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if s.err != nil {
-		t.Fatal(s.err)
-	}
-	rep := s.report(states)
+	s := p.reps[0]
+	rep := s.report()
 	if err := s.kv.CheckConservation(); err != nil {
 		t.Fatalf("conservation broken at end: %v", err)
 	}
@@ -470,68 +448,28 @@ func TestShedRetriesThenDrops(t *testing.T) {
 	}
 }
 
-// TestFaultConfigFlatFieldCompat: for one release the deprecated flat
-// spelling of the resilience knobs (FailMTBFSec/FailPlan/FailPolicy/
-// Admission/RetryMax/RetryBaseSec) must drive the scheduler identically
-// to the Faults sub-struct, and normalize's migration fold must be
-// idempotent — replicas re-normalize shared configs.
+// TestFaultConfigFlatFieldCompat: normalize must be idempotent over the
+// Faults sub-struct — replicas and control loops may re-normalize a
+// shared config — and keep every resolved resilience knob.
 func TestFaultConfigFlatFieldCompat(t *testing.T) {
-	var tr []Request
-	for i := 0; i < 16; i++ {
-		tr = append(tr, Request{ID: i, ArrivalSec: float64(i) * 1e-3, InputLen: 64, OutputLen: 64})
+	cfg := tinyConfig(1, 0)
+	cfg.Trace = []Request{{ID: 0, InputLen: 64, OutputLen: 8}}
+	cfg.Faults = FaultConfig{
+		Plan:     []FailPoint{{TimeSec: 0.05}, {TimeSec: 0.4}},
+		Policy:   FailLost,
+		RetryMax: 1,
 	}
-	base := Config{
-		Workload:    trace.Workload{Model: tinyModel(), Kind: dtype.BF16},
-		Trace:       tr,
-		MaxBatch:    4,
-		Seed:        1,
-		RecoverySec: 0.1,
-	}
-	flat := base
-	flat.FailPlan = []FailPoint{{TimeSec: 0.05}, {TimeSec: 0.4}}
-	flat.FailPolicy = FailLost
-	flat.RetryMax = 1
-	flat.RetryBaseSec = 0.05
-
-	grouped := base
-	grouped.Faults = FaultConfig{
-		Plan:            []FailPoint{{TimeSec: 0.05}, {TimeSec: 0.4}},
-		Policy:          FailLost,
-		RetryMax:        1,
-		RetryBackoffSec: 0.05,
-	}
-
-	be := cpuBackend(tee.TDX())
-	a, err := Run(be, flat)
-	if err != nil {
+	if err := cfg.normalize(); err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(be, grouped)
-	if err != nil {
+	once := cfg
+	if err := cfg.normalize(); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("flat and grouped spellings diverged:\n%+v\n%+v", a, b)
+	if !reflect.DeepEqual(once.Faults, cfg.Faults) {
+		t.Fatalf("normalize is not idempotent over Faults: %+v vs %+v", once.Faults, cfg.Faults)
 	}
-	if a.Crashes == 0 || a.Retries == 0 {
-		t.Fatalf("compat run too mild to prove anything: %d crashes, %d retries", a.Crashes, a.Retries)
-	}
-
-	// The fold is idempotent and mirrors both spellings onto each other.
-	if err := flat.normalize(); err != nil {
-		t.Fatal(err)
-	}
-	once := flat
-	if err := flat.normalize(); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(once.Faults, flat.Faults) {
-		t.Fatalf("normalize is not idempotent over Faults: %+v vs %+v", once.Faults, flat.Faults)
-	}
-	if flat.Faults.Policy != FailLost || flat.Faults.RetryMax != 1 || flat.Faults.RetryBackoffSec != 0.05 {
-		t.Fatalf("flat fields did not fold into Faults: %+v", flat.Faults)
-	}
-	if flat.FailPolicy != FailLost || flat.RetryMax != 1 || flat.RetryBaseSec != 0.05 {
-		t.Fatalf("resolved Faults did not mirror back to the flat fields: %+v", flat)
+	if cfg.Faults.Policy != FailLost || cfg.Faults.RetryMax != 1 || cfg.Faults.RetryBackoffSec != 1 {
+		t.Fatalf("normalize lost or mis-defaulted a knob: %+v", cfg.Faults)
 	}
 }

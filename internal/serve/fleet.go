@@ -9,7 +9,6 @@ import (
 
 	"cllm/internal/cloud"
 	"cllm/internal/par"
-	"cllm/internal/sim"
 	"cllm/internal/stats"
 )
 
@@ -146,28 +145,18 @@ func RunFleet(be Backend, cfg Config, fc FleetConfig) (*FleetReport, error) {
 // edge); nil in production, so the hook costs one predictable branch.
 var fleetTestHook func(reps []*scheduler, roles []Role)
 
-// buildReplica is the single scheduler-construction path for every
-// multi-replica deployment: Fleet.Run's role groups, the exported Replica
-// handle internal/autoscale composes elastic fleets from, and (through
-// RunFleet) SizeFleetForSLO's candidates. cfg must already be normalized;
-// be passes by value, so the socket defaulting stays local.
-func buildReplica(be Backend, cfg Config, eng *sim.Engine, seed int64) (*scheduler, error) {
-	if !be.IsGPU && be.CPU.Sockets <= 0 {
-		be.CPU.Sockets = 1
-	}
-	return newScheduler(be, cfg, eng, newNoise(be, seed))
-}
-
 // stageLB dispatches requests across one stage's replicas — the arrival
-// stage (unified or prefill replicas) or the decode stage of a
-// disaggregated topology. Indices are positions within reps; idx maps
-// them back to global fleet indices.
+// stage (unified or prefill replicas, as the driver's Dispatcher) or the
+// decode stage of a disaggregated topology (behind handoffDispatcher).
 type stageLB struct {
 	reps   []*scheduler
-	idx    []int
 	policy LBPolicy
 	rr     int
 }
+
+func (*stageLB) Start(*Pool) error { return nil }
+
+func (d *stageLB) Dispatch(p *Pool, a Arrival) { p.accept(d.reps[d.pick(a.st.req)], a.st) }
 
 // leastLoaded returns the stage position with the fewest outstanding
 // requests among servable replicas, lowest position on ties
@@ -229,7 +218,8 @@ func (d *stageLB) pick(req Request) int {
 }
 
 // Run simulates cfg's offered load against the fleet topology on one
-// shared simulated clock. Unified topologies behave exactly as RunFleet
+// shared simulated clock, through the driver with the front stage's load
+// balancer as dispatcher. Unified topologies behave exactly as RunFleet
 // always has. Disaggregated topologies route every arrival to a
 // prefill-role replica; after its first token the request's KV cache is
 // handed off — drain at the source's swap bandwidth, a NIC transfer, and
@@ -269,57 +259,30 @@ func (f *Fleet) Run(cfg Config) (*FleetReport, error) {
 			g.Backend.Coster = coster
 		}
 	}
-	eng := sim.NewEngine()
-	total := f.topo.Replicas()
-	reps := make([]*scheduler, 0, total)
-	roles := make([]Role, 0, total)
-	for _, g := range groups {
-		for k := 0; k < g.Replicas; k++ {
-			i := len(reps)
-			s, err := buildReplica(g.Backend, cfg, eng, cfg.Seed+int64(i)*7919+1)
-			if err != nil {
-				return nil, err
-			}
-			s.replica = i // label observer events with the fleet index
-			reps = append(reps, s)
-			roles = append(roles, g.Role)
-		}
-	}
-	arrivals, err := genArrivals(cfg, rand.New(rand.NewSource(cfg.Seed)))
-	if err != nil {
-		return nil, err
-	}
-
 	// Stage dispatchers: arrivals go to the front stage (every replica of
 	// a unified fleet, the prefill replicas of a disaggregated one);
 	// handoffs go to the decode stage.
-	front := &stageLB{}
-	decode := &stageLB{}
+	p := newPool(cfg)
+	front, decode := &stageLB{}, &stageLB{}
+	var roles []Role
 	for _, g := range groups {
-		switch g.Role {
-		case RoleUnified, RolePrefill:
-			front.policy = g.Policy
-		case RoleDecode:
-			decode.policy = g.Policy
+		stage := front
+		if g.Role == RoleDecode {
+			stage = decode
+		}
+		stage.policy = g.Policy
+		for k := 0; k < g.Replicas; k++ {
+			i := len(roles)
+			if err := p.Add(i, g.Backend, cfg.Seed+int64(i)*7919+1); err != nil {
+				return nil, err
+			}
+			stage.reps = append(stage.reps, p.reps[i])
+			roles = append(roles, g.Role)
 		}
 	}
-	for i, s := range reps {
-		switch roles[i] {
-		case RoleUnified, RolePrefill:
-			front.reps = append(front.reps, s)
-			front.idx = append(front.idx, i)
-		case RoleDecode:
-			decode.reps = append(decode.reps, s)
-			decode.idx = append(decode.idx, i)
-		}
-	}
-
-	dispatch := make([]int, total)
-	perReplica := make([][]*reqState, total)
-	var hd *handoffDispatcher
 	if disagg {
-		hd = &handoffDispatcher{eng: eng, stage: decode}
-		for i, s := range reps {
+		hd := &handoffDispatcher{eng: p.eng, stage: decode}
+		for i, s := range p.reps {
 			switch roles[i] {
 			case RolePrefill:
 				src := s
@@ -336,69 +299,43 @@ func (f *Fleet) Run(cfg Config) (*FleetReport, error) {
 			}
 		}
 	}
-
-	lastArrival := 0.0
-	for _, req := range arrivals {
-		req := req
-		st := &reqState{req: req}
-		if req.ArrivalSec > lastArrival {
-			lastArrival = req.ArrivalSec
-		}
-		eng.Schedule(sim.Time(req.ArrivalSec), func(*sim.Engine) {
-			j := front.pick(req)
-			i := front.idx[j]
-			dispatch[i]++
-			perReplica[i] = append(perReplica[i], st)
-			front.reps[j].submit(st)
-		})
+	src, err := materialize(cfg, rand.New(rand.NewSource(cfg.Seed)))
+	if err != nil {
+		return nil, err
 	}
-	horizon := sim.Time(lastArrival + cfg.HorizonSec)
-	if _, err := eng.RunUntil(horizon, cfg.MaxSteps); err != nil {
+	if err := p.drive(src, front); err != nil {
 		return nil, err
 	}
 	if fleetTestHook != nil {
-		fleetTestHook(reps, roles)
+		fleetTestHook(p.reps, roles)
 	}
 
+	total := len(p.reps)
 	out := &FleetReport{
 		Policy:     front.policy.String(),
 		PerReplica: make([]*Report, total),
-		Dispatch:   dispatch,
+		Roles:      make([]string, total),
+		Dispatch:   make([]int, total),
 	}
 	if disagg {
 		out.Policy = front.policy.String() + "→" + decode.policy.String()
 		out.Topology = f.topo.String()
 	}
-	out.Roles = make([]string, total)
-	for i, role := range roles {
-		out.Roles[i] = role.String()
+	for i, s := range p.reps {
+		out.Roles[i] = roles[i].String()
+		out.Dispatch[i] = s.submitted
+		out.PerReplica[i] = s.report()
 	}
-	for i, s := range reps {
-		if s.err != nil {
-			return nil, s.err
-		}
-		if cfg.QuantileMode == QuantileSketch {
-			out.PerReplica[i] = s.reportSketched(perReplica[i])
-		} else {
-			out.PerReplica[i] = s.report(perReplica[i])
-		}
-	}
-	out.Aggregate = MergeReports(offeredRate(cfg), out.PerReplica)
+	out.Aggregate = p.merge(out.PerReplica)
 	// Each replica's offered load is its dispatch share of the fleet rate,
 	// not the whole fleet rate the scheduler config carries.
-	if n := len(arrivals); n > 0 {
+	if n := p.offered; n > 0 {
 		for i, r := range out.PerReplica {
-			r.OfferedRate = out.Aggregate.OfferedRate * float64(dispatch[i]) / float64(n)
+			r.OfferedRate = out.Aggregate.OfferedRate * float64(out.Dispatch[i]) / float64(n)
 		}
 	}
 	return out, nil
 }
-
-// OfferedRate is the rate label of a (normalized) config: an explicit
-// trace's measured rate when one is given, otherwise the configured (or
-// scenario-derived) rate. External control loops label their merged
-// reports with it.
-func (c Config) OfferedRate() float64 { return offeredRate(c) }
 
 // offeredRate is the rate label of a run: an explicit trace's measured
 // rate when one is given, otherwise the configured (or scenario-derived)
@@ -422,8 +359,7 @@ func offeredRate(cfg Config) float64 {
 // reports: counters are summed, quantiles are recomputed over the union of
 // completed requests, the makespan is the maximum, and throughput figures
 // are rederived from the merged totals. offeredRate labels the aggregate.
-// RunFleet uses it for homogeneous fleets; internal/autoscale for elastic
-// heterogeneous ones.
+// The driver uses it for fleets and elastic deployments alike.
 //
 // When any input report is sketched, the aggregate is sketched too:
 // per-replica sketches merge exactly (bucket counts are integers, so the

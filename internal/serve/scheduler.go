@@ -167,13 +167,16 @@ type scheduler struct {
 	roundClearPrefill float64
 	roundClearDecode  float64
 	roundClearSwap    float64
-	// sink, when non-nil, streams completed/dropped outcomes into
-	// bounded-memory sketches as they happen (QuantileSketch mode): the
-	// run retains no per-request state, so the report is assembled from
-	// the sink instead of a states slice. noAudit additionally disables
-	// the admit-order audit trail, whose memory is linear in admissions.
-	sink    *streamAccum
-	noAudit bool
+	// The outcome ledger the report is built from (see driver.go): kept
+	// retains the states of every request submitted here, in arrival order;
+	// a lone sketch-mode replica instead streams its outcomes into stream
+	// as they happen and retains nothing. submitted counts the arrivals
+	// handed to this replica. audit records the admit-order trail (lone
+	// exact runs only — its memory is linear in admissions).
+	kept      []*reqState
+	stream    *streamAccum
+	submitted int
+	audit     bool
 	// Failure/overload machinery (see failure.go and admission.go). All of
 	// it stays zero on the default path: failEnabled guards every crash
 	// hook, down parks the iteration loop during recovery, abortRound
@@ -199,9 +202,10 @@ type scheduler struct {
 }
 
 // newScheduler builds one replica's scheduler on the given engine. cfg must
-// already be normalized and the backend socket-defaulted; the noise stream
-// is owned by this replica. The step coster is be.Coster when the caller
-// shares one across replicas (RunFleet, fleet sizing), otherwise private.
+// already be normalized and the backend socket-defaulted (Pool.Add does
+// both); the noise stream is owned by this replica. The step coster is
+// be.Coster when the caller shares one across replicas (fleets, fleet
+// sizing, autoscale classes), otherwise private.
 func newScheduler(be Backend, cfg Config, eng *sim.Engine, noise *sim.Noise) (*scheduler, error) {
 	kvBudget, err := be.KVBudgetBytes(cfg.Workload)
 	if err != nil {
@@ -663,7 +667,7 @@ func (s *scheduler) iterate() {
 			head.admittedAt = now
 			head.admitSeq = s.admitCount
 			s.admitCount++
-			if !s.noAudit {
+			if s.audit {
 				s.admitOrder = append(s.admitOrder, head.req.ID)
 			}
 		}
@@ -1007,8 +1011,8 @@ func (s *scheduler) finishIteration() {
 			s.kv.Release(r.req.ID)
 			r.phase = phaseFinished
 			r.finishedAt = now
-			if s.sink != nil {
-				s.sink.observe(r, s.cfg.TTFTSLOSec, s.cfg.TPOTSLOSec)
+			if s.stream != nil {
+				s.stream.observe(r, s.cfg.TTFTSLOSec, s.cfg.TPOTSLOSec)
 			}
 			for i, cand := range s.running {
 				if cand == r {
@@ -1083,12 +1087,24 @@ func (s *scheduler) finishIteration() {
 	s.kick()
 }
 
-// report assembles the run outcome.
-func (s *scheduler) report(states []*reqState) *Report {
+// report is the one place a Report is built from scheduler state. It
+// reads the replica's outcome ledger: the retained states (exact
+// quantiles, or folded into sketches in arrival order under
+// QuantileSketch) or, for a streamed lone replica, the live sketch ledger.
+// Call it after the engine has drained (or hit its horizon).
+func (s *scheduler) report() *Report {
+	makespan := float64(s.eng.Now())
+	if s.failEnabled && s.lastProgress < makespan {
+		// Crash/recovery events keep the engine ticking long after the
+		// last request outcome; throughput is measured to the last progress
+		// instant instead.
+		makespan = s.lastProgress
+	}
 	rep := &Report{
 		Platform:              s.be.platformName(),
-		OfferedRate:           s.cfg.Rate,
+		OfferedRate:           offeredRate(s.cfg),
 		Preemptions:           s.preemptions,
+		MakespanSec:           makespan,
 		KVBlocksTotal:         s.kv.TotalBlocks(),
 		PeakKVBlocksInUse:     s.kv.PeakInUse(),
 		KVBlocksInUseAtEnd:    s.kv.InUse(),
@@ -1112,85 +1128,93 @@ func (s *scheduler) report(states []*reqState) *Report {
 		HandoffTokens:         s.handoffTokens,
 		HandoffBytes:          s.handoffBytes,
 	}
-	if len(s.cfg.Trace) > 0 {
-		span := 0.0
-		for _, r := range s.cfg.Trace {
-			if r.ArrivalSec > span {
-				span = r.ArrivalSec
+	if s.cfg.QuantileMode == QuantileSketch {
+		a := s.stream
+		if a == nil {
+			a = newStreamAccum(s.cfg.SketchAlpha)
+			for _, st := range s.kept {
+				switch st.phase {
+				case phaseFinished:
+					a.observe(st, s.cfg.TTFTSLOSec, s.cfg.TPOTSLOSec)
+				case phaseDropped:
+					a.dropped++
+				}
 			}
 		}
-		if span > 0 {
-			rep.OfferedRate = float64(len(s.cfg.Trace)) / span
+		a.rotate()
+		rep.Completed, rep.Dropped = a.completed, a.dropped
+		rep.Unfinished = s.submitted - a.completed - a.dropped
+		rep.CompletedByClass, rep.GoodTokensByClass = a.completedByClass, a.goodTokensByClass
+		rep.TotalTokens = s.producedTot
+		rep.Sketched, rep.SketchAlpha = true, a.alpha
+		rep.GoodRequests, rep.GoodOutputTokens, rep.CompletedOutputTokens = a.goodReqs, a.goodTokens, a.completedTokens
+		rep.TTFTSketch, rep.TPOTSketch, rep.LatencySketch = a.ttft, a.tpot, a.lat
+		rep.TTFT = sketchQuantiles(a.ttft)
+		rep.TPOT = sketchQuantiles(a.tpot)
+		rep.Latency = sketchQuantiles(a.lat)
+		// Epoch-size-invariant means (see streamAccum): override the sketch
+		// accumulators' grouping-dependent sums.
+		rep.TTFT.Mean = meanOr(a.ttftSum, a.ttft.Count())
+		rep.TPOT.Mean = meanOr(a.tpotSum, a.tpotCount)
+		rep.Latency.Mean = meanOr(a.latSum, a.lat.Count())
+	} else {
+		// Tokens a retry discarded were still produced — they stay in the
+		// throughput total (and match the per-round event sums exactly).
+		rep.TotalTokens = s.wastedTokens
+		rep.Requests = make([]RequestMetrics, 0, len(s.kept))
+		ttfts := make([]float64, 0, len(s.kept))
+		tpots := make([]float64, 0, len(s.kept))
+		lats := make([]float64, 0, len(s.kept))
+		for _, st := range s.kept {
+			rep.TotalTokens += st.generated
+			switch st.phase {
+			case phaseDropped:
+				rep.Dropped++
+				continue
+			case phaseFinished:
+				rep.Completed++
+				rep.CompletedByClass[st.req.Class]++
+				rep.CompletedOutputTokens += st.generated
+			default:
+				rep.Unfinished++
+				continue
+			}
+			m := RequestMetrics{
+				ID:           st.req.ID,
+				TTFT:         st.firstTokenAt - st.req.ArrivalSec,
+				Latency:      st.finishedAt - st.req.ArrivalSec,
+				QueueDelay:   st.admittedAt - st.req.ArrivalSec,
+				OutputTokens: st.generated,
+				Preemptions:  st.preemptions,
+			}
+			// Single-token requests have no decode phase: TPOT is undefined
+			// for them, so they neither join the TPOT quantiles nor can fail
+			// its SLO.
+			tpotOK := true
+			if st.generated > 1 {
+				m.TPOT = (st.finishedAt - st.firstTokenAt) / float64(st.generated-1)
+				tpotOK = m.TPOT <= s.cfg.TPOTSLOSec
+				tpots = append(tpots, m.TPOT)
+			}
+			m.SLOMet = m.TTFT <= s.cfg.TTFTSLOSec && tpotOK
+			rep.Requests = append(rep.Requests, m)
+			ttfts = append(ttfts, m.TTFT)
+			lats = append(lats, m.Latency)
+			if m.SLOMet {
+				rep.GoodRequests++
+				rep.GoodOutputTokens += m.OutputTokens
+				rep.GoodTokensByClass[st.req.Class] += m.OutputTokens
+			}
 		}
+		rep.TTFT = quantiles(ttfts)
+		rep.TPOT = quantiles(tpots)
+		rep.Latency = quantiles(lats)
 	}
-	makespan := float64(s.eng.Now())
-	if s.failEnabled && s.lastProgress < makespan {
-		// Crash/recovery events keep the engine ticking long after the
-		// last request outcome; throughput is measured to the last progress
-		// instant instead.
-		makespan = s.lastProgress
-	}
-	rep.MakespanSec = makespan
-
-	// Tokens a retry discarded were still produced — they stay in the
-	// throughput total (and match the per-round event sums exactly).
-	rep.TotalTokens = s.wastedTokens
-	rep.Requests = make([]RequestMetrics, 0, len(states))
-	ttfts := make([]float64, 0, len(states))
-	tpots := make([]float64, 0, len(states))
-	lats := make([]float64, 0, len(states))
-	goodTokens, goodReqs, completedTokens := 0, 0, 0
-	for _, st := range states {
-		rep.TotalTokens += st.generated
-		switch st.phase {
-		case phaseDropped:
-			rep.Dropped++
-			continue
-		case phaseFinished:
-			rep.Completed++
-			rep.CompletedByClass[st.req.Class]++
-			completedTokens += st.generated
-		default:
-			rep.Unfinished++
-			continue
-		}
-		m := RequestMetrics{
-			ID:           st.req.ID,
-			TTFT:         st.firstTokenAt - st.req.ArrivalSec,
-			Latency:      st.finishedAt - st.req.ArrivalSec,
-			QueueDelay:   st.admittedAt - st.req.ArrivalSec,
-			OutputTokens: st.generated,
-			Preemptions:  st.preemptions,
-		}
-		// Single-token requests have no decode phase: TPOT is undefined for
-		// them, so they neither join the TPOT quantiles nor can fail its SLO.
-		tpotOK := true
-		if st.generated > 1 {
-			m.TPOT = (st.finishedAt - st.firstTokenAt) / float64(st.generated-1)
-			tpotOK = m.TPOT <= s.cfg.TPOTSLOSec
-			tpots = append(tpots, m.TPOT)
-		}
-		m.SLOMet = m.TTFT <= s.cfg.TTFTSLOSec && tpotOK
-		rep.Requests = append(rep.Requests, m)
-		ttfts = append(ttfts, m.TTFT)
-		lats = append(lats, m.Latency)
-		if m.SLOMet {
-			goodReqs++
-			goodTokens += m.OutputTokens
-			rep.GoodTokensByClass[st.req.Class] += m.OutputTokens
-		}
-	}
-	rep.GoodRequests = goodReqs
-	rep.GoodOutputTokens = goodTokens
-	rep.CompletedOutputTokens = completedTokens
 	if makespan > 0 {
 		rep.TokensPerSec = float64(rep.TotalTokens) / makespan
-		rep.GoodputTokensPerSec = float64(goodTokens) / makespan
-		rep.GoodRequestsPerSec = float64(goodReqs) / makespan
+		rep.GoodputTokensPerSec = float64(rep.GoodOutputTokens) / makespan
+		rep.GoodRequestsPerSec = float64(rep.GoodRequests) / makespan
 	}
-	rep.TTFT = quantiles(ttfts)
-	rep.TPOT = quantiles(tpots)
-	rep.Latency = quantiles(lats)
 	return rep
 }
 
@@ -1208,47 +1232,54 @@ func newNoise(be Backend, seed int64) *sim.Noise {
 }
 
 // RunAudited is Run plus the FIFO admission audit trail: the order in
-// which requests were first admitted, for scheduling-invariant tests.
+// which requests were first admitted, for scheduling-invariant tests. It
+// drives one replica seeded with cfg.Seed whose arrivals come from its own
+// noise stream (see driver.go). Sketch-mode runs return a nil AdmitOrder —
+// the audit trail is exactly the per-request memory that mode avoids.
 func RunAudited(be Backend, cfg Config) (*Report, AdmitOrder, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, nil, err
 	}
-	if !be.IsGPU && be.CPU.Sockets <= 0 {
-		be.CPU.Sockets = 1
-	}
-	if cfg.QuantileMode == QuantileSketch || cfg.EpochRequests > 0 {
-		return runSharded(be, cfg)
-	}
-	noise := newNoise(be, cfg.Seed)
-	s, err := newScheduler(be, cfg, sim.NewEngine(), noise)
-	if err != nil {
+	p := newPool(cfg)
+	if err := p.Add(0, be, cfg.Seed); err != nil {
 		return nil, nil, err
 	}
-	arrivals, err := genArrivals(cfg, noise.RNG())
-	if err != nil {
-		return nil, nil, err
-	}
-	s.admitOrder = make([]int, 0, len(arrivals))
-	states := make([]*reqState, len(arrivals))
-	stateBlock := make([]reqState, len(arrivals)) // one allocation, not one per request
-	lastArrival := 0.0
-	for i, req := range arrivals {
-		st := &stateBlock[i]
-		st.req = req
-		states[i] = st
-		if req.ArrivalSec > lastArrival {
-			lastArrival = req.ArrivalSec
+	s := p.reps[0]
+	var src *arrivalSource
+	var err error
+	if cfg.QuantileMode == QuantileSketch {
+		// Burn the arrival-synthesis draws out of the noise stream: the
+		// exact run draws every arrival from the noise RNG before the first
+		// simulated step, so its step-noise samples start that far into
+		// the stream. Draining a throwaway source here, then replaying the
+		// same draws lazily from a second RNG seeded identically, keeps
+		// every event time bit-identical to the exact run while generating
+		// arrivals epoch by epoch.
+		burn, err := newArrivalSource(cfg, s.noise.RNG())
+		if err != nil {
+			return nil, nil, err
 		}
-		s.eng.Schedule(sim.Time(req.ArrivalSec), func(*sim.Engine) {
-			s.submit(st)
-		})
+		for _, ok := burn.gen(); ok; _, ok = burn.gen() {
+		}
+		if src, err = newArrivalSource(cfg, rand.New(rand.NewSource(cfg.Seed))); err != nil {
+			return nil, nil, err
+		}
+		s.stream = newStreamAccum(cfg.SketchAlpha)
+	} else {
+		if src, err = materialize(cfg, s.noise.RNG()); err != nil {
+			return nil, nil, err
+		}
+		// The lone replica's ledger is the whole arrival block, in trace
+		// order.
+		s.kept = make([]*reqState, len(src.block))
+		for i := range src.block {
+			s.kept[i] = &src.block[i]
+		}
+		s.audit = true
+		s.admitOrder = make([]int, 0, len(src.block))
 	}
-	horizon := sim.Time(lastArrival + cfg.HorizonSec)
-	if _, err := s.eng.RunUntil(horizon, cfg.MaxSteps); err != nil {
+	if err := p.drive(src, lone{s}); err != nil {
 		return nil, nil, err
 	}
-	if s.err != nil {
-		return nil, nil, s.err
-	}
-	return s.report(states), AdmitOrder(s.admitOrder), nil
+	return s.report(), AdmitOrder(s.admitOrder), nil
 }

@@ -282,32 +282,16 @@ type Config struct {
 	// for concurrent runs: see the interface's contract.
 	Observer Observer
 	// Faults groups the fault-injection, admission-control and retry knobs
-	// (see FaultConfig). The six flat fields below are the deprecated
-	// pre-grouping spelling: normalize folds them into Faults when the
-	// sub-struct leaves the knob zero, then mirrors the resolved values
-	// back, so configs written against either spelling behave identically
-	// for one release.
+	// (see FaultConfig).
 	Faults FaultConfig
-	// FailMTBFSec is deprecated: set Faults.MTBFSec.
-	FailMTBFSec float64
-	// FailPlan is deprecated: set Faults.Plan.
-	FailPlan []FailPoint
-	// FailPolicy is deprecated: set Faults.Policy.
-	FailPolicy FailurePolicy
 	// RecoverySec is the crash-to-servable recovery time; 0 — the default —
 	// derives the platform's full TEE cold start (ColdStartSec: boot +
 	// weight load + TD accept/enclave build + attestation RTT).
 	RecoverySec float64
-	// Admission is deprecated: set Faults.Admission.
-	Admission AdmissionPolicy
 	// DeadlineSec is the interactive-class deadline measured from arrival
 	// (standard requests get 4×, background 16× — see RequestClass); 0
 	// defaults to TTFTSLOSec. Only meaningful under AdmitDeadline/AdmitShed.
 	DeadlineSec float64
-	// RetryMax is deprecated: set Faults.RetryMax.
-	RetryMax int
-	// RetryBaseSec is deprecated: set Faults.RetryBackoffSec.
-	RetryBaseSec float64
 	// ClearCoster, when non-nil alongside Observer, prices every round's
 	// step shapes a second time on the platform's clear-hardware twin (see
 	// tee.Platform.Clear and NewClearStepCoster) and emits the results on
@@ -319,8 +303,7 @@ type Config struct {
 
 // FaultConfig groups the serving run's resilience knobs: fault injection,
 // queue-admission policy and the retry budget. It embeds in Config as
-// Faults; the matching flat Config fields are deprecated and folded in by
-// normalize for one release.
+// Faults.
 type FaultConfig struct {
 	// MTBFSec injects replica failures as a Poisson process with this
 	// mean time between failures (simulated seconds, per replica, drawn
@@ -352,12 +335,6 @@ type FaultConfig struct {
 	// +50%); 0 defaults to 1s when RetryMax is set.
 	RetryBackoffSec float64
 }
-
-// Normalize validates the config and fills defaults in place. Exported for
-// external control loops (internal/autoscale) that need the resolved
-// HorizonSec/MaxSteps/Requests before building replicas; Run/RunFleet call
-// it internally.
-func (c *Config) Normalize() error { return c.normalize() }
 
 func (c *Config) normalize() error {
 	if c.Workload.Model.Validate() != nil {
@@ -476,28 +453,6 @@ func (c *Config) normalize() error {
 	if c.QuantileMode == QuantileSketch && c.EpochRequests == 0 {
 		c.EpochRequests = DefaultEpochRequests
 	}
-	// One-release migration: the deprecated flat fields fill their Faults
-	// counterparts wherever the sub-struct left the knob zero, then the
-	// resolved values mirror back so readers of either spelling agree.
-	// Both steps are no-ops on a re-normalized config (idempotent).
-	if c.Faults.MTBFSec == 0 {
-		c.Faults.MTBFSec = c.FailMTBFSec
-	}
-	if c.Faults.Plan == nil {
-		c.Faults.Plan = c.FailPlan
-	}
-	if c.Faults.Policy == FailRequeue {
-		c.Faults.Policy = c.FailPolicy
-	}
-	if c.Faults.Admission == AdmitFIFO {
-		c.Faults.Admission = c.Admission
-	}
-	if c.Faults.RetryMax == 0 {
-		c.Faults.RetryMax = c.RetryMax
-	}
-	if c.Faults.RetryBackoffSec == 0 {
-		c.Faults.RetryBackoffSec = c.RetryBaseSec
-	}
 	if c.Faults.MTBFSec < 0 {
 		return fmt.Errorf("serve: failure MTBF %g is negative", c.Faults.MTBFSec)
 	}
@@ -534,8 +489,6 @@ func (c *Config) normalize() error {
 	case c.Faults.RetryBackoffSec == 0 && c.Faults.RetryMax > 0:
 		c.Faults.RetryBackoffSec = 1
 	}
-	c.FailMTBFSec, c.FailPlan, c.FailPolicy = c.Faults.MTBFSec, c.Faults.Plan, c.Faults.Policy
-	c.Admission, c.RetryMax, c.RetryBaseSec = c.Faults.Admission, c.Faults.RetryMax, c.Faults.RetryBackoffSec
 	return nil
 }
 

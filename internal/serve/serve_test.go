@@ -9,7 +9,6 @@ import (
 	"cllm/internal/mem"
 	"cllm/internal/model"
 	"cllm/internal/perf"
-	"cllm/internal/sim"
 	"cllm/internal/tee"
 	"cllm/internal/trace"
 	"cllm/internal/workload"
@@ -548,44 +547,46 @@ func TestServeScenarioArrivals(t *testing.T) {
 	}
 }
 
+// probeDispatcher is a minimal external Dispatcher: at Start it builds one
+// replica of be seeded with the config seed and runs the optional hook;
+// every arrival goes to that replica.
+type probeDispatcher struct {
+	be    Backend
+	start func(p *Pool)
+}
+
+func (d *probeDispatcher) Start(p *Pool) error {
+	if err := p.Add(0, d.be, p.cfg.Seed); err != nil {
+		return err
+	}
+	if d.start != nil {
+		d.start(p)
+	}
+	return nil
+}
+
+func (d *probeDispatcher) Dispatch(p *Pool, a Arrival) { p.Submit(0, a) }
+
 func TestReplicaMatchesRun(t *testing.T) {
-	// Driving one exported Replica with the config's own arrivals must
-	// reproduce Run exactly: same scheduler, same noise stream, same clock.
+	// Driving one replica through an external dispatcher with the config's
+	// own arrivals must reproduce Run's accounting: same scheduler, same
+	// arrivals, same clock (only the noise stream starts fresh).
 	cfg := tinyConfig(20, 24)
 	want, err := Run(cpuBackend(tee.TDX()), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := sim.NewEngine()
-	rep, err := NewReplica(cpuBackend(tee.TDX()), cfg, eng, cfg.Seed)
+	p, err := Drive(cfg, &probeDispatcher{be: cpuBackend(tee.TDX())})
 	if err != nil {
 		t.Fatal(err)
 	}
-	arrivals, err := Arrivals(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	last := 0.0
-	for _, req := range arrivals {
-		req := req
-		if req.ArrivalSec > last {
-			last = req.ArrivalSec
-		}
-		eng.Schedule(sim.Time(req.ArrivalSec), func(*sim.Engine) { rep.Submit(req) })
-	}
-	if _, err := eng.RunUntil(sim.Time(last+3600), 4_000_000); err != nil {
-		t.Fatal(err)
-	}
-	if err := rep.Err(); err != nil {
-		t.Fatal(err)
-	}
-	got := rep.Report()
+	got := p.Aggregate(func(int) bool { return true })
 	if got.Completed != want.Completed || got.TotalTokens != want.TotalTokens {
 		t.Errorf("replica completed %d/%d tokens vs Run %d/%d",
 			got.Completed, got.TotalTokens, want.Completed, want.TotalTokens)
 	}
-	if rep.Submitted() != len(arrivals) || rep.Outstanding() != 0 {
-		t.Errorf("submitted %d, outstanding %d", rep.Submitted(), rep.Outstanding())
+	if p.Offered() != 24 || p.reps[0].submitted != 24 || p.Outstanding(0) != 0 {
+		t.Errorf("offered %d, submitted %d, outstanding %d", p.Offered(), p.reps[0].submitted, p.Outstanding(0))
 	}
 }
 

@@ -1,101 +1,16 @@
 package serve
 
 import (
-	"fmt"
-	"math/rand"
-
-	"cllm/internal/sim"
 	"cllm/internal/stats"
 )
 
-// This file is the epoch-sharded runner behind Config.QuantileMode ==
-// QuantileSketch (and Config.EpochRequests > 0 in exact mode): instead of
-// materializing every arrival and retaining every request's state, the
-// run schedules arrivals one epoch at a time, drains the engine to the
-// epoch's last arrival, hands the warm scheduler/KV/prefix-cache state to
-// the next epoch, and streams completed requests into bounded-memory
-// quantile sketches. Memory is then independent of the request count —
-// the ROADMAP's 10⁸-request "millions of users" run fits in a flat heap.
-//
-// Determinism contract, pinned by stream_test.go:
-//
-//   - Exact mode with EpochRequests set is byte-identical to the
-//     monolithic run: arrivals are generated from the same noise-stream
-//     RNG in the same order, and sim.Engine.ScheduleAt places mid-run
-//     arrivals at bit-exact times.
-//   - Sketch mode replays the arrival stream from a second RNG seeded
-//     identically, after burning the monolithic run's arrival draws out
-//     of the noise stream — so every event time, counter and the
-//     admission order match the exact run bit for bit (for trace and
-//     Poisson loads; scenario streams draw shapes interleaved with times,
-//     a different-but-equally-valid sample path from the same seed).
-//   - Results are invariant to the epoch size.
-
-// arrivalSource yields the offered load one request at a time, in
-// nondecreasing arrival order.
-type arrivalSource struct {
-	emit func() (Request, bool)
-}
-
-func (a *arrivalSource) next() (Request, bool) { return a.emit() }
-
-// newArrivalSource builds the streaming form of genArrivals over cfg's
-// load: the explicit trace, a scenario generator, or the Poisson
-// synthesizer. Epoch sharding drains the engine up to each scheduled
-// batch's last arrival, which silently reorders an out-of-order trace —
-// so sharded runs require traces sorted by arrival time.
-func newArrivalSource(cfg Config, rng *rand.Rand) (*arrivalSource, error) {
-	switch {
-	case len(cfg.Trace) > 0:
-		if err := validateTrace(cfg); err != nil {
-			return nil, err
-		}
-		for i := 1; i < len(cfg.Trace); i++ {
-			if cfg.Trace[i].ArrivalSec < cfg.Trace[i-1].ArrivalSec {
-				return nil, fmt.Errorf("serve: epoch-sharded runs require a trace sorted by arrival time (request %d at %gs after %gs)",
-					cfg.Trace[i].ID, cfg.Trace[i].ArrivalSec, cfg.Trace[i-1].ArrivalSec)
-			}
-		}
-		i := 0
-		return &arrivalSource{emit: func() (Request, bool) {
-			if i >= len(cfg.Trace) {
-				return Request{}, false
-			}
-			r := cfg.Trace[i]
-			i++
-			return r, true
-		}}, nil
-	case cfg.Scenario != nil:
-		gen, err := cfg.Scenario.Stream(rng)
-		if err != nil {
-			return nil, err
-		}
-		i := 0
-		return &arrivalSource{emit: func() (Request, bool) {
-			if i >= cfg.Requests {
-				return Request{}, false
-			}
-			wr := gen.Next()
-			r := clampToContext(Request{
-				ID: i, ArrivalSec: wr.ArrivalSec,
-				InputLen: wr.InputLen, OutputLen: wr.OutputLen,
-				PrefixID: wr.PrefixID, PrefixLen: wr.PrefixLen,
-				Class: classOfShape(wr.Shape),
-			}, cfg.Workload.Model.ContextLen)
-			i++
-			return r, true
-		}}, nil
-	default:
-		g := newPoissonGen(cfg, rng)
-		return &arrivalSource{emit: g.next}, nil
-	}
-}
-
-// streamAccum is the scheduler's streaming outcome ledger: completed
-// requests fold into the current epoch's sketches as they finish, and
-// rotate() merges each finished epoch into the cumulative summaries —
-// the sketch merge path is thereby exercised by every sharded run, not
-// just fleet aggregation.
+// streamAccum is the sketch-mode outcome ledger: completed requests fold
+// into the current epoch's sketches, and rotate() merges each finished
+// epoch into the cumulative summaries — the sketch merge path is thereby
+// exercised by every sketched run, not just fleet aggregation. A lone
+// sketch-mode replica feeds it live as requests finish (so the run retains
+// no per-request state); routed replicas fold their retained states into
+// one at report time, in arrival order.
 type streamAccum struct {
 	alpha float64
 	// Current-epoch sketches, merged into the cumulative ones at each
@@ -133,7 +48,7 @@ func newStreamAccum(alpha float64) *streamAccum {
 }
 
 // observe folds one finished request into the current epoch, with the
-// same SLO arithmetic report() applies to retained states.
+// same SLO arithmetic the exact report applies to retained states.
 func (a *streamAccum) observe(st *reqState, ttftSLO, tpotSLO float64) {
 	ttft := st.firstTokenAt - st.req.ArrivalSec
 	lat := st.finishedAt - st.req.ArrivalSec
@@ -185,228 +100,4 @@ func meanOr(sum float64, count int64) float64 {
 		return 0
 	}
 	return sum / float64(count)
-}
-
-// buildStreamReport assembles a sketched report from the sink after the
-// engine has drained. submitted is how many requests entered the run.
-func (s *scheduler) buildStreamReport(a *streamAccum, submitted int) *Report {
-	a.rotate()
-	makespan := float64(s.eng.Now())
-	if s.failEnabled && s.lastProgress < makespan {
-		// See report(): crash/recovery events outlive the last request
-		// outcome; throughput is measured to the last progress instant.
-		makespan = s.lastProgress
-	}
-	rep := &Report{
-		Platform:              s.be.platformName(),
-		OfferedRate:           offeredRate(s.cfg),
-		Completed:             a.completed,
-		Dropped:               a.dropped,
-		Unfinished:            submitted - a.completed - a.dropped,
-		DroppedByReason:       s.drops,
-		Sheds:                 s.sheds,
-		Retries:               s.retries,
-		Crashes:               s.crashes,
-		DowntimeSec:           s.downtimeSec,
-		HandoffsOut:           s.handoffsOut,
-		HandoffsIn:            s.handoffsIn,
-		HandoffFallbacks:      s.handoffFallbacks,
-		HandoffTokens:         s.handoffTokens,
-		HandoffBytes:          s.handoffBytes,
-		CompletedByClass:      a.completedByClass,
-		GoodTokensByClass:     a.goodTokensByClass,
-		Preemptions:           s.preemptions,
-		MakespanSec:           makespan,
-		TotalTokens:           s.producedTot,
-		KVBlocksTotal:         s.kv.TotalBlocks(),
-		PeakKVBlocksInUse:     s.kv.PeakInUse(),
-		KVBlocksInUseAtEnd:    s.kv.InUse(),
-		KVBlocksCachedAtEnd:   s.kv.CachedBlocks(),
-		PrefixCacheHitTokens:  s.kv.HitTokens(),
-		PrefixCacheMissTokens: s.kv.MissTokens(),
-		EvictedBlocks:         s.kv.EvictedBlocks(),
-		SwapOuts:              s.swapOuts,
-		SwapIns:               s.swapIns,
-		SwapPoolBlocks:        s.kv.SwapPoolBlocks(),
-		PeakSwapBlocksInUse:   s.kv.PeakSwapBlocks(),
-		SwapBlocksAtEnd:       s.kv.SwappedBlocks(),
-		Sketched:              true,
-		SketchAlpha:           a.alpha,
-		GoodRequests:          a.goodReqs,
-		GoodOutputTokens:      a.goodTokens,
-		CompletedOutputTokens: a.completedTokens,
-		TTFTSketch:            a.ttft,
-		TPOTSketch:            a.tpot,
-		LatencySketch:         a.lat,
-	}
-	if rep.MakespanSec > 0 {
-		rep.TokensPerSec = float64(rep.TotalTokens) / rep.MakespanSec
-		rep.GoodputTokensPerSec = float64(a.goodTokens) / rep.MakespanSec
-		rep.GoodRequestsPerSec = float64(a.goodReqs) / rep.MakespanSec
-	}
-	rep.TTFT = sketchQuantiles(a.ttft)
-	rep.TPOT = sketchQuantiles(a.tpot)
-	rep.Latency = sketchQuantiles(a.lat)
-	// Epoch-size-invariant means (see streamAccum): override the sketch
-	// accumulators' grouping-dependent sums.
-	rep.TTFT.Mean = meanOr(a.ttftSum, a.ttft.Count())
-	rep.TPOT.Mean = meanOr(a.tpotSum, a.tpotCount)
-	rep.Latency.Mean = meanOr(a.latSum, a.lat.Count())
-	return rep
-}
-
-// reportSketched is the retained-states counterpart of buildStreamReport:
-// fleet replicas keep per-request states for dispatch, but under sketch
-// mode their reports fold those states into sketches instead of carrying
-// a Requests slice, so MergeReports can aggregate fleets of any size
-// without concatenating per-request samples.
-func (s *scheduler) reportSketched(states []*reqState) *Report {
-	a := newStreamAccum(s.cfg.SketchAlpha)
-	for _, st := range states {
-		switch st.phase {
-		case phaseFinished:
-			a.observe(st, s.cfg.TTFTSLOSec, s.cfg.TPOTSLOSec)
-		case phaseDropped:
-			a.dropped++
-		}
-	}
-	return s.buildStreamReport(a, len(states))
-}
-
-// runSharded is RunAudited's epoch-sharded path. cfg is already
-// normalized and the backend socket-defaulted.
-func runSharded(be Backend, cfg Config) (*Report, AdmitOrder, error) {
-	epoch := cfg.EpochRequests
-	if epoch <= 0 {
-		epoch = DefaultEpochRequests
-	}
-	noise := newNoise(be, cfg.Seed)
-	s, err := newScheduler(be, cfg, sim.NewEngine(), noise)
-	if err != nil {
-		return nil, nil, err
-	}
-	if cfg.QuantileMode == QuantileSketch {
-		return runStreamed(s, cfg, noise, epoch)
-	}
-	return runShardedExact(s, cfg, noise, epoch)
-}
-
-// runShardedExact runs the epochs over fully materialized arrivals and
-// retained states: same memory profile as the monolithic path, byte-
-// identical report and admission order (the golden test for the sharding
-// machinery — sketch mode reuses the same epoch loop with the buffers
-// swapped out for sketches).
-func runShardedExact(s *scheduler, cfg Config, noise *sim.Noise, epoch int) (*Report, AdmitOrder, error) {
-	arrivals, err := genArrivals(cfg, noise.RNG())
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(cfg.Trace) > 0 {
-		for i := 1; i < len(arrivals); i++ {
-			if arrivals[i].ArrivalSec < arrivals[i-1].ArrivalSec {
-				return nil, nil, fmt.Errorf("serve: epoch-sharded runs require a trace sorted by arrival time (request %d at %gs after %gs)",
-					arrivals[i].ID, arrivals[i].ArrivalSec, arrivals[i-1].ArrivalSec)
-			}
-		}
-	}
-	s.admitOrder = make([]int, 0, len(arrivals))
-	states := make([]*reqState, len(arrivals))
-	stateBlock := make([]reqState, len(arrivals)) // one allocation, not one per request
-	lastArrival := 0.0
-	for start := 0; start < len(arrivals); start += epoch {
-		end := start + epoch
-		if end > len(arrivals) {
-			end = len(arrivals)
-		}
-		for i := start; i < end; i++ {
-			st := &stateBlock[i]
-			st.req = arrivals[i]
-			states[i] = st
-			if st.req.ArrivalSec > lastArrival {
-				lastArrival = st.req.ArrivalSec
-			}
-			s.eng.ScheduleAt(sim.Time(st.req.ArrivalSec), func(*sim.Engine) {
-				s.submit(st)
-			})
-		}
-		if _, err := s.eng.RunUntil(sim.Time(lastArrival), cfg.MaxSteps); err != nil {
-			return nil, nil, err
-		}
-		if s.err != nil {
-			return nil, nil, s.err
-		}
-	}
-	if _, err := s.eng.RunUntil(sim.Time(lastArrival+cfg.HorizonSec), cfg.MaxSteps); err != nil {
-		return nil, nil, err
-	}
-	if s.err != nil {
-		return nil, nil, s.err
-	}
-	return s.report(states), AdmitOrder(s.admitOrder), nil
-}
-
-// runStreamed is the bounded-memory runner: lazy arrival generation, no
-// retained request states, no admission audit, outcomes streamed into
-// sketches. It returns a nil AdmitOrder — the audit trail is exactly the
-// per-request memory this mode exists to avoid.
-func runStreamed(s *scheduler, cfg Config, noise *sim.Noise, epoch int) (*Report, AdmitOrder, error) {
-	// Burn the arrival-synthesis draws out of the noise stream: the
-	// monolithic run draws every arrival from the noise RNG before the
-	// first simulated step, so its step-noise samples start that far into
-	// the stream. Draining a throwaway source here, then replaying the
-	// same draws lazily from a second RNG seeded identically, keeps every
-	// event time bit-identical to the exact run while generating arrivals
-	// epoch by epoch.
-	burn, err := newArrivalSource(cfg, noise.RNG())
-	if err != nil {
-		return nil, nil, err
-	}
-	for {
-		if _, ok := burn.next(); !ok {
-			break
-		}
-	}
-	src, err := newArrivalSource(cfg, rand.New(rand.NewSource(cfg.Seed)))
-	if err != nil {
-		return nil, nil, err
-	}
-	s.sink = newStreamAccum(cfg.SketchAlpha)
-	s.noAudit = true
-	submitted := 0
-	lastArrival := 0.0
-	for {
-		n := 0
-		for n < epoch {
-			req, ok := src.next()
-			if !ok {
-				break
-			}
-			st := &reqState{req: req}
-			if req.ArrivalSec > lastArrival {
-				lastArrival = req.ArrivalSec
-			}
-			s.eng.ScheduleAt(sim.Time(req.ArrivalSec), func(*sim.Engine) {
-				s.submit(st)
-			})
-			submitted++
-			n++
-		}
-		if n == 0 {
-			break
-		}
-		if _, err := s.eng.RunUntil(sim.Time(lastArrival), cfg.MaxSteps); err != nil {
-			return nil, nil, err
-		}
-		if s.err != nil {
-			return nil, nil, s.err
-		}
-		s.sink.rotate()
-	}
-	if _, err := s.eng.RunUntil(sim.Time(lastArrival+cfg.HorizonSec), cfg.MaxSteps); err != nil {
-		return nil, nil, err
-	}
-	if s.err != nil {
-		return nil, nil, s.err
-	}
-	return s.buildStreamReport(s.sink, submitted), nil, nil
 }

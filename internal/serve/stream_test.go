@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"reflect"
 	"runtime"
@@ -10,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"cllm/internal/sim"
 	"cllm/internal/stats"
 	"cllm/internal/tee"
 	"cllm/internal/workload"
@@ -79,6 +80,128 @@ func TestShardedExactGolden(t *testing.T) {
 				}
 			}
 		})
+	}
+	// Every deployment runs through the same driver, so fleets — unified
+	// and disaggregated — and elastic deployments honour EpochRequests too,
+	// byte-identically to their one-epoch runs.
+	deployments := []struct {
+		name string
+		run  func(Config) (any, error)
+	}{
+		{"fleet-least-loaded", func(cfg Config) (any, error) {
+			return RunFleet(cpuBackend(tee.TDX()), cfg, FleetConfig{Replicas: 3, Policy: LeastLoaded})
+		}},
+		{"disagg", func(cfg Config) (any, error) {
+			f, err := NewFleet(disaggTopology())
+			if err != nil {
+				return nil, err
+			}
+			return f.Run(cfg)
+		}},
+		{"autoscaled-two-class", func(cfg Config) (any, error) {
+			c := &twoClass{}
+			p, err := Drive(cfg, c)
+			if err != nil {
+				return nil, err
+			}
+			if !c.scaled || c.held == 0 {
+				return nil, fmt.Errorf("run too mild: scaled=%v, %d arrivals held", c.scaled, c.held)
+			}
+			return []any{p.Aggregate(func(int) bool { return true }), c.windows, p.Now()}, nil
+		}},
+	}
+	for _, d := range deployments {
+		t.Run(d.name, func(t *testing.T) {
+			cfg := tinyConfig(80, 60)
+			want, err := d.run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, epoch := range []int{1, 3, 17, 100000} {
+				cfg.EpochRequests = epoch
+				got, err := d.run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("epoch %d: sharded run differs from the one-epoch run", epoch)
+				}
+			}
+		})
+	}
+}
+
+// twoClass is a small elastic controller in the autoscaler's mould, for
+// driver tests: a TDX replica that is cold at t=0 (early arrivals wait in a
+// pending queue), and a baremetal replica a periodic control tick
+// activates, after its own cold start, once the backlog builds. Arrivals
+// go to the least-loaded servable replica.
+type twoClass struct {
+	servable   [2]bool
+	scaled     bool
+	held       int // arrivals that waited in pending
+	pending    []Arrival
+	dispatched int
+	windows    []int // backlog at each tick
+}
+
+const twoClassTick, twoClassCold = 0.05, 0.03
+
+func (c *twoClass) Start(p *Pool) error {
+	if err := p.Add(0, cpuBackend(tee.TDX()), p.cfg.Seed+104729); err != nil {
+		return err
+	}
+	p.After(twoClassCold, func() { c.servable[0] = true; c.flush(p) })
+	p.After(twoClassTick, func() { c.tick(p) })
+	return nil
+}
+
+func (c *twoClass) pick(p *Pool) int {
+	best := -1
+	for id, ok := range c.servable {
+		if ok && (best < 0 || p.Outstanding(id) < p.Outstanding(best)) {
+			best = id
+		}
+	}
+	return best
+}
+
+func (c *twoClass) Dispatch(p *Pool, a Arrival) {
+	id := c.pick(p)
+	if id < 0 {
+		c.pending = append(c.pending, a)
+		c.held++
+		return
+	}
+	p.Submit(id, a)
+	c.dispatched++
+}
+
+func (c *twoClass) flush(p *Pool) {
+	queued := c.pending
+	c.pending = nil
+	for _, a := range queued {
+		c.Dispatch(p, a)
+	}
+}
+
+func (c *twoClass) tick(p *Pool) {
+	backlog := len(c.pending)
+	for id, ok := range c.servable {
+		if ok {
+			backlog += p.Outstanding(id)
+		}
+	}
+	c.windows = append(c.windows, backlog)
+	if backlog > 4 && !c.scaled {
+		c.scaled = true
+		if err := p.Add(1, cpuBackend(tee.Baremetal()), p.cfg.Seed+7919+104729); err != nil {
+			return
+		}
+		p.After(twoClassCold, func() { c.servable[1] = true; c.flush(p) })
+	}
+	if c.dispatched < p.Offered() || backlog > 0 {
+		p.After(twoClassTick, func() { c.tick(p) })
 	}
 }
 
@@ -279,7 +402,7 @@ func TestSketchMatchesExactRun(t *testing.T) {
 	}
 }
 
-// TestStreamedConservation drives the streamed runner directly and checks
+// TestStreamedConservation drives a streamed lone replica directly and checks
 // the physical conservation laws the sharded handoff must preserve: the
 // request partition sums to the submissions, every KV block is accounted
 // for (refcount conservation via CheckConservation), and nothing leaks
@@ -296,19 +419,24 @@ func TestStreamedConservation(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tinyConfig(tc.rate, tc.n)
 			cfg.QuantileMode = QuantileSketch
+			cfg.EpochRequests = 32
 			if err := cfg.normalize(); err != nil {
 				t.Fatal(err)
 			}
-			be := cpuBackend(tee.TDX())
-			noise := newNoise(be, cfg.Seed)
-			s, err := newScheduler(be, cfg, sim.NewEngine(), noise)
+			p := newPool(cfg)
+			if err := p.Add(0, cpuBackend(tee.TDX()), cfg.Seed); err != nil {
+				t.Fatal(err)
+			}
+			s := p.reps[0]
+			s.stream = newStreamAccum(cfg.SketchAlpha)
+			src, err := newArrivalSource(cfg, rand.New(rand.NewSource(cfg.Seed)))
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep, _, err := runStreamed(s, cfg, noise, 32)
-			if err != nil {
+			if err := p.drive(src, lone{s}); err != nil {
 				t.Fatal(err)
 			}
+			rep := s.report()
 			if got := rep.Completed + rep.Dropped + rep.Unfinished; got != tc.n {
 				t.Fatalf("request partition %d+%d+%d = %d, want %d submissions",
 					rep.Completed, rep.Dropped, rep.Unfinished, got, tc.n)

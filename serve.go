@@ -112,22 +112,8 @@ type ServeConfig struct {
 	// doubles.
 	ObserveWindowSec float64
 	// Faults groups the fault-injection, admission-control and retry knobs
-	// (see FaultConfig). The six flat fields below are the deprecated
-	// pre-grouping spelling, still honored for one release: Serve folds
-	// them into Faults wherever the sub-struct leaves the knob zero.
+	// (see FaultConfig).
 	Faults FaultConfig
-	// FailMTBFSec is deprecated: set Faults.MTBFSec.
-	FailMTBFSec float64
-	// FailPlan is deprecated: set Faults.Plan.
-	FailPlan string
-	// FailPolicy is deprecated: set Faults.Policy.
-	FailPolicy string
-	// Admission is deprecated: set Faults.Admission.
-	Admission string
-	// RetryMax is deprecated: set Faults.RetryMax.
-	RetryMax int
-	// RetryBackoffSec is deprecated: set Faults.RetryBackoffSec.
-	RetryBackoffSec float64
 	// Attribution folds the run's event stream into per-request phase
 	// vectors (queue wait, prefill, decode, preemption stall, swap
 	// transfer — summing exactly to each request's latency) and prices a
@@ -294,26 +280,6 @@ func (s *Session) Serve(cfg ServeConfig) (*ServeReport, error) {
 	qmode, err := serve.ParseQuantileMode(cfg.QuantileMode)
 	if err != nil {
 		return nil, err
-	}
-	// One-release migration: the deprecated flat fault fields fill their
-	// Faults counterparts wherever the sub-struct leaves the knob zero.
-	if cfg.Faults.MTBFSec == 0 {
-		cfg.Faults.MTBFSec = cfg.FailMTBFSec
-	}
-	if cfg.Faults.Plan == "" {
-		cfg.Faults.Plan = cfg.FailPlan
-	}
-	if cfg.Faults.Policy == "" {
-		cfg.Faults.Policy = cfg.FailPolicy
-	}
-	if cfg.Faults.Admission == "" {
-		cfg.Faults.Admission = cfg.Admission
-	}
-	if cfg.Faults.RetryMax == 0 {
-		cfg.Faults.RetryMax = cfg.RetryMax
-	}
-	if cfg.Faults.RetryBackoffSec == 0 {
-		cfg.Faults.RetryBackoffSec = cfg.RetryBackoffSec
 	}
 	failPolicy, err := serve.ParseFailurePolicy(cfg.Faults.Policy)
 	if err != nil {
