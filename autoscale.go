@@ -6,12 +6,7 @@ import (
 	"strings"
 
 	"cllm/internal/autoscale"
-	"cllm/internal/model"
-	"cllm/internal/obs"
-	"cllm/internal/perf"
 	"cllm/internal/serve"
-	"cllm/internal/trace"
-	"cllm/internal/workload"
 )
 
 // AutoscaleClass selects one replica class of an elastic heterogeneous
@@ -51,7 +46,12 @@ func ParseClasses(s string) ([]AutoscaleClass, error) {
 				*dst = n
 			}
 		}
-		if c.Min > c.Max {
+		switch {
+		case c.Max < 1:
+			return nil, fmt.Errorf("cllm: class %q has max %d < 1", item, c.Max)
+		case c.Min < 0:
+			return nil, fmt.Errorf("cllm: class %q has negative min %d", item, c.Min)
+		case c.Min > c.Max:
 			return nil, fmt.Errorf("cllm: class %q has min %d > max %d", item, c.Min, c.Max)
 		}
 		out = append(out, c)
@@ -65,17 +65,22 @@ func ParseClasses(s string) ([]AutoscaleClass, error) {
 // AutoscaleConfig describes an elastic serving run: a traffic scenario
 // against a heterogeneous fleet of TEE replica classes behind a reactive
 // target-tracking scaler.
+//
+// The embedded ServeConfig carries the workload, every replica's batching,
+// KV-cache and preemption knobs, the SLOs, the quantile mode and the
+// observation switches, exactly as in Session.Serve, with elastic
+// defaults: Scenario "bursty", RatePerSec 4 and Requests 256. The scenario's
+// shape mix replaces InputLen, OutputLen and the Prefix* knobs. Autoscale
+// rejects the ServeConfig fields an elastic fleet cannot honour: Replicas
+// above 1, a non-default LBPolicy and a Topology (the classes fix the
+// fleet), any Faults setting (the scaler runs failure-free and open-door)
+// and Attribution.
 type AutoscaleConfig struct {
-	// Model is a zoo name (default "llama2-7b"); DType as in Workload.
-	Model, DType string
+	ServeConfig
 	// System is the CPU testbed for CPU classes (default EMR1).
 	System string
-	// Scenario names the traffic scenario (default "bursty"); RatePerSec
-	// is its mean arrival rate (default 4).
-	Scenario   string
-	RatePerSec float64
-	// Requests is the number of arrivals to simulate (default 256).
-	Requests int
+	// Seed drives arrivals and every noise stream.
+	Seed int64
 	// Classes are the fleet's replica classes (required).
 	Classes []AutoscaleClass
 	// Dispatch is "uniform" or "cost-aware" (default "cost-aware").
@@ -92,30 +97,6 @@ type AutoscaleConfig struct {
 	// NoColdStart zeroes every class's cold start — the counterfactual
 	// baseline quantifying what enclave build + attestation cost at scale.
 	NoColdStart bool
-	// MaxBatch caps concurrent sequences per replica (default 32).
-	MaxBatch int
-	// ChunkTokens enables chunked prefill per replica (0 = monolithic).
-	ChunkTokens int
-	// PrefixSharing enables each replica's block-level prefix cache; the
-	// scenario's shape mixes define the shared-prefix groups.
-	PrefixSharing bool
-	// PreemptPolicy selects each replica's preemption policy:
-	// "recompute" (default), "swap", or "auto" (see ServeConfig).
-	PreemptPolicy string
-	// Sockets selects the CPU deployment for CPU classes (default 1).
-	Sockets int
-	// CostBucket quantizes the memoized step costing (tokens; default 1 =
-	// exact, bit-identical to the unmemoized cost model). See
-	// serve.Config.CostBucket.
-	CostBucket int
-	// TTFTSLOSec / TPOTSLOSec are SLO targets (defaults 5 s / 0.5 s).
-	TTFTSLOSec, TPOTSLOSec float64
-	// Seed drives arrivals and every noise stream.
-	Seed int64
-	// Observe / ObserveWindowSec record the elastic run's lifecycle event
-	// stream and time series, as in ServeConfig.
-	Observe          bool
-	ObserveWindowSec float64
 }
 
 // AutoscaleClassReport is one class's consumption over the run.
@@ -142,30 +123,24 @@ type AutoscaleWindow struct {
 	Active, Available []int
 }
 
-// AutoscaleReport summarizes an elastic serving run.
+// AutoscaleReport summarizes an elastic serving run. The embedded
+// ServeReport holds the fleet-wide aggregate (request partition, drop
+// taxonomy, throughput, goodput, latency quantiles, KV, prefix-cache and
+// swap counters, and Observation when AutoscaleConfig.Observe was set).
+// Its fixed-fleet fields stay zero on an elastic report: the deployment
+// echoes (Replicas, LBPolicy, Topology) and the SLO pricing (SLOFeasible,
+// ReplicasAtSLO, FleetHourlyUSD, USDPerMTokAtSLO) — an elastic fleet is
+// priced by ReplicaHours, CostUSD and USDPerMTok below. Attrib stays nil.
 type AutoscaleReport struct {
-	Scenario    string
-	Dispatch    string
-	OfferedRate float64
-	// Completed / Dropped / Unfinished partition the offered requests.
-	Completed, Dropped, Unfinished int
-	// Preemptions and swap transfers across the whole elastic fleet.
-	Preemptions       int
-	SwapOuts, SwapIns int
-	SLOAttainment     float64
-	// TotalTokens is the fleet's output-token production.
-	TotalTokens               int
-	GoodputTokensPerSec       float64
-	TTFTp50, TTFTp99, TPOTp99 float64
+	ServeReport
+	Scenario string
+	Dispatch string
 	// ReplicaHours / CostUSD total the rented fleet over the run;
 	// USDPerMTok prices SLO-compliant served tokens (Inf when none).
 	ReplicaHours, CostUSD, USDPerMTok float64
 	ColdStarts                        int
 	Classes                           []AutoscaleClassReport
 	Windows                           []AutoscaleWindow
-	// Observation holds the rendered observability artifacts (nil unless
-	// AutoscaleConfig.Observe was set).
-	Observation *ServeObservation
 }
 
 // Autoscale simulates cost-aware elastic serving across heterogeneous TEE
@@ -179,9 +154,6 @@ func Autoscale(cfg AutoscaleConfig) (*AutoscaleReport, error) {
 	if len(cfg.Classes) == 0 {
 		return nil, fmt.Errorf("cllm: autoscaling needs at least one replica class")
 	}
-	if cfg.Model == "" {
-		cfg.Model = "llama2-7b"
-	}
 	if cfg.Scenario == "" {
 		cfg.Scenario = "bursty"
 	}
@@ -191,16 +163,11 @@ func Autoscale(cfg AutoscaleConfig) (*AutoscaleReport, error) {
 	if cfg.Requests <= 0 {
 		cfg.Requests = 256
 	}
-	kind, err := parseDType(cfg.DType)
+	scfg, rec, _, err := serveConfig(cfg.ServeConfig, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	mcfg, err := model.Lookup(cfg.Model)
-	if err != nil {
-		return nil, err
-	}
-	scenario, err := workload.ParseScenario(cfg.Scenario, cfg.RatePerSec)
-	if err != nil {
+	if err := checkElastic(cfg.ServeConfig, scfg.Faults); err != nil {
 		return nil, err
 	}
 	dispatch := autoscale.CostAware
@@ -211,51 +178,20 @@ func Autoscale(cfg AutoscaleConfig) (*AutoscaleReport, error) {
 		}
 	}
 
-	preempt, err := serve.ParsePreemptPolicy(cfg.PreemptPolicy)
-	if err != nil {
-		return nil, err
-	}
-
-	wl := trace.Workload{Model: mcfg, Kind: kind}
-	scfg := serve.Config{
-		Workload:      wl,
-		Scenario:      &scenario,
-		Requests:      cfg.Requests,
-		Seed:          cfg.Seed,
-		MaxBatch:      cfg.MaxBatch,
-		ChunkTokens:   cfg.ChunkTokens,
-		PrefixSharing: cfg.PrefixSharing,
-		CostBucket:    cfg.CostBucket,
-		PreemptPolicy: preempt,
-		TTFTSLOSec:    cfg.TTFTSLOSec, TPOTSLOSec: cfg.TPOTSLOSec,
-	}
-	var rec *obs.Recorder
-	if cfg.Observe {
-		rec = obs.NewRecorderWindow(cfg.ObserveWindowSec, 512)
-		scfg.Observer = rec
-	}
 	classes := make([]autoscale.Class, len(cfg.Classes))
 	for i, ac := range cfg.Classes {
 		sess, err := Open(Config{Platform: ac.Platform, System: cfg.System, Seed: cfg.Seed})
 		if err != nil {
 			return nil, err
 		}
-		var be serve.Backend
-		if sess.isGPU {
-			be = serve.Backend{IsGPU: true, GPU: perf.GPURun{GPU: sess.gpu, Platform: sess.platform, Seed: cfg.Seed}}
-		} else {
-			be = serve.Backend{CPU: perf.CPURun{
-				CPU: sess.cpu, Platform: sess.platform,
-				Sockets: cfg.Sockets, AMX: true, Seed: cfg.Seed,
-			}}
-		}
-		hourly, err := sess.serveHourlyUSD(ServeConfig{Sockets: cfg.Sockets})
+		be := sess.backend(cfg.ServeConfig)
+		hourly, err := sess.serveHourlyUSD(cfg.ServeConfig)
 		if err != nil {
 			return nil, err
 		}
 		coldStart := 0.0
 		if !cfg.NoColdStart {
-			coldStart = autoscale.ColdStartSec(be, wl)
+			coldStart = autoscale.ColdStartSec(be, scfg.Workload)
 		}
 		capacity, err := autoscale.ProbeCapacity(be, scfg)
 		if err != nil {
@@ -280,25 +216,13 @@ func Autoscale(cfg AutoscaleConfig) (*AutoscaleReport, error) {
 	}
 
 	out := &AutoscaleReport{
-		Scenario:            cfg.Scenario,
-		Dispatch:            rep.Dispatch,
-		OfferedRate:         rep.Aggregate.OfferedRate,
-		Completed:           rep.Aggregate.Completed,
-		Dropped:             rep.Aggregate.Dropped,
-		Unfinished:          rep.Aggregate.Unfinished,
-		Preemptions:         rep.Aggregate.Preemptions,
-		SwapOuts:            rep.Aggregate.SwapOuts,
-		SwapIns:             rep.Aggregate.SwapIns,
-		TotalTokens:         rep.Aggregate.TotalTokens,
-		SLOAttainment:       rep.SLOAttainment(),
-		GoodputTokensPerSec: rep.Aggregate.GoodputTokensPerSec,
-		TTFTp50:             rep.Aggregate.TTFT.P50,
-		TTFTp99:             rep.Aggregate.TTFT.P99,
-		TPOTp99:             rep.Aggregate.TPOT.P99,
-		ReplicaHours:        rep.ReplicaHours,
-		CostUSD:             rep.CostUSD,
-		USDPerMTok:          rep.USDPerMTok,
-		ColdStarts:          rep.ColdStarts,
+		ServeReport:  summarize(rep.Aggregate),
+		Scenario:     cfg.Scenario,
+		Dispatch:     rep.Dispatch,
+		ReplicaHours: rep.ReplicaHours,
+		CostUSD:      rep.CostUSD,
+		USDPerMTok:   rep.USDPerMTok,
+		ColdStarts:   rep.ColdStarts,
 	}
 	for i, u := range rep.Usage {
 		out.Classes = append(out.Classes, AutoscaleClassReport{
@@ -325,4 +249,39 @@ func Autoscale(cfg AutoscaleConfig) (*AutoscaleReport, error) {
 		rec.Recycle()
 	}
 	return out, nil
+}
+
+// checkElastic rejects the ServeConfig fields an elastic fleet cannot
+// honour, naming the first one set; faults is cfg.Faults as parsed.
+func checkElastic(cfg ServeConfig, faults serve.FaultConfig) error {
+	lb, err := serve.ParseLBPolicy(cfg.LBPolicy)
+	if err != nil {
+		return err
+	}
+	var field string
+	switch {
+	case cfg.Replicas > 1:
+		field = "Replicas"
+	case lb != serve.RoundRobin:
+		field = "LBPolicy"
+	case cfg.Topology != "":
+		field = "Topology"
+	case faults.MTBFSec != 0:
+		field = "Faults.MTBFSec"
+	case len(faults.Plan) > 0:
+		field = "Faults.Plan"
+	case faults.Policy != serve.FailRequeue:
+		field = "Faults.Policy"
+	case faults.Admission != serve.AdmitFIFO:
+		field = "Faults.Admission"
+	case faults.RetryMax != 0:
+		field = "Faults.RetryMax"
+	case faults.RetryBackoffSec != 0:
+		field = "Faults.RetryBackoffSec"
+	case cfg.Attribution:
+		field = "Attribution"
+	default:
+		return nil
+	}
+	return fmt.Errorf("cllm: autoscaling does not support ServeConfig.%s (run a fixed fleet with Session.Serve)", field)
 }

@@ -318,7 +318,7 @@ func TestParseClasses(t *testing.T) {
 		cs[1] != (AutoscaleClass{Platform: "cgpu", Min: 1, Max: 2}) {
 		t.Fatalf("ParseClasses = %+v", cs)
 	}
-	for _, bad := range []string{"", ":2", "tdx:x", "tdx:2:3", "tdx:1:1:1"} {
+	for _, bad := range []string{"", ":2", "tdx:x", "tdx:2:3", "tdx:1:1:1", "tdx:-1:-2", "tdx:0:0", "tdx:2:-1"} {
 		if _, err := ParseClasses(bad); err == nil {
 			t.Errorf("ParseClasses(%q) accepted", bad)
 		}
@@ -326,14 +326,12 @@ func TestParseClasses(t *testing.T) {
 }
 
 func TestAutoscalePublicAPI(t *testing.T) {
-	rep, err := Autoscale(AutoscaleConfig{
-		Scenario:   "bursty",
-		RatePerSec: 2,
-		Requests:   48,
-		Classes:    []AutoscaleClass{{Platform: "tdx", Min: 1, Max: 2}},
-		MaxBatch:   8,
-		Seed:       1,
-	})
+	base := AutoscaleConfig{
+		ServeConfig: ServeConfig{Scenario: "bursty", RatePerSec: 2, Requests: 48, MaxBatch: 8},
+		Classes:     []AutoscaleClass{{Platform: "tdx", Min: 1, Max: 2}},
+		Seed:        1,
+	}
+	rep, err := Autoscale(base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,6 +360,30 @@ func TestAutoscalePublicAPI(t *testing.T) {
 		Classes: []AutoscaleClass{{Platform: "nope", Min: 1, Max: 1}},
 	}); err == nil {
 		t.Error("unknown platform accepted")
+	}
+	// The embedded ServeConfig knobs an elastic fleet cannot honour are
+	// rejected, and the error names the field.
+	for field, set := range map[string]func(*ServeConfig){
+		"Replicas":         func(c *ServeConfig) { c.Replicas = 2 },
+		"LBPolicy":         func(c *ServeConfig) { c.LBPolicy = "prefix-affinity" },
+		"Topology":         func(c *ServeConfig) { c.Topology = "cgpu:1=prefill,tdx:1=decode" },
+		"Faults.Plan":      func(c *ServeConfig) { c.Faults.Plan = "30" },
+		"Faults.Admission": func(c *ServeConfig) { c.Faults.Admission = "shed" },
+		"Attribution":      func(c *ServeConfig) { c.Attribution = true },
+	} {
+		cfg := base
+		set(&cfg.ServeConfig)
+		_, err := Autoscale(cfg)
+		if err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("Autoscale with %s set: err = %v, want a rejection naming the field", field, err)
+		}
+	}
+	// The default spellings of the same knobs are accepted.
+	cfg := base
+	cfg.Replicas, cfg.LBPolicy = 1, "round-robin"
+	cfg.Faults.Policy, cfg.Faults.Admission = "requeue", "fifo"
+	if _, err := Autoscale(cfg); err != nil {
+		t.Errorf("default fleet and fault spellings rejected: %v", err)
 	}
 }
 

@@ -7,62 +7,29 @@ import (
 	"strings"
 
 	"cllm"
+	"cllm/internal/autoscale"
 	"cllm/internal/serve"
 )
 
 // options is the parsed CLI state: every flag binds into exactly one
-// field here, and main reads only this struct after flag parsing.
+// field here, and main reads only this struct after flag parsing. The
+// simulation flags bind straight into cfg (and through it, its embedded
+// ServeConfig); the rest select platforms, sweep points and outputs.
 type options struct {
+	cfg cllm.AutoscaleConfig
+
 	platforms    string
-	system       string
-	modelName    string
-	dt           string
-	rate         float64
-	requests     int
-	scenario     string
-	inLen        int
-	outLen       int
-	batch        int
-	chunkSize    int
-	prefixShare  bool
-	prefixGroups int
-	prefixFrac   float64
-	replicas     int
-	lbPolicy     string
-	topology     string
 	autoscale    bool
 	classes      string
-	dispatch     string
-	noColdStart  bool
-	targetUtil   float64
-	interval     float64
-	costBucket   int
-	quantileMode string
-	sketchAlpha  float64
-	epochReqs    int
 	rateMults    string
-	preempt      string
 	format       string
 	traceOut     string
 	metricsOut   string
 	timesOut     string
-	obsWindow    float64
-	attrib       bool
 	attribOut    string
 	attribCSV    string
 	compare      string
 	compareSlack float64
-	demandAlpha  float64
-	failMTBF     float64
-	failPlan     string
-	failPolicy   string
-	admission    string
-	retryMax     int
-	retryBackoff float64
-	sloTTFT      float64
-	sloTPOT      float64
-	sockets      int
-	seed         int64
 
 	// Derived by the checks (valid after checkFlags returns nil).
 	mults      []float64
@@ -102,25 +69,25 @@ func flagTable(o *options) []flagSpec {
 		{
 			name:  "system",
 			usage: "CPU testbed: EMR1 or EMR2",
-			add:   func(fs *flag.FlagSet, n, u string) { fs.StringVar(&o.system, n, "EMR1", u) },
+			add:   func(fs *flag.FlagSet, n, u string) { fs.StringVar(&o.cfg.System, n, "EMR1", u) },
 		},
 		{
 			name:  "model",
 			usage: "model name (see cllm-infer -models)",
-			add:   func(fs *flag.FlagSet, n, u string) { fs.StringVar(&o.modelName, n, "llama2-7b", u) },
+			add:   func(fs *flag.FlagSet, n, u string) { fs.StringVar(&o.cfg.Model, n, "llama2-7b", u) },
 		},
 		{
 			name:  "dtype",
 			usage: "datatype: bf16|int8|f32",
-			add:   func(fs *flag.FlagSet, n, u string) { fs.StringVar(&o.dt, n, "bf16", u) },
+			add:   func(fs *flag.FlagSet, n, u string) { fs.StringVar(&o.cfg.DType, n, "bf16", u) },
 		},
 		{
 			name:  "rate",
 			usage: "base (mean) arrival rate (requests/s)",
-			add:   func(fs *flag.FlagSet, n, u string) { fs.Float64Var(&o.rate, n, 8, u) },
+			add:   func(fs *flag.FlagSet, n, u string) { fs.Float64Var(&o.cfg.RatePerSec, n, 8, u) },
 			check: func() error {
-				if o.rate <= 0 {
-					return fmt.Errorf("-rate %g is not positive; pass a mean arrival rate in requests/s", o.rate)
+				if o.cfg.RatePerSec <= 0 {
+					return fmt.Errorf("-rate %g is not positive; pass a mean arrival rate in requests/s", o.cfg.RatePerSec)
 				}
 				return nil
 			},
@@ -129,59 +96,59 @@ func flagTable(o *options) []flagSpec {
 		{
 			name:  "requests",
 			usage: "arrivals per run",
-			add:   func(fs *flag.FlagSet, n, u string) { fs.IntVar(&o.requests, n, 48, u) },
+			add:   func(fs *flag.FlagSet, n, u string) { fs.IntVar(&o.cfg.Requests, n, 48, u) },
 		},
 		{
 			name:  "scenario",
 			usage: "traffic scenario: poisson|bursty|diurnal|ramp, chat|rag|agentic, or arrivals+mix (empty = plain Poisson synthesis)",
-			add:   func(fs *flag.FlagSet, n, u string) { fs.StringVar(&o.scenario, n, "", u) },
+			add:   func(fs *flag.FlagSet, n, u string) { fs.StringVar(&o.cfg.Scenario, n, "", u) },
 		},
 		{
 			name:  "in",
 			usage: "mean prompt tokens (ignored with -scenario)",
-			add:   func(fs *flag.FlagSet, n, u string) { fs.IntVar(&o.inLen, n, 128, u) },
+			add:   func(fs *flag.FlagSet, n, u string) { fs.IntVar(&o.cfg.InputLen, n, 128, u) },
 		},
 		{
 			name:  "out",
 			usage: "mean generated tokens (ignored with -scenario)",
-			add:   func(fs *flag.FlagSet, n, u string) { fs.IntVar(&o.outLen, n, 32, u) },
+			add:   func(fs *flag.FlagSet, n, u string) { fs.IntVar(&o.cfg.OutputLen, n, 32, u) },
 		},
 		{
 			name:  "batch",
 			usage: "max concurrent sequences",
-			add:   func(fs *flag.FlagSet, n, u string) { fs.IntVar(&o.batch, n, 32, u) },
+			add:   func(fs *flag.FlagSet, n, u string) { fs.IntVar(&o.cfg.MaxBatch, n, 32, u) },
 		},
 		{
 			name:  "chunk-size",
 			usage: "chunked-prefill budget in prompt tokens per iteration (0 = monolithic prefill)",
-			add:   func(fs *flag.FlagSet, n, u string) { fs.IntVar(&o.chunkSize, n, 0, u) },
+			add:   func(fs *flag.FlagSet, n, u string) { fs.IntVar(&o.cfg.ChunkTokens, n, 0, u) },
 		},
 		{
 			name:  "prefix-share",
 			usage: "enable prefix-cache sharing of common prompt prefixes",
-			add:   func(fs *flag.FlagSet, n, u string) { fs.BoolVar(&o.prefixShare, n, false, u) },
+			add:   func(fs *flag.FlagSet, n, u string) { fs.BoolVar(&o.cfg.PrefixSharing, n, false, u) },
 		},
 		{
 			name:  "prefix-groups",
 			usage: "synthetic shared-prefix groups (0 = independent prompts; defaults to 4 with -prefix-share)",
-			add:   func(fs *flag.FlagSet, n, u string) { fs.IntVar(&o.prefixGroups, n, 0, u) },
+			add:   func(fs *flag.FlagSet, n, u string) { fs.IntVar(&o.cfg.PrefixGroups, n, 0, u) },
 		},
 		{
 			name:  "prefix-frac",
 			usage: "shared fraction of the mean prompt per prefix group",
-			add:   func(fs *flag.FlagSet, n, u string) { fs.Float64Var(&o.prefixFrac, n, 0.5, u) },
+			add:   func(fs *flag.FlagSet, n, u string) { fs.Float64Var(&o.cfg.PrefixFrac, n, 0.5, u) },
 		},
 		{
 			name:  "replicas",
 			usage: "simulated fleet size behind the load balancer",
-			add:   func(fs *flag.FlagSet, n, u string) { fs.IntVar(&o.replicas, n, 1, u) },
+			add:   func(fs *flag.FlagSet, n, u string) { fs.IntVar(&o.cfg.Replicas, n, 1, u) },
 		},
 		{
 			name:  "lb-policy",
 			usage: "fleet dispatch policy: round-robin|least-loaded|prefix-affinity",
-			add:   func(fs *flag.FlagSet, n, u string) { fs.StringVar(&o.lbPolicy, n, "round-robin", u) },
+			add:   func(fs *flag.FlagSet, n, u string) { fs.StringVar(&o.cfg.LBPolicy, n, "round-robin", u) },
 			check: func() error {
-				if _, err := serve.ParseLBPolicy(o.lbPolicy); err != nil {
+				if _, err := serve.ParseLBPolicy(o.cfg.LBPolicy); err != nil {
 					return fmt.Errorf("-lb-policy: %w", err)
 				}
 				return nil
@@ -193,12 +160,12 @@ func flagTable(o *options) []flagSpec {
 			usage: "role-aware fleet topology as comma-separated platform:replicas=role groups " +
 				"(e.g. cgpu:2=prefill,tdx:4=decode splits prefill and decode across the TEE boundary " +
 				"with a priced KV handoff between the stages); replaces -platform and -replicas",
-			add: func(fs *flag.FlagSet, n, u string) { fs.StringVar(&o.topology, n, "", u) },
+			add: func(fs *flag.FlagSet, n, u string) { fs.StringVar(&o.cfg.Topology, n, "", u) },
 			check: func() error {
-				if o.topology == "" {
+				if o.cfg.Topology == "" {
 					return nil
 				}
-				groups, err := cllm.ParseTopology(o.topology)
+				groups, err := cllm.ParseTopology(o.cfg.Topology)
 				if err != nil {
 					return fmt.Errorf("-topology: %w", err)
 				}
@@ -216,7 +183,7 @@ func flagTable(o *options) []flagSpec {
 				if _, err := serve.NewFleet(topo); err != nil {
 					return fmt.Errorf("-topology: %w", err)
 				}
-				if o.replicas > 1 {
+				if o.cfg.Replicas > 1 {
 					return fmt.Errorf("-topology and -replicas are mutually exclusive (the topology fixes the fleet size)")
 				}
 				if o.autoscale {
@@ -233,12 +200,26 @@ func flagTable(o *options) []flagSpec {
 			},
 		},
 		{
-			name:  "autoscale",
-			usage: "simulate an elastic heterogeneous fleet (uses -classes; ignores -platform, -replicas, -lb-policy, -in, -out, -prefix-groups and -prefix-frac — the scenario's shape mixes own the request shapes)",
-			add:   func(fs *flag.FlagSet, n, u string) { fs.BoolVar(&o.autoscale, n, false, u) },
+			name: "autoscale",
+			usage: "simulate an elastic heterogeneous fleet from -classes (ignores -platform, -in, -out, -prefix-groups and -prefix-frac — " +
+				"the scenario's shape mixes own the request shapes; rejects -replicas, -lb-policy, -topology, -attrib and the fault, admission and retry flags)",
+			add: func(fs *flag.FlagSet, n, u string) { fs.BoolVar(&o.autoscale, n, false, u) },
 			check: func() error {
-				if o.autoscale && (o.failMTBF > 0 || o.failPlan != "" || o.retryMax > 0) {
+				if !o.autoscale {
+					return nil
+				}
+				// A malformed -fail-policy or -lb-policy is reported by its
+				// own entry's check; here it parses as the default.
+				f := o.cfg.Faults
+				failPol, _ := serve.ParseFailurePolicy(f.Policy)
+				if f.MTBFSec > 0 || f.Plan != "" || f.RetryMax > 0 || failPol != serve.FailRequeue {
 					return fmt.Errorf("fault injection and retries are not supported with -autoscale yet (run a fixed fleet)")
+				}
+				if o.cfg.Replicas > 1 {
+					return fmt.Errorf("-replicas is not supported with -autoscale (the -classes bounds size the fleet)")
+				}
+				if lb, _ := serve.ParseLBPolicy(o.cfg.LBPolicy); lb != serve.RoundRobin {
+					return fmt.Errorf("-lb-policy is not supported with -autoscale (routing is -dispatch)")
 				}
 				return nil
 			},
@@ -246,44 +227,87 @@ func flagTable(o *options) []flagSpec {
 				{args: []string{"-autoscale", "-fail-mtbf", "60"}, want: "-autoscale"},
 				{args: []string{"-autoscale", "-fail-plan", "30"}, want: "-autoscale"},
 				{args: []string{"-autoscale", "-retry-max", "2"}, want: "-autoscale"},
+				{args: []string{"-autoscale", "-fail-policy", "lost"}, want: "-autoscale"},
+				{args: []string{"-autoscale", "-replicas", "2"}, want: "-autoscale"},
+				{args: []string{"-autoscale", "-lb-policy", "least-loaded"}, want: "-autoscale"},
 			},
 		},
 		{
 			name:  "classes",
 			usage: "autoscale replica classes as platform:max[:min], comma-separated (e.g. tdx:4,cgpu:2)",
 			add:   func(fs *flag.FlagSet, n, u string) { fs.StringVar(&o.classes, n, "tdx:2", u) },
+			check: func() error {
+				classes, err := cllm.ParseClasses(o.classes)
+				if err != nil {
+					return fmt.Errorf("-classes: %w", err)
+				}
+				o.cfg.Classes = classes
+				return nil
+			},
+			rejects: []rejection{
+				{args: []string{"-classes", "tdx:-1:-2"}, want: "-classes"},
+				{args: []string{"-classes", "tdx:0"}, want: "-classes"},
+				{args: []string{"-classes", ","}, want: "-classes"},
+			},
 		},
 		{
 			name:  "dispatch",
 			usage: "autoscale dispatch policy: uniform|cost-aware",
-			add:   func(fs *flag.FlagSet, n, u string) { fs.StringVar(&o.dispatch, n, "cost-aware", u) },
+			add:   func(fs *flag.FlagSet, n, u string) { fs.StringVar(&o.cfg.Dispatch, n, "cost-aware", u) },
+			check: func() error {
+				if _, err := autoscale.ParseDispatch(o.cfg.Dispatch); err != nil {
+					return fmt.Errorf("-dispatch: %w", err)
+				}
+				return nil
+			},
+			rejects: []rejection{{args: []string{"-dispatch", "random"}, want: "-dispatch"}},
 		},
 		{
 			name:  "no-cold-start",
 			usage: "zero TEE cold starts (counterfactual elasticity baseline)",
-			add:   func(fs *flag.FlagSet, n, u string) { fs.BoolVar(&o.noColdStart, n, false, u) },
+			add:   func(fs *flag.FlagSet, n, u string) { fs.BoolVar(&o.cfg.NoColdStart, n, false, u) },
 		},
 		{
 			name:  "target-util",
-			usage: "autoscaler target utilization (lower = more headroom)",
-			add:   func(fs *flag.FlagSet, n, u string) { fs.Float64Var(&o.targetUtil, n, 0.7, u) },
+			usage: "autoscaler target utilization in (0,1] (lower = more headroom)",
+			add:   func(fs *flag.FlagSet, n, u string) { fs.Float64Var(&o.cfg.TargetUtil, n, 0.7, u) },
+			check: func() error {
+				if o.cfg.TargetUtil <= 0 || o.cfg.TargetUtil > 1 {
+					return fmt.Errorf("-target-util %g outside (0, 1]", o.cfg.TargetUtil)
+				}
+				return nil
+			},
+			rejects: []rejection{
+				{args: []string{"-target-util", "2"}, want: "-target-util"},
+				{args: []string{"-target-util", "0"}, want: "-target-util"},
+			},
 		},
 		{
 			name:  "interval",
 			usage: "autoscaler control period (seconds)",
-			add:   func(fs *flag.FlagSet, n, u string) { fs.Float64Var(&o.interval, n, 15, u) },
+			add:   func(fs *flag.FlagSet, n, u string) { fs.Float64Var(&o.cfg.IntervalSec, n, 15, u) },
+			check: func() error {
+				if o.cfg.IntervalSec <= 0 {
+					return fmt.Errorf("-interval %g is not positive; pass a control period in seconds", o.cfg.IntervalSec)
+				}
+				return nil
+			},
+			rejects: []rejection{
+				{args: []string{"-interval", "-5"}, want: "-interval"},
+				{args: []string{"-interval", "0"}, want: "-interval"},
+			},
 		},
 		{
 			name:  "cost-bucket",
 			usage: "step-costing quantization width in tokens (1 = exact; larger buckets trade bounded modeled-time error for memo hits in big sweeps)",
-			add:   func(fs *flag.FlagSet, n, u string) { fs.IntVar(&o.costBucket, n, 1, u) },
+			add:   func(fs *flag.FlagSet, n, u string) { fs.IntVar(&o.cfg.CostBucket, n, 1, u) },
 		},
 		{
 			name:  "quantile-mode",
 			usage: "latency quantile computation: exact (per-request samples, sorted) or sketch (streaming DDSketch + epoch-sharded simulation — flat memory at any request count)",
-			add:   func(fs *flag.FlagSet, n, u string) { fs.StringVar(&o.quantileMode, n, "exact", u) },
+			add:   func(fs *flag.FlagSet, n, u string) { fs.StringVar(&o.cfg.QuantileMode, n, "exact", u) },
 			check: func() error {
-				if _, err := serve.ParseQuantileMode(o.quantileMode); err != nil {
+				if _, err := serve.ParseQuantileMode(o.cfg.QuantileMode); err != nil {
 					return fmt.Errorf("-quantile-mode: %w", err)
 				}
 				return nil
@@ -293,10 +317,10 @@ func flagTable(o *options) []flagSpec {
 		{
 			name:  "sketch-alpha",
 			usage: "sketch relative error bound in (0,1) (0 = 0.01 default; sketch mode only)",
-			add:   func(fs *flag.FlagSet, n, u string) { fs.Float64Var(&o.sketchAlpha, n, 0, u) },
+			add:   func(fs *flag.FlagSet, n, u string) { fs.Float64Var(&o.cfg.SketchAlpha, n, 0, u) },
 			check: func() error {
-				if o.sketchAlpha < 0 || o.sketchAlpha >= 1 {
-					return fmt.Errorf("-sketch-alpha %g outside [0, 1) (0 = 0.01 default)", o.sketchAlpha)
+				if o.cfg.SketchAlpha < 0 || o.cfg.SketchAlpha >= 1 {
+					return fmt.Errorf("-sketch-alpha %g outside [0, 1) (0 = 0.01 default)", o.cfg.SketchAlpha)
 				}
 				return nil
 			},
@@ -309,7 +333,7 @@ func flagTable(o *options) []flagSpec {
 		{
 			name:  "epoch-requests",
 			usage: "arrivals scheduled per simulation epoch (0 = 65536 in sketch mode, unsharded in exact mode)",
-			add:   func(fs *flag.FlagSet, n, u string) { fs.IntVar(&o.epochReqs, n, 0, u) },
+			add:   func(fs *flag.FlagSet, n, u string) { fs.IntVar(&o.cfg.EpochRequests, n, 0, u) },
 		},
 		{
 			name:  "rate-mults",
@@ -342,9 +366,9 @@ func flagTable(o *options) []flagSpec {
 		{
 			name:  "preempt",
 			usage: "preemption policy: recompute|swap|auto (swap parks KV in a host swap pool at the backend's swap bandwidth; auto picks the cheaper per preemption)",
-			add:   func(fs *flag.FlagSet, n, u string) { fs.StringVar(&o.preempt, n, "recompute", u) },
+			add:   func(fs *flag.FlagSet, n, u string) { fs.StringVar(&o.cfg.PreemptPolicy, n, "recompute", u) },
 			check: func() error {
-				pol, err := serve.ParsePreemptPolicy(o.preempt)
+				pol, err := serve.ParsePreemptPolicy(o.cfg.PreemptPolicy)
 				if err != nil {
 					return fmt.Errorf("-preempt: %w", err)
 				}
@@ -383,10 +407,10 @@ func flagTable(o *options) []flagSpec {
 		{
 			name:  "obs-window",
 			usage: "observation time-series window in simulated seconds (0 = 1s default)",
-			add:   func(fs *flag.FlagSet, n, u string) { fs.Float64Var(&o.obsWindow, n, 0, u) },
+			add:   func(fs *flag.FlagSet, n, u string) { fs.Float64Var(&o.cfg.ObserveWindowSec, n, 0, u) },
 			check: func() error {
-				if o.obsWindow < 0 {
-					return fmt.Errorf("-obs-window %g is negative; pass a window in simulated seconds (0 = 1s default)", o.obsWindow)
+				if o.cfg.ObserveWindowSec < 0 {
+					return fmt.Errorf("-obs-window %g is negative; pass a window in simulated seconds (0 = 1s default)", o.cfg.ObserveWindowSec)
 				}
 				return nil
 			},
@@ -395,9 +419,9 @@ func flagTable(o *options) []flagSpec {
 		{
 			name:  "attrib",
 			usage: "attribute the observed run's latency to phases (queue/prefill/decode/stall/swap/handoff) and price a clear-hardware counterfactual for the per-phase TEE tax; attributes the first platform's base-rate point",
-			add:   func(fs *flag.FlagSet, n, u string) { fs.BoolVar(&o.attrib, n, false, u) },
+			add:   func(fs *flag.FlagSet, n, u string) { fs.BoolVar(&o.cfg.Attribution, n, false, u) },
 			check: func() error {
-				if o.attrib && o.autoscale {
+				if o.cfg.Attribution && o.autoscale {
 					return fmt.Errorf("-attrib is not supported with -autoscale (attribute a fixed fleet run instead)")
 				}
 				return nil
@@ -439,17 +463,27 @@ func flagTable(o *options) []flagSpec {
 		{
 			name:  "demand-alpha",
 			usage: "autoscaler EWMA demand-smoothing factor in (0,1]; 0 or 1 keeps the raw one-window estimator",
-			add:   func(fs *flag.FlagSet, n, u string) { fs.Float64Var(&o.demandAlpha, n, 0, u) },
+			add:   func(fs *flag.FlagSet, n, u string) { fs.Float64Var(&o.cfg.DemandAlpha, n, 0, u) },
+			check: func() error {
+				if o.cfg.DemandAlpha < 0 || o.cfg.DemandAlpha > 1 {
+					return fmt.Errorf("-demand-alpha %g outside [0, 1] (0 or 1 = raw one-window estimator)", o.cfg.DemandAlpha)
+				}
+				return nil
+			},
+			rejects: []rejection{
+				{args: []string{"-demand-alpha", "3"}, want: "-demand-alpha"},
+				{args: []string{"-demand-alpha", "-0.5"}, want: "-demand-alpha"},
+			},
 		},
 		{
 			name:  "fail-mtbf",
 			usage: "inject Poisson replica failures with this mean time between failures in seconds (0 = no failures); a crashed replica pays the platform's full TEE cold start before serving again",
-			add:   func(fs *flag.FlagSet, n, u string) { fs.Float64Var(&o.failMTBF, n, 0, u) },
+			add:   func(fs *flag.FlagSet, n, u string) { fs.Float64Var(&o.cfg.Faults.MTBFSec, n, 0, u) },
 			check: func() error {
-				if o.failMTBF < 0 {
-					return fmt.Errorf("-fail-mtbf %g is negative; pass a mean time between failures in seconds (0 = no failures)", o.failMTBF)
+				if o.cfg.Faults.MTBFSec < 0 {
+					return fmt.Errorf("-fail-mtbf %g is negative; pass a mean time between failures in seconds (0 = no failures)", o.cfg.Faults.MTBFSec)
 				}
-				if o.failMTBF > 0 && o.failPlan != "" {
+				if o.cfg.Faults.MTBFSec > 0 && o.cfg.Faults.Plan != "" {
 					return fmt.Errorf("-fail-mtbf and -fail-plan are mutually exclusive (Poisson vs scripted failures)")
 				}
 				return nil
@@ -462,9 +496,9 @@ func flagTable(o *options) []flagSpec {
 		{
 			name:  "fail-plan",
 			usage: "inject scripted failures instead: comma-separated replica@seconds points (bare seconds = replica 0)",
-			add:   func(fs *flag.FlagSet, n, u string) { fs.StringVar(&o.failPlan, n, "", u) },
+			add:   func(fs *flag.FlagSet, n, u string) { fs.StringVar(&o.cfg.Faults.Plan, n, "", u) },
 			check: func() error {
-				if _, err := serve.ParseFailPlan(o.failPlan); err != nil {
+				if _, err := serve.ParseFailPlan(o.cfg.Faults.Plan); err != nil {
 					return fmt.Errorf("-fail-plan: %w", err)
 				}
 				return nil
@@ -477,9 +511,9 @@ func flagTable(o *options) []flagSpec {
 		{
 			name:  "fail-policy",
 			usage: "what a crash does to in-flight requests: requeue (restart on recovery) or lost (consume retry budget or drop)",
-			add:   func(fs *flag.FlagSet, n, u string) { fs.StringVar(&o.failPolicy, n, "requeue", u) },
+			add:   func(fs *flag.FlagSet, n, u string) { fs.StringVar(&o.cfg.Faults.Policy, n, "requeue", u) },
 			check: func() error {
-				if _, err := serve.ParseFailurePolicy(o.failPolicy); err != nil {
+				if _, err := serve.ParseFailurePolicy(o.cfg.Faults.Policy); err != nil {
 					return fmt.Errorf("-fail-policy: %w", err)
 				}
 				return nil
@@ -489,12 +523,12 @@ func flagTable(o *options) []flagSpec {
 		{
 			name:  "admission",
 			usage: "queue admission policy: fifo|deadline|shed (deadline = EDF order with expired-request drops; shed also rejects requests that cannot start before their deadline)",
-			add:   func(fs *flag.FlagSet, n, u string) { fs.StringVar(&o.admission, n, "fifo", u) },
+			add:   func(fs *flag.FlagSet, n, u string) { fs.StringVar(&o.cfg.Faults.Admission, n, "fifo", u) },
 			check: func() error {
-				if _, err := serve.ParseAdmissionPolicy(o.admission); err != nil {
+				if _, err := serve.ParseAdmissionPolicy(o.cfg.Faults.Admission); err != nil {
 					return fmt.Errorf("-admission: %w", err)
 				}
-				if o.autoscale && o.admission != "fifo" && o.admission != "" {
+				if o.autoscale && o.cfg.Faults.Admission != "fifo" && o.cfg.Faults.Admission != "" {
 					return fmt.Errorf("-admission is not supported with -autoscale yet (run a fixed fleet)")
 				}
 				return nil
@@ -507,10 +541,10 @@ func flagTable(o *options) []flagSpec {
 		{
 			name:  "retry-max",
 			usage: "per-request retry budget for shed and failure-lost requests (0 = no retries)",
-			add:   func(fs *flag.FlagSet, n, u string) { fs.IntVar(&o.retryMax, n, 0, u) },
+			add:   func(fs *flag.FlagSet, n, u string) { fs.IntVar(&o.cfg.Faults.RetryMax, n, 0, u) },
 			check: func() error {
-				if o.retryMax < 0 {
-					return fmt.Errorf("-retry-max %d is negative; pass a per-request retry budget (0 = no retries)", o.retryMax)
+				if o.cfg.Faults.RetryMax < 0 {
+					return fmt.Errorf("-retry-max %d is negative; pass a per-request retry budget (0 = no retries)", o.cfg.Faults.RetryMax)
 				}
 				return nil
 			},
@@ -519,12 +553,12 @@ func flagTable(o *options) []flagSpec {
 		{
 			name:  "retry-backoff",
 			usage: "exponential retry backoff base in seconds with deterministic jitter (0 = 1s default; needs -retry-max)",
-			add:   func(fs *flag.FlagSet, n, u string) { fs.Float64Var(&o.retryBackoff, n, 0, u) },
+			add:   func(fs *flag.FlagSet, n, u string) { fs.Float64Var(&o.cfg.Faults.RetryBackoffSec, n, 0, u) },
 			check: func() error {
-				if o.retryBackoff < 0 {
-					return fmt.Errorf("-retry-backoff %g is negative; pass a backoff base in seconds (0 = 1s default)", o.retryBackoff)
+				if o.cfg.Faults.RetryBackoffSec < 0 {
+					return fmt.Errorf("-retry-backoff %g is negative; pass a backoff base in seconds (0 = 1s default)", o.cfg.Faults.RetryBackoffSec)
 				}
-				if o.retryBackoff > 0 && o.retryMax == 0 {
+				if o.cfg.Faults.RetryBackoffSec > 0 && o.cfg.Faults.RetryMax == 0 {
 					return fmt.Errorf("-retry-backoff requires -retry-max > 0 (there is nothing to back off without a retry budget)")
 				}
 				return nil
@@ -537,29 +571,29 @@ func flagTable(o *options) []flagSpec {
 		{
 			name:  "slo-ttft",
 			usage: "TTFT SLO (seconds)",
-			add:   func(fs *flag.FlagSet, n, u string) { fs.Float64Var(&o.sloTTFT, n, 5, u) },
+			add:   func(fs *flag.FlagSet, n, u string) { fs.Float64Var(&o.cfg.TTFTSLOSec, n, 5, u) },
 		},
 		{
 			name:  "slo-tpot",
 			usage: "TPOT SLO (seconds/token)",
-			add:   func(fs *flag.FlagSet, n, u string) { fs.Float64Var(&o.sloTPOT, n, 0.5, u) },
+			add:   func(fs *flag.FlagSet, n, u string) { fs.Float64Var(&o.cfg.TPOTSLOSec, n, 0.5, u) },
 		},
 		{
 			name:  "sockets",
 			usage: "CPU sockets",
-			add:   func(fs *flag.FlagSet, n, u string) { fs.IntVar(&o.sockets, n, 1, u) },
+			add:   func(fs *flag.FlagSet, n, u string) { fs.IntVar(&o.cfg.Sockets, n, 1, u) },
 		},
 		{
 			name:  "seed",
 			usage: "deterministic seed",
-			add:   func(fs *flag.FlagSet, n, u string) { fs.Int64Var(&o.seed, n, 1, u) },
+			add:   func(fs *flag.FlagSet, n, u string) { fs.Int64Var(&o.cfg.Seed, n, 1, u) },
 		},
 	}
 }
 
 // requiresAttrib rejects an attribution-consuming flag set without -attrib.
 func requiresAttrib(o *options, name, value string) error {
-	if value != "" && !o.attrib {
+	if value != "" && !o.cfg.Attribution {
 		return fmt.Errorf("%s requires -attrib (it consumes the attributed run)", name)
 	}
 	return nil

@@ -50,38 +50,27 @@ func main() {
 		fmt.Fprintf(os.Stderr, "cllm-serve: %v\n", err)
 		os.Exit(1)
 	}
-	if o.prefixShare && o.prefixGroups <= 0 {
-		o.prefixGroups = 4 // sharing without declared groups would never hit
+	if o.cfg.PrefixSharing && o.cfg.PrefixGroups <= 0 {
+		o.cfg.PrefixGroups = 4 // sharing without declared groups would never hit
 	}
+	o.cfg.Observe = o.traceOut != "" || o.metricsOut != "" || o.timesOut != ""
 
 	if o.autoscale {
 		// The sweep default of 48 arrivals spans seconds; an elastic run
 		// needs enough stream for the control loop to act. Unless the user
 		// set -requests, defer to the API default.
-		nReq := 0
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "requests" {
-				nReq = o.requests
-			}
-		})
-		runAutoscale(autoscaleArgs{
-			modelName: o.modelName, dt: o.dt, system: o.system,
-			scenario: o.scenario, rate: o.rate, requests: nReq,
-			classes: o.classes, dispatch: o.dispatch, noColdStart: o.noColdStart,
-			targetUtil: o.targetUtil, interval: o.interval, batch: o.batch,
-			chunkSize: o.chunkSize, prefixShare: o.prefixShare,
-			costBucket: o.costBucket, preempt: o.preempt,
-			sloTTFT: o.sloTTFT, sloTPOT: o.sloTPOT, sockets: o.sockets,
-			seed: o.seed, format: o.format,
-			demandAlpha: o.demandAlpha, obsWindow: o.obsWindow,
-			traceOut: o.traceOut, metricsOut: o.metricsOut, timeseriesOut: o.timesOut,
-		})
+		requestsSet := false
+		flag.Visit(func(f *flag.Flag) { requestsSet = requestsSet || f.Name == "requests" })
+		if !requestsSet {
+			o.cfg.Requests = 0
+		}
+		runAutoscale(o)
 		return
 	}
 
-	load := fmt.Sprintf("in/out %d/%d tokens", o.inLen, o.outLen)
-	if o.scenario != "" {
-		load = "scenario " + o.scenario
+	load := fmt.Sprintf("in/out %d/%d tokens", o.cfg.InputLen, o.cfg.OutputLen)
+	if o.cfg.Scenario != "" {
+		load = "scenario " + o.cfg.Scenario
 	}
 	// The default recompute policy keeps the historical table schema (and
 	// byte-identical output); swap/auto runs add the policy to the title and
@@ -90,11 +79,11 @@ func main() {
 	swapMode := o.preemptPol != serve.PreemptRecompute
 	// A role-aware topology replaces the replicas+policy fleet description
 	// (and the -platform list: the groups name their own platforms).
-	fleetDesc := fmt.Sprintf("%d replica(s) %s", o.replicas, o.lbPolicy)
+	fleetDesc := fmt.Sprintf("%d replica(s) %s", o.cfg.Replicas, o.cfg.LBPolicy)
 	platList := strings.Split(o.platforms, ",")
-	if o.topology != "" {
-		fleetDesc = "topology " + o.topology
-		groups, err := cllm.ParseTopology(o.topology)
+	if o.cfg.Topology != "" {
+		fleetDesc = "topology " + o.cfg.Topology
+		groups, err := cllm.ParseTopology(o.cfg.Topology)
 		if err != nil { // unreachable: checkFlags parsed it already
 			fmt.Fprintf(os.Stderr, "cllm-serve: %v\n", err)
 			os.Exit(1)
@@ -102,7 +91,7 @@ func main() {
 		platList = []string{groups[0].Platform}
 	}
 	title := fmt.Sprintf("%s (%s), %d requests per point, %s, chunk %d, share %v, %s, SLO TTFT %.2gs TPOT %.2gs",
-		o.modelName, o.dt, o.requests, load, o.chunkSize, o.prefixShare, fleetDesc, o.sloTTFT, o.sloTPOT)
+		o.cfg.Model, o.cfg.DType, o.cfg.Requests, load, o.cfg.ChunkTokens, o.cfg.PrefixSharing, fleetDesc, o.cfg.TTFTSLOSec, o.cfg.TPOTSLOSec)
 	header := []string{"platform", "rate(req/s)", "tput(tok/s)", "goodput", "SLO%", "TTFT p50(s)", "TTFT p99(s)", "TPOT(s)", "TPOT p99(s)", "p99 lat(s)", "prefix-hit(tok)", "preempt", "replicas", "$/Mtok@SLO"}
 	if swapMode {
 		title += ", preempt " + o.preemptPol.String()
@@ -121,8 +110,7 @@ func main() {
 	}
 	// The export artifacts come from one observed run: the first platform's
 	// base-rate (×1) sweep point. Attribution follows the same rule.
-	wantObserve := o.traceOut != "" || o.metricsOut != "" || o.timesOut != ""
-	wantAttrib := o.attrib
+	wantObserve, wantAttrib := o.cfg.Observe, o.cfg.Attribution
 	var attribRep *obs.AttribReport
 	table := &harness.Result{
 		ID:     "serve",
@@ -134,46 +122,19 @@ func main() {
 		if plat == "" {
 			continue
 		}
-		sess, err := cllm.Open(cllm.Config{Platform: plat, System: o.system, Seed: o.seed})
+		sess, err := cllm.Open(cllm.Config{Platform: plat, System: o.cfg.System, Seed: o.cfg.Seed})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "cllm-serve: %v\n", err)
 			os.Exit(1)
 		}
 		for _, m := range o.mults {
-			observe := wantObserve && m == 1
-			attribute := wantAttrib && m == 1
-			rep, err := sess.Serve(cllm.ServeConfig{
-				Observe: observe, ObserveWindowSec: o.obsWindow,
-				Attribution: attribute,
-				Model:       o.modelName, DType: o.dt,
-				InputLen: o.inLen, OutputLen: o.outLen,
-				Scenario:   o.scenario,
-				RatePerSec: o.rate * m, Requests: o.requests,
-				MaxBatch: o.batch, Sockets: o.sockets,
-				ChunkTokens:   o.chunkSize,
-				PrefixSharing: o.prefixShare,
-				PrefixGroups:  o.prefixGroups,
-				PrefixFrac:    o.prefixFrac,
-				Replicas:      o.replicas,
-				LBPolicy:      o.lbPolicy,
-				Topology:      o.topology,
-				CostBucket:    o.costBucket,
-				PreemptPolicy: o.preemptPol.String(),
-				QuantileMode:  o.quantileMode,
-				SketchAlpha:   o.sketchAlpha,
-				EpochRequests: o.epochReqs,
-				Faults: cllm.FaultConfig{
-					MTBFSec:         o.failMTBF,
-					Plan:            o.failPlan,
-					Policy:          o.failPolicy,
-					Admission:       o.admission,
-					RetryMax:        o.retryMax,
-					RetryBackoffSec: o.retryBackoff,
-				},
-				TTFTSLOSec: o.sloTTFT, TPOTSLOSec: o.sloTPOT,
-			})
+			cfg := o.cfg.ServeConfig
+			cfg.RatePerSec *= m
+			cfg.Observe = wantObserve && m == 1
+			cfg.Attribution = wantAttrib && m == 1
+			rep, err := sess.Serve(cfg)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "cllm-serve: %s at rate %.2f: %v\n", plat, o.rate*m, err)
+				fmt.Fprintf(os.Stderr, "cllm-serve: %s at rate %.2f: %v\n", plat, cfg.RatePerSec, err)
 				os.Exit(1)
 			}
 			nRepl, cost := "-", "-"
@@ -225,11 +186,11 @@ func main() {
 					fmt.Sprintf("%.4g", rep.HandoffBytes))
 			}
 			table.Rows = append(table.Rows, row)
-			if observe {
+			if cfg.Observe {
 				writeArtifacts(rep.Observation, o.traceOut, o.metricsOut, o.timesOut)
 				wantObserve = false
 			}
-			if attribute {
+			if cfg.Attribution {
 				attribRep = rep.Attrib
 				writeAttrib(attribRep, o.attribOut, o.attribCSV)
 				wantAttrib = false
@@ -361,65 +322,27 @@ func emit(table *harness.Result, format string) {
 	}
 }
 
-type autoscaleArgs struct {
-	modelName, dt, system               string
-	scenario, classes, dispatch         string
-	rate, targetUtil, interval          float64
-	sloTTFT, sloTPOT                    float64
-	requests, batch, sockets            int
-	chunkSize, costBucket               int
-	preempt                             string
-	prefixShare, noColdStart            bool
-	seed                                int64
-	format                              string
-	demandAlpha, obsWindow              float64
-	traceOut, metricsOut, timeseriesOut string
-}
-
 // runAutoscale simulates one elastic heterogeneous fleet and prints its
 // per-class usage plus the fleet summary row.
-func runAutoscale(a autoscaleArgs) {
-	classes, err := cllm.ParseClasses(a.classes)
+func runAutoscale(o options) {
+	rep, err := cllm.Autoscale(o.cfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "cllm-serve: %v\n", err)
 		os.Exit(1)
 	}
-	scenario := a.scenario
-	if scenario == "" {
-		scenario = "bursty"
-	}
-	rep, err := cllm.Autoscale(cllm.AutoscaleConfig{
-		Model: a.modelName, DType: a.dt, System: a.system,
-		Scenario: scenario, RatePerSec: a.rate, Requests: a.requests,
-		Classes: classes, Dispatch: a.dispatch,
-		IntervalSec: a.interval, TargetUtil: a.targetUtil,
-		DemandAlpha: a.demandAlpha,
-		NoColdStart: a.noColdStart, MaxBatch: a.batch,
-		ChunkTokens: a.chunkSize, PrefixSharing: a.prefixShare,
-		PreemptPolicy: a.preempt,
-		Sockets:       a.sockets, CostBucket: a.costBucket,
-		TTFTSLOSec: a.sloTTFT, TPOTSLOSec: a.sloTPOT,
-		Seed:             a.seed,
-		Observe:          a.traceOut != "" || a.metricsOut != "" || a.timeseriesOut != "",
-		ObserveWindowSec: a.obsWindow,
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "cllm-serve: %v\n", err)
-		os.Exit(1)
-	}
-	writeArtifacts(rep.Observation, a.traceOut, a.metricsOut, a.timeseriesOut)
+	writeArtifacts(rep.Observation, o.traceOut, o.metricsOut, o.timesOut)
 
 	offered := rep.Completed + rep.Dropped + rep.Unfinished
 	table := &harness.Result{
 		ID: "autoscale",
 		Title: fmt.Sprintf("%s (%s), scenario %s at %.2g req/s mean, %d requests, %s dispatch, target util %.2g, SLO TTFT %.2gs TPOT %.2gs",
-			a.modelName, a.dt, scenario, a.rate, offered, rep.Dispatch, a.targetUtil, a.sloTTFT, a.sloTPOT),
+			o.cfg.Model, o.cfg.DType, rep.Scenario, o.cfg.RatePerSec, offered, rep.Dispatch, o.cfg.TargetUtil, o.cfg.TTFTSLOSec, o.cfg.TPOTSLOSec),
 		Header: []string{"class", "$/h", "coldstart(s)", "cap(req/s)", "dispatched", "peak", "coldstarts", "replica-hrs", "cost($)", "SLO%", "goodput", "$/Mtok"},
 	}
 	// The machine formats carry the fleet-level request partition, latency
 	// and preemption/swap counters as columns (the text table keeps them in
 	// the note, preserving its historical schema).
-	machine := a.format != "table"
+	machine := o.format != "table"
 	if machine {
 		table.Header = append(table.Header, "completed", "dropped", "unfinished",
 			"preempt", "swap-out", "swap-in", "tokens", "TTFT p50(s)", "TTFT p99(s)")
@@ -469,5 +392,5 @@ func runAutoscale(a autoscaleArgs) {
 	table.Notes = append(table.Notes,
 		fmt.Sprintf("completed %d, dropped %d, unfinished %d; TTFT p50 %.3fs p99 %.3fs; %d control windows",
 			rep.Completed, rep.Dropped, rep.Unfinished, rep.TTFTp50, rep.TTFTp99, len(rep.Windows)))
-	emit(table, a.format)
+	emit(table, o.format)
 }

@@ -4,22 +4,25 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
+
+	"cllm"
 )
 
 // parseAndCheck binds a fresh flag table, parses args, and runs the
 // validators — the exact path main takes before any simulation runs.
-func parseAndCheck(args []string) error {
+func parseAndCheck(args []string) (*options, error) {
 	var o options
 	table := flagTable(&o)
 	fs := flag.NewFlagSet("cllm-serve", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
 	registerFlags(fs, table)
 	if err := fs.Parse(args); err != nil {
-		return err
+		return nil, err
 	}
-	return checkFlags(table)
+	return &o, checkFlags(table)
 }
 
 func TestFlagTableNamesUnique(t *testing.T) {
@@ -37,7 +40,7 @@ func TestFlagTableNamesUnique(t *testing.T) {
 }
 
 func TestFlagDefaultsAccepted(t *testing.T) {
-	if err := parseAndCheck(nil); err != nil {
+	if _, err := parseAndCheck(nil); err != nil {
 		t.Fatalf("default flag values rejected: %v", err)
 	}
 }
@@ -54,15 +57,35 @@ func TestFlagAccepts(t *testing.T) {
 		{"-admission", "deadline"},
 		{"-retry-max", "2"},
 		{"-autoscale", "-admission", "fifo"},
+		{"-autoscale", "-replicas", "1", "-lb-policy", "round-robin", "-fail-policy", "requeue"},
+		{"-autoscale", "-classes", "tdx:3:2,cgpu:1:0", "-dispatch", "uniform", "-demand-alpha", "0.5", "-target-util", "1", "-interval", "5"},
 		{"-topology", "cgpu:2=prefill,tdx:4=decode"},
 		{"-topology", "tdx:4"},
 		{"-topology", "tdx=decode,cgpu=prefill", "-lb-policy", "least-loaded"},
 		{"-preempt", "auto", "-quantile-mode", "sketch", "-rate-mults", "1,2"},
 	}
 	for _, args := range cases {
-		if err := parseAndCheck(args); err != nil {
+		if _, err := parseAndCheck(args); err != nil {
 			t.Errorf("flags %v rejected: %v", args, err)
 		}
+	}
+}
+
+// TestFlagsBindConfig checks that the simulation flags land straight in
+// the AutoscaleConfig (and its ServeConfig) that main hands to cllm.
+func TestFlagsBindConfig(t *testing.T) {
+	o, err := parseAndCheck([]string{"-model", "llama2-13b", "-rate", "3", "-batch", "8",
+		"-fail-mtbf", "60", "-classes", "tdx:3:2", "-interval", "5", "-system", "EMR2", "-seed", "9"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := o.cfg
+	if c.Model != "llama2-13b" || c.RatePerSec != 3 || c.MaxBatch != 8 || c.Faults.MTBFSec != 60 ||
+		c.IntervalSec != 5 || c.System != "EMR2" || c.Seed != 9 || c.TargetUtil != 0.7 {
+		t.Fatalf("flags not bound into the config: %+v", c)
+	}
+	if want := []cllm.AutoscaleClass{{Platform: "tdx", Min: 2, Max: 3}}; !reflect.DeepEqual(c.Classes, want) {
+		t.Fatalf("-classes bound %+v, want %+v", c.Classes, want)
 	}
 }
 
@@ -74,7 +97,7 @@ func TestFlagRejections(t *testing.T) {
 	for _, spec := range flagTable(&o) {
 		for i, rej := range spec.rejects {
 			t.Run(fmt.Sprintf("%s/%d", spec.name, i), func(t *testing.T) {
-				err := parseAndCheck(rej.args)
+				_, err := parseAndCheck(rej.args)
 				if err == nil {
 					t.Fatalf("args %v accepted; want rejection mentioning %q", rej.args, rej.want)
 				}

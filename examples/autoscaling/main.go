@@ -30,13 +30,15 @@ func main() {
 	// Bursty MMPP chat traffic: lulls a single TDX replica holds at ease,
 	// bursts of ~20 s that need most of the 4-replica ceiling.
 	base := cllm.AutoscaleConfig{
-		Scenario:   "bursty",
-		RatePerSec: 0.5,
-		Requests:   160,
-		Classes:    []cllm.AutoscaleClass{{Platform: "tdx", Min: 1, Max: 4}},
-		MaxBatch:   8,
-		TTFTSLOSec: 6,
-		Seed:       7,
+		ServeConfig: cllm.ServeConfig{
+			Scenario:   "bursty",
+			RatePerSec: 0.5,
+			Requests:   160,
+			MaxBatch:   8,
+			TTFTSLOSec: 6,
+		},
+		Classes: []cllm.AutoscaleClass{{Platform: "tdx", Min: 1, Max: 4}},
+		Seed:    7,
 	}
 
 	fmt.Println("naive reactive scaling (target util 0.7):")

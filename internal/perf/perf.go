@@ -81,15 +81,6 @@ func (r *Result) DecodeThroughput() float64 {
 	return float64(r.Tokens) / d
 }
 
-// RawThroughput includes every sample (outliers and all): what a wall-clock
-// measurement without filtering would report.
-func (r *Result) RawThroughput() float64 {
-	if r.TotalSec <= 0 {
-		return 0
-	}
-	return float64(r.Tokens) / r.TotalSec
-}
-
 // MeanTokenLatency returns the outlier-filtered mean next-token latency,
 // replicating the paper's Z>3 filtering.
 func (r *Result) MeanTokenLatency() float64 {
@@ -298,8 +289,7 @@ func GPUStepTime(cfg GPURun, st trace.StepTrace) (float64, error) {
 // configuration: cfg.Workload.InputLen new prompt tokens per row computed
 // on top of hist cached tokens (earlier chunks or shared-prefix reuse).
 // With hist == 0 it equals the monolithic prompt pass of the same length.
-// The serving scheduler uses this to bound per-iteration prefill work so
-// in-flight decodes keep a steady token cadence.
+// It is the unmemoized reference StepCoster.ChunkTime is tested against.
 func CPUPrefillChunkTime(cfg CPURun, hist int) (float64, error) {
 	if err := cfg.normalize(); err != nil {
 		return 0, err
@@ -309,15 +299,6 @@ func CPUPrefillChunkTime(cfg CPURun, hist int) (float64, error) {
 		return 0, err
 	}
 	return cpuStepTime(cfg, st), nil
-}
-
-// GPUPrefillChunkTime is CPUPrefillChunkTime's GPU counterpart.
-func GPUPrefillChunkTime(cfg GPURun, hist int) (float64, error) {
-	st, err := trace.PrefillChunkStep(cfg.Workload, hist)
-	if err != nil {
-		return 0, err
-	}
-	return gpuStepTime(cfg, st), nil
 }
 
 // OpCost is an operator-kind duration aggregate (Fig 7).

@@ -273,12 +273,6 @@ func (p Platform) WithSNC() Platform {
 	return p
 }
 
-// WithNUMA overrides the placement policy (for Fig 5's VM B / VM NB pair).
-func (p Platform) WithNUMA(n mem.NUMAPolicy) Platform {
-	p.NUMA = n
-	return p
-}
-
 // UPIFactor returns the cross-socket bandwidth multiplier.
 func (p Platform) UPIFactor() float64 {
 	if p.UPIEncrypted {

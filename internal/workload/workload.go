@@ -16,7 +16,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sort"
 	"strings"
 )
 
@@ -583,11 +582,4 @@ func ParseScenario(name string, rate float64) (Scenario, error) {
 		return Scenario{}, fmt.Errorf("workload: unknown mix %q (%s)", mixName, strings.Join(mixNames, "|"))
 	}
 	return Scenario{Arrivals: arr, Mix: mix}, nil
-}
-
-// ScenarioNames lists the accepted -scenario spellings for CLI help.
-func ScenarioNames() string {
-	all := append(append([]string{}, arrivalNames...), mixNames...)
-	sort.Strings(all)
-	return strings.Join(all, "|")
 }

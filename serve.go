@@ -174,8 +174,10 @@ type ServeReport struct {
 	// cold-start recovery they paid.
 	Crashes     int
 	DowntimeSec float64
+	// TotalTokens is the deployment's output-token production.
 	// TokensPerSec is aggregate generation throughput; goodput counts only
 	// tokens of requests that met the SLO.
+	TotalTokens         int
 	TokensPerSec        float64
 	GoodputTokensPerSec float64
 	// SLOAttainment is the fraction of offered requests served within SLO.
@@ -242,102 +244,15 @@ func (s *Session) Serve(cfg ServeConfig) (*ServeReport, error) {
 	if cfg.RatePerSec <= 0 {
 		return nil, fmt.Errorf("cllm: serving needs a positive arrival rate, got %g", cfg.RatePerSec)
 	}
-	if cfg.Model == "" {
-		cfg.Model = "llama2-7b"
-	}
-	kind, err := parseDType(cfg.DType)
+	scfg, rec, attrib, err := serveConfig(cfg, s.cfg.Seed)
 	if err != nil {
 		return nil, err
-	}
-	mcfg, err := model.Lookup(cfg.Model)
-	if err != nil {
-		return nil, err
-	}
-
-	var be serve.Backend
-	if s.isGPU {
-		be = serve.Backend{IsGPU: true, GPU: perf.GPURun{GPU: s.gpu, Platform: s.platform, Seed: s.cfg.Seed}}
-	} else {
-		be = serve.Backend{CPU: perf.CPURun{
-			CPU: s.cpu, Platform: s.platform,
-			Sockets: cfg.Sockets, CoresPerSocket: cfg.Cores,
-			AMX: true, Seed: s.cfg.Seed,
-		}}
-	}
-
-	var scenario *workload.Scenario
-	if cfg.Scenario != "" {
-		sc, err := workload.ParseScenario(cfg.Scenario, cfg.RatePerSec)
-		if err != nil {
-			return nil, err
-		}
-		scenario = &sc
-	}
-	preempt, err := serve.ParsePreemptPolicy(cfg.PreemptPolicy)
-	if err != nil {
-		return nil, err
-	}
-	qmode, err := serve.ParseQuantileMode(cfg.QuantileMode)
-	if err != nil {
-		return nil, err
-	}
-	failPolicy, err := serve.ParseFailurePolicy(cfg.Faults.Policy)
-	if err != nil {
-		return nil, err
-	}
-	failPlan, err := serve.ParseFailPlan(cfg.Faults.Plan)
-	if err != nil {
-		return nil, err
-	}
-	admission, err := serve.ParseAdmissionPolicy(cfg.Faults.Admission)
-	if err != nil {
-		return nil, err
-	}
-	scfg := serve.Config{
-		Workload:      trace.Workload{Model: mcfg, Kind: kind, InputLen: cfg.InputLen, OutputLen: cfg.OutputLen},
-		Rate:          cfg.RatePerSec,
-		Scenario:      scenario,
-		Requests:      cfg.Requests,
-		Seed:          s.cfg.Seed,
-		MaxBatch:      cfg.MaxBatch,
-		BlockTokens:   cfg.BlockTokens,
-		ChunkTokens:   cfg.ChunkTokens,
-		PrefixSharing: cfg.PrefixSharing,
-		PrefixGroups:  cfg.PrefixGroups,
-		PrefixFrac:    cfg.PrefixFrac,
-		CostBucket:    cfg.CostBucket,
-		PreemptPolicy: preempt,
-		SwapPoolFrac:  cfg.SwapPoolFrac,
-		TTFTSLOSec:    cfg.TTFTSLOSec,
-		TPOTSLOSec:    cfg.TPOTSLOSec,
-		QuantileMode:  qmode,
-		SketchAlpha:   cfg.SketchAlpha,
-		EpochRequests: cfg.EpochRequests,
-		Faults: serve.FaultConfig{
-			MTBFSec:         cfg.Faults.MTBFSec,
-			Plan:            failPlan,
-			Policy:          failPolicy,
-			Admission:       admission,
-			RetryMax:        cfg.Faults.RetryMax,
-			RetryBackoffSec: cfg.Faults.RetryBackoffSec,
-		},
 	}
 	policy, err := serve.ParseLBPolicy(cfg.LBPolicy)
 	if err != nil {
 		return nil, err
 	}
-	var rec *obs.Recorder
-	if cfg.Observe {
-		rec = obs.NewRecorderWindow(cfg.ObserveWindowSec, 512)
-	}
-	var attrib *obs.Attribution
-	if cfg.Attribution {
-		attrib, err = obs.NewAttributionWindow(cfg.SketchAlpha, true, cfg.ObserveWindowSec, 512)
-		if err != nil {
-			return nil, err
-		}
-	}
-	scfg.Observer = obs.Multi(rec, attrib)
+	be := s.backend(cfg)
 	if cfg.Topology == "" {
 		// Reuse the session's memoized costing table for this deployment
 		// shape: sweeps calling Serve repeatedly re-cost identical iteration
@@ -346,7 +261,7 @@ func (s *Session) Serve(cfg ServeConfig) (*ServeReport, error) {
 		// group's backend gets its own table inside Fleet.Run, keyed by
 		// nothing the session cache distinguishes (two CPU TEEs share a
 		// deployment shape but not a cost model).
-		be.Coster, err = s.costerFor(be, scfg)
+		be.Coster, err = s.costerFor(be, scfg, false)
 		if err != nil {
 			return nil, err
 		}
@@ -355,7 +270,7 @@ func (s *Session) Serve(cfg ServeConfig) (*ServeReport, error) {
 			// re-price the counterfactual from the same table. A topology
 			// run has no single clear twin (each group would need its own),
 			// so its attribution reports zero TEE tax.
-			scfg.ClearCoster, err = s.clearCosterFor(be, scfg)
+			scfg.ClearCoster, err = s.costerFor(be, scfg, true)
 			if err != nil {
 				return nil, err
 			}
@@ -388,7 +303,148 @@ func (s *Session) Serve(cfg ServeConfig) (*ServeReport, error) {
 		}
 	}
 
-	out := &ServeReport{
+	out := summarize(rep)
+	out.Replicas = 1
+	if attrib != nil {
+		out.Attrib = attrib.Report(rep.Platform)
+	}
+	if rec != nil {
+		out.Observation = buildObservation(rec, attrib, rep)
+		rec.Recycle()
+	}
+
+	if cfg.Topology != "" {
+		// A topology fleet mixes rental rates: price the whole fleet from
+		// the per-group sum runTopology computed.
+		out.Replicas = len(fleet.PerReplica)
+		out.LBPolicy = fleet.Policy
+		out.Topology = fleet.Topology
+		out.ReplicasAtSLO = len(fleet.PerReplica)
+		out.FleetHourlyUSD = topoHourly
+		if usd, err := fleet.CostPerMTokTotal(topoHourly); err == nil {
+			out.SLOFeasible = true
+			out.USDPerMTokAtSLO = usd
+		}
+		return &out, nil
+	}
+	hourly, err := s.serveHourlyUSD(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if fleet != nil {
+		out.Replicas = cfg.Replicas
+		out.LBPolicy = fleet.Policy
+		out.ReplicasAtSLO = cfg.Replicas
+		out.FleetHourlyUSD = hourly * float64(cfg.Replicas)
+		if usd, err := fleet.CostPerMTok(hourly); err == nil {
+			out.SLOFeasible = true
+			out.USDPerMTokAtSLO = usd
+		}
+		return &out, nil
+	}
+	if cost, err := rep.CostAtSLO(hourly); err == nil {
+		out.SLOFeasible = true
+		out.ReplicasAtSLO = cost.Replicas
+		out.FleetHourlyUSD = cost.FleetHourlyUSD
+		out.USDPerMTokAtSLO = cost.USDPerMTok
+	}
+	return &out, nil
+}
+
+// serveConfig lowers cfg onto the simulator's serve.Config for a run seeded
+// with seed, and attaches the observer cfg's Observe and Attribution ask
+// for: the recorder and attribution engine it returns are nil when off.
+// Session.Serve and Autoscale both build their run config here.
+func serveConfig(cfg ServeConfig, seed int64) (serve.Config, *obs.Recorder, *obs.Attribution, error) {
+	var scfg serve.Config
+	if cfg.Model == "" {
+		cfg.Model = "llama2-7b"
+	}
+	kind, err := parseDType(cfg.DType)
+	if err != nil {
+		return scfg, nil, nil, err
+	}
+	mcfg, err := model.Lookup(cfg.Model)
+	if err != nil {
+		return scfg, nil, nil, err
+	}
+	var scenario *workload.Scenario
+	if cfg.Scenario != "" {
+		sc, err := workload.ParseScenario(cfg.Scenario, cfg.RatePerSec)
+		if err != nil {
+			return scfg, nil, nil, err
+		}
+		scenario = &sc
+	}
+	preempt, err := serve.ParsePreemptPolicy(cfg.PreemptPolicy)
+	if err != nil {
+		return scfg, nil, nil, err
+	}
+	qmode, err := serve.ParseQuantileMode(cfg.QuantileMode)
+	if err != nil {
+		return scfg, nil, nil, err
+	}
+	failPolicy, err := serve.ParseFailurePolicy(cfg.Faults.Policy)
+	if err != nil {
+		return scfg, nil, nil, err
+	}
+	failPlan, err := serve.ParseFailPlan(cfg.Faults.Plan)
+	if err != nil {
+		return scfg, nil, nil, err
+	}
+	admission, err := serve.ParseAdmissionPolicy(cfg.Faults.Admission)
+	if err != nil {
+		return scfg, nil, nil, err
+	}
+	scfg = serve.Config{
+		Workload:      trace.Workload{Model: mcfg, Kind: kind, InputLen: cfg.InputLen, OutputLen: cfg.OutputLen},
+		Rate:          cfg.RatePerSec,
+		Scenario:      scenario,
+		Requests:      cfg.Requests,
+		Seed:          seed,
+		MaxBatch:      cfg.MaxBatch,
+		BlockTokens:   cfg.BlockTokens,
+		ChunkTokens:   cfg.ChunkTokens,
+		PrefixSharing: cfg.PrefixSharing,
+		PrefixGroups:  cfg.PrefixGroups,
+		PrefixFrac:    cfg.PrefixFrac,
+		CostBucket:    cfg.CostBucket,
+		PreemptPolicy: preempt,
+		SwapPoolFrac:  cfg.SwapPoolFrac,
+		TTFTSLOSec:    cfg.TTFTSLOSec,
+		TPOTSLOSec:    cfg.TPOTSLOSec,
+		QuantileMode:  qmode,
+		SketchAlpha:   cfg.SketchAlpha,
+		EpochRequests: cfg.EpochRequests,
+		Faults: serve.FaultConfig{
+			MTBFSec:         cfg.Faults.MTBFSec,
+			Plan:            failPlan,
+			Policy:          failPolicy,
+			Admission:       admission,
+			RetryMax:        cfg.Faults.RetryMax,
+			RetryBackoffSec: cfg.Faults.RetryBackoffSec,
+		},
+	}
+	var rec *obs.Recorder
+	if cfg.Observe {
+		rec = obs.NewRecorderWindow(cfg.ObserveWindowSec, 512)
+	}
+	var attrib *obs.Attribution
+	if cfg.Attribution {
+		attrib, err = obs.NewAttributionWindow(cfg.SketchAlpha, true, cfg.ObserveWindowSec, 512)
+		if err != nil {
+			return scfg, nil, nil, err
+		}
+	}
+	scfg.Observer = obs.Multi(rec, attrib)
+	return scfg, rec, attrib, nil
+}
+
+// summarize copies the simulator's report into the ServeReport fields
+// every deployment shares. Callers fill in the deployment echoes
+// (Replicas, LBPolicy, Topology), the pricing and the attached artifacts.
+func summarize(rep *serve.Report) ServeReport {
+	return ServeReport{
 		Platform:            rep.Platform,
 		OfferedRate:         rep.OfferedRate,
 		Completed:           rep.Completed,
@@ -400,6 +456,7 @@ func (s *Session) Serve(cfg ServeConfig) (*ServeReport, error) {
 		Retries:             rep.Retries,
 		Crashes:             rep.Crashes,
 		DowntimeSec:         rep.DowntimeSec,
+		TotalTokens:         rep.TotalTokens,
 		TokensPerSec:        rep.TokensPerSec,
 		GoodputTokensPerSec: rep.GoodputTokensPerSec,
 		SLOAttainment:       rep.SLOAttainment(),
@@ -422,54 +479,9 @@ func (s *Session) Serve(cfg ServeConfig) (*ServeReport, error) {
 		HandoffsIngested:      rep.HandoffsIn,
 		HandoffFallbacks:      rep.HandoffFallbacks,
 		HandoffBytes:          rep.HandoffBytes,
-		Replicas:              1,
 		Sketched:              rep.Sketched,
 		SketchAlpha:           rep.SketchAlpha,
 	}
-	if attrib != nil {
-		out.Attrib = attrib.Report(rep.Platform)
-	}
-	if rec != nil {
-		out.Observation = buildObservation(rec, attrib, rep)
-		rec.Recycle()
-	}
-
-	if cfg.Topology != "" {
-		// A topology fleet mixes rental rates: price the whole fleet from
-		// the per-group sum runTopology computed.
-		out.Replicas = len(fleet.PerReplica)
-		out.LBPolicy = fleet.Policy
-		out.Topology = fleet.Topology
-		out.ReplicasAtSLO = len(fleet.PerReplica)
-		out.FleetHourlyUSD = topoHourly
-		if usd, err := fleet.CostPerMTokTotal(topoHourly); err == nil {
-			out.SLOFeasible = true
-			out.USDPerMTokAtSLO = usd
-		}
-		return out, nil
-	}
-	hourly, err := s.serveHourlyUSD(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if fleet != nil {
-		out.Replicas = cfg.Replicas
-		out.LBPolicy = fleet.Policy
-		out.ReplicasAtSLO = cfg.Replicas
-		out.FleetHourlyUSD = hourly * float64(cfg.Replicas)
-		if usd, err := fleet.CostPerMTok(hourly); err == nil {
-			out.SLOFeasible = true
-			out.USDPerMTokAtSLO = usd
-		}
-		return out, nil
-	}
-	if cost, err := rep.CostAtSLO(hourly); err == nil {
-		out.SLOFeasible = true
-		out.ReplicasAtSLO = cost.Replicas
-		out.FleetHourlyUSD = cost.FleetHourlyUSD
-		out.USDPerMTokAtSLO = cost.USDPerMTok
-	}
-	return out, nil
 }
 
 // runTopology builds and runs a role-aware fleet from the -topology
@@ -500,22 +512,12 @@ func (s *Session) runTopology(cfg ServeConfig, scfg serve.Config, policy serve.L
 		if err != nil {
 			return nil, 0, fmt.Errorf("cllm: topology group %q: %w", g.Platform, err)
 		}
-		var be serve.Backend
-		if sub.isGPU {
-			be = serve.Backend{IsGPU: true, GPU: perf.GPURun{GPU: sub.gpu, Platform: sub.platform, Seed: s.cfg.Seed}}
-		} else {
-			be = serve.Backend{CPU: perf.CPURun{
-				CPU: sub.cpu, Platform: sub.platform,
-				Sockets: cfg.Sockets, CoresPerSocket: cfg.Cores,
-				AMX: true, Seed: s.cfg.Seed,
-			}}
-		}
 		hourly, err := sub.serveHourlyUSD(cfg)
 		if err != nil {
 			return nil, 0, err
 		}
 		totalHourly += hourly * float64(g.Replicas)
-		topo.Groups = append(topo.Groups, serve.RoleGroup{Role: role, Backend: be, Replicas: g.Replicas, Policy: policy})
+		topo.Groups = append(topo.Groups, serve.RoleGroup{Role: role, Backend: sub.backend(cfg), Replicas: g.Replicas, Policy: policy})
 	}
 	f, err := serve.NewFleet(topo)
 	if err != nil {
@@ -525,48 +527,45 @@ func (s *Session) runTopology(cfg ServeConfig, scfg serve.Config, policy serve.L
 	return rep, totalHourly, err
 }
 
+// backend returns the serve.Backend for one replica of the session's
+// platform in cfg's CPU deployment (Sockets, Cores; ignored on a GPU),
+// seeded like the session. Its Coster is left nil.
+func (s *Session) backend(cfg ServeConfig) serve.Backend {
+	be := serve.Backend{IsGPU: s.isGPU}
+	if s.isGPU {
+		be.GPU = perf.GPURun{GPU: s.gpu, Platform: s.platform, Seed: s.cfg.Seed}
+	} else {
+		be.CPU = perf.CPURun{
+			CPU: s.cpu, Platform: s.platform,
+			Sockets: cfg.Sockets, CoresPerSocket: cfg.Cores,
+			AMX: true, Seed: s.cfg.Seed,
+		}
+	}
+	return be
+}
+
 // costerFor returns the session's shared step coster for one serving
-// deployment shape, building it on first use.
-func (s *Session) costerFor(be serve.Backend, scfg serve.Config) (*perf.StepCoster, error) {
+// deployment shape, building it on first use. With clear set it returns
+// the clear-hardware twin instead (the counterfactual side of TEE-tax
+// attribution), cached under a key disjoint from the real costers'.
+func (s *Session) costerFor(be serve.Backend, scfg serve.Config, clear bool) (*perf.StepCoster, error) {
 	bucket := scfg.CostBucket
 	if bucket < 1 {
 		bucket = 1
 	}
 	key := fmt.Sprintf("%s|%s|%d|%d|%d|%v",
 		scfg.Workload.Model.Name, scfg.Workload.Kind, be.CPU.Sockets, be.CPU.CoresPerSocket, bucket, be.IsGPU)
+	build := serve.NewStepCoster
+	if clear {
+		key += "|clear"
+		build = serve.NewClearStepCoster
+	}
 	s.costerMu.Lock()
 	defer s.costerMu.Unlock()
 	if c, ok := s.costers[key]; ok {
 		return c, nil
 	}
-	c, err := serve.NewStepCoster(be, scfg)
-	if err != nil {
-		return nil, err
-	}
-	if s.costers == nil {
-		s.costers = make(map[string]*perf.StepCoster)
-	}
-	s.costers[key] = c
-	return c, nil
-}
-
-// clearCosterFor returns the session's shared clear-hardware twin coster
-// for one deployment shape (the counterfactual side of TEE-tax
-// attribution), building it on first use under a key disjoint from the
-// real costers'.
-func (s *Session) clearCosterFor(be serve.Backend, scfg serve.Config) (*perf.StepCoster, error) {
-	bucket := scfg.CostBucket
-	if bucket < 1 {
-		bucket = 1
-	}
-	key := fmt.Sprintf("%s|%s|%d|%d|%d|%v|clear",
-		scfg.Workload.Model.Name, scfg.Workload.Kind, be.CPU.Sockets, be.CPU.CoresPerSocket, bucket, be.IsGPU)
-	s.costerMu.Lock()
-	defer s.costerMu.Unlock()
-	if c, ok := s.costers[key]; ok {
-		return c, nil
-	}
-	c, err := serve.NewClearStepCoster(be, scfg)
+	c, err := build(be, scfg)
 	if err != nil {
 		return nil, err
 	}
