@@ -2,7 +2,8 @@
 # check-goldens.sh — diff the CLI and example outputs against the golden
 # files in testdata/golden/. Builds cllm-serve and cllm-bench, runs a fixed
 # set of argument vectors (fixed-fleet sweeps, fleets, a disaggregated
-# topology, faults, three elastic runs, attribution) plus every example
+# topology, faults, four elastic runs, attribution, deadline admission on a
+# least-loaded fleet) plus every example
 # below and `cllm-bench -exp all -quick`, and fails on any byte difference.
 # Every run is deterministic under its seed and takes well under a second.
 #
@@ -48,6 +49,10 @@ serve serve-08-autoscale-uniform -autoscale -classes tdx:3:2 -dispatch uniform -
 	-target-util 0.5 -requests 96 -format json
 serve serve-09-attrib -platform tdx,cgpu -rate 8 -requests 16 -preempt swap -attrib \
 	-attrib-csv serve-09-attrib.phases.csv
+serve serve-10-autoscale-sketch-swap -autoscale -scenario bursty -classes tdx:3 -quantile-mode sketch \
+	-epoch-requests 64 -preempt swap -format csv
+serve serve-11-fleet-deadline -platform sgx -replicas 3 -lb-policy least-loaded -admission deadline \
+	-preempt auto -rate 6 -requests 96 -in 1024 -out 128 -rate-mults 1,2 -format csv
 
 for ex in quickstart costplanner fleetsizing autoscaling; do
 	go run "./examples/$ex" >"$out/example-$ex.txt"
