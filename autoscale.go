@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"cllm/internal/autoscale"
-	"cllm/internal/serve"
 )
 
 // AutoscaleClass selects one replica class of an elastic heterogeneous
@@ -71,10 +70,8 @@ func ParseClasses(s string) ([]AutoscaleClass, error) {
 // observation switches, exactly as in Session.Serve, with elastic
 // defaults: Scenario "bursty", RatePerSec 4 and Requests 256. The scenario's
 // shape mix replaces InputLen, OutputLen and the Prefix* knobs. Autoscale
-// rejects the ServeConfig fields an elastic fleet cannot honour: Replicas
-// above 1, a non-default LBPolicy and a Topology (the classes fix the
-// fleet), any Faults setting (the scaler runs failure-free and open-door)
-// and Attribution.
+// rejects the ServeConfig fields an elastic fleet cannot honour (see
+// CheckElastic).
 type AutoscaleConfig struct {
 	ServeConfig
 	// System is the CPU testbed for CPU classes (default EMR1).
@@ -99,29 +96,18 @@ type AutoscaleConfig struct {
 	NoColdStart bool
 }
 
-// AutoscaleClassReport is one class's consumption over the run.
+// AutoscaleClassReport is one class's consumption over the run (replica
+// hours, cost, peak size, dispatched requests, cold starts) plus the
+// rental rate and probed capacity it was simulated with.
 type AutoscaleClassReport struct {
-	Name              string
+	autoscale.ClassUsage
 	HourlyUSD         float64
-	ColdStartSec      float64
 	CapacityReqPerSec float64
-	ReplicaHours      float64
-	CostUSD           float64
-	PeakActive        int
-	Dispatched        int
-	ColdStarts        int
 }
 
-// AutoscaleWindow is one control-loop interval of the time series.
-type AutoscaleWindow struct {
-	StartSec        float64
-	Arrivals        int
-	Backlog         int
-	DemandReqPerSec float64
-	// Active / Available are per-class replica counts (billed / servable),
-	// in Classes order.
-	Active, Available []int
-}
+// AutoscaleWindow is one control-loop interval of the time series; its
+// Active and Available counts are per class, in Classes order.
+type AutoscaleWindow = autoscale.Window
 
 // AutoscaleReport summarizes an elastic serving run. The embedded
 // ServeReport holds the fleet-wide aggregate (request partition, drop
@@ -163,11 +149,11 @@ func Autoscale(cfg AutoscaleConfig) (*AutoscaleReport, error) {
 	if cfg.Requests <= 0 {
 		cfg.Requests = 256
 	}
-	scfg, rec, _, err := serveConfig(cfg.ServeConfig, cfg.Seed)
-	if err != nil {
+	if err := CheckElastic(cfg.ServeConfig); err != nil {
 		return nil, err
 	}
-	if err := checkElastic(cfg.ServeConfig, scfg.Faults); err != nil {
+	scfg, rec, _, err := serveConfig(cfg.ServeConfig, cfg.Seed)
+	if err != nil {
 		return nil, err
 	}
 	dispatch := autoscale.CostAware
@@ -216,32 +202,18 @@ func Autoscale(cfg AutoscaleConfig) (*AutoscaleReport, error) {
 	}
 
 	out := &AutoscaleReport{
-		ServeReport:  summarize(rep.Aggregate),
+		ServeReport:  ServeReport{Report: *rep.Aggregate},
 		Scenario:     cfg.Scenario,
 		Dispatch:     rep.Dispatch,
 		ReplicaHours: rep.ReplicaHours,
 		CostUSD:      rep.CostUSD,
 		USDPerMTok:   rep.USDPerMTok,
 		ColdStarts:   rep.ColdStarts,
+		Windows:      rep.Windows,
 	}
 	for i, u := range rep.Usage {
 		out.Classes = append(out.Classes, AutoscaleClassReport{
-			Name:              u.Name,
-			HourlyUSD:         classes[i].HourlyUSD,
-			ColdStartSec:      u.ColdStartSec,
-			CapacityReqPerSec: classes[i].CapacityReqPerSec,
-			ReplicaHours:      u.ReplicaHours,
-			CostUSD:           u.CostUSD,
-			PeakActive:        u.PeakActive,
-			Dispatched:        u.Dispatched,
-			ColdStarts:        u.ColdStarts,
-		})
-	}
-	for _, w := range rep.Windows {
-		out.Windows = append(out.Windows, AutoscaleWindow{
-			StartSec: w.StartSec, Arrivals: w.Arrivals, Backlog: w.Backlog,
-			DemandReqPerSec: w.DemandReqPerSec,
-			Active:          w.Active, Available: w.Available,
+			ClassUsage: u, HourlyUSD: classes[i].HourlyUSD, CapacityReqPerSec: classes[i].CapacityReqPerSec,
 		})
 	}
 	if rec != nil {
@@ -251,32 +223,32 @@ func Autoscale(cfg AutoscaleConfig) (*AutoscaleReport, error) {
 	return out, nil
 }
 
-// checkElastic rejects the ServeConfig fields an elastic fleet cannot
-// honour, naming the first one set; faults is cfg.Faults as parsed.
-func checkElastic(cfg ServeConfig, faults serve.FaultConfig) error {
-	lb, err := serve.ParseLBPolicy(cfg.LBPolicy)
-	if err != nil {
-		return err
-	}
+// CheckElastic rejects the ServeConfig fields an elastic fleet cannot
+// honour, naming the first one set: Replicas above 1, a non-default
+// LBPolicy and a Topology (the classes size and route the fleet), any
+// Faults setting (the scaler runs failure-free and open-door) and
+// Attribution. Autoscale calls it first; a front end can call it to
+// reject misuse before running anything.
+func CheckElastic(cfg ServeConfig) error {
 	var field string
-	switch {
+	switch f := cfg.Faults; {
 	case cfg.Replicas > 1:
 		field = "Replicas"
-	case lb != serve.RoundRobin:
+	case cfg.LBPolicy != RoundRobin:
 		field = "LBPolicy"
 	case cfg.Topology != "":
 		field = "Topology"
-	case faults.MTBFSec != 0:
+	case f.MTBFSec != 0:
 		field = "Faults.MTBFSec"
-	case len(faults.Plan) > 0:
+	case len(f.Plan) > 0:
 		field = "Faults.Plan"
-	case faults.Policy != serve.FailRequeue:
+	case f.Policy != FailRequeue:
 		field = "Faults.Policy"
-	case faults.Admission != serve.AdmitFIFO:
+	case f.Admission != AdmitFIFO:
 		field = "Faults.Admission"
-	case faults.RetryMax != 0:
+	case f.RetryMax != 0:
 		field = "Faults.RetryMax"
-	case faults.RetryBackoffSec != 0:
+	case f.RetryBackoffSec != 0:
 		field = "Faults.RetryBackoffSec"
 	case cfg.Attribution:
 		field = "Attribution"

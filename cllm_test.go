@@ -365,10 +365,10 @@ func TestAutoscalePublicAPI(t *testing.T) {
 	// rejected, and the error names the field.
 	for field, set := range map[string]func(*ServeConfig){
 		"Replicas":         func(c *ServeConfig) { c.Replicas = 2 },
-		"LBPolicy":         func(c *ServeConfig) { c.LBPolicy = "prefix-affinity" },
+		"LBPolicy":         func(c *ServeConfig) { c.LBPolicy = PrefixAffinity },
 		"Topology":         func(c *ServeConfig) { c.Topology = "cgpu:1=prefill,tdx:1=decode" },
-		"Faults.Plan":      func(c *ServeConfig) { c.Faults.Plan = "30" },
-		"Faults.Admission": func(c *ServeConfig) { c.Faults.Admission = "shed" },
+		"Faults.Plan":      func(c *ServeConfig) { c.Faults.Plan = []FailPoint{{TimeSec: 30}} },
+		"Faults.Admission": func(c *ServeConfig) { c.Faults.Admission = AdmitShed },
 		"Attribution":      func(c *ServeConfig) { c.Attribution = true },
 	} {
 		cfg := base
@@ -378,12 +378,37 @@ func TestAutoscalePublicAPI(t *testing.T) {
 			t.Errorf("Autoscale with %s set: err = %v, want a rejection naming the field", field, err)
 		}
 	}
-	// The default spellings of the same knobs are accepted.
+	// The default values of the same knobs are accepted.
 	cfg := base
-	cfg.Replicas, cfg.LBPolicy = 1, "round-robin"
-	cfg.Faults.Policy, cfg.Faults.Admission = "requeue", "fifo"
+	cfg.Replicas, cfg.LBPolicy = 1, RoundRobin
+	cfg.Faults.Policy, cfg.Faults.Admission = FailRequeue, AdmitFIFO
 	if _, err := Autoscale(cfg); err != nil {
-		t.Errorf("default fleet and fault spellings rejected: %v", err)
+		t.Errorf("default fleet and fault values rejected: %v", err)
+	}
+}
+
+// TestServeRejectsOutOfRangeKnobs passes each typed policy knob a value
+// outside its declared constants and expects Serve to refuse it by name
+// rather than fall back to some policy.
+func TestServeRejectsOutOfRangeKnobs(t *testing.T) {
+	sess, err := Open(Config{Platform: "tdx", Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, set := range map[string]func(*ServeConfig){
+		"load-balancing policy": func(c *ServeConfig) { c.LBPolicy = 7 },
+		"preemption policy":     func(c *ServeConfig) { c.PreemptPolicy = 7 },
+		"quantile mode":         func(c *ServeConfig) { c.QuantileMode = 7 },
+		"failure policy":        func(c *ServeConfig) { c.Faults.Policy = 7 },
+		"admission policy":      func(c *ServeConfig) { c.Faults.Admission = 7 },
+	} {
+		for _, replicas := range []int{1, 2} {
+			cfg := ServeConfig{RatePerSec: 4, Requests: 8, Replicas: replicas}
+			set(&cfg)
+			if _, err := sess.Serve(cfg); err == nil || !strings.Contains(err.Error(), name) {
+				t.Errorf("%s out of range with %d replica(s): err = %v, want a rejection naming it", name, replicas, err)
+			}
+		}
 	}
 }
 

@@ -32,8 +32,7 @@ type options struct {
 	compareSlack float64
 
 	// Derived by the checks (valid after checkFlags returns nil).
-	mults      []float64
-	preemptPol serve.PreemptPolicy
+	mults []float64
 }
 
 // rejection is one argv the flag binder must refuse, with a substring the
@@ -49,6 +48,9 @@ type rejection struct {
 // other flags), and rejects lists example argument vectors the binding
 // must refuse. TestFlagRejections regenerates its cases from rejects, so
 // a new validated flag ships its rejection examples in the same entry.
+// The policy flags parse into the config's typed fields as they are set
+// (see parsed), so the flag package itself rejects a bad spelling; their
+// usage states the default, which -h prints only for plain value flags.
 type flagSpec struct {
 	name    string
 	usage   string
@@ -135,8 +137,21 @@ func flagTable(o *options) []flagSpec {
 		},
 		{
 			name:  "prefix-frac",
-			usage: "shared fraction of the mean prompt per prefix group",
+			usage: "shared fraction of the mean prompt per prefix group, in [0,1) (0 = 0.5 default)",
 			add:   func(fs *flag.FlagSet, n, u string) { fs.Float64Var(&o.cfg.PrefixFrac, n, 0.5, u) },
+			check: func() error {
+				// Prefix groups are in play with -prefix-groups or with
+				// -prefix-share, which defaults them to 4.
+				grouped := o.cfg.PrefixGroups > 0 || o.cfg.PrefixSharing
+				if grouped && (o.cfg.PrefixFrac < 0 || o.cfg.PrefixFrac >= 1) {
+					return fmt.Errorf("-prefix-frac %g outside [0, 1) (0 = 0.5 default)", o.cfg.PrefixFrac)
+				}
+				return nil
+			},
+			rejects: []rejection{
+				{args: []string{"-prefix-share", "-prefix-frac", "1.5"}, want: "-prefix-frac"},
+				{args: []string{"-prefix-groups", "2", "-prefix-frac", "-0.1"}, want: "-prefix-frac"},
+			},
 		},
 		{
 			name:  "replicas",
@@ -144,15 +159,9 @@ func flagTable(o *options) []flagSpec {
 			add:   func(fs *flag.FlagSet, n, u string) { fs.IntVar(&o.cfg.Replicas, n, 1, u) },
 		},
 		{
-			name:  "lb-policy",
-			usage: "fleet dispatch policy: round-robin|least-loaded|prefix-affinity",
-			add:   func(fs *flag.FlagSet, n, u string) { fs.StringVar(&o.cfg.LBPolicy, n, "round-robin", u) },
-			check: func() error {
-				if _, err := serve.ParseLBPolicy(o.cfg.LBPolicy); err != nil {
-					return fmt.Errorf("-lb-policy: %w", err)
-				}
-				return nil
-			},
+			name:    "lb-policy",
+			usage:   "fleet dispatch policy: round-robin|least-loaded|prefix-affinity (default round-robin)",
+			add:     parsed(&o.cfg.LBPolicy, serve.ParseLBPolicy),
 			rejects: []rejection{{args: []string{"-lb-policy", "random"}, want: "-lb-policy"}},
 		},
 		{
@@ -186,9 +195,6 @@ func flagTable(o *options) []flagSpec {
 				if o.cfg.Replicas > 1 {
 					return fmt.Errorf("-topology and -replicas are mutually exclusive (the topology fixes the fleet size)")
 				}
-				if o.autoscale {
-					return fmt.Errorf("-topology is not supported with -autoscale yet (run a fixed role-aware fleet)")
-				}
 				return nil
 			},
 			rejects: []rejection{
@@ -208,18 +214,8 @@ func flagTable(o *options) []flagSpec {
 				if !o.autoscale {
 					return nil
 				}
-				// A malformed -fail-policy or -lb-policy is reported by its
-				// own entry's check; here it parses as the default.
-				f := o.cfg.Faults
-				failPol, _ := serve.ParseFailurePolicy(f.Policy)
-				if f.MTBFSec > 0 || f.Plan != "" || f.RetryMax > 0 || failPol != serve.FailRequeue {
-					return fmt.Errorf("fault injection and retries are not supported with -autoscale yet (run a fixed fleet)")
-				}
-				if o.cfg.Replicas > 1 {
-					return fmt.Errorf("-replicas is not supported with -autoscale (the -classes bounds size the fleet)")
-				}
-				if lb, _ := serve.ParseLBPolicy(o.cfg.LBPolicy); lb != serve.RoundRobin {
-					return fmt.Errorf("-lb-policy is not supported with -autoscale (routing is -dispatch)")
+				if err := cllm.CheckElastic(o.cfg.ServeConfig); err != nil {
+					return fmt.Errorf("-autoscale: %w", err)
 				}
 				return nil
 			},
@@ -303,15 +299,9 @@ func flagTable(o *options) []flagSpec {
 			add:   func(fs *flag.FlagSet, n, u string) { fs.IntVar(&o.cfg.CostBucket, n, 1, u) },
 		},
 		{
-			name:  "quantile-mode",
-			usage: "latency quantile computation: exact (per-request samples, sorted) or sketch (streaming DDSketch + epoch-sharded simulation — flat memory at any request count)",
-			add:   func(fs *flag.FlagSet, n, u string) { fs.StringVar(&o.cfg.QuantileMode, n, "exact", u) },
-			check: func() error {
-				if _, err := serve.ParseQuantileMode(o.cfg.QuantileMode); err != nil {
-					return fmt.Errorf("-quantile-mode: %w", err)
-				}
-				return nil
-			},
+			name:    "quantile-mode",
+			usage:   "latency quantile computation: exact (per-request samples, sorted) or sketch (streaming DDSketch + epoch-sharded simulation — flat memory at any request count) (default exact)",
+			add:     parsed(&o.cfg.QuantileMode, serve.ParseQuantileMode),
 			rejects: []rejection{{args: []string{"-quantile-mode", "approx"}, want: "-quantile-mode"}},
 		},
 		{
@@ -334,6 +324,13 @@ func flagTable(o *options) []flagSpec {
 			name:  "epoch-requests",
 			usage: "arrivals scheduled per simulation epoch (0 = 65536 in sketch mode, unsharded in exact mode)",
 			add:   func(fs *flag.FlagSet, n, u string) { fs.IntVar(&o.cfg.EpochRequests, n, 0, u) },
+			check: func() error {
+				if o.cfg.EpochRequests < 0 {
+					return fmt.Errorf("-epoch-requests %d is negative; pass arrivals per epoch (0 = 65536 in sketch mode, unsharded in exact mode)", o.cfg.EpochRequests)
+				}
+				return nil
+			},
+			rejects: []rejection{{args: []string{"-epoch-requests", "-1"}, want: "-epoch-requests"}},
 		},
 		{
 			name:  "rate-mults",
@@ -364,17 +361,9 @@ func flagTable(o *options) []flagSpec {
 			},
 		},
 		{
-			name:  "preempt",
-			usage: "preemption policy: recompute|swap|auto (swap parks KV in a host swap pool at the backend's swap bandwidth; auto picks the cheaper per preemption)",
-			add:   func(fs *flag.FlagSet, n, u string) { fs.StringVar(&o.cfg.PreemptPolicy, n, "recompute", u) },
-			check: func() error {
-				pol, err := serve.ParsePreemptPolicy(o.cfg.PreemptPolicy)
-				if err != nil {
-					return fmt.Errorf("-preempt: %w", err)
-				}
-				o.preemptPol = pol
-				return nil
-			},
+			name:    "preempt",
+			usage:   "preemption policy: recompute|swap|auto (swap parks KV in a host swap pool at the backend's swap bandwidth; auto picks the cheaper per preemption) (default recompute)",
+			add:     parsed(&o.cfg.PreemptPolicy, serve.ParsePreemptPolicy),
 			rejects: []rejection{{args: []string{"-preempt", "drop"}, want: "-preempt"}},
 		},
 		{
@@ -417,15 +406,9 @@ func flagTable(o *options) []flagSpec {
 			rejects: []rejection{{args: []string{"-obs-window", "-1"}, want: "-obs-window"}},
 		},
 		{
-			name:  "attrib",
-			usage: "attribute the observed run's latency to phases (queue/prefill/decode/stall/swap/handoff) and price a clear-hardware counterfactual for the per-phase TEE tax; attributes the first platform's base-rate point",
-			add:   func(fs *flag.FlagSet, n, u string) { fs.BoolVar(&o.cfg.Attribution, n, false, u) },
-			check: func() error {
-				if o.cfg.Attribution && o.autoscale {
-					return fmt.Errorf("-attrib is not supported with -autoscale (attribute a fixed fleet run instead)")
-				}
-				return nil
-			},
+			name:    "attrib",
+			usage:   "attribute the observed run's latency to phases (queue/prefill/decode/stall/swap/handoff) and price a clear-hardware counterfactual for the per-phase TEE tax; attributes the first platform's base-rate point",
+			add:     func(fs *flag.FlagSet, n, u string) { fs.BoolVar(&o.cfg.Attribution, n, false, u) },
 			rejects: []rejection{{args: []string{"-attrib", "-autoscale"}, want: "-autoscale"}},
 		},
 		{
@@ -483,7 +466,7 @@ func flagTable(o *options) []flagSpec {
 				if o.cfg.Faults.MTBFSec < 0 {
 					return fmt.Errorf("-fail-mtbf %g is negative; pass a mean time between failures in seconds (0 = no failures)", o.cfg.Faults.MTBFSec)
 				}
-				if o.cfg.Faults.MTBFSec > 0 && o.cfg.Faults.Plan != "" {
+				if o.cfg.Faults.MTBFSec > 0 && len(o.cfg.Faults.Plan) > 0 {
 					return fmt.Errorf("-fail-mtbf and -fail-plan are mutually exclusive (Poisson vs scripted failures)")
 				}
 				return nil
@@ -495,44 +478,23 @@ func flagTable(o *options) []flagSpec {
 		},
 		{
 			name:  "fail-plan",
-			usage: "inject scripted failures instead: comma-separated replica@seconds points (bare seconds = replica 0)",
-			add:   func(fs *flag.FlagSet, n, u string) { fs.StringVar(&o.cfg.Faults.Plan, n, "", u) },
-			check: func() error {
-				if _, err := serve.ParseFailPlan(o.cfg.Faults.Plan); err != nil {
-					return fmt.Errorf("-fail-plan: %w", err)
-				}
-				return nil
-			},
+			usage: "inject scripted failures instead: comma-separated replica@seconds points (bare seconds = replica 0) (default none)",
+			add:   parsed(&o.cfg.Faults.Plan, serve.ParseFailPlan),
 			rejects: []rejection{
 				{args: []string{"-fail-plan", "a@30"}, want: "-fail-plan"},
 				{args: []string{"-fail-plan", "0@-5"}, want: "-fail-plan"},
 			},
 		},
 		{
-			name:  "fail-policy",
-			usage: "what a crash does to in-flight requests: requeue (restart on recovery) or lost (consume retry budget or drop)",
-			add:   func(fs *flag.FlagSet, n, u string) { fs.StringVar(&o.cfg.Faults.Policy, n, "requeue", u) },
-			check: func() error {
-				if _, err := serve.ParseFailurePolicy(o.cfg.Faults.Policy); err != nil {
-					return fmt.Errorf("-fail-policy: %w", err)
-				}
-				return nil
-			},
+			name:    "fail-policy",
+			usage:   "what a crash does to in-flight requests: requeue (restart on recovery) or lost (consume retry budget or drop) (default requeue)",
+			add:     parsed(&o.cfg.Faults.Policy, serve.ParseFailurePolicy),
 			rejects: []rejection{{args: []string{"-fail-policy", "explode"}, want: "-fail-policy"}},
 		},
 		{
 			name:  "admission",
-			usage: "queue admission policy: fifo|deadline|shed (deadline = EDF order with expired-request drops; shed also rejects requests that cannot start before their deadline)",
-			add:   func(fs *flag.FlagSet, n, u string) { fs.StringVar(&o.cfg.Faults.Admission, n, "fifo", u) },
-			check: func() error {
-				if _, err := serve.ParseAdmissionPolicy(o.cfg.Faults.Admission); err != nil {
-					return fmt.Errorf("-admission: %w", err)
-				}
-				if o.autoscale && o.cfg.Faults.Admission != "fifo" && o.cfg.Faults.Admission != "" {
-					return fmt.Errorf("-admission is not supported with -autoscale yet (run a fixed fleet)")
-				}
-				return nil
-			},
+			usage: "queue admission policy: fifo|deadline|shed (deadline = EDF order with expired-request drops; shed also rejects requests that cannot start before their deadline) (default fifo)",
+			add:   parsed(&o.cfg.Faults.Admission, serve.ParseAdmissionPolicy),
 			rejects: []rejection{
 				{args: []string{"-admission", "lottery"}, want: "-admission"},
 				{args: []string{"-admission", "shed", "-autoscale"}, want: "-autoscale"},
@@ -588,6 +550,17 @@ func flagTable(o *options) []flagSpec {
 			usage: "deterministic seed",
 			add:   func(fs *flag.FlagSet, n, u string) { fs.Int64Var(&o.cfg.Seed, n, 1, u) },
 		},
+	}
+}
+
+// parsed binds a flag that parses straight into a typed config field
+// (zero value = default) with serve's own parser.
+func parsed[T any](dst *T, parse func(string) (T, error)) func(fs *flag.FlagSet, name, usage string) {
+	return func(fs *flag.FlagSet, name, usage string) {
+		fs.Func(name, usage, func(s string) (err error) {
+			*dst, err = parse(s)
+			return err
+		})
 	}
 }
 

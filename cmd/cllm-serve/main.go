@@ -76,7 +76,7 @@ func main() {
 	// byte-identical output); swap/auto runs add the policy to the title and
 	// a swaps column (out/in transfer counts). Decide off the parsed policy
 	// so spelling variants of recompute keep the historical schema too.
-	swapMode := o.preemptPol != serve.PreemptRecompute
+	swapMode := o.cfg.PreemptPolicy != cllm.PreemptRecompute
 	// A role-aware topology replaces the replicas+policy fleet description
 	// (and the -platform list: the groups name their own platforms).
 	fleetDesc := fmt.Sprintf("%d replica(s) %s", o.cfg.Replicas, o.cfg.LBPolicy)
@@ -94,7 +94,7 @@ func main() {
 		o.cfg.Model, o.cfg.DType, o.cfg.Requests, load, o.cfg.ChunkTokens, o.cfg.PrefixSharing, fleetDesc, o.cfg.TTFTSLOSec, o.cfg.TPOTSLOSec)
 	header := []string{"platform", "rate(req/s)", "tput(tok/s)", "goodput", "SLO%", "TTFT p50(s)", "TTFT p99(s)", "TPOT(s)", "TPOT p99(s)", "p99 lat(s)", "prefix-hit(tok)", "preempt", "replicas", "$/Mtok@SLO"}
 	if swapMode {
-		title += ", preempt " + o.preemptPol.String()
+		title += ", preempt " + o.cfg.PreemptPolicy.String()
 		header = append(header, "swaps(out/in)")
 	}
 	// The machine formats carry the full report: the text table keeps its
@@ -147,12 +147,12 @@ func main() {
 				fmt.Sprintf("%.2f", rep.OfferedRate),
 				fmt.Sprintf("%.1f", rep.TokensPerSec),
 				fmt.Sprintf("%.1f", rep.GoodputTokensPerSec),
-				fmt.Sprintf("%.0f%%", rep.SLOAttainment*100),
-				fmt.Sprintf("%.3f", rep.TTFTp50),
-				fmt.Sprintf("%.3f", rep.TTFTp99),
-				fmt.Sprintf("%.3f", rep.TPOTMean),
-				fmt.Sprintf("%.3f", rep.TPOTp99),
-				fmt.Sprintf("%.2f", rep.LatencyP99),
+				fmt.Sprintf("%.0f%%", rep.SLOAttainment()*100),
+				fmt.Sprintf("%.3f", rep.TTFT.P50),
+				fmt.Sprintf("%.3f", rep.TTFT.P99),
+				fmt.Sprintf("%.3f", rep.TPOT.Mean),
+				fmt.Sprintf("%.3f", rep.TPOT.P99),
+				fmt.Sprintf("%.2f", rep.Latency.P99),
 				fmt.Sprintf("%d", rep.PrefixCacheHitTokens),
 				fmt.Sprintf("%d", rep.Preemptions),
 				nRepl,
@@ -169,7 +169,7 @@ func main() {
 					fmt.Sprintf("%d", rep.KVBlocksTotal),
 					fmt.Sprintf("%d", rep.PeakKVBlocksInUse),
 					fmt.Sprintf("%d", rep.PrefixCacheMissTokens),
-					fmt.Sprintf("%d", rep.EvictedKVBlocks),
+					fmt.Sprintf("%d", rep.EvictedBlocks),
 					fmt.Sprintf("%d", rep.SwapOuts),
 					fmt.Sprintf("%d", rep.SwapIns),
 					fmt.Sprintf("%d", rep.Sheds),
@@ -180,8 +180,8 @@ func main() {
 					fmt.Sprintf("%d", rep.Retries),
 					fmt.Sprintf("%d", rep.Crashes),
 					fmt.Sprintf("%.3f", rep.DowntimeSec),
-					fmt.Sprintf("%d", rep.Handoffs),
-					fmt.Sprintf("%d", rep.HandoffsIngested),
+					fmt.Sprintf("%d", rep.HandoffsOut),
+					fmt.Sprintf("%d", rep.HandoffsIn),
 					fmt.Sprintf("%d", rep.HandoffFallbacks),
 					fmt.Sprintf("%.4g", rep.HandoffBytes))
 			}
@@ -372,7 +372,7 @@ func runAutoscale(o options) {
 		fmt.Sprintf("%d", rep.ColdStarts),
 		fmt.Sprintf("%.4f", rep.ReplicaHours),
 		fmt.Sprintf("%.4f", rep.CostUSD),
-		fmt.Sprintf("%.0f%%", rep.SLOAttainment*100),
+		fmt.Sprintf("%.0f%%", rep.SLOAttainment()*100),
 		fmt.Sprintf("%.1f", rep.GoodputTokensPerSec),
 		fmt.Sprintf("%.2f", rep.USDPerMTok),
 	}
@@ -385,12 +385,12 @@ func runAutoscale(o options) {
 			fmt.Sprintf("%d", rep.SwapOuts),
 			fmt.Sprintf("%d", rep.SwapIns),
 			fmt.Sprintf("%d", rep.TotalTokens),
-			fmt.Sprintf("%.3f", rep.TTFTp50),
-			fmt.Sprintf("%.3f", rep.TTFTp99))
+			fmt.Sprintf("%.3f", rep.TTFT.P50),
+			fmt.Sprintf("%.3f", rep.TTFT.P99))
 	}
 	table.Rows = append(table.Rows, fleetRow)
 	table.Notes = append(table.Notes,
 		fmt.Sprintf("completed %d, dropped %d, unfinished %d; TTFT p50 %.3fs p99 %.3fs; %d control windows",
-			rep.Completed, rep.Dropped, rep.Unfinished, rep.TTFTp50, rep.TTFTp99, len(rep.Windows)))
+			rep.Completed, rep.Dropped, rep.Unfinished, rep.TTFT.P50, rep.TTFT.P99, len(rep.Windows)))
 	emit(table, o.format)
 }

@@ -63,6 +63,14 @@ func TestFlagAccepts(t *testing.T) {
 		{"-topology", "tdx:4"},
 		{"-topology", "tdx=decode,cgpu=prefill", "-lb-policy", "least-loaded"},
 		{"-preempt", "auto", "-quantile-mode", "sketch", "-rate-mults", "1,2"},
+		{"-replicas", "2", "-lb-policy", "rr"},
+		{"-replicas", "2", "-lb-policy", "ll"},
+		{"-replicas", "2", "-lb-policy", "pa"},
+		{"-replicas", "2", "-lb-policy", "affinity"},
+		{"-autoscale", "-lb-policy", "rr"},
+		{"-prefix-share", "-prefix-frac", "0"},
+		{"-prefix-frac", "1.5"},
+		{"-quantile-mode", "sketch", "-epoch-requests", "64"},
 	}
 	for _, args := range cases {
 		if _, err := parseAndCheck(args); err != nil {
@@ -75,7 +83,8 @@ func TestFlagAccepts(t *testing.T) {
 // the AutoscaleConfig (and its ServeConfig) that main hands to cllm.
 func TestFlagsBindConfig(t *testing.T) {
 	o, err := parseAndCheck([]string{"-model", "llama2-13b", "-rate", "3", "-batch", "8",
-		"-fail-mtbf", "60", "-classes", "tdx:3:2", "-interval", "5", "-system", "EMR2", "-seed", "9"})
+		"-fail-mtbf", "60", "-classes", "tdx:3:2", "-interval", "5", "-system", "EMR2", "-seed", "9",
+		"-lb-policy", "pa", "-preempt", "swap", "-quantile-mode", "sketch", "-admission", "edf"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,6 +92,18 @@ func TestFlagsBindConfig(t *testing.T) {
 	if c.Model != "llama2-13b" || c.RatePerSec != 3 || c.MaxBatch != 8 || c.Faults.MTBFSec != 60 ||
 		c.IntervalSec != 5 || c.System != "EMR2" || c.Seed != 9 || c.TargetUtil != 0.7 {
 		t.Fatalf("flags not bound into the config: %+v", c)
+	}
+	if c.LBPolicy != cllm.PrefixAffinity || c.PreemptPolicy != cllm.PreemptSwap ||
+		c.QuantileMode != cllm.QuantileSketch || c.Faults.Admission != cllm.AdmitDeadline {
+		t.Fatalf("policy flags not parsed into the typed fields: %+v", c.ServeConfig)
+	}
+	o, err = parseAndCheck([]string{"-fail-plan", "1@30,45", "-fail-policy", "lost"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []cllm.FailPoint{{Replica: 1, TimeSec: 30}, {TimeSec: 45}}; !reflect.DeepEqual(o.cfg.Faults.Plan, want) ||
+		o.cfg.Faults.Policy != cllm.FailLost {
+		t.Fatalf("fault flags bound %+v, want plan %+v and policy lost", o.cfg.Faults, want)
 	}
 	if want := []cllm.AutoscaleClass{{Platform: "tdx", Min: 2, Max: 3}}; !reflect.DeepEqual(c.Classes, want) {
 		t.Fatalf("-classes bound %+v, want %+v", c.Classes, want)

@@ -21,8 +21,8 @@ func run(label string, cfg cllm.AutoscaleConfig) *cllm.AutoscaleReport {
 		log.Fatal(err)
 	}
 	fmt.Printf("%-28s SLO %5.1f%%  replica-hrs %.4f  cost $%.4f  $/Mtok %6.2f  coldstarts %d  TTFT p99 %.2fs\n",
-		label, rep.SLOAttainment*100, rep.ReplicaHours, rep.CostUSD, rep.USDPerMTok,
-		rep.ColdStarts, rep.TTFTp99)
+		label, rep.SLOAttainment()*100, rep.ReplicaHours, rep.CostUSD, rep.USDPerMTok,
+		rep.ColdStarts, rep.TTFT.P99)
 	return rep
 }
 
@@ -58,9 +58,9 @@ func main() {
 	awareRep := run("  TEE cold start", aware)
 
 	fmt.Printf("\nelasticity tax: free elasticity holds %.1f%% of requests in SLO at %.4f replica-hrs;\n",
-		warm.SLOAttainment*100, warm.ReplicaHours)
+		warm.SLOAttainment()*100, warm.ReplicaHours)
 	fmt.Printf("the same policy with real cold starts holds %.1f%%, and buying the SLO back\n",
-		cold.SLOAttainment*100)
+		cold.SLOAttainment()*100)
 	fmt.Printf("via headroom costs %.4f replica-hrs (%.0f%% more hardware-hours than free elasticity).\n",
 		awareRep.ReplicaHours, (awareRep.ReplicaHours/warm.ReplicaHours-1)*100)
 }

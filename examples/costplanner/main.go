@@ -71,11 +71,11 @@ func main() {
 	fmt.Println("\nserved fleet check (TDX, 8 req/s, chat workload):")
 	served, err := tdx.Serve(cllm.ServeConfig{
 		Model: "llama2-7b", RatePerSec: 8, Requests: 64,
-		Replicas: 2, LBPolicy: "least-loaded", ChunkTokens: 512,
+		Replicas: 2, LBPolicy: cllm.LeastLoaded, ChunkTokens: 512,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("  2 replicas: %.0f%% of requests within SLO, $%.2f/Mtok served\n",
-		served.SLOAttainment*100, served.USDPerMTokAtSLO)
+		served.SLOAttainment()*100, served.USDPerMTokAtSLO)
 }

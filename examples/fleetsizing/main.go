@@ -36,7 +36,7 @@ func main() {
 	}
 
 	fmt.Println("policy comparison at 4 replicas:")
-	for _, policy := range []string{"round-robin", "least-loaded", "prefix-affinity"} {
+	for _, policy := range []cllm.LBPolicy{cllm.RoundRobin, cllm.LeastLoaded, cllm.PrefixAffinity} {
 		cfg := base
 		cfg.Replicas = 4
 		cfg.LBPolicy = policy
@@ -49,8 +49,8 @@ func main() {
 			cost = fmt.Sprintf("$%.2f/Mtok", rep.USDPerMTokAtSLO)
 		}
 		fmt.Printf("  %-16s goodput %6.1f tok/s  SLO %3.0f%%  TTFT p50 %.2fs  prefix hits %6d tok  %s\n",
-			policy, rep.GoodputTokensPerSec, rep.SLOAttainment*100,
-			rep.TTFTp50, rep.PrefixCacheHitTokens, cost)
+			policy, rep.GoodputTokensPerSec, rep.SLOAttainment()*100,
+			rep.TTFT.P50, rep.PrefixCacheHitTokens, cost)
 	}
 
 	// First the PR-1 way: extrapolate the fleet from one replica's
@@ -74,17 +74,17 @@ func main() {
 	for n := 2; n <= 6; n++ {
 		cfg := base
 		cfg.Replicas = n
-		cfg.LBPolicy = "prefix-affinity"
+		cfg.LBPolicy = cllm.PrefixAffinity
 		rep, err := sess.Serve(cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
 		marker := ""
-		if rep.SLOAttainment >= 0.95 {
+		if rep.SLOAttainment() >= 0.95 {
 			marker = "  ← smallest SLO-compliant fleet"
 		}
 		fmt.Printf("  %d replica(s): SLO %3.0f%%, $%.2f/h fleet%s\n",
-			n, rep.SLOAttainment*100, rep.FleetHourlyUSD, marker)
+			n, rep.SLOAttainment()*100, rep.FleetHourlyUSD, marker)
 		if marker != "" {
 			break
 		}

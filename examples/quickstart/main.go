@@ -65,7 +65,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("serving at 8 req/s: %.1f tok/s goodput, TTFT p99 %.2fs, %.0f%% within SLO\n",
-		served.GoodputTokensPerSec, served.TTFTp99, served.SLOAttainment*100)
+		served.GoodputTokensPerSec, served.TTFT.P99, served.SLOAttainment()*100)
 	if served.SLOFeasible {
 		fmt.Printf("SLO fleet: %d replica(s), $%.2f per million served tokens\n",
 			served.ReplicasAtSLO, served.USDPerMTokAtSLO)

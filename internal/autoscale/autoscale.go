@@ -109,10 +109,6 @@ type Config struct {
 	// capacity = demand / TargetUtil (default 0.7). Lower values mean more
 	// headroom — the knob operators turn to absorb cold-start lag.
 	TargetUtil float64
-	// ScaleDownHoldSec is how long the fleet must stay above the desired
-	// size before surplus replicas start draining (default 2 intervals) —
-	// hysteresis against flapping on burst edges.
-	ScaleDownHoldSec float64
 	// DemandAlpha is the EWMA smoothing factor for the scaler's demand
 	// estimate, in (0, 1]: estimate = alpha*instant + (1-alpha)*previous.
 	// 0 means the default 1 — the pure one-window reactive estimator,
@@ -129,6 +125,11 @@ type Config struct {
 	Workers int
 }
 
+// scaleDownHoldIntervals is how many control periods a class must stay
+// above its desired size before surplus replicas start draining —
+// hysteresis against flapping on burst edges.
+const scaleDownHoldIntervals = 2
+
 func (c *Config) normalize() error {
 	if c.IntervalSec <= 0 {
 		c.IntervalSec = 15
@@ -138,9 +139,6 @@ func (c *Config) normalize() error {
 	}
 	if c.TargetUtil < 0 || c.TargetUtil > 1 {
 		return fmt.Errorf("autoscale: target utilization %g outside (0, 1]", c.TargetUtil)
-	}
-	if c.ScaleDownHoldSec <= 0 {
-		c.ScaleDownHoldSec = 2 * c.IntervalSec
 	}
 	if c.DemandAlpha == 0 {
 		c.DemandAlpha = 1
@@ -699,13 +697,14 @@ func (f *fleet) reconcile(now float64, desired []int) {
 			}
 		case activeN > desired[ci]:
 			// Per-class hysteresis: the class must stay over-provisioned
-			// for the whole hold before its surplus drains, so burst-edge
-			// flapping does not buy extra cold starts.
+			// for the whole hold (scaleDownHoldIntervals control periods)
+			// before its surplus drains, so burst-edge flapping does not
+			// buy extra cold starts.
 			if f.overSince[ci] < 0 {
 				f.overSince[ci] = now
 				break
 			}
-			if now-f.overSince[ci] < f.cfg.ScaleDownHoldSec {
+			if now-f.overSince[ci] < scaleDownHoldIntervals*f.cfg.IntervalSec {
 				break
 			}
 			surplus := activeN - desired[ci]

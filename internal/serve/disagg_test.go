@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"cllm/internal/par"
@@ -29,6 +30,21 @@ func runDisagg(t *testing.T, cfg Config) *FleetReport {
 		t.Fatal(err)
 	}
 	return rep
+}
+
+// TestNewFleetRejectsUnknownPolicy checks that a dispatch policy outside
+// the declared constants is refused by name instead of being routed
+// least-loaded.
+func TestNewFleetRejectsUnknownPolicy(t *testing.T) {
+	unified := Unified(cpuBackend(tee.TDX()), FleetConfig{Replicas: 2, Policy: 7})
+	disagg := disaggTopology()
+	disagg.Groups[1].Policy = 7
+	for i, topo := range []Topology{unified, disagg} {
+		_, err := NewFleet(topo)
+		if err == nil || !strings.Contains(err.Error(), "load-balancing policy LBPolicy(7)") {
+			t.Errorf("topology %d: err = %v, want the unknown policy named", i, err)
+		}
+	}
 }
 
 // TestUnifiedFleetMatchesPrePRGolden pins the refactored construction

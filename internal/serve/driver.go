@@ -229,13 +229,13 @@ func (p *Pool) drive(src *arrivalSource, d Dispatcher) error {
 			}
 		}
 	}
-	return p.runUntil(lastArrival + p.cfg.HorizonSec)
+	return p.runUntil(lastArrival + horizonSec)
 }
 
 // runUntil advances the engine to t and surfaces the first failure: a
 // replica that could not be built, then any replica whose loop halted.
 func (p *Pool) runUntil(t float64) error {
-	if _, err := p.eng.RunUntil(sim.Time(t), p.cfg.MaxSteps); err != nil {
+	if _, err := p.eng.RunUntil(sim.Time(t), p.cfg.maxSteps()); err != nil {
 		return err
 	}
 	if p.err != nil {

@@ -64,6 +64,16 @@ func ParseLBPolicy(s string) (LBPolicy, error) {
 	return 0, fmt.Errorf("serve: unknown load-balancing policy %q (round-robin|least-loaded|prefix-affinity)", s)
 }
 
+// Validate rejects a value outside the declared policies, which dispatch
+// would otherwise route least-loaded without a word.
+func (p LBPolicy) Validate() error {
+	switch p {
+	case RoundRobin, LeastLoaded, PrefixAffinity:
+		return nil
+	}
+	return fmt.Errorf("serve: unknown load-balancing policy %s", p)
+}
+
 // FleetConfig describes a multi-replica deployment: N identical replicas
 // of the backend behind a load balancer.
 type FleetConfig struct {

@@ -253,13 +253,6 @@ type Config struct {
 	// TTFTSLOSec and TPOTSLOSec are the SLO targets (defaults 5s / 0.5s).
 	TTFTSLOSec float64
 	TPOTSLOSec float64
-	// HorizonSec bounds simulated time after the last arrival (default
-	// 3600s): requests still unfinished then count as SLO misses.
-	HorizonSec float64
-	// MaxSteps bounds engine events as a runaway guard (default 4e6,
-	// scaled up to 512 events per request for runs large enough that the
-	// constant cap would kill legitimate work).
-	MaxSteps int64
 	// QuantileMode selects the latency summary: QuantileExact (default)
 	// retains per-request samples and is bit-identical to prior behavior;
 	// QuantileSketch streams them into bounded-memory sketches and shards
@@ -334,6 +327,24 @@ type FaultConfig struct {
 	// (base × 2^(attempt−1), plus deterministic per-request jitter up to
 	// +50%); 0 defaults to 1s when RetryMax is set.
 	RetryBackoffSec float64
+}
+
+// horizonSec bounds simulated time after the last arrival: requests still
+// unfinished then count as SLO misses.
+const horizonSec = 3600
+
+// maxSteps bounds a normalized run's engine events as a runaway guard:
+// 4e6, scaled up to 512 events per request. Event volume scales with
+// arrivals (one arrival event plus a bounded number of scheduling rounds
+// per request), so 10⁸-request runs are not killed by a constant cap sized
+// for sweep points. Requests already covers traces too small to matter,
+// and scenario/Poisson runs default it in normalize.
+func (c *Config) maxSteps() int64 {
+	n := c.Requests
+	if len(c.Trace) > n {
+		n = len(c.Trace)
+	}
+	return max(4_000_000, int64(n)*512)
 }
 
 func (c *Config) normalize() error {
@@ -417,24 +428,6 @@ func (c *Config) normalize() error {
 	}
 	if c.TPOTSLOSec <= 0 {
 		c.TPOTSLOSec = 0.5
-	}
-	if c.HorizonSec <= 0 {
-		c.HorizonSec = 3600
-	}
-	if c.MaxSteps <= 0 {
-		c.MaxSteps = 4_000_000
-		// Event volume scales with arrivals (one arrival event plus a
-		// bounded number of scheduling rounds per request); scale the
-		// runaway guard so 10⁸-request runs are not killed by a constant
-		// cap sized for sweep points. Requests already covers traces too
-		// small to matter, and scenario/Poisson runs default it above.
-		n := c.Requests
-		if len(c.Trace) > n {
-			n = len(c.Trace)
-		}
-		if guard := int64(n) * 512; guard > c.MaxSteps {
-			c.MaxSteps = guard
-		}
 	}
 	switch c.QuantileMode {
 	case QuantileExact, QuantileSketch:

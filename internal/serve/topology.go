@@ -125,6 +125,9 @@ func (t *Topology) validate() error {
 		default:
 			return fmt.Errorf("serve: unknown role %d in topology group %d", int(g.Role), i)
 		}
+		if err := g.Policy.Validate(); err != nil {
+			return fmt.Errorf("%w in topology group %d", err, i)
+		}
 	}
 	if unified > 0 && unified != len(t.Groups) {
 		return fmt.Errorf("serve: topology mixes unified and prefill/decode groups (split every group by stage, or none)")

@@ -34,8 +34,6 @@ type ServeConfig struct {
 	Requests int
 	// MaxBatch caps concurrent sequences (default 32).
 	MaxBatch int
-	// BlockTokens is the paged KV-cache block size (default 16 tokens).
-	BlockTokens int
 	// ChunkTokens caps prompt tokens prefilled per scheduler iteration
 	// (chunked prefill): bounds the decode stall long prompts impose on
 	// in-flight requests at the cost of higher TTFT. 0 keeps monolithic
@@ -53,9 +51,9 @@ type ServeConfig struct {
 	// Replicas simulates a load-balanced fleet of this size instead of a
 	// single replica (default 1). The offered rate is the fleet rate.
 	Replicas int
-	// LBPolicy picks the fleet dispatch policy:
-	// round-robin|least-loaded|prefix-affinity (default round-robin).
-	LBPolicy string
+	// LBPolicy picks the fleet dispatch policy: RoundRobin (the zero
+	// value), LeastLoaded or PrefixAffinity.
+	LBPolicy LBPolicy
 	// Topology simulates a role-aware fleet instead of Replicas identical
 	// copies of the session platform: comma-separated
 	// "platform:replicas=role" groups, e.g. "cgpu:2=prefill,tdx:4=decode"
@@ -66,8 +64,9 @@ type ServeConfig struct {
 	// testbed, seed and attestation policy); LBPolicy applies to both
 	// stages. Mutually exclusive with Replicas > 1.
 	Topology string
-	// Sockets / Cores select the CPU deployment as in MeasureOptions.
-	Sockets, Cores int
+	// Sockets selects the CPU deployment's socket count (default 1; every
+	// core of each socket serves).
+	Sockets int
 	// TTFTSLOSec / TPOTSLOSec are SLO targets (defaults 5s / 0.5s).
 	TTFTSLOSec, TPOTSLOSec float64
 	// CostBucket quantizes the scheduler's memoized step costing (tokens):
@@ -76,24 +75,23 @@ type ServeConfig struct {
 	// (bit-identical to the unmemoized cost model).
 	CostBucket int
 	// PreemptPolicy selects what a KV-pool preemption does with the
-	// victim's cache: "recompute" (default, vLLM-style full re-prefill),
-	// "swap" (park the computed entries in a bounded host swap pool at the
-	// backend's swap bandwidth — cGPU pays the encrypted bounce buffer,
-	// CPU TEEs a near-native memcpy — and restore them on resume), or
-	// "auto" (per preemption, whichever the memoized transfer-vs-recompute
+	// victim's cache: PreemptRecompute (the zero value, vLLM-style full
+	// re-prefill), PreemptSwap (park the computed entries in a host swap
+	// pool as large as the device KV pool, at the backend's swap
+	// bandwidth — cGPU pays the encrypted bounce buffer, CPU TEEs a
+	// near-native memcpy — and restore them on resume), or PreemptAuto
+	// (per preemption, whichever the memoized transfer-vs-recompute
 	// estimate prices cheaper).
-	PreemptPolicy string
-	// SwapPoolFrac sizes the host swap pool as a fraction of the device KV
-	// pool (0 = default 1.0; negative disables). Ignored under "recompute".
-	SwapPoolFrac float64
-	// QuantileMode selects how latency quantiles are computed: "exact"
-	// (default — per-request samples retained and sorted, byte-identical to
-	// prior releases) or "sketch" (streaming DDSketch summaries with a
-	// documented relative error bound and O(1) memory in the request
-	// count — the mode that makes 10⁸-request runs fit in a flat heap).
-	QuantileMode string
+	PreemptPolicy PreemptPolicy
+	// QuantileMode selects how latency quantiles are computed:
+	// QuantileExact (the zero value — per-request samples retained and
+	// sorted, byte-identical to prior releases) or QuantileSketch
+	// (streaming DDSketch summaries with a documented relative error bound
+	// and O(1) memory in the request count — the mode that makes
+	// 10⁸-request runs fit in a flat heap).
+	QuantileMode QuantileMode
 	// SketchAlpha is the sketch's relative error bound (0 = default 0.01).
-	// Only meaningful with QuantileMode "sketch".
+	// Only meaningful with QuantileSketch.
 	SketchAlpha float64
 	// EpochRequests shards the simulation horizon: arrivals are scheduled
 	// in epochs of this many requests, with scheduler/KV/prefix-cache state
@@ -112,7 +110,8 @@ type ServeConfig struct {
 	// doubles.
 	ObserveWindowSec float64
 	// Faults groups the fault-injection, admission-control and retry knobs
-	// (see FaultConfig).
+	// (see FaultConfig); the zero value injects no faults, admits FIFO and
+	// never retries.
 	Faults FaultConfig
 	// Attribution folds the run's event stream into per-request phase
 	// vectors (queue wait, prefill, decode, preemption stall, swap
@@ -126,93 +125,62 @@ type ServeConfig struct {
 	Attribution bool
 }
 
-// FaultConfig groups a serving run's resilience knobs — fault injection,
-// queue admission and retries — mirroring serve.FaultConfig with the CLI's
-// string spellings.
-type FaultConfig struct {
-	// MTBFSec injects Poisson replica failures with this mean time
-	// between failures (seconds, per replica; 0 disables). A failed
-	// replica loses all in-flight KV state and pays the platform's full
-	// TEE cold start (reboot, weight provisioning, enclave/TD rebuild,
-	// attestation) before serving again.
-	MTBFSec float64
-	// Plan injects scripted failures instead: comma-separated
-	// "replica@seconds" points (bare "seconds" means replica 0).
-	Plan string
-	// Policy says what a crash does to the victims' requests: "requeue"
-	// (default — they restart from scratch on recovery) or "lost" (they
-	// consume retry budget or drop).
-	Policy string
-	// Admission selects the queue-admission policy: "fifo" (default),
-	// "deadline" (EDF order, expired requests dropped) or "shed" (EDF
-	// plus early rejection of requests that cannot start before their
-	// deadline).
-	Admission string
-	// RetryMax is the per-request retry budget for shed and failure-lost
-	// requests (0 = no retries).
-	RetryMax int
-	// RetryBackoffSec is the base of the exponential retry backoff with
-	// deterministic jitter (0 = default 1 s when RetryMax > 0).
-	RetryBackoffSec float64
-}
+// The serving policy types are the simulator's own, re-exported so
+// ServeConfig takes parsed values: a field holds one of the constants
+// below, and the simulator rejects anything else by name.
+type (
+	// LBPolicy is a fleet's dispatch policy.
+	LBPolicy = serve.LBPolicy
+	// PreemptPolicy is what a KV-pool preemption does with the victim's
+	// cache.
+	PreemptPolicy = serve.PreemptPolicy
+	// QuantileMode selects exact or sketched latency quantiles.
+	QuantileMode = serve.QuantileMode
+	// FaultConfig groups a run's resilience knobs: Poisson (MTBFSec) or
+	// scripted (Plan) replica failures paying the platform's full TEE
+	// cold start, what a crash does to in-flight requests (Policy), queue
+	// admission (Admission) and the retry budget and backoff.
+	FaultConfig = serve.FaultConfig
+	// FailPoint is one scripted crash of FaultConfig.Plan.
+	FailPoint = serve.FailPoint
+)
 
-// ServeReport summarizes a serving run: load-level throughput and tail
-// latency, SLO attainment, and the cost of SLO-compliant serving.
+// The policy values ServeConfig accepts; each type's zero value is its
+// default.
+const (
+	RoundRobin     = serve.RoundRobin
+	LeastLoaded    = serve.LeastLoaded
+	PrefixAffinity = serve.PrefixAffinity
+
+	PreemptRecompute = serve.PreemptRecompute
+	PreemptSwap      = serve.PreemptSwap
+	PreemptAuto      = serve.PreemptAuto
+
+	QuantileExact  = serve.QuantileExact
+	QuantileSketch = serve.QuantileSketch
+
+	FailRequeue = serve.FailRequeue
+	FailLost    = serve.FailLost
+
+	AdmitFIFO     = serve.AdmitFIFO
+	AdmitDeadline = serve.AdmitDeadline
+	AdmitShed     = serve.AdmitShed
+)
+
+// ServeReport summarizes a serving run. The embedded simulator report
+// carries the request partition and drop taxonomy, throughput and goodput,
+// the TTFT, TPOT and end-to-end latency quantiles, the KV, prefix-cache,
+// swap and handoff counters and, in exact mode, the per-request outcomes;
+// the fields below add the deployment echoes, the SLO-aware cost and the
+// attached artifacts.
 type ServeReport struct {
-	Platform    string
-	OfferedRate float64
-	// Completed/Dropped/Unfinished partition the offered requests.
-	Completed, Dropped, Unfinished int
-	Preemptions                    int
-	// DroppedByReason splits Dropped by cause, indexed by serve.DropReason
-	// (kv-exhausted, admission-shed, deadline-expired, failure-lost).
-	DroppedByReason [serve.NumDropReasons]int
-	// Sheds counts admission-control rejections (a shed request may still
-	// retry and complete); Retries counts backoff re-entries.
-	Sheds, Retries int
-	// Crashes counts injected replica failures; DowntimeSec sums the TEE
-	// cold-start recovery they paid.
-	Crashes     int
-	DowntimeSec float64
-	// TotalTokens is the deployment's output-token production.
-	// TokensPerSec is aggregate generation throughput; goodput counts only
-	// tokens of requests that met the SLO.
-	TotalTokens         int
-	TokensPerSec        float64
-	GoodputTokensPerSec float64
-	// SLOAttainment is the fraction of offered requests served within SLO.
-	SLOAttainment float64
-	// Tail latency (seconds).
-	TTFTp50, TTFTp95, TTFTp99 float64
-	TPOTMean, TPOTp99         float64
-	LatencyP50, LatencyP99    float64
-	// Paged KV-cache pressure.
-	KVBlocksTotal, PeakKVBlocksInUse int
-	// Prefix-cache effectiveness (zero unless PrefixSharing is on):
-	// prompt tokens served from shared KV blocks, shareable tokens that
-	// had to be computed, and cached blocks reclaimed under pressure.
-	PrefixCacheHitTokens  int
-	PrefixCacheMissTokens int
-	EvictedKVBlocks       int
-	// Swap-to-host preemption activity (zero under the default "recompute"
-	// policy): victims parked in the host swap pool and restores from it.
-	SwapOuts, SwapIns int
+	serve.Report
 	// Replicas and LBPolicy echo the simulated deployment (1 replica uses
 	// no load balancer). Topology echoes the role-group layout of a
 	// disaggregated run ("" otherwise).
 	Replicas int
 	LBPolicy string
 	Topology string
-	// KV handoff activity across the prefill→decode edge of a
-	// disaggregated topology (zero for unified fleets): transfers
-	// launched by prefill replicas, transfers ingested by decode
-	// replicas, ingests that fell back to recompute because the decode
-	// side's staging pool was full, and the bytes drained across the
-	// interconnect.
-	Handoffs         int
-	HandoffsIngested int
-	HandoffFallbacks int
-	HandoffBytes     float64
 	// SLO-aware cost. With Replicas == 1 the fleet is *extrapolated*: sized
 	// so the offered rate fits the measured per-replica SLO-compliant rate.
 	// With Replicas > 1 the fleet is *simulated*: ReplicasAtSLO echoes the
@@ -229,10 +197,6 @@ type ServeReport struct {
 	// Attrib holds the latency attribution and TEE-tax decomposition (nil
 	// unless ServeConfig.Attribution was set).
 	Attrib *obs.AttribReport
-	// Sketched reports that quantiles came from streaming sketches with
-	// relative error bound SketchAlpha rather than exact order statistics.
-	Sketched    bool
-	SketchAlpha float64
 }
 
 // Serve runs the continuous-batching serving simulator on the session's
@@ -244,11 +208,10 @@ func (s *Session) Serve(cfg ServeConfig) (*ServeReport, error) {
 	if cfg.RatePerSec <= 0 {
 		return nil, fmt.Errorf("cllm: serving needs a positive arrival rate, got %g", cfg.RatePerSec)
 	}
-	scfg, rec, attrib, err := serveConfig(cfg, s.cfg.Seed)
-	if err != nil {
+	if err := cfg.LBPolicy.Validate(); err != nil {
 		return nil, err
 	}
-	policy, err := serve.ParseLBPolicy(cfg.LBPolicy)
+	scfg, rec, attrib, err := serveConfig(cfg, s.cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -285,13 +248,13 @@ func (s *Session) Serve(cfg ServeConfig) (*ServeReport, error) {
 		if cfg.Replicas > 1 {
 			return nil, fmt.Errorf("cllm: set Replicas or Topology, not both (the topology fixes the fleet size)")
 		}
-		fleet, topoHourly, err = s.runTopology(cfg, scfg, policy)
+		fleet, topoHourly, err = s.runTopology(cfg, scfg)
 		if err != nil {
 			return nil, err
 		}
 		rep = fleet.Aggregate
 	case cfg.Replicas > 1:
-		fleet, err = serve.RunFleet(be, scfg, serve.FleetConfig{Replicas: cfg.Replicas, Policy: policy})
+		fleet, err = serve.RunFleet(be, scfg, serve.FleetConfig{Replicas: cfg.Replicas, Policy: cfg.LBPolicy})
 		if err != nil {
 			return nil, err
 		}
@@ -303,8 +266,7 @@ func (s *Session) Serve(cfg ServeConfig) (*ServeReport, error) {
 		}
 	}
 
-	out := summarize(rep)
-	out.Replicas = 1
+	out := ServeReport{Report: *rep, Replicas: 1}
 	if attrib != nil {
 		out.Attrib = attrib.Report(rep.Platform)
 	}
@@ -376,26 +338,6 @@ func serveConfig(cfg ServeConfig, seed int64) (serve.Config, *obs.Recorder, *obs
 		}
 		scenario = &sc
 	}
-	preempt, err := serve.ParsePreemptPolicy(cfg.PreemptPolicy)
-	if err != nil {
-		return scfg, nil, nil, err
-	}
-	qmode, err := serve.ParseQuantileMode(cfg.QuantileMode)
-	if err != nil {
-		return scfg, nil, nil, err
-	}
-	failPolicy, err := serve.ParseFailurePolicy(cfg.Faults.Policy)
-	if err != nil {
-		return scfg, nil, nil, err
-	}
-	failPlan, err := serve.ParseFailPlan(cfg.Faults.Plan)
-	if err != nil {
-		return scfg, nil, nil, err
-	}
-	admission, err := serve.ParseAdmissionPolicy(cfg.Faults.Admission)
-	if err != nil {
-		return scfg, nil, nil, err
-	}
 	scfg = serve.Config{
 		Workload:      trace.Workload{Model: mcfg, Kind: kind, InputLen: cfg.InputLen, OutputLen: cfg.OutputLen},
 		Rate:          cfg.RatePerSec,
@@ -403,27 +345,18 @@ func serveConfig(cfg ServeConfig, seed int64) (serve.Config, *obs.Recorder, *obs
 		Requests:      cfg.Requests,
 		Seed:          seed,
 		MaxBatch:      cfg.MaxBatch,
-		BlockTokens:   cfg.BlockTokens,
 		ChunkTokens:   cfg.ChunkTokens,
 		PrefixSharing: cfg.PrefixSharing,
 		PrefixGroups:  cfg.PrefixGroups,
 		PrefixFrac:    cfg.PrefixFrac,
 		CostBucket:    cfg.CostBucket,
-		PreemptPolicy: preempt,
-		SwapPoolFrac:  cfg.SwapPoolFrac,
+		PreemptPolicy: cfg.PreemptPolicy,
 		TTFTSLOSec:    cfg.TTFTSLOSec,
 		TPOTSLOSec:    cfg.TPOTSLOSec,
-		QuantileMode:  qmode,
+		QuantileMode:  cfg.QuantileMode,
 		SketchAlpha:   cfg.SketchAlpha,
 		EpochRequests: cfg.EpochRequests,
-		Faults: serve.FaultConfig{
-			MTBFSec:         cfg.Faults.MTBFSec,
-			Plan:            failPlan,
-			Policy:          failPolicy,
-			Admission:       admission,
-			RetryMax:        cfg.Faults.RetryMax,
-			RetryBackoffSec: cfg.Faults.RetryBackoffSec,
-		},
+		Faults:        cfg.Faults,
 	}
 	var rec *obs.Recorder
 	if cfg.Observe {
@@ -440,57 +373,13 @@ func serveConfig(cfg ServeConfig, seed int64) (serve.Config, *obs.Recorder, *obs
 	return scfg, rec, attrib, nil
 }
 
-// summarize copies the simulator's report into the ServeReport fields
-// every deployment shares. Callers fill in the deployment echoes
-// (Replicas, LBPolicy, Topology), the pricing and the attached artifacts.
-func summarize(rep *serve.Report) ServeReport {
-	return ServeReport{
-		Platform:            rep.Platform,
-		OfferedRate:         rep.OfferedRate,
-		Completed:           rep.Completed,
-		Dropped:             rep.Dropped,
-		Unfinished:          rep.Unfinished,
-		Preemptions:         rep.Preemptions,
-		DroppedByReason:     rep.DroppedByReason,
-		Sheds:               rep.Sheds,
-		Retries:             rep.Retries,
-		Crashes:             rep.Crashes,
-		DowntimeSec:         rep.DowntimeSec,
-		TotalTokens:         rep.TotalTokens,
-		TokensPerSec:        rep.TokensPerSec,
-		GoodputTokensPerSec: rep.GoodputTokensPerSec,
-		SLOAttainment:       rep.SLOAttainment(),
-		TTFTp50:             rep.TTFT.P50,
-		TTFTp95:             rep.TTFT.P95,
-		TTFTp99:             rep.TTFT.P99,
-		TPOTMean:            rep.TPOT.Mean,
-		TPOTp99:             rep.TPOT.P99,
-		LatencyP50:          rep.Latency.P50,
-		LatencyP99:          rep.Latency.P99,
-		KVBlocksTotal:       rep.KVBlocksTotal,
-		PeakKVBlocksInUse:   rep.PeakKVBlocksInUse,
-
-		PrefixCacheHitTokens:  rep.PrefixCacheHitTokens,
-		PrefixCacheMissTokens: rep.PrefixCacheMissTokens,
-		EvictedKVBlocks:       rep.EvictedBlocks,
-		SwapOuts:              rep.SwapOuts,
-		SwapIns:               rep.SwapIns,
-		Handoffs:              rep.HandoffsOut,
-		HandoffsIngested:      rep.HandoffsIn,
-		HandoffFallbacks:      rep.HandoffFallbacks,
-		HandoffBytes:          rep.HandoffBytes,
-		Sketched:              rep.Sketched,
-		SketchAlpha:           rep.SketchAlpha,
-	}
-}
-
 // runTopology builds and runs a role-aware fleet from the -topology
 // syntax. Each group's platform opens as a sub-session of this one (same
 // testbed, enclave size, seed and attestation policy) and contributes
 // Replicas backends at that platform's rental rate; the returned hourly
 // figure is the whole fleet's rent. Backends carry no pre-built coster —
 // Fleet.Run builds one per group, shared by the group's replicas.
-func (s *Session) runTopology(cfg ServeConfig, scfg serve.Config, policy serve.LBPolicy) (*serve.FleetReport, float64, error) {
+func (s *Session) runTopology(cfg ServeConfig, scfg serve.Config) (*serve.FleetReport, float64, error) {
 	groups, err := ParseTopology(cfg.Topology)
 	if err != nil {
 		return nil, 0, err
@@ -517,7 +406,7 @@ func (s *Session) runTopology(cfg ServeConfig, scfg serve.Config, policy serve.L
 			return nil, 0, err
 		}
 		totalHourly += hourly * float64(g.Replicas)
-		topo.Groups = append(topo.Groups, serve.RoleGroup{Role: role, Backend: sub.backend(cfg), Replicas: g.Replicas, Policy: policy})
+		topo.Groups = append(topo.Groups, serve.RoleGroup{Role: role, Backend: sub.backend(cfg), Replicas: g.Replicas, Policy: cfg.LBPolicy})
 	}
 	f, err := serve.NewFleet(topo)
 	if err != nil {
@@ -528,8 +417,8 @@ func (s *Session) runTopology(cfg ServeConfig, scfg serve.Config, policy serve.L
 }
 
 // backend returns the serve.Backend for one replica of the session's
-// platform in cfg's CPU deployment (Sockets, Cores; ignored on a GPU),
-// seeded like the session. Its Coster is left nil.
+// platform in cfg's CPU deployment (Sockets, every core of each socket;
+// ignored on a GPU), seeded like the session. Its Coster is left nil.
 func (s *Session) backend(cfg ServeConfig) serve.Backend {
 	be := serve.Backend{IsGPU: s.isGPU}
 	if s.isGPU {
@@ -537,8 +426,7 @@ func (s *Session) backend(cfg ServeConfig) serve.Backend {
 	} else {
 		be.CPU = perf.CPURun{
 			CPU: s.cpu, Platform: s.platform,
-			Sockets: cfg.Sockets, CoresPerSocket: cfg.Cores,
-			AMX: true, Seed: s.cfg.Seed,
+			Sockets: cfg.Sockets, AMX: true, Seed: s.cfg.Seed,
 		}
 	}
 	return be
@@ -553,8 +441,8 @@ func (s *Session) costerFor(be serve.Backend, scfg serve.Config, clear bool) (*p
 	if bucket < 1 {
 		bucket = 1
 	}
-	key := fmt.Sprintf("%s|%s|%d|%d|%d|%v",
-		scfg.Workload.Model.Name, scfg.Workload.Kind, be.CPU.Sockets, be.CPU.CoresPerSocket, bucket, be.IsGPU)
+	key := fmt.Sprintf("%s|%s|%d|%d|%v",
+		scfg.Workload.Model.Name, scfg.Workload.Kind, be.CPU.Sockets, bucket, be.IsGPU)
 	build := serve.NewStepCoster
 	if clear {
 		key += "|clear"
@@ -586,9 +474,5 @@ func (s *Session) serveHourlyUSD(cfg ServeConfig) (float64, error) {
 	if sockets <= 0 {
 		sockets = 1
 	}
-	cores := cfg.Cores
-	if cores <= 0 {
-		cores = s.cpu.CoresPerSocket
-	}
-	return prices.HourlyCost(cloud.CPUInstance{VCPUs: cores * sockets, MemGiB: 128})
+	return prices.HourlyCost(cloud.CPUInstance{VCPUs: s.cpu.CoresPerSocket * sockets, MemGiB: 128})
 }
