@@ -25,9 +25,10 @@ type BlockManager struct {
 	free          int // blocks neither privately held nor backing a shared entry
 	sharing       bool
 
-	held       map[int]int            // request ID → private blocks held
-	pinned     map[int][]*sharedBlock // request ID → shared prefix blocks pinned, in chain order
+	held       map[int]int      // request ID → private blocks held
+	pinned     map[int]pinChain // request ID → shared prefix chain pinned
 	shared     map[blockKey]*sharedBlock
+	cached     int   // shared blocks nobody pins (refcount zero, evictable)
 	tick       int64 // monotonic op counter driving LRU order (deterministic)
 	peakInUse  int
 	evicted    int
@@ -42,6 +43,18 @@ type BlockManager struct {
 	swapUsed  int
 	swapPeak  int
 	swapped   map[int]int // request ID → swap blocks parked
+
+	// longest is DedupSavedTokens' scratch: prefix hash → longest chain
+	// among the batch's rows, cleared and reused on every call.
+	longest map[uint64]int
+}
+
+// pinChain is the shared prefix one request pins: blocks 0..len-1 of the
+// prefix whose identity hash is hash, in chain order. AcquirePrefix only
+// ever pins such a contiguous chain from block 0.
+type pinChain struct {
+	hash   uint64
+	blocks []*sharedBlock
 }
 
 // blockKey identifies one shareable block by its chained content hash: the
@@ -103,9 +116,10 @@ func NewBlockManager(budgetBytes int64, blockTokens int, bytesPerToken int64, sh
 		free:          total,
 		sharing:       sharing,
 		held:          make(map[int]int),
-		pinned:        make(map[int][]*sharedBlock),
+		pinned:        make(map[int]pinChain),
 		shared:        make(map[blockKey]*sharedBlock),
 		swapped:       make(map[int]int),
+		longest:       make(map[uint64]int),
 	}, nil
 }
 
@@ -185,15 +199,7 @@ func (m *BlockManager) InUse() int { return m.total - m.free - m.CachedBlocks() 
 
 // CachedBlocks returns the number of retained prefix blocks nobody pins
 // (refcount zero, evictable).
-func (m *BlockManager) CachedBlocks() int {
-	n := 0
-	for _, b := range m.shared {
-		if b.refs == 0 {
-			n++
-		}
-	}
-	return n
-}
+func (m *BlockManager) CachedBlocks() int { return m.cached }
 
 // PeakInUse returns the allocation high-water mark (private + shared +
 // cached — the memory-pressure peak).
@@ -257,6 +263,7 @@ func (m *BlockManager) evictOne() bool {
 	delete(m.shared, victim.key)
 	m.free++
 	m.evicted++
+	m.cached--
 	return true
 }
 
@@ -275,6 +282,7 @@ func (m *BlockManager) FlushCache() int {
 		m.evicted++
 		n++
 	}
+	m.cached -= n
 	return n
 }
 
@@ -311,17 +319,21 @@ func (m *BlockManager) AcquirePrefix(reqID int, prefixHash uint64, prefixTokens 
 	if !m.sharing || prefixTokens < m.blockTokens {
 		return 0, nil
 	}
-	if len(m.pinned[reqID]) > 0 {
+	if len(m.pinned[reqID].blocks) > 0 {
 		return 0, fmt.Errorf("serve: request %d acquires a prefix it already holds", reqID)
 	}
 	nBlocks := prefixTokens / m.blockTokens // full blocks only
+	pins := make([]*sharedBlock, 0, nBlocks)
 	hitsDone := false
 	for idx := 0; idx < nBlocks; idx++ {
 		key := blockKey{hash: chainHash(prefixHash, idx), idx: idx}
 		b, ok := m.shared[key]
 		if ok {
+			if b.refs == 0 {
+				m.cached-- // revived from the cache
+			}
 			b.refs++
-			m.pinned[reqID] = append(m.pinned[reqID], b)
+			pins = append(pins, b)
 			if b.computed && !hitsDone {
 				cachedTokens += m.blockTokens
 			} else {
@@ -336,8 +348,11 @@ func (m *BlockManager) AcquirePrefix(reqID int, prefixHash uint64, prefixTokens 
 		m.free--
 		nb := &sharedBlock{key: key, refs: 1}
 		m.shared[key] = nb
-		m.pinned[reqID] = append(m.pinned[reqID], nb)
+		pins = append(pins, nb)
 		m.notePeak()
+	}
+	if len(pins) > 0 {
+		m.pinned[reqID] = pinChain{hash: prefixHash, blocks: pins}
 	}
 	return cachedTokens, nil
 }
@@ -355,14 +370,14 @@ func (m *BlockManager) creditPrefixStats(reqID, cachedTokens int) {
 // SharedTokens returns how many prompt tokens of the request are covered by
 // pinned shared blocks.
 func (m *BlockManager) SharedTokens(reqID int) int {
-	return len(m.pinned[reqID]) * m.blockTokens
+	return len(m.pinned[reqID].blocks) * m.blockTokens
 }
 
 // MarkComputed records that the request's prefill has filled its pinned
 // prefix blocks up to `tokens` prompt tokens, making them cache hits for
 // later sharers.
 func (m *BlockManager) MarkComputed(reqID, tokens int) {
-	for _, b := range m.pinned[reqID] {
+	for _, b := range m.pinned[reqID].blocks {
 		if (b.key.idx+1)*m.blockTokens <= tokens {
 			b.computed = true
 		}
@@ -375,7 +390,7 @@ func (m *BlockManager) MarkComputed(reqID, tokens int) {
 // the pool could satisfy the request; on false the holding is unchanged
 // (all-or-nothing).
 func (m *BlockManager) Grow(reqID, tokens int) bool {
-	need := m.BlocksFor(tokens) - len(m.pinned[reqID]) - m.held[reqID]
+	need := m.BlocksFor(tokens) - len(m.pinned[reqID].blocks) - m.held[reqID]
 	if need <= 0 {
 		return true
 	}
@@ -396,7 +411,7 @@ func (m *BlockManager) Release(reqID int) int {
 	n := m.held[reqID]
 	delete(m.held, reqID)
 	m.free += n
-	pins := m.pinned[reqID]
+	pins := m.pinned[reqID].blocks
 	delete(m.pinned, reqID)
 	if len(pins) > 0 {
 		m.tick++
@@ -413,6 +428,7 @@ func (m *BlockManager) Release(reqID int) int {
 			}
 			// Deeper blocks get smaller sequences → evicted first.
 			b.lruSeq = m.tick<<16 - int64(b.key.idx)
+			m.cached++
 		}
 	}
 	return n
@@ -424,22 +440,33 @@ func (m *BlockManager) Release(reqID int) int {
 // the decode step's resident working set: shared prefix pages are mapped
 // once however many rows stream them, so they do not widen TLB reach or
 // enclave paging pressure.
+//
+// Every pinned chain runs from block 0 of its prefix, and block keys of
+// different prefixes never collide, so a prefix's unique blocks are
+// exactly its longest pinned chain in the batch. The fold is therefore
+// Σ rows len(chain) − Σ prefixes max len(chain): one map probe per row,
+// no per-block work and, once the scratch map has grown, no allocation.
 func (m *BlockManager) DedupSavedTokens(ids []int) int {
 	if !m.sharing {
 		return 0
 	}
-	seen := make(map[blockKey]struct{})
-	pins, uniq := 0, 0
+	clear(m.longest)
+	saved := 0
 	for _, id := range ids {
-		for _, b := range m.pinned[id] {
-			pins++
-			if _, ok := seen[b.key]; !ok {
-				seen[b.key] = struct{}{}
-				uniq++
-			}
+		c := m.pinned[id]
+		n := len(c.blocks)
+		if n == 0 {
+			continue
+		}
+		best := m.longest[c.hash]
+		// This row's chain is all repeat reads except the part that
+		// extends the prefix's longest chain so far.
+		saved += min(n, best)
+		if n > best {
+			m.longest[c.hash] = n
 		}
 	}
-	return (pins - uniq) * m.blockTokens
+	return saved * m.blockTokens
 }
 
 // CheckConservation verifies the pool's accounting invariants: every block
@@ -459,14 +486,21 @@ func (m *BlockManager) CheckConservation() error {
 			m.free, private, len(m.shared), got, m.total)
 	}
 	pinRefs := make(map[blockKey]int)
-	for _, pins := range m.pinned {
-		for _, b := range pins {
+	for id, c := range m.pinned {
+		for idx, b := range c.blocks {
+			if b.key != (blockKey{hash: chainHash(c.hash, idx), idx: idx}) {
+				return fmt.Errorf("serve: request %d pins block %v at chain position %d of prefix %#x", id, b.key, idx, c.hash)
+			}
 			pinRefs[b.key]++
 		}
 	}
+	cached := 0
 	for key, b := range m.shared {
 		if b.refs < 0 {
 			return fmt.Errorf("serve: negative refcount %d on block %v", b.refs, key)
+		}
+		if b.refs == 0 {
+			cached++
 		}
 		if b.refs != pinRefs[key] {
 			return fmt.Errorf("serve: block %v refcount %d but %d pins", key, b.refs, pinRefs[key])
@@ -476,6 +510,9 @@ func (m *BlockManager) CheckConservation() error {
 	for key, n := range pinRefs {
 		return fmt.Errorf("serve: %d pins on unpublished block %v", n, key)
 	}
+	if cached != m.cached {
+		return fmt.Errorf("serve: cached-block counter %d but %d unpinned shared blocks", m.cached, cached)
+	}
 	swapSum := 0
 	for id, n := range m.swapped {
 		if n <= 0 {
@@ -484,9 +521,9 @@ func (m *BlockManager) CheckConservation() error {
 		swapSum += n
 		// A swapped request holds nothing in the device pool: SwapOut
 		// released its private blocks and shared pins atomically.
-		if m.held[id] != 0 || len(m.pinned[id]) != 0 {
+		if m.held[id] != 0 || len(m.pinned[id].blocks) != 0 {
 			return fmt.Errorf("serve: swapped request %d still holds %d private / %d pinned device blocks",
-				id, m.held[id], len(m.pinned[id]))
+				id, m.held[id], len(m.pinned[id].blocks))
 		}
 	}
 	if swapSum != m.swapUsed {

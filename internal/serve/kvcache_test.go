@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -209,52 +210,145 @@ func TestPrefixCacheEvictionLeafFirst(t *testing.T) {
 	}
 }
 
+// dedupReference is the set-based fold DedupSavedTokens replaced: every
+// pinned block of every row counts once per row, and each distinct block
+// once for the whole batch.
+func dedupReference(m *BlockManager, ids []int) int {
+	seen := make(map[blockKey]struct{})
+	pins := 0
+	for _, id := range ids {
+		for _, b := range m.pinned[id].blocks {
+			pins++
+			seen[b.key] = struct{}{}
+		}
+	}
+	return (pins - len(seen)) * m.blockTokens
+}
+
+// dedupWalk checks DedupSavedTokens against dedupReference on a random
+// batch of the given IDs after each operation of a randomized walk, and
+// counts which cases the walk exercised.
+type dedupWalk struct {
+	rng                     *rand.Rand
+	batches, saving, dupes  int
+	cutShort, flushedBlocks int
+}
+
+func (w *dedupWalk) check(t *testing.T, m *BlockManager, op int, ids []int) {
+	t.Helper()
+	batch := make([]int, 0, len(ids)+1)
+	for _, id := range ids {
+		if w.rng.Intn(2) == 0 {
+			batch = append(batch, id)
+		}
+	}
+	if len(ids) > 0 && w.rng.Intn(4) == 0 { // one row listed twice
+		batch = append(batch, ids[w.rng.Intn(len(ids))])
+		w.dupes++
+	}
+	w.rng.Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
+	got, want := m.DedupSavedTokens(batch), dedupReference(m, batch)
+	if got != want {
+		t.Fatalf("op %d: DedupSavedTokens(%v) = %d, set-based reference %d", op, batch, got, want)
+	}
+	w.batches++
+	if got > 0 {
+		w.saving++
+	}
+}
+
+// acquire pins a prefix and notes when the pool cut its chain short.
+func (w *dedupWalk) acquire(t *testing.T, m *BlockManager, op, id, group, prefixLen int) {
+	t.Helper()
+	if _, err := m.AcquirePrefix(id, prefixHash(group), prefixLen); err != nil {
+		t.Fatalf("op %d: %v", op, err)
+	}
+	if m.SharedTokens(id) < prefixLen {
+		w.cutShort++
+	}
+}
+
+// maybeFlush occasionally drops the whole prefix cache, as a crash does.
+func (w *dedupWalk) maybeFlush(m *BlockManager) {
+	if w.rng.Intn(64) == 0 {
+		w.flushedBlocks += m.FlushCache()
+	}
+}
+
+// covered fails the test when the walk never reached a case it is meant
+// to cover.
+func (w *dedupWalk) covered(t *testing.T, wantCutShort bool) {
+	t.Helper()
+	if w.saving == 0 || w.dupes == 0 || w.flushedBlocks == 0 || (wantCutShort && w.cutShort == 0) {
+		t.Fatalf("walk missed a case: %d of %d batches saved tokens, %d duplicate rows, %d blocks flushed, %d chains cut short",
+			w.saving, w.batches, w.dupes, w.flushedBlocks, w.cutShort)
+	}
+}
+
+// randomizedPools are the device pools the randomized walks run on: a
+// roomy one, and one small enough that prefix chains are cut short.
+var randomizedPools = []struct {
+	blocks       int
+	wantCutShort bool
+}{{48, false}, {10, true}}
+
 func TestBlockRefcountConservationRandomized(t *testing.T) {
-	m, err := NewBlockManager(48*64, 16, 4, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(42))
-	type live struct{ id, prefixLen int }
-	var actives []live
-	nextID := 0
-	for i := 0; i < 4000; i++ {
-		switch op := rng.Intn(5); {
-		case op == 0 || len(actives) == 0: // new request acquires a prefix
-			id := nextID
-			nextID++
-			group := rng.Intn(4) + 1
-			pl := (rng.Intn(6) + 1) * 16
-			if _, err := m.AcquirePrefix(id, prefixHash(group), pl); err != nil {
-				t.Fatalf("op %d: %v", i, err)
+	for _, pool := range randomizedPools {
+		t.Run(fmt.Sprintf("pool=%d", pool.blocks), func(t *testing.T) {
+			m, err := NewBlockManager(int64(pool.blocks)*64, 16, 4, true)
+			if err != nil {
+				t.Fatal(err)
 			}
-			actives = append(actives, live{id: id, prefixLen: pl})
-		case op == 1: // grow
-			r := actives[rng.Intn(len(actives))]
-			m.Grow(r.id, r.prefixLen+rng.Intn(128))
-		case op == 2: // prefill progress
-			r := actives[rng.Intn(len(actives))]
-			m.MarkComputed(r.id, rng.Intn(r.prefixLen+1))
-		default: // release (preempt/finish)
-			k := rng.Intn(len(actives))
-			m.Release(actives[k].id)
-			actives = append(actives[:k], actives[k+1:]...)
-		}
-		if err := m.CheckConservation(); err != nil {
-			t.Fatalf("op %d: %v", i, err)
-		}
-	}
-	for _, r := range actives {
-		m.Release(r.id)
-	}
-	if err := m.CheckConservation(); err != nil {
-		t.Fatal(err)
-	}
-	if m.InUse() != 0 {
-		t.Fatalf("blocks still active after releasing everything: %d", m.InUse())
-	}
-	if m.FreeBlocks()+m.CachedBlocks() != m.TotalBlocks() {
-		t.Fatalf("free %d + cached %d != total %d", m.FreeBlocks(), m.CachedBlocks(), m.TotalBlocks())
+			rng := rand.New(rand.NewSource(42))
+			w := &dedupWalk{rng: rand.New(rand.NewSource(43))}
+			type live struct{ id, prefixLen int }
+			var actives []live
+			var ids []int
+			nextID := 0
+			for i := 0; i < 4000; i++ {
+				switch op := rng.Intn(5); {
+				case op == 0 || len(actives) == 0: // new request acquires a prefix
+					id := nextID
+					nextID++
+					group := rng.Intn(4) + 1
+					pl := (rng.Intn(6) + 1) * 16
+					w.acquire(t, m, i, id, group, pl)
+					actives = append(actives, live{id: id, prefixLen: pl})
+				case op == 1: // grow
+					r := actives[rng.Intn(len(actives))]
+					m.Grow(r.id, r.prefixLen+rng.Intn(128))
+				case op == 2: // prefill progress
+					r := actives[rng.Intn(len(actives))]
+					m.MarkComputed(r.id, rng.Intn(r.prefixLen+1))
+				default: // release (preempt/finish)
+					k := rng.Intn(len(actives))
+					m.Release(actives[k].id)
+					actives = append(actives[:k], actives[k+1:]...)
+				}
+				w.maybeFlush(m)
+				if err := m.CheckConservation(); err != nil {
+					t.Fatalf("op %d: %v", i, err)
+				}
+				ids = ids[:0]
+				for _, r := range actives {
+					ids = append(ids, r.id)
+				}
+				w.check(t, m, i, ids)
+			}
+			w.covered(t, pool.wantCutShort)
+			for _, r := range actives {
+				m.Release(r.id)
+			}
+			if err := m.CheckConservation(); err != nil {
+				t.Fatal(err)
+			}
+			if m.InUse() != 0 {
+				t.Fatalf("blocks still active after releasing everything: %d", m.InUse())
+			}
+			if m.FreeBlocks()+m.CachedBlocks() != m.TotalBlocks() {
+				t.Fatalf("free %d + cached %d != total %d", m.FreeBlocks(), m.CachedBlocks(), m.TotalBlocks())
+			}
+		})
 	}
 }
 
@@ -325,76 +419,102 @@ func TestSwapPoolAccounting(t *testing.T) {
 func TestBlockRefcountConservationRandomizedWithSwap(t *testing.T) {
 	// The recompute randomized walk, with swap-out/swap-in interleaved:
 	// conservation must hold across park/restore/evict/share interleavings.
-	m, err := NewBlockManager(48*64, 16, 4, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.ConfigureSwapPool(24)
-	rng := rand.New(rand.NewSource(7))
-	type live struct {
-		id, prefixLen int
-		swapped       bool
-	}
-	var actives []live
-	nextID := 0
-	for i := 0; i < 4000; i++ {
-		switch op := rng.Intn(7); {
-		case op == 0 || len(actives) == 0:
-			id := nextID
-			nextID++
-			group := rng.Intn(4) + 1
-			pl := (rng.Intn(6) + 1) * 16
-			if _, err := m.AcquirePrefix(id, prefixHash(group), pl); err != nil {
-				t.Fatalf("op %d: %v", i, err)
+	// A restore re-acquires the prefix before releasing the parked copy,
+	// as the scheduler's swap-in admission does.
+	for _, pool := range randomizedPools {
+		t.Run(fmt.Sprintf("pool=%d", pool.blocks), func(t *testing.T) {
+			m, err := NewBlockManager(int64(pool.blocks)*64, 16, 4, true)
+			if err != nil {
+				t.Fatal(err)
 			}
-			actives = append(actives, live{id: id, prefixLen: pl})
-		case op == 1:
-			r := actives[rng.Intn(len(actives))]
-			if !r.swapped {
-				m.Grow(r.id, r.prefixLen+rng.Intn(128))
+			m.ConfigureSwapPool(pool.blocks / 2)
+			rng := rand.New(rand.NewSource(7))
+			w := &dedupWalk{rng: rand.New(rand.NewSource(8))}
+			type live struct {
+				id, group, prefixLen int
+				swapped              bool
 			}
-		case op == 2:
-			r := actives[rng.Intn(len(actives))]
-			if !r.swapped {
-				m.MarkComputed(r.id, rng.Intn(r.prefixLen+1))
+			var actives []live
+			var ids []int
+			nextID := 0
+			reacquired := 0
+			for i := 0; i < 4000; i++ {
+				switch op := rng.Intn(7); {
+				case op == 0 || len(actives) == 0:
+					id := nextID
+					nextID++
+					group := rng.Intn(4) + 1
+					pl := (rng.Intn(6) + 1) * 16
+					w.acquire(t, m, i, id, group, pl)
+					actives = append(actives, live{id: id, group: group, prefixLen: pl})
+				case op == 1:
+					r := actives[rng.Intn(len(actives))]
+					if !r.swapped {
+						m.Grow(r.id, r.prefixLen+rng.Intn(128))
+					}
+				case op == 2:
+					r := actives[rng.Intn(len(actives))]
+					if !r.swapped {
+						m.MarkComputed(r.id, rng.Intn(r.prefixLen+1))
+					}
+				case op == 3: // park
+					k := rng.Intn(len(actives))
+					if !actives[k].swapped && m.SwapOut(actives[k].id, rng.Intn(160)+1) {
+						actives[k].swapped = true
+					}
+				case op == 4: // restore: re-pin the prefix, then drop the copy
+					k := rng.Intn(len(actives))
+					r := &actives[k]
+					if !r.swapped {
+						break
+					}
+					w.acquire(t, m, i, r.id, r.group, r.prefixLen)
+					if !m.Grow(r.id, r.prefixLen+1) {
+						m.Release(r.id) // no room: un-pin, the copy stays parked
+						break
+					}
+					m.SwapIn(r.id)
+					m.MarkComputed(r.id, r.prefixLen)
+					r.swapped = false
+					reacquired++
+				default: // release or drop
+					k := rng.Intn(len(actives))
+					if actives[k].swapped {
+						m.SwapIn(actives[k].id)
+					} else {
+						m.Release(actives[k].id)
+					}
+					actives = append(actives[:k], actives[k+1:]...)
+				}
+				w.maybeFlush(m)
+				if err := m.CheckConservation(); err != nil {
+					t.Fatalf("op %d: %v", i, err)
+				}
+				ids = ids[:0]
+				for _, r := range actives {
+					ids = append(ids, r.id)
+				}
+				w.check(t, m, i, ids)
 			}
-		case op == 3: // park
-			k := rng.Intn(len(actives))
-			if !actives[k].swapped && m.SwapOut(actives[k].id, rng.Intn(160)+1) {
-				actives[k].swapped = true
+			w.covered(t, pool.wantCutShort)
+			if reacquired == 0 {
+				t.Fatal("walk never restored a swapped request")
 			}
-		case op == 4: // restore
-			k := rng.Intn(len(actives))
-			if actives[k].swapped {
-				m.SwapIn(actives[k].id)
-				actives[k].swapped = false
+			for _, r := range actives {
+				if r.swapped {
+					m.SwapIn(r.id)
+				} else {
+					m.Release(r.id)
+				}
 			}
-		default: // release or drop
-			k := rng.Intn(len(actives))
-			if actives[k].swapped {
-				m.SwapIn(actives[k].id)
-			} else {
-				m.Release(actives[k].id)
+			if err := m.CheckConservation(); err != nil {
+				t.Fatal(err)
 			}
-			actives = append(actives[:k], actives[k+1:]...)
-		}
-		if err := m.CheckConservation(); err != nil {
-			t.Fatalf("op %d: %v", i, err)
-		}
-	}
-	for _, r := range actives {
-		if r.swapped {
-			m.SwapIn(r.id)
-		} else {
-			m.Release(r.id)
-		}
-	}
-	if err := m.CheckConservation(); err != nil {
-		t.Fatal(err)
-	}
-	if m.InUse() != 0 || m.SwappedBlocks() != 0 {
-		t.Fatalf("blocks still active after releasing everything: %d device, %d swap",
-			m.InUse(), m.SwappedBlocks())
+			if m.InUse() != 0 || m.SwappedBlocks() != 0 {
+				t.Fatalf("blocks still active after releasing everything: %d device, %d swap",
+					m.InUse(), m.SwappedBlocks())
+			}
+		})
 	}
 }
 
@@ -404,5 +524,55 @@ func TestBlockManagerRejectsHopelessBudget(t *testing.T) {
 	}
 	if _, err := NewBlockManager(1<<20, 0, 4, true); err == nil {
 		t.Fatal("zero block size accepted")
+	}
+}
+
+// dedupRig pins rows chains of chainBlocks blocks each, spread round-robin
+// over groups prefixes, and returns the manager and the batch's IDs.
+func dedupRig(tb testing.TB, rows, groups, chainBlocks int) (*BlockManager, []int) {
+	tb.Helper()
+	const blockTokens = 16
+	m, err := NewBlockManager(int64(groups*chainBlocks)*blockTokens*4, blockTokens, 4, true)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ids := make([]int, rows)
+	for i := range ids {
+		ids[i] = i
+		if _, err := m.AcquirePrefix(i, prefixHash(i%groups+1), chainBlocks*blockTokens); err != nil {
+			tb.Fatal(err)
+		}
+		if m.SharedTokens(i) != chainBlocks*blockTokens {
+			tb.Fatalf("row %d pinned %d tokens, want %d", i, m.SharedTokens(i), chainBlocks*blockTokens)
+		}
+	}
+	return m, ids
+}
+
+func TestDedupSavedTokensZeroAlloc(t *testing.T) {
+	m, ids := dedupRig(t, 32, 4, 72)
+	want := (32 - 4) * 72 * 16
+	if got := m.DedupSavedTokens(ids); got != want { // also warms the scratch
+		t.Fatalf("DedupSavedTokens = %d, want %d", got, want)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { m.DedupSavedTokens(ids) }); allocs != 0 {
+		t.Fatalf("warmed DedupSavedTokens made %v allocations per call, want 0", allocs)
+	}
+}
+
+// BenchmarkDedupSavedTokens times the decode step's shared-prefix fold on
+// RAG-sized rows (72-block chains, 1152 shared tokens each).
+func BenchmarkDedupSavedTokens(b *testing.B) {
+	for _, rows := range []int{8, 32} {
+		for _, groups := range []int{1, 4} {
+			b.Run(fmt.Sprintf("rows=%d/groups=%d", rows, groups), func(b *testing.B) {
+				m, ids := dedupRig(b, rows, groups, 72)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					m.DedupSavedTokens(ids)
+				}
+			})
+		}
 	}
 }
