@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # check-goldens.sh — diff the CLI and example outputs against the golden
-# files in testdata/golden/. Builds cllm-serve and cllm-bench, runs a fixed
-# set of argument vectors (fixed-fleet sweeps, fleets, a disaggregated
-# topology, faults, four elastic runs, attribution, deadline admission on a
-# least-loaded fleet) plus every example
+# files in testdata/golden/. Builds cllm-serve, cllm-trace and cllm-bench,
+# runs a fixed set of argument vectors (fixed-fleet sweeps, fleets, a
+# disaggregated topology, faults, four elastic runs, attribution, deadline
+# admission on a least-loaded fleet, two operator traces) plus every example
 # below and `cllm-bench -exp all -quick`, and fails on any byte difference.
 # Every run is deterministic under its seed and takes well under a second.
 #
@@ -25,6 +25,7 @@ out=$tmp/out
 mkdir -p "$out"
 
 go build -o "$tmp/cllm-serve" ./cmd/cllm-serve
+go build -o "$tmp/cllm-trace" ./cmd/cllm-trace
 go build -o "$tmp/cllm-bench" ./cmd/cllm-bench
 
 # serve NAME ARGS... runs cllm-serve inside the output directory, so
@@ -53,6 +54,11 @@ serve serve-10-autoscale-sketch-swap -autoscale -scenario bursty -classes tdx:3 
 	-epoch-requests 64 -preempt swap -format csv
 serve serve-11-fleet-deadline -platform sgx -replicas 3 -lb-policy least-loaded -admission deadline \
 	-preempt auto -rate 6 -requests 96 -in 1024 -out 128 -rate-mults 1,2 -format csv
+
+# Operator traces: the per-kind sums and step totals cllm-trace prints are
+# the only CLI output computed from the flat operator list.
+"$tmp/cllm-trace" -model llama2-7b -dtype bf16 -batch 4 -input 1024 -phase decode >"$out/trace-01-llama2-7b-bf16-decode.txt"
+"$tmp/cllm-trace" -model llama2-70b -dtype int8 -batch 2 -input 512 -phase prefill >"$out/trace-02-llama2-70b-int8-prefill.txt"
 
 for ex in quickstart costplanner fleetsizing autoscaling; do
 	go run "./examples/$ex" >"$out/example-$ex.txt"
