@@ -65,7 +65,7 @@ func main() {
 		trace.OpEmbedding, trace.OpInputNorm, trace.OpSelfAttn, trace.OpMHALinearAdd,
 		trace.OpPostNorm, trace.OpLinearSiluMul, trace.OpMLPLinearAdd, trace.OpFinalNormHead,
 	}
-	for _, op := range st.Ops {
+	for _, op := range st.Ops() {
 		a, ok := sums[op.Kind]
 		if !ok {
 			a = &agg{}

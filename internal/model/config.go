@@ -10,6 +10,7 @@ package model
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 )
 
@@ -87,59 +88,60 @@ func (c Config) KVCacheBytesPerToken(elemSize int) int64 {
 	return 2 * int64(c.Layers) * int64(c.KVDim()) * int64(elemSize)
 }
 
-// Zoo returns the paper's model configurations, keyed by name.
-// Dimensions follow the published architectures.
-func Zoo() map[string]Config {
-	zoo := map[string]Config{
-		"llama2-7b": {
-			Name: "llama2-7b", HiddenDim: 4096, Layers: 32, Heads: 32, KVHeads: 32,
-			FFDim: 11008, VocabSize: 32000, ContextLen: 4096, NormEps: 1e-5, RopeTheta: 10000,
-		},
-		"llama2-13b": {
-			Name: "llama2-13b", HiddenDim: 5120, Layers: 40, Heads: 40, KVHeads: 40,
-			FFDim: 13824, VocabSize: 32000, ContextLen: 4096, NormEps: 1e-5, RopeTheta: 10000,
-		},
-		"llama2-70b": {
-			Name: "llama2-70b", HiddenDim: 8192, Layers: 80, Heads: 64, KVHeads: 8,
-			FFDim: 28672, VocabSize: 32000, ContextLen: 4096, NormEps: 1e-5, RopeTheta: 10000,
-		},
-		"llama3-8b": {
-			Name: "llama3-8b", HiddenDim: 4096, Layers: 32, Heads: 32, KVHeads: 8,
-			FFDim: 14336, VocabSize: 128256, ContextLen: 8192, NormEps: 1e-5, RopeTheta: 500000,
-		},
-		// GPT-J and Falcon use un-gated 4h MLPs; we express them as gated
-		// MLPs with a matched parameter count (FFDim = 8h/3) so the shared
-		// decoder keeps their compute and memory footprints faithful.
-		"gptj-6b": {
-			Name: "gptj-6b", HiddenDim: 4096, Layers: 28, Heads: 16, KVHeads: 16,
-			FFDim: 10912, VocabSize: 50400, ContextLen: 2048, NormEps: 1e-5, RopeTheta: 10000,
-		},
-		"falcon-7b": { // Falcon-7B uses multi-query attention (one KV head).
-			Name: "falcon-7b", HiddenDim: 4544, Layers: 32, Heads: 71, KVHeads: 1,
-			FFDim: 12112, VocabSize: 65024, ContextLen: 2048, NormEps: 1e-5, RopeTheta: 10000,
-		},
-		"baichuan2-7b": {
-			Name: "baichuan2-7b", HiddenDim: 4096, Layers: 32, Heads: 32, KVHeads: 32,
-			FFDim: 11008, VocabSize: 125696, ContextLen: 4096, NormEps: 1e-6, RopeTheta: 10000,
-		},
-		"qwen-7b": {
-			Name: "qwen-7b", HiddenDim: 4096, Layers: 32, Heads: 32, KVHeads: 32,
-			FFDim: 11008, VocabSize: 151936, ContextLen: 8192, NormEps: 1e-6, RopeTheta: 10000,
-		},
-		"sbert-mini": { // SBERT-class encoder used by the RAG pipeline (Fig 14).
-			Name: "sbert-mini", HiddenDim: 384, Layers: 6, Heads: 12, KVHeads: 12,
-			FFDim: 1536, VocabSize: 30522, ContextLen: 512, NormEps: 1e-6, RopeTheta: 10000,
-		},
-	}
-	return zoo
+// zoo holds the paper's model configurations, keyed by name. It is built
+// once; Zoo hands out copies so callers cannot mutate the shared table.
+var zoo = map[string]Config{
+	"llama2-7b": {
+		Name: "llama2-7b", HiddenDim: 4096, Layers: 32, Heads: 32, KVHeads: 32,
+		FFDim: 11008, VocabSize: 32000, ContextLen: 4096, NormEps: 1e-5, RopeTheta: 10000,
+	},
+	"llama2-13b": {
+		Name: "llama2-13b", HiddenDim: 5120, Layers: 40, Heads: 40, KVHeads: 40,
+		FFDim: 13824, VocabSize: 32000, ContextLen: 4096, NormEps: 1e-5, RopeTheta: 10000,
+	},
+	"llama2-70b": {
+		Name: "llama2-70b", HiddenDim: 8192, Layers: 80, Heads: 64, KVHeads: 8,
+		FFDim: 28672, VocabSize: 32000, ContextLen: 4096, NormEps: 1e-5, RopeTheta: 10000,
+	},
+	"llama3-8b": {
+		Name: "llama3-8b", HiddenDim: 4096, Layers: 32, Heads: 32, KVHeads: 8,
+		FFDim: 14336, VocabSize: 128256, ContextLen: 8192, NormEps: 1e-5, RopeTheta: 500000,
+	},
+	// GPT-J and Falcon use un-gated 4h MLPs; we express them as gated
+	// MLPs with a matched parameter count (FFDim = 8h/3) so the shared
+	// decoder keeps their compute and memory footprints faithful.
+	"gptj-6b": {
+		Name: "gptj-6b", HiddenDim: 4096, Layers: 28, Heads: 16, KVHeads: 16,
+		FFDim: 10912, VocabSize: 50400, ContextLen: 2048, NormEps: 1e-5, RopeTheta: 10000,
+	},
+	"falcon-7b": { // Falcon-7B uses multi-query attention (one KV head).
+		Name: "falcon-7b", HiddenDim: 4544, Layers: 32, Heads: 71, KVHeads: 1,
+		FFDim: 12112, VocabSize: 65024, ContextLen: 2048, NormEps: 1e-5, RopeTheta: 10000,
+	},
+	"baichuan2-7b": {
+		Name: "baichuan2-7b", HiddenDim: 4096, Layers: 32, Heads: 32, KVHeads: 32,
+		FFDim: 11008, VocabSize: 125696, ContextLen: 4096, NormEps: 1e-6, RopeTheta: 10000,
+	},
+	"qwen-7b": {
+		Name: "qwen-7b", HiddenDim: 4096, Layers: 32, Heads: 32, KVHeads: 32,
+		FFDim: 11008, VocabSize: 151936, ContextLen: 8192, NormEps: 1e-6, RopeTheta: 10000,
+	},
+	"sbert-mini": { // SBERT-class encoder used by the RAG pipeline (Fig 14).
+		Name: "sbert-mini", HiddenDim: 384, Layers: 6, Heads: 12, KVHeads: 12,
+		FFDim: 1536, VocabSize: 30522, ContextLen: 512, NormEps: 1e-6, RopeTheta: 10000,
+	},
 }
+
+// Zoo returns a copy of the paper's model configurations, keyed by name.
+// Dimensions follow the published architectures.
+func Zoo() map[string]Config { return maps.Clone(zoo) }
 
 // Lookup returns the named config from the zoo.
 func Lookup(name string) (Config, error) {
-	cfg, ok := Zoo()[name]
+	cfg, ok := zoo[name]
 	if !ok {
-		names := make([]string, 0)
-		for n := range Zoo() {
+		names := make([]string, 0, len(zoo))
+		for n := range zoo {
 			names = append(names, n)
 		}
 		sort.Strings(names)

@@ -50,6 +50,24 @@ func TestLookupUnknown(t *testing.T) {
 	}
 }
 
+// TestZooReturnsCopy: Zoo hands out a copy, so a caller editing or
+// deleting entries cannot change what Lookup or a later Zoo call sees.
+func TestZooReturnsCopy(t *testing.T) {
+	z := Zoo()
+	want := z["llama2-7b"]
+	z["llama2-7b"] = Config{Name: "mutated"}
+	delete(z, "llama2-13b")
+	if got, err := Lookup("llama2-7b"); err != nil || got != want {
+		t.Fatalf("Lookup after mutating Zoo() = %+v, %v; want %+v", got, err, want)
+	}
+	if _, ok := Zoo()["llama2-13b"]; !ok {
+		t.Fatal("deleting from one Zoo() copy removed the entry from the table")
+	}
+	if len(Zoo()) != 9 {
+		t.Fatalf("zoo has %d entries, want 9", len(Zoo()))
+	}
+}
+
 func TestKVCacheBytesFormula(t *testing.T) {
 	cfg, _ := Lookup("llama2-7b")
 	// 2 * 32 layers * 4096 kv width * 2 bytes (bf16) = 1 MiB per token.

@@ -17,10 +17,11 @@ import (
 // re-cost the same step shapes millions of times. The coster keys each step
 // by its shape — (batch, context, shared tokens) for decode, (batch, chunk
 // tokens, history) for prefill chunks — and serves repeats from a table
-// instead of rebuilding the operator trace and walking the roofline op by
-// op. The miss path reuses one operator-slice scratch buffer
-// (trace.DecodeStepInto), so even cold shapes cost no per-step allocation
-// beyond the map entry.
+// instead of rebuilding the step trace and walking the roofline. A miss
+// builds the block-structured trace (trace.StepTrace: embedding, one
+// decoder block, head) on the stack and costs its 8 distinct operators,
+// adding the block's durations once per layer; it allocates nothing beyond
+// the map entry and takes the write lock only to insert the value.
 //
 // Bucket controls shape quantization: context and history (and shared
 // tokens) are mapped to their bucket's midpoint before lookup. Bucket 1 is
@@ -48,7 +49,6 @@ type StepCoster struct {
 	decode map[costKey]float64
 	chunk  map[costKey]float64
 	swap   map[int]float64 // bucketed token count → transfer seconds
-	ops    []trace.Op      // miss-path scratch, guarded by mu (write lock)
 }
 
 // costKey identifies one step shape after bucketing.
@@ -174,24 +174,29 @@ func (c *StepCoster) DecodeTime(batch, meanCtx, sharedTokens int) (float64, erro
 	if ok {
 		return t, nil
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if t, ok := c.decode[key]; ok {
-		return t, nil
-	}
-	wl := queryWorkload(c.model, batch, meanCtx)
-	st, err := trace.DecodeStepInto(wl, meanCtx, c.ops)
+	t, err := c.decodeCost(batch, meanCtx, sharedTokens)
 	if err != nil {
 		return 0, err
 	}
-	c.ops = st.Ops[:0]
-	st.SharedBytes = float64(sharedTokens) * float64(wl.Model.KVCacheBytesPerToken(wl.Kind.Size()))
-	t = c.stepTime(wl, st)
+	c.mu.Lock()
 	if len(c.decode) >= maxCostEntries {
 		c.decode = make(map[costKey]float64)
 	}
 	c.decode[key] = t
+	c.mu.Unlock()
 	return t, nil
+}
+
+// decodeCost is DecodeTime's miss path: build and cost one decode step
+// shape, already clamped and bucketed.
+func (c *StepCoster) decodeCost(batch, ctx, sharedTokens int) (float64, error) {
+	wl := queryWorkload(c.model, batch, ctx)
+	st, err := trace.DecodeStep(wl, ctx)
+	if err != nil {
+		return 0, err
+	}
+	st.SharedBytes = float64(sharedTokens) * float64(wl.Model.KVCacheBytesPerToken(wl.Kind.Size()))
+	return c.stepTime(wl, &st), nil
 }
 
 // ChunkTime costs one batched prefill-chunk step: batch rows each computing
@@ -227,23 +232,28 @@ func (c *StepCoster) ChunkTime(batch, chunkTokens, hist int) (float64, error) {
 	if ok {
 		return t, nil
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if t, ok := c.chunk[key]; ok {
-		return t, nil
-	}
-	wl := queryWorkload(c.model, batch, chunkTokens)
-	st, err := trace.PrefillChunkStepInto(wl, hist, c.ops)
+	t, err := c.chunkCost(batch, chunkTokens, hist)
 	if err != nil {
 		return 0, err
 	}
-	c.ops = st.Ops[:0]
-	t = c.stepTime(wl, st)
+	c.mu.Lock()
 	if len(c.chunk) >= maxCostEntries {
 		c.chunk = make(map[costKey]float64)
 	}
 	c.chunk[key] = t
+	c.mu.Unlock()
 	return t, nil
+}
+
+// chunkCost is ChunkTime's miss path: build and cost one prefill-chunk
+// step shape, already clamped and bucketed.
+func (c *StepCoster) chunkCost(batch, chunkTokens, hist int) (float64, error) {
+	wl := queryWorkload(c.model, batch, chunkTokens)
+	st, err := trace.PrefillChunkStep(wl, hist)
+	if err != nil {
+		return 0, err
+	}
+	return c.stepTime(wl, &st), nil
 }
 
 // SwapTime costs moving `tokens` KV-cache entries of one sequence between
@@ -300,16 +310,14 @@ func (c *StepCoster) SwapTime(tokens int) (float64, error) {
 }
 
 // stepTime routes one built step trace through the backend's cost model,
-// with the query workload installed. The trace's ops alias the coster's
-// scratch buffer; the cost models read them synchronously and never retain
-// the slice.
-func (c *StepCoster) stepTime(wl trace.Workload, st trace.StepTrace) float64 {
+// with the query workload installed.
+func (c *StepCoster) stepTime(wl trace.Workload, st *trace.StepTrace) float64 {
 	if c.isGPU {
 		cfg := c.gpu
 		cfg.Workload = wl
-		return gpuStepTime(cfg, st)
+		return gpuStepTime(&cfg, st)
 	}
 	cfg := c.cpu
 	cfg.Workload = wl
-	return cpuStepTime(cfg, st)
+	return cpuStepTime(&cfg, st)
 }

@@ -421,3 +421,53 @@ func TestStepCosterSwapTimeBucketed(t *testing.T) {
 		t.Fatalf("sub-bucket swap time quantized: %v vs %v", sb, se)
 	}
 }
+
+// BenchmarkStepCosterMiss measures the coster's cold path: every op queries
+// a shape no earlier op used, so each one builds and costs a step and
+// inserts it into the memo (tables reset at maxCostEntries, as in a run).
+func BenchmarkStepCosterMiss(b *testing.B) {
+	m, err := model.Lookup("llama2-7b")
+	if err != nil {
+		b.Fatal(err)
+	}
+	wl := trace.Workload{Model: m, Kind: dtype.BF16}
+	cpu, err := NewCPUStepCoster(CPURun{CPU: hw.EMR1(), Platform: tee.TDX(), Sockets: 1, AMX: true, Workload: wl}, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	gpu, err := NewGPUStepCoster(GPURun{GPU: hw.H100NVL(), Platform: tee.CGPU(), Workload: wl}, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Decode keys walk batch, then context, then shared tokens (distinct for
+	// every i); chunk keys walk batch, then chunk size, then history
+	// (distinct for the first ~29M ops).
+	const batches, ctxs, chunks = 32, 4000, 512
+	decode := func(c *StepCoster) func(i int) (float64, error) {
+		return func(i int) (float64, error) {
+			return c.DecodeTime(1+i%batches, 1+(i/batches)%ctxs, i/(batches*ctxs))
+		}
+	}
+	cases := []struct {
+		name string
+		cost func(i int) (float64, error)
+	}{
+		{"cpu-decode", decode(cpu)},
+		{"cpu-chunk", func(i int) (float64, error) {
+			return cpu.ChunkTime(1+i%16, 1+(i/16)%chunks, (i/(16*chunks))%(m.ContextLen-1-chunks))
+		}},
+		{"gpu-decode", decode(gpu)},
+	}
+	for _, tc := range cases {
+		next := 0 // keys used by this case's earlier calibration runs
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := tc.cost(next + i); err != nil {
+					b.Fatal(err)
+				}
+			}
+			next += b.N
+		})
+	}
+}

@@ -119,7 +119,7 @@ func RunCPU(cfg CPURun) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.PrefillSec = cpuStepTime(cfg, pre)
+	res.PrefillSec = cpuStepTime(&cfg, &pre)
 	res.TotalSec = res.PrefillSec
 
 	w := cfg.Workload
@@ -128,7 +128,7 @@ func RunCPU(cfg CPURun) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		t := cpuStepTime(cfg, st)
+		t := cpuStepTime(&cfg, &st)
 		t = noise.Sample(t, cfg.Platform.Protected)
 		res.TokenLatencies = append(res.TokenLatencies, t)
 		res.TotalSec += t
@@ -140,7 +140,7 @@ func RunCPU(cfg CPURun) (*Result, error) {
 // effectiveMemBW returns the DRAM bandwidth the run can actually use: the
 // socket bandwidth degraded by memory encryption, capped by per-core
 // achievable bandwidth (why Fig 12's throughput plateaus near 32 cores).
-func effectiveMemBW(cfg CPURun) float64 {
+func effectiveMemBW(cfg *CPURun) float64 {
 	perSocket := cfg.CPU.MemBWPerSocket * cfg.Platform.MemBWFactor
 	coreCap := float64(cfg.CoresPerSocket) * PerCoreMemBW
 	if coreCap < perSocket {
@@ -164,7 +164,7 @@ const PerCoreMemBW = 8e9
 // socket's memory the model occupies: a 7B model (14 GB) mostly lands on one
 // node even with broken bindings, while a 70B model (140 GB) necessarily
 // spans sockets, so placement failures hurt it fully (Fig 5 vs Fig 6).
-func spanFactor(cfg CPURun) float64 {
+func spanFactor(cfg *CPURun) float64 {
 	foot := trace.WeightFootprint(cfg.Workload) +
 		trace.KVCacheBytes(cfg.Workload, cfg.Workload.InputLen+cfg.Workload.OutputLen)
 	half := 0.5 * float64(cfg.CPU.MemPerSocketBytes)
@@ -180,16 +180,15 @@ func spanFactor(cfg CPURun) float64 {
 
 // cpuStepParams holds the step-level factors shared by every operator of
 // one step: roofline inputs plus the TLB/EPC penalties derived from the
-// step's resident working set. Computing them once lets the per-op cost be
-// evaluated without allocating (cpuStepTime) or materialized per op
-// (cpuOpTimes) from the same arithmetic.
+// step's resident working set. Computing them once lets each operator be
+// costed by opTime without allocating.
 type cpuStepParams struct {
 	flops, bw, remote, upi float64
 	tlb, epcFactor         float64
 	perOp                  float64
 }
 
-func newCPUStepParams(cfg CPURun, st trace.StepTrace) cpuStepParams {
+func newCPUStepParams(cfg *CPURun, st *trace.StepTrace) cpuStepParams {
 	p := cfg.Platform
 	flops := cfg.CPU.SocketFlops(cfg.Workload.Kind, cfg.AMX, cfg.CoresPerSocket) * float64(cfg.Sockets) * cfg.BackendEfficiency
 	if st.Phase == trace.Prefill {
@@ -234,26 +233,34 @@ func (sp cpuStepParams) opTime(op trace.Op) float64 {
 	return opT + sp.perOp
 }
 
-// cpuOpTimes returns the modeled duration of every operator in the step.
-func cpuOpTimes(cfg CPURun, st trace.StepTrace) []float64 {
-	sp := newCPUStepParams(cfg, st)
-	out := make([]float64, len(st.Ops))
-	for i, op := range st.Ops {
-		out[i] = sp.opTime(op)
+// blockTimes costs each decoder-block operator once; every layer of the
+// step repeats these durations.
+func (sp cpuStepParams) blockTimes(st *trace.StepTrace) [trace.BlockOps]float64 {
+	var t [trace.BlockOps]float64
+	for i, op := range st.Block {
+		t[i] = sp.opTime(op)
 	}
-	return out
+	return t
 }
 
 // cpuStepTime costs one step trace on the CPU configuration. It is the
-// serving scheduler's innermost loop (once per operator per iteration), so
-// it sums op times directly instead of materializing the cpuOpTimes slice.
-func cpuStepTime(cfg CPURun, st trace.StepTrace) float64 {
+// serving coster's miss path, so it evaluates opTime once per distinct
+// operator (embedding, the BlockOps block operators, head) and adds the
+// block's durations Layers times in execution order — the same sum, bit
+// for bit, as costing every layer's operators in turn. The configuration
+// and trace (~0.9 KB together) are passed by pointer so a miss does not
+// copy them into every helper.
+func cpuStepTime(cfg *CPURun, st *trace.StepTrace) float64 {
 	p := cfg.Platform
 	sp := newCPUStepParams(cfg, st)
-	var total float64
-	for _, op := range st.Ops {
-		total += sp.opTime(op)
+	block := sp.blockTimes(st)
+	total := sp.opTime(st.Embed)
+	for l := 0; l < st.Layers; l++ {
+		for _, t := range block {
+			total += t
+		}
 	}
+	total += sp.opTime(st.Head)
 	// Per-sequence framework overhead (sampling, cache management).
 	total += hw.CPUPerSeqStepCost * float64(cfg.Workload.Rows())
 	// Enclave exits (SGX): per user-visible token this step produces.
@@ -274,7 +281,7 @@ func CPUStepTime(cfg CPURun, st trace.StepTrace) (float64, error) {
 	if err := cfg.normalize(); err != nil {
 		return 0, err
 	}
-	return cpuStepTime(cfg, st), nil
+	return cpuStepTime(&cfg, &st), nil
 }
 
 // GPUStepTime is CPUStepTime's GPU counterpart.
@@ -282,7 +289,7 @@ func GPUStepTime(cfg GPURun, st trace.StepTrace) (float64, error) {
 	if err := cfg.Workload.Validate(); err != nil {
 		return 0, err
 	}
-	return gpuStepTime(cfg, st), nil
+	return gpuStepTime(&cfg, &st), nil
 }
 
 // CPUPrefillChunkTime costs one chunked-prefill step on the CPU
@@ -298,7 +305,7 @@ func CPUPrefillChunkTime(cfg CPURun, hist int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return cpuStepTime(cfg, st), nil
+	return cpuStepTime(&cfg, &st), nil
 }
 
 // OpCost is an operator-kind duration aggregate (Fig 7).
@@ -318,22 +325,20 @@ func DecoderBlockBreakdown(cfg CPURun, ctxLen int) ([]OpCost, error) {
 	if err != nil {
 		return nil, err
 	}
-	times := cpuOpTimes(cfg, st)
-	agg := make(map[trace.OpKind]float64)
-	for i, op := range st.Ops {
-		if op.Layer < 0 {
-			continue // embedding/head are outside the decoder block
+	sp := newCPUStepParams(&cfg, &st)
+	block := sp.blockTimes(&st)
+	layers := float64(st.Layers)
+	out := make([]OpCost, 0, trace.BlockOps)
+	for i, op := range st.Block {
+		// Total the kind across layers by repeated addition (which rounds
+		// as a per-layer walk does, unlike one multiply), then average it
+		// back to one block.
+		t := block[i] * (1 + cfg.Platform.ComputeTax)
+		var sum float64
+		for l := 0; l < st.Layers; l++ {
+			sum += t
 		}
-		agg[op.Kind] += times[i] * (1 + cfg.Platform.ComputeTax)
-	}
-	order := []trace.OpKind{
-		trace.OpInputNorm, trace.OpSelfAttn, trace.OpMHALinearAdd,
-		trace.OpPostNorm, trace.OpLinearSiluMul, trace.OpMLPLinearAdd,
-	}
-	layers := float64(cfg.Workload.Model.Layers)
-	out := make([]OpCost, 0, len(order))
-	for _, k := range order {
-		out = append(out, OpCost{Kind: k, Seconds: agg[k] / layers})
+		out = append(out, OpCost{Kind: op.Kind, Seconds: sum / layers})
 	}
 	return out, nil
 }
@@ -361,7 +366,7 @@ func RunGPU(cfg GPURun) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.PrefillSec = gpuStepTime(cfg, pre)
+	res.PrefillSec = gpuStepTime(&cfg, &pre)
 	res.TotalSec = res.PrefillSec
 
 	w := cfg.Workload
@@ -370,7 +375,7 @@ func RunGPU(cfg GPURun) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		t := gpuStepTime(cfg, st)
+		t := gpuStepTime(&cfg, &st)
 		t = noise.Sample(t, cfg.Platform.Protected)
 		res.TokenLatencies = append(res.TokenLatencies, t)
 		res.TotalSec += t
@@ -382,7 +387,7 @@ func RunGPU(cfg GPURun) (*Result, error) {
 // gpuStepTime costs one step on the GPU: roofline over tensor cores and HBM,
 // plus kernel-launch and host-transfer costs — the cGPU's only overheads
 // (H100 does not encrypt HBM, so no memory-path cost, §V-A).
-func gpuStepTime(cfg GPURun, st trace.StepTrace) float64 {
+func gpuStepTime(cfg *GPURun, st *trace.StepTrace) float64 {
 	g := cfg.GPU
 	p := cfg.Platform
 

@@ -84,15 +84,6 @@ type Op struct {
 // Bytes returns total memory traffic of the op.
 func (o Op) Bytes() float64 { return o.WeightBytes + o.ActBytes + o.KVBytes }
 
-// ArithmeticIntensity returns FLOPs per byte moved.
-func (o Op) ArithmeticIntensity() float64 {
-	b := o.Bytes()
-	if b == 0 {
-		return 0
-	}
-	return o.FLOPs / b
-}
-
 // Workload describes an inference configuration to trace.
 type Workload struct {
 	Model model.Config
@@ -145,7 +136,15 @@ func (w Workload) actElemSize() float64 {
 	return 2
 }
 
-// StepTrace is the operator list of one inference step.
+// BlockOps is the number of operators in one decoder block.
+const BlockOps = 6
+
+// StepTrace is one inference step: the embedding, one decoder block
+// repeated Layers times, and the final norm + LM head. Every layer of a
+// step does identical work (the block's demands depend on the step shape,
+// never on the layer index), so the trace stores the block once and cost
+// models price its BlockOps operators once per step instead of once per
+// layer.
 type StepTrace struct {
 	Phase Phase
 	// NewTokens is the number of user-visible tokens this step produces
@@ -158,46 +157,72 @@ type StepTrace struct {
 	// models must not count it twice. Serving schedulers set it from block
 	// refcounts; single-request paths leave it zero.
 	SharedBytes float64
-	Ops         []Op
+	// Embed is the token-embedding lookup (Layer -1).
+	Embed Op
+	// Block is one decoder block's operators in the paper's order, with
+	// Layer 0; every one of the Layers blocks has exactly these demands.
+	Block [BlockOps]Op
+	// Head is the final norm + LM head (Layer -1).
+	Head Op
+	// Layers is the number of decoder blocks the step runs.
+	Layers int
 }
 
-// TotalFLOPs sums FLOPs over all ops.
+// Ops returns the step's flat operator list in execution order: the
+// embedding, Layers copies of the block numbered 0..Layers-1, the head.
+func (s StepTrace) Ops() []Op {
+	ops := make([]Op, 0, 2+BlockOps*s.Layers)
+	ops = append(ops, s.Embed)
+	for l := 0; l < s.Layers; l++ {
+		for _, o := range s.Block {
+			o.Layer = l
+			ops = append(ops, o)
+		}
+	}
+	return append(ops, s.Head)
+}
+
+// TotalFLOPs sums FLOPs over all ops, in execution order.
 func (s StepTrace) TotalFLOPs() float64 {
-	var t float64
-	for _, o := range s.Ops {
-		t += o.FLOPs
+	var block [BlockOps]float64
+	for i := range s.Block {
+		block[i] = s.Block[i].FLOPs
 	}
-	return t
+	return layerSum(s.Embed.FLOPs, &block, s.Layers, s.Head.FLOPs)
 }
 
-// TotalBytes sums memory traffic over all ops.
+// TotalBytes sums memory traffic over all ops, in execution order.
 func (s StepTrace) TotalBytes() float64 {
-	var t float64
-	for _, o := range s.Ops {
-		t += o.Bytes()
+	var block [BlockOps]float64
+	for i := range s.Block {
+		block[i] = s.Block[i].Bytes()
 	}
-	return t
+	return layerSum(s.Embed.Bytes(), &block, s.Layers, s.Head.Bytes())
+}
+
+// layerSum adds per-op values in execution order — embed, the block's
+// values once per layer, head — so the total rounds exactly as a walk over
+// Ops() would.
+func layerSum(embed float64, block *[BlockOps]float64, layers int, head float64) float64 {
+	t := embed
+	for l := 0; l < layers; l++ {
+		for _, v := range block {
+			t += v
+		}
+	}
+	return t + head
 }
 
 // DecodeStep builds the operator trace of one decode step with ctxLen tokens
 // of visible history per sequence row.
 func DecodeStep(w Workload, ctxLen int) (StepTrace, error) {
-	return DecodeStepInto(w, ctxLen, nil)
-}
-
-// DecodeStepInto is DecodeStep reusing ops' backing array for the trace's
-// operator list (ops may be nil). Hot paths that cost many step shapes in a
-// loop (perf.StepCoster) use it to avoid reallocating the ~6×layers operator
-// slice per step; the returned trace aliases ops, so the caller must not
-// reuse the buffer while the trace is live.
-func DecodeStepInto(w Workload, ctxLen int, ops []Op) (StepTrace, error) {
 	if err := w.Validate(); err != nil {
 		return StepTrace{}, err
 	}
 	if ctxLen <= 0 || ctxLen > w.Model.ContextLen {
 		return StepTrace{}, fmt.Errorf("trace: ctxLen %d out of range", ctxLen)
 	}
-	return buildStepInto(w, Decode, 1, ctxLen, ops), nil
+	return buildStep(w, Decode, 1, ctxLen), nil
 }
 
 // PrefillStep builds the operator trace of the prompt pass.
@@ -217,12 +242,6 @@ func PrefillStep(w Workload) (StepTrace, error) {
 // this is what makes late chunks of a long prompt more memory-bound than
 // early ones, and what a prefix-cache hit avoids entirely.
 func PrefillChunkStep(w Workload, hist int) (StepTrace, error) {
-	return PrefillChunkStepInto(w, hist, nil)
-}
-
-// PrefillChunkStepInto is PrefillChunkStep reusing ops' backing array (see
-// DecodeStepInto for the aliasing contract).
-func PrefillChunkStepInto(w Workload, hist int, ops []Op) (StepTrace, error) {
 	if err := w.Validate(); err != nil {
 		return StepTrace{}, err
 	}
@@ -230,19 +249,12 @@ func PrefillChunkStepInto(w Workload, hist int, ops []Op) (StepTrace, error) {
 		return StepTrace{}, fmt.Errorf("trace: chunk history %d + chunk %d outside context %d",
 			hist, w.InputLen, w.Model.ContextLen)
 	}
-	return buildStepInto(w, Prefill, w.InputLen, hist, ops), nil
+	return buildStep(w, Prefill, w.InputLen, hist), nil
 }
 
 // buildStep constructs the trace for processing `chunk` new tokens per row
 // on top of `hist` cached tokens.
 func buildStep(w Workload, phase Phase, chunk, hist int) StepTrace {
-	return buildStepInto(w, phase, chunk, hist, nil)
-}
-
-// buildStepInto is buildStep appending into ops' backing array (ops may be
-// nil). The operator count is fixed by the layer count, so the slice is
-// sized exactly up front — the append chain below never reallocates.
-func buildStepInto(w Workload, phase Phase, chunk, hist int, ops []Op) StepTrace {
 	cfg := w.Model
 	h := float64(cfg.HiddenDim)
 	f := float64(cfg.FFDim)
@@ -264,117 +276,85 @@ func buildStepInto(w Workload, phase Phase, chunk, hist int, ops []Op) StepTrace
 		attnSpan = rows * float64(chunk) * (float64(hist) + float64(chunk+1)/2)
 	}
 
-	if need := 2 + 6*cfg.Layers; cap(ops) < need {
-		ops = make([]Op, 0, need)
-	}
-	st := StepTrace{Phase: phase, Ops: ops[:0]}
+	newTokens := w.Batch * chunk
 	if phase == Decode {
-		st.NewTokens = w.Batch
-	} else {
-		st.NewTokens = w.Batch * chunk
+		newTokens = w.Batch
 	}
-
-	st.Ops = append(st.Ops, Op{
-		Kind: OpEmbedding, Layer: -1,
-		FLOPs:      n * h,
-		ActBytes:   n * h * (4 + act), // f32 table read + activation write
-		WorkingSet: v * h * 4,
-	})
 
 	hd := float64(cfg.HeadDim())
 	heads := float64(cfg.Heads)
-	for l := 0; l < cfg.Layers; l++ {
-		normWS := n*h*act*2 + h*4
-		st.Ops = append(st.Ops, Op{
-			Kind: OpInputNorm, Layer: l,
+	normWS := n*h*act*2 + h*4
+	// Self-attention: QKV projections + RoPE + scores + AV.
+	qkvW := (h*h + 2*h*kvd) * elem
+	scoreFlops := 2 * attnSpan * heads * hd // QK^T
+	avFlops := 2 * attnSpan * heads * hd    // probs × V
+	// KV-cache DRAM traffic. Decode re-reads the whole history once per
+	// step; prefill attention is tiled (flash-attention style), so its
+	// K/V blocks stay cache-resident and DRAM sees each entry ~twice. A
+	// chunked-prefill step additionally streams the cached history K/V
+	// once (the chunk's queries attend to it tile by tile).
+	var kvTraffic float64
+	if phase == Decode {
+		kvTraffic = attnSpan*2*kvd*kvElem + n*2*kvd*kvElem
+	} else {
+		kvTraffic = 3*n*kvd*kvElem + rows*float64(hist)*2*kvd*kvElem
+	}
+	headRows := rows // the head runs on the last position of each row
+	// One composite literal builds the trace straight into the result; field
+	// by field assignment measured ~10% slower per coster miss (extra
+	// copies of the ~0.5 KB value).
+	return StepTrace{
+		Phase: phase, NewTokens: newTokens, Layers: cfg.Layers,
+		Embed: Op{
+			Kind: OpEmbedding, Layer: -1,
+			FLOPs:      n * h,
+			ActBytes:   n * h * (4 + act), // f32 table read + activation write
+			WorkingSet: v * h * 4,
+		},
+		Block: [BlockOps]Op{{
+			Kind:       OpInputNorm,
 			FLOPs:      5 * n * h,
 			ActBytes:   2*n*h*act + h*4,
 			WorkingSet: normWS,
-		})
-		// Self-attention: QKV projections + RoPE + scores + AV.
-		qkvW := (h*h + 2*h*kvd) * elem
-		scoreFlops := 2 * attnSpan * heads * hd // QK^T
-		avFlops := 2 * attnSpan * heads * hd    // probs × V
-		// KV-cache DRAM traffic. Decode re-reads the whole history once per
-		// step; prefill attention is tiled (flash-attention style), so its
-		// K/V blocks stay cache-resident and DRAM sees each entry ~twice. A
-		// chunked-prefill step additionally streams the cached history K/V
-		// once (the chunk's queries attend to it tile by tile).
-		var kvTraffic float64
-		if phase == Decode {
-			kvTraffic = attnSpan*2*kvd*kvElem + n*2*kvd*kvElem
-		} else {
-			kvTraffic = 3*n*kvd*kvElem + rows*float64(hist)*2*kvd*kvElem
-		}
-		st.Ops = append(st.Ops, Op{
-			Kind: OpSelfAttn, Layer: l,
+		}, {
+			Kind:        OpSelfAttn,
 			FLOPs:       2*n*h*(h+2*kvd) + 6*n*h + scoreFlops + avFlops,
 			WeightBytes: qkvW,
 			ActBytes:    n * h * act * 4, // read input, write Q,K,V-sized activations
 			KVBytes:     kvTraffic,
 			WorkingSet:  qkvW + kvTraffic,
-		})
-		st.Ops = append(st.Ops, Op{
-			Kind: OpMHALinearAdd, Layer: l,
+		}, {
+			Kind:        OpMHALinearAdd,
 			FLOPs:       2*n*h*h + n*h,
 			WeightBytes: h * h * elem,
 			ActBytes:    3 * n * h * act,
 			WorkingSet:  h * h * elem,
-		})
-		st.Ops = append(st.Ops, Op{
-			Kind: OpPostNorm, Layer: l,
+		}, {
+			Kind:       OpPostNorm,
 			FLOPs:      5 * n * h,
 			ActBytes:   2*n*h*act + h*4,
 			WorkingSet: normWS,
-		})
-		st.Ops = append(st.Ops, Op{
-			Kind: OpLinearSiluMul, Layer: l,
+		}, {
+			Kind:        OpLinearSiluMul,
 			FLOPs:       2*n*h*2*f + 6*n*f,
 			WeightBytes: 2 * h * f * elem,
 			ActBytes:    n*h*act + 3*n*f*act,
 			WorkingSet:  2 * h * f * elem,
-		})
-		st.Ops = append(st.Ops, Op{
-			Kind: OpMLPLinearAdd, Layer: l,
+		}, {
+			Kind:        OpMLPLinearAdd,
 			FLOPs:       2*n*h*f + n*h,
 			WeightBytes: h * f * elem,
 			ActBytes:    n*f*act + 2*n*h*act,
 			WorkingSet:  h * f * elem,
-		})
+		}},
+		Head: Op{ // final norm + LM head
+			Kind: OpFinalNormHead, Layer: -1,
+			FLOPs:       5*headRows*h + 2*headRows*h*v,
+			WeightBytes: h * v * elem,
+			ActBytes:    headRows * (h + v) * act,
+			WorkingSet:  h * v * elem,
+		},
 	}
-
-	// Final norm + LM head, evaluated on the last position of each row.
-	headRows := rows
-	st.Ops = append(st.Ops, Op{
-		Kind: OpFinalNormHead, Layer: -1,
-		FLOPs:       5*headRows*h + 2*headRows*h*v,
-		WeightBytes: h * v * elem,
-		ActBytes:    headRows * (h + v) * act,
-		WorkingSet:  h * v * elem,
-	})
-	return st
-}
-
-// GenerationTrace returns the prefill step plus one decode step per output
-// token, with the context growing as tokens are emitted.
-func GenerationTrace(w Workload) ([]StepTrace, error) {
-	if err := w.Validate(); err != nil {
-		return nil, err
-	}
-	steps := make([]StepTrace, 0, w.OutputLen+1)
-	pre, err := PrefillStep(w)
-	if err != nil {
-		return nil, err
-	}
-	steps = append(steps, pre)
-	for i := 0; i < w.OutputLen; i++ {
-		dec, err := DecodeStep(w, w.InputLen+i)
-		if err != nil {
-			return nil, err
-		}
-		steps = append(steps, dec)
-	}
-	return steps, nil
 }
 
 // KVSwapBytes returns the bytes one swap transfer of `tokens` KV-cache

@@ -9,6 +9,37 @@ import (
 	"cllm/internal/model"
 )
 
+// arithmeticIntensity returns an op's FLOPs per byte moved.
+func arithmeticIntensity(o Op) float64 {
+	b := o.Bytes()
+	if b == 0 {
+		return 0
+	}
+	return o.FLOPs / b
+}
+
+// generationTrace returns the prefill step plus one decode step per output
+// token, with the context growing as tokens are emitted.
+func generationTrace(w Workload) ([]StepTrace, error) {
+	if err := w.Validate(); err != nil {
+		return nil, err
+	}
+	steps := make([]StepTrace, 0, w.OutputLen+1)
+	pre, err := PrefillStep(w)
+	if err != nil {
+		return nil, err
+	}
+	steps = append(steps, pre)
+	for i := 0; i < w.OutputLen; i++ {
+		dec, err := DecodeStep(w, w.InputLen+i)
+		if err != nil {
+			return nil, err
+		}
+		steps = append(steps, dec)
+	}
+	return steps, nil
+}
+
 func wl(t *testing.T, name string, kind dtype.Kind, batch, beam, in, out int) Workload {
 	t.Helper()
 	cfg, err := model.Lookup(name)
@@ -57,7 +88,7 @@ func TestDecodeBytesDominatedByWeights(t *testing.T) {
 	w := wl(t, "llama2-7b", dtype.BF16, 1, 1, 128, 8)
 	st, _ := DecodeStep(w, 128)
 	var weights float64
-	for _, o := range st.Ops {
+	for _, o := range st.Ops() {
 		weights += o.WeightBytes
 	}
 	if frac := weights / st.TotalBytes(); frac < 0.8 {
@@ -76,7 +107,7 @@ func TestKVTrafficGrowsWithContext(t *testing.T) {
 	long, _ := DecodeStep(w, 2048)
 	kv := func(st StepTrace) float64 {
 		var s float64
-		for _, o := range st.Ops {
+		for _, o := range st.Ops() {
 			s += o.KVBytes
 		}
 		return s
@@ -93,7 +124,7 @@ func TestInt8HalvesWeightTraffic(t *testing.T) {
 	si, _ := DecodeStep(i8, 128)
 	wsum := func(st StepTrace) float64 {
 		var s float64
-		for _, o := range st.Ops {
+		for _, o := range st.Ops() {
 			s += o.WeightBytes
 		}
 		return s
@@ -113,7 +144,7 @@ func TestPrefillQuadraticAttention(t *testing.T) {
 			t.Fatal(err)
 		}
 		var s float64
-		for _, o := range st.Ops {
+		for _, o := range st.Ops() {
 			if o.Kind == OpSelfAttn {
 				s += o.FLOPs
 			}
@@ -149,7 +180,7 @@ func TestBeamScalesComputeNotTokens(t *testing.T) {
 
 func TestGenerationTraceSteps(t *testing.T) {
 	w := wl(t, "llama2-7b", dtype.BF16, 2, 1, 64, 16)
-	steps, err := GenerationTrace(w)
+	steps, err := generationTrace(w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,19 +207,23 @@ func TestGenerationTraceSteps(t *testing.T) {
 func TestOpOrderingMatchesPaperBlock(t *testing.T) {
 	w := wl(t, "llama2-7b", dtype.BF16, 1, 1, 128, 8)
 	st, _ := DecodeStep(w, 128)
+	ops := st.Ops()
+	if len(ops) != 2+BlockOps*w.Model.Layers {
+		t.Fatalf("%d ops, want %d", len(ops), 2+BlockOps*w.Model.Layers)
+	}
 	wantBlock := []OpKind{OpInputNorm, OpSelfAttn, OpMHALinearAdd, OpPostNorm, OpLinearSiluMul, OpMLPLinearAdd}
-	if st.Ops[0].Kind != OpEmbedding {
+	if ops[0].Kind != OpEmbedding {
 		t.Fatal("trace does not start with embedding")
 	}
 	for l := 0; l < w.Model.Layers; l++ {
 		for j, want := range wantBlock {
-			got := st.Ops[1+l*len(wantBlock)+j]
+			got := ops[1+l*len(wantBlock)+j]
 			if got.Kind != want || got.Layer != l {
 				t.Fatalf("layer %d op %d = %v/%d, want %v/%d", l, j, got.Kind, got.Layer, want, l)
 			}
 		}
 	}
-	if last := st.Ops[len(st.Ops)-1]; last.Kind != OpFinalNormHead {
+	if last := ops[len(ops)-1]; last.Kind != OpFinalNormHead {
 		t.Fatal("trace does not end with final norm/head")
 	}
 }
@@ -196,14 +231,14 @@ func TestOpOrderingMatchesPaperBlock(t *testing.T) {
 func TestNormsAreMemoryBound(t *testing.T) {
 	w := wl(t, "llama2-7b", dtype.BF16, 4, 1, 1024, 128)
 	st, _ := DecodeStep(w, 1024)
-	for _, o := range st.Ops {
+	for _, o := range st.Ops() {
 		switch o.Kind {
 		case OpInputNorm, OpPostNorm:
-			if ai := o.ArithmeticIntensity(); ai > 4 {
+			if ai := arithmeticIntensity(o); ai > 4 {
 				t.Errorf("%v arithmetic intensity %.1f, expected memory-bound (<4)", o.Kind, ai)
 			}
 		case OpLinearSiluMul:
-			if ai := o.ArithmeticIntensity(); ai < 1 {
+			if ai := arithmeticIntensity(o); ai < 1 {
 				t.Errorf("%v arithmetic intensity %.2f unexpectedly low", o.Kind, ai)
 			}
 		}
