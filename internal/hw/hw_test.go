@@ -73,19 +73,6 @@ func TestSocketFlopsClamping(t *testing.T) {
 	}
 }
 
-func TestTotalMemBW(t *testing.T) {
-	c := EMR1()
-	if c.TotalMemBW(2) != 2*c.MemBWPerSocket {
-		t.Error("two-socket bandwidth wrong")
-	}
-	if c.TotalMemBW(0) != 2*c.MemBWPerSocket {
-		t.Error("sockets=0 should mean all sockets")
-	}
-	if c.TotalMemBW(1) != c.MemBWPerSocket {
-		t.Error("one-socket bandwidth wrong")
-	}
-}
-
 func TestSPRSlower(t *testing.T) {
 	spr, emr := SPR(), EMR2()
 	if spr.MemBWPerSocket >= emr.MemBWPerSocket {

@@ -303,10 +303,22 @@ func PrometheusText(rep *serve.Report) []byte {
 	gauge("throughput_tokens_per_sec", "Aggregate generation throughput.", rep.TokensPerSec)
 	gauge("goodput_tokens_per_sec", "Throughput counting only SLO-compliant requests' tokens.", rep.GoodputTokensPerSec)
 	gauge("slo_attainment", "Fraction of offered requests served within SLO.", rep.SLOAttainment())
-	n := len(rep.Requests)
-	summary("ttft_seconds", "Time to first token of completed requests.", rep.TTFT, n)
-	summary("tpot_seconds", "Mean time per output token of completed multi-token requests.", rep.TPOT, n)
-	summary("request_latency_seconds", "Arrival-to-completion latency of completed requests.", rep.Latency, n)
+	// Each summary counts the samples its quantiles cover: every completed
+	// request for TTFT and latency, only multi-token ones for TPOT
+	// (single-token requests have none). Both quantile modes carry them.
+	tpotN := 0
+	if rep.Sketched {
+		tpotN = int(rep.TPOTSketch.Count())
+	} else {
+		for _, m := range rep.Requests {
+			if m.OutputTokens > 1 {
+				tpotN++
+			}
+		}
+	}
+	summary("ttft_seconds", "Time to first token of completed requests.", rep.TTFT, rep.Completed)
+	summary("tpot_seconds", "Mean time per output token of completed multi-token requests.", rep.TPOT, tpotN)
+	summary("request_latency_seconds", "Arrival-to-completion latency of completed requests.", rep.Latency, rep.Completed)
 	return buf.Bytes()
 }
 

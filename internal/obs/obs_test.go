@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/csv"
 	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -283,6 +285,83 @@ func TestTimeseriesCSVShape(t *testing.T) {
 // corrupted sketched report is caught. The pressure scenario crosses
 // several epoch seams, so the reconciliation also witnesses that epoch
 // handoffs lose no events.
+// promValue returns the value of the exposition sample whose line starts
+// with name followed by its label set.
+func promValue(t *testing.T, text, name string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(text, "\n") {
+		if strings.HasPrefix(line, name+"{") {
+			f := strings.Fields(line)
+			v, err := strconv.ParseFloat(f[len(f)-1], 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return v
+		}
+	}
+	t.Fatalf("exposition has no %s sample:\n%s", name, text)
+	return 0
+}
+
+// TestPrometheusSummaryCounts: each summary's _count is the number of
+// samples behind its quantiles — every completion for TTFT and latency,
+// multi-token completions only for TPOT — in both quantile modes, and
+// _sum is Mean × _count.
+func TestPrometheusSummaryCounts(t *testing.T) {
+	be, cfg := pressureSetup()
+	cfg.Trace[1].OutputLen = 1 // a single-token request: no TPOT sample
+	exact, err := serve.Run(be, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.QuantileMode = serve.QuantileSketch
+	sketched, err := serve.Run(be, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	multi := 0
+	for _, m := range exact.Requests {
+		if m.OutputTokens > 1 {
+			multi++
+		}
+	}
+	if multi == 0 || multi == exact.Completed {
+		t.Fatalf("%d of %d completions are multi-token; the test needs both kinds", multi, exact.Completed)
+	}
+	for _, tc := range []struct {
+		name string
+		rep  *serve.Report
+	}{{"exact", exact}, {"sketched", sketched}} {
+		t.Run(tc.name, func(t *testing.T) {
+			rep := tc.rep
+			if rep.Completed != exact.Completed {
+				t.Fatalf("completed %d, want %d", rep.Completed, exact.Completed)
+			}
+			text := string(PrometheusText(rep))
+			if got := promValue(t, text, "cllm_requests_completed_total"); got != float64(rep.Completed) {
+				t.Fatalf("completed counter %g, want %d", got, rep.Completed)
+			}
+			for _, c := range []struct {
+				name string
+				q    serve.Quantiles
+				n    int
+			}{
+				{"cllm_ttft_seconds", rep.TTFT, rep.Completed},
+				{"cllm_tpot_seconds", rep.TPOT, multi},
+				{"cllm_request_latency_seconds", rep.Latency, rep.Completed},
+			} {
+				if got := promValue(t, text, c.name+"_count"); got != float64(c.n) {
+					t.Errorf("%s_count = %g, want %d", c.name, got, c.n)
+				}
+				want, _ := strconv.ParseFloat(fmt.Sprintf("%g", c.q.Mean*float64(c.n)), 64)
+				if got := promValue(t, text, c.name+"_sum"); got != want || got == 0 {
+					t.Errorf("%s_sum = %g, want %g (nonzero)", c.name, got, want)
+				}
+			}
+		})
+	}
+}
+
 func TestReconcileSketchedReport(t *testing.T) {
 	be, cfg := pressureSetup()
 	cfg.QuantileMode = serve.QuantileSketch

@@ -49,32 +49,6 @@ func NDCGAt(hits []Hit, rels map[string]int, k int) (float64, error) {
 	return dcg / idcg, nil
 }
 
-// RecallAt returns the fraction of relevant documents retrieved in the top k.
-func RecallAt(hits []Hit, rels map[string]int, k int) (float64, error) {
-	if k <= 0 {
-		return 0, fmt.Errorf("rag: recall cutoff must be positive")
-	}
-	relevant := 0
-	for _, g := range rels {
-		if g > 0 {
-			relevant++
-		}
-	}
-	if relevant == 0 {
-		return 0, fmt.Errorf("rag: no relevant documents")
-	}
-	found := 0
-	for i, h := range hits {
-		if i >= k {
-			break
-		}
-		if rels[h.ID] > 0 {
-			found++
-		}
-	}
-	return float64(found) / float64(relevant), nil
-}
-
 // Method selects one of the paper's three RAG systems (Fig 14).
 type Method int
 

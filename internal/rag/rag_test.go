@@ -196,20 +196,6 @@ func TestNDCG(t *testing.T) {
 	}
 }
 
-func TestRecall(t *testing.T) {
-	rels := map[string]int{"a": 2, "b": 1, "c": 0}
-	r, err := RecallAt([]Hit{{ID: "a"}, {ID: "x"}}, rels, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r != 0.5 {
-		t.Errorf("recall = %g, want 0.5", r)
-	}
-	if _, err := RecallAt(nil, map[string]int{"c": 0}, 5); err == nil {
-		t.Error("no relevant docs accepted")
-	}
-}
-
 func TestNDCGBounds(t *testing.T) {
 	if err := quick.Check(func(ids []uint8) bool {
 		rels := map[string]int{"a": 2, "b": 1, "c": 1}

@@ -233,7 +233,7 @@ func (s *scheduler) dropQueued(st *reqState, reason DropReason, tokens int) {
 	st.phase = phaseDropped
 	s.drops[reason]++
 	if s.stream != nil {
-		s.stream.dropped++
+		s.stream.counts.Dropped++
 	}
 	if s.obs != nil {
 		s.event(Event{Kind: EvDrop, ReqID: st.req.ID, Tokens: tokens, Drop: reason})

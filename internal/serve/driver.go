@@ -9,7 +9,7 @@ import (
 )
 
 // This file is the one serving driver every deployment runs through — a
-// lone replica (Run/RunAudited), a fleet topology (Fleet.Run, unified or
+// lone replica (Run), a fleet topology (Fleet.Run, unified or
 // disaggregated) and an elastic control loop (internal/autoscale via
 // Drive):
 //
@@ -175,7 +175,7 @@ func (p *Pool) merge(reps []*Report) *Report {
 }
 
 // lone dispatches every arrival to a single replica. Its ledger is the
-// arrival block itself (see RunAudited), so nothing is appended here.
+// arrival block itself (see Run), so nothing is appended here.
 type lone struct{ s *scheduler }
 
 func (lone) Start(*Pool) error { return nil }

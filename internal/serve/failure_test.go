@@ -73,7 +73,7 @@ func TestFailureDefaultConfigByteIdentical(t *testing.T) {
 	m := mustLookup(t, "llama2-7b")
 
 	cfgP := Config{Workload: trace.Workload{Model: m, Kind: dtype.BF16, InputLen: 128, OutputLen: 32}, Rate: 8, Requests: 48, Seed: 7}
-	repP, order, err := RunAudited(cpuBackend(tee.TDX()), cfgP)
+	repP, order, err := runAudited(cpuBackend(tee.TDX()), cfgP)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestFailureDefaultConfigByteIdentical(t *testing.T) {
 	gb := Backend{IsGPU: true, GPU: perf.GPURun{GPU: hw.H100NVL(), Platform: tee.CGPU()}}
 	gb.GPU.GPU.HBMBytes = int64(trace.WeightFootprint(w)) + 2048*m.KVCacheBytesPerToken(2)
 	cfgS := Config{Workload: w, Scenario: &sc, Requests: 64, Seed: 11, MaxBatch: 8}
-	repS, _, err := RunAudited(gb, cfgS)
+	repS, err := Run(gb, cfgS)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,14 +342,14 @@ func TestAdmitDeadlineOrdersEDF(t *testing.T) {
 		Seed:     1,
 		Faults:   FaultConfig{Admission: AdmitDeadline},
 	}
-	rep, order, err := RunAudited(cpuBackend(tee.Baremetal()), cfg)
+	rep, order, err := runAudited(cpuBackend(tee.Baremetal()), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Completed != 3 {
 		t.Fatalf("completed %d, want 3: %+v", rep.Completed, rep.DroppedByReason)
 	}
-	if want := (AdmitOrder{0, 2, 1}); !reflect.DeepEqual(order, want) {
+	if want := ([]int{0, 2, 1}); !reflect.DeepEqual(order, want) {
 		t.Fatalf("EDF admission order %v, want %v", order, want)
 	}
 	if rep.CompletedByClass[ClassInteractive] != 1 || rep.CompletedByClass[ClassBackground] != 2 {
@@ -359,11 +359,11 @@ func TestAdmitDeadlineOrdersEDF(t *testing.T) {
 	// The identical trace under FIFO must keep arrival order — the
 	// default path ignores Class entirely.
 	cfg.Faults.Admission = AdmitFIFO
-	_, order, err = RunAudited(cpuBackend(tee.Baremetal()), cfg)
+	_, order, err = runAudited(cpuBackend(tee.Baremetal()), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := (AdmitOrder{0, 1, 2}); !reflect.DeepEqual(order, want) {
+	if want := ([]int{0, 1, 2}); !reflect.DeepEqual(order, want) {
 		t.Fatalf("FIFO admission order %v, want %v", order, want)
 	}
 }
@@ -384,7 +384,7 @@ func TestAdmitDeadlineDropsExpired(t *testing.T) {
 		Faults:      FaultConfig{Admission: AdmitDeadline},
 		DeadlineSec: 5e-3, // expires while request 0 monopolizes the batch
 	}
-	rep, order, err := RunAudited(cpuBackend(tee.Baremetal()), cfg)
+	rep, order, err := runAudited(cpuBackend(tee.Baremetal()), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

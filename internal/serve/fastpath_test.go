@@ -75,7 +75,7 @@ func preemptionHeavyConfig() (Backend, Config) {
 // first admission — and produce the identical audit trail on every run.
 func TestPreemptionKeepsFIFOAdmitOrder(t *testing.T) {
 	be, cfg := preemptionHeavyConfig()
-	rep, order, err := RunAudited(be, cfg)
+	rep, order, err := runAudited(be, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestPreemptionKeepsFIFOAdmitOrder(t *testing.T) {
 	if !sort.IntsAreSorted([]int(order)) {
 		t.Fatalf("admission order not FIFO under preemption: %v", order)
 	}
-	rep2, order2, err := RunAudited(be, cfg)
+	rep2, order2, err := runAudited(be, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -366,29 +366,28 @@ func offeredRate(cfg Config) float64 {
 }
 
 // MergeReports builds a deployment-wide aggregate from per-replica
-// reports: counters are summed, quantiles are recomputed over the union of
-// completed requests, the makespan is the maximum, and throughput figures
-// are rederived from the merged totals. offeredRate labels the aggregate.
-// The driver uses it for fleets and elastic deployments alike.
+// reports: counters are summed, the makespan is the maximum, and rates and
+// quantiles are rederived from the merged ledger by Report.finish —
+// exact reports concatenate their per-request outcomes, sketched ones
+// merge their sketches (bucket counts are integers, so the merged
+// quantiles equal a single sketch over the union stream). offeredRate
+// labels the aggregate. The driver uses it for fleets and elastic
+// deployments alike.
 //
-// When any input report is sketched, the aggregate is sketched too:
-// per-replica sketches merge exactly (bucket counts are integers, so the
-// merged quantiles equal a single sketch over the union stream), and any
-// exact reports in the mix fold their per-request samples into the merged
-// sketches. Sketched inputs must share one alpha — replicas of one run
-// always do, and mixing sketches of different resolutions is a caller bug
-// with no lossless repair, so it panics.
+// The replicas of one run share a quantile mode and sketch alpha; mixing
+// exact and sketched reports, or sketches of different resolutions, is a
+// caller bug with no lossless repair, so it panics.
 func MergeReports(offeredRate float64, reps []*Report) *Report {
 	agg := &Report{OfferedRate: offeredRate}
+	n := 0
 	for _, r := range reps {
-		if r.Sketched {
-			agg.Sketched = true
-			agg.SketchAlpha = r.SketchAlpha
-			break
-		}
+		n += len(r.Requests)
 	}
-	var ttfts, tpots, lats []float64
-	if agg.Sketched {
+	if n > 0 {
+		agg.Requests = make([]RequestMetrics, 0, n)
+	}
+	if len(reps) > 0 && reps[0].Sketched {
+		agg.Sketched, agg.SketchAlpha = true, reps[0].SketchAlpha
 		mk := func() *stats.Sketch {
 			sk, err := stats.NewSketch(agg.SketchAlpha)
 			if err != nil {
@@ -407,6 +406,9 @@ func MergeReports(offeredRate float64, reps []*Report) *Report {
 		}
 	}
 	for _, r := range reps {
+		if r.Sketched != agg.Sketched {
+			panic("serve: MergeReports over mixed exact and sketched reports")
+		}
 		switch agg.Platform {
 		case "", r.Platform:
 			agg.Platform = r.Platform
@@ -448,58 +450,20 @@ func MergeReports(offeredRate float64, reps []*Report) *Report {
 		for i, n := range r.GoodTokensByClass {
 			agg.GoodTokensByClass[i] += n
 		}
+		agg.GoodRequests += r.GoodRequests
+		agg.GoodOutputTokens += r.GoodOutputTokens
+		agg.CompletedOutputTokens += r.CompletedOutputTokens
 		if r.MakespanSec > agg.MakespanSec {
 			agg.MakespanSec = r.MakespanSec
 		}
-		if r.Sketched {
-			// Sketched reports carry no Requests; their good/completed
-			// counters are authoritative.
-			agg.GoodRequests += r.GoodRequests
-			agg.GoodOutputTokens += r.GoodOutputTokens
-			agg.CompletedOutputTokens += r.CompletedOutputTokens
+		agg.Requests = append(agg.Requests, r.Requests...)
+		if agg.Sketched {
 			mergeSk(agg.TTFTSketch, r.TTFTSketch)
 			mergeSk(agg.TPOTSketch, r.TPOTSketch)
 			mergeSk(agg.LatencySketch, r.LatencySketch)
-			continue
-		}
-		// Exact report: rederive goodput from the per-request ledger (the
-		// counter fields may be unset on hand-built or pre-sketch reports).
-		for _, m := range r.Requests {
-			agg.CompletedOutputTokens += m.OutputTokens
-			if m.SLOMet {
-				agg.GoodRequests++
-				agg.GoodOutputTokens += m.OutputTokens
-			}
-			if agg.Sketched {
-				_ = agg.TTFTSketch.Add(m.TTFT)
-				_ = agg.LatencySketch.Add(m.Latency)
-				if m.OutputTokens > 1 {
-					_ = agg.TPOTSketch.Add(m.TPOT)
-				}
-				continue
-			}
-			agg.Requests = append(agg.Requests, m)
-			ttfts = append(ttfts, m.TTFT)
-			lats = append(lats, m.Latency)
-			if m.OutputTokens > 1 {
-				tpots = append(tpots, m.TPOT)
-			}
 		}
 	}
-	if agg.MakespanSec > 0 {
-		agg.TokensPerSec = float64(agg.TotalTokens) / agg.MakespanSec
-		agg.GoodputTokensPerSec = float64(agg.GoodOutputTokens) / agg.MakespanSec
-		agg.GoodRequestsPerSec = float64(agg.GoodRequests) / agg.MakespanSec
-	}
-	if agg.Sketched {
-		agg.TTFT = sketchQuantiles(agg.TTFTSketch)
-		agg.TPOT = sketchQuantiles(agg.TPOTSketch)
-		agg.Latency = sketchQuantiles(agg.LatencySketch)
-	} else {
-		agg.TTFT = quantiles(ttfts)
-		agg.TPOT = quantiles(tpots)
-		agg.Latency = quantiles(lats)
-	}
+	agg.finish()
 	return agg
 }
 

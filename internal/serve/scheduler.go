@@ -29,9 +29,8 @@ const (
 
 // reqState tracks one request through the scheduler.
 type reqState struct {
-	req      Request
-	phase    phase
-	admitSeq int // order of first admission (FIFO audit)
+	req   Request
+	phase phase
 	// generated counts produced output tokens; survives preemption (the
 	// delivered tokens are not un-delivered, the cache is recomputed).
 	generated   int
@@ -48,8 +47,8 @@ type reqState struct {
 	// Re-admission transfers the copy back instead of recomputing it.
 	swapped       bool
 	swappedTokens int
-	// admitted marks the first admission (the queue-delay endpoint and the
-	// audit-trail entry); retried requests keep it across re-entries.
+	// admitted marks the first admission (the queue-delay endpoint);
+	// retried requests keep it across re-entries.
 	admitted     bool
 	admittedAt   float64 // first admission time
 	firstTokenAt float64
@@ -126,8 +125,6 @@ type scheduler struct {
 	idBuf    []int
 	finishFn func(*sim.Engine) // cached closure; one alloc per scheduler, not per round
 
-	admitCount  int
-	admitOrder  []int // request IDs in admission order (test audit)
 	preemptions int
 	// Swap-to-host counters: cumulative transfers over the run, plus the
 	// current iteration's transfer token accumulators (reset each round,
@@ -158,25 +155,18 @@ type scheduler struct {
 	// per-round decode event (reset in finishIteration).
 	roundProduced int
 	// Round-costing components for the in-flight round (observer runs only):
-	// the raw pre-noise prefill/decode/swap costs iterationTime computed, and
-	// their clear-twin counterfactuals when a clear coster is attached.
-	// Overwritten by every iterationTime call, consumed by the round event.
-	roundPrefill      float64
-	roundDecode       float64
-	roundSwap         float64
-	roundClearPrefill float64
-	roundClearDecode  float64
-	roundClearSwap    float64
+	// the raw pre-noise costs iterationTime computed, and their clear-twin
+	// counterfactuals when a clear coster is attached. Overwritten by every
+	// iterationTime call, consumed by the round event.
+	round, roundClear roundCost
 	// The outcome ledger the report is built from (see driver.go): kept
 	// retains the states of every request submitted here, in arrival order;
 	// a lone sketch-mode replica instead streams its outcomes into stream
 	// as they happen and retains nothing. submitted counts the arrivals
-	// handed to this replica. audit records the admit-order trail (lone
-	// exact runs only — its memory is linear in admissions).
+	// handed to this replica.
 	kept      []*reqState
 	stream    *streamAccum
 	submitted int
-	audit     bool
 	// Failure/overload machinery (see failure.go and admission.go). All of
 	// it stays zero on the default path: failEnabled guards every crash
 	// hook, down parks the iteration loop during recovery, abortRound
@@ -309,12 +299,6 @@ func (s *scheduler) submitHandoff(st *reqState) {
 // outstanding is the replica's current load: queued plus running requests.
 // Load balancers use it for least-loaded dispatch.
 func (s *scheduler) outstanding() int { return s.queue.Len() + len(s.running) }
-
-// Run executes one serving simulation.
-func Run(be Backend, cfg Config) (*Report, error) {
-	rep, _, err := RunAudited(be, cfg)
-	return rep, err
-}
 
 // genArrivals returns the offered load: the explicit trace when given, a
 // workload scenario's synthesis when configured, otherwise Poisson arrivals
@@ -665,11 +649,6 @@ func (s *scheduler) iterate() {
 		if !head.admitted {
 			head.admitted = true
 			head.admittedAt = now
-			head.admitSeq = s.admitCount
-			s.admitCount++
-			if s.audit {
-				s.admitOrder = append(s.admitOrder, head.req.ID)
-			}
 		}
 		head.phase = phaseRunning
 		head.prefilled = computed
@@ -848,90 +827,86 @@ func (s *scheduler) swapCheaper(r *reqState, tokens int) bool {
 // the memory-bound path, approximate for attention-FLOPs skew (same
 // approximation the decode batch uses).
 func (s *scheduler) iterationTime(decoding []*reqState, chunks []chunkWork) (float64, error) {
-	var total float64
-	// With an observer attached the per-component costs are kept for the
-	// round event's attribution payload; with a clear coster the same step
-	// shapes are also priced on the clear-hardware twin. Neither feeds the
-	// engine clock, and total accumulates in the same order regardless, so
-	// observed runs stay bit-identical to bare ones.
-	wantClear := s.obs != nil && s.clear != nil
-	var prefT, decT, swapT, clearPrefT, clearDecT, clearSwapT float64
+	sh := roundShape{swapOut: s.swapOutTok, swapIn: s.swapInTok}
 	if len(chunks) > 0 {
 		sumTok, sumHist := 0, 0
 		for _, cw := range chunks {
 			sumTok += cw.tokens
 			sumHist += cw.hist
 		}
-		meanTok := (sumTok + len(chunks) - 1) / len(chunks)
-		meanHist := sumHist / len(chunks)
-		t, err := s.chunkTime(len(chunks), meanTok, meanHist)
-		if err != nil {
-			return 0, err
-		}
-		prefT = t
-		total += t
-		if wantClear {
-			ct, err := s.clear.ChunkTime(len(chunks), meanTok, meanHist)
-			if err != nil {
-				return 0, err
-			}
-			clearPrefT = ct
-		}
+		sh.chunkRows = len(chunks)
+		sh.chunkTok = (sumTok + len(chunks) - 1) / len(chunks)
+		sh.chunkHist = sumHist / len(chunks)
 	}
 	if len(decoding) > 0 {
-		batch, meanCtx, shared := s.decodeShape(decoding)
-		t, err := s.coster.DecodeTime(batch, meanCtx, shared)
-		if err != nil {
-			return 0, err
-		}
-		decT = t
-		total += t
-		if wantClear {
-			ct, err := s.clear.DecodeTime(batch, meanCtx, shared)
-			if err != nil {
-				return 0, err
-			}
-			clearDecT = ct
-		}
+		sh.batch, sh.meanCtx, sh.shared = s.decodeShape(decoding)
 	}
-	// Swap transfers of the round: one coalesced copy per direction at the
-	// backend's swap bandwidth (cGPU's encrypted bounce buffer, a CPU TEE's
-	// near-native memcpy).
-	if s.swapOutTok > 0 {
-		t, err := s.coster.SwapTime(s.swapOutTok)
-		if err != nil {
-			return 0, err
-		}
-		swapT += t
-		total += t
-		if wantClear {
-			ct, err := s.clear.SwapTime(s.swapOutTok)
-			if err != nil {
-				return 0, err
-			}
-			clearSwapT += ct
-		}
+	rc, err := priceRound(s.coster, &sh)
+	if err != nil {
+		return 0, err
 	}
-	if s.swapInTok > 0 {
-		t, err := s.coster.SwapTime(s.swapInTok)
-		if err != nil {
-			return 0, err
-		}
-		swapT += t
-		total += t
-		if wantClear {
-			ct, err := s.clear.SwapTime(s.swapInTok)
-			if err != nil {
-				return 0, err
-			}
-			clearSwapT += ct
-		}
-	}
+	// With an observer attached the components are kept for the round
+	// event's attribution payload, and with a clear coster the same shape
+	// is priced again on the clear-hardware twin. Neither feeds the engine
+	// clock, so observed runs stay bit-identical to bare ones.
 	if s.obs != nil {
-		s.roundPrefill, s.roundDecode, s.roundSwap = prefT, decT, swapT
-		s.roundClearPrefill, s.roundClearDecode, s.roundClearSwap = clearPrefT, clearDecT, clearSwapT
+		s.round, s.roundClear = rc, roundCost{}
+		if s.clear != nil {
+			if s.roundClear, err = priceRound(s.clear, &sh); err != nil {
+				return 0, err
+			}
+		}
 	}
-	return total, nil
+	return rc.total, nil
+}
+
+// roundShape is what one round costs depend on: a batched prefill-chunk
+// step (chunkRows rows of chunkTok new tokens over chunkHist cached ones),
+// a decode step over the running batch, and the round's coalesced
+// swap-out and swap-in copies.
+type roundShape struct {
+	chunkRows, chunkTok, chunkHist int
+	batch, meanCtx, shared         int
+	swapOut, swapIn                int
+}
+
+// roundCost is a round priced on one coster: its raw (pre-noise) prefill,
+// decode and swap components, and their total.
+type roundCost struct{ total, prefill, decode, swap float64 }
+
+// priceRound prices sh on c. total adds prefill, decode, swap-out and
+// swap-in in that order; swap is the two copies' sum. Swap copies move at
+// the backend's swap bandwidth (cGPU's encrypted bounce buffer, a CPU
+// TEE's near-native memcpy).
+func priceRound(c *perf.StepCoster, sh *roundShape) (roundCost, error) {
+	var rc roundCost
+	if sh.chunkRows > 0 {
+		t, err := c.ChunkTime(sh.chunkRows, sh.chunkTok, sh.chunkHist)
+		if err != nil {
+			return rc, err
+		}
+		rc.prefill = t
+		rc.total += t
+	}
+	if sh.batch > 0 {
+		t, err := c.DecodeTime(sh.batch, sh.meanCtx, sh.shared)
+		if err != nil {
+			return rc, err
+		}
+		rc.decode = t
+		rc.total += t
+	}
+	for _, tok := range [...]int{sh.swapOut, sh.swapIn} {
+		if tok > 0 {
+			t, err := c.SwapTime(tok)
+			if err != nil {
+				return rc, err
+			}
+			rc.swap += t
+			rc.total += t
+		}
+	}
+	return rc, nil
 }
 
 // decodeShape reduces the decode batch to the shape the coster prices: the
@@ -955,12 +930,6 @@ func (s *scheduler) decodeShape(decoding []*reqState) (batch, meanCtx, shared in
 		shared = s.kv.DedupSavedTokens(ids)
 	}
 	return len(decoding), meanCtx, shared
-}
-
-// chunkTime costs a batched prefill-chunk step: batch rows each computing
-// chunk new prompt tokens over hist cached ones.
-func (s *scheduler) chunkTime(batch, chunk, hist int) (float64, error) {
-	return s.coster.ChunkTime(batch, chunk, hist)
 }
 
 // finishIteration commits the round's prefill progress and token
@@ -1011,8 +980,12 @@ func (s *scheduler) finishIteration() {
 			s.kv.Release(r.req.ID)
 			r.phase = phaseFinished
 			r.finishedAt = now
+			var m RequestMetrics
+			if s.stream != nil || s.obs != nil {
+				m = outcome(r, s.cfg.TTFTSLOSec, s.cfg.TPOTSLOSec)
+			}
 			if s.stream != nil {
-				s.stream.observe(r, s.cfg.TTFTSLOSec, s.cfg.TPOTSLOSec)
+				s.stream.observe(m, r.req.Class)
 			}
 			for i, cand := range s.running {
 				if cand == r {
@@ -1021,15 +994,8 @@ func (s *scheduler) finishIteration() {
 				}
 			}
 			if s.obs != nil {
-				// Same arithmetic as report(): the event's SLO verdict is
-				// bit-identical to the aggregate's.
-				ttft := r.firstTokenAt - r.req.ArrivalSec
-				tpotOK := true
-				if r.generated > 1 {
-					tpotOK = (r.finishedAt-r.firstTokenAt)/float64(r.generated-1) <= s.cfg.TPOTSLOSec
-				}
-				s.event(Event{Kind: EvFinish, ReqID: r.req.ID, Tokens: r.generated,
-					SLOMet: ttft <= s.cfg.TTFTSLOSec && tpotOK})
+				// The report's own verdict: bit-identical to the aggregate's.
+				s.event(Event{Kind: EvFinish, ReqID: r.req.ID, Tokens: r.generated, SLOMet: m.SLOMet})
 			}
 		}
 	}
@@ -1058,8 +1024,8 @@ func (s *scheduler) finishIteration() {
 	}
 	if s.obs != nil {
 		s.event(Event{Kind: EvDecodeRound, ReqID: -1, Tokens: s.roundProduced, Hist: len(decoding),
-			PrefillSec: s.roundPrefill, DecodeSec: s.roundDecode, SwapSec: s.roundSwap,
-			ClearPrefillSec: s.roundClearPrefill, ClearDecodeSec: s.roundClearDecode, ClearSwapSec: s.roundClearSwap})
+			PrefillSec: s.round.prefill, DecodeSec: s.round.decode, SwapSec: s.round.swap,
+			ClearPrefillSec: s.roundClear.prefill, ClearDecodeSec: s.roundClear.decode, ClearSwapSec: s.roundClear.swap})
 		s.obs.Sample(Sample{
 			TimeSec:         now,
 			Replica:         s.replica,
@@ -1091,7 +1057,9 @@ func (s *scheduler) finishIteration() {
 // reads the replica's outcome ledger: the retained states (exact
 // quantiles, or folded into sketches in arrival order under
 // QuantileSketch) or, for a streamed lone replica, the live sketch ledger.
-// Call it after the engine has drained (or hit its horizon).
+// Each finished request goes through outcome and Report.count, and
+// Report.finish derives the rates and quantiles. Call it after the engine
+// has drained (or hit its horizon).
 func (s *scheduler) report() *Report {
 	makespan := float64(s.eng.Now())
 	if s.failEnabled && s.lastProgress < makespan {
@@ -1128,98 +1096,78 @@ func (s *scheduler) report() *Report {
 		HandoffTokens:         s.handoffTokens,
 		HandoffBytes:          s.handoffBytes,
 	}
-	if s.cfg.QuantileMode == QuantileSketch {
-		a := s.stream
-		if a == nil {
-			a = newStreamAccum(s.cfg.SketchAlpha)
-			for _, st := range s.kept {
-				switch st.phase {
-				case phaseFinished:
-					a.observe(st, s.cfg.TTFTSLOSec, s.cfg.TPOTSLOSec)
-				case phaseDropped:
-					a.dropped++
-				}
-			}
-		}
-		a.rotate()
-		rep.Completed, rep.Dropped = a.completed, a.dropped
-		rep.Unfinished = s.submitted - a.completed - a.dropped
-		rep.CompletedByClass, rep.GoodTokensByClass = a.completedByClass, a.goodTokensByClass
-		rep.TotalTokens = s.producedTot
-		rep.Sketched, rep.SketchAlpha = true, a.alpha
-		rep.GoodRequests, rep.GoodOutputTokens, rep.CompletedOutputTokens = a.goodReqs, a.goodTokens, a.completedTokens
-		rep.TTFTSketch, rep.TPOTSketch, rep.LatencySketch = a.ttft, a.tpot, a.lat
-		rep.TTFT = sketchQuantiles(a.ttft)
-		rep.TPOT = sketchQuantiles(a.tpot)
-		rep.Latency = sketchQuantiles(a.lat)
-		// Epoch-size-invariant means (see streamAccum): override the sketch
-		// accumulators' grouping-dependent sums.
-		rep.TTFT.Mean = meanOr(a.ttftSum, a.ttft.Count())
-		rep.TPOT.Mean = meanOr(a.tpotSum, a.tpotCount)
-		rep.Latency.Mean = meanOr(a.latSum, a.lat.Count())
-	} else {
+	if s.cfg.QuantileMode != QuantileSketch {
 		// Tokens a retry discarded were still produced — they stay in the
 		// throughput total (and match the per-round event sums exactly).
 		rep.TotalTokens = s.wastedTokens
 		rep.Requests = make([]RequestMetrics, 0, len(s.kept))
-		ttfts := make([]float64, 0, len(s.kept))
-		tpots := make([]float64, 0, len(s.kept))
-		lats := make([]float64, 0, len(s.kept))
 		for _, st := range s.kept {
 			rep.TotalTokens += st.generated
 			switch st.phase {
 			case phaseDropped:
 				rep.Dropped++
-				continue
 			case phaseFinished:
-				rep.Completed++
-				rep.CompletedByClass[st.req.Class]++
-				rep.CompletedOutputTokens += st.generated
+				m := outcome(st, s.cfg.TTFTSLOSec, s.cfg.TPOTSLOSec)
+				rep.Requests = append(rep.Requests, m)
+				rep.count(m, st.req.Class)
 			default:
 				rep.Unfinished++
-				continue
-			}
-			m := RequestMetrics{
-				ID:           st.req.ID,
-				TTFT:         st.firstTokenAt - st.req.ArrivalSec,
-				Latency:      st.finishedAt - st.req.ArrivalSec,
-				QueueDelay:   st.admittedAt - st.req.ArrivalSec,
-				OutputTokens: st.generated,
-				Preemptions:  st.preemptions,
-			}
-			// Single-token requests have no decode phase: TPOT is undefined
-			// for them, so they neither join the TPOT quantiles nor can fail
-			// its SLO.
-			tpotOK := true
-			if st.generated > 1 {
-				m.TPOT = (st.finishedAt - st.firstTokenAt) / float64(st.generated-1)
-				tpotOK = m.TPOT <= s.cfg.TPOTSLOSec
-				tpots = append(tpots, m.TPOT)
-			}
-			m.SLOMet = m.TTFT <= s.cfg.TTFTSLOSec && tpotOK
-			rep.Requests = append(rep.Requests, m)
-			ttfts = append(ttfts, m.TTFT)
-			lats = append(lats, m.Latency)
-			if m.SLOMet {
-				rep.GoodRequests++
-				rep.GoodOutputTokens += m.OutputTokens
-				rep.GoodTokensByClass[st.req.Class] += m.OutputTokens
 			}
 		}
-		rep.TTFT = quantiles(ttfts)
-		rep.TPOT = quantiles(tpots)
-		rep.Latency = quantiles(lats)
+		rep.finish()
+		return rep
 	}
-	if makespan > 0 {
-		rep.TokensPerSec = float64(rep.TotalTokens) / makespan
-		rep.GoodputTokensPerSec = float64(rep.GoodOutputTokens) / makespan
-		rep.GoodRequestsPerSec = float64(rep.GoodRequests) / makespan
+	a := s.stream
+	if a == nil {
+		a = newStreamAccum(s.cfg.SketchAlpha)
+		for _, st := range s.kept {
+			switch st.phase {
+			case phaseFinished:
+				a.observe(outcome(st, s.cfg.TTFTSLOSec, s.cfg.TPOTSLOSec), st.req.Class)
+			case phaseDropped:
+				a.counts.Dropped++
+			}
+		}
 	}
+	a.rotate()
+	c := &a.counts
+	rep.Completed, rep.Dropped = c.Completed, c.Dropped
+	rep.Unfinished = s.submitted - c.Completed - c.Dropped
+	rep.CompletedByClass, rep.GoodTokensByClass = c.CompletedByClass, c.GoodTokensByClass
+	rep.GoodRequests, rep.GoodOutputTokens, rep.CompletedOutputTokens = c.GoodRequests, c.GoodOutputTokens, c.CompletedOutputTokens
+	rep.TotalTokens = s.producedTot
+	rep.Sketched, rep.SketchAlpha = true, a.alpha
+	rep.TTFTSketch, rep.TPOTSketch, rep.LatencySketch = a.ttft, a.tpot, a.lat
+	rep.finish()
+	// Epoch-size-invariant means (see streamAccum): override the sketch
+	// accumulators' grouping-dependent sums.
+	rep.TTFT.Mean = meanOr(a.ttftSum, a.ttft.Count())
+	rep.TPOT.Mean = meanOr(a.tpotSum, a.tpot.Count())
+	rep.Latency.Mean = meanOr(a.latSum, a.lat.Count())
 	return rep
 }
 
-// AdmitOrder is the sequence of request IDs in first-admission order.
-type AdmitOrder []int
+// outcome is a finished request's metrics and SLO verdict — the one place
+// they are computed, for the exact report, the sketch ledger and the
+// EvFinish event alike. Single-token requests have no decode phase: TPOT
+// is undefined for them (left zero), so it cannot fail its SLO.
+func outcome(st *reqState, ttftSLO, tpotSLO float64) RequestMetrics {
+	m := RequestMetrics{
+		ID:           st.req.ID,
+		TTFT:         st.firstTokenAt - st.req.ArrivalSec,
+		Latency:      st.finishedAt - st.req.ArrivalSec,
+		QueueDelay:   st.admittedAt - st.req.ArrivalSec,
+		OutputTokens: st.generated,
+		Preemptions:  st.preemptions,
+	}
+	tpotOK := true
+	if st.generated > 1 {
+		m.TPOT = (st.finishedAt - st.firstTokenAt) / float64(st.generated-1)
+		tpotOK = m.TPOT <= tpotSLO
+	}
+	m.SLOMet = m.TTFT <= ttftSLO && tpotOK
+	return m
+}
 
 // newNoise builds the replica noise stream. Parameters mirror the
 // single-request paths: GPUs jitter less and show no memory-encryption
@@ -1231,18 +1179,15 @@ func newNoise(be Backend, seed int64) *sim.Noise {
 	return sim.NewNoise(seed, hw.NoiseBase, hw.MemEncryptJitter, hw.OutlierProb, hw.OutlierScale)
 }
 
-// RunAudited is Run plus the FIFO admission audit trail: the order in
-// which requests were first admitted, for scheduling-invariant tests. It
-// drives one replica seeded with cfg.Seed whose arrivals come from its own
-// noise stream (see driver.go). Sketch-mode runs return a nil AdmitOrder —
-// the audit trail is exactly the per-request memory that mode avoids.
-func RunAudited(be Backend, cfg Config) (*Report, AdmitOrder, error) {
+// Run executes one serving simulation: one replica seeded with cfg.Seed
+// whose arrivals come from its own noise stream (see driver.go).
+func Run(be Backend, cfg Config) (*Report, error) {
 	if err := cfg.normalize(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	p := newPool(cfg)
 	if err := p.Add(0, be, cfg.Seed); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	s := p.reps[0]
 	var src *arrivalSource
@@ -1257,17 +1202,17 @@ func RunAudited(be Backend, cfg Config) (*Report, AdmitOrder, error) {
 		// arrivals epoch by epoch.
 		burn, err := newArrivalSource(cfg, s.noise.RNG())
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		for _, ok := burn.gen(); ok; _, ok = burn.gen() {
 		}
 		if src, err = newArrivalSource(cfg, rand.New(rand.NewSource(cfg.Seed))); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		s.stream = newStreamAccum(cfg.SketchAlpha)
 	} else {
 		if src, err = materialize(cfg, s.noise.RNG()); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		// The lone replica's ledger is the whole arrival block, in trace
 		// order.
@@ -1275,11 +1220,9 @@ func RunAudited(be Backend, cfg Config) (*Report, AdmitOrder, error) {
 		for i := range src.block {
 			s.kept[i] = &src.block[i]
 		}
-		s.audit = true
-		s.admitOrder = make([]int, 0, len(src.block))
 	}
 	if err := p.drive(src, lone{s}); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return s.report(), AdmitOrder(s.admitOrder), nil
+	return s.report(), nil
 }

@@ -13,6 +13,7 @@ package serve
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"cllm/internal/cloud"
@@ -604,8 +605,8 @@ type Report struct {
 	// GoodRequests counts completed requests that met the SLO,
 	// GoodOutputTokens sums their output tokens, and
 	// CompletedOutputTokens sums output tokens over all completed
-	// requests. Filled in both quantile modes (exact reports derive them
-	// from Requests), so consumers need not walk the per-request slice.
+	// requests. Filled in both quantile modes (see Report.count), so
+	// consumers need not walk the per-request slice.
 	GoodRequests          int
 	GoodOutputTokens      int
 	CompletedOutputTokens int
@@ -625,16 +626,7 @@ func (r *Report) SLOAttainment() float64 {
 	if offered == 0 {
 		return 0
 	}
-	if r.Sketched {
-		return float64(r.GoodRequests) / float64(offered)
-	}
-	good := 0
-	for _, m := range r.Requests {
-		if m.SLOMet {
-			good++
-		}
-	}
-	return float64(good) / float64(offered)
+	return float64(r.GoodRequests) / float64(offered)
 }
 
 // CostAtSLO prices SLO-compliant serving of the offered load.
@@ -659,18 +651,7 @@ func (r *Report) CostAtSLO(hourlyPerReplica float64) (*CostAtSLO, error) {
 	}
 	meanOut := 0.0
 	if r.Completed > 0 {
-		if r.Sketched {
-			// Integer token sums stay exact in float64 far past 10⁸
-			// requests, so this equals the exact-mode loop bit for bit.
-			meanOut = float64(r.CompletedOutputTokens) / float64(r.Completed)
-		} else {
-			n := 0
-			for _, m := range r.Requests {
-				meanOut += float64(m.OutputTokens)
-				n++
-			}
-			meanOut /= float64(n)
-		}
+		meanOut = float64(r.CompletedOutputTokens) / float64(r.Completed)
 	}
 	offeredTokens := r.OfferedRate * meanOut
 	usd, err := cloud.ServingCost(hourlyPerReplica, replicas, offeredTokens)
@@ -684,16 +665,68 @@ func (r *Report) CostAtSLO(hourlyPerReplica float64) (*CostAtSLO, error) {
 	}, nil
 }
 
-// quantiles computes the summary of a sample set.
+// count folds one completed request's outcome into the report's
+// completion and goodput counters — the only place they are updated, for
+// exact reports and the sketch-mode ledger alike.
+func (r *Report) count(m RequestMetrics, class RequestClass) {
+	r.Completed++
+	r.CompletedByClass[class]++
+	r.CompletedOutputTokens += m.OutputTokens
+	if m.SLOMet {
+		r.GoodRequests++
+		r.GoodOutputTokens += m.OutputTokens
+		r.GoodTokensByClass[class] += m.OutputTokens
+	}
+}
+
+// finish derives the report's rates from its counters and makespan, and
+// its latency quantiles from the per-request outcomes (exact) or the
+// streaming sketches (sketched). Every Report — per replica or merged —
+// is finished here.
+func (r *Report) finish() {
+	if r.MakespanSec > 0 {
+		r.TokensPerSec = float64(r.TotalTokens) / r.MakespanSec
+		r.GoodputTokensPerSec = float64(r.GoodOutputTokens) / r.MakespanSec
+		r.GoodRequestsPerSec = float64(r.GoodRequests) / r.MakespanSec
+	}
+	if r.Sketched {
+		r.TTFT = sketchQuantiles(r.TTFTSketch)
+		r.TPOT = sketchQuantiles(r.TPOTSketch)
+		r.Latency = sketchQuantiles(r.LatencySketch)
+		return
+	}
+	xs := make([]float64, len(r.Requests))
+	for i, m := range r.Requests {
+		xs[i] = m.TTFT
+	}
+	r.TTFT = quantiles(xs)
+	for i, m := range r.Requests {
+		xs[i] = m.Latency
+	}
+	r.Latency = quantiles(xs)
+	// Single-token requests have no decode phase, so no TPOT sample.
+	xs = xs[:0]
+	for _, m := range r.Requests {
+		if m.OutputTokens > 1 {
+			xs = append(xs, m.TPOT)
+		}
+	}
+	r.TPOT = quantiles(xs)
+}
+
+// quantiles summarizes a sample set: the mean in sample order, then the
+// interpolated percentiles of stats.PercentileSorted. It sorts xs in place.
 func quantiles(xs []float64) Quantiles {
 	if len(xs) == 0 {
 		return Quantiles{}
 	}
+	mean := stats.Mean(xs)
+	sort.Float64s(xs)
 	return Quantiles{
-		Mean: stats.Mean(xs),
-		P50:  stats.Percentile(xs, 50),
-		P95:  stats.Percentile(xs, 95),
-		P99:  stats.Percentile(xs, 99),
+		Mean: mean,
+		P50:  stats.PercentileSorted(xs, 50),
+		P95:  stats.PercentileSorted(xs, 95),
+		P99:  stats.PercentileSorted(xs, 99),
 	}
 }
 

@@ -104,7 +104,7 @@ func TestServeFIFOAdmissionUnderOverload(t *testing.T) {
 		tr = append(tr, Request{ID: i, ArrivalSec: float64(i) * 1e-4, InputLen: 64, OutputLen: 8})
 	}
 	cfg := Config{Workload: trace.Workload{Model: tinyModel(), Kind: dtype.BF16}, Trace: tr, MaxBatch: 4, Seed: 1}
-	rep, order, err := RunAudited(cpuBackend(tee.Baremetal()), cfg)
+	rep, order, err := runAudited(cpuBackend(tee.Baremetal()), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -654,6 +654,7 @@ func TestMergeReportsCountersAndQuantiles(t *testing.T) {
 		KVBlocksTotal: 100, PeakKVBlocksInUse: 60, KVBlocksInUseAtEnd: 2, KVBlocksCachedAtEnd: 5,
 		PrefixCacheHitTokens: 32, PrefixCacheMissTokens: 64, EvictedBlocks: 3,
 		SwapOuts: 2, SwapIns: 1, SwapPoolBlocks: 50, PeakSwapBlocksInUse: 20, SwapBlocksAtEnd: 4,
+		GoodRequests: 2, GoodOutputTokens: 21, CompletedOutputTokens: 51,
 		Requests: []RequestMetrics{
 			{ID: 0, TTFT: 0.2, TPOT: 0.05, Latency: 1.0, OutputTokens: 20, SLOMet: true},
 			{ID: 1, TTFT: 0.4, TPOT: 0.10, Latency: 2.0, OutputTokens: 30, SLOMet: false},
@@ -666,6 +667,7 @@ func TestMergeReportsCountersAndQuantiles(t *testing.T) {
 		KVBlocksTotal: 100, PeakKVBlocksInUse: 40, KVBlocksInUseAtEnd: 1, KVBlocksCachedAtEnd: 7,
 		PrefixCacheHitTokens: 8, PrefixCacheMissTokens: 16, EvictedBlocks: 2,
 		SwapOuts: 3, SwapIns: 3, SwapPoolBlocks: 50, PeakSwapBlocksInUse: 30, SwapBlocksAtEnd: 0,
+		GoodRequests: 1, GoodOutputTokens: 25, CompletedOutputTokens: 60,
 		Requests: []RequestMetrics{
 			{ID: 3, TTFT: 0.3, TPOT: 0.07, Latency: 1.5, OutputTokens: 25, SLOMet: true},
 			{ID: 4, TTFT: 0.6, TPOT: 0.20, Latency: 3.0, OutputTokens: 35, SLOMet: false},
@@ -686,6 +688,8 @@ func TestMergeReportsCountersAndQuantiles(t *testing.T) {
 		{"SwapOuts", agg.SwapOuts, 5}, {"SwapIns", agg.SwapIns, 4},
 		{"SwapPoolBlocks", agg.SwapPoolBlocks, 100}, {"PeakSwapBlocksInUse", agg.PeakSwapBlocksInUse, 50},
 		{"SwapBlocksAtEnd", agg.SwapBlocksAtEnd, 4},
+		{"GoodRequests", agg.GoodRequests, 3}, {"GoodOutputTokens", agg.GoodOutputTokens, 46},
+		{"CompletedOutputTokens", agg.CompletedOutputTokens, 111},
 	}
 	for _, c := range intChecks {
 		if c.got != c.want {

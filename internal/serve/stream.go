@@ -22,12 +22,9 @@ type streamAccum struct {
 	// invariant to the epoch size (per-epoch sketch sums would regroup
 	// float additions when the epoch size changes).
 	ttftSum, tpotSum, latSum float64
-	tpotCount                int64
-
-	completed, dropped                    int
-	goodReqs, goodTokens, completedTokens int
-	completedByClass                      [NumClasses]int
-	goodTokensByClass                     [NumClasses]int
+	// counts holds the completion, drop and goodput counters (see
+	// Report.count); its other fields stay zero.
+	counts Report
 }
 
 func newStreamAccum(alpha float64) *streamAccum {
@@ -47,34 +44,19 @@ func newStreamAccum(alpha float64) *streamAccum {
 	}
 }
 
-// observe folds one finished request into the current epoch, with the
-// same SLO arithmetic the exact report applies to retained states.
-func (a *streamAccum) observe(st *reqState, ttftSLO, tpotSLO float64) {
-	ttft := st.firstTokenAt - st.req.ArrivalSec
-	lat := st.finishedAt - st.req.ArrivalSec
+// observe folds one finished request's outcome into the current epoch.
+func (a *streamAccum) observe(m RequestMetrics, class RequestClass) {
 	// Simulated times are finite by construction, so Add cannot fail.
-	_ = a.epochTTFT.Add(ttft)
-	_ = a.epochLat.Add(lat)
-	a.ttftSum += ttft
-	a.latSum += lat
-	// Single-token requests have no decode phase: TPOT is undefined for
-	// them, so they neither join the TPOT sketch nor can fail its SLO.
-	tpotOK := true
-	if st.generated > 1 {
-		tpot := (st.finishedAt - st.firstTokenAt) / float64(st.generated-1)
-		tpotOK = tpot <= tpotSLO
-		_ = a.epochTPOT.Add(tpot)
-		a.tpotSum += tpot
-		a.tpotCount++
+	_ = a.epochTTFT.Add(m.TTFT)
+	_ = a.epochLat.Add(m.Latency)
+	a.ttftSum += m.TTFT
+	a.latSum += m.Latency
+	// Single-token requests have no decode phase, so no TPOT sample.
+	if m.OutputTokens > 1 {
+		_ = a.epochTPOT.Add(m.TPOT)
+		a.tpotSum += m.TPOT
 	}
-	a.completed++
-	a.completedTokens += st.generated
-	a.completedByClass[st.req.Class]++
-	if ttft <= ttftSLO && tpotOK {
-		a.goodReqs++
-		a.goodTokens += st.generated
-		a.goodTokensByClass[st.req.Class] += st.generated
-	}
+	a.counts.count(m, class)
 }
 
 // rotate merges the finished epoch's sketches into the cumulative ones

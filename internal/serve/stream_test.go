@@ -18,10 +18,10 @@ import (
 )
 
 // runExactSharded runs cfg through the epoch-sharded exact path.
-func runExactSharded(t *testing.T, cfg Config, epoch int) (*Report, AdmitOrder) {
+func runExactSharded(t *testing.T, cfg Config, epoch int) (*Report, []int) {
 	t.Helper()
 	cfg.EpochRequests = epoch
-	rep, order, err := RunAudited(cpuBackend(tee.TDX()), cfg)
+	rep, order, err := runAudited(cpuBackend(tee.TDX()), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestShardedExactGolden(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			wantRep, wantOrder, err := RunAudited(cpuBackend(tee.TDX()), tc.cfg)
+			wantRep, wantOrder, err := runAudited(cpuBackend(tee.TDX()), tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -215,16 +215,16 @@ func TestShardedRejectsUnsortedTrace(t *testing.T) {
 		{ID: 0, ArrivalSec: 1.0, InputLen: 64, OutputLen: 8},
 		{ID: 1, ArrivalSec: 0.5, InputLen: 64, OutputLen: 8},
 	}
-	if _, _, err := RunAudited(cpuBackend(tee.TDX()), cfg); err != nil {
+	if _, err := Run(cpuBackend(tee.TDX()), cfg); err != nil {
 		t.Fatalf("monolithic run rejected unsorted trace: %v", err)
 	}
 	cfg.EpochRequests = 1
-	if _, _, err := RunAudited(cpuBackend(tee.TDX()), cfg); err == nil {
+	if _, err := Run(cpuBackend(tee.TDX()), cfg); err == nil {
 		t.Fatal("sharded exact run accepted an unsorted trace")
 	}
 	cfg.EpochRequests = 0
 	cfg.QuantileMode = QuantileSketch
-	if _, _, err := RunAudited(cpuBackend(tee.TDX()), cfg); err == nil {
+	if _, err := Run(cpuBackend(tee.TDX()), cfg); err == nil {
 		t.Fatal("sketch run accepted an unsorted trace")
 	}
 }
@@ -234,12 +234,9 @@ func runSketch(t *testing.T, cfg Config, epoch int) *Report {
 	t.Helper()
 	cfg.QuantileMode = QuantileSketch
 	cfg.EpochRequests = epoch
-	rep, order, err := RunAudited(cpuBackend(tee.TDX()), cfg)
+	rep, err := Run(cpuBackend(tee.TDX()), cfg)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if order != nil {
-		t.Fatalf("sketch run returned an admission audit of %d entries; the bounded-memory mode must not retain one", len(order))
 	}
 	if !rep.Sketched || rep.SketchAlpha <= 0 {
 		t.Fatalf("report not marked sketched: Sketched=%v alpha=%g", rep.Sketched, rep.SketchAlpha)
@@ -331,7 +328,7 @@ func TestSketchMatchesExactRun(t *testing.T) {
 		{"overload-drops", tinyConfig(500, 800)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			exact, _, err := RunAudited(cpuBackend(tee.TDX()), tc.cfg)
+			exact, err := Run(cpuBackend(tee.TDX()), tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -505,18 +502,14 @@ func TestFleetSketchMatchesExact(t *testing.T) {
 			t.Errorf("merged latency p%g: sketch %g vs exact %g (rel err %.4g)", 100*q, got, want, rel)
 		}
 	}
-	// Mixed merge: one sketched replica report plus one exact one still
-	// yields a sketched aggregate with conserved counters.
-	mixed := MergeReports(cfg.Rate, []*Report{sketched.PerReplica[0], exact.PerReplica[1]})
-	if !mixed.Sketched {
-		t.Fatal("mixed merge lost sketch mode")
-	}
-	if want := exact.PerReplica[0].Completed + exact.PerReplica[1].Completed; mixed.Completed != want {
-		t.Fatalf("mixed merge completed %d, want %d", mixed.Completed, want)
-	}
-	if want := int64(len(exact.PerReplica[0].Requests) + len(exact.PerReplica[1].Requests)); mixed.LatencySketch.Count() != want {
-		t.Fatalf("mixed merge latency sketch holds %d samples, want %d", mixed.LatencySketch.Count(), want)
-	}
+	// The replicas of one run share a quantile mode: a mixed merge has no
+	// lossless answer and panics, like a mismatched alpha.
+	defer func() {
+		if recover() == nil {
+			t.Fatal("mixed exact+sketched merge did not panic")
+		}
+	}()
+	MergeReports(cfg.Rate, []*Report{sketched.PerReplica[0], exact.PerReplica[1]})
 }
 
 // heapHighWater samples HeapAlloc while fn runs and returns the peak.

@@ -18,7 +18,7 @@ import (
 func TestSwapPreemptionKeepsInvariants(t *testing.T) {
 	be, cfg := preemptionHeavyConfig()
 	cfg.PreemptPolicy = PreemptSwap
-	rep, order, err := RunAudited(be, cfg)
+	rep, order, err := runAudited(be, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestSwapPreemptionKeepsInvariants(t *testing.T) {
 	if !sort.IntsAreSorted([]int(order)) {
 		t.Fatalf("admission order not FIFO under swap: %v", order)
 	}
-	rep2, order2, err := RunAudited(be, cfg)
+	rep2, order2, err := runAudited(be, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,13 +37,19 @@ func StdDev(xs []float64) float64 {
 }
 
 // Percentile returns the p-th percentile (0..100) using linear
-// interpolation between closest ranks.
+// interpolation between closest ranks. It sorts a copy of xs.
 func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
+	return PercentileSorted(sorted, p)
+}
+
+// PercentileSorted is Percentile over samples already sorted ascending;
+// it neither copies nor allocates.
+func PercentileSorted(sorted []float64, p float64) float64 {
+	if len(sorted) == 0 {
+		return 0
+	}
 	if p <= 0 {
 		return sorted[0]
 	}
@@ -102,9 +108,9 @@ func Summarize(xs []float64) Summary {
 		Mean: Mean(xs),
 		Std:  StdDev(xs),
 		Min:  sorted[0],
-		P25:  Percentile(xs, 25),
-		P50:  Percentile(xs, 50),
-		P75:  Percentile(xs, 75),
+		P25:  PercentileSorted(sorted, 25),
+		P50:  PercentileSorted(sorted, 50),
+		P75:  PercentileSorted(sorted, 75),
 		Max:  sorted[len(sorted)-1],
 	}
 }
@@ -149,19 +155,4 @@ func LinearFit(xs, ys []float64) (slope, intercept float64, err error) {
 	}
 	slope = num / den
 	return slope, my - slope*mx, nil
-}
-
-// GeoMean returns the geometric mean of positive samples.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
 }

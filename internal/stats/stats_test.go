@@ -124,18 +124,6 @@ func TestLinearFit(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	if g := GeoMean([]float64{1, 4}); math.Abs(g-2) > 1e-12 {
-		t.Errorf("GeoMean = %g, want 2", g)
-	}
-	if GeoMean([]float64{1, -1}) != 0 {
-		t.Error("GeoMean with negative input not guarded")
-	}
-	if GeoMean(nil) != 0 {
-		t.Error("GeoMean(nil) != 0")
-	}
-}
-
 func TestFilterZScoreProperty(t *testing.T) {
 	// Filtering never increases the spread.
 	if err := quick.Check(func(xs []float64) bool {

@@ -43,9 +43,6 @@ func FromSlice(data []float32, shape ...int) (*Tensor, error) {
 // NumElements returns the total element count.
 func (t *Tensor) NumElements() int { return len(t.Data) }
 
-// Dim returns shape[i].
-func (t *Tensor) Dim(i int) int { return t.Shape[i] }
-
 // At returns the element at the given indices (2-D only, convenience).
 func (t *Tensor) At(i, j int) float32 {
 	return t.Data[i*t.Shape[1]+j]
