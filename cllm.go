@@ -52,7 +52,7 @@ type Session struct {
 	manifest *gramine.Manifest
 
 	// costers caches one memoized step-costing table per serving
-	// deployment shape (model × dtype × sockets × cost bucket), so
+	// deployment shape (model × dtype × sockets), so
 	// repeated Serve calls — rate sweeps, benchmark loops — re-cost
 	// identical scheduler iterations from a table instead of re-walking the
 	// roofline. Purely a cache: memoized keys return bit-identical floats,

@@ -294,11 +294,6 @@ func flagTable(o *options) []flagSpec {
 			},
 		},
 		{
-			name:  "cost-bucket",
-			usage: "step-costing quantization width in tokens (1 = exact; larger buckets trade bounded modeled-time error for memo hits in big sweeps)",
-			add:   func(fs *flag.FlagSet, n, u string) { fs.IntVar(&o.cfg.CostBucket, n, 1, u) },
-		},
-		{
 			name:    "quantile-mode",
 			usage:   "latency quantile computation: exact (per-request samples, sorted) or sketch (streaming DDSketch + epoch-sharded simulation — flat memory at any request count) (default exact)",
 			add:     parsed(&o.cfg.QuantileMode, serve.ParseQuantileMode),

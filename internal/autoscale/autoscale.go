@@ -18,7 +18,6 @@ import (
 	"math"
 	"sort"
 
-	"cllm/internal/par"
 	"cllm/internal/serve"
 	"cllm/internal/trace"
 )
@@ -116,13 +115,6 @@ type Config struct {
 	// burst edges: fewer cold starts and less capacity flapping, at the
 	// cost of reacting a window or two late to sustained shifts.
 	DemandAlpha float64
-	// Workers bounds concurrent evaluation of independent sub-simulations —
-	// the per-class capacity probes, each on its own engine with its own
-	// seed. Probe results are assigned by class index and any error is
-	// reported for the lowest erroring class, so every worker count
-	// produces the identical report (tests assert serial/parallel equality).
-	// Default (<= 1) keeps everything on the caller's goroutine.
-	Workers int
 }
 
 // scaleDownHoldIntervals is how many control periods a class must stay
@@ -236,10 +228,8 @@ func ProbeCapacity(be serve.Backend, scfg serve.Config) (float64, error) {
 		}
 	}
 	cfg.Scenario = nil
-	// Probes are synthetic side-simulations, possibly run concurrently
-	// (Workers > 1): never feed them to the run's observer — it is not
-	// safe for concurrent use and its timeline should hold only the real
-	// fleet's events.
+	// Probes are synthetic side-simulations: never feed them to the run's
+	// observer — its timeline should hold only the real fleet's events.
 	cfg.Observer = nil
 	// A capacity probe measures the healthy saturated rate: fault injection,
 	// admission shedding and retries would contaminate it with downtime and
@@ -276,29 +266,19 @@ func ProbeCapacity(be serve.Backend, scfg serve.Config) (float64, error) {
 }
 
 // probeCapacities fills missing per-class capacities, probing classes
-// concurrently when cfg.Workers > 1. Each probe is an independent
-// simulation on its own engine; results land by class index and the error
-// reported is the lowest erroring class's, so the outcome is identical at
-// any worker count.
+// one at a time in class order.
 func probeCapacities(cls []Class, cfg Config) error {
-	need := make([]int, 0, len(cls))
 	for i := range cls {
-		if cls[i].CapacityReqPerSec <= 0 {
-			need = append(need, i)
+		if cls[i].CapacityReqPerSec > 0 {
+			continue
 		}
-	}
-	if len(need) == 0 {
-		return nil
-	}
-	return par.For(cfg.Workers, len(need), func(j int) error {
-		i := need[j]
 		cap, err := ProbeCapacity(cls[i].Backend, cfg.Serve)
 		if err != nil {
 			return fmt.Errorf("autoscale: class %s: %w", cls[i].Name, err)
 		}
 		cls[i].CapacityReqPerSec = cap
-		return nil
-	})
+	}
+	return nil
 }
 
 // slot is one provisionable replica instance. Its scheduler is built

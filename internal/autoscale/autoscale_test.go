@@ -245,28 +245,6 @@ func sgxPlatform() (tee.Platform, error) {
 	return tee.SGX(gramine.DefaultManifest("/models/llama2.bin", 192<<30, 64))
 }
 
-// TestRunParallelProbesMatchSerial: probing class capacities on a worker
-// pool must produce the identical report a serial run does — probes are
-// independent simulations assigned by class index.
-func TestRunParallelProbesMatchSerial(t *testing.T) {
-	classes := []Class{
-		{Name: "tdx", Backend: testBackend(tee.TDX()), HourlyUSD: 0.83, ColdStartSec: 12, Min: 1, Max: 3},
-		{Name: "bm", Backend: testBackend(tee.Baremetal()), HourlyUSD: 1.1, Min: 0, Max: 2},
-	}
-	serial, err := Run(classes, Config{Serve: testServeConfig(t, 48), IntervalSec: 10, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := Run(classes, Config{Serve: testServeConfig(t, 48), IntervalSec: 10, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatalf("parallel-probed report differs from serial:\nserial  %+v\nparallel %+v",
-			serial.Aggregate, parallel.Aggregate)
-	}
-}
-
 // TestDemandAlphaDefaultBitIdentical: DemandAlpha 0 (default) and an
 // explicit 1 are the pure reactive estimator — the whole report must be
 // bit-identical to a run that never heard of smoothing.
@@ -347,7 +325,7 @@ func TestAutoscaleObserver(t *testing.T) {
 		Name: "tdx", Backend: testBackend(tee.TDX()), HourlyUSD: 0.83,
 		ColdStartSec: 1, Min: 2, Max: 4,
 	}}
-	rep, err := Run(classes, Config{Serve: scfg, IntervalSec: 10, TargetUtil: 0.6, Workers: 4})
+	rep, err := Run(classes, Config{Serve: scfg, IntervalSec: 10, TargetUtil: 0.6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +357,7 @@ func TestAutoscalePhaseConservation(t *testing.T) {
 		Name: "tdx", Backend: testBackend(tee.TDX()), HourlyUSD: 0.83,
 		ColdStartSec: 1, Min: 2, Max: 4,
 	}}
-	rep, err := Run(classes, Config{Serve: scfg, IntervalSec: 10, TargetUtil: 0.6, Workers: 4})
+	rep, err := Run(classes, Config{Serve: scfg, IntervalSec: 10, TargetUtil: 0.6})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -269,7 +269,7 @@ func runFleet(o Options) (*Result, error) {
 	// reaches 95% at the offered rate, replica interference included.
 	// Candidate sizes are speculated on the worker pool; the answer is
 	// byte-identical to the serial search.
-	n, sized, err := serve.SizeFleetForSLOParallel(be, cfg, serve.PrefixAffinity, 0.95, 8, o.workers())
+	n, sized, err := serve.SizeFleetForSLO(be, cfg, serve.PrefixAffinity, 0.95, 8, o.workers())
 	if err != nil {
 		return nil, err
 	}

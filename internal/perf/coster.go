@@ -21,37 +21,27 @@ import (
 // builds the block-structured trace (trace.StepTrace: embedding, one
 // decoder block, head) on the stack and costs its 8 distinct operators,
 // adding the block's durations once per layer; it allocates nothing beyond
-// the map entry and takes the write lock only to insert the value.
-//
-// Bucket controls shape quantization: context and history (and shared
-// tokens) are mapped to their bucket's midpoint before lookup. Bucket 1 is
-// exact — every shape is costed at its true value through the same code
-// path as CPUStepTime/GPUStepTime, so results are bit-identical to the
-// unmemoized model. Bucket b > 1 trades accuracy for hit rate: the modeled
-// step time is monotone in context, so the relative error of costing a
-// context at its bucket midpoint is bounded by the step time's relative
-// span across the bucket — at most t(ctx+b)/t(ctx)−1, which shrinks as
-// ctx/b grows because only the attention terms scale with context (the
-// property test asserts < 5% at ctx ≥ 8×bucket). Chunk tokens are never
-// bucketed: the chunk is the dominant term of a prefill step's cost.
+// the map entry and takes the write lock only to insert the value. Every
+// shape is costed at its true value through the same code path as
+// CPUStepTime/GPUStepTime, so results are bit-identical to the unmemoized
+// model.
 //
 // A StepCoster is safe for concurrent use (parallel fleet-sizing and
 // autoscale sweeps share one across workers); identical keys always memoize
 // identical float64s, so sharing cannot perturb determinism.
 type StepCoster struct {
-	isGPU  bool
-	cpu    CPURun // normalized once; Workload swapped per query
-	gpu    GPURun
-	bucket int
-	model  trace.Workload // Model/Kind template for query workloads
+	isGPU bool
+	cpu   CPURun // normalized once; Workload swapped per query
+	gpu   GPURun
+	model trace.Workload // Model/Kind template for query workloads
 
 	mu     sync.RWMutex
 	decode map[costKey]float64
 	chunk  map[costKey]float64
-	swap   map[int]float64 // bucketed token count → transfer seconds
+	swap   map[int]float64 // token count → transfer seconds
 }
 
-// costKey identifies one step shape after bucketing.
+// costKey identifies one step shape.
 type costKey struct{ batch, a, b int }
 
 // maxCostEntries bounds each memo table; a sweep that somehow produces more
@@ -61,8 +51,8 @@ const maxCostEntries = 1 << 17
 
 // NewCPUStepCoster builds a memoized step coster for a CPU deployment.
 // cfg.Workload supplies the model and datatype; its batch/length fields are
-// ignored (queries carry their own shapes). bucket <= 1 means exact.
-func NewCPUStepCoster(cfg CPURun, bucket int) (*StepCoster, error) {
+// ignored (queries carry their own shapes).
+func NewCPUStepCoster(cfg CPURun) (*StepCoster, error) {
 	probe := cfg
 	probe.Workload = queryWorkload(cfg.Workload, 1, 1)
 	if err := probe.normalize(); err != nil {
@@ -70,7 +60,6 @@ func NewCPUStepCoster(cfg CPURun, bucket int) (*StepCoster, error) {
 	}
 	return &StepCoster{
 		cpu:    probe,
-		bucket: normBucket(bucket),
 		model:  probe.Workload,
 		decode: make(map[costKey]float64),
 		chunk:  make(map[costKey]float64),
@@ -79,7 +68,7 @@ func NewCPUStepCoster(cfg CPURun, bucket int) (*StepCoster, error) {
 }
 
 // NewGPUStepCoster builds a memoized step coster for a GPU deployment.
-func NewGPUStepCoster(cfg GPURun, bucket int) (*StepCoster, error) {
+func NewGPUStepCoster(cfg GPURun) (*StepCoster, error) {
 	probe := cfg
 	probe.Workload = queryWorkload(cfg.Workload, 1, 1)
 	if err := probe.Workload.Validate(); err != nil {
@@ -88,7 +77,6 @@ func NewGPUStepCoster(cfg GPURun, bucket int) (*StepCoster, error) {
 	return &StepCoster{
 		isGPU:  true,
 		gpu:    probe,
-		bucket: normBucket(bucket),
 		model:  probe.Workload,
 		decode: make(map[costKey]float64),
 		chunk:  make(map[costKey]float64),
@@ -96,23 +84,13 @@ func NewGPUStepCoster(cfg GPURun, bucket int) (*StepCoster, error) {
 	}, nil
 }
 
-// Bucket reports the quantization width the coster was built with.
-func (c *StepCoster) Bucket() int { return c.bucket }
-
 // CompatibleWith reports whether the coster's memo keys mean the same
-// thing under the given model, datatype and bucket width — the three
-// inputs that shape every cached value. Callers sharing a coster across
-// runs must hold this invariant; the serving scheduler enforces it so a
-// table built for one model can never silently price another.
-func (c *StepCoster) CompatibleWith(m model.Config, kind dtype.Kind, bucket int) bool {
-	return c.model.Model == m && c.model.Kind == kind && c.bucket == normBucket(bucket)
-}
-
-func normBucket(b int) int {
-	if b < 1 {
-		return 1
-	}
-	return b
+// thing under the given model and datatype — the inputs that shape every
+// cached value. Callers sharing a coster across runs must hold this
+// invariant; the serving scheduler enforces it so a table built for one
+// model can never silently price another.
+func (c *StepCoster) CompatibleWith(m model.Config, kind dtype.Kind) bool {
+	return c.model.Model == m && c.model.Kind == kind
 }
 
 // queryWorkload shapes one step's workload on the coster's model template.
@@ -121,19 +99,6 @@ func queryWorkload(tmpl trace.Workload, batch, inputLen int) trace.Workload {
 		Model: tmpl.Model, Kind: tmpl.Kind,
 		Batch: batch, Beam: 1, InputLen: inputLen, OutputLen: 1,
 	}
-}
-
-// bucketOf maps a non-negative token count to its bucket's midpoint; width
-// 1 is the identity. Values inside the first bucket are kept exact: there
-// the midpoint's absolute offset is a large *relative* error (and 0 must
-// stay 0 — no phantom shared tokens or cached history when a feature is
-// simply off), while the shapes bucketing exists to collapse — long
-// contexts and histories — all live far above the width.
-func bucketOf(v, width int) int {
-	if width <= 1 || v < width {
-		return v
-	}
-	return (v/width)*width + (width-1)/2
 }
 
 // DecodeTime costs one decode step over a batch whose mean per-row context
@@ -153,19 +118,6 @@ func (c *StepCoster) DecodeTime(batch, meanCtx, sharedTokens int) (float64, erro
 	}
 	if sharedTokens < 0 {
 		sharedTokens = 0
-	}
-	if c.bucket > 1 {
-		meanCtx = bucketOf(meanCtx, c.bucket)
-		if meanCtx < 1 {
-			meanCtx = 1
-		}
-		if max := c.model.Model.ContextLen - 1; meanCtx > max {
-			meanCtx = max
-		}
-		sharedTokens = bucketOf(sharedTokens, c.bucket)
-		if sharedTokens > meanCtx*batch {
-			sharedTokens = meanCtx * batch
-		}
 	}
 	key := costKey{batch: batch, a: meanCtx, b: sharedTokens}
 	c.mu.RLock()
@@ -188,7 +140,7 @@ func (c *StepCoster) DecodeTime(batch, meanCtx, sharedTokens int) (float64, erro
 }
 
 // decodeCost is DecodeTime's miss path: build and cost one decode step
-// shape, already clamped and bucketed.
+// shape, already clamped.
 func (c *StepCoster) decodeCost(batch, ctx, sharedTokens int) (float64, error) {
 	wl := queryWorkload(c.model, batch, ctx)
 	st, err := trace.DecodeStep(wl, ctx)
@@ -202,7 +154,7 @@ func (c *StepCoster) decodeCost(batch, ctx, sharedTokens int) (float64, error) {
 // ChunkTime costs one batched prefill-chunk step: batch rows each computing
 // chunkTokens new prompt tokens on top of hist cached ones. Clamping
 // mirrors the serving scheduler: chunk in [1, ContextLen-1], history in
-// [0, ContextLen-1-chunk]. Only the history is bucketed.
+// [0, ContextLen-1-chunk].
 func (c *StepCoster) ChunkTime(batch, chunkTokens, hist int) (float64, error) {
 	if batch < 1 {
 		return 0, fmt.Errorf("perf: chunk batch %d must be positive", batch)
@@ -218,12 +170,6 @@ func (c *StepCoster) ChunkTime(batch, chunkTokens, hist int) (float64, error) {
 	}
 	if max := c.model.Model.ContextLen - 1 - chunkTokens; hist > max {
 		hist = max
-	}
-	if c.bucket > 1 {
-		hist = bucketOf(hist, c.bucket)
-		if max := c.model.Model.ContextLen - 1 - chunkTokens; hist > max {
-			hist = max
-		}
 	}
 	key := costKey{batch: batch, a: chunkTokens, b: hist}
 	c.mu.RLock()
@@ -246,7 +192,7 @@ func (c *StepCoster) ChunkTime(batch, chunkTokens, hist int) (float64, error) {
 }
 
 // chunkCost is ChunkTime's miss path: build and cost one prefill-chunk
-// step shape, already clamped and bucketed.
+// step shape, already clamped.
 func (c *StepCoster) chunkCost(batch, chunkTokens, hist int) (float64, error) {
 	wl := queryWorkload(c.model, batch, chunkTokens)
 	st, err := trace.PrefillChunkStep(wl, hist)
@@ -264,20 +210,13 @@ func (c *StepCoster) chunkCost(batch, chunkTokens, hist int) (float64, error) {
 // behind the inline encryption engine on CPUs (near-native on TDX/SGX).
 // Each transfer also pays one dispatch: a DMA setup / kernel launch on
 // GPUs (encrypted command buffers under cGPU), an operator dispatch plus
-// the TEE per-op cost on CPUs. Token counts are bucketed like decode
-// contexts; zero tokens cost exactly zero.
+// the TEE per-op cost on CPUs. Zero tokens cost exactly zero.
 func (c *StepCoster) SwapTime(tokens int) (float64, error) {
 	if tokens < 0 {
 		return 0, fmt.Errorf("perf: swap of %d tokens", tokens)
 	}
 	if tokens == 0 {
 		return 0, nil
-	}
-	if c.bucket > 1 {
-		tokens = bucketOf(tokens, c.bucket)
-		if tokens < 1 {
-			tokens = 1
-		}
 	}
 	c.mu.RLock()
 	t, ok := c.swap[tokens]

@@ -1,7 +1,6 @@
 package perf
 
 import (
-	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -27,7 +26,7 @@ func costerCPURun(t *testing.T) CPURun {
 
 // exactDecodeTime reproduces the serving scheduler's pre-coster costing
 // path verbatim: build the step trace, flag shared bytes, walk the
-// roofline. The coster at bucket 1 must match it bit for bit.
+// roofline. The coster must match it bit for bit.
 func exactDecodeTime(t *testing.T, cfg CPURun, batch, meanCtx, shared int) float64 {
 	t.Helper()
 	wl := trace.Workload{Model: cfg.Workload.Model, Kind: cfg.Workload.Kind,
@@ -46,13 +45,12 @@ func exactDecodeTime(t *testing.T, cfg CPURun, batch, meanCtx, shared int) float
 	return got
 }
 
-// TestStepCosterExactAtBucketOne: with bucket 1 the memoized coster is the
-// identity over the unmemoized cost model — bit-identical float64s for
+// TestStepCosterExactAtBucketOne: the memoized coster is the identity over the unmemoized cost model — bit-identical float64s for
 // randomized decode and chunk shapes, on first computation and on table
 // hits.
 func TestStepCosterExactAtBucketOne(t *testing.T) {
 	cfg := costerCPURun(t)
-	c, err := NewCPUStepCoster(cfg, 1)
+	c, err := NewCPUStepCoster(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +105,7 @@ func TestStepCosterExactAtBucketOneGPU(t *testing.T) {
 	}
 	cfg := GPURun{GPU: hw.H100NVL(), Platform: tee.CGPU(),
 		Workload: trace.Workload{Model: m, Kind: dtype.BF16}}
-	c, err := NewGPUStepCoster(cfg, 1)
+	c, err := NewGPUStepCoster(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +138,7 @@ func TestStepCosterExactAtBucketOneGPU(t *testing.T) {
 // way the serving scheduler clamped them before costing.
 func TestStepCosterClampsLikeScheduler(t *testing.T) {
 	cfg := costerCPURun(t)
-	c, err := NewCPUStepCoster(cfg, 1)
+	c, err := NewCPUStepCoster(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,56 +170,16 @@ func TestStepCosterClampsLikeScheduler(t *testing.T) {
 	}
 }
 
-// TestStepCosterBucketedErrorBound: the documented accuracy contract —
-// costing a context at its bucket midpoint keeps the relative error of the
-// modeled decode step time under 5% once ctx >= 8×bucket (only the
-// attention terms scale with context, so the error shrinks as ctx/bucket
-// grows).
-func TestStepCosterBucketedErrorBound(t *testing.T) {
-	cfg := costerCPURun(t)
-	const bucket = 32
-	c, err := NewCPUStepCoster(cfg, bucket)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Bucket() != bucket {
-		t.Fatalf("Bucket() = %d, want %d", c.Bucket(), bucket)
-	}
-	rng := rand.New(rand.NewSource(13))
-	worst := 0.0
-	for i := 0; i < 300; i++ {
-		batch := rng.Intn(32) + 1
-		ctx := 8*bucket + rng.Intn(3000)
-		if ctx > cfg.Workload.Model.ContextLen-1 {
-			ctx = cfg.Workload.Model.ContextLen - 1
-		}
-		exact := exactDecodeTime(t, cfg, batch, ctx, 0)
-		got, err := c.DecodeTime(batch, ctx, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rel := math.Abs(got-exact) / exact
-		if rel > worst {
-			worst = rel
-		}
-		if rel > 0.05 {
-			t.Fatalf("bucket %d, ctx %d, batch %d: relative error %.3f exceeds 5%% (got %v, exact %v)",
-				bucket, ctx, batch, rel, got, exact)
-		}
-	}
-	t.Logf("worst relative error at bucket %d: %.4f", bucket, worst)
-}
-
 // TestStepCosterConcurrentDeterministic: hammering one coster from many
 // goroutines yields the same values a fresh serial coster computes — the
 // memo can only return what the pure cost model produced.
 func TestStepCosterConcurrentDeterministic(t *testing.T) {
 	cfg := costerCPURun(t)
-	shared, err := NewCPUStepCoster(cfg, 1)
+	shared, err := NewCPUStepCoster(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := NewCPUStepCoster(cfg, 1)
+	serial, err := NewCPUStepCoster(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,67 +221,13 @@ func TestStepCosterConcurrentDeterministic(t *testing.T) {
 	}
 }
 
-// TestStepCosterBucketKeepsSmallValuesExact: values inside the first
-// bucket — above all, zero shared tokens and zero cached history — must
-// pass through bucketing unchanged, so a bucketed coster with a feature
-// off costs exactly like the unbucketed model does for those shapes.
-func TestStepCosterBucketKeepsSmallValuesExact(t *testing.T) {
-	cfg := costerCPURun(t)
-	const bucket = 32
-	c, err := NewCPUStepCoster(cfg, bucket)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := 0; v < bucket; v++ {
-		ctx := v
-		if ctx < 1 {
-			ctx = 1 // DecodeTime clamps ctx to >= 1 before bucketing
-		}
-		want := exactDecodeTime(t, cfg, 2, ctx, 0)
-		got, err := c.DecodeTime(2, v, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("bucketed DecodeTime(2,%d,0) = %v, want exact %v (first bucket must be identity)", v, got, want)
-		}
-	}
-	// sharedTokens = 0 with a large context must not grow phantom shared
-	// bytes: the bucketed cost with shared=0 equals the exact cost at the
-	// bucketed context with shared=0.
-	ctx := 16 * bucket
-	want := exactDecodeTime(t, cfg, 4, bucketOf(ctx, bucket), 0)
-	got, err := c.DecodeTime(4, ctx, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("shared=0 grew phantom shared tokens: %v vs %v", got, want)
-	}
-	// Zero cached history likewise stays zero for chunk costing.
-	wl := trace.Workload{Model: cfg.Workload.Model, Kind: cfg.Workload.Kind, Batch: 2, Beam: 1, InputLen: 128, OutputLen: 1}
-	run := cfg
-	run.Workload = wl
-	wantChunk, err := CPUPrefillChunkTime(run, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotChunk, err := c.ChunkTime(2, 128, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotChunk != wantChunk {
-		t.Fatalf("hist=0 chunk cost %v, want exact %v", gotChunk, wantChunk)
-	}
-}
-
 // TestStepCosterSwapTime: the transfer coster must match the hand-derived
 // bandwidth formula exactly, memoize deterministically, cost zero tokens as
 // exactly zero, and price the cGPU bounce-buffer path far above both the
 // unprotected-GPU PCIe path and the CPU TEE memcpy path.
 func TestStepCosterSwapTime(t *testing.T) {
 	cpuCfg := costerCPURun(t)
-	cpu, err := NewCPUStepCoster(cpuCfg, 1)
+	cpu, err := NewCPUStepCoster(cpuCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,13 +252,13 @@ func TestStepCosterSwapTime(t *testing.T) {
 	}
 
 	gpuCfg := GPURun{GPU: hw.H100NVL(), Platform: tee.GPU(), Workload: wl}
-	gpu, err := NewGPUStepCoster(gpuCfg, 1)
+	gpu, err := NewGPUStepCoster(gpuCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cgpuCfg := gpuCfg
 	cgpuCfg.Platform = tee.CGPU()
-	cgpu, err := NewGPUStepCoster(cgpuCfg, 1)
+	cgpu, err := NewGPUStepCoster(cgpuCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,50 +282,6 @@ func TestStepCosterSwapTime(t *testing.T) {
 	}
 }
 
-// TestStepCosterSwapTimeBucketed: token counts bucket like decode contexts
-// (midpoint), and sub-bucket counts stay exact.
-func TestStepCosterSwapTimeBucketed(t *testing.T) {
-	cfg := costerCPURun(t)
-	exact, err := NewCPUStepCoster(cfg, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bucketed, err := NewCPUStepCoster(cfg, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := bucketed.SwapTime(1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := bucketed.SwapTime(1010) // same 32-wide bucket as 1000
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Fatalf("same-bucket token counts cost differently: %v vs %v", a, b)
-	}
-	e, err := exact.SwapTime(1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rel := math.Abs(a-e) / e; rel > 0.05 {
-		t.Fatalf("bucketed swap time off by %.1f%%", rel*100)
-	}
-	// Sub-bucket counts are exact (first-bucket rule).
-	se, err := exact.SwapTime(7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sb, err := bucketed.SwapTime(7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if se != sb {
-		t.Fatalf("sub-bucket swap time quantized: %v vs %v", sb, se)
-	}
-}
-
 // BenchmarkStepCosterMiss measures the coster's cold path: every op queries
 // a shape no earlier op used, so each one builds and costs a step and
 // inserts it into the memo (tables reset at maxCostEntries, as in a run).
@@ -431,11 +291,11 @@ func BenchmarkStepCosterMiss(b *testing.B) {
 		b.Fatal(err)
 	}
 	wl := trace.Workload{Model: m, Kind: dtype.BF16}
-	cpu, err := NewCPUStepCoster(CPURun{CPU: hw.EMR1(), Platform: tee.TDX(), Sockets: 1, AMX: true, Workload: wl}, 1)
+	cpu, err := NewCPUStepCoster(CPURun{CPU: hw.EMR1(), Platform: tee.TDX(), Sockets: 1, AMX: true, Workload: wl})
 	if err != nil {
 		b.Fatal(err)
 	}
-	gpu, err := NewGPUStepCoster(GPURun{GPU: hw.H100NVL(), Platform: tee.CGPU(), Workload: wl}, 1)
+	gpu, err := NewGPUStepCoster(GPURun{GPU: hw.H100NVL(), Platform: tee.CGPU(), Workload: wl})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -372,7 +372,7 @@ func TestStepCostMatchesFrozenReference(t *testing.T) {
 			for _, p := range cpuPlatforms {
 				cfg := CPURun{CPU: hw.EMR2(), Platform: p, Workload: tmpl,
 					Sockets: rng.Intn(2) + 1, AMX: kind != dtype.F32}
-				c, err := NewCPUStepCoster(cfg, 1)
+				c, err := NewCPUStepCoster(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -407,7 +407,7 @@ func TestStepCostMatchesFrozenReference(t *testing.T) {
 			}
 			for _, p := range gpuPlatforms {
 				cfg := GPURun{GPU: hw.H100NVL(), Platform: p, Workload: tmpl}
-				c, err := NewGPUStepCoster(cfg, 1)
+				c, err := NewGPUStepCoster(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -433,12 +433,12 @@ func TestStepCostMatchesFrozenReference(t *testing.T) {
 // coster's miss path without the memo insert — allocates nothing, on
 // either backend, for decode and chunk steps.
 func TestStepCosterMissAllocFree(t *testing.T) {
-	cpu, err := NewCPUStepCoster(costerCPURun(t), 1)
+	cpu, err := NewCPUStepCoster(costerCPURun(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	gpu, err := NewGPUStepCoster(GPURun{GPU: hw.H100NVL(), Platform: tee.CGPU(),
-		Workload: costerCPURun(t).Workload}, 1)
+		Workload: costerCPURun(t).Workload})
 	if err != nil {
 		t.Fatal(err)
 	}

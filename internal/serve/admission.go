@@ -188,7 +188,7 @@ func (s *scheduler) admitNext(now float64) *reqState {
 		if s.cfg.Faults.Admission == AdmitShed {
 			pt, err := s.coster.ChunkTime(1, best.ctxTokens(), 0)
 			if err != nil {
-				s.err = err
+				s.fail(err)
 				return nil
 			}
 			if now+pt > best.deadline {

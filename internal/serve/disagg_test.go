@@ -117,7 +117,7 @@ func TestHandoffKVConservationAcrossRoles(t *testing.T) {
 
 	cfg := tinyConfig(25, 40)
 	cfg.Workload.OutputLen = 16
-	cfg.LengthJitter = -1 // exact lengths, so the token ledger is exact arithmetic
+	cfg.Trace = fixedLengthTrace(cfg) // exact lengths, so the token ledger is exact arithmetic
 	rep := runDisagg(t, cfg)
 	if checked != 3 {
 		t.Fatalf("conservation hook saw %d replicas, want 3", checked)

@@ -233,7 +233,8 @@ func (p *Pool) drive(src *arrivalSource, d Dispatcher) error {
 }
 
 // runUntil advances the engine to t and surfaces the first failure: a
-// replica that could not be built, then any replica whose loop halted.
+// replica that could not be built, then any replica whose loop halted,
+// named by its id and the simulated time it failed at.
 func (p *Pool) runUntil(t float64) error {
 	if _, err := p.eng.RunUntil(sim.Time(t), p.cfg.maxSteps()); err != nil {
 		return err
@@ -241,9 +242,9 @@ func (p *Pool) runUntil(t float64) error {
 	if p.err != nil {
 		return p.err
 	}
-	for _, s := range p.reps {
+	for id, s := range p.reps {
 		if s != nil && s.err != nil {
-			return s.err
+			return fmt.Errorf("serve: replica %d at t=%.3fs: %w", id, s.errAt, s.err)
 		}
 	}
 	return nil

@@ -225,7 +225,7 @@ func (s *scheduler) resubmit(st *reqState) {
 	}
 	s.retries++
 	if s.cfg.Faults.Admission != AdmitFIFO {
-		st.deadline = float64(s.eng.Now()) + st.req.Class.deadlineMult()*s.cfg.DeadlineSec
+		st.deadline = float64(s.eng.Now()) + st.req.Class.deadlineMult()*s.cfg.TTFTSLOSec
 	}
 	if s.obs != nil {
 		s.event(Event{Kind: EvRetry, ReqID: st.req.ID, Tokens: st.req.InputLen, Hist: st.attempt})

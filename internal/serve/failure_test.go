@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -124,15 +125,19 @@ func TestFailureDefaultConfigByteIdentical(t *testing.T) {
 func TestFailureCrashRequeueConservesBlocks(t *testing.T) {
 	cfg := tinyConfig(30, 24)
 	cfg.MaxBatch = 4
-	cfg.Faults.Plan = []FailPoint{{TimeSec: 0.2}, {TimeSec: 0.6}}
-	cfg.RecoverySec = 0.25
+	be := cpuBackend(tee.TDX())
+	// Each crash costs the platform's cold start; the second lands just
+	// after the first recovery, while the requeued backlog is running.
+	recovery := ColdStartSec(be, cfg.Workload)
+	first, second := 0.2, 0.2+recovery+0.05
+	cfg.Faults.Plan = []FailPoint{{TimeSec: first}, {TimeSec: second}}
 	if err := cfg.normalize(); err != nil {
 		t.Fatal(err)
 	}
 	// Probe conservation right after each crash (replica down, batch
-	// evicted, caches flushed) and mid-recovery.
-	probe := &probeDispatcher{be: cpuBackend(tee.TDX()), start: func(p *Pool) {
-		for _, at := range []float64{0.21, 0.35, 0.61, 0.9, 2.5} {
+	// evicted, caches flushed), mid-recovery, and after the last recovery.
+	probe := &probeDispatcher{be: be, start: func(p *Pool) {
+		for _, at := range []float64{first + 0.01, first + recovery/2, second + 0.01, second + recovery/2, second + recovery + 1} {
 			p.eng.ScheduleAt(sim.Time(at), func(*sim.Engine) {
 				if err := p.reps[0].kv.CheckConservation(); err != nil {
 					t.Errorf("conservation broken at t=%.2f: %v", at, err)
@@ -152,7 +157,7 @@ func TestFailureCrashRequeueConservesBlocks(t *testing.T) {
 	if rep.Crashes == 0 {
 		t.Fatal("fail plan injected no crashes")
 	}
-	if got, want := rep.DowntimeSec, float64(rep.Crashes)*cfg.RecoverySec; got != want {
+	if got, want := rep.DowntimeSec, float64(rep.Crashes)*recovery; got != want {
 		t.Fatalf("downtime %.6f, want crashes(%d) x recovery = %.6f", got, rep.Crashes, want)
 	}
 	// FailRequeue loses no requests: everything completes after recovery.
@@ -167,8 +172,8 @@ func TestFailureCrashRequeueConservesBlocks(t *testing.T) {
 	}
 }
 
-// TestFailureRecoveryBillsTEEColdStart: with no explicit RecoverySec the
-// downtime per crash is the platform's full confidential cold start.
+// TestFailureRecoveryBillsTEEColdStart: the downtime per crash is the
+// platform's full confidential cold start.
 func TestFailureRecoveryBillsTEEColdStart(t *testing.T) {
 	cfg := tinyConfig(20, 8)
 	cfg.Faults.Plan = []FailPoint{{TimeSec: 0.1}}
@@ -202,7 +207,6 @@ func TestFailureScheduleDeterministic(t *testing.T) {
 		cfg := tinyConfig(25, 30)
 		cfg.Seed = seed
 		cfg.Faults.MTBFSec = 2
-		cfg.RecoverySec = 0.2
 		cfg.Faults.RetryMax = 1
 		cfg.Faults.Policy = FailLost
 		cfg.EpochRequests = epoch
@@ -265,22 +269,29 @@ func TestRetryTokenConservation(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		tr = append(tr, Request{ID: i, ArrivalSec: float64(i) * 1e-3, InputLen: 64, OutputLen: 64})
 	}
+	wl := trace.Workload{Model: tinyModel(), Kind: dtype.BF16}
+	be := cpuBackend(tee.TDX())
+	// Three crashes, each landing a little after the previous cold-start
+	// recovery, while retried work is running.
+	recovery := ColdStartSec(be, wl)
+	c1 := 0.05
+	c2 := c1 + recovery + 0.25
+	c3 := c2 + recovery + 0.7
 	tally := &eventTally{}
 	cfg := Config{
-		Workload: trace.Workload{Model: tinyModel(), Kind: dtype.BF16},
+		Workload: wl,
 		Trace:    tr,
 		MaxBatch: 4,
 		Seed:     1,
 		Faults: FaultConfig{
-			Plan:            []FailPoint{{TimeSec: 0.05}, {TimeSec: 0.4}, {TimeSec: 1.2}},
+			Plan:            []FailPoint{{TimeSec: c1}, {TimeSec: c2}, {TimeSec: c3}},
 			Policy:          FailLost,
 			RetryMax:        2,
 			RetryBackoffSec: 0.05,
 		},
-		RecoverySec: 0.1,
-		Observer:    tally,
+		Observer: tally,
 	}
-	rep, err := Run(cpuBackend(tee.TDX()), cfg)
+	rep, err := Run(be, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,12 +388,12 @@ func TestAdmitDeadlineDropsExpired(t *testing.T) {
 		{ID: 2, ArrivalSec: 2e-3, InputLen: 64, OutputLen: 8, Class: ClassInteractive},
 	}
 	cfg := Config{
-		Workload:    trace.Workload{Model: tinyModel(), Kind: dtype.BF16},
-		Trace:       tr,
-		MaxBatch:    1,
-		Seed:        1,
-		Faults:      FaultConfig{Admission: AdmitDeadline},
-		DeadlineSec: 5e-3, // expires while request 0 monopolizes the batch
+		Workload:   trace.Workload{Model: tinyModel(), Kind: dtype.BF16},
+		Trace:      tr,
+		MaxBatch:   1,
+		Seed:       1,
+		Faults:     FaultConfig{Admission: AdmitDeadline},
+		TTFTSLOSec: 5e-3, // the deadline expires while request 0 monopolizes the batch
 	}
 	rep, order, err := runAudited(cpuBackend(tee.Baremetal()), cfg)
 	if err != nil {
@@ -412,11 +423,11 @@ func TestShedRetriesThenDrops(t *testing.T) {
 		tr = append(tr, Request{ID: i, ArrivalSec: float64(i) * 1e-3, InputLen: 64, OutputLen: 8, Class: ClassInteractive})
 	}
 	cfg := Config{
-		Workload:    trace.Workload{Model: tinyModel(), Kind: dtype.BF16},
-		Trace:       tr,
-		Seed:        1,
-		Faults:      FaultConfig{Admission: AdmitShed, RetryMax: 1, RetryBackoffSec: 0.01},
-		DeadlineSec: 1e-9, // no prefill can ever fit: every admission sheds
+		Workload:   trace.Workload{Model: tinyModel(), Kind: dtype.BF16},
+		Trace:      tr,
+		Seed:       1,
+		Faults:     FaultConfig{Admission: AdmitShed, RetryMax: 1, RetryBackoffSec: 0.01},
+		TTFTSLOSec: 1e-9, // no prefill can ever fit the deadline: every admission sheds
 	}
 	rep, err := Run(cpuBackend(tee.Baremetal()), cfg)
 	if err != nil {
@@ -437,7 +448,7 @@ func TestShedRetriesThenDrops(t *testing.T) {
 
 	// With a feasible deadline the same trace completes everything and
 	// sheds nothing.
-	cfg.DeadlineSec = 10
+	cfg.TTFTSLOSec = 10
 	rep, err = Run(cpuBackend(tee.Baremetal()), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -448,10 +459,10 @@ func TestShedRetriesThenDrops(t *testing.T) {
 	}
 }
 
-// TestFaultConfigFlatFieldCompat: normalize must be idempotent over the
-// Faults sub-struct — replicas and control loops may re-normalize a
-// shared config — and keep every resolved resilience knob.
-func TestFaultConfigFlatFieldCompat(t *testing.T) {
+// TestFaultConfigNormalizeKeepsKnobs: normalize keeps every resolved
+// resilience knob of the Faults sub-struct and fills the retry backoff
+// default.
+func TestFaultConfigNormalizeKeepsKnobs(t *testing.T) {
 	cfg := tinyConfig(1, 0)
 	cfg.Trace = []Request{{ID: 0, InputLen: 64, OutputLen: 8}}
 	cfg.Faults = FaultConfig{
@@ -462,14 +473,40 @@ func TestFaultConfigFlatFieldCompat(t *testing.T) {
 	if err := cfg.normalize(); err != nil {
 		t.Fatal(err)
 	}
-	once := cfg
-	if err := cfg.normalize(); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(once.Faults, cfg.Faults) {
-		t.Fatalf("normalize is not idempotent over Faults: %+v vs %+v", once.Faults, cfg.Faults)
-	}
-	if cfg.Faults.Policy != FailLost || cfg.Faults.RetryMax != 1 || cfg.Faults.RetryBackoffSec != 1 {
+	if cfg.Faults.Policy != FailLost || cfg.Faults.RetryMax != 1 || cfg.Faults.RetryBackoffSec != 1 || len(cfg.Faults.Plan) != 2 {
 		t.Fatalf("normalize lost or mis-defaulted a knob: %+v", cfg.Faults)
+	}
+}
+
+// costingError is the failure TestHaltedReplicaErrorNamesReplica injects.
+type costingError struct{ shape string }
+
+func (e *costingError) Error() string { return "cannot cost " + e.shape }
+
+// TestHaltedReplicaErrorNamesReplica: when one replica of a fleet halts,
+// the run's error names that replica and the simulated time it failed at,
+// and still unwraps to the underlying failure.
+func TestHaltedReplicaErrorNamesReplica(t *testing.T) {
+	be := cpuBackend(tee.TDX())
+	cause := &costingError{shape: "decode batch 4"}
+	d := &probeDispatcher{be: be, start: func(p *Pool) {
+		if err := p.Add(1, be, p.cfg.Seed+1); err != nil {
+			t.Fatal(err)
+		}
+		p.eng.ScheduleAt(sim.Time(0.25), func(*sim.Engine) { p.reps[1].fail(cause) })
+	}}
+	_, err := Drive(tinyConfig(20, 16), d)
+	if err == nil {
+		t.Fatal("a halted replica did not fail the run")
+	}
+	if want := "serve: replica 1 at t=0.250s: cannot cost decode batch 4"; err.Error() != want {
+		t.Fatalf("error %q, want %q", err, want)
+	}
+	if !errors.Is(err, cause) {
+		t.Fatalf("errors.Is lost the cause through %q", err)
+	}
+	var got *costingError
+	if !errors.As(err, &got) || got.shape != "decode batch 4" {
+		t.Fatalf("errors.As did not recover the cause from %q", err)
 	}
 }

@@ -65,7 +65,8 @@ func preemptionHeavyConfig() (Backend, Config) {
 		Size:             int64(trace.WeightFootprint(wl)) + 160*m.KVCacheBytesPerToken(2),
 		PageInCostFactor: 1,
 	}
-	cfg := Config{Workload: wl, Rate: 50, Requests: 32, Seed: 3, BlockTokens: 16, LengthJitter: -1}
+	cfg := Config{Workload: wl, Rate: 50, Requests: 32, Seed: 3, BlockTokens: 16}
+	cfg.Trace = fixedLengthTrace(cfg)
 	return cpuBackend(p), cfg
 }
 
@@ -105,11 +106,11 @@ func TestSizeFleetForSLOParallelMatchesSerial(t *testing.T) {
 	be := cpuBackend(tee.TDX())
 	cfg := tinyConfig(12, 32)
 	cfg.TTFTSLOSec, cfg.TPOTSLOSec = 2, 0.5
-	nSerial, repSerial, err := SizeFleetForSLO(be, cfg, LeastLoaded, 0.9, 8)
+	nSerial, repSerial, err := SizeFleetForSLO(be, cfg, LeastLoaded, 0.9, 8, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nPar, repPar, err := SizeFleetForSLOParallel(be, cfg, LeastLoaded, 0.9, 8, 4)
+	nPar, repPar, err := SizeFleetForSLO(be, cfg, LeastLoaded, 0.9, 8, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,60 +150,6 @@ func TestSharedCosterDoesNotPerturbRuns(t *testing.T) {
 	}
 }
 
-// TestCostBucketApproximatesExact: a coarsely bucketed run still completes
-// the offered load with per-request latencies near the exact run's — the
-// bucketing knob trades bounded accuracy, not correctness.
-func TestCostBucketApproximatesExact(t *testing.T) {
-	be := cpuBackend(tee.TDX())
-	exactCfg := tinyConfig(10, 24)
-	bucketCfg := exactCfg
-	bucketCfg.CostBucket = 32
-	exact, err := Run(be, exactCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bucketed, err := Run(be, bucketCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bucketed.Completed != exact.Completed || bucketed.Dropped != exact.Dropped {
-		t.Fatalf("bucketed run changed outcomes: %d/%d vs %d/%d completed/dropped",
-			bucketed.Completed, bucketed.Dropped, exact.Completed, exact.Dropped)
-	}
-	if exact.TTFT.Mean <= 0 {
-		t.Fatal("degenerate exact run")
-	}
-	rel := (bucketed.TTFT.Mean - exact.TTFT.Mean) / exact.TTFT.Mean
-	if rel < 0 {
-		rel = -rel
-	}
-	if rel > 0.10 {
-		t.Fatalf("bucketed mean TTFT off by %.1f%% (bucketed %.4fs, exact %.4fs)", rel*100, bucketed.TTFT.Mean, exact.TTFT.Mean)
-	}
-}
-
-// TestSizeFleetForSLOPreservesJitterSentinel: sizing must not normalize
-// the caller's config before handing it to RunFleet — normalize is not
-// idempotent for sentinel values (LengthJitter < 0 means "disabled"; one
-// pass maps it to 0, a second would map 0 to the 0.25 default). The sized
-// report must equal running the chosen fleet directly.
-func TestSizeFleetForSLOPreservesJitterSentinel(t *testing.T) {
-	be := cpuBackend(tee.Baremetal())
-	cfg := tinyConfig(8, 24)
-	cfg.LengthJitter = -1 // fixed-length requests
-	n, sized, err := SizeFleetForSLO(be, cfg, LeastLoaded, 0.9, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := RunFleet(be, cfg, FleetConfig{Replicas: n, Policy: LeastLoaded})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(sized, direct) {
-		t.Fatalf("sized report differs from direct run of %d replicas — config was mutated before RunFleet", n)
-	}
-}
-
 // TestMismatchedCosterRejected: a shared costing table built for a
 // different model must fail the run loudly instead of silently pricing it
 // with the wrong operator traces.
@@ -221,10 +168,5 @@ func TestMismatchedCosterRejected(t *testing.T) {
 	bigCfg.Workload.Model = mustLookup(t, "llama2-7b")
 	if _, err := Run(be, bigCfg); err == nil {
 		t.Fatal("mismatched coster accepted — run would be priced with the wrong model's traces")
-	}
-	bucketCfg := tinyCfg
-	bucketCfg.CostBucket = 32
-	if _, err := Run(be, bucketCfg); err == nil {
-		t.Fatal("mismatched cost bucket accepted")
 	}
 }

@@ -241,8 +241,8 @@ func (f *Fleet) Run(cfg Config) (*FleetReport, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	// Work on a copy of the groups: socket defaulting and coster building
-	// mutate the backends, and the fleet may be re-run.
+	// Work on a copy of the groups: coster building mutates the backends,
+	// and the fleet may be re-run.
 	groups := append([]RoleGroup(nil), f.topo.Groups...)
 	disagg := f.topo.Disaggregated()
 	if disagg {
@@ -255,9 +255,6 @@ func (f *Fleet) Run(cfg Config) (*FleetReport, error) {
 	}
 	for i := range groups {
 		g := &groups[i]
-		if !g.Backend.IsGPU && g.Backend.CPU.Sockets <= 0 {
-			g.Backend.CPU.Sockets = 1
-		}
 		if g.Backend.Coster == nil {
 			// All replicas of a group run the same backend and model: share
 			// one costing table so an iteration shape costed on one replica
@@ -299,13 +296,8 @@ func (f *Fleet) Run(cfg Config) (*FleetReport, error) {
 				src.handoff = func(r *reqState) { hd.initiate(src, r) }
 			case RoleDecode:
 				// Decode replicas always stage inbound KV copies in the host
-				// swap pool, whatever the preemption policy: size it to the
-				// device pool if the config left it smaller. (SwapPoolFrac's
-				// negative "disabled" sentinel still governs preemption
-				// swaps on unified and prefill replicas.)
-				if s.kv.SwapPoolBlocks() < s.kv.TotalBlocks() {
-					s.kv.ConfigureSwapPool(s.kv.TotalBlocks())
-				}
+				// swap pool, whatever the preemption policy.
+				s.kv.ConfigureSwapPool(s.kv.TotalBlocks())
 			}
 		}
 	}
@@ -472,16 +464,10 @@ func MergeReports(offeredRate float64, reps []*Report) *Report {
 // report. This answers the sizing question by simulation — replica
 // interference, dispatch skew and prefix-cache locality included — where
 // cloud.ReplicasForRate only extrapolates from one replica's rate. It
-// fails if even maxReplicas cannot reach the target. It evaluates
-// candidates serially; SizeFleetForSLOParallel spreads them over a worker
-// pool with a byte-identical result.
-func SizeFleetForSLO(be Backend, cfg Config, policy LBPolicy, target float64, maxReplicas int) (int, *FleetReport, error) {
-	return SizeFleetForSLOParallel(be, cfg, policy, target, maxReplicas, 1)
-}
-
-// SizeFleetForSLOParallel is SizeFleetForSLO evaluating candidate fleet
-// sizes on up to workers concurrent goroutines (workers <= 0 means
-// runtime.NumCPU(); 1 is the serial path).
+// fails if even maxReplicas cannot reach the target. Candidate fleet sizes
+// are evaluated on up to workers concurrent goroutines (workers <= 0 means
+// runtime.NumCPU(); 1 is the serial path), with a byte-identical result at
+// any worker count.
 //
 // Attainment is treated as monotone in the fleet size (more replicas never
 // hurt a load-balanced fleet), so the search probes exponentially
@@ -495,7 +481,7 @@ func SizeFleetForSLO(be Backend, cfg Config, policy LBPolicy, target float64, ma
 // cost extra simulations but collapse the sweep's wall clock to about two
 // waves; all candidates share one memoized step-costing table, so most of
 // each speculative run's iteration shapes are table hits.
-func SizeFleetForSLOParallel(be Backend, cfg Config, policy LBPolicy, target float64, maxReplicas, workers int) (int, *FleetReport, error) {
+func SizeFleetForSLO(be Backend, cfg Config, policy LBPolicy, target float64, maxReplicas, workers int) (int, *FleetReport, error) {
 	if target <= 0 || target > 1 {
 		return 0, nil, fmt.Errorf("serve: SLO attainment target %g outside (0, 1]", target)
 	}
@@ -505,11 +491,6 @@ func SizeFleetForSLOParallel(be Backend, cfg Config, policy LBPolicy, target flo
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	// Do NOT normalize cfg here: each RunFleet candidate normalizes its own
-	// copy, and normalizing twice is not idempotent for sentinel values
-	// (LengthJitter < 0 means "disabled", which one pass maps to 0 and a
-	// second pass would map to the 0.25 default). NewStepCoster needs only
-	// the model/datatype/bucket fields, which normalization never touches.
 	if be.Coster == nil {
 		coster, err := NewStepCoster(be, cfg)
 		if err != nil {

@@ -40,7 +40,7 @@ func (d *handoffDispatcher) initiate(src *scheduler, r *reqState) {
 	bytes := trace.KVSwapBytes(src.cfg.Workload, tokens)
 	drain, err := src.coster.SwapTime(tokens)
 	if err != nil {
-		src.err = err
+		src.fail(err)
 		return
 	}
 	nic := hw.NICHandoffSetupSec + bytes/hw.NICBytesPerSec

@@ -214,7 +214,7 @@ type Sample struct {
 // observer concurrently, and replica interleaving on the shared clock is
 // deterministic, so identical seeds yield identical streams. Do NOT
 // attach one observer to concurrent runs (parallel sweeps,
-// SizeFleetForSLOParallel): those race. Leave Observer nil there.
+// SizeFleetForSLO with workers > 1): those race. Leave Observer nil there.
 type Observer interface {
 	Event(Event)
 	Sample(Sample)

@@ -186,9 +186,19 @@ type scheduler struct {
 	retries      int
 	wastedTokens int
 	drops        [NumDropReasons]int
-	// err records a costing failure (a backend misconfiguration); it halts
-	// the loop and fails the run instead of reporting zeros as data.
-	err error
+	// err records the first costing failure (a backend misconfiguration)
+	// and errAt its simulated time; it halts the loop and fails the run
+	// instead of reporting zeros as data.
+	err   error
+	errAt float64
+}
+
+// fail records err as the replica's halting failure unless one is already
+// recorded.
+func (s *scheduler) fail(err error) {
+	if s.err == nil {
+		s.err, s.errAt = err, float64(s.eng.Now())
+	}
 }
 
 // newScheduler builds one replica's scheduler on the given engine. cfg must
@@ -212,24 +222,21 @@ func newScheduler(be Backend, cfg Config, eng *sim.Engine, noise *sim.Noise) (*s
 		if err != nil {
 			return nil, err
 		}
-	} else if !coster.CompatibleWith(cfg.Workload.Model, cfg.Workload.Kind, cfg.CostBucket) {
-		// A shared table built for another model/datatype/bucket would
-		// silently price this run with the wrong operator traces.
-		return nil, fmt.Errorf("serve: shared step coster was built for a different model/datatype/cost-bucket than %s/%s/bucket %d",
-			cfg.Workload.Model.Name, cfg.Workload.Kind, cfg.CostBucket)
+	} else if !coster.CompatibleWith(cfg.Workload.Model, cfg.Workload.Kind) {
+		// A shared table built for another model/datatype would silently
+		// price this run with the wrong operator traces.
+		return nil, fmt.Errorf("serve: shared step coster was built for a different model/datatype than %s/%s",
+			cfg.Workload.Model.Name, cfg.Workload.Kind)
 	}
 	if cfg.PreemptPolicy != PreemptRecompute {
-		frac := cfg.SwapPoolFrac
-		if frac < 0 {
-			frac = 0 // sentinel: pool disabled, swap always falls back
-		}
-		kv.ConfigureSwapPool(int(math.Round(frac * float64(kv.TotalBlocks()))))
+		// The host swap pool is as large as the device pool.
+		kv.ConfigureSwapPool(kv.TotalBlocks())
 	}
 	var clear *perf.StepCoster
 	if cfg.ClearCoster != nil && cfg.Observer != nil {
-		if !cfg.ClearCoster.CompatibleWith(cfg.Workload.Model, cfg.Workload.Kind, cfg.CostBucket) {
-			return nil, fmt.Errorf("serve: clear coster was built for a different model/datatype/cost-bucket than %s/%s/bucket %d",
-				cfg.Workload.Model.Name, cfg.Workload.Kind, cfg.CostBucket)
+		if !cfg.ClearCoster.CompatibleWith(cfg.Workload.Model, cfg.Workload.Kind) {
+			return nil, fmt.Errorf("serve: clear coster was built for a different model/datatype than %s/%s",
+				cfg.Workload.Model.Name, cfg.Workload.Kind)
 		}
 		clear = cfg.ClearCoster
 	}
@@ -237,10 +244,7 @@ func newScheduler(be Backend, cfg Config, eng *sim.Engine, noise *sim.Noise) (*s
 	s.finishFn = func(*sim.Engine) { s.finishIteration() }
 	s.failEnabled = cfg.Faults.MTBFSec > 0 || len(cfg.Faults.Plan) > 0
 	if s.failEnabled {
-		s.recoverySec = cfg.RecoverySec
-		if s.recoverySec <= 0 {
-			s.recoverySec = ColdStartSec(be, cfg.Workload)
-		}
+		s.recoverySec = ColdStartSec(be, cfg.Workload)
 	}
 	return s, nil
 }
@@ -275,7 +279,7 @@ func (s *scheduler) submit(st *reqState) {
 		s.lastProgress = float64(s.eng.Now())
 	}
 	if s.cfg.Faults.Admission != AdmitFIFO {
-		st.deadline = float64(s.eng.Now()) + st.req.Class.deadlineMult()*s.cfg.DeadlineSec
+		st.deadline = float64(s.eng.Now()) + st.req.Class.deadlineMult()*s.cfg.TTFTSLOSec
 	}
 	if s.obs != nil {
 		s.event(Event{Kind: EvArrive, ReqID: st.req.ID, Tokens: st.req.InputLen, Hist: st.req.OutputLen})
@@ -372,11 +376,15 @@ func newPoissonGen(cfg Config, rng *rand.Rand) *poissonGen {
 	return &poissonGen{cfg: cfg, rng: rng, prefixLen: prefixLen}
 }
 
+// lengthJitter is the half-width of Poisson synthesis's uniform length
+// jitter, as a fraction of the mean.
+const lengthJitter = 0.25
+
 func (g *poissonGen) jitter(mean int) int {
-	if g.cfg.LengthJitter <= 0 || mean <= 0 {
+	if mean <= 0 {
 		return mean
 	}
-	f := 1 + g.cfg.LengthJitter*(2*g.rng.Float64()-1)
+	f := 1 + lengthJitter*(2*g.rng.Float64()-1)
 	n := int(math.Round(float64(mean) * f))
 	if n < 1 {
 		n = 1
@@ -619,7 +627,7 @@ func (s *scheduler) iterate() {
 			}
 			c, err := s.kv.AcquirePrefix(head.req.ID, prefixHash(head.req.PrefixID), pl)
 			if err != nil {
-				s.err = err
+				s.fail(err)
 				s.iterating = false
 				s.chunks, s.decoding = chunks, decoding
 				return
@@ -710,7 +718,7 @@ func (s *scheduler) iterate() {
 	if err != nil {
 		// A costing failure is a configuration bug (e.g. more sockets than
 		// the CPU has); halt the loop and fail the whole run.
-		s.err = err
+		s.fail(err)
 		s.iterating = false
 		return
 	}
@@ -808,12 +816,12 @@ func (s *scheduler) trySwapOut(r *reqState) bool {
 func (s *scheduler) swapCheaper(r *reqState, tokens int) bool {
 	swapT, err := s.coster.SwapTime(tokens)
 	if err != nil {
-		s.err = err
+		s.fail(err)
 		return false
 	}
 	recT, err := s.coster.ChunkTime(1, r.ctxTokens(), 0)
 	if err != nil {
-		s.err = err
+		s.fail(err)
 		return false
 	}
 	return 2*swapT < recT

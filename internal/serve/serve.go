@@ -104,14 +104,14 @@ type Backend struct {
 	// autoscale policy grids, benchmark loops) then re-cost identical
 	// iteration shapes from the table instead of walking the roofline op by
 	// op. Nil means each run builds its own (see NewStepCoster). The coster
-	// must have been built for this backend and the run's model/datatype/
-	// cost-bucket; it is safe for concurrent use and never changes results —
-	// memoized keys return bit-identical float64s.
+	// must have been built for this backend and the run's model/datatype;
+	// it is safe for concurrent use and never changes results — memoized
+	// keys return bit-identical float64s.
 	Coster *perf.StepCoster
 }
 
 // NewStepCoster builds the memoized per-step costing table for a backend
-// under cfg's model, datatype and CostBucket. Run/RunFleet build one
+// under cfg's model and datatype. Run/RunFleet build one
 // automatically when be.Coster is nil; callers that sweep many runs over
 // one backend (SizeFleetForSLO, autoscalers, benchmark harnesses) should
 // build it once and share it via Backend.Coster.
@@ -120,14 +120,14 @@ func NewStepCoster(be Backend, cfg Config) (*perf.StepCoster, error) {
 	if be.IsGPU {
 		g := be.GPU
 		g.Workload = wl
-		return perf.NewGPUStepCoster(g, cfg.CostBucket)
+		return perf.NewGPUStepCoster(g)
 	}
 	c := be.CPU
 	if c.Sockets <= 0 {
 		c.Sockets = 1
 	}
 	c.Workload = wl
-	return perf.NewCPUStepCoster(c, cfg.CostBucket)
+	return perf.NewCPUStepCoster(c)
 }
 
 // NewClearStepCoster builds the counterfactual coster for TEE-tax
@@ -136,7 +136,7 @@ func NewStepCoster(be Backend, cfg Config) (*perf.StepCoster, error) {
 // every TEE mechanism neutralized. Costing a step here answers "what would
 // this exact shape have cost without confidential computing". Like
 // NewStepCoster it is safe to share across replicas and runs of the same
-// model/datatype/cost-bucket via Config.ClearCoster. For unprotected
+// model/datatype via Config.ClearCoster. For unprotected
 // backends the twin is the platform itself, so the clear costs it emits
 // equal the real raw costs and the attributed tax is exactly zero.
 func NewClearStepCoster(be Backend, cfg Config) (*perf.StepCoster, error) {
@@ -206,8 +206,8 @@ type Config struct {
 	// Scenario synthesizes arrivals from a workload traffic scenario (an
 	// arrival process crossed with a request-shape mix) instead of the
 	// plain Poisson process above. Requests still bounds the number of
-	// arrivals; Rate, the Workload mean lengths, LengthJitter and the
-	// Prefix* knobs are ignored in favor of the scenario's own shapes.
+	// arrivals; Rate, the Workload mean lengths and the Prefix* knobs are
+	// ignored in favor of the scenario's own shapes.
 	// Trace takes precedence when both are set.
 	Scenario *workload.Scenario
 	// Seed drives arrivals, length jitter and the step-noise model.
@@ -231,27 +231,17 @@ type Config struct {
 	// PrefixFrac is the shared fraction of the mean prompt length for
 	// synthetic prefix groups (default 0.5 when PrefixGroups is set).
 	PrefixFrac float64
-	// LengthJitter varies synthetic lengths uniformly within ±fraction of
-	// the mean (default 0.25; negative disables, 0 means default).
-	LengthJitter float64
-	// CostBucket is the step-costing quantization width in tokens (see
-	// perf.StepCoster): context and history are costed at their bucket's
-	// midpoint, trading modeled-time accuracy (error shrinks as ctx/bucket
-	// grows) for memo-table hit rate in large sweeps. Default 1 = exact —
-	// results are bit-identical to the unmemoized cost model.
-	CostBucket int
 	// PreemptPolicy selects what a preemption does with the victim's KV
 	// cache: PreemptRecompute (default, vLLM-style full re-prefill),
-	// PreemptSwap (copy to a bounded host swap pool at the backend's swap
-	// bandwidth and copy back on resume), or PreemptAuto (per preemption,
-	// whichever the memoized transfer-vs-recompute estimate prices cheaper).
+	// PreemptSwap (copy to a host swap pool as large as the device KV pool,
+	// at the backend's swap bandwidth, and copy back on resume), or
+	// PreemptAuto (per preemption, whichever the memoized
+	// transfer-vs-recompute estimate prices cheaper).
 	PreemptPolicy PreemptPolicy
-	// SwapPoolFrac sizes the host swap pool as a fraction of the device KV
-	// pool (in blocks). 0 means the default 1.0; negative disables the pool
-	// (every swap attempt falls back to recompute). Ignored under
-	// PreemptRecompute.
-	SwapPoolFrac float64
 	// TTFTSLOSec and TPOTSLOSec are the SLO targets (defaults 5s / 0.5s).
+	// TTFTSLOSec is also the interactive-class admission deadline under
+	// AdmitDeadline/AdmitShed (standard requests get 4×, background 16× —
+	// see RequestClass).
 	TTFTSLOSec float64
 	TPOTSLOSec float64
 	// QuantileMode selects the latency summary: QuantileExact (default)
@@ -278,14 +268,6 @@ type Config struct {
 	// Faults groups the fault-injection, admission-control and retry knobs
 	// (see FaultConfig).
 	Faults FaultConfig
-	// RecoverySec is the crash-to-servable recovery time; 0 — the default —
-	// derives the platform's full TEE cold start (ColdStartSec: boot +
-	// weight load + TD accept/enclave build + attestation RTT).
-	RecoverySec float64
-	// DeadlineSec is the interactive-class deadline measured from arrival
-	// (standard requests get 4×, background 16× — see RequestClass); 0
-	// defaults to TTFTSLOSec. Only meaningful under AdmitDeadline/AdmitShed.
-	DeadlineSec float64
 	// ClearCoster, when non-nil alongside Observer, prices every round's
 	// step shapes a second time on the platform's clear-hardware twin (see
 	// tee.Platform.Clear and NewClearStepCoster) and emits the results on
@@ -304,7 +286,8 @@ type FaultConfig struct {
 	// from a private seeded stream). 0 — the default — disables fault
 	// injection. A crash destroys the replica's device state (running
 	// batch KV, parked swap copies, prefix cache) and takes the replica
-	// down for Config.RecoverySec.
+	// down for the platform's full TEE cold start (ColdStartSec: boot +
+	// weight load + TD accept/enclave build + attestation RTT).
 	MTBFSec float64
 	// Plan injects scripted crashes instead: each point names a replica
 	// index and a crash time on the simulated clock. Takes precedence
@@ -348,6 +331,10 @@ func (c *Config) maxSteps() int64 {
 	return max(4_000_000, int64(n)*512)
 }
 
+// normalize validates c and fills in its defaults in place. It is
+// idempotent — no default is a sentinel that a second pass would read
+// differently — so fleets, control loops and replicas may re-normalize a
+// config a caller already normalized.
 func (c *Config) normalize() error {
 	if c.Workload.Model.Validate() != nil {
 		return fmt.Errorf("serve: config needs a valid model")
@@ -393,19 +380,10 @@ func (c *Config) normalize() error {
 	if c.ChunkTokens < 0 {
 		c.ChunkTokens = 0
 	}
-	if c.CostBucket < 1 {
-		c.CostBucket = 1
-	}
 	switch c.PreemptPolicy {
 	case PreemptRecompute, PreemptSwap, PreemptAuto:
 	default:
 		return fmt.Errorf("serve: unknown preemption policy %d", int(c.PreemptPolicy))
-	}
-	// Negative SwapPoolFrac (disabled) is kept as-is: normalize must stay
-	// idempotent (replicas re-normalize shared configs), so the sentinel
-	// cannot be collapsed onto 0, which means "default".
-	if c.SwapPoolFrac == 0 {
-		c.SwapPoolFrac = 1
 	}
 	if c.PrefixGroups < 0 {
 		c.PrefixGroups = 0
@@ -417,12 +395,6 @@ func (c *Config) normalize() error {
 		case c.PrefixFrac < 0 || c.PrefixFrac >= 1:
 			return fmt.Errorf("serve: prefix fraction %g outside [0, 1)", c.PrefixFrac)
 		}
-	}
-	switch {
-	case c.LengthJitter == 0:
-		c.LengthJitter = 0.25
-	case c.LengthJitter < 0:
-		c.LengthJitter = 0
 	}
 	if c.TTFTSLOSec <= 0 {
 		c.TTFTSLOSec = 5
@@ -460,19 +432,10 @@ func (c *Config) normalize() error {
 	default:
 		return fmt.Errorf("serve: unknown failure policy %d", int(c.Faults.Policy))
 	}
-	if c.RecoverySec < 0 {
-		return fmt.Errorf("serve: recovery time %g is negative", c.RecoverySec)
-	}
 	switch c.Faults.Admission {
 	case AdmitFIFO, AdmitDeadline, AdmitShed:
 	default:
 		return fmt.Errorf("serve: unknown admission policy %d", int(c.Faults.Admission))
-	}
-	switch {
-	case c.DeadlineSec == 0:
-		c.DeadlineSec = c.TTFTSLOSec
-	case c.DeadlineSec < 0:
-		return fmt.Errorf("serve: deadline %g is negative", c.DeadlineSec)
 	}
 	if c.Faults.RetryMax < 0 {
 		return fmt.Errorf("serve: retry budget %d is negative", c.Faults.RetryMax)

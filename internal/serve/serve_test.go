@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -34,6 +35,21 @@ func tinyConfig(rate float64, n int) Config {
 		Requests: n,
 		Seed:     1,
 	}
+}
+
+// fixedLengthTrace is cfg's Poisson load with every request exactly
+// cfg.Workload.InputLen/OutputLen tokens long: the arrival times Poisson
+// synthesis would draw from rand(cfg.Seed), without the length jitter, for
+// tests whose assertions are exact token or block arithmetic.
+func fixedLengthTrace(cfg Config) []Request {
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	tr := make([]Request, cfg.Requests)
+	t := 0.0
+	for i := range tr {
+		t += rng.ExpFloat64() / cfg.Rate
+		tr[i] = Request{ID: i, ArrivalSec: t, InputLen: cfg.Workload.InputLen, OutputLen: cfg.Workload.OutputLen}
+	}
+	return tr
 }
 
 func mustLookup(t *testing.T, name string) model.Config {
@@ -132,7 +148,8 @@ func TestServePreemptionRecoversWithoutLeaks(t *testing.T) {
 	p.Name = "tiny-enclave"
 	// Room for ~160 tokens of KV: two requests in flight, a third starves.
 	p.EPC = mem.EPC{Size: weights + 160*perToken, PageInCostFactor: 1}
-	cfg := Config{Workload: wl, Rate: 50, Requests: 12, Seed: 3, BlockTokens: 16, LengthJitter: -1}
+	cfg := Config{Workload: wl, Rate: 50, Requests: 12, Seed: 3, BlockTokens: 16}
+	cfg.Trace = fixedLengthTrace(cfg)
 	rep, err := Run(cpuBackend(p), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +193,7 @@ func TestServeDropsImpossibleRequest(t *testing.T) {
 func TestServeTEESlowerThanBaremetal(t *testing.T) {
 	cfg := Config{
 		Workload: trace.Workload{Model: mustLookup(t, "llama2-7b"), Kind: dtype.BF16, InputLen: 128, OutputLen: 8},
-		Rate:     1, Requests: 12, Seed: 1, LengthJitter: -1,
+		Rate:     1, Requests: 12, Seed: 1,
 	}
 	base, err := Run(cpuBackend(tee.Baremetal()), cfg)
 	if err != nil {
@@ -220,7 +237,7 @@ func TestServeGoodputSaturates(t *testing.T) {
 		cfg := Config{
 			Workload: trace.Workload{Model: mustLookup(t, "llama2-7b"), Kind: dtype.BF16, InputLen: 64, OutputLen: 8},
 			Rate:     rate, Requests: 48, Seed: 1, MaxBatch: 8,
-			TTFTSLOSec: 1.5, TPOTSLOSec: 0.5, LengthJitter: -1,
+			TTFTSLOSec: 1.5, TPOTSLOSec: 0.5,
 		}
 		rep, err := Run(cpuBackend(tee.Baremetal()), cfg)
 		if err != nil {
@@ -448,14 +465,14 @@ func TestFleetCostAndSizing(t *testing.T) {
 	if usd <= 0 {
 		t.Fatalf("fleet cost %.4f $/Mtok", usd)
 	}
-	n, sized, err := SizeFleetForSLO(cpuBackend(tee.TDX()), cfg, LeastLoaded, 0.9, 4)
+	n, sized, err := SizeFleetForSLO(cpuBackend(tee.TDX()), cfg, LeastLoaded, 0.9, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n < 1 || n > 4 || sized.SLOAttainment() < 0.9 {
 		t.Fatalf("sizing: %d replicas at %.2f attainment", n, sized.SLOAttainment())
 	}
-	if _, _, err := SizeFleetForSLO(cpuBackend(tee.TDX()), cfg, LeastLoaded, 1.5, 4); err == nil {
+	if _, _, err := SizeFleetForSLO(cpuBackend(tee.TDX()), cfg, LeastLoaded, 1.5, 4, 1); err == nil {
 		t.Error("impossible attainment target accepted")
 	}
 }
@@ -484,6 +501,46 @@ func TestServeConfigValidation(t *testing.T) {
 	be70.CPU.CPU.MemPerSocketBytes = 32 << 30
 	if _, err := Run(be70, Config{Workload: huge, Rate: 1}); err == nil {
 		t.Error("oversized weights accepted")
+	}
+}
+
+// TestConfigNormalizeIdempotent: normalizing an already normalized config
+// changes nothing, for every kind of load and every defaulted knob group —
+// fleets, control loops and replicas re-normalize the configs they share.
+func TestConfigNormalizeIdempotent(t *testing.T) {
+	sc, err := workload.ParseScenario("bursty+rag", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	traceCfg := tinyConfig(0, 0)
+	traceCfg.Trace = []Request{{ID: 0, InputLen: 64, OutputLen: 8}, {ID: 1, ArrivalSec: 0.5, InputLen: 32, OutputLen: 4}}
+	scenarioCfg := Config{Workload: trace.Workload{Model: tinyModel(), Kind: dtype.BF16}, Scenario: &sc}
+	poissonCfg := tinyConfig(10, 0)
+	poissonCfg.PrefixGroups = 2
+	sketchCfg := tinyConfig(10, 32)
+	sketchCfg.QuantileMode = QuantileSketch
+	faultsCfg := tinyConfig(10, 32)
+	faultsCfg.PreemptPolicy = PreemptSwap
+	faultsCfg.Faults = FaultConfig{
+		Plan:      []FailPoint{{TimeSec: 0.5}},
+		Policy:    FailLost,
+		Admission: AdmitShed,
+		RetryMax:  2,
+	}
+	for name, cfg := range map[string]Config{
+		"trace": traceCfg, "scenario": scenarioCfg, "poisson": poissonCfg,
+		"sketch": sketchCfg, "faults": faultsCfg,
+	} {
+		if err := cfg.normalize(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		once := cfg
+		if err := cfg.normalize(); err != nil {
+			t.Fatalf("%s: second normalize: %v", name, err)
+		}
+		if !reflect.DeepEqual(once, cfg) {
+			t.Errorf("%s: normalize is not idempotent:\n%+v\nvs\n%+v", name, once, cfg)
+		}
 	}
 }
 
@@ -612,7 +669,7 @@ func TestSizeFleetForSLOMatchesLinearScan(t *testing.T) {
 	if linear == 0 {
 		t.Skip("workload cannot reach target within maxN; pick a gentler rate")
 	}
-	n, fr, err := SizeFleetForSLO(be, cfg, LeastLoaded, target, maxN)
+	n, fr, err := SizeFleetForSLO(be, cfg, LeastLoaded, target, maxN, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,27 +78,34 @@ func TestDefaultPolicyIsRecomputeBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSwapDisabledPoolFallsBackToRecompute: a swap policy with a disabled
-// pool (negative SwapPoolFrac) must degrade to exactly the recompute run —
-// every swap attempt fails and releases instead.
-func TestSwapDisabledPoolFallsBackToRecompute(t *testing.T) {
+// TestSwapFullPoolFallsBackToRecompute: a swap-out that finds no room in
+// the host pool must fall back to recompute. Both runs shrink the replica's
+// pool to one block at start — less than any victim's computed entries —
+// so every swap attempt fails and the swap-policy run must equal the
+// recompute run.
+func TestSwapFullPoolFallsBackToRecompute(t *testing.T) {
 	be, cfg := preemptionHeavyConfig()
-	rec, err := Run(be, cfg)
-	if err != nil {
-		t.Fatal(err)
+	drive := func(policy PreemptPolicy) *Report {
+		t.Helper()
+		c := cfg
+		c.PreemptPolicy = policy
+		p, err := Drive(c, &probeDispatcher{be: be, start: func(p *Pool) {
+			p.reps[0].kv.ConfigureSwapPool(1)
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p.Aggregate(func(int) bool { return true })
 	}
-	swp := cfg
-	swp.PreemptPolicy = PreemptSwap
-	swp.SwapPoolFrac = -1
-	rep, err := Run(be, swp)
-	if err != nil {
-		t.Fatal(err)
+	rec, swp := drive(PreemptRecompute), drive(PreemptSwap)
+	if rec.Preemptions == 0 {
+		t.Fatal("config exercised no preemptions; test is vacuous")
 	}
-	if rep.SwapOuts != 0 {
-		t.Fatalf("disabled pool still parked %d victims", rep.SwapOuts)
+	if swp.SwapOuts != 0 {
+		t.Fatalf("a one-block pool parked %d victims", swp.SwapOuts)
 	}
-	if !reflect.DeepEqual(rec, rep) {
-		t.Fatal("swap with a disabled pool differs from recompute")
+	if !reflect.DeepEqual(rec, swp) {
+		t.Fatal("swap with no pool room differs from recompute")
 	}
 }
 
@@ -206,11 +213,11 @@ func TestAutoPolicyDeterministicAcrossRunsAndWorkers(t *testing.T) {
 
 	sloCfg := cfg
 	sloCfg.TTFTSLOSec, sloCfg.TPOTSLOSec = 2, 0.5
-	nSerial, repSerial, err := SizeFleetForSLOParallel(be, sloCfg, LeastLoaded, 0.9, 8, 1)
+	nSerial, repSerial, err := SizeFleetForSLO(be, sloCfg, LeastLoaded, 0.9, 8, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nPar, repPar, err := SizeFleetForSLOParallel(be, sloCfg, LeastLoaded, 0.9, 8, 4)
+	nPar, repPar, err := SizeFleetForSLO(be, sloCfg, LeastLoaded, 0.9, 8, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,11 +69,6 @@ type ServeConfig struct {
 	Sockets int
 	// TTFTSLOSec / TPOTSLOSec are SLO targets (defaults 5s / 0.5s).
 	TTFTSLOSec, TPOTSLOSec float64
-	// CostBucket quantizes the scheduler's memoized step costing (tokens):
-	// contexts are costed at their bucket midpoint, raising table hit rates
-	// in large sweeps at a bounded modeled-time error. Default 1 = exact
-	// (bit-identical to the unmemoized cost model).
-	CostBucket int
 	// PreemptPolicy selects what a KV-pool preemption does with the
 	// victim's cache: PreemptRecompute (the zero value, vLLM-style full
 	// re-prefill), PreemptSwap (park the computed entries in a host swap
@@ -349,7 +344,6 @@ func serveConfig(cfg ServeConfig, seed int64) (serve.Config, *obs.Recorder, *obs
 		PrefixSharing: cfg.PrefixSharing,
 		PrefixGroups:  cfg.PrefixGroups,
 		PrefixFrac:    cfg.PrefixFrac,
-		CostBucket:    cfg.CostBucket,
 		PreemptPolicy: cfg.PreemptPolicy,
 		TTFTSLOSec:    cfg.TTFTSLOSec,
 		TPOTSLOSec:    cfg.TPOTSLOSec,
@@ -437,12 +431,8 @@ func (s *Session) backend(cfg ServeConfig) serve.Backend {
 // the clear-hardware twin instead (the counterfactual side of TEE-tax
 // attribution), cached under a key disjoint from the real costers'.
 func (s *Session) costerFor(be serve.Backend, scfg serve.Config, clear bool) (*perf.StepCoster, error) {
-	bucket := scfg.CostBucket
-	if bucket < 1 {
-		bucket = 1
-	}
-	key := fmt.Sprintf("%s|%s|%d|%d|%v",
-		scfg.Workload.Model.Name, scfg.Workload.Kind, be.CPU.Sockets, bucket, be.IsGPU)
+	key := fmt.Sprintf("%s|%s|%d|%v",
+		scfg.Workload.Model.Name, scfg.Workload.Kind, be.CPU.Sockets, be.IsGPU)
 	build := serve.NewStepCoster
 	if clear {
 		key += "|clear"
