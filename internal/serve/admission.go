@@ -227,7 +227,7 @@ func (s *scheduler) shed(st *reqState) {
 // terminal EvDrop is emitted. The caller has already dequeued it.
 func (s *scheduler) dropQueued(st *reqState, reason DropReason, tokens int) {
 	if st.swapped {
-		s.kv.SwapIn(st.req.ID) // discard the parked copy
+		s.kv.swapIn(&st.slot) // discard the parked copy
 		st.swapped, st.swappedTokens = false, 0
 	}
 	st.phase = phaseDropped

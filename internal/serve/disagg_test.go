@@ -102,13 +102,23 @@ func TestRunFleetIsUnifiedTopology(t *testing.T) {
 // TestHandoffKVConservationAcrossRoles drains a disaggregated run and
 // checks the paged-pool invariants on every replica — prefill replicas
 // must release every drained block, decode replicas must retire every
-// staged copy — plus the fleet-level handoff ledger.
+// staged copy, and every request must have returned its KV slot — plus
+// the fleet-level handoff ledger.
 func TestHandoffKVConservationAcrossRoles(t *testing.T) {
-	checked := 0
+	checked, requests := 0, 0
 	fleetTestHook = func(reps []*scheduler, roles []Role) {
 		for i, s := range reps {
 			if err := s.kv.CheckConservation(); err != nil {
 				t.Errorf("replica %d (%s): %v", i, roles[i], err)
+			}
+			if h := s.kv.Holders(); h != 0 {
+				t.Errorf("replica %d (%s): %d requests still hold KV slots", i, roles[i], h)
+			}
+			for _, st := range s.kept {
+				if st.slot != 0 {
+					t.Errorf("replica %d (%s): request %d ends holding KV slot %d", i, roles[i], st.req.ID, st.slot)
+				}
+				requests++
 			}
 			checked++
 		}
@@ -119,8 +129,8 @@ func TestHandoffKVConservationAcrossRoles(t *testing.T) {
 	cfg.Workload.OutputLen = 16
 	cfg.Trace = fixedLengthTrace(cfg) // exact lengths, so the token ledger is exact arithmetic
 	rep := runDisagg(t, cfg)
-	if checked != 3 {
-		t.Fatalf("conservation hook saw %d replicas, want 3", checked)
+	if checked != 3 || requests != 40 {
+		t.Fatalf("conservation hook saw %d replicas and %d requests, want 3 and 40", checked, requests)
 	}
 	a := rep.Aggregate
 	if a.Completed != 40 || a.Dropped != 0 || a.Unfinished != 0 {
@@ -146,6 +156,46 @@ func TestHandoffKVConservationAcrossRoles(t *testing.T) {
 	}
 	if a.HandoffBytes <= 0 {
 		t.Fatal("handoff transfers carried no bytes")
+	}
+}
+
+// TestHandoffIngestRejectsHeldSlot: a KV slot indexes one replica's block
+// manager only, so a request that reaches its decode replica still holding
+// a prefill-side slot fails the run, naming the request and both replicas,
+// instead of being staged under a slot the decode side never issued.
+func TestHandoffIngestRejectsHeldSlot(t *testing.T) {
+	cfg := tinyConfig(10, 1)
+	if err := cfg.normalize(); err != nil {
+		t.Fatal(err)
+	}
+	p := newPool(cfg)
+	for i, plat := range []tee.Platform{tee.Baremetal(), tee.TDX()} {
+		if err := p.Add(i, cpuBackend(plat), cfg.Seed+int64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	src, dst := p.reps[0], p.reps[1]
+	dst.kv.ConfigureSwapPool(dst.kv.TotalBlocks())
+	r := &reqState{req: Request{ID: 7, InputLen: 64, OutputLen: 8}, phase: phaseHandoff}
+	if !src.kv.grow(&r.slot, r.req.ID, 65) || r.slot == 0 {
+		t.Fatal("prefill replica did not give the request a slot")
+	}
+	d := &handoffDispatcher{eng: p.eng, stage: &stageLB{reps: []*scheduler{dst}}}
+	d.ingest(src, r, 65)
+	if dst.err == nil || !strings.Contains(dst.err.Error(), "request 7 reaches decode replica 1 still holding KV slot 1 of prefill replica 0") {
+		t.Fatalf("ingest of a slot-holding request: err = %v", dst.err)
+	}
+	if dst.queue.Len() != 0 || dst.kv.SwappedBlocks() != 0 {
+		t.Fatalf("rejected request was staged: queue %d, %d swap blocks", dst.queue.Len(), dst.kv.SwappedBlocks())
+	}
+
+	// Once the drain has returned the slot, the same request is staged.
+	src.kv.release(&r.slot)
+	dst.err = nil
+	d.ingest(src, r, 65)
+	if dst.err != nil || dst.handoffsIn != 1 || dst.handoffFallbacks != 0 || r.slot == 0 {
+		t.Fatalf("ingest after the drain: err %v, %d ingested, %d fallbacks, slot %d",
+			dst.err, dst.handoffsIn, dst.handoffFallbacks, r.slot)
 	}
 }
 

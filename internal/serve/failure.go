@@ -160,7 +160,7 @@ func (s *scheduler) crash() {
 		if !st.swapped {
 			continue
 		}
-		s.kv.SwapIn(st.req.ID)
+		s.kv.swapIn(&st.slot)
 		st.swapped, st.swappedTokens = false, 0
 		st.prefilled, st.prefillTarget = 0, 0
 	}

@@ -4,12 +4,26 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"cllm/internal/dtype"
 	"cllm/internal/mem"
 	"cllm/internal/tee"
 	"cllm/internal/trace"
 )
+
+// TestReqStateSize guards per-request memory: a run keeps one reqState per
+// request, so growing it raises peak RSS on every long run. The KV slot
+// index lives in padding for that reason. A change that needs a bigger
+// reqState must raise this bound deliberately.
+func TestReqStateSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("size bound is for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(reqState{}); got > 160 {
+		t.Fatalf("reqState is %d bytes, bound 160", got)
+	}
+}
 
 // TestReqDeque exercises the ring buffer through wraps and growth in both
 // directions.
@@ -100,9 +114,10 @@ func TestPreemptionKeepsFIFOAdmitOrder(t *testing.T) {
 	}
 }
 
-// TestSizeFleetForSLOParallelMatchesSerial: the speculative parallel sizing
-// must return the byte-identical size and report the serial search finds.
-func TestSizeFleetForSLOParallelMatchesSerial(t *testing.T) {
+// TestSizeFleetForSLOWorkersMatchSerial: sizing on 4 workers, which
+// prefetches candidate fleets speculatively, must return the
+// byte-identical size and report the serial (workers=1) search finds.
+func TestSizeFleetForSLOWorkersMatchSerial(t *testing.T) {
 	be := cpuBackend(tee.TDX())
 	cfg := tinyConfig(12, 32)
 	cfg.TTFTSLOSec, cfg.TPOTSLOSec = 2, 0.5

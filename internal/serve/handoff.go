@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"fmt"
+
 	"cllm/internal/hw"
 	"cllm/internal/sim"
 	"cllm/internal/trace"
@@ -50,13 +52,12 @@ func (d *handoffDispatcher) initiate(src *scheduler, r *reqState) {
 	if src.obs != nil {
 		src.event(Event{Kind: EvHandoff, ReqID: r.req.ID, Tokens: tokens, Bytes: bytes, XferSec: drain + nic})
 	}
-	reqID := r.req.ID
 	d.eng.Schedule(sim.Time(drain), func(*sim.Engine) {
-		src.kv.Release(reqID)
+		src.kv.release(&r.slot)
 		src.kick()
 	})
 	d.eng.Schedule(sim.Time(drain+nic), func(*sim.Engine) {
-		d.ingest(r, tokens)
+		d.ingest(src, r, tokens)
 	})
 }
 
@@ -67,10 +68,19 @@ func (d *handoffDispatcher) initiate(src *scheduler, r *reqState) {
 // copy in the admitting round and consulting the decode side's prefix
 // cache. A full staging pool forces the fallback: the decode replica
 // recomputes the prompt from scratch and the transfer was wasted work.
-func (d *handoffDispatcher) ingest(r *reqState, tokens int) {
+//
+// A KV slot indexes one replica's BlockManager only, so the source's drain
+// must have returned the request's slot before the decode side takes a
+// new one; a request still holding a slot here fails the run.
+func (d *handoffDispatcher) ingest(src *scheduler, r *reqState, tokens int) {
 	j := d.stage.pick(r.req)
 	dst := d.stage.reps[j]
-	if dst.kv.SwapOut(r.req.ID, tokens) {
+	if r.slot != 0 {
+		dst.fail(fmt.Errorf("serve: request %d reaches decode replica %d still holding KV slot %d of prefill replica %d",
+			r.req.ID, dst.replica, r.slot, src.replica))
+		return
+	}
+	if dst.kv.swapOut(&r.slot, r.req.ID, tokens) {
 		r.swapped = true
 		r.swappedTokens = tokens
 	} else {

@@ -1,6 +1,9 @@
 package serve
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // BlockManager is the paged KV-cache allocator: the platform's usable
 // memory (HBM minus weights on GPUs, enclave size minus weights under SGX,
@@ -18,6 +21,12 @@ import "fmt"
 // re-storing them. Blocks whose refcount drops to zero are retained in an
 // LRU cache and reclaimed only under allocation pressure (leaf-first, so a
 // cached block's parents always outlive it).
+//
+// Each request's holding lives in one slot of a dense table. The scheduler
+// keeps every request's slot index in its state and calls the slot
+// methods; the exported int-keyed methods look the request ID up in a map
+// and run the same code. A request is driven through one of the two, not
+// both.
 type BlockManager struct {
 	blockTokens   int
 	bytesPerToken int64
@@ -25,8 +34,17 @@ type BlockManager struct {
 	free          int // blocks neither privately held nor backing a shared entry
 	sharing       bool
 
-	held       map[int]int      // request ID → private blocks held
-	pinned     map[int]pinChain // request ID → shared prefix chain pinned
+	// slots is the dense per-request holding table. A request takes a slot
+	// when it first holds anything and returns it once it holds nothing, so
+	// a running row reaches its holding by index, with no map operation.
+	// Slot 0 is never handed out: it is the empty holding a slot-less
+	// request reads. freeSlots lists returned slots for reuse.
+	slots     []kvHold
+	freeSlots []int32
+	// ids binds request IDs to slots for the int-keyed methods only; the
+	// scheduler carries each request's slot itself and never touches it.
+	ids map[int]int32
+
 	shared     map[blockKey]*sharedBlock
 	cached     int   // shared blocks nobody pins (refcount zero, evictable)
 	tick       int64 // monotonic op counter driving LRU order (deterministic)
@@ -42,12 +60,25 @@ type BlockManager struct {
 	swapTotal int
 	swapUsed  int
 	swapPeak  int
-	swapped   map[int]int // request ID → swap blocks parked
 
-	// longest is DedupSavedTokens' scratch: prefix hash → longest chain
-	// among the batch's rows, cleared and reused on every call.
+	// longest is dedupSaved's scratch: prefix hash → longest chain among
+	// the batch's rows, cleared and reused on every call. idSlots is
+	// DedupSavedTokens' scratch: the batch's IDs resolved to slots.
 	longest map[uint64]int
+	idSlots []int32
 }
+
+// kvHold is one request's holding in the device and swap pools.
+type kvHold struct {
+	owner   int      // request ID the slot belongs to
+	private int      // private blocks held
+	pins    pinChain // shared prefix chain pinned
+	swap    int      // swap blocks parked
+}
+
+// empty reports whether the holding holds nothing, so its slot can be
+// returned.
+func (h *kvHold) empty() bool { return h.private == 0 && len(h.pins.blocks) == 0 && h.swap == 0 }
 
 // pinChain is the shared prefix one request pins: blocks 0..len-1 of the
 // prefix whose identity hash is hash, in chain order. AcquirePrefix only
@@ -101,6 +132,13 @@ func chainHash(prefixHash uint64, idx int) uint64 {
 // the prefix cache; without it the manager is a plain per-request
 // allocator.
 func NewBlockManager(budgetBytes int64, blockTokens int, bytesPerToken int64, sharing bool) (*BlockManager, error) {
+	return newBlockManager(budgetBytes, blockTokens, bytesPerToken, sharing, 8)
+}
+
+// newBlockManager is NewBlockManager with the slot table pre-sized for
+// holders concurrent holders, so a run that stays within it never grows
+// the table.
+func newBlockManager(budgetBytes int64, blockTokens int, bytesPerToken int64, sharing bool, holders int) (*BlockManager, error) {
 	if blockTokens <= 0 || bytesPerToken <= 0 {
 		return nil, fmt.Errorf("serve: block of %d tokens × %d bytes/token is not allocatable", blockTokens, bytesPerToken)
 	}
@@ -115,12 +153,52 @@ func NewBlockManager(budgetBytes int64, blockTokens int, bytesPerToken int64, sh
 		total:         total,
 		free:          total,
 		sharing:       sharing,
-		held:          make(map[int]int),
-		pinned:        make(map[int]pinChain),
+		slots:         make([]kvHold, 1, holders+1),
+		freeSlots:     make([]int32, 0, holders),
 		shared:        make(map[blockKey]*sharedBlock),
-		swapped:       make(map[int]int),
 		longest:       make(map[uint64]int),
 	}, nil
+}
+
+// take returns the request's holding, first taking a slot for it when it
+// has none (*slot == 0).
+func (m *BlockManager) take(slot *int32, reqID int) *kvHold {
+	if *slot == 0 {
+		if n := len(m.freeSlots); n > 0 {
+			*slot = m.freeSlots[n-1]
+			m.freeSlots = m.freeSlots[:n-1]
+		} else {
+			*slot = int32(len(m.slots))
+			m.slots = append(m.slots, kvHold{})
+		}
+		m.slots[*slot].owner = reqID
+	}
+	return &m.slots[*slot]
+}
+
+// put returns the request's slot once its holding is empty and zeroes
+// *slot. A returned slot keeps its pin buffer for the next holder.
+func (m *BlockManager) put(slot *int32) {
+	if *slot == 0 || !m.slots[*slot].empty() {
+		return
+	}
+	m.freeSlots = append(m.freeSlots, *slot)
+	*slot = 0
+}
+
+// rebind records the slot an int-keyed call left reqID holding (was is the
+// slot it held before the call).
+func (m *BlockManager) rebind(reqID int, was, slot int32) {
+	switch {
+	case slot == was:
+	case slot == 0:
+		delete(m.ids, reqID)
+	default:
+		if m.ids == nil {
+			m.ids = make(map[int]int32)
+		}
+		m.ids[reqID] = slot
+	}
 }
 
 // ConfigureSwapPool sizes the host swap pool in blocks. Zero (the default)
@@ -152,19 +230,29 @@ func (m *BlockManager) PeakSwapBlocks() int { return m.swapPeak }
 // leading entries, including any span shared prefix blocks also cover, so
 // a later swap-in never depends on cache residency.
 func (m *BlockManager) SwapOut(reqID, tokens int) bool {
+	was := m.ids[reqID]
+	slot := was
+	ok := m.swapOut(&slot, reqID, tokens)
+	m.rebind(reqID, was, slot)
+	return ok
+}
+
+// swapOut is SwapOut on the request's slot.
+func (m *BlockManager) swapOut(slot *int32, reqID, tokens int) bool {
 	if tokens <= 0 {
 		return false
 	}
-	if m.swapped[reqID] > 0 {
+	if m.slots[*slot].swap > 0 {
 		return false // already parked; one swap copy per request
 	}
 	need := m.BlocksFor(tokens)
 	if m.swapUsed+need > m.swapTotal {
 		return false
 	}
-	m.Release(reqID)
+	h := m.take(slot, reqID)
+	m.unhold(h)
+	h.swap = need
 	m.swapUsed += need
-	m.swapped[reqID] = need
 	if m.swapUsed > m.swapPeak {
 		m.swapPeak = m.swapUsed
 	}
@@ -176,12 +264,23 @@ func (m *BlockManager) SwapOut(reqID, tokens int) bool {
 // how many were freed. Dropping a swapped request uses the same call —
 // the pool does not care whether the copy was restored or discarded.
 func (m *BlockManager) SwapIn(reqID int) int {
-	n := m.swapped[reqID]
+	was := m.ids[reqID]
+	slot := was
+	n := m.swapIn(&slot)
+	m.rebind(reqID, was, slot)
+	return n
+}
+
+// swapIn is SwapIn on the request's slot.
+func (m *BlockManager) swapIn(slot *int32) int {
+	h := &m.slots[*slot]
+	n := h.swap
 	if n == 0 {
 		return 0
 	}
-	delete(m.swapped, reqID)
+	h.swap = 0
 	m.swapUsed -= n
+	m.put(slot)
 	return n
 }
 
@@ -217,18 +316,9 @@ func (m *BlockManager) HitTokens() int { return m.hitTokens }
 // in cache at acquisition time.
 func (m *BlockManager) MissTokens() int { return m.missTokens }
 
-// Holders returns how many requests currently hold private blocks or pin
-// shared ones.
-func (m *BlockManager) Holders() int {
-	ids := make(map[int]struct{}, len(m.held)+len(m.pinned))
-	for id := range m.held {
-		ids[id] = struct{}{}
-	}
-	for id := range m.pinned {
-		ids[id] = struct{}{}
-	}
-	return len(ids)
-}
+// Holders returns how many requests currently hold anything: private
+// blocks, shared pins or a parked swap copy.
+func (m *BlockManager) Holders() int { return len(m.slots) - 1 - len(m.freeSlots) }
 
 // BlocksFor returns the blocks needed to hold `tokens` cache entries.
 func (m *BlockManager) BlocksFor(tokens int) int {
@@ -316,14 +406,24 @@ func (m *BlockManager) reserve(n int) bool {
 // scheduler calls creditPrefixStats once the request is actually
 // admitted.
 func (m *BlockManager) AcquirePrefix(reqID int, prefixHash uint64, prefixTokens int) (cachedTokens int, err error) {
+	was := m.ids[reqID]
+	slot := was
+	cachedTokens, err = m.acquirePrefix(&slot, reqID, prefixHash, prefixTokens)
+	m.rebind(reqID, was, slot)
+	return cachedTokens, err
+}
+
+// acquirePrefix is AcquirePrefix on the request's slot.
+func (m *BlockManager) acquirePrefix(slot *int32, reqID int, prefixHash uint64, prefixTokens int) (cachedTokens int, err error) {
 	if !m.sharing || prefixTokens < m.blockTokens {
 		return 0, nil
 	}
-	if len(m.pinned[reqID].blocks) > 0 {
+	if len(m.slots[*slot].pins.blocks) > 0 {
 		return 0, fmt.Errorf("serve: request %d acquires a prefix it already holds", reqID)
 	}
 	nBlocks := prefixTokens / m.blockTokens // full blocks only
-	pins := make([]*sharedBlock, 0, nBlocks)
+	h := m.take(slot, reqID)
+	pins := slices.Grow(h.pins.blocks[:0], nBlocks) // the slot's buffer, grown only past its capacity
 	hitsDone := false
 	for idx := 0; idx < nBlocks; idx++ {
 		key := blockKey{hash: chainHash(prefixHash, idx), idx: idx}
@@ -351,33 +451,38 @@ func (m *BlockManager) AcquirePrefix(reqID int, prefixHash uint64, prefixTokens 
 		pins = append(pins, nb)
 		m.notePeak()
 	}
-	if len(pins) > 0 {
-		m.pinned[reqID] = pinChain{hash: prefixHash, blocks: pins}
-	}
+	h.pins = pinChain{hash: prefixHash, blocks: pins}
+	m.put(slot)
 	return cachedTokens, nil
 }
 
 // creditPrefixStats commits the hit/miss accounting of a successful
 // admission: cachedTokens prefix tokens were served from cache, and the
 // rest of the request's pinned prefix had to be (re)computed.
-func (m *BlockManager) creditPrefixStats(reqID, cachedTokens int) {
+func (m *BlockManager) creditPrefixStats(slot int32, cachedTokens int) {
 	m.hitTokens += cachedTokens
-	if missed := m.SharedTokens(reqID) - cachedTokens; missed > 0 {
+	if missed := m.sharedTokens(slot) - cachedTokens; missed > 0 {
 		m.missTokens += missed
 	}
 }
 
 // SharedTokens returns how many prompt tokens of the request are covered by
 // pinned shared blocks.
-func (m *BlockManager) SharedTokens(reqID int) int {
-	return len(m.pinned[reqID].blocks) * m.blockTokens
+func (m *BlockManager) SharedTokens(reqID int) int { return m.sharedTokens(m.ids[reqID]) }
+
+// sharedTokens is SharedTokens on the request's slot.
+func (m *BlockManager) sharedTokens(slot int32) int {
+	return len(m.slots[slot].pins.blocks) * m.blockTokens
 }
 
 // MarkComputed records that the request's prefill has filled its pinned
 // prefix blocks up to `tokens` prompt tokens, making them cache hits for
 // later sharers.
-func (m *BlockManager) MarkComputed(reqID, tokens int) {
-	for _, b := range m.pinned[reqID].blocks {
+func (m *BlockManager) MarkComputed(reqID, tokens int) { m.markComputed(m.ids[reqID], tokens) }
+
+// markComputed is MarkComputed on the request's slot.
+func (m *BlockManager) markComputed(slot int32, tokens int) {
+	for _, b := range m.slots[slot].pins.blocks {
 		if (b.key.idx+1)*m.blockTokens <= tokens {
 			b.computed = true
 		}
@@ -390,7 +495,28 @@ func (m *BlockManager) MarkComputed(reqID, tokens int) {
 // the pool could satisfy the request; on false the holding is unchanged
 // (all-or-nothing).
 func (m *BlockManager) Grow(reqID, tokens int) bool {
-	need := m.BlocksFor(tokens) - len(m.pinned[reqID].blocks) - m.held[reqID]
+	was := m.ids[reqID]
+	slot := was
+	ok := m.grow(&slot, reqID, tokens)
+	m.rebind(reqID, was, slot)
+	return ok
+}
+
+// grow is Grow on the request's slot. A request that already holds a slot
+// reaches its holding by index: no map operation. Most decode rounds find
+// the context still inside the blocks held, which grow answers inline.
+func (m *BlockManager) grow(slot *int32, reqID, tokens int) bool {
+	h := &m.slots[*slot]
+	if tokens <= (len(h.pins.blocks)+h.private)*m.blockTokens {
+		return true
+	}
+	return m.growBlocks(slot, reqID, tokens)
+}
+
+// growBlocks allocates grow's private-block shortfall.
+func (m *BlockManager) growBlocks(slot *int32, reqID, tokens int) bool {
+	h := &m.slots[*slot]
+	need := m.BlocksFor(tokens) - len(h.pins.blocks) - h.private
 	if need <= 0 {
 		return true
 	}
@@ -398,7 +524,7 @@ func (m *BlockManager) Grow(reqID, tokens int) bool {
 		return false
 	}
 	m.free -= need
-	m.held[reqID] += need
+	m.take(slot, reqID).private += need
 	m.notePeak()
 	return true
 }
@@ -406,13 +532,33 @@ func (m *BlockManager) Grow(reqID, tokens int) bool {
 // Release frees every private block the request holds, unpins its shared
 // blocks, and returns the total count released. Shared blocks whose
 // refcount drops to zero stay cached (leaf-first LRU) if computed, and are
-// freed immediately if their prefill never completed.
+// freed immediately if their prefill never completed. A parked swap copy
+// stays parked.
 func (m *BlockManager) Release(reqID int) int {
-	n := m.held[reqID]
-	delete(m.held, reqID)
+	was := m.ids[reqID]
+	slot := was
+	n := m.release(&slot)
+	m.rebind(reqID, was, slot)
+	return n
+}
+
+// release is Release on the request's slot.
+func (m *BlockManager) release(slot *int32) int {
+	if *slot == 0 {
+		return 0
+	}
+	n := m.unhold(&m.slots[*slot])
+	m.put(slot)
+	return n
+}
+
+// unhold frees the holding's private blocks and unpins its shared chain,
+// returning the count released; the slot itself stays taken.
+func (m *BlockManager) unhold(h *kvHold) int {
+	n := h.private
+	h.private = 0
 	m.free += n
-	pins := m.pinned[reqID].blocks
-	delete(m.pinned, reqID)
+	pins := h.pins.blocks
 	if len(pins) > 0 {
 		m.tick++
 		for _, b := range pins {
@@ -430,6 +576,8 @@ func (m *BlockManager) Release(reqID int) int {
 			b.lruSeq = m.tick<<16 - int64(b.key.idx)
 			m.cached++
 		}
+		clear(pins)
+		h.pins = pinChain{blocks: pins[:0]}
 	}
 	return n
 }
@@ -440,20 +588,31 @@ func (m *BlockManager) Release(reqID int) int {
 // the decode step's resident working set: shared prefix pages are mapped
 // once however many rows stream them, so they do not widen TLB reach or
 // enclave paging pressure.
+func (m *BlockManager) DedupSavedTokens(ids []int) int {
+	slots := m.idSlots[:0]
+	for _, id := range ids {
+		slots = append(slots, m.ids[id])
+	}
+	m.idSlots = slots
+	return m.dedupSaved(slots)
+}
+
+// dedupSaved is DedupSavedTokens on the rows' slots.
 //
 // Every pinned chain runs from block 0 of its prefix, and block keys of
 // different prefixes never collide, so a prefix's unique blocks are
 // exactly its longest pinned chain in the batch. The fold is therefore
-// Σ rows len(chain) − Σ prefixes max len(chain): one map probe per row,
-// no per-block work and, once the scratch map has grown, no allocation.
-func (m *BlockManager) DedupSavedTokens(ids []int) int {
+// Σ rows len(chain) − Σ prefixes max len(chain): one map probe per
+// pinning row, no per-block work and, once the scratch map has grown, no
+// allocation.
+func (m *BlockManager) dedupSaved(slots []int32) int {
 	if !m.sharing {
 		return 0
 	}
 	clear(m.longest)
 	saved := 0
-	for _, id := range ids {
-		c := m.pinned[id]
+	for _, sl := range slots {
+		c := &m.slots[sl].pins
 		n := len(c.blocks)
 		if n == 0 {
 			continue
@@ -471,28 +630,62 @@ func (m *BlockManager) DedupSavedTokens(ids []int) int {
 
 // CheckConservation verifies the pool's accounting invariants: every block
 // is exactly one of free, privately held, or backing a shared entry, and
-// shared refcounts equal the pins held by requests. Tests call this after
-// adversarial share/preempt/evict interleavings.
+// shared refcounts equal the pins held by requests. It also checks the
+// slot table: a slot is either free and empty or taken and holding
+// something, and every int-keyed binding points at its request's slot.
+// Tests call this after adversarial share/preempt/evict interleavings.
 func (m *BlockManager) CheckConservation() error {
-	private := 0
-	for _, n := range m.held {
-		if n < 0 {
-			return fmt.Errorf("serve: negative private holding %d", n)
+	isFree := make([]bool, len(m.slots))
+	isFree[0] = true
+	for _, sl := range m.freeSlots {
+		if sl <= 0 || int(sl) >= len(m.slots) || isFree[sl] {
+			return fmt.Errorf("serve: free slot list holds slot %d out of range or twice", sl)
 		}
-		private += n
+		isFree[sl] = true
+	}
+	private, swapSum := 0, 0
+	pinRefs := make(map[blockKey]int)
+	for sl := range m.slots {
+		h := &m.slots[sl]
+		if isFree[sl] {
+			if !h.empty() {
+				return fmt.Errorf("serve: free slot %d holds %d private / %d pinned / %d swap blocks",
+					sl, h.private, len(h.pins.blocks), h.swap)
+			}
+			continue
+		}
+		if h.empty() {
+			return fmt.Errorf("serve: request %d holds nothing but keeps slot %d", h.owner, sl)
+		}
+		if h.private < 0 {
+			return fmt.Errorf("serve: negative private holding %d", h.private)
+		}
+		private += h.private
+		for idx, b := range h.pins.blocks {
+			if b.key != (blockKey{hash: chainHash(h.pins.hash, idx), idx: idx}) {
+				return fmt.Errorf("serve: request %d pins block %v at chain position %d of prefix %#x", h.owner, b.key, idx, h.pins.hash)
+			}
+			pinRefs[b.key]++
+		}
+		if h.swap < 0 {
+			return fmt.Errorf("serve: request %d parks %d swap blocks", h.owner, h.swap)
+		}
+		// A swapped request holds nothing in the device pool: SwapOut
+		// released its private blocks and shared pins atomically.
+		if h.swap > 0 && (h.private != 0 || len(h.pins.blocks) != 0) {
+			return fmt.Errorf("serve: swapped request %d still holds %d private / %d pinned device blocks",
+				h.owner, h.private, len(h.pins.blocks))
+		}
+		swapSum += h.swap
+	}
+	for id, sl := range m.ids {
+		if sl <= 0 || int(sl) >= len(m.slots) || isFree[sl] || m.slots[sl].owner != id {
+			return fmt.Errorf("serve: request %d is bound to slot %d it does not hold", id, sl)
+		}
 	}
 	if got := m.free + private + len(m.shared); got != m.total {
 		return fmt.Errorf("serve: block conservation broken: free %d + private %d + shared %d = %d, want %d",
 			m.free, private, len(m.shared), got, m.total)
-	}
-	pinRefs := make(map[blockKey]int)
-	for id, c := range m.pinned {
-		for idx, b := range c.blocks {
-			if b.key != (blockKey{hash: chainHash(c.hash, idx), idx: idx}) {
-				return fmt.Errorf("serve: request %d pins block %v at chain position %d of prefix %#x", id, b.key, idx, c.hash)
-			}
-			pinRefs[b.key]++
-		}
 	}
 	cached := 0
 	for key, b := range m.shared {
@@ -512,19 +705,6 @@ func (m *BlockManager) CheckConservation() error {
 	}
 	if cached != m.cached {
 		return fmt.Errorf("serve: cached-block counter %d but %d unpinned shared blocks", m.cached, cached)
-	}
-	swapSum := 0
-	for id, n := range m.swapped {
-		if n <= 0 {
-			return fmt.Errorf("serve: request %d parks %d swap blocks", id, n)
-		}
-		swapSum += n
-		// A swapped request holds nothing in the device pool: SwapOut
-		// released its private blocks and shared pins atomically.
-		if m.held[id] != 0 || len(m.pinned[id].blocks) != 0 {
-			return fmt.Errorf("serve: swapped request %d still holds %d private / %d pinned device blocks",
-				id, m.held[id], len(m.pinned[id].blocks))
-		}
 	}
 	if swapSum != m.swapUsed {
 		return fmt.Errorf("serve: swap pool accounting broken: %d parked, %d used", swapSum, m.swapUsed)

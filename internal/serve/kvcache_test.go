@@ -210,14 +210,174 @@ func TestPrefixCacheEvictionLeafFirst(t *testing.T) {
 	}
 }
 
+// kvAPI is the request-keyed surface the randomized walks drive: the
+// int-keyed methods (idAPI), the scheduler's slot path (slotAPI), or both
+// in lockstep (twinAPI).
+type kvAPI interface {
+	AcquirePrefix(id int, prefixHash uint64, prefixTokens int) (int, error)
+	Credit(id, cachedTokens int)
+	Grow(id, tokens int) bool
+	MarkComputed(id, tokens int)
+	Release(id int) int
+	SwapOut(id, tokens int) bool
+	SwapIn(id int) int
+	SharedTokens(id int) int
+	DedupSavedTokens(ids []int) int
+	FlushCache() int
+}
+
+// idAPI drives a manager through its int-keyed methods.
+type idAPI struct{ *BlockManager }
+
+func (a idAPI) Credit(id, cachedTokens int) { a.creditPrefixStats(a.ids[id], cachedTokens) }
+
+// slotAPI drives a manager through the slot path, keeping each request's
+// slot itself as the scheduler's reqState does.
+type slotAPI struct {
+	m     *BlockManager
+	slots []int32 // request ID → slot
+	buf   []int32
+}
+
+func (a *slotAPI) slot(id int) *int32 {
+	for len(a.slots) <= id {
+		a.slots = append(a.slots, 0)
+	}
+	return &a.slots[id]
+}
+
+func (a *slotAPI) AcquirePrefix(id int, prefixHash uint64, prefixTokens int) (int, error) {
+	return a.m.acquirePrefix(a.slot(id), id, prefixHash, prefixTokens)
+}
+func (a *slotAPI) Credit(id, cachedTokens int) { a.m.creditPrefixStats(*a.slot(id), cachedTokens) }
+func (a *slotAPI) Grow(id, tokens int) bool    { return a.m.grow(a.slot(id), id, tokens) }
+func (a *slotAPI) MarkComputed(id, tokens int) { a.m.markComputed(*a.slot(id), tokens) }
+func (a *slotAPI) Release(id int) int          { return a.m.release(a.slot(id)) }
+func (a *slotAPI) SwapOut(id, tokens int) bool { return a.m.swapOut(a.slot(id), id, tokens) }
+func (a *slotAPI) SwapIn(id int) int           { return a.m.swapIn(a.slot(id)) }
+func (a *slotAPI) SharedTokens(id int) int     { return a.m.sharedTokens(*a.slot(id)) }
+func (a *slotAPI) FlushCache() int             { return a.m.FlushCache() }
+func (a *slotAPI) DedupSavedTokens(ids []int) int {
+	a.buf = a.buf[:0]
+	for _, id := range ids {
+		a.buf = append(a.buf, *a.slot(id))
+	}
+	return a.m.dedupSaved(a.buf)
+}
+
+// twinAPI applies every operation through the int-keyed methods on one
+// manager and through the slot path on another, failing on the first
+// result that differs.
+type twinAPI struct {
+	t    *testing.T
+	byID idAPI
+	slot *slotAPI
+}
+
+// same fails the test unless both paths returned the same result.
+func same[T comparable](t *testing.T, op string, byID, bySlot T) T {
+	t.Helper()
+	if byID != bySlot {
+		t.Fatalf("%s: int-keyed path returned %v, slot path %v", op, byID, bySlot)
+	}
+	return byID
+}
+
+func (w twinAPI) AcquirePrefix(id int, prefixHash uint64, prefixTokens int) (int, error) {
+	c, err := w.byID.AcquirePrefix(id, prefixHash, prefixTokens)
+	c2, err2 := w.slot.AcquirePrefix(id, prefixHash, prefixTokens)
+	same(w.t, "AcquirePrefix error", err == nil, err2 == nil)
+	return same(w.t, "AcquirePrefix", c, c2), err
+}
+func (w twinAPI) Credit(id, cachedTokens int) {
+	w.byID.Credit(id, cachedTokens)
+	w.slot.Credit(id, cachedTokens)
+}
+func (w twinAPI) Grow(id, tokens int) bool {
+	return same(w.t, "Grow", w.byID.Grow(id, tokens), w.slot.Grow(id, tokens))
+}
+func (w twinAPI) MarkComputed(id, tokens int) {
+	w.byID.MarkComputed(id, tokens)
+	w.slot.MarkComputed(id, tokens)
+}
+func (w twinAPI) Release(id int) int {
+	return same(w.t, "Release", w.byID.Release(id), w.slot.Release(id))
+}
+func (w twinAPI) SwapOut(id, tokens int) bool {
+	return same(w.t, "SwapOut", w.byID.SwapOut(id, tokens), w.slot.SwapOut(id, tokens))
+}
+func (w twinAPI) SwapIn(id int) int { return same(w.t, "SwapIn", w.byID.SwapIn(id), w.slot.SwapIn(id)) }
+func (w twinAPI) SharedTokens(id int) int {
+	return same(w.t, "SharedTokens", w.byID.SharedTokens(id), w.slot.SharedTokens(id))
+}
+func (w twinAPI) DedupSavedTokens(ids []int) int {
+	return same(w.t, "DedupSavedTokens", w.byID.DedupSavedTokens(ids), w.slot.DedupSavedTokens(ids))
+}
+func (w twinAPI) FlushCache() int {
+	return same(w.t, "FlushCache", w.byID.FlushCache(), w.slot.FlushCache())
+}
+
+// kvCounters are the observable pool counters a twin walk holds equal.
+func kvCounters(m *BlockManager) [7]int {
+	return [7]int{m.FreeBlocks(), m.InUse(), m.CachedBlocks(), m.SwappedBlocks(),
+		m.HitTokens(), m.MissTokens(), m.EvictedBlocks()}
+}
+
+// walkRig is what a randomized walk drives and checks: api applies the
+// operations to the managers in ms. ms[0] is driven int-keyed; a twin rig
+// adds a second manager driven through the slot path.
+type walkRig struct {
+	api kvAPI
+	ms  []*BlockManager
+}
+
+// newWalkRig builds the managers for a walk over a pool of the given size
+// with swapBlocks of host swap pool.
+func newWalkRig(t *testing.T, blocks, swapBlocks int, twin bool) walkRig {
+	t.Helper()
+	n := 1
+	if twin {
+		n = 2
+	}
+	var ms []*BlockManager
+	for range n {
+		m, err := NewBlockManager(int64(blocks)*64, 16, 4, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.ConfigureSwapPool(swapBlocks)
+		ms = append(ms, m)
+	}
+	if twin {
+		return walkRig{api: twinAPI{t: t, byID: idAPI{ms[0]}, slot: &slotAPI{m: ms[1]}}, ms: ms}
+	}
+	return walkRig{api: idAPI{ms[0]}, ms: ms}
+}
+
+// check verifies conservation on every manager and, on a twin rig, that
+// both managers' counters agree.
+func (g walkRig) check(t *testing.T, op int) {
+	t.Helper()
+	for i, m := range g.ms {
+		if err := m.CheckConservation(); err != nil {
+			t.Fatalf("op %d, manager %d: %v", op, i, err)
+		}
+	}
+	if len(g.ms) == 2 {
+		if a, b := kvCounters(g.ms[0]), kvCounters(g.ms[1]); a != b {
+			t.Fatalf("op %d: counters diverge (free, in use, cached, swapped, hit, miss, evicted): int-keyed %v, slot path %v", op, a, b)
+		}
+	}
+}
+
 // dedupReference is the set-based fold DedupSavedTokens replaced: every
 // pinned block of every row counts once per row, and each distinct block
-// once for the whole batch.
+// once for the whole batch. It reads pins of requests driven int-keyed.
 func dedupReference(m *BlockManager, ids []int) int {
 	seen := make(map[blockKey]struct{})
 	pins := 0
 	for _, id := range ids {
-		for _, b := range m.pinned[id].blocks {
+		for _, b := range m.slots[m.ids[id]].pins.blocks {
 			pins++
 			seen[b.key] = struct{}{}
 		}
@@ -234,7 +394,7 @@ type dedupWalk struct {
 	cutShort, flushedBlocks int
 }
 
-func (w *dedupWalk) check(t *testing.T, m *BlockManager, op int, ids []int) {
+func (w *dedupWalk) check(t *testing.T, g walkRig, op int, ids []int) {
 	t.Helper()
 	batch := make([]int, 0, len(ids)+1)
 	for _, id := range ids {
@@ -247,7 +407,7 @@ func (w *dedupWalk) check(t *testing.T, m *BlockManager, op int, ids []int) {
 		w.dupes++
 	}
 	w.rng.Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
-	got, want := m.DedupSavedTokens(batch), dedupReference(m, batch)
+	got, want := g.api.DedupSavedTokens(batch), dedupReference(g.ms[0], batch)
 	if got != want {
 		t.Fatalf("op %d: DedupSavedTokens(%v) = %d, set-based reference %d", op, batch, got, want)
 	}
@@ -257,21 +417,24 @@ func (w *dedupWalk) check(t *testing.T, m *BlockManager, op int, ids []int) {
 	}
 }
 
-// acquire pins a prefix and notes when the pool cut its chain short.
-func (w *dedupWalk) acquire(t *testing.T, m *BlockManager, op, id, group, prefixLen int) {
+// acquire pins a prefix, credits its hit/miss tokens, and notes when the
+// pool cut its chain short.
+func (w *dedupWalk) acquire(t *testing.T, api kvAPI, op, id, group, prefixLen int) {
 	t.Helper()
-	if _, err := m.AcquirePrefix(id, prefixHash(group), prefixLen); err != nil {
+	cached, err := api.AcquirePrefix(id, prefixHash(group), prefixLen)
+	if err != nil {
 		t.Fatalf("op %d: %v", op, err)
 	}
-	if m.SharedTokens(id) < prefixLen {
+	api.Credit(id, cached)
+	if api.SharedTokens(id) < prefixLen {
 		w.cutShort++
 	}
 }
 
 // maybeFlush occasionally drops the whole prefix cache, as a crash does.
-func (w *dedupWalk) maybeFlush(m *BlockManager) {
+func (w *dedupWalk) maybeFlush(api kvAPI) {
 	if w.rng.Intn(64) == 0 {
-		w.flushedBlocks += m.FlushCache()
+		w.flushedBlocks += api.FlushCache()
 	}
 }
 
@@ -295,60 +458,72 @@ var randomizedPools = []struct {
 func TestBlockRefcountConservationRandomized(t *testing.T) {
 	for _, pool := range randomizedPools {
 		t.Run(fmt.Sprintf("pool=%d", pool.blocks), func(t *testing.T) {
-			m, err := NewBlockManager(int64(pool.blocks)*64, 16, 4, true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rng := rand.New(rand.NewSource(42))
-			w := &dedupWalk{rng: rand.New(rand.NewSource(43))}
-			type live struct{ id, prefixLen int }
-			var actives []live
-			var ids []int
-			nextID := 0
-			for i := 0; i < 4000; i++ {
-				switch op := rng.Intn(5); {
-				case op == 0 || len(actives) == 0: // new request acquires a prefix
-					id := nextID
-					nextID++
-					group := rng.Intn(4) + 1
-					pl := (rng.Intn(6) + 1) * 16
-					w.acquire(t, m, i, id, group, pl)
-					actives = append(actives, live{id: id, prefixLen: pl})
-				case op == 1: // grow
-					r := actives[rng.Intn(len(actives))]
-					m.Grow(r.id, r.prefixLen+rng.Intn(128))
-				case op == 2: // prefill progress
-					r := actives[rng.Intn(len(actives))]
-					m.MarkComputed(r.id, rng.Intn(r.prefixLen+1))
-				default: // release (preempt/finish)
-					k := rng.Intn(len(actives))
-					m.Release(actives[k].id)
-					actives = append(actives[:k], actives[k+1:]...)
-				}
-				w.maybeFlush(m)
-				if err := m.CheckConservation(); err != nil {
-					t.Fatalf("op %d: %v", i, err)
-				}
-				ids = ids[:0]
-				for _, r := range actives {
-					ids = append(ids, r.id)
-				}
-				w.check(t, m, i, ids)
-			}
-			w.covered(t, pool.wantCutShort)
-			for _, r := range actives {
-				m.Release(r.id)
-			}
-			if err := m.CheckConservation(); err != nil {
-				t.Fatal(err)
-			}
-			if m.InUse() != 0 {
-				t.Fatalf("blocks still active after releasing everything: %d", m.InUse())
-			}
-			if m.FreeBlocks()+m.CachedBlocks() != m.TotalBlocks() {
-				t.Fatalf("free %d + cached %d != total %d", m.FreeBlocks(), m.CachedBlocks(), m.TotalBlocks())
-			}
+			refcountWalk(t, newWalkRig(t, pool.blocks, 0, false), pool.wantCutShort)
 		})
+	}
+}
+
+// TestBlockRefcountConservationRandomizedSlotPath runs the same walk
+// through the int-keyed methods and the scheduler's slot path on two
+// managers: every result and counter must agree after every operation.
+func TestBlockRefcountConservationRandomizedSlotPath(t *testing.T) {
+	for _, pool := range randomizedPools {
+		t.Run(fmt.Sprintf("pool=%d", pool.blocks), func(t *testing.T) {
+			refcountWalk(t, newWalkRig(t, pool.blocks, 0, true), pool.wantCutShort)
+		})
+	}
+}
+
+// refcountWalk is the recompute randomized walk: requests acquire prefixes,
+// grow, make prefill progress and release in random order, with the
+// prefix cache occasionally flushed.
+func refcountWalk(t *testing.T, g walkRig, wantCutShort bool) {
+	rng := rand.New(rand.NewSource(42))
+	w := &dedupWalk{rng: rand.New(rand.NewSource(43))}
+	type live struct{ id, prefixLen int }
+	var actives []live
+	var ids []int
+	nextID := 0
+	for i := 0; i < 4000; i++ {
+		switch op := rng.Intn(5); {
+		case op == 0 || len(actives) == 0: // new request acquires a prefix
+			id := nextID
+			nextID++
+			group := rng.Intn(4) + 1
+			pl := (rng.Intn(6) + 1) * 16
+			w.acquire(t, g.api, i, id, group, pl)
+			actives = append(actives, live{id: id, prefixLen: pl})
+		case op == 1: // grow
+			r := actives[rng.Intn(len(actives))]
+			g.api.Grow(r.id, r.prefixLen+rng.Intn(128))
+		case op == 2: // prefill progress
+			r := actives[rng.Intn(len(actives))]
+			g.api.MarkComputed(r.id, rng.Intn(r.prefixLen+1))
+		default: // release (preempt/finish)
+			k := rng.Intn(len(actives))
+			g.api.Release(actives[k].id)
+			actives = append(actives[:k], actives[k+1:]...)
+		}
+		w.maybeFlush(g.api)
+		g.check(t, i)
+		ids = ids[:0]
+		for _, r := range actives {
+			ids = append(ids, r.id)
+		}
+		w.check(t, g, i, ids)
+	}
+	w.covered(t, wantCutShort)
+	for _, r := range actives {
+		g.api.Release(r.id)
+	}
+	g.check(t, -1)
+	for _, m := range g.ms {
+		if m.InUse() != 0 || m.Holders() != 0 {
+			t.Fatalf("%d blocks still active, %d holders after releasing everything", m.InUse(), m.Holders())
+		}
+		if m.FreeBlocks()+m.CachedBlocks() != m.TotalBlocks() {
+			t.Fatalf("free %d + cached %d != total %d", m.FreeBlocks(), m.CachedBlocks(), m.TotalBlocks())
+		}
 	}
 }
 
@@ -398,8 +573,8 @@ func TestSwapPoolAccounting(t *testing.T) {
 	if m.SwapOut(2, 40) { // needs 3 more blocks, only 1 free in the pool
 		t.Fatal("over-capacity swap-out accepted")
 	}
-	if m.held[2] != 3 {
-		t.Fatalf("failed swap-out changed device holdings: %d", m.held[2])
+	if h := m.slots[m.ids[2]]; h.private != 3 || h.swap != 0 {
+		t.Fatalf("failed swap-out changed holdings: %d private, %d swap", h.private, h.swap)
 	}
 	// Restore frees the pool; a second restore is a no-op.
 	if n := m.SwapIn(1); n != 3 {
@@ -417,104 +592,112 @@ func TestSwapPoolAccounting(t *testing.T) {
 }
 
 func TestBlockRefcountConservationRandomizedWithSwap(t *testing.T) {
-	// The recompute randomized walk, with swap-out/swap-in interleaved:
-	// conservation must hold across park/restore/evict/share interleavings.
-	// A restore re-acquires the prefix before releasing the parked copy,
-	// as the scheduler's swap-in admission does.
 	for _, pool := range randomizedPools {
 		t.Run(fmt.Sprintf("pool=%d", pool.blocks), func(t *testing.T) {
-			m, err := NewBlockManager(int64(pool.blocks)*64, 16, 4, true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m.ConfigureSwapPool(pool.blocks / 2)
-			rng := rand.New(rand.NewSource(7))
-			w := &dedupWalk{rng: rand.New(rand.NewSource(8))}
-			type live struct {
-				id, group, prefixLen int
-				swapped              bool
-			}
-			var actives []live
-			var ids []int
-			nextID := 0
-			reacquired := 0
-			for i := 0; i < 4000; i++ {
-				switch op := rng.Intn(7); {
-				case op == 0 || len(actives) == 0:
-					id := nextID
-					nextID++
-					group := rng.Intn(4) + 1
-					pl := (rng.Intn(6) + 1) * 16
-					w.acquire(t, m, i, id, group, pl)
-					actives = append(actives, live{id: id, group: group, prefixLen: pl})
-				case op == 1:
-					r := actives[rng.Intn(len(actives))]
-					if !r.swapped {
-						m.Grow(r.id, r.prefixLen+rng.Intn(128))
-					}
-				case op == 2:
-					r := actives[rng.Intn(len(actives))]
-					if !r.swapped {
-						m.MarkComputed(r.id, rng.Intn(r.prefixLen+1))
-					}
-				case op == 3: // park
-					k := rng.Intn(len(actives))
-					if !actives[k].swapped && m.SwapOut(actives[k].id, rng.Intn(160)+1) {
-						actives[k].swapped = true
-					}
-				case op == 4: // restore: re-pin the prefix, then drop the copy
-					k := rng.Intn(len(actives))
-					r := &actives[k]
-					if !r.swapped {
-						break
-					}
-					w.acquire(t, m, i, r.id, r.group, r.prefixLen)
-					if !m.Grow(r.id, r.prefixLen+1) {
-						m.Release(r.id) // no room: un-pin, the copy stays parked
-						break
-					}
-					m.SwapIn(r.id)
-					m.MarkComputed(r.id, r.prefixLen)
-					r.swapped = false
-					reacquired++
-				default: // release or drop
-					k := rng.Intn(len(actives))
-					if actives[k].swapped {
-						m.SwapIn(actives[k].id)
-					} else {
-						m.Release(actives[k].id)
-					}
-					actives = append(actives[:k], actives[k+1:]...)
-				}
-				w.maybeFlush(m)
-				if err := m.CheckConservation(); err != nil {
-					t.Fatalf("op %d: %v", i, err)
-				}
-				ids = ids[:0]
-				for _, r := range actives {
-					ids = append(ids, r.id)
-				}
-				w.check(t, m, i, ids)
-			}
-			w.covered(t, pool.wantCutShort)
-			if reacquired == 0 {
-				t.Fatal("walk never restored a swapped request")
-			}
-			for _, r := range actives {
-				if r.swapped {
-					m.SwapIn(r.id)
-				} else {
-					m.Release(r.id)
-				}
-			}
-			if err := m.CheckConservation(); err != nil {
-				t.Fatal(err)
-			}
-			if m.InUse() != 0 || m.SwappedBlocks() != 0 {
-				t.Fatalf("blocks still active after releasing everything: %d device, %d swap",
-					m.InUse(), m.SwappedBlocks())
-			}
+			swapWalk(t, newWalkRig(t, pool.blocks, pool.blocks/2, false), pool.wantCutShort)
 		})
+	}
+}
+
+// TestBlockRefcountConservationRandomizedWithSwapSlotPath is the swap walk
+// through both paths in lockstep, as ...RandomizedSlotPath is for the
+// recompute walk.
+func TestBlockRefcountConservationRandomizedWithSwapSlotPath(t *testing.T) {
+	for _, pool := range randomizedPools {
+		t.Run(fmt.Sprintf("pool=%d", pool.blocks), func(t *testing.T) {
+			swapWalk(t, newWalkRig(t, pool.blocks, pool.blocks/2, true), pool.wantCutShort)
+		})
+	}
+}
+
+// swapWalk is the recompute randomized walk with swap-out/swap-in
+// interleaved: conservation must hold across park/restore/evict/share
+// interleavings. A restore re-acquires the prefix before releasing the
+// parked copy, as the scheduler's swap-in admission does.
+func swapWalk(t *testing.T, g walkRig, wantCutShort bool) {
+	rng := rand.New(rand.NewSource(7))
+	w := &dedupWalk{rng: rand.New(rand.NewSource(8))}
+	type live struct {
+		id, group, prefixLen int
+		swapped              bool
+	}
+	var actives []live
+	var ids []int
+	nextID := 0
+	reacquired := 0
+	for i := 0; i < 4000; i++ {
+		switch op := rng.Intn(7); {
+		case op == 0 || len(actives) == 0:
+			id := nextID
+			nextID++
+			group := rng.Intn(4) + 1
+			pl := (rng.Intn(6) + 1) * 16
+			w.acquire(t, g.api, i, id, group, pl)
+			actives = append(actives, live{id: id, group: group, prefixLen: pl})
+		case op == 1:
+			r := actives[rng.Intn(len(actives))]
+			if !r.swapped {
+				g.api.Grow(r.id, r.prefixLen+rng.Intn(128))
+			}
+		case op == 2:
+			r := actives[rng.Intn(len(actives))]
+			if !r.swapped {
+				g.api.MarkComputed(r.id, rng.Intn(r.prefixLen+1))
+			}
+		case op == 3: // park
+			k := rng.Intn(len(actives))
+			if !actives[k].swapped && g.api.SwapOut(actives[k].id, rng.Intn(160)+1) {
+				actives[k].swapped = true
+			}
+		case op == 4: // restore: re-pin the prefix, then drop the copy
+			k := rng.Intn(len(actives))
+			r := &actives[k]
+			if !r.swapped {
+				break
+			}
+			w.acquire(t, g.api, i, r.id, r.group, r.prefixLen)
+			if !g.api.Grow(r.id, r.prefixLen+1) {
+				g.api.Release(r.id) // no room: un-pin, the copy stays parked
+				break
+			}
+			g.api.SwapIn(r.id)
+			g.api.MarkComputed(r.id, r.prefixLen)
+			r.swapped = false
+			reacquired++
+		default: // release or drop
+			k := rng.Intn(len(actives))
+			if actives[k].swapped {
+				g.api.SwapIn(actives[k].id)
+			} else {
+				g.api.Release(actives[k].id)
+			}
+			actives = append(actives[:k], actives[k+1:]...)
+		}
+		w.maybeFlush(g.api)
+		g.check(t, i)
+		ids = ids[:0]
+		for _, r := range actives {
+			ids = append(ids, r.id)
+		}
+		w.check(t, g, i, ids)
+	}
+	w.covered(t, wantCutShort)
+	if reacquired == 0 {
+		t.Fatal("walk never restored a swapped request")
+	}
+	for _, r := range actives {
+		if r.swapped {
+			g.api.SwapIn(r.id)
+		} else {
+			g.api.Release(r.id)
+		}
+	}
+	g.check(t, -1)
+	for _, m := range g.ms {
+		if m.InUse() != 0 || m.SwappedBlocks() != 0 || m.Holders() != 0 {
+			t.Fatalf("still active after releasing everything: %d device blocks, %d swap blocks, %d holders",
+				m.InUse(), m.SwappedBlocks(), m.Holders())
+		}
 	}
 }
 
@@ -557,6 +740,72 @@ func TestDedupSavedTokensZeroAlloc(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { m.DedupSavedTokens(ids) }); allocs != 0 {
 		t.Fatalf("warmed DedupSavedTokens made %v allocations per call, want 0", allocs)
+	}
+	// The scheduler's fold over the same rows' slots.
+	slots := make([]int32, len(ids))
+	for i, id := range ids {
+		slots[i] = m.ids[id]
+	}
+	if got := m.dedupSaved(slots); got != want {
+		t.Fatalf("dedupSaved = %d, want %d", got, want)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { m.dedupSaved(slots) }); allocs != 0 {
+		t.Fatalf("warmed dedupSaved made %v allocations per call, want 0", allocs)
+	}
+}
+
+// growRig holds rows decoding requests on the slot path, each with ctx
+// tokens of context, as the scheduler holds a warmed decode batch. The
+// pool is large enough never to run out.
+func growRig(tb testing.TB, rows, ctx int) (*BlockManager, []int32, []int) {
+	tb.Helper()
+	m, err := newBlockManager(1<<50, 16, 4, false, rows)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	slots, ctxs := make([]int32, rows), make([]int, rows)
+	for i := range slots {
+		ctxs[i] = ctx + 7*i // stagger block boundaries across rows
+		if !m.grow(&slots[i], i, ctxs[i]+1) {
+			tb.Fatalf("row %d: grow failed", i)
+		}
+	}
+	return m, slots, ctxs
+}
+
+// growRound is one decode round's capacity pass: every row grows by the
+// token it is about to produce.
+func growRound(m *BlockManager, slots []int32, ctxs []int) {
+	for i := range slots {
+		ctxs[i]++
+		if !m.grow(&slots[i], i, ctxs[i]+1) {
+			panic("grow failed on an unbounded pool")
+		}
+	}
+}
+
+func TestBlockManagerGrowZeroAlloc(t *testing.T) {
+	m, slots, ctxs := growRig(t, 14, 512)
+	if allocs := testing.AllocsPerRun(100, func() { growRound(m, slots, ctxs) }); allocs != 0 {
+		t.Fatalf("warmed slot-path grow made %v allocations per round, want 0", allocs)
+	}
+	if err := m.CheckConservation(); err != nil {
+		t.Fatal(err)
+	}
+	if m.Holders() != len(slots) || len(m.ids) != 0 {
+		t.Fatalf("%d holders and %d int-keyed bindings, want %d and 0", m.Holders(), len(m.ids), len(slots))
+	}
+}
+
+// BenchmarkBlockManagerGrow times the decode capacity pass on the slot
+// path: one op is one round of a warmed 14-row batch (the chat-single mean
+// batch) growing by one token each.
+func BenchmarkBlockManagerGrow(b *testing.B) {
+	m, slots, ctxs := growRig(b, 14, 512)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		growRound(m, slots, ctxs)
 	}
 }
 

@@ -45,7 +45,10 @@ type reqState struct {
 	// parked in the host swap pool (swap-to-host preemption);
 	// swappedTokens is how many leading entries the parked copy covers.
 	// Re-admission transfers the copy back instead of recomputing it.
+	// slot indexes the request's holding in its replica's BlockManager
+	// (0: it holds nothing there); it sits in swapped's padding.
 	swapped       bool
+	slot          int32
 	swappedTokens int
 	// admitted marks the first admission (the queue-delay endpoint);
 	// retried requests keep it across re-entries.
@@ -122,7 +125,7 @@ type scheduler struct {
 	// built by iterate are stable until finishIteration consumes them.
 	chunks   []chunkWork
 	decoding []*reqState
-	idBuf    []int
+	slotBuf  []int32
 	finishFn func(*sim.Engine) // cached closure; one alloc per scheduler, not per round
 
 	preemptions int
@@ -212,7 +215,7 @@ func newScheduler(be Backend, cfg Config, eng *sim.Engine, noise *sim.Noise) (*s
 		return nil, err
 	}
 	bytesPerToken := cfg.Workload.Model.KVCacheBytesPerToken(cfg.Workload.Kind.Size())
-	kv, err := NewBlockManager(kvBudget, cfg.BlockTokens, bytesPerToken, cfg.PrefixSharing)
+	kv, err := newBlockManager(kvBudget, cfg.BlockTokens, bytesPerToken, cfg.PrefixSharing, cfg.MaxBatch)
 	if err != nil {
 		return nil, err
 	}
@@ -543,7 +546,7 @@ func (s *scheduler) iterate() {
 			need++
 		}
 		stalled := false
-		for !s.kv.Grow(r.req.ID, need) {
+		for !s.kv.grow(&r.slot, r.req.ID, need) {
 			victim := s.victim()
 			s.preempt(victim, ReasonPrefillStall)
 			chunks = dropChunk(chunks, victim)
@@ -573,7 +576,7 @@ func (s *scheduler) iterate() {
 			i++
 			continue
 		}
-		if s.kv.Grow(r.req.ID, r.ctxTokens()+1) {
+		if s.kv.grow(&r.slot, r.req.ID, r.ctxTokens()+1) {
 			decoding = append(decoding, r)
 			i++
 			continue
@@ -625,7 +628,7 @@ func (s *scheduler) iterate() {
 			if pl > target-1 {
 				pl = target - 1
 			}
-			c, err := s.kv.AcquirePrefix(head.req.ID, prefixHash(head.req.PrefixID), pl)
+			c, err := s.kv.acquirePrefix(&head.slot, head.req.ID, prefixHash(head.req.PrefixID), pl)
 			if err != nil {
 				s.fail(err)
 				s.iterating = false
@@ -648,11 +651,11 @@ func (s *scheduler) iterate() {
 		if need == target {
 			need++ // first-token slot (see the continuation pass)
 		}
-		if !s.kv.Grow(head.req.ID, need) {
-			s.kv.Release(head.req.ID) // un-pin the acquired prefix; a swap copy stays parked
+		if !s.kv.grow(&head.slot, head.req.ID, need) {
+			s.kv.release(&head.slot) // un-pin the acquired prefix; a swap copy stays parked
 			break
 		}
-		s.kv.creditPrefixStats(head.req.ID, cached)
+		s.kv.creditPrefixStats(head.slot, cached)
 		s.queue.PopFront()
 		if !head.admitted {
 			head.admitted = true
@@ -679,8 +682,8 @@ func (s *scheduler) iterate() {
 			if s.obs != nil {
 				s.swapEvent(EvSwapIn, head.req.ID, in)
 			}
-			s.kv.SwapIn(head.req.ID)
-			s.kv.MarkComputed(head.req.ID, computed)
+			s.kv.swapIn(&head.slot)
+			s.kv.markComputed(head.slot, computed)
 			head.swapped, head.swappedTokens = false, 0
 			s.swapIns++
 		}
@@ -765,11 +768,11 @@ func (s *scheduler) preempt(r *reqState, reason PreemptReason) {
 	if reason == ReasonCrash {
 		// The device KV dies with the replica: nothing to park, nothing to
 		// swap — the victim recomputes from scratch.
-		s.kv.Release(r.req.ID)
+		s.kv.release(&r.slot)
 		r.prefilled = 0
 		r.prefillTarget = 0
 	} else if !s.trySwapOut(r) {
-		s.kv.Release(r.req.ID)
+		s.kv.release(&r.slot)
 		r.prefilled = 0
 		r.prefillTarget = 0
 	}
@@ -793,7 +796,7 @@ func (s *scheduler) trySwapOut(r *reqState) bool {
 	if s.cfg.PreemptPolicy == PreemptAuto && !s.swapCheaper(r, tokens) {
 		return false
 	}
-	if !s.kv.SwapOut(r.req.ID, tokens) {
+	if !s.kv.swapOut(&r.slot, r.req.ID, tokens) {
 		return false // pool full: fall back to recompute
 	}
 	r.swapped = true
@@ -930,12 +933,12 @@ func (s *scheduler) decodeShape(decoding []*reqState) (batch, meanCtx, shared in
 	}
 	meanCtx = (ctx + len(decoding) - 1) / len(decoding)
 	if s.cfg.PrefixSharing {
-		ids := s.idBuf[:0]
+		slots := s.slotBuf[:0]
 		for _, r := range decoding {
-			ids = append(ids, r.req.ID)
+			slots = append(slots, r.slot)
 		}
-		s.idBuf = ids
-		shared = s.kv.DedupSavedTokens(ids)
+		s.slotBuf = slots
+		shared = s.kv.dedupSaved(slots)
 	}
 	return len(decoding), meanCtx, shared
 }
@@ -985,7 +988,7 @@ func (s *scheduler) finishIteration() {
 			return
 		}
 		if r.generated >= r.req.OutputLen {
-			s.kv.Release(r.req.ID)
+			s.kv.release(&r.slot)
 			r.phase = phaseFinished
 			r.finishedAt = now
 			var m RequestMetrics
@@ -1020,7 +1023,7 @@ func (s *scheduler) finishIteration() {
 			s.event(Event{Kind: EvPrefillChunk, ReqID: r.req.ID, Tokens: cw.tokens, Hist: cw.hist})
 		}
 		r.prefilled += cw.tokens
-		s.kv.MarkComputed(r.req.ID, r.prefilled)
+		s.kv.markComputed(r.slot, r.prefilled)
 		if !r.prefilling() {
 			produce(r)
 		}
