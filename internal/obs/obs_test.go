@@ -145,6 +145,46 @@ func TestFleetConservationAndByteIdenticalExports(t *testing.T) {
 	}
 }
 
+// TestPerReplicaReconciliation: each replica's own report reconciles
+// against the events that replica emitted, under crashes, shedding,
+// retries and swap preemption, in both quantile modes. An aggregate-only
+// check would miss a counter credited to the wrong replica.
+func TestPerReplicaReconciliation(t *testing.T) {
+	for _, mode := range []serve.QuantileMode{serve.QuantileExact, serve.QuantileSketch} {
+		be, cfg := pressureSetup()
+		cfg.Trace = nil
+		cfg.Requests, cfg.Rate = 120, 400
+		cfg.QuantileMode = mode
+		cfg.TTFTSLOSec = 0.02
+		cfg.Faults = serve.FaultConfig{
+			MTBFSec: 0.3, Policy: serve.FailLost, Admission: serve.AdmitShed,
+			RetryMax: 2, RetryBackoffSec: 0.01,
+		}
+		rec := NewRecorder()
+		cfg.Observer = rec
+		fr, err := serve.RunFleet(be, cfg, serve.FleetConfig{Replicas: 3, Policy: serve.LeastLoaded})
+		if err != nil {
+			t.Fatal(err)
+		}
+		agg := fr.Aggregate
+		if agg.Crashes == 0 || agg.Sheds == 0 || agg.Retries == 0 || agg.SwapOuts == 0 || agg.Dropped == 0 {
+			t.Fatalf("%v: scenario exercises too little: crashes %d sheds %d retries %d swap-outs %d drops %d",
+				mode, agg.Crashes, agg.Sheds, agg.Retries, agg.SwapOuts, agg.Dropped)
+		}
+		for i, rep := range fr.PerReplica {
+			var evs []serve.Event
+			for _, ev := range rec.Events() {
+				if ev.Replica == i {
+					evs = append(evs, ev)
+				}
+			}
+			if bad := ReconcileReport(evs, rep); len(bad) != 0 {
+				t.Errorf("%v: replica %d's events do not reconstruct its report:\n%s", mode, i, strings.Join(bad, "\n"))
+			}
+		}
+	}
+}
+
 func TestPerfettoTraceWellFormed(t *testing.T) {
 	be, cfg := pressureSetup()
 	rec := NewRecorder()

@@ -211,7 +211,7 @@ func (s *scheduler) admitNext(now float64) *reqState {
 // telemetry either way — the terminal outcome is the EvRetry or EvDrop
 // that follows.
 func (s *scheduler) shed(st *reqState) {
-	s.sheds++
+	s.rep.Sheds++
 	if s.obs != nil {
 		s.event(Event{Kind: EvShed, ReqID: st.req.ID, Tokens: st.req.InputLen})
 	}
@@ -231,9 +231,9 @@ func (s *scheduler) dropQueued(st *reqState, reason DropReason, tokens int) {
 		st.swapped, st.swappedTokens = false, 0
 	}
 	st.phase = phaseDropped
-	s.drops[reason]++
+	s.rep.DroppedByReason[reason]++
 	if s.stream != nil {
-		s.stream.counts.Dropped++
+		s.rep.Dropped++
 	}
 	if s.obs != nil {
 		s.event(Event{Kind: EvDrop, ReqID: st.req.ID, Tokens: tokens, Drop: reason})

@@ -193,9 +193,9 @@ func TestHandoffIngestRejectsHeldSlot(t *testing.T) {
 	src.kv.release(&r.slot)
 	dst.err = nil
 	d.ingest(src, r, 65)
-	if dst.err != nil || dst.handoffsIn != 1 || dst.handoffFallbacks != 0 || r.slot == 0 {
+	if dst.err != nil || dst.rep.HandoffsIn != 1 || dst.rep.HandoffFallbacks != 0 || r.slot == 0 {
 		t.Fatalf("ingest after the drain: err %v, %d ingested, %d fallbacks, slot %d",
-			dst.err, dst.handoffsIn, dst.handoffFallbacks, r.slot)
+			dst.err, dst.rep.HandoffsIn, dst.rep.HandoffFallbacks, r.slot)
 	}
 }
 

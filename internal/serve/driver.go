@@ -153,7 +153,7 @@ func (p *Pool) Outstanding(id int) int { return p.reps[id].outstanding() }
 func (p *Pool) Down(id int) bool { return p.reps[id].down }
 
 // Sheds counts the requests replica id's admission control has declined.
-func (p *Pool) Sheds(id int) int { return p.reps[id].sheds }
+func (p *Pool) Sheds(id int) int { return p.reps[id].rep.Sheds }
 
 // Aggregate merges the reports of the built replicas include selects, in
 // id order; arrivals never dispatched count as unfinished.

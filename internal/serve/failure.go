@@ -94,15 +94,29 @@ func ParseFailPlan(s string) ([]FailPoint, error) {
 	return plan, nil
 }
 
+// faultState is a replica's fault-injection state, allocated only when
+// Config.Faults sets MTBFSec or a Plan. armed marks the crash stream as
+// scheduled and rng is its private Poisson stream; recoverySec is the
+// priced cold start; lastProgress is the last request-outcome instant
+// (the report's makespan); abortRound discards the round a crash
+// interrupted.
+type faultState struct {
+	armed        bool
+	abortRound   bool
+	rng          *rand.Rand
+	recoverySec  float64
+	lastProgress float64
+}
+
 // armFailures schedules this replica's crash stream. It is called lazily
 // from the first submit — after the replica index is assigned on every
 // construction path — and the first arrival time is deterministic, so the
 // schedule is too.
 func (s *scheduler) armFailures() {
-	if s.failArmed {
+	if s.faults.armed {
 		return
 	}
-	s.failArmed = true
+	s.faults.armed = true
 	if len(s.cfg.Faults.Plan) > 0 {
 		now := float64(s.eng.Now())
 		for _, fp := range s.cfg.Faults.Plan {
@@ -113,14 +127,14 @@ func (s *scheduler) armFailures() {
 		}
 		return
 	}
-	s.failRNG = rand.New(rand.NewSource(int64(mix64(uint64(s.cfg.Seed)*0x9e3779b97f4a7c15 + uint64(s.replica) + 1))))
+	s.faults.rng = rand.New(rand.NewSource(int64(mix64(uint64(s.cfg.Seed)*0x9e3779b97f4a7c15 + uint64(s.replica) + 1))))
 	s.scheduleNextCrash()
 }
 
 // scheduleNextCrash draws the next Poisson failure from the private
 // failure stream. One crash is pending at a time; recovery draws the next.
 func (s *scheduler) scheduleNextCrash() {
-	dt := s.failRNG.ExpFloat64() * s.cfg.Faults.MTBFSec
+	dt := s.faults.rng.ExpFloat64() * s.cfg.Faults.MTBFSec
 	s.eng.Schedule(sim.Time(dt), func(*sim.Engine) { s.crash() })
 }
 
@@ -132,16 +146,16 @@ func (s *scheduler) crash() {
 		return
 	}
 	s.down = true
-	s.crashes++
-	s.downtimeSec += s.recoverySec
+	s.rep.Crashes++
+	s.rep.DowntimeSec += s.faults.recoverySec
 	if s.obs != nil {
-		s.event(Event{Kind: EvCrash, ReqID: -1, Tokens: len(s.running), XferSec: s.recoverySec})
+		s.event(Event{Kind: EvCrash, ReqID: -1, Tokens: len(s.running), XferSec: s.faults.recoverySec})
 	}
 	if s.iterating {
 		// The in-flight round dies with the device: finishIteration will
 		// discard its commits, but the attribution stream still needs the
 		// round boundary, so close the interval with an empty round here.
-		s.abortRound = true
+		s.faults.abortRound = true
 		if s.obs != nil {
 			s.event(Event{Kind: EvDecodeRound, ReqID: -1, Tokens: 0})
 		}
@@ -178,7 +192,7 @@ func (s *scheduler) crash() {
 			s.dropQueued(st, DropFailureLost, st.ctxTokens())
 		}
 	}
-	s.eng.Schedule(sim.Time(s.recoverySec), func(*sim.Engine) { s.recoverReplica() })
+	s.eng.Schedule(sim.Time(s.faults.recoverySec), func(*sim.Engine) { s.recoverReplica() })
 }
 
 // recoverReplica completes the cold start: the replica is servable again,
@@ -189,7 +203,7 @@ func (s *scheduler) recoverReplica() {
 	}
 	s.down = false
 	if s.obs != nil {
-		s.event(Event{Kind: EvRecover, ReqID: -1, XferSec: s.recoverySec})
+		s.event(Event{Kind: EvRecover, ReqID: -1, XferSec: s.faults.recoverySec})
 	}
 	if len(s.cfg.Faults.Plan) == 0 && s.cfg.Faults.MTBFSec > 0 {
 		s.scheduleNextCrash()
@@ -223,7 +237,7 @@ func (s *scheduler) resubmit(st *reqState) {
 	if s.err != nil || st.phase != phaseWaiting {
 		return
 	}
-	s.retries++
+	s.rep.Retries++
 	if s.cfg.Faults.Admission != AdmitFIFO {
 		st.deadline = float64(s.eng.Now()) + st.req.Class.deadlineMult()*s.cfg.TTFTSLOSec
 	}
@@ -240,7 +254,7 @@ func (s *scheduler) resubmit(st *reqState) {
 // last request left the run; the report measures throughput to the last
 // progress instant instead of the last engine event.
 func (s *scheduler) progress() {
-	if s.failEnabled {
-		s.lastProgress = float64(s.eng.Now())
+	if s.faults != nil {
+		s.faults.lastProgress = float64(s.eng.Now())
 	}
 }

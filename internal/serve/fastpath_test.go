@@ -25,6 +25,35 @@ func TestReqStateSize(t *testing.T) {
 	}
 }
 
+// TestSchedulerShape guards the scheduler struct: run counters belong in
+// its Report ledger and each off-by-default feature's state behind its one
+// pointer, so the struct stays at most 32 fields and a default replica (no
+// faults, no topology, no observer) allocates none of the feature state.
+func TestSchedulerShape(t *testing.T) {
+	if n := reflect.TypeOf(scheduler{}).NumField(); n > 32 {
+		t.Fatalf("scheduler has %d fields, bound 32", n)
+	}
+	cfg := tinyConfig(10, 16)
+	if err := cfg.normalize(); err != nil {
+		t.Fatal(err)
+	}
+	p := newPool(cfg)
+	if err := p.Add(0, cpuBackend(tee.TDX()), cfg.Seed); err != nil {
+		t.Fatal(err)
+	}
+	s := p.reps[0]
+	src, err := materialize(cfg, s.noise.RNG())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.drive(src, lone{s}); err != nil {
+		t.Fatal(err)
+	}
+	if s.faults != nil || s.handoff != nil || s.attr != nil {
+		t.Fatalf("default replica allocated feature state: faults %v, handoff %v, attr %v", s.faults, s.handoff, s.attr)
+	}
+}
+
 // TestReqDeque exercises the ring buffer through wraps and growth in both
 // directions.
 func TestReqDeque(t *testing.T) {

@@ -292,8 +292,7 @@ func (f *Fleet) Run(cfg Config) (*FleetReport, error) {
 		for i, s := range p.reps {
 			switch roles[i] {
 			case RolePrefill:
-				src := s
-				src.handoff = func(r *reqState) { hd.initiate(src, r) }
+				s.handoff = &handoffState{d: hd}
 			case RoleDecode:
 				// Decode replicas always stage inbound KV copies in the host
 				// swap pool, whatever the preemption policy.

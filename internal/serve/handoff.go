@@ -33,6 +33,16 @@ type handoffDispatcher struct {
 	stage *stageLB // decode-stage dispatcher
 }
 
+// handoffState is a prefill-role replica's side of disaggregated serving,
+// allocated only on those replicas: d launches each request's handoff
+// right after its first token, and q defers the launches until the round's
+// events are emitted, so the attribution round span closes before the
+// request changes hands.
+type handoffState struct {
+	d *handoffDispatcher
+	q []*reqState
+}
+
 // initiate prices and launches one handoff. Called by the prefill
 // scheduler after the round that produced the request's first token has
 // emitted its events (see finishIteration's deferral), so EvHandoff
@@ -46,9 +56,9 @@ func (d *handoffDispatcher) initiate(src *scheduler, r *reqState) {
 		return
 	}
 	nic := hw.NICHandoffSetupSec + bytes/hw.NICBytesPerSec
-	src.handoffsOut++
-	src.handoffTokens += tokens
-	src.handoffBytes += bytes
+	src.rep.HandoffsOut++
+	src.rep.HandoffTokens += tokens
+	src.rep.HandoffBytes += bytes
 	if src.obs != nil {
 		src.event(Event{Kind: EvHandoff, ReqID: r.req.ID, Tokens: tokens, Bytes: bytes, XferSec: drain + nic})
 	}
@@ -84,7 +94,7 @@ func (d *handoffDispatcher) ingest(src *scheduler, r *reqState, tokens int) {
 		r.swapped = true
 		r.swappedTokens = tokens
 	} else {
-		dst.handoffFallbacks++
+		dst.rep.HandoffFallbacks++
 		r.swapped = false
 		r.swappedTokens = 0
 	}

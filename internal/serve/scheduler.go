@@ -103,11 +103,6 @@ type scheduler struct {
 	noise  *sim.Noise
 	kv     *BlockManager
 	coster *perf.StepCoster
-	// clear is the counterfactual clear-hardware coster (Config.ClearCoster):
-	// when set and an observer is attached, every round's step shapes are
-	// priced a second time with the TEE mechanisms neutralized and emitted on
-	// the round event. It never feeds the engine clock.
-	clear *perf.StepCoster
 
 	// obs receives lifecycle events and gauge samples; nil (the default)
 	// disables observation, and every emission site checks that first, so
@@ -128,72 +123,61 @@ type scheduler struct {
 	slotBuf  []int32
 	finishFn func(*sim.Engine) // cached closure; one alloc per scheduler, not per round
 
-	preemptions int
-	// Swap-to-host counters: cumulative transfers over the run, plus the
-	// current iteration's transfer token accumulators (reset each round,
-	// consumed by iterationTime — transfers within one round coalesce into
-	// one costed copy per direction).
-	swapOuts   int
-	swapIns    int
+	// The current iteration's swap transfer token accumulators (reset each
+	// round, consumed by iterationTime — transfers within one round
+	// coalesce into one costed copy per direction).
 	swapOutTok int
 	swapInTok  int
-	// Disaggregated-serving hooks (see topology.go / handoff.go). handoff,
-	// set only on prefill-role replicas, receives each request right after
-	// its first token; handoffQ defers those callbacks until the round's
-	// events are emitted, so the attribution round span closes before the
-	// request changes hands. The counters feed the report: Out at the
-	// prefill side, In/fallbacks at the decode side, tokens and bytes on
-	// the edge that drained them.
-	handoff          func(*reqState)
-	handoffQ         []*reqState
-	handoffsOut      int
-	handoffsIn       int
-	handoffFallbacks int
-	handoffTokens    int
-	handoffBytes     float64
 	// producedTot counts every output token produced so far; gauge samples
 	// report it cumulatively so windowed throughput differences cleanly.
 	producedTot int
 	// roundProduced is the current round's production, consumed by the
 	// per-round decode event (reset in finishIteration).
 	roundProduced int
-	// Round-costing components for the in-flight round (observer runs only):
-	// the raw pre-noise costs iterationTime computed, and their clear-twin
-	// counterfactuals when a clear coster is attached. Overwritten by every
-	// iterationTime call, consumed by the round event.
-	round, roundClear roundCost
+	// round holds the in-flight round's raw pre-noise costs (observer runs
+	// only), overwritten by every iterationTime call and consumed by the
+	// round event.
+	round roundCost
 	// The outcome ledger the report is built from (see driver.go): kept
 	// retains the states of every request submitted here, in arrival order;
 	// a lone sketch-mode replica instead streams its outcomes into stream
-	// as they happen and retains nothing. submitted counts the arrivals
-	// handed to this replica.
+	// (and rep) as they happen and retains nothing. submitted counts the
+	// arrivals handed to this replica.
 	kept      []*reqState
 	stream    *streamAccum
 	submitted int
-	// Failure/overload machinery (see failure.go and admission.go). All of
-	// it stays zero on the default path: failEnabled guards every crash
-	// hook, down parks the iteration loop during recovery, abortRound
-	// discards the round a crash interrupted, and recoverySec is the
-	// priced cold start. drops is the per-reason drop taxonomy; sheds,
-	// retries, crashes, downtimeSec and wastedTokens feed the report.
-	failEnabled  bool
-	failArmed    bool
-	down         bool
-	abortRound   bool
-	recoverySec  float64
-	failRNG      *rand.Rand
-	lastProgress float64
-	crashes      int
-	downtimeSec  float64
-	sheds        int
-	retries      int
+	// wastedTokens counts tokens a retry discarded; exact-mode TotalTokens
+	// adds them back, since they were produced.
 	wastedTokens int
-	drops        [NumDropReasons]int
+	// down parks the iteration loop while a crashed replica recovers; kick
+	// and the load balancers read it every round, so it stays inline.
+	down bool
+	// Off-by-default features, each nil unless configured: fault
+	// injection (failure.go), the prefill side of a KV handoff
+	// (handoff.go), and clear-hardware attribution (attrState).
+	faults  *faultState
+	handoff *handoffState
+	attr    *attrState
 	// err records the first costing failure (a backend misconfiguration)
 	// and errAt its simulated time; it halts the loop and fails the run
 	// instead of reporting zeros as data.
 	err   error
 	errAt float64
+	// rep is the replica's event ledger: preemptions, swaps, drops by
+	// reason, sheds, retries, crashes, downtime and the handoff counters
+	// are counted straight into it (plus, for a streamed replica, its
+	// completions and drops). report starts from a copy.
+	rep Report
+}
+
+// attrState, allocated only when Config.ClearCoster and an observer are
+// both set, prices every observed round a second time on the
+// counterfactual clear-hardware coster, with the TEE mechanisms
+// neutralized; round holds the in-flight round's clear-twin costs for the
+// round event. It never feeds the engine clock.
+type attrState struct {
+	clear *perf.StepCoster
+	round roundCost
 }
 
 // fail records err as the replica's halting failure unless one is already
@@ -235,19 +219,17 @@ func newScheduler(be Backend, cfg Config, eng *sim.Engine, noise *sim.Noise) (*s
 		// The host swap pool is as large as the device pool.
 		kv.ConfigureSwapPool(kv.TotalBlocks())
 	}
-	var clear *perf.StepCoster
+	s := &scheduler{cfg: cfg, be: be, eng: eng, noise: noise, kv: kv, coster: coster, obs: cfg.Observer}
 	if cfg.ClearCoster != nil && cfg.Observer != nil {
 		if !cfg.ClearCoster.CompatibleWith(cfg.Workload.Model, cfg.Workload.Kind) {
 			return nil, fmt.Errorf("serve: clear coster was built for a different model/datatype than %s/%s",
 				cfg.Workload.Model.Name, cfg.Workload.Kind)
 		}
-		clear = cfg.ClearCoster
+		s.attr = &attrState{clear: cfg.ClearCoster}
 	}
-	s := &scheduler{cfg: cfg, be: be, eng: eng, noise: noise, kv: kv, coster: coster, clear: clear, obs: cfg.Observer}
 	s.finishFn = func(*sim.Engine) { s.finishIteration() }
-	s.failEnabled = cfg.Faults.MTBFSec > 0 || len(cfg.Faults.Plan) > 0
-	if s.failEnabled {
-		s.recoverySec = ColdStartSec(be, cfg.Workload)
+	if cfg.Faults.MTBFSec > 0 || len(cfg.Faults.Plan) > 0 {
+		s.faults = &faultState{recoverySec: ColdStartSec(be, cfg.Workload)}
 	}
 	return s, nil
 }
@@ -277,9 +259,9 @@ func (s *scheduler) swapEvent(kind EventKind, reqID, tokens int) {
 
 // submit enqueues an arrived request and wakes the iteration loop.
 func (s *scheduler) submit(st *reqState) {
-	if s.failEnabled {
+	if s.faults != nil {
 		s.armFailures()
-		s.lastProgress = float64(s.eng.Now())
+		s.faults.lastProgress = float64(s.eng.Now())
 	}
 	if s.cfg.Faults.Admission != AdmitFIFO {
 		st.deadline = float64(s.eng.Now()) + st.req.Class.deadlineMult()*s.cfg.TTFTSLOSec
@@ -298,7 +280,7 @@ func (s *scheduler) submit(st *reqState) {
 // injection and non-FIFO admission are rejected for disaggregated
 // topologies, so neither hook runs here.
 func (s *scheduler) submitHandoff(st *reqState) {
-	s.handoffsIn++
+	s.rep.HandoffsIn++
 	s.queue.PushBack(st)
 	s.kick()
 }
@@ -685,7 +667,7 @@ func (s *scheduler) iterate() {
 			s.kv.swapIn(&head.slot)
 			s.kv.markComputed(head.slot, computed)
 			head.swapped, head.swappedTokens = false, 0
-			s.swapIns++
+			s.rep.SwapIns++
 		}
 		s.running = append(s.running, head)
 		if chunk > 0 {
@@ -778,7 +760,7 @@ func (s *scheduler) preempt(r *reqState, reason PreemptReason) {
 	}
 	r.phase = phaseWaiting
 	r.preemptions++
-	s.preemptions++
+	s.rep.Preemptions++
 	s.queue.PushFront(r)
 }
 
@@ -803,7 +785,7 @@ func (s *scheduler) trySwapOut(r *reqState) bool {
 	r.swappedTokens = tokens
 	r.prefilled = 0
 	r.prefillTarget = 0
-	s.swapOuts++
+	s.rep.SwapOuts++
 	s.swapOutTok += tokens
 	if s.obs != nil {
 		s.swapEvent(EvSwapOut, r.req.ID, tokens)
@@ -861,9 +843,9 @@ func (s *scheduler) iterationTime(decoding []*reqState, chunks []chunkWork) (flo
 	// is priced again on the clear-hardware twin. Neither feeds the engine
 	// clock, so observed runs stay bit-identical to bare ones.
 	if s.obs != nil {
-		s.round, s.roundClear = rc, roundCost{}
-		if s.clear != nil {
-			if s.roundClear, err = priceRound(s.clear, &sh); err != nil {
+		s.round = rc
+		if s.attr != nil {
+			if s.attr.round, err = priceRound(s.attr.clear, &sh); err != nil {
 				return 0, err
 			}
 		}
@@ -947,12 +929,12 @@ func (s *scheduler) decodeShape(decoding []*reqState) (batch, meanCtx, shared in
 // production at its end time. It consumes the scratch slices iterate left
 // on the scheduler — at most one round is ever in flight.
 func (s *scheduler) finishIteration() {
-	if s.abortRound {
+	if s.faults != nil && s.faults.abortRound {
 		// A crash interrupted this round: its KV writes and token
 		// production died with the device. The crash already emitted the
 		// round boundary; discard the commits and let recovery restart the
 		// loop (unless it already completed).
-		s.abortRound = false
+		s.faults.abortRound = false
 		s.iterating = false
 		if !s.down {
 			s.kick()
@@ -984,7 +966,7 @@ func (s *scheduler) finishIteration() {
 					break
 				}
 			}
-			s.handoffQ = append(s.handoffQ, r)
+			s.handoff.q = append(s.handoff.q, r)
 			return
 		}
 		if r.generated >= r.req.OutputLen {
@@ -996,7 +978,8 @@ func (s *scheduler) finishIteration() {
 				m = outcome(r, s.cfg.TTFTSLOSec, s.cfg.TPOTSLOSec)
 			}
 			if s.stream != nil {
-				s.stream.observe(m, r.req.Class)
+				s.stream.observe(m)
+				s.rep.count(m, r.req.Class)
 			}
 			for i, cand := range s.running {
 				if cand == r {
@@ -1034,9 +1017,12 @@ func (s *scheduler) finishIteration() {
 		}
 	}
 	if s.obs != nil {
-		s.event(Event{Kind: EvDecodeRound, ReqID: -1, Tokens: s.roundProduced, Hist: len(decoding),
-			PrefillSec: s.round.prefill, DecodeSec: s.round.decode, SwapSec: s.round.swap,
-			ClearPrefillSec: s.roundClear.prefill, ClearDecodeSec: s.roundClear.decode, ClearSwapSec: s.roundClear.swap})
+		ev := Event{Kind: EvDecodeRound, ReqID: -1, Tokens: s.roundProduced, Hist: len(decoding),
+			PrefillSec: s.round.prefill, DecodeSec: s.round.decode, SwapSec: s.round.swap}
+		if s.attr != nil {
+			ev.ClearPrefillSec, ev.ClearDecodeSec, ev.ClearSwapSec = s.attr.round.prefill, s.attr.round.decode, s.attr.round.swap
+		}
+		s.event(ev)
 		s.obs.Sample(Sample{
 			TimeSec:         now,
 			Replica:         s.replica,
@@ -1050,13 +1036,13 @@ func (s *scheduler) finishIteration() {
 			MissTokens:      s.kv.MissTokens(),
 		})
 	}
-	if len(s.handoffQ) > 0 {
+	if s.handoff != nil && len(s.handoff.q) > 0 {
 		// Deferred handoff initiations: run them after the round event so
 		// attribution's round span closes with the request still a member.
-		q := s.handoffQ
-		s.handoffQ = s.handoffQ[:0]
+		q := s.handoff.q
+		s.handoff.q = s.handoff.q[:0]
 		for _, r := range q {
-			s.handoff(r)
+			s.handoff.d.initiate(s, r)
 		}
 	}
 	s.progress()
@@ -1065,48 +1051,36 @@ func (s *scheduler) finishIteration() {
 }
 
 // report is the one place a Report is built from scheduler state. It
-// reads the replica's outcome ledger: the retained states (exact
-// quantiles, or folded into sketches in arrival order under
-// QuantileSketch) or, for a streamed lone replica, the live sketch ledger.
-// Each finished request goes through outcome and Report.count, and
-// Report.finish derives the rates and quantiles. Call it after the engine
-// has drained (or hit its horizon).
+// starts from a copy of the replica's event ledger (s.rep), adds the KV
+// pool readings and the makespan, and folds the outcome ledger: the
+// retained states (exact quantiles, or folded into sketches in arrival
+// order under QuantileSketch) or, for a streamed lone replica, the live
+// sketches whose counts are already in the ledger. Each finished request
+// goes through outcome and Report.count, and Report.finish derives the
+// rates and quantiles. Call it after the engine has drained (or hit its
+// horizon); calling it again rebuilds the same report.
 func (s *scheduler) report() *Report {
-	makespan := float64(s.eng.Now())
-	if s.failEnabled && s.lastProgress < makespan {
+	rep := new(Report)
+	*rep = s.rep
+	rep.Platform = s.be.platformName()
+	rep.OfferedRate = offeredRate(s.cfg)
+	rep.MakespanSec = float64(s.eng.Now())
+	if s.faults != nil && s.faults.lastProgress < rep.MakespanSec {
 		// Crash/recovery events keep the engine ticking long after the
 		// last request outcome; throughput is measured to the last progress
 		// instant instead.
-		makespan = s.lastProgress
+		rep.MakespanSec = s.faults.lastProgress
 	}
-	rep := &Report{
-		Platform:              s.be.platformName(),
-		OfferedRate:           offeredRate(s.cfg),
-		Preemptions:           s.preemptions,
-		MakespanSec:           makespan,
-		KVBlocksTotal:         s.kv.TotalBlocks(),
-		PeakKVBlocksInUse:     s.kv.PeakInUse(),
-		KVBlocksInUseAtEnd:    s.kv.InUse(),
-		KVBlocksCachedAtEnd:   s.kv.CachedBlocks(),
-		PrefixCacheHitTokens:  s.kv.HitTokens(),
-		PrefixCacheMissTokens: s.kv.MissTokens(),
-		EvictedBlocks:         s.kv.EvictedBlocks(),
-		SwapOuts:              s.swapOuts,
-		SwapIns:               s.swapIns,
-		SwapPoolBlocks:        s.kv.SwapPoolBlocks(),
-		PeakSwapBlocksInUse:   s.kv.PeakSwapBlocks(),
-		SwapBlocksAtEnd:       s.kv.SwappedBlocks(),
-		DroppedByReason:       s.drops,
-		Sheds:                 s.sheds,
-		Retries:               s.retries,
-		Crashes:               s.crashes,
-		DowntimeSec:           s.downtimeSec,
-		HandoffsOut:           s.handoffsOut,
-		HandoffsIn:            s.handoffsIn,
-		HandoffFallbacks:      s.handoffFallbacks,
-		HandoffTokens:         s.handoffTokens,
-		HandoffBytes:          s.handoffBytes,
-	}
+	rep.KVBlocksTotal = s.kv.TotalBlocks()
+	rep.PeakKVBlocksInUse = s.kv.PeakInUse()
+	rep.KVBlocksInUseAtEnd = s.kv.InUse()
+	rep.KVBlocksCachedAtEnd = s.kv.CachedBlocks()
+	rep.PrefixCacheHitTokens = s.kv.HitTokens()
+	rep.PrefixCacheMissTokens = s.kv.MissTokens()
+	rep.EvictedBlocks = s.kv.EvictedBlocks()
+	rep.SwapPoolBlocks = s.kv.SwapPoolBlocks()
+	rep.PeakSwapBlocksInUse = s.kv.PeakSwapBlocks()
+	rep.SwapBlocksAtEnd = s.kv.SwappedBlocks()
 	if s.cfg.QuantileMode != QuantileSketch {
 		// Tokens a retry discarded were still produced — they stay in the
 		// throughput total (and match the per-round event sums exactly).
@@ -1134,18 +1108,16 @@ func (s *scheduler) report() *Report {
 		for _, st := range s.kept {
 			switch st.phase {
 			case phaseFinished:
-				a.observe(outcome(st, s.cfg.TTFTSLOSec, s.cfg.TPOTSLOSec), st.req.Class)
+				m := outcome(st, s.cfg.TTFTSLOSec, s.cfg.TPOTSLOSec)
+				a.observe(m)
+				rep.count(m, st.req.Class)
 			case phaseDropped:
-				a.counts.Dropped++
+				rep.Dropped++
 			}
 		}
 	}
 	a.rotate()
-	c := &a.counts
-	rep.Completed, rep.Dropped = c.Completed, c.Dropped
-	rep.Unfinished = s.submitted - c.Completed - c.Dropped
-	rep.CompletedByClass, rep.GoodTokensByClass = c.CompletedByClass, c.GoodTokensByClass
-	rep.GoodRequests, rep.GoodOutputTokens, rep.CompletedOutputTokens = c.GoodRequests, c.GoodOutputTokens, c.CompletedOutputTokens
+	rep.Unfinished = s.submitted - rep.Completed - rep.Dropped
 	rep.TotalTokens = s.producedTot
 	rep.Sketched, rep.SketchAlpha = true, a.alpha
 	rep.TTFTSketch, rep.TPOTSketch, rep.LatencySketch = a.ttft, a.tpot, a.lat

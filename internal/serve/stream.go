@@ -4,7 +4,7 @@ import (
 	"cllm/internal/stats"
 )
 
-// streamAccum is the sketch-mode outcome ledger: completed requests fold
+// streamAccum is the sketch-mode latency ledger: completed requests fold
 // into the current epoch's sketches, and rotate() merges each finished
 // epoch into the cumulative summaries — the sketch merge path is thereby
 // exercised by every sketched run, not just fleet aggregation. A lone
@@ -22,9 +22,6 @@ type streamAccum struct {
 	// invariant to the epoch size (per-epoch sketch sums would regroup
 	// float additions when the epoch size changes).
 	ttftSum, tpotSum, latSum float64
-	// counts holds the completion, drop and goodput counters (see
-	// Report.count); its other fields stay zero.
-	counts Report
 }
 
 func newStreamAccum(alpha float64) *streamAccum {
@@ -44,8 +41,9 @@ func newStreamAccum(alpha float64) *streamAccum {
 	}
 }
 
-// observe folds one finished request's outcome into the current epoch.
-func (a *streamAccum) observe(m RequestMetrics, class RequestClass) {
+// observe folds one finished request's latencies into the current epoch;
+// its counts go to the Report ledger (see Report.count).
+func (a *streamAccum) observe(m RequestMetrics) {
 	// Simulated times are finite by construction, so Add cannot fail.
 	_ = a.epochTTFT.Add(m.TTFT)
 	_ = a.epochLat.Add(m.Latency)
@@ -56,7 +54,6 @@ func (a *streamAccum) observe(m RequestMetrics, class RequestClass) {
 		_ = a.epochTPOT.Add(m.TPOT)
 		a.tpotSum += m.TPOT
 	}
-	a.counts.count(m, class)
 }
 
 // rotate merges the finished epoch's sketches into the cumulative ones
