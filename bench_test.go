@@ -85,35 +85,62 @@ func BenchmarkServeScheduler(b *testing.B) {
 	b.ReportMetric(float64(requests)*float64(b.N)/b.Elapsed().Seconds(), "simreq/s")
 }
 
-// BenchmarkServeFleetPrefix measures the shared-prefix serving path: an
-// 8-replica prefix-affinity fleet under diurnal RAG traffic with prefix
-// sharing and 512-token prefill chunks, where every decode round folds
-// the batch's pinned prefix chains.
+// fleetPrefixRequests is fleetPrefixConfig's request count.
+const fleetPrefixRequests = 256
+
+// fleetPrefixConfig is the shared-prefix serving run: an 8-replica
+// prefix-affinity fleet under diurnal RAG traffic with prefix sharing and
+// 512-token prefill chunks, where every decode round folds the batch's
+// pinned prefix chains.
+var fleetPrefixConfig = ServeConfig{
+	Scenario: "diurnal+rag", RatePerSec: 2, Requests: fleetPrefixRequests,
+	Replicas: 8, LBPolicy: PrefixAffinity, PrefixSharing: true, ChunkTokens: 512,
+}
+
+// serveFleetPrefix runs fleetPrefixConfig once and checks that every
+// request is accounted for and the prefix cache served hits.
+func serveFleetPrefix(tb testing.TB, s *Session) {
+	tb.Helper()
+	rep, err := s.Serve(fleetPrefixConfig)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if rep.Completed+rep.Dropped+rep.Unfinished != fleetPrefixRequests {
+		tb.Fatalf("lost requests: %+v", rep)
+	}
+	if rep.PrefixCacheHitTokens == 0 {
+		tb.Fatal("no prefix-cache hits: the shared-prefix path did not run")
+	}
+}
+
+// BenchmarkServeFleetPrefix measures the shared-prefix serving path
+// (fleetPrefixConfig).
 func BenchmarkServeFleetPrefix(b *testing.B) {
 	s, err := Open(Config{Platform: "tdx", Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	const requests = 256
-	cfg := ServeConfig{
-		Scenario: "diurnal+rag", RatePerSec: 2, Requests: requests,
-		Replicas: 8, LBPolicy: PrefixAffinity, PrefixSharing: true, ChunkTokens: 512,
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := s.Serve(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rep.Completed+rep.Dropped+rep.Unfinished != requests {
-			b.Fatalf("lost requests: %+v", rep)
-		}
-		if rep.PrefixCacheHitTokens == 0 {
-			b.Fatal("no prefix-cache hits: the shared-prefix path did not run")
-		}
+		serveFleetPrefix(b, s)
 	}
-	b.ReportMetric(float64(requests)*float64(b.N)/b.Elapsed().Seconds(), "simreq/s")
+	b.ReportMetric(float64(fleetPrefixRequests)*float64(b.N)/b.Elapsed().Seconds(), "simreq/s")
+}
+
+// TestServeFleetPrefixAllocs pins BenchmarkServeFleetPrefix's whole-run
+// allocations. The run makes about 600 on Go 1.24; the bound leaves room
+// for map-implementation differences across the Go versions CI runs, and
+// fails a prefix cache that allocates per block (about 2300).
+func TestServeFleetPrefixAllocs(t *testing.T) {
+	s, err := Open(Config{Platform: "tdx", Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bound = 1000
+	if allocs := testing.AllocsPerRun(3, func() { serveFleetPrefix(t, s) }); allocs > bound {
+		t.Fatalf("one fleet-prefix run made %v allocations, want at most %d", allocs, bound)
+	}
 }
 
 // BenchmarkServeSchedulerObserved is the same run with the lifecycle

@@ -1,9 +1,6 @@
 package serve
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // BlockManager is the paged KV-cache allocator: the platform's usable
 // memory (HBM minus weights on GPUs, enclave size minus weights under SGX,
@@ -14,13 +11,15 @@ import (
 // and what makes preemption a cheap release-and-requeue.
 //
 // With sharing enabled the manager additionally keeps a block-level prefix
-// cache (a flattened radix over chained block hashes, vLLM-style): full
-// blocks of a request's declared prompt prefix are published under
-// content-chained hashes with reference counts, so later requests with the
-// same prefix pin the same physical blocks instead of recomputing and
-// re-storing them. Blocks whose refcount drops to zero are retained in an
-// LRU cache and reclaimed only under allocation pressure (leaf-first, so a
-// cached block's parents always outlive it).
+// cache: full blocks of a request's declared prompt prefix are published,
+// with reference counts, in one entry per prefix identity hash, so later
+// requests with the same prefix pin the same physical blocks instead of
+// recomputing and re-storing them. Every pin is blocks 0..n-1 of one
+// prefix, so an entry is a contiguous chain (a radix path, vLLM- and
+// SGLang-style) and an admission costs one map lookup. Blocks whose
+// refcount drops to zero are retained in an LRU cache and reclaimed only
+// under allocation pressure (leaf-first, so a cached block's parents always
+// outlive it).
 //
 // Each request's holding lives in one slot of a dense table. The scheduler
 // keeps every request's slot index in its state and calls the slot
@@ -31,7 +30,7 @@ type BlockManager struct {
 	blockTokens   int
 	bytesPerToken int64
 	total         int
-	free          int // blocks neither privately held nor backing a shared entry
+	free          int // blocks neither privately held nor backing a prefix entry
 	sharing       bool
 
 	// slots is the dense per-request holding table. A request takes a slot
@@ -45,9 +44,12 @@ type BlockManager struct {
 	// scheduler carries each request's slot itself and never touches it.
 	ids map[int]int32
 
-	shared     map[blockKey]*sharedBlock
-	cached     int   // shared blocks nobody pins (refcount zero, evictable)
-	tick       int64 // monotonic op counter driving LRU order (deterministic)
+	// prefixes is the prefix cache: one entry per prefix identity hash.
+	prefixes   map[uint64]*prefixEntry
+	sharedN    int    // blocks backing prefix entries (Σ len(blocks))
+	cached     int    // shared blocks nobody pins (refcount zero, evictable)
+	tick       int64  // monotonic op counter driving LRU order (deterministic)
+	round      uint64 // dedupSaved call counter, stamped on the entries it folds
 	peakInUse  int
 	evicted    int
 	hitTokens  int
@@ -61,10 +63,8 @@ type BlockManager struct {
 	swapUsed  int
 	swapPeak  int
 
-	// longest is dedupSaved's scratch: prefix hash → longest chain among
-	// the batch's rows, cleared and reused on every call. idSlots is
-	// DedupSavedTokens' scratch: the batch's IDs resolved to slots.
-	longest map[uint64]int
+	// idSlots is DedupSavedTokens' scratch: the batch's IDs resolved to
+	// slots.
 	idSlots []int32
 }
 
@@ -78,29 +78,41 @@ type kvHold struct {
 
 // empty reports whether the holding holds nothing, so its slot can be
 // returned.
-func (h *kvHold) empty() bool { return h.private == 0 && len(h.pins.blocks) == 0 && h.swap == 0 }
+func (h *kvHold) empty() bool { return h.private == 0 && h.pins.n == 0 && h.swap == 0 }
 
-// pinChain is the shared prefix one request pins: blocks 0..len-1 of the
-// prefix whose identity hash is hash, in chain order. AcquirePrefix only
-// ever pins such a contiguous chain from block 0.
+// pinChain is the shared prefix one request pins: blocks 0..n-1 of entry
+// e. AcquirePrefix only ever pins such a contiguous chain from block 0;
+// a holding that pins nothing has n == 0 and e == nil.
 type pinChain struct {
+	e *prefixEntry
+	n int
+}
+
+// prefixEntry is one prefix's published blocks: blocks[i] backs tokens
+// [i·blockTokens, (i+1)·blockTokens) of the prefix whose identity hash is
+// hash. Because every pin is a leading run of the chain, the blocks obey
+// four chain invariants (CheckConservation asserts them):
+//
+//  1. refcounts never increase along the chain;
+//  2. computed blocks form a leading run;
+//  3. refcount-zero blocks are computed;
+//  4. refcount-zero lruSeqs strictly decrease with depth.
+//
+// So the entry's evictable blocks are a suffix whose tail has the entry's
+// smallest lruSeq, and blocks only ever leave from the end of the slab.
+type prefixEntry struct {
 	hash   uint64
-	blocks []*sharedBlock
+	blocks []prefixBlock
+	// round and longest are dedupSaved's per-call scratch: longest is the
+	// longest chain pinned on this prefix among the rows folded so far by
+	// call number round.
+	round   uint64
+	longest int
 }
 
-// blockKey identifies one shareable block by its chained content hash: the
-// hash covers the block's own tokens and every token before it, so two
-// prefixes that differ anywhere before or inside the block can never map to
-// the same key (the radix-tree property, flattened).
-type blockKey struct {
-	hash uint64
-	idx  int
-}
-
-// sharedBlock is one physical block published in the prefix cache.
-type sharedBlock struct {
-	key  blockKey
-	refs int
+// prefixBlock is one physical block published in the prefix cache.
+type prefixBlock struct {
+	refs int32
 	// computed marks the block's KV entries as filled; only computed blocks
 	// count as cache hits (a block being prefilled by one request is pinned
 	// by, but not yet useful to, a concurrent sharer).
@@ -112,18 +124,12 @@ type sharedBlock struct {
 }
 
 // mix64 is the splitmix64 finalizer: a cheap bijective mix that spreads
-// adjacent inputs across the hash space. Both the per-block chain keys and
-// the prefix identity hash build on it.
+// adjacent inputs across the hash space. The prefix identity hash builds
+// on it.
 func mix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
-}
-
-// chainHash extends a prefix identity hash to the block at index idx, so
-// per-block keys are well distributed even for adjacent prefix IDs.
-func chainHash(prefixHash uint64, idx int) uint64 {
-	return mix64(prefixHash + 0x9e3779b97f4a7c15*uint64(idx+1))
 }
 
 // NewBlockManager sizes the pool from a byte budget. It fails when the
@@ -147,7 +153,7 @@ func newBlockManager(budgetBytes int64, blockTokens int, bytesPerToken int64, sh
 	if total <= 0 {
 		return nil, fmt.Errorf("serve: KV budget %d bytes below one %d-byte block", budgetBytes, blockBytes)
 	}
-	return &BlockManager{
+	m := &BlockManager{
 		blockTokens:   blockTokens,
 		bytesPerToken: bytesPerToken,
 		total:         total,
@@ -155,9 +161,11 @@ func newBlockManager(budgetBytes int64, blockTokens int, bytesPerToken int64, sh
 		sharing:       sharing,
 		slots:         make([]kvHold, 1, holders+1),
 		freeSlots:     make([]int32, 0, holders),
-		shared:        make(map[blockKey]*sharedBlock),
-		longest:       make(map[uint64]int),
-	}, nil
+	}
+	if sharing {
+		m.prefixes = make(map[uint64]*prefixEntry)
+	}
+	return m, nil
 }
 
 // take returns the request's holding, first taking a slot for it when it
@@ -177,7 +185,7 @@ func (m *BlockManager) take(slot *int32, reqID int) *kvHold {
 }
 
 // put returns the request's slot once its holding is empty and zeroes
-// *slot. A returned slot keeps its pin buffer for the next holder.
+// *slot.
 func (m *BlockManager) put(slot *int32) {
 	if *slot == 0 || !m.slots[*slot].empty() {
 		return
@@ -335,23 +343,23 @@ func (m *BlockManager) notePeak() {
 	}
 }
 
-// evictOne reclaims the least-recently-released cached block. It returns
-// false when nothing is evictable.
+// evictOne reclaims the least-recently-released cached block. By the
+// chain invariants each entry's evictable blocks are a suffix whose tail
+// has the entry's smallest lruSeq, so the smallest lruSeq among the
+// entries' tails is the smallest among all cached blocks: the scan is over
+// prefixes, not blocks. It returns false when nothing is evictable.
 func (m *BlockManager) evictOne() bool {
-	var victim *sharedBlock
-	for _, b := range m.shared {
-		if b.refs != 0 {
-			continue
-		}
-		if victim == nil || b.lruSeq < victim.lruSeq {
-			victim = b
+	var victim *prefixEntry
+	var seq int64
+	for _, e := range m.prefixes {
+		if b := &e.blocks[len(e.blocks)-1]; b.refs == 0 && (victim == nil || b.lruSeq < seq) {
+			victim, seq = e, b.lruSeq
 		}
 	}
 	if victim == nil {
 		return false
 	}
-	delete(m.shared, victim.key)
-	m.free++
+	m.truncate(victim, len(victim.blocks)-1)
 	m.evicted++
 	m.cached--
 	return true
@@ -360,20 +368,33 @@ func (m *BlockManager) evictOne() bool {
 // FlushCache reclaims every cached (refcount-zero) prefix block and
 // returns how many were freed. A replica crash calls this: the cache's
 // contents die with the TEE whose keys sealed them, so post-recovery
-// sharers recompute. Pinned blocks (nonzero refcount) are untouched.
+// sharers recompute. Pinned blocks (nonzero refcount) are untouched: each
+// entry loses its refcount-zero suffix.
 func (m *BlockManager) FlushCache() int {
 	n := 0
-	for key, b := range m.shared {
-		if b.refs != 0 {
-			continue
+	for _, e := range m.prefixes {
+		k := len(e.blocks)
+		for k > 0 && e.blocks[k-1].refs == 0 {
+			k--
 		}
-		delete(m.shared, key)
-		m.free++
-		m.evicted++
-		n++
+		n += len(e.blocks) - k
+		m.truncate(e, k)
 	}
+	m.evicted += n
 	m.cached -= n
 	return n
+}
+
+// truncate frees entry e's blocks from index k on, dropping the entry from
+// the cache once it holds none.
+func (m *BlockManager) truncate(e *prefixEntry, k int) {
+	n := len(e.blocks) - k
+	m.free += n
+	m.sharedN -= n
+	e.blocks = e.blocks[:k]
+	if k == 0 {
+		delete(m.prefixes, e.hash)
+	}
 }
 
 // reserve frees up n blocks for allocation, evicting cached blocks as
@@ -413,45 +434,52 @@ func (m *BlockManager) AcquirePrefix(reqID int, prefixHash uint64, prefixTokens 
 	return cachedTokens, err
 }
 
-// acquirePrefix is AcquirePrefix on the request's slot.
+// acquirePrefix is AcquirePrefix on the request's slot. It looks the
+// prefix up once, pins the entry's leading blocks and appends the ones not
+// yet published to its slab.
 func (m *BlockManager) acquirePrefix(slot *int32, reqID int, prefixHash uint64, prefixTokens int) (cachedTokens int, err error) {
 	if !m.sharing || prefixTokens < m.blockTokens {
 		return 0, nil
 	}
-	if len(m.slots[*slot].pins.blocks) > 0 {
+	if m.slots[*slot].pins.n > 0 {
 		return 0, fmt.Errorf("serve: request %d acquires a prefix it already holds", reqID)
 	}
 	nBlocks := prefixTokens / m.blockTokens // full blocks only
 	h := m.take(slot, reqID)
-	pins := slices.Grow(h.pins.blocks[:0], nBlocks) // the slot's buffer, grown only past its capacity
-	hitsDone := false
-	for idx := 0; idx < nBlocks; idx++ {
-		key := blockKey{hash: chainHash(prefixHash, idx), idx: idx}
-		b, ok := m.shared[key]
-		if ok {
+	e := m.prefixes[prefixHash]
+	n := 0
+	if e != nil {
+		n = min(nBlocks, len(e.blocks))
+		for i := range e.blocks[:n] {
+			b := &e.blocks[i]
 			if b.refs == 0 {
 				m.cached-- // revived from the cache
 			}
 			b.refs++
-			pins = append(pins, b)
-			if b.computed && !hitsDone {
+			// Computed blocks form a leading run, so these are the
+			// leading hits; the rest must be recomputed in order.
+			if b.computed {
 				cachedTokens += m.blockTokens
-			} else {
-				hitsDone = true // uncomputed block: the rest must be recomputed in order
 			}
-			continue
 		}
-		hitsDone = true
-		if !m.reserve(1) {
-			break // pool exhausted: remaining prefix tokens go to private blocks
+	}
+	// Publish the rest. The entry's published blocks are all pinned now, so
+	// the evictions reserve makes never touch it.
+	for ; n < nBlocks && m.reserve(1); n++ {
+		if e == nil {
+			e = &prefixEntry{hash: prefixHash, blocks: make([]prefixBlock, 0, nBlocks)}
+			m.prefixes[prefixHash] = e
 		}
 		m.free--
-		nb := &sharedBlock{key: key, refs: 1}
-		m.shared[key] = nb
-		pins = append(pins, nb)
+		m.sharedN++
+		e.blocks = append(e.blocks, prefixBlock{refs: 1})
 		m.notePeak()
 	}
-	h.pins = pinChain{hash: prefixHash, blocks: pins}
+	// A full pool cuts the chain short: the remaining prefix tokens go to
+	// private blocks.
+	if n > 0 {
+		h.pins = pinChain{e: e, n: n}
+	}
 	m.put(slot)
 	return cachedTokens, nil
 }
@@ -472,7 +500,7 @@ func (m *BlockManager) SharedTokens(reqID int) int { return m.sharedTokens(m.ids
 
 // sharedTokens is SharedTokens on the request's slot.
 func (m *BlockManager) sharedTokens(slot int32) int {
-	return len(m.slots[slot].pins.blocks) * m.blockTokens
+	return m.slots[slot].pins.n * m.blockTokens
 }
 
 // MarkComputed records that the request's prefill has filled its pinned
@@ -482,10 +510,9 @@ func (m *BlockManager) MarkComputed(reqID, tokens int) { m.markComputed(m.ids[re
 
 // markComputed is MarkComputed on the request's slot.
 func (m *BlockManager) markComputed(slot int32, tokens int) {
-	for _, b := range m.slots[slot].pins.blocks {
-		if (b.key.idx+1)*m.blockTokens <= tokens {
-			b.computed = true
-		}
+	p := m.slots[slot].pins
+	for i := range min(p.n, tokens/m.blockTokens) {
+		p.e.blocks[i].computed = true
 	}
 }
 
@@ -507,7 +534,7 @@ func (m *BlockManager) Grow(reqID, tokens int) bool {
 // the context still inside the blocks held, which grow answers inline.
 func (m *BlockManager) grow(slot *int32, reqID, tokens int) bool {
 	h := &m.slots[*slot]
-	if tokens <= (len(h.pins.blocks)+h.private)*m.blockTokens {
+	if tokens <= (h.pins.n+h.private)*m.blockTokens {
 		return true
 	}
 	return m.growBlocks(slot, reqID, tokens)
@@ -516,7 +543,7 @@ func (m *BlockManager) grow(slot *int32, reqID, tokens int) bool {
 // growBlocks allocates grow's private-block shortfall.
 func (m *BlockManager) growBlocks(slot *int32, reqID, tokens int) bool {
 	h := &m.slots[*slot]
-	need := m.BlocksFor(tokens) - len(h.pins.blocks) - h.private
+	need := m.BlocksFor(tokens) - h.pins.n - h.private
 	if need <= 0 {
 		return true
 	}
@@ -558,26 +585,31 @@ func (m *BlockManager) unhold(h *kvHold) int {
 	n := h.private
 	h.private = 0
 	m.free += n
-	pins := h.pins.blocks
-	if len(pins) > 0 {
+	if p := h.pins; p.n > 0 {
 		m.tick++
-		for _, b := range pins {
-			n++
+		cut := p.n
+		for i := range p.e.blocks[:p.n] {
+			b := &p.e.blocks[i]
 			b.refs--
 			if b.refs > 0 {
 				continue
 			}
 			if !b.computed {
-				delete(m.shared, b.key) // half-built block: content is garbage
-				m.free++
+				// Half-built block: its content is garbage. By the chain
+				// invariants it and every block after it are unpinned and
+				// half-built, so the slab is cut here.
+				cut = min(cut, i)
 				continue
 			}
 			// Deeper blocks get smaller sequences → evicted first.
-			b.lruSeq = m.tick<<16 - int64(b.key.idx)
+			b.lruSeq = m.tick<<16 - int64(i)
 			m.cached++
 		}
-		clear(pins)
-		h.pins = pinChain{blocks: pins[:0]}
+		if cut < p.n {
+			m.truncate(p.e, cut)
+		}
+		n += p.n
+		h.pins = pinChain{}
 	}
 	return n
 }
@@ -599,41 +631,43 @@ func (m *BlockManager) DedupSavedTokens(ids []int) int {
 
 // dedupSaved is DedupSavedTokens on the rows' slots.
 //
-// Every pinned chain runs from block 0 of its prefix, and block keys of
-// different prefixes never collide, so a prefix's unique blocks are
-// exactly its longest pinned chain in the batch. The fold is therefore
-// Σ rows len(chain) − Σ prefixes max len(chain): one map probe per
-// pinning row, no per-block work and, once the scratch map has grown, no
-// allocation.
+// Every pinned chain runs from block 0 of its prefix entry, so a prefix's
+// unique blocks are exactly its longest pinned chain in the batch. The
+// fold is therefore Σ rows len(chain) − Σ prefixes max len(chain). Each
+// entry keeps the longest chain seen so far, stamped with the call's round
+// number, so the fold touches one entry per pinning row: no map, no
+// per-block work and no allocation.
 func (m *BlockManager) dedupSaved(slots []int32) int {
 	if !m.sharing {
 		return 0
 	}
-	clear(m.longest)
+	m.round++
 	saved := 0
 	for _, sl := range slots {
-		c := &m.slots[sl].pins
-		n := len(c.blocks)
-		if n == 0 {
+		p := m.slots[sl].pins
+		if p.n == 0 {
 			continue
 		}
-		best := m.longest[c.hash]
+		e := p.e
+		if e.round != m.round {
+			e.round, e.longest = m.round, 0
+		}
 		// This row's chain is all repeat reads except the part that
 		// extends the prefix's longest chain so far.
-		saved += min(n, best)
-		if n > best {
-			m.longest[c.hash] = n
-		}
+		saved += min(p.n, e.longest)
+		e.longest = max(e.longest, p.n)
 	}
 	return saved * m.blockTokens
 }
 
 // CheckConservation verifies the pool's accounting invariants: every block
-// is exactly one of free, privately held, or backing a shared entry, and
-// shared refcounts equal the pins held by requests. It also checks the
-// slot table: a slot is either free and empty or taken and holding
-// something, and every int-keyed binding points at its request's slot.
-// Tests call this after adversarial share/preempt/evict interleavings.
+// is exactly one of free, privately held, or backing a prefix entry, and
+// shared refcounts equal the pins held by requests. It also checks that
+// each entry is filed under its own hash, is non-empty and obeys the four
+// chain invariants eviction relies on (see prefixEntry), and the slot
+// table: a slot is either free and empty or taken and holding something,
+// and every int-keyed binding points at its request's slot. Tests call
+// this after adversarial share/preempt/evict interleavings.
 func (m *BlockManager) CheckConservation() error {
 	isFree := make([]bool, len(m.slots))
 	isFree[0] = true
@@ -644,13 +678,13 @@ func (m *BlockManager) CheckConservation() error {
 		isFree[sl] = true
 	}
 	private, swapSum := 0, 0
-	pinRefs := make(map[blockKey]int)
+	pinRefs := make(map[*prefixEntry][]int32) // per-(entry, idx) pin counts
 	for sl := range m.slots {
 		h := &m.slots[sl]
 		if isFree[sl] {
-			if !h.empty() {
+			if !h.empty() || h.pins.e != nil {
 				return fmt.Errorf("serve: free slot %d holds %d private / %d pinned / %d swap blocks",
-					sl, h.private, len(h.pins.blocks), h.swap)
+					sl, h.private, h.pins.n, h.swap)
 			}
 			continue
 		}
@@ -661,20 +695,28 @@ func (m *BlockManager) CheckConservation() error {
 			return fmt.Errorf("serve: negative private holding %d", h.private)
 		}
 		private += h.private
-		for idx, b := range h.pins.blocks {
-			if b.key != (blockKey{hash: chainHash(h.pins.hash, idx), idx: idx}) {
-				return fmt.Errorf("serve: request %d pins block %v at chain position %d of prefix %#x", h.owner, b.key, idx, h.pins.hash)
+		if p := h.pins; p.n != 0 || p.e != nil {
+			if p.e == nil || p.n <= 0 || p.n > len(p.e.blocks) {
+				return fmt.Errorf("serve: request %d pins %d blocks of a prefix entry holding %d",
+					h.owner, p.n, entryLen(p.e))
 			}
-			pinRefs[b.key]++
+			refs := pinRefs[p.e]
+			if refs == nil {
+				refs = make([]int32, len(p.e.blocks))
+				pinRefs[p.e] = refs
+			}
+			for i := range p.n {
+				refs[i]++
+			}
 		}
 		if h.swap < 0 {
 			return fmt.Errorf("serve: request %d parks %d swap blocks", h.owner, h.swap)
 		}
 		// A swapped request holds nothing in the device pool: SwapOut
 		// released its private blocks and shared pins atomically.
-		if h.swap > 0 && (h.private != 0 || len(h.pins.blocks) != 0) {
+		if h.swap > 0 && (h.private != 0 || h.pins.n != 0) {
 			return fmt.Errorf("serve: swapped request %d still holds %d private / %d pinned device blocks",
-				h.owner, h.private, len(h.pins.blocks))
+				h.owner, h.private, h.pins.n)
 		}
 		swapSum += h.swap
 	}
@@ -683,25 +725,56 @@ func (m *BlockManager) CheckConservation() error {
 			return fmt.Errorf("serve: request %d is bound to slot %d it does not hold", id, sl)
 		}
 	}
-	if got := m.free + private + len(m.shared); got != m.total {
+	shared, cached := 0, 0
+	for hash, e := range m.prefixes {
+		if e.hash != hash || len(e.blocks) == 0 {
+			return fmt.Errorf("serve: prefix entry %#x with %d blocks filed under %#x", e.hash, len(e.blocks), hash)
+		}
+		shared += len(e.blocks)
+		refs := pinRefs[e]
+		delete(pinRefs, e)
+		for i := range e.blocks {
+			b := &e.blocks[i]
+			want := int32(0)
+			if refs != nil {
+				want = refs[i]
+			}
+			if b.refs < 0 {
+				return fmt.Errorf("serve: negative refcount %d on block %d of prefix %#x", b.refs, i, hash)
+			}
+			if b.refs != want {
+				return fmt.Errorf("serve: block %d of prefix %#x refcount %d but %d pins", i, hash, b.refs, want)
+			}
+			if b.refs == 0 {
+				if !b.computed {
+					return fmt.Errorf("serve: block %d of prefix %#x is unpinned but never computed", i, hash)
+				}
+				cached++
+			}
+			if i == 0 {
+				continue
+			}
+			prev := &e.blocks[i-1]
+			switch {
+			case b.refs > prev.refs:
+				return fmt.Errorf("serve: prefix %#x refcount rises from %d to %d at block %d", hash, prev.refs, b.refs, i)
+			case b.computed && !prev.computed:
+				return fmt.Errorf("serve: prefix %#x block %d is computed after an uncomputed block", hash, i)
+			case b.refs == 0 && prev.refs == 0 && b.lruSeq >= prev.lruSeq:
+				return fmt.Errorf("serve: prefix %#x cached block %d has LRU sequence %d, not below its parent's %d",
+					hash, i, b.lruSeq, prev.lruSeq)
+			}
+		}
+	}
+	for e := range pinRefs {
+		return fmt.Errorf("serve: pins on unpublished prefix entry %#x", e.hash)
+	}
+	if shared != m.sharedN {
+		return fmt.Errorf("serve: shared-block counter %d but entries hold %d blocks", m.sharedN, shared)
+	}
+	if got := m.free + private + shared; got != m.total {
 		return fmt.Errorf("serve: block conservation broken: free %d + private %d + shared %d = %d, want %d",
-			m.free, private, len(m.shared), got, m.total)
-	}
-	cached := 0
-	for key, b := range m.shared {
-		if b.refs < 0 {
-			return fmt.Errorf("serve: negative refcount %d on block %v", b.refs, key)
-		}
-		if b.refs == 0 {
-			cached++
-		}
-		if b.refs != pinRefs[key] {
-			return fmt.Errorf("serve: block %v refcount %d but %d pins", key, b.refs, pinRefs[key])
-		}
-		delete(pinRefs, key)
-	}
-	for key, n := range pinRefs {
-		return fmt.Errorf("serve: %d pins on unpublished block %v", n, key)
+			m.free, private, shared, got, m.total)
 	}
 	if cached != m.cached {
 		return fmt.Errorf("serve: cached-block counter %d but %d unpinned shared blocks", m.cached, cached)
@@ -713,4 +786,12 @@ func (m *BlockManager) CheckConservation() error {
 		return fmt.Errorf("serve: swap pool overcommitted: %d used of %d", m.swapUsed, m.swapTotal)
 	}
 	return nil
+}
+
+// entryLen returns how many blocks e holds (zero for no entry).
+func entryLen(e *prefixEntry) int {
+	if e == nil {
+		return 0
+	}
+	return len(e.blocks)
 }

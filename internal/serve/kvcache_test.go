@@ -208,6 +208,56 @@ func TestPrefixCacheEvictionLeafFirst(t *testing.T) {
 	if err := m.CheckConservation(); err != nil {
 		t.Fatal(err)
 	}
+
+	// Two releases of one prefix: a shorter sharer releases after the
+	// longer one, with another prefix released in between. Each release
+	// stamps the blocks it unpins, deepest first, so pressure evicts the
+	// longer sharer's tail, then the other prefix, then the shorter
+	// sharer's chain, always from the leaf.
+	m, err = NewBlockManager(8*64, 16, 4, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, q := prefixHash(5), prefixHash(6)
+	for _, a := range []struct {
+		id     int
+		hash   uint64
+		tokens int
+	}{{1, p, 96}, {2, p, 48}, {3, q, 32}} {
+		if _, err := m.AcquirePrefix(a.id, a.hash, a.tokens); err != nil {
+			t.Fatal(err)
+		}
+		m.MarkComputed(a.id, a.tokens)
+	}
+	for _, id := range []int{1, 3, 2} {
+		m.Release(id)
+	}
+	if m.CachedBlocks() != 8 || m.FreeBlocks() != 0 {
+		t.Fatalf("cached %d free %d, want 8/0", m.CachedBlocks(), m.FreeBlocks())
+	}
+	type block struct {
+		hash uint64
+		idx  int
+	}
+	want := []block{{p, 5}, {p, 4}, {p, 3}, {q, 1}, {q, 0}, {p, 2}, {p, 1}, {p, 0}}
+	for i, w := range want {
+		lens := map[uint64]int{p: entryLen(m.prefixes[p]), q: entryLen(m.prefixes[q])}
+		if !m.Grow(4, (i+1)*16) { // one more private block: one eviction
+			t.Fatalf("eviction %d: grow failed with cached blocks left", i)
+		}
+		var got []block
+		for _, h := range []uint64{p, q} {
+			for idx := entryLen(m.prefixes[h]); idx < lens[h]; idx++ {
+				got = append(got, block{h, idx})
+			}
+		}
+		if len(got) != 1 || got[0] != w {
+			t.Fatalf("eviction %d took %v, want block %d of prefix %#x", i, got, w.idx, w.hash)
+		}
+		if err := m.CheckConservation(); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // kvAPI is the request-keyed surface the randomized walks drive: the
@@ -317,10 +367,14 @@ func (w twinAPI) FlushCache() int {
 	return same(w.t, "FlushCache", w.byID.FlushCache(), w.slot.FlushCache())
 }
 
-// kvCounters are the observable pool counters a twin walk holds equal.
-func kvCounters(m *BlockManager) [7]int {
-	return [7]int{m.FreeBlocks(), m.InUse(), m.CachedBlocks(), m.SwappedBlocks(),
-		m.HitTokens(), m.MissTokens(), m.EvictedBlocks()}
+// kvCountersLegend names kvCounters' entries in order.
+const kvCountersLegend = "free, in use, cached, swapped, hit, miss, evicted, peak in use, holders"
+
+// kvCounters are the observable pool counters the twin and differential
+// walks hold equal.
+func kvCounters(m *BlockManager) [9]int {
+	return [9]int{m.FreeBlocks(), m.InUse(), m.CachedBlocks(), m.SwappedBlocks(), m.HitTokens(),
+		m.MissTokens(), m.EvictedBlocks(), m.PeakInUse(), m.Holders()}
 }
 
 // walkRig is what a randomized walk drives and checks: api applies the
@@ -365,21 +419,27 @@ func (g walkRig) check(t *testing.T, op int) {
 	}
 	if len(g.ms) == 2 {
 		if a, b := kvCounters(g.ms[0]), kvCounters(g.ms[1]); a != b {
-			t.Fatalf("op %d: counters diverge (free, in use, cached, swapped, hit, miss, evicted): int-keyed %v, slot path %v", op, a, b)
+			t.Fatalf("op %d: counters diverge (%s): int-keyed %v, slot path %v", op, kvCountersLegend, a, b)
 		}
 	}
 }
 
 // dedupReference is the set-based fold DedupSavedTokens replaced: every
-// pinned block of every row counts once per row, and each distinct block
-// once for the whole batch. It reads pins of requests driven int-keyed.
+// pinned block of every row counts once per row, and each distinct
+// (entry, block index) pair once for the whole batch. It reads pins of
+// requests driven int-keyed.
 func dedupReference(m *BlockManager, ids []int) int {
-	seen := make(map[blockKey]struct{})
+	type block struct {
+		e   *prefixEntry
+		idx int
+	}
+	seen := make(map[block]struct{})
 	pins := 0
 	for _, id := range ids {
-		for _, b := range m.slots[m.ids[id]].pins.blocks {
+		p := m.slots[m.ids[id]].pins
+		for idx := range p.n {
 			pins++
-			seen[b.key] = struct{}{}
+			seen[block{p.e, idx}] = struct{}{}
 		}
 	}
 	return (pins - len(seen)) * m.blockTokens
@@ -822,6 +882,54 @@ func BenchmarkDedupSavedTokens(b *testing.B) {
 					m.DedupSavedTokens(ids)
 				}
 			})
+		}
+	}
+}
+
+// TestCheckConservationCatchesBrokenChains breaks one chain invariant at a
+// time and requires CheckConservation to report it.
+func TestCheckConservationCatchesBrokenChains(t *testing.T) {
+	p, q := prefixHash(1), prefixHash(2)
+	// rig holds request 1 pinning four computed blocks of p, and q's four
+	// blocks cached after request 2 released them.
+	rig := func() *BlockManager {
+		m, err := NewBlockManager(16*64, 16, 4, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id, h := range []uint64{p, q} {
+			if _, err := m.AcquirePrefix(id+1, h, 64); err != nil {
+				t.Fatal(err)
+			}
+			m.MarkComputed(id+1, 64)
+		}
+		m.Release(2)
+		if err := m.CheckConservation(); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	for name, corrupt := range map[string]func(m *BlockManager){
+		"filed under another hash": func(m *BlockManager) { m.prefixes[p^1] = m.prefixes[p]; delete(m.prefixes, p) },
+		"empty entry": func(m *BlockManager) {
+			e := m.prefixes[q]
+			m.free += len(e.blocks)
+			m.sharedN -= len(e.blocks)
+			m.cached -= len(e.blocks)
+			e.blocks = e.blocks[:0]
+		},
+		"refcount without a pin":       func(m *BlockManager) { m.prefixes[q].blocks[0].refs++ },
+		"computed after uncomputed":    func(m *BlockManager) { m.prefixes[p].blocks[1].computed = false },
+		"cached but never computed":    func(m *BlockManager) { m.prefixes[q].blocks[3].computed = false },
+		"LRU order rises with depth":   func(m *BlockManager) { m.prefixes[q].blocks[2].lruSeq += 2 },
+		"shared counter off":           func(m *BlockManager) { m.sharedN++ },
+		"pin on a dropped entry":       func(m *BlockManager) { delete(m.prefixes, p) },
+		"pin past the end of its slab": func(m *BlockManager) { m.slots[m.ids[1]].pins.n++ },
+	} {
+		m := rig()
+		corrupt(m)
+		if err := m.CheckConservation(); err == nil {
+			t.Errorf("%s: CheckConservation passed", name)
 		}
 	}
 }

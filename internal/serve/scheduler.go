@@ -466,8 +466,9 @@ func Arrivals(cfg Config) ([]Request, error) {
 
 // prefixHash derives the content-identity hash of a request's shared
 // prefix. Requests with equal PrefixID model byte-identical prefix content,
-// so they hash equally; the chained per-block keys (see chainHash) then
-// guarantee requests with different prefixes can never alias a block.
+// so they hash equally and share one prefix-cache entry. mix64 is a
+// bijection, so distinct IDs get distinct hashes: requests with different
+// prefixes never share an entry, and so never alias a block.
 func prefixHash(prefixID int) uint64 {
 	return mix64(uint64(prefixID) + 0x9e3779b97f4a7c15)
 }
