@@ -294,7 +294,8 @@ func materialize(cfg Config, rng *rand.Rand) (*arrivalSource, error) {
 // checkSorted rejects an out-of-order trace in a sharded run: the driver
 // drains the engine up to each epoch's last arrival, which would silently
 // reorder it. Unsharded runs schedule every arrival up front and accept
-// any order.
+// any order: in-order arrivals take the engine's O(1) feed, out-of-order
+// ones its heap, and both fire in time order.
 func checkSorted(cfg Config) error {
 	if cfg.EpochRequests <= 0 {
 		return nil

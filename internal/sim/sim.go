@@ -31,22 +31,45 @@ func (ev Event) before(other Event) bool {
 	return ev.seq < other.seq
 }
 
-// Engine is a discrete-event simulator. The pending events live in a typed
-// 4-ary heap stored by value: scheduling an event is one slice append (no
-// per-event box through an interface{} heap), and the shallow 4-ary tree
-// trades slightly more comparisons per level for ~half the swap depth —
-// both of which matter to the serving scheduler, which pushes and pops one
-// event per iteration for millions of iterations in a sweep.
+// Engine is a discrete-event simulator. Its pending events sit in two
+// queues that together keep one total order, Event.before:
+//
+//   - the feed, a slice sorted by Event.before and consumed from a head
+//     index. An event that does not sort before the feed's tail is
+//     appended there and later popped from the head, both in O(1). A
+//     run's arrivals, scheduled in time order before the clock starts,
+//     all take this path.
+//   - a typed 4-ary min-heap stored by value, which takes every other
+//     event: the round finishes, crashes, retries and handoffs scheduled
+//     behind the feed's tail. It holds about one event per replica, so
+//     its sifts stay shallow, and a push is one slice append with no
+//     per-event box through an interface{} heap.
+//
+// The next event is whichever of the feed's head and the heap's top sorts
+// first, so events fire in the same order whichever queue holds them.
 type Engine struct {
-	now    Time
-	events []Event // 4-ary min-heap ordered by Event.before
+	now  Time
+	heap []Event // 4-ary min-heap ordered by Event.before
+	feed []Event // sorted by Event.before; feed[head:] are pending
+	head int
+	// heap0 backs the heap until it outgrows it, so a run that never has
+	// more than heapInline events on the heap allocates nothing for it.
+	heap0  [heapInline]Event
 	nextID int64
 	// Steps counts processed events, a cheap progress/liveness metric.
 	Steps int64
 }
 
+// heapInline is the heap's inline capacity: one pending round finish per
+// replica of an 8-replica fleet.
+const heapInline = 8
+
 // NewEngine returns an engine at time zero.
-func NewEngine() *Engine { return &Engine{} }
+func NewEngine() *Engine {
+	e := &Engine{}
+	e.heap = e.heap0[:0]
+	return e
+}
 
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
@@ -74,28 +97,71 @@ func (e *Engine) ScheduleAt(at Time, fn func(*Engine)) {
 	e.push(Event{At: at, Fn: fn, seq: e.nextID})
 }
 
-// push appends the event and sifts it up the 4-ary heap.
+// push queues the event. It goes on the feed when it does not sort before
+// the feed's tail: seq rises with every push, so that check alone keeps
+// the feed sorted. Otherwise it is appended to the heap and sifted up.
 func (e *Engine) push(ev Event) {
-	e.events = append(e.events, ev)
-	i := len(e.events) - 1
+	if n := len(e.feed); n == 0 || !ev.before(e.feed[n-1]) {
+		// Compact rather than grow once at least half the feed is
+		// consumed, so interleaved self-rescheduling chains, which never
+		// let it drain, keep it O(pending) and each event is moved O(1)
+		// times.
+		if n == cap(e.feed) && e.head > 0 && 2*e.head >= n {
+			live := copy(e.feed, e.feed[e.head:])
+			clear(e.feed[live:]) // drop the moved-from Fn references
+			e.feed = e.feed[:live]
+			e.head = 0
+		}
+		e.feed = append(e.feed, ev)
+		return
+	}
+	e.heap = append(e.heap, ev)
+	i := len(e.heap) - 1
 	for i > 0 {
 		parent := (i - 1) / 4
-		if !e.events[i].before(e.events[parent]) {
+		if !e.heap[i].before(e.heap[parent]) {
 			break
 		}
-		e.events[i], e.events[parent] = e.events[parent], e.events[i]
+		e.heap[i], e.heap[parent] = e.heap[parent], e.heap[i]
 		i = parent
 	}
 }
 
-// pop removes and returns the earliest event, sifting the displaced tail
+// peek returns the earliest pending event, nil when none is, and whether
+// the feed holds it.
+func (e *Engine) peek() (ev *Event, fromFeed bool) {
+	if e.head < len(e.feed) {
+		if len(e.heap) == 0 || e.feed[e.head].before(e.heap[0]) {
+			return &e.feed[e.head], true
+		}
+		return &e.heap[0], false
+	}
+	if len(e.heap) > 0 {
+		return &e.heap[0], false
+	}
+	return nil, false
+}
+
+// pop removes and returns the earliest pending event; fromFeed is peek's
+// answer for it. A feed pop advances the head, and a drained feed restarts
+// at index 0 of its kept buffer. A heap pop sifts the displaced tail
 // element down the 4-ary heap.
-func (e *Engine) pop() Event {
-	top := e.events[0]
-	n := len(e.events) - 1
-	e.events[0] = e.events[n]
-	e.events[n] = Event{} // drop the Fn reference so the closure can be collected
-	e.events = e.events[:n]
+func (e *Engine) pop(fromFeed bool) Event {
+	if fromFeed {
+		ev := e.feed[e.head]
+		e.feed[e.head] = Event{} // drop the Fn reference so the closure can be collected
+		e.head++
+		if e.head == len(e.feed) {
+			e.feed = e.feed[:0]
+			e.head = 0
+		}
+		return ev
+	}
+	top := e.heap[0]
+	n := len(e.heap) - 1
+	e.heap[0] = e.heap[n]
+	e.heap[n] = Event{} // drop the Fn reference so the closure can be collected
+	e.heap = e.heap[:n]
 	i := 0
 	for {
 		first := 4*i + 1
@@ -108,14 +174,14 @@ func (e *Engine) pop() Event {
 			end = n
 		}
 		for c := first + 1; c < end; c++ {
-			if e.events[c].before(e.events[min]) {
+			if e.heap[c].before(e.heap[min]) {
 				min = c
 			}
 		}
-		if !e.events[min].before(e.events[i]) {
+		if !e.heap[min].before(e.heap[i]) {
 			break
 		}
-		e.events[i], e.events[min] = e.events[min], e.events[i]
+		e.heap[i], e.heap[min] = e.heap[min], e.heap[i]
 		i = min
 	}
 	return top
@@ -133,26 +199,29 @@ func (e *Engine) Run(maxSteps int64) error {
 // It returns the number of events left unprocessed. Open-loop serving
 // simulations use this to bound runaway backlogs deterministically.
 func (e *Engine) RunUntil(horizon Time, maxSteps int64) (remaining int, err error) {
-	for len(e.events) > 0 {
-		if e.events[0].At > horizon {
+	for {
+		next, fromFeed := e.peek()
+		if next == nil {
+			return 0, nil
+		}
+		if next.At > horizon {
 			if horizon > e.now { // never rewind the clock
 				e.now = horizon
 			}
-			return len(e.events), nil
+			return e.Pending(), nil
 		}
 		if maxSteps >= 0 && e.Steps >= maxSteps {
-			return len(e.events), fmt.Errorf("sim: step limit %d reached at t=%g", maxSteps, float64(e.now))
+			return e.Pending(), fmt.Errorf("sim: step limit %d reached at t=%g", maxSteps, float64(e.now))
 		}
-		ev := e.pop()
+		ev := e.pop(fromFeed)
 		e.now = ev.At
 		e.Steps++
 		ev.Fn(e)
 	}
-	return 0, nil
 }
 
 // Pending returns the number of queued events.
-func (e *Engine) Pending() int { return len(e.events) }
+func (e *Engine) Pending() int { return len(e.heap) + len(e.feed) - e.head }
 
 // Noise generates the latency jitter observed on real systems. TEE runs get
 // extra multiplicative jitter plus rare heavy-tail outliers caused by

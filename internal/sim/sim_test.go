@@ -199,61 +199,114 @@ func TestEngineRunUntilNeverRewinds(t *testing.T) {
 	}
 }
 
-// TestEngineHeapRandomizedOrdering stresses the 4-ary value heap: many
-// events with colliding times, scheduled both up front and from inside
-// callbacks, must fire in strict (time, scheduling-sequence) order.
+// TestEngineHeapRandomizedOrdering stresses both of the engine's queues:
+// a time-ordered run scheduled up front (the feed), out-of-order events
+// behind it (the heap), and events scheduled from inside callbacks, many
+// with colliding times, must fire in strict (time, scheduling-sequence)
+// order, and each queue must have held events along the way.
 func TestEngineHeapRandomizedOrdering(t *testing.T) {
 	eng := NewEngine()
 	rng := rand.New(rand.NewSource(42))
 	type fired struct {
 		at  Time
-		idx int
+		idx int // scheduling order, which is the engine's seq order
 	}
 	var got []fired
 	idx := 0
-	var schedule func(depth int)
-	schedule = func(depth int) {
-		n := 40
-		if depth > 0 {
-			n = 4
-		}
+	maxFeed, maxHeap := 0, 0
+	var record func(id, depth int) func(*Engine)
+	spawn := func(depth, n int) {
 		for i := 0; i < n; i++ {
 			// Coarse-grained delays force plenty of equal-time ties.
-			delay := Time(rng.Intn(8)) / 4
-			id := idx
+			eng.Schedule(Time(rng.Intn(8))/4, record(idx, depth))
 			idx++
-			eng.Schedule(delay, func(e *Engine) {
-				got = append(got, fired{at: e.Now(), idx: id})
-				if depth < 2 && rng.Intn(3) == 0 {
-					schedule(depth + 1)
-				}
-			})
 		}
 	}
-	schedule(0)
+	record = func(id, depth int) func(*Engine) {
+		return func(e *Engine) {
+			got = append(got, fired{at: e.Now(), idx: id})
+			maxFeed = max(maxFeed, len(e.feed)-e.head)
+			maxHeap = max(maxHeap, len(e.heap))
+			if depth < 2 && rng.Intn(3) == 0 {
+				spawn(depth+1, 4)
+			}
+		}
+	}
+	for i := 0; i < 200; i++ {
+		eng.ScheduleAt(Time(i/3)/8, record(idx, 0))
+		idx++
+	}
+	spawn(0, 40)
 	if err := eng.Run(-1); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) < 40 {
-		t.Fatalf("only %d events fired", len(got))
+	if len(got) != idx {
+		t.Fatalf("%d of %d scheduled events fired", len(got), idx)
 	}
 	for i := 1; i < len(got); i++ {
-		if got[i].at < got[i-1].at {
-			t.Fatalf("time went backwards at %d: %v after %v", i, got[i].at, got[i-1].at)
+		p, f := got[i-1], got[i]
+		if f.at < p.at || f.at == p.at && f.idx < p.idx {
+			t.Fatalf("event %d fired out of order: %+v after %+v", i, f, p)
 		}
 	}
-	// Among events scheduled before the run started (same scheduling pass,
-	// ascending seq), equal times must fire in scheduling order.
-	seen := map[Time]int{}
-	for _, f := range got {
-		if f.idx >= 40 {
-			continue // scheduled mid-run at a later Now; ordering vs batch 0 differs
-		}
-		if prev, ok := seen[f.at]; ok && f.idx < prev {
-			t.Fatalf("tie at t=%v fired out of scheduling order: %d before %d", f.at, prev, f.idx)
-		}
-		seen[f.at] = f.idx
+	if maxFeed < 100 || maxHeap < 10 {
+		t.Errorf("queues barely used: feed held at most %d events, heap %d", maxFeed, maxHeap)
 	}
+}
+
+// TestEngineFeedBoundedUnderInterleavedChains runs two self-rescheduling
+// chains offset by half a period. Every event lands on the feed, which
+// never drains, so only compaction keeps its buffer O(pending).
+func TestEngineFeedBoundedUnderInterleavedChains(t *testing.T) {
+	eng := NewEngine()
+	const steps = 100000
+	maxCap := 0
+	var tick func(*Engine)
+	tick = func(e *Engine) {
+		maxCap = max(maxCap, cap(e.feed))
+		e.Schedule(1, tick)
+	}
+	eng.ScheduleAt(0, tick)
+	eng.ScheduleAt(0.5, tick)
+	if _, err := eng.RunUntil(Time(math.Inf(1)), steps); err == nil {
+		t.Fatal("endless chains ended")
+	}
+	if eng.Steps != steps || eng.Pending() != 2 || len(eng.heap) != 0 {
+		t.Fatalf("steps %d, pending %d, heap %d; want %d, 2, 0", eng.Steps, eng.Pending(), len(eng.heap), steps)
+	}
+	if maxCap > 8 {
+		t.Errorf("feed buffer grew to %d events with 2 pending", maxCap)
+	}
+}
+
+// BenchmarkEngineArrivals is the engine's share of a single-replica run:
+// 100k time-ordered arrivals scheduled up front, one every millisecond,
+// and one self-rescheduling round chain every 2.5 ms while they last. It
+// reports ns per processed event.
+func BenchmarkEngineArrivals(b *testing.B) {
+	const arrivals = 100000
+	const gap, round = Time(0.001), Time(0.0025)
+	arrive := func(*Engine) {}
+	var tick func(*Engine)
+	tick = func(e *Engine) {
+		if e.Now() < arrivals*gap {
+			e.Schedule(round, tick)
+		}
+	}
+	b.ReportAllocs()
+	var events int64
+	for i := 0; i < b.N; i++ {
+		eng := NewEngine()
+		for k := 0; k < arrivals; k++ {
+			eng.ScheduleAt(Time(k)*gap, arrive)
+		}
+		eng.Schedule(round, tick)
+		if err := eng.Run(-1); err != nil {
+			b.Fatal(err)
+		}
+		events += eng.Steps
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
 }
 
 func TestEngineScheduleAt(t *testing.T) {
