@@ -210,7 +210,9 @@ func runAutoscale(o Options) (*Result, error) {
 	}
 	// Share one costing table across the probe and the whole policy sweep:
 	// every cell simulates the same backend and workload shape, so the
-	// sweep's later cells run almost entirely on table hits.
+	// sweep's later cells run almost entirely on table hits. A hit takes no
+	// lock and writes no shared memory, so the parallel cells do not
+	// contend on the table.
 	coster, err := serve.NewStepCoster(tdxBE, scfg)
 	if err != nil {
 		return nil, err

@@ -2,7 +2,6 @@ package perf
 
 import (
 	"fmt"
-	"sync"
 
 	"cllm/internal/dtype"
 	"cllm/internal/hw"
@@ -20,34 +19,26 @@ import (
 // instead of rebuilding the step trace and walking the roofline. A miss
 // builds the block-structured trace (trace.StepTrace: embedding, one
 // decoder block, head) on the stack and costs its 8 distinct operators,
-// adding the block's durations once per layer; it allocates nothing beyond
-// the map entry and takes the write lock only to insert the value. Every
-// shape is costed at its true value through the same code path as
-// CPUStepTime/GPUStepTime, so results are bit-identical to the unmemoized
-// model.
+// adding the block's durations once per layer. Every shape is costed at its
+// true value through the same code path as CPUStepTime/GPUStepTime, so
+// results are bit-identical to the unmemoized model.
 //
 // A StepCoster is safe for concurrent use (parallel fleet-sizing and
-// autoscale sweeps share one across workers); identical keys always memoize
-// identical float64s, so sharing cannot perturb determinism.
+// autoscale sweeps share one across workers). Each table is a costTable: a
+// hit takes no lock and writes no shared memory, and only a miss's insert
+// (which at most allocates a page of eight values) takes a mutex. Identical
+// keys always memoize identical float64s, so sharing cannot perturb
+// determinism.
 type StepCoster struct {
 	isGPU bool
 	cpu   CPURun // normalized once; Workload swapped per query
 	gpu   GPURun
 	model trace.Workload // Model/Kind template for query workloads
 
-	mu     sync.RWMutex
-	decode map[costKey]float64
-	chunk  map[costKey]float64
-	swap   map[int]float64 // token count → transfer seconds
+	decode costTable
+	chunk  costTable
+	swap   costTable // keyed by a = token count
 }
-
-// costKey identifies one step shape.
-type costKey struct{ batch, a, b int }
-
-// maxCostEntries bounds each memo table; a sweep that somehow produces more
-// distinct shapes than this resets the table rather than growing without
-// bound (the model context length caps realistic shape counts far below it).
-const maxCostEntries = 1 << 17
 
 // NewCPUStepCoster builds a memoized step coster for a CPU deployment.
 // cfg.Workload supplies the model and datatype; its batch/length fields are
@@ -58,13 +49,7 @@ func NewCPUStepCoster(cfg CPURun) (*StepCoster, error) {
 	if err := probe.normalize(); err != nil {
 		return nil, err
 	}
-	return &StepCoster{
-		cpu:    probe,
-		model:  probe.Workload,
-		decode: make(map[costKey]float64),
-		chunk:  make(map[costKey]float64),
-		swap:   make(map[int]float64),
-	}, nil
+	return &StepCoster{cpu: probe, model: probe.Workload}, nil
 }
 
 // NewGPUStepCoster builds a memoized step coster for a GPU deployment.
@@ -74,14 +59,7 @@ func NewGPUStepCoster(cfg GPURun) (*StepCoster, error) {
 	if err := probe.Workload.Validate(); err != nil {
 		return nil, err
 	}
-	return &StepCoster{
-		isGPU:  true,
-		gpu:    probe,
-		model:  probe.Workload,
-		decode: make(map[costKey]float64),
-		chunk:  make(map[costKey]float64),
-		swap:   make(map[int]float64),
-	}, nil
+	return &StepCoster{isGPU: true, gpu: probe, model: probe.Workload}, nil
 }
 
 // CompatibleWith reports whether the coster's memo keys mean the same
@@ -120,22 +98,14 @@ func (c *StepCoster) DecodeTime(batch, meanCtx, sharedTokens int) (float64, erro
 		sharedTokens = 0
 	}
 	key := costKey{batch: batch, a: meanCtx, b: sharedTokens}
-	c.mu.RLock()
-	t, ok := c.decode[key]
-	c.mu.RUnlock()
-	if ok {
+	if t, ok := c.decode.get(key); ok {
 		return t, nil
 	}
 	t, err := c.decodeCost(batch, meanCtx, sharedTokens)
 	if err != nil {
 		return 0, err
 	}
-	c.mu.Lock()
-	if len(c.decode) >= maxCostEntries {
-		c.decode = make(map[costKey]float64)
-	}
-	c.decode[key] = t
-	c.mu.Unlock()
+	c.decode.put(key, t)
 	return t, nil
 }
 
@@ -172,22 +142,14 @@ func (c *StepCoster) ChunkTime(batch, chunkTokens, hist int) (float64, error) {
 		hist = max
 	}
 	key := costKey{batch: batch, a: chunkTokens, b: hist}
-	c.mu.RLock()
-	t, ok := c.chunk[key]
-	c.mu.RUnlock()
-	if ok {
+	if t, ok := c.chunk.get(key); ok {
 		return t, nil
 	}
 	t, err := c.chunkCost(batch, chunkTokens, hist)
 	if err != nil {
 		return 0, err
 	}
-	c.mu.Lock()
-	if len(c.chunk) >= maxCostEntries {
-		c.chunk = make(map[costKey]float64)
-	}
-	c.chunk[key] = t
-	c.mu.Unlock()
+	c.chunk.put(key, t)
 	return t, nil
 }
 
@@ -218,10 +180,8 @@ func (c *StepCoster) SwapTime(tokens int) (float64, error) {
 	if tokens == 0 {
 		return 0, nil
 	}
-	c.mu.RLock()
-	t, ok := c.swap[tokens]
-	c.mu.RUnlock()
-	if ok {
+	key := costKey{a: tokens}
+	if t, ok := c.swap.get(key); ok {
 		return t, nil
 	}
 	bytes := trace.KVSwapBytes(c.model, tokens)
@@ -238,13 +198,8 @@ func (c *StepCoster) SwapTime(tokens int) (float64, error) {
 	if bw <= 0 {
 		return 0, fmt.Errorf("perf: swap bandwidth is zero on %s", c.model.Model.Name)
 	}
-	t = bytes/bw + setup
-	c.mu.Lock()
-	if len(c.swap) >= maxCostEntries {
-		c.swap = make(map[int]float64)
-	}
-	c.swap[tokens] = t
-	c.mu.Unlock()
+	t := bytes/bw + setup
+	c.swap.put(key, t)
 	return t, nil
 }
 

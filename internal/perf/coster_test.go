@@ -3,6 +3,7 @@ package perf
 import (
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"cllm/internal/dtype"
@@ -171,8 +172,10 @@ func TestStepCosterClampsLikeScheduler(t *testing.T) {
 }
 
 // TestStepCosterConcurrentDeterministic: hammering one coster from many
-// goroutines yields the same values a fresh serial coster computes — the
-// memo can only return what the pure cost model produced.
+// goroutines — decode shapes with shared prefix tokens, chunk shapes and swap
+// sizes, enough distinct keys that every table grows while other workers
+// read it — yields the same values a fresh serial coster computes: the memo
+// can only return what the pure cost model produced.
 func TestStepCosterConcurrentDeterministic(t *testing.T) {
 	cfg := costerCPURun(t)
 	shared, err := NewCPUStepCoster(cfg)
@@ -183,11 +186,31 @@ func TestStepCosterConcurrentDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	type q struct{ batch, ctx int }
-	queries := make([]q, 64)
+	type q struct {
+		kind        int // 0 decode, 1 chunk, 2 swap
+		batch, a, b int
+	}
+	cost := func(c *StepCoster, qq q) (float64, error) {
+		switch qq.kind {
+		case 0:
+			return c.DecodeTime(qq.batch, qq.a, qq.b)
+		case 1:
+			return c.ChunkTime(qq.batch, qq.a, qq.b)
+		}
+		return c.SwapTime(qq.a)
+	}
+	queries := make([]q, 3000)
 	rng := rand.New(rand.NewSource(17))
 	for i := range queries {
-		queries[i] = q{batch: rng.Intn(8) + 1, ctx: rng.Intn(1024) + 1}
+		switch i % 3 {
+		case 0:
+			ctx := rng.Intn(1024) + 1
+			queries[i] = q{0, rng.Intn(8) + 1, ctx, rng.Intn(ctx)}
+		case 1:
+			queries[i] = q{1, rng.Intn(4) + 1, rng.Intn(512) + 1, rng.Intn(1024)}
+		default:
+			queries[i] = q{2, 0, rng.Intn(4096) + 1, 0}
+		}
 	}
 	var wg sync.WaitGroup
 	got := make([][]float64, 8)
@@ -196,8 +219,11 @@ func TestStepCosterConcurrentDeterministic(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			out := make([]float64, len(queries))
-			for i, qq := range queries {
-				v, err := shared.DecodeTime(qq.batch, qq.ctx, 0)
+			// Each worker starts at its own offset, so inserts by some
+			// workers overlap hits and growth seen by others.
+			for n := range queries {
+				i := (n + w*len(queries)/len(got)) % len(queries)
+				v, err := cost(shared, queries[i])
 				if err != nil {
 					t.Error(err)
 					return
@@ -208,15 +234,23 @@ func TestStepCosterConcurrentDeterministic(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+	if t.Failed() {
+		return
+	}
 	for i, qq := range queries {
-		want, err := serial.DecodeTime(qq.batch, qq.ctx, 0)
+		want, err := cost(serial, qq)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for w := range got {
 			if got[w][i] != want {
-				t.Fatalf("worker %d query %d: %v != serial %v", w, i, got[w][i], want)
+				t.Fatalf("worker %d query %+v: %v != serial %v", w, qq, got[w][i], want)
 			}
+		}
+	}
+	for name, tab := range map[string]*costTable{"decode": &shared.decode, "chunk": &shared.chunk, "swap": &shared.swap} {
+		if n := len(tab.cur.Load().slot); n <= minCostSlots {
+			t.Errorf("%s table never grew (%d slots)", name, n)
 		}
 	}
 }
@@ -331,3 +365,69 @@ func BenchmarkStepCosterMiss(b *testing.B) {
 		})
 	}
 }
+
+// costerHitKeys is a decode key stream shaped like a serving run's: a batch
+// of 1–32 rows whose mean context steps by +1 each round, re-drawn every few
+// dozen rounds as requests finish and join, with no shared tokens.
+func costerHitKeys() []costKey {
+	rng := rand.New(rand.NewSource(5))
+	keys := make([]costKey, 1<<14)
+	batch, ctx := 1, 200
+	for i := range keys {
+		if rng.Intn(32) == 0 {
+			batch, ctx = rng.Intn(32)+1, rng.Intn(2000)+100
+		}
+		keys[i] = costKey{batch: batch, a: ctx}
+		ctx++
+	}
+	return keys
+}
+
+// BenchmarkStepCosterHit measures the coster's hit path on a warmed table:
+// serially, and from GOMAXPROCS goroutines sharing the table as parallel
+// sweeps do.
+func BenchmarkStepCosterHit(b *testing.B) {
+	m, err := model.Lookup("llama2-7b")
+	if err != nil {
+		b.Fatal(err)
+	}
+	c, err := NewCPUStepCoster(CPURun{CPU: hw.EMR1(), Platform: tee.TDX(), Sockets: 1, AMX: true,
+		Workload: trace.Workload{Model: m, Kind: dtype.BF16}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	keys := costerHitKeys()
+	for _, k := range keys {
+		if _, err := c.DecodeTime(k.batch, k.a, k.b); err != nil {
+			b.Fatal(err)
+		}
+	}
+	mask := len(keys) - 1
+	b.Run("serial", func(b *testing.B) {
+		var sum float64
+		for i := 0; i < b.N; i++ {
+			k := keys[i&mask]
+			t, _ := c.DecodeTime(k.batch, k.a, k.b)
+			sum += t
+		}
+		costSink = sum
+	})
+	b.Run("parallel", func(b *testing.B) {
+		var start, hits atomic.Int64
+		b.RunParallel(func(pb *testing.PB) {
+			n := int64(0)
+			for i := int(start.Add(int64(len(keys) / 8))); pb.Next(); i++ {
+				k := keys[i&mask]
+				if t, _ := c.DecodeTime(k.batch, k.a, k.b); t > 0 {
+					n++
+				}
+			}
+			hits.Add(n)
+		})
+		if hits.Load() != int64(b.N) {
+			b.Fatalf("%d of %d lookups costed", hits.Load(), b.N)
+		}
+	})
+}
+
+var costSink float64
