@@ -6,10 +6,7 @@
 //	go test -bench=. -benchmem
 package cllm
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
 // benchExperiment runs one registered experiment per iteration and fails
 // the benchmark if the paper's shape checks do not hold.
@@ -44,7 +41,8 @@ func BenchmarkTable01Summary(b *testing.B)    { benchExperiment(b, "table1") }
 func BenchmarkOtherModels(b *testing.B)       { benchExperiment(b, "othermodels") }
 func BenchmarkSNCAblation(b *testing.B)       { benchExperiment(b, "snc") }
 
-// Extension projections and the mechanism ablation (see DESIGN.md).
+// Extension projections and the mechanism ablation (see
+// internal/harness/extension_experiments.go).
 func BenchmarkSEVSNPProjection(b *testing.B) { benchExperiment(b, "sev") }
 func BenchmarkB100Projection(b *testing.B)   { benchExperiment(b, "b100") }
 func BenchmarkScaleOut(b *testing.B)         { benchExperiment(b, "scaleout") }
@@ -63,27 +61,50 @@ func BenchmarkAttribution(b *testing.B)      { benchExperiment(b, "attrib") }
 func BenchmarkOverload(b *testing.B)         { benchExperiment(b, "overload") }
 func BenchmarkDisaggregated(b *testing.B)    { benchExperiment(b, "disagg") }
 
-// BenchmarkServeScheduler measures the serving simulator itself: simulated
-// requests completed per wall-clock second of scheduler execution.
-func BenchmarkServeScheduler(b *testing.B) {
+// schedulerRequests is schedulerConfig's request count.
+const schedulerRequests = 32
+
+// schedulerConfig is the scheduler hot-loop run: a lone TDX replica under
+// Poisson traffic, observed or not.
+func schedulerConfig(observe bool) ServeConfig {
+	return ServeConfig{RatePerSec: 8, Requests: schedulerRequests, OutputLen: 16, Observe: observe}
+}
+
+// serveScheduler runs schedulerConfig once and checks that every request
+// is accounted for and, when observed, that the observation was rendered.
+func serveScheduler(tb testing.TB, s *Session, observe bool) *ServeReport {
+	tb.Helper()
+	rep, err := s.Serve(schedulerConfig(observe))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if rep.Completed+rep.Dropped+rep.Unfinished != schedulerRequests {
+		tb.Fatalf("lost requests: %+v", rep)
+	}
+	if observe && (rep.Observation == nil || rep.Observation.Events == 0) {
+		tb.Fatalf("observation missing: %+v", rep)
+	}
+	return rep
+}
+
+// benchScheduler measures the serving simulator itself on schedulerConfig:
+// simulated requests completed per wall-clock second of scheduler
+// execution.
+func benchScheduler(b *testing.B, observe bool) {
 	s, err := Open(Config{Platform: "tdx", Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	const requests = 32
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := s.Serve(ServeConfig{RatePerSec: 8, Requests: requests, OutputLen: 16})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rep.Completed+rep.Dropped+rep.Unfinished != requests {
-			b.Fatalf("lost requests: %+v", rep)
-		}
+		serveScheduler(b, s, observe)
 	}
-	b.ReportMetric(float64(requests)*float64(b.N)/b.Elapsed().Seconds(), "simreq/s")
+	b.ReportMetric(float64(schedulerRequests)*float64(b.N)/b.Elapsed().Seconds(), "simreq/s")
 }
+
+// BenchmarkServeScheduler is the scheduler hot loop with observation off.
+func BenchmarkServeScheduler(b *testing.B) { benchScheduler(b, false) }
 
 // fleetPrefixRequests is fleetPrefixConfig's request count.
 const fleetPrefixRequests = 256
@@ -128,10 +149,11 @@ func BenchmarkServeFleetPrefix(b *testing.B) {
 	b.ReportMetric(float64(fleetPrefixRequests)*float64(b.N)/b.Elapsed().Seconds(), "simreq/s")
 }
 
-// TestServeFleetPrefixAllocs pins BenchmarkServeFleetPrefix's whole-run
-// allocations. The run makes about 600 on Go 1.24; the bound leaves room
-// for map-implementation differences across the Go versions CI runs, and
-// fails a prefix cache that allocates per block (about 2300).
+// TestServeFleetPrefixAllocs is the cross-toolchain ceiling on
+// BenchmarkServeFleetPrefix's whole-run allocations: loose enough for the
+// map implementations of every Go version CI runs, tight enough to fail a
+// prefix cache that allocates per block (about 2300). TestWorkCounts's
+// rag-fleet config pins the same shape, in sketch mode, exactly.
 func TestServeFleetPrefixAllocs(t *testing.T) {
 	s, err := Open(Config{Platform: "tdx", Seed: 1})
 	if err != nil {
@@ -146,25 +168,7 @@ func TestServeFleetPrefixAllocs(t *testing.T) {
 // BenchmarkServeSchedulerObserved is the same run with the lifecycle
 // observer attached and all three exporters rendered — the observation tax
 // relative to BenchmarkServeScheduler's zero-cost disabled path.
-func BenchmarkServeSchedulerObserved(b *testing.B) {
-	s, err := Open(Config{Platform: "tdx", Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	const requests = 32
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rep, err := s.Serve(ServeConfig{RatePerSec: 8, Requests: requests, OutputLen: 16, Observe: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rep.Observation == nil || rep.Observation.Events == 0 {
-			b.Fatalf("observation missing: %+v", rep)
-		}
-	}
-	b.ReportMetric(float64(requests)*float64(b.N)/b.Elapsed().Seconds(), "simreq/s")
-}
+func BenchmarkServeSchedulerObserved(b *testing.B) { benchScheduler(b, true) }
 
 // BenchmarkMeasureTDX exercises the core measurement path and reports the
 // modeled TDX overhead as a custom metric.
@@ -286,5 +290,4 @@ func TestBenchmarkCoverage(t *testing.T) {
 	if len(Experiments()) != len(covered) {
 		t.Errorf("experiment count %d != benchmark count %d", len(Experiments()), len(covered))
 	}
-	_ = fmt.Sprintf // keep fmt imported even if metrics change
 }

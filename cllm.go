@@ -27,7 +27,8 @@ import (
 // Config selects the platform a Session runs on.
 type Config struct {
 	// Platform is one of: baremetal, vm, vm-th, vm-nb, tdx, sgx, gpu, cgpu,
-	// or the projected extensions sev-snp, b100, cb100 (see DESIGN.md).
+	// or the projected extensions sev-snp, b100, cb100 (see
+	// internal/tee/extensions.go).
 	Platform string
 	// System is the CPU testbed: EMR1 (2×32-core Gold 6530, default) or
 	// EMR2 (2×60-core Platinum 8580). Ignored for gpu/cgpu.

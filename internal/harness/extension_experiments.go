@@ -16,8 +16,8 @@ import (
 
 // Extension experiments: deployments the paper discusses (§III, §V-A,
 // §V-D) but could not measure on its testbed, built from the same
-// mechanisms and clearly labeled as projections, plus the mechanism
-// ablation DESIGN.md calls out.
+// mechanisms and clearly labeled as projections, plus a mechanism ablation
+// of the TDX overhead (runAblation) that goes beyond the paper.
 
 func init() {
 	register(Experiment{
@@ -53,7 +53,7 @@ func init() {
 	register(Experiment{
 		ID:    "ablation",
 		Title: "TDX overhead decomposition: one mechanism disabled at a time",
-		Paper: "DESIGN.md ablation: attributes the TDX overhead to memory encryption, secure-EPT walks + 2M pages, broken NUMA bindings, virtualization tax and per-op costs",
+		Paper: "Beyond the paper (internal/tee mechanism bundles): attributes the TDX overhead to memory encryption, secure-EPT walks + 2M pages, broken NUMA bindings, virtualization tax and per-op costs",
 		Run:   runAblation,
 	})
 }

@@ -203,6 +203,14 @@ func (c *StepCoster) SwapTime(tokens int) (float64, error) {
 	return t, nil
 }
 
+// Entries counts the costs memoized across the decode, chunk and swap
+// tables — one per distinct shape priced since the tables last reset. Each
+// count is read under its table's insert mutex; this is a diagnostic for
+// tests and tools, not for the hot path.
+func (c *StepCoster) Entries() int {
+	return c.decode.entries() + c.chunk.entries() + c.swap.entries()
+}
+
 // stepTime routes one built step trace through the backend's cost model,
 // with the query workload installed.
 func (c *StepCoster) stepTime(wl trace.Workload, st *trace.StepTrace) float64 {

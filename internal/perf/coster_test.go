@@ -431,3 +431,32 @@ func BenchmarkStepCosterHit(b *testing.B) {
 }
 
 var costSink float64
+
+// TestStepCosterEntries: Entries counts one memoized cost per distinct shape
+// across the three tables; repeats and clamped-equal shapes add none.
+func TestStepCosterEntries(t *testing.T) {
+	c, err := NewCPUStepCoster(costerCPURun(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := c.Entries(); n != 0 {
+		t.Fatalf("fresh coster has %d entries", n)
+	}
+	for pass := 0; pass < 2; pass++ {
+		for _, q := range [][3]int{{4, 100, 0}, {4, 101, 0}, {4, 100, 64}, {4, 0, 0}, {4, -5, 0}} {
+			if _, err := c.DecodeTime(q[0], q[1], q[2]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := c.ChunkTime(2, 512, 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.SwapTime(256); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Decode contexts 0 and -5 both clamp to 1: four decode shapes.
+	if n := c.Entries(); n != 6 {
+		t.Fatalf("Entries = %d, want 4 decode + 1 chunk + 1 swap", n)
+	}
+}

@@ -131,6 +131,13 @@ func (t *costTable) put(k costKey, v float64) {
 	}
 }
 
+// entries is the number of values set in the current generation.
+func (t *costTable) entries() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.values
+}
+
 // grow publishes a slot array twice the size of s holding the same pages.
 func (t *costTable) grow(s *costSlots) *costSlots {
 	g := newCostSlots(2 * len(s.slot))

@@ -206,8 +206,7 @@ type Sample struct {
 // Observer receives the scheduler's lifecycle event stream and gauge
 // samples. Nil disables observation: every emission site is behind a nil
 // check, so the disabled path is branch-only and allocation-free — the
-// fast-path benchmarks and the allocs/op CI gate hold with no observer
-// attached.
+// root TestWorkCounts allocation pins hold with no observer attached.
 //
 // Observers are invoked synchronously on the simulation goroutine. One
 // run — including a whole RunFleet sharing one engine — never calls an

@@ -722,10 +722,20 @@ func dropChunk(chunks []chunkWork, victim *reqState) []chunkWork {
 	return chunks
 }
 
+// dropRunning removes r from the running batch, keeping admission order.
+func (s *scheduler) dropRunning(r *reqState) {
+	for i, cand := range s.running {
+		if cand == r {
+			s.running = append(s.running[:i], s.running[i+1:]...)
+			return
+		}
+	}
+}
+
 // preempt evicts a running sequence from the batch and requeues it at the
 // front. The victim is always the youngest running sequence, i.e. the tail
-// of the admission-ordered running slice — an O(1) pop; the scan below is
-// a safety net for any other caller. What happens to the victim's KV cache
+// of the admission-ordered running slice — an O(1) pop; dropRunning's scan
+// is a safety net for any other caller. What happens to the victim's KV cache
 // is the preemption policy's call: recompute releases it (vLLM's default),
 // swap parks it in the host swap pool, auto picks whichever the memoized
 // cost model estimates cheaper — with swap falling back to recompute when
@@ -741,12 +751,7 @@ func (s *scheduler) preempt(r *reqState, reason PreemptReason) {
 		s.running[n-1] = nil // release for GC; append will overwrite
 		s.running = s.running[:n-1]
 	} else {
-		for i, cand := range s.running {
-			if cand == r {
-				s.running = append(s.running[:i], s.running[i+1:]...)
-				break
-			}
-		}
+		s.dropRunning(r)
 	}
 	if reason == ReasonCrash {
 		// The device KV dies with the replica: nothing to park, nothing to
@@ -961,12 +966,7 @@ func (s *scheduler) finishIteration() {
 			// held until the source drain completes) and the dispatch layer
 			// prices its handoff after this round's events are emitted.
 			r.phase = phaseHandoff
-			for i, cand := range s.running {
-				if cand == r {
-					s.running = append(s.running[:i], s.running[i+1:]...)
-					break
-				}
-			}
+			s.dropRunning(r)
 			s.handoff.q = append(s.handoff.q, r)
 			return
 		}
@@ -982,12 +982,7 @@ func (s *scheduler) finishIteration() {
 				s.stream.observe(m)
 				s.rep.count(m, r.req.Class)
 			}
-			for i, cand := range s.running {
-				if cand == r {
-					s.running = append(s.running[:i], s.running[i+1:]...)
-					break
-				}
-			}
+			s.dropRunning(r)
 			if s.obs != nil {
 				// The report's own verdict: bit-identical to the aggregate's.
 				s.event(Event{Kind: EvFinish, ReqID: r.req.ID, Tokens: r.generated, SLOMet: m.SLOMet})

@@ -32,8 +32,8 @@ type Request struct {
 }
 
 // TimeStream yields one arrival time per call, non-decreasing from 0.
-// It is the lazy form of Arrivals.Times: epoch-sharded simulations pull
-// arrivals on demand instead of materializing the whole horizon.
+// Epoch-sharded simulations pull arrivals on demand from it instead of
+// materializing the whole horizon.
 type TimeStream func() float64
 
 // Arrivals is an arrival process: a source of event times on the simulated
@@ -44,17 +44,13 @@ type Arrivals interface {
 	// MeanRate is the long-run arrival rate in requests/s, used by
 	// capacity planning and the statistical tests.
 	MeanRate() float64
-	// Times draws n non-decreasing arrival times starting from 0.
-	Times(n int, rng *rand.Rand) []float64
-	// Stream returns the lazy counterpart of Times over the same rng:
-	// draining n values from the stream yields exactly Times(n, rng),
-	// bit for bit, because Times is implemented as that drain.
+	// Stream returns the process's non-decreasing arrival times, starting
+	// from 0, drawn lazily from rng.
 	Stream(rng *rand.Rand) TimeStream
 }
 
-// drainTimes materializes n values from a stream. Every Times
-// implementation goes through it, so the streamed and batch forms of an
-// arrival process can never diverge.
+// drainTimes materializes n values from a stream, so the streamed and
+// batch forms of an arrival process can never diverge.
 func drainTimes(ts TimeStream, n int) []float64 {
 	out := make([]float64, n)
 	for i := range out {
@@ -74,11 +70,6 @@ func (p Poisson) Name() string { return "poisson" }
 
 // MeanRate implements Arrivals.
 func (p Poisson) MeanRate() float64 { return p.Rate }
-
-// Times implements Arrivals.
-func (p Poisson) Times(n int, rng *rand.Rand) []float64 {
-	return drainTimes(p.Stream(rng), n)
-}
 
 // Stream implements Arrivals.
 func (p Poisson) Stream(rng *rand.Rand) TimeStream {
@@ -125,13 +116,8 @@ func (m MMPP) MeanRate() float64 {
 	return (m.LowRate*m.LowHoldSec + m.HighRate*m.HighHoldSec) / (m.LowHoldSec + m.HighHoldSec)
 }
 
-// Times implements Arrivals: competing exponentials between the next
+// Stream implements Arrivals: competing exponentials between the next
 // arrival in the current state and the next state switch.
-func (m MMPP) Times(n int, rng *rand.Rand) []float64 {
-	return drainTimes(m.Stream(rng), n)
-}
-
-// Stream implements Arrivals.
 func (m MMPP) Stream(rng *rand.Rand) TimeStream {
 	t := 0.0
 	high := false // start in the lull so ramp-up dynamics are exercised
@@ -176,13 +162,8 @@ func (d Diurnal) rateAt(t float64) float64 {
 	return d.Mean * (1 + d.Amplitude*math.Sin(2*math.Pi*t/d.PeriodSec-math.Pi/2))
 }
 
-// Times implements Arrivals by thinning: candidates at the peak rate are
+// Stream implements Arrivals by thinning: candidates at the peak rate are
 // accepted with probability rate(t)/peak.
-func (d Diurnal) Times(n int, rng *rand.Rand) []float64 {
-	return drainTimes(d.Stream(rng), n)
-}
-
-// Stream implements Arrivals.
 func (d Diurnal) Stream(rng *rand.Rand) TimeStream {
 	peak := d.Mean * (1 + d.Amplitude)
 	t := 0.0
@@ -218,12 +199,7 @@ func (r Ramp) rateAt(t float64) float64 {
 	return r.StartRate + (r.EndRate-r.StartRate)*t/r.RampSec
 }
 
-// Times implements Arrivals by thinning at the larger endpoint rate.
-func (r Ramp) Times(n int, rng *rand.Rand) []float64 {
-	return drainTimes(r.Stream(rng), n)
-}
-
-// Stream implements Arrivals.
+// Stream implements Arrivals by thinning at the larger endpoint rate.
 func (r Ramp) Stream(rng *rand.Rand) TimeStream {
 	peak := math.Max(r.StartRate, r.EndRate)
 	t := 0.0
@@ -260,14 +236,9 @@ func (r Replay) MeanRate() float64 {
 	return float64(len(r.TimesSec)-1) / span
 }
 
-// Times implements Arrivals. The rng is unused — a replay is already a
-// fixed sample path.
-func (r Replay) Times(n int, rng *rand.Rand) []float64 {
-	return drainTimes(r.Stream(rng), n)
-}
-
 // Stream implements Arrivals, tiling the trace with the mean gap as the
-// seam so the wrapped stream keeps the trace's rate.
+// seam so the wrapped stream keeps the trace's rate. The rng is unused — a
+// replay is already a fixed sample path.
 func (r Replay) Stream(_ *rand.Rand) TimeStream {
 	if len(r.TimesSec) == 0 {
 		return func() float64 { return 0 }
@@ -424,7 +395,7 @@ func (s Scenario) Generate(n int, rng *rand.Rand) ([]Request, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	times := s.Arrivals.Times(n, rng)
+	times := drainTimes(s.Arrivals.Stream(rng), n)
 	totalW := s.Mix.totalWeight()
 	out := make([]Request, n)
 	for i, t := range times {

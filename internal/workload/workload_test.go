@@ -50,7 +50,7 @@ func TestSourcesHitConfiguredMeanRate(t *testing.T) {
 	for _, c := range cases {
 		got := 0.0
 		for seed := 0; seed < c.seeds; seed++ {
-			times := c.src.Times(n, rand.New(rand.NewSource(int64(7+seed))))
+			times := drainTimes(c.src.Stream(rand.New(rand.NewSource(int64(7+seed)))), n)
 			if len(times) != n {
 				t.Fatalf("%s: got %d times, want %d", c.src.Name(), len(times), n)
 			}
@@ -73,15 +73,15 @@ func TestSourcesHitConfiguredMeanRate(t *testing.T) {
 func TestBurstinessExceedsPoisson(t *testing.T) {
 	const n = 20000
 	rng := func() *rand.Rand { return rand.New(rand.NewSource(11)) }
-	poissonCV := cv(interArrivals(Poisson{Rate: 5}.Times(n, rng())))
+	poissonCV := cv(interArrivals(drainTimes(Poisson{Rate: 5}.Stream(rng()), n)))
 	if poissonCV < 0.9 || poissonCV > 1.1 {
 		t.Fatalf("Poisson inter-arrival CV %.3f, want ~1", poissonCV)
 	}
-	mmppCV := cv(interArrivals(Bursty(5).Times(n, rng())))
+	mmppCV := cv(interArrivals(drainTimes(Bursty(5).Stream(rng()), n)))
 	if mmppCV <= poissonCV*1.2 {
 		t.Errorf("MMPP inter-arrival CV %.3f does not exceed Poisson's %.3f — burstiness failed to materialize", mmppCV, poissonCV)
 	}
-	diurnalCV := cv(interArrivals(Diurnal{Mean: 5, Amplitude: 0.8, PeriodSec: 60}.Times(n, rng())))
+	diurnalCV := cv(interArrivals(drainTimes(Diurnal{Mean: 5, Amplitude: 0.8, PeriodSec: 60}.Stream(rng()), n)))
 	if diurnalCV <= poissonCV*1.05 {
 		t.Errorf("diurnal inter-arrival CV %.3f does not exceed Poisson's %.3f", diurnalCV, poissonCV)
 	}
@@ -89,7 +89,7 @@ func TestBurstinessExceedsPoisson(t *testing.T) {
 
 func TestRampRateGrows(t *testing.T) {
 	r := Ramp{StartRate: 2, EndRate: 10, RampSec: 100}
-	times := r.Times(4000, rand.New(rand.NewSource(3)))
+	times := drainTimes(r.Stream(rand.New(rand.NewSource(3))), 4000)
 	// Count arrivals in the first and last quarter of the ramp window.
 	early, late := 0, 0
 	for _, ts := range times {
@@ -110,7 +110,7 @@ func TestRampRateGrows(t *testing.T) {
 
 func TestReplayTilesTrace(t *testing.T) {
 	rp := Replay{TimesSec: []float64{0, 1, 2, 3}}
-	times := rp.Times(10, nil)
+	times := drainTimes(rp.Stream(nil), 10)
 	if len(times) != 10 {
 		t.Fatalf("replay returned %d times", len(times))
 	}
