@@ -17,20 +17,15 @@ import (
 	"cllm/internal/serve"
 )
 
-// Recorders are created per run and discarded; the underlying event and
-// window buffers are the only observation-path allocations that scale with
-// run length, so recycled recorders hand them back to package pools for
-// the next run to reuse (sync.Pool sheds them under GC pressure).
-var (
-	eventBufPool = sync.Pool{New: func() any {
-		s := make([]serve.Event, 0, 1024)
-		return &s
-	}}
-	windowBufPool = sync.Pool{New: func() any {
-		s := make([]Window, 0, 64)
-		return &s
-	}}
-)
+// Recorders are created per run and discarded; the event log's chunks
+// (eventlog.go) and the window buffers are the only observation-path
+// allocations that scale with run length, so recycled recorders hand them
+// back to package pools for the next run to reuse (sync.Pool sheds them
+// under GC pressure).
+var windowBufPool = sync.Pool{New: func() any {
+	s := make([]Window, 0, 64)
+	return &s
+}}
 
 // Recorder implements serve.Observer: it keeps the full lifecycle event
 // stream and folds gauge samples into a bounded windowed time series.
@@ -39,7 +34,7 @@ var (
 // and none is done, which is why a recorder must never be shared across
 // concurrent runs.
 type Recorder struct {
-	events []serve.Event
+	log eventLog
 	// good accumulates output tokens of SLO-met finishes per replica;
 	// samples fold the running value into the series so windowed goodput
 	// differences cleanly (and merges across replicas sum correctly).
@@ -63,25 +58,24 @@ func NewRecorderWindow(windowSec float64, maxWindows int) *Recorder {
 	if maxWindows < 2 {
 		maxWindows = 2
 	}
-	r := &Recorder{series: &TimeSeries{WindowSec: windowSec, maxWindows: maxWindows, reps: map[int][]Window{}}}
-	r.events = (*eventBufPool.Get().(*[]serve.Event))[:0]
-	return r
+	return &Recorder{series: &TimeSeries{WindowSec: windowSec, maxWindows: maxWindows}}
 }
 
-// Recycle returns the recorder's event and window buffers to the package
-// pools. Call it once, after the last read of Events(), Series() or an
-// export — slices previously returned by those accessors alias the pooled
-// memory and must not be retained. The recorder itself must not be used
-// again.
+// Recycle returns the recorder's event-log chunks and window buffers to
+// the package pools. Call it once, after the last read of Events(),
+// Series() or an export: a one-chunk Events() result and the windows
+// Series() hands out alias the pooled memory and must not be retained (a
+// flattened multi-chunk Events() result is a private copy and may be).
+// The recorder itself must not be used again.
 func (r *Recorder) Recycle() {
-	ev := r.events[:0]
-	r.events = nil
-	eventBufPool.Put(&ev)
-	for id, ws := range r.series.reps {
-		ws = ws[:0]
-		windowBufPool.Put(&ws)
-		delete(r.series.reps, id)
+	r.log.release()
+	for _, ws := range r.series.reps {
+		if ws != nil {
+			ws = ws[:0]
+			windowBufPool.Put(&ws)
+		}
 	}
+	r.series.reps = nil
 }
 
 // Event records one lifecycle event.
@@ -92,7 +86,7 @@ func (r *Recorder) Event(ev serve.Event) {
 		}
 		r.good[ev.Replica] += ev.Tokens
 	}
-	r.events = append(r.events, ev)
+	r.log.append(ev)
 }
 
 // Sample folds one gauge snapshot into the windowed series.
@@ -104,9 +98,16 @@ func (r *Recorder) Sample(s serve.Sample) {
 	r.series.add(s, good)
 }
 
+// Len returns the number of recorded events.
+func (r *Recorder) Len() int { return r.log.len() }
+
 // Events returns the recorded stream in emission order (shared slice; do
-// not mutate).
-func (r *Recorder) Events() []serve.Event { return r.events }
+// not mutate). A log that fits one chunk is returned in place; a longer
+// one is flattened into a copy on the first call, which later calls reuse
+// (extending it with any events recorded since). Readers that only need
+// the count or a walk of the stream should use Len, CountKind or the
+// exports, which read the chunks in place.
+func (r *Recorder) Events() []serve.Event { return r.log.events() }
 
 // Series returns the windowed time series.
 func (r *Recorder) Series() *TimeSeries { return r.series }
@@ -114,9 +115,12 @@ func (r *Recorder) Series() *TimeSeries { return r.series }
 // CountKind counts recorded events of one kind.
 func (r *Recorder) CountKind(k serve.EventKind) int {
 	n := 0
-	for _, ev := range r.events {
-		if ev.Kind == k {
-			n++
+	for i := range r.log.nchunks() {
+		seg := r.log.segment(i)
+		for j := range seg {
+			if seg[j].Kind == k {
+				n++
+			}
 		}
 	}
 	return n
@@ -151,19 +155,27 @@ type TimeSeries struct {
 	// width and doubles whenever the memory bound forces a coalesce.
 	WindowSec  float64
 	maxWindows int
-	reps       map[int][]Window
+	// reps is indexed by replica (fleet replica indices are dense from 0);
+	// a replica without samples has no windows.
+	reps [][]Window
 }
 
 // add folds one sample (and the recorder's running good-token counter)
 // into its replica's current window.
 func (ts *TimeSeries) add(s serve.Sample, goodTokens int) {
 	start := math.Floor(s.TimeSec/ts.WindowSec) * ts.WindowSec
-	ws, ok := ts.reps[s.Replica]
-	if !ok {
-		ws = (*windowBufPool.Get().(*[]Window))[:0]
+	for len(ts.reps) <= s.Replica {
+		ts.reps = append(ts.reps, nil)
 	}
+	ws := ts.reps[s.Replica]
 	if n := len(ws); n == 0 || ws[n-1].StartSec < start {
+		if ws == nil {
+			ws = (*windowBufPool.Get().(*[]Window))[:0]
+		}
+		// Only a new window writes the slice back; the rest of the
+		// samples update the current window in place.
 		ws = append(ws, Window{StartSec: start})
+		ts.reps[s.Replica] = ws
 	}
 	w := &ws[len(ws)-1]
 	w.Samples++
@@ -174,7 +186,6 @@ func (ts *TimeSeries) add(s serve.Sample, goodTokens int) {
 	w.Swap, w.SwapPeak = s.SwapBlocksInUse, maxInt(w.SwapPeak, s.SwapBlocksInUse)
 	w.TotalTokens, w.HitTokens, w.MissTokens = s.TotalTokens, s.HitTokens, s.MissTokens
 	w.GoodTokens = goodTokens
-	ts.reps[s.Replica] = ws
 	if len(ws) > ts.maxWindows {
 		ts.coalesce()
 	}
@@ -219,15 +230,21 @@ func mergeWindows(a, b Window) Window {
 // Replicas returns the replica indices with recorded samples, ascending.
 func (ts *TimeSeries) Replicas() []int {
 	ids := make([]int, 0, len(ts.reps))
-	for id := range ts.reps {
-		ids = append(ids, id)
+	for id, ws := range ts.reps {
+		if len(ws) > 0 {
+			ids = append(ids, id)
+		}
 	}
-	sort.Ints(ids)
 	return ids
 }
 
 // Replica returns one replica's windows in time order (shared slice).
-func (ts *TimeSeries) Replica(id int) []Window { return ts.reps[id] }
+func (ts *TimeSeries) Replica(id int) []Window {
+	if id < 0 || id >= len(ts.reps) {
+		return nil
+	}
+	return ts.reps[id]
+}
 
 // Merged returns the fleet-wide series, the windowed analogue of
 // serve.MergeReports: for every aligned window any replica sampled,

@@ -485,13 +485,19 @@ func TestWindowCoalescingEdges(t *testing.T) {
 // leaking prior state into the next recorder.
 func TestRecorderRecycle(t *testing.T) {
 	rec := NewRecorder()
-	rec.Event(serve.Event{Kind: serve.EvArrive, ReqID: 1})
+	record(rec, synthStream(0, 3*chunkEvents+9))
 	rec.Sample(serve.Sample{TimeSec: 0.5, QueueDepth: 3})
 	rec.Recycle()
 	next := NewRecorder()
-	if len(next.Events()) != 0 {
-		t.Fatalf("fresh recorder sees %d stale events", len(next.Events()))
+	if len(next.Events()) != 0 || next.Len() != 0 {
+		t.Fatalf("fresh recorder sees %d stale events (Len %d)", len(next.Events()), next.Len())
 	}
+	checkLog(t, next, nil)
+	// Reused chunks hold only the new run's events, across a chunk
+	// boundary and in the partly filled last chunk alike.
+	want := synthStream(50_000, chunkEvents+3)
+	record(next, want)
+	checkLog(t, next, want)
 	next.Sample(serve.Sample{TimeSec: 0.25, QueueDepth: 1})
 	ws := next.Series().Replica(0)
 	if len(ws) != 1 || ws[0].Samples != 1 || ws[0].Queue != 1 {

@@ -36,7 +36,7 @@ type ServeObservation struct {
 // histogram families, and PhaseCSV the phase breakdown.
 func buildObservation(rec *obs.Recorder, attrib *obs.Attribution, rep *serve.Report) *ServeObservation {
 	o := &ServeObservation{
-		Events:         len(rec.Events()),
+		Events:         rec.Len(),
 		Windows:        len(rec.Series().Merged()),
 		TraceJSON:      rec.PerfettoTrace(),
 		PrometheusText: obs.PrometheusText(rep),
