@@ -3,7 +3,8 @@
 # files in testdata/golden/. Builds cllm-serve, cllm-trace and cllm-bench,
 # runs a fixed set of argument vectors (fixed-fleet sweeps, fleets, a
 # disaggregated topology, faults, four elastic runs, attribution, deadline
-# admission on a least-loaded fleet, two operator traces) plus every example
+# admission on a least-loaded fleet, observed runs with and without
+# attribution, two operator traces) plus every example
 # below and `cllm-bench -exp all -quick`, and fails on any byte difference.
 # Every run is deterministic under its seed and takes well under a second.
 #
@@ -54,6 +55,10 @@ serve serve-10-autoscale-sketch-swap -autoscale -scenario bursty -classes tdx:3 
 	-epoch-requests 64 -preempt swap -format csv
 serve serve-11-fleet-deadline -platform sgx -replicas 3 -lb-policy least-loaded -admission deadline \
 	-preempt auto -rate 6 -requests 96 -in 1024 -out 128 -rate-mults 1,2 -format csv
+serve serve-12-trace -platform tdx -rate 4 -requests 16 -rate-mults 1 -preempt swap \
+	-trace-out serve-12-trace.json
+serve serve-13-trace-attrib -platform tdx -rate 4 -requests 16 -rate-mults 1 -preempt swap -attrib \
+	-trace-out serve-13-trace-attrib.json -metrics-out serve-13-trace-attrib.prom
 
 # Operator traces: the per-kind sums and step totals cllm-trace prints are
 # the only CLI output computed from the flat operator list.
