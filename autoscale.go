@@ -1,11 +1,13 @@
 package cllm
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
 
 	"cllm/internal/autoscale"
+	"cllm/internal/serve"
 )
 
 // AutoscaleClass selects one replica class of an elastic heterogeneous
@@ -30,9 +32,6 @@ func ParseClasses(s string) ([]AutoscaleClass, error) {
 		}
 		parts := strings.Split(item, ":")
 		c := AutoscaleClass{Platform: strings.TrimSpace(parts[0]), Min: 1, Max: 2}
-		if c.Platform == "" {
-			return nil, fmt.Errorf("cllm: empty platform in class %q", item)
-		}
 		if len(parts) > 3 {
 			return nil, fmt.Errorf("cllm: class %q is not platform:max[:min]", item)
 		}
@@ -45,13 +44,8 @@ func ParseClasses(s string) ([]AutoscaleClass, error) {
 				*dst = n
 			}
 		}
-		switch {
-		case c.Max < 1:
-			return nil, fmt.Errorf("cllm: class %q has max %d < 1", item, c.Max)
-		case c.Min < 0:
-			return nil, fmt.Errorf("cllm: class %q has negative min %d", item, c.Min)
-		case c.Min > c.Max:
-			return nil, fmt.Errorf("cllm: class %q has min %d > max %d", item, c.Min, c.Max)
+		if err := c.validate(); err != nil {
+			return nil, err
 		}
 		out = append(out, c)
 	}
@@ -59,6 +53,22 @@ func ParseClasses(s string) ([]AutoscaleClass, error) {
 		return nil, fmt.Errorf("cllm: empty class list %q", s)
 	}
 	return out, nil
+}
+
+// validate rejects a class without a platform or with replica bounds the
+// scaler cannot honour.
+func (c AutoscaleClass) validate() error {
+	switch {
+	case c.Platform == "":
+		return fmt.Errorf("cllm: replica class has an empty platform")
+	case c.Max < 1:
+		return fmt.Errorf("cllm: class %s has max %d < 1", c.Platform, c.Max)
+	case c.Min < 0:
+		return fmt.Errorf("cllm: class %s has negative min %d", c.Platform, c.Min)
+	case c.Min > c.Max:
+		return fmt.Errorf("cllm: class %s has min %d > max %d", c.Platform, c.Min, c.Max)
+	}
+	return nil
 }
 
 // AutoscaleConfig describes an elastic serving run: a traffic scenario
@@ -137,31 +147,13 @@ type AutoscaleReport struct {
 // scaler activates and drains replicas as the scenario's arrival process
 // moves.
 func Autoscale(cfg AutoscaleConfig) (*AutoscaleReport, error) {
-	if len(cfg.Classes) == 0 {
-		return nil, fmt.Errorf("cllm: autoscaling needs at least one replica class")
-	}
-	if cfg.Scenario == "" {
-		cfg.Scenario = "bursty"
-	}
-	if cfg.RatePerSec <= 0 {
-		cfg.RatePerSec = 4
-	}
-	if cfg.Requests <= 0 {
-		cfg.Requests = 256
-	}
-	if err := CheckElastic(cfg.ServeConfig); err != nil {
-		return nil, err
-	}
-	scfg, rec, _, err := serveConfig(cfg.ServeConfig, cfg.Seed)
+	acfg, err := cfg.lower()
 	if err != nil {
 		return nil, err
 	}
-	dispatch := autoscale.CostAware
-	if cfg.Dispatch != "" {
-		dispatch, err = autoscale.ParseDispatch(cfg.Dispatch)
-		if err != nil {
-			return nil, err
-		}
+	rec, _, err := cfg.observe(&acfg.Serve)
+	if err != nil {
+		return nil, err
 	}
 
 	classes := make([]autoscale.Class, len(cfg.Classes))
@@ -177,9 +169,9 @@ func Autoscale(cfg AutoscaleConfig) (*AutoscaleReport, error) {
 		}
 		coldStart := 0.0
 		if !cfg.NoColdStart {
-			coldStart = autoscale.ColdStartSec(be, scfg.Workload)
+			coldStart = autoscale.ColdStartSec(be, acfg.Serve.Workload)
 		}
-		capacity, err := autoscale.ProbeCapacity(be, scfg)
+		capacity, err := autoscale.ProbeCapacity(be, acfg.Serve)
 		if err != nil {
 			return nil, err
 		}
@@ -190,13 +182,7 @@ func Autoscale(cfg AutoscaleConfig) (*AutoscaleReport, error) {
 		}
 	}
 
-	rep, err := autoscale.Run(classes, autoscale.Config{
-		Serve:       scfg,
-		Dispatch:    dispatch,
-		IntervalSec: cfg.IntervalSec,
-		TargetUtil:  cfg.TargetUtil,
-		DemandAlpha: cfg.DemandAlpha,
-	})
+	rep, err := autoscale.Run(classes, acfg)
 	if err != nil {
 		return nil, err
 	}
@@ -217,18 +203,67 @@ func Autoscale(cfg AutoscaleConfig) (*AutoscaleReport, error) {
 		})
 	}
 	if rec != nil {
-		out.Observation = buildObservation(rec, nil, rep.Aggregate)
+		out.Observation = buildObservation(rec, nil, nil, rep.Aggregate)
 		rec.Recycle()
 	}
 	return out, nil
 }
 
+// Validate reports the first field Autoscale would reject, without opening
+// a session: after the elastic defaults, the classes, CheckElastic, the
+// embedded ServeConfig as ServeConfig.Validate checks it, and the control
+// loop's knobs.
+func (cfg AutoscaleConfig) Validate() error {
+	_, err := cfg.lower()
+	return err
+}
+
+// lower fills cfg's elastic defaults in place, validates it and lowers it
+// onto the control loop's config.
+func (cfg *AutoscaleConfig) lower() (autoscale.Config, error) {
+	if cfg.Scenario == "" {
+		cfg.Scenario = "bursty"
+	}
+	if cfg.RatePerSec == 0 {
+		cfg.RatePerSec = 4
+	}
+	if cfg.Requests == 0 {
+		cfg.Requests = 256
+	}
+	acfg := autoscale.Config{Dispatch: autoscale.CostAware, IntervalSec: cfg.IntervalSec,
+		TargetUtil: cfg.TargetUtil, DemandAlpha: cfg.DemandAlpha}
+	if len(cfg.Classes) == 0 {
+		return acfg, serve.FieldError("Classes", "cllm: autoscaling needs at least one replica class")
+	}
+	for _, c := range cfg.Classes {
+		if err := c.validate(); err != nil {
+			return acfg, &ConfigError{Field: "Classes", Err: err}
+		}
+	}
+	if err := CheckElastic(cfg.ServeConfig); err != nil {
+		return acfg, err
+	}
+	var err error
+	if acfg.Serve, err = cfg.ServeConfig.lower(cfg.Seed); err != nil {
+		return acfg, err
+	}
+	if cfg.Dispatch != "" {
+		if acfg.Dispatch, err = autoscale.ParseDispatch(cfg.Dispatch); err != nil {
+			return acfg, &ConfigError{Field: "Dispatch", Err: err}
+		}
+	}
+	return acfg, acfg.Validate()
+}
+
+// ErrNotElastic is wrapped by every CheckElastic rejection, so a front end
+// can tell "not with autoscaling" from an out-of-range value.
+var ErrNotElastic = errors.New("autoscaling does not support")
+
 // CheckElastic rejects the ServeConfig fields an elastic fleet cannot
 // honour, naming the first one set: Replicas above 1, a non-default
 // LBPolicy and a Topology (the classes size and route the fleet), any
 // Faults setting (the scaler runs failure-free and open-door) and
-// Attribution. Autoscale calls it first; a front end can call it to
-// reject misuse before running anything.
+// Attribution. AutoscaleConfig.Validate calls it.
 func CheckElastic(cfg ServeConfig) error {
 	var field string
 	switch f := cfg.Faults; {
@@ -255,5 +290,5 @@ func CheckElastic(cfg ServeConfig) error {
 	default:
 		return nil
 	}
-	return fmt.Errorf("cllm: autoscaling does not support ServeConfig.%s (run a fixed fleet with Session.Serve)", field)
+	return &ConfigError{Field: field, Err: fmt.Errorf("cllm: %w ServeConfig.%s (run a fixed fleet with Session.Serve)", ErrNotElastic, field)}
 }

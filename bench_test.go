@@ -115,7 +115,7 @@ const fleetPrefixRequests = 256
 // pinned prefix chains.
 var fleetPrefixConfig = ServeConfig{
 	Scenario: "diurnal+rag", RatePerSec: 2, Requests: fleetPrefixRequests,
-	Replicas: 8, LBPolicy: PrefixAffinity, PrefixSharing: true, ChunkTokens: 512,
+	Replicas: 8, LBPolicy: PrefixAffinity, Knobs: Knobs{PrefixSharing: true, ChunkTokens: 512},
 }
 
 // serveFleetPrefix runs fleetPrefixConfig once and checks that every

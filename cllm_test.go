@@ -1,6 +1,7 @@
 package cllm
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -327,7 +328,7 @@ func TestParseClasses(t *testing.T) {
 
 func TestAutoscalePublicAPI(t *testing.T) {
 	base := AutoscaleConfig{
-		ServeConfig: ServeConfig{Scenario: "bursty", RatePerSec: 2, Requests: 48, MaxBatch: 8},
+		ServeConfig: ServeConfig{Scenario: "bursty", RatePerSec: 2, Requests: 48, Knobs: Knobs{MaxBatch: 8}},
 		Classes:     []AutoscaleClass{{Platform: "tdx", Min: 1, Max: 2}},
 		Seed:        1,
 	}
@@ -387,6 +388,59 @@ func TestAutoscalePublicAPI(t *testing.T) {
 	}
 }
 
+// TestValidateNamesRejectedField: a negative count, length or duration,
+// and the cross-field fault rules, fail Session.Serve with a *ConfigError
+// naming the ServeConfig field — the same error Validate returns without
+// running anything — and Autoscale rejects a negative control interval
+// the same way.
+func TestValidateNamesRejectedField(t *testing.T) {
+	sess, err := Open(Config{Platform: "tdx", Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for field, set := range map[string]func(*ServeConfig){
+		"MaxBatch":               func(c *ServeConfig) { c.MaxBatch = -1 },
+		"ChunkTokens":            func(c *ServeConfig) { c.ChunkTokens = -512 },
+		"Requests":               func(c *ServeConfig) { c.Requests = -3 },
+		"InputLen":               func(c *ServeConfig) { c.InputLen = -1 },
+		"Sockets":                func(c *ServeConfig) { c.Sockets = -1 },
+		"Replicas":               func(c *ServeConfig) { c.Replicas = -2 },
+		"TTFTSLOSec":             func(c *ServeConfig) { c.TTFTSLOSec = -1 },
+		"ObserveWindowSec":       func(c *ServeConfig) { c.ObserveWindowSec = -1 },
+		"Faults.MTBFSec":         func(c *ServeConfig) { c.Faults = FaultConfig{MTBFSec: 60, Plan: []FailPoint{{TimeSec: 30}}} },
+		"Faults.RetryBackoffSec": func(c *ServeConfig) { c.Faults.RetryBackoffSec = 2 },
+		"Faults.Admission": func(c *ServeConfig) {
+			c.Topology, c.Faults.Admission = "cgpu:1=prefill,tdx:1=decode", AdmitShed
+		},
+	} {
+		cfg := ServeConfig{RatePerSec: 4, Requests: 8}
+		set(&cfg)
+		_, err := sess.Serve(cfg)
+		var ce *ConfigError
+		if !errors.As(err, &ce) || ce.Field != field {
+			t.Errorf("%s out of range: Serve err = %v, want a *ConfigError naming it", field, err)
+			continue
+		}
+		if verr := cfg.Validate(); verr == nil || verr.Error() != err.Error() {
+			t.Errorf("%s: Validate = %v, Serve = %v", field, verr, err)
+		}
+	}
+	for _, c := range []struct {
+		field string
+		cfg   AutoscaleConfig
+	}{
+		{"IntervalSec", AutoscaleConfig{Classes: []AutoscaleClass{{Platform: "tdx", Max: 1}}, IntervalSec: -5}},
+		{"Classes", AutoscaleConfig{Classes: []AutoscaleClass{{Platform: "tdx", Min: 3, Max: 2}}}},
+		{"Classes", AutoscaleConfig{Classes: []AutoscaleClass{{Max: 1}}}},
+	} {
+		_, err := Autoscale(c.cfg)
+		var ce *ConfigError
+		if !errors.As(err, &ce) || ce.Field != c.field || c.cfg.Validate().Error() != err.Error() {
+			t.Errorf("%s out of range: Autoscale err = %v, Validate = %v", c.field, err, c.cfg.Validate())
+		}
+	}
+}
+
 // TestServeRejectsOutOfRangeKnobs passes each typed policy knob a value
 // outside its declared constants and expects Serve to refuse it by name
 // rather than fall back to some policy.
@@ -421,7 +475,9 @@ func TestServeScenarioPublicAPI(t *testing.T) {
 		Scenario:   "bursty+rag",
 		RatePerSec: 1,
 		Requests:   12,
-		MaxBatch:   8,
+		Knobs: Knobs{
+			MaxBatch: 8,
+		},
 	})
 	if err != nil {
 		t.Fatal(err)

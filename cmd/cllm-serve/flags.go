@@ -1,13 +1,13 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"strconv"
 	"strings"
 
 	"cllm"
-	"cllm/internal/autoscale"
 	"cllm/internal/serve"
 )
 
@@ -43,20 +43,23 @@ type rejection struct {
 }
 
 // flagSpec binds one CLI flag: name and usage are single-sourced here,
-// add installs the flag on a FlagSet against its options destination,
-// check validates the parsed value (including its interactions with
-// other flags), and rejects lists example argument vectors the binding
-// must refuse. TestFlagRejections regenerates its cases from rejects, so
-// a new validated flag ships its rejection examples in the same entry.
-// The policy flags parse into the config's typed fields as they are set
-// (see parsed), so the flag package itself rejects a bad spelling; their
-// usage states the default, which -h prints only for plain value flags.
+// field names the cllm config field the flag binds (its selector path on
+// cllm.AutoscaleConfig; empty for a CLI-only flag), add installs the flag
+// on a FlagSet against its options destination, check validates a
+// CLI-only flag, and rejects lists example argument vectors the binding
+// must refuse. Config fields are range-checked by the API's own Validate
+// (see checkFlags). TestFlagRejections regenerates its cases from
+// rejects, so a flag Validate can reject ships its rejection examples in
+// the same entry. The policy flags parse into the config's typed fields
+// as they are set (see parsed), so the flag package itself rejects a bad
+// spelling; their usage states the default, which -h prints only for
+// plain value flags.
 type flagSpec struct {
-	name    string
-	usage   string
-	add     func(fs *flag.FlagSet, name, usage string)
-	check   func() error
-	rejects []rejection
+	name, field string
+	usage       string
+	add         func(fs *flag.FlagSet, name, usage string)
+	check       func() error
+	rejects     []rejection
 }
 
 // flagTable is the single source of truth for the CLI surface: every
@@ -69,134 +72,102 @@ func flagTable(o *options) []flagSpec {
 			add:   func(fs *flag.FlagSet, n, u string) { fs.StringVar(&o.platforms, n, "baremetal,tdx,sgx", u) },
 		},
 		{
-			name:  "system",
+			name: "system", field: "System",
 			usage: "CPU testbed: EMR1 or EMR2",
 			add:   func(fs *flag.FlagSet, n, u string) { fs.StringVar(&o.cfg.System, n, "EMR1", u) },
 		},
 		{
-			name:  "model",
-			usage: "model name (see cllm-infer -models)",
-			add:   func(fs *flag.FlagSet, n, u string) { fs.StringVar(&o.cfg.Model, n, "llama2-7b", u) },
+			name: "model", field: "Model",
+			usage:   "model name (see cllm-infer -models)",
+			add:     func(fs *flag.FlagSet, n, u string) { fs.StringVar(&o.cfg.Model, n, "llama2-7b", u) },
+			rejects: []rejection{{args: []string{"-model", "gpt-99"}, want: "-model"}},
 		},
 		{
-			name:  "dtype",
-			usage: "datatype: bf16|int8|f32",
-			add:   func(fs *flag.FlagSet, n, u string) { fs.StringVar(&o.cfg.DType, n, "bf16", u) },
+			name: "dtype", field: "DType",
+			usage:   "datatype: bf16|int8|f32",
+			add:     func(fs *flag.FlagSet, n, u string) { fs.StringVar(&o.cfg.DType, n, "bf16", u) },
+			rejects: []rejection{{args: []string{"-dtype", "fp4"}, want: "-dtype"}},
 		},
 		{
-			name:  "rate",
-			usage: "base (mean) arrival rate (requests/s)",
-			add:   func(fs *flag.FlagSet, n, u string) { fs.Float64Var(&o.cfg.RatePerSec, n, 8, u) },
-			check: func() error {
-				if o.cfg.RatePerSec <= 0 {
-					return fmt.Errorf("-rate %g is not positive; pass a mean arrival rate in requests/s", o.cfg.RatePerSec)
-				}
-				return nil
-			},
+			name: "rate", field: "RatePerSec",
+			usage:   "base (mean) arrival rate (requests/s) (default 8)",
+			add:     nonZero(&o.cfg.RatePerSec, 8),
 			rejects: []rejection{{args: []string{"-rate", "0"}, want: "-rate"}},
 		},
 		{
-			name:  "requests",
-			usage: "arrivals per run",
-			add:   func(fs *flag.FlagSet, n, u string) { fs.IntVar(&o.cfg.Requests, n, 48, u) },
+			name: "requests", field: "Requests",
+			usage:   "arrivals per run",
+			add:     func(fs *flag.FlagSet, n, u string) { fs.IntVar(&o.cfg.Requests, n, 48, u) },
+			rejects: []rejection{{args: []string{"-requests", "-3"}, want: "-requests"}},
 		},
 		{
-			name:  "scenario",
-			usage: "traffic scenario: poisson|bursty|diurnal|ramp, chat|rag|agentic, or arrivals+mix (empty = plain Poisson synthesis)",
-			add:   func(fs *flag.FlagSet, n, u string) { fs.StringVar(&o.cfg.Scenario, n, "", u) },
+			name: "scenario", field: "Scenario",
+			usage:   "traffic scenario: poisson|bursty|diurnal|ramp, chat|rag|agentic, or arrivals+mix (empty = plain Poisson synthesis)",
+			add:     func(fs *flag.FlagSet, n, u string) { fs.StringVar(&o.cfg.Scenario, n, "", u) },
+			rejects: []rejection{{args: []string{"-scenario", "tsunami"}, want: "-scenario"}},
 		},
 		{
-			name:  "in",
-			usage: "mean prompt tokens (ignored with -scenario)",
-			add:   func(fs *flag.FlagSet, n, u string) { fs.IntVar(&o.cfg.InputLen, n, 128, u) },
+			name: "in", field: "InputLen",
+			usage:   "mean prompt tokens (ignored with -scenario)",
+			add:     func(fs *flag.FlagSet, n, u string) { fs.IntVar(&o.cfg.InputLen, n, 128, u) },
+			rejects: []rejection{{args: []string{"-in", "-1"}, want: "-in"}},
 		},
 		{
-			name:  "out",
-			usage: "mean generated tokens (ignored with -scenario)",
-			add:   func(fs *flag.FlagSet, n, u string) { fs.IntVar(&o.cfg.OutputLen, n, 32, u) },
+			name: "out", field: "OutputLen",
+			usage:   "mean generated tokens (ignored with -scenario)",
+			add:     func(fs *flag.FlagSet, n, u string) { fs.IntVar(&o.cfg.OutputLen, n, 32, u) },
+			rejects: []rejection{{args: []string{"-out", "-1"}, want: "-out"}},
 		},
 		{
-			name:  "batch",
-			usage: "max concurrent sequences",
-			add:   func(fs *flag.FlagSet, n, u string) { fs.IntVar(&o.cfg.MaxBatch, n, 32, u) },
+			name: "batch", field: "MaxBatch",
+			usage:   "max concurrent sequences",
+			add:     func(fs *flag.FlagSet, n, u string) { fs.IntVar(&o.cfg.MaxBatch, n, 32, u) },
+			rejects: []rejection{{args: []string{"-batch", "-1"}, want: "-batch"}},
 		},
 		{
-			name:  "chunk-size",
-			usage: "chunked-prefill budget in prompt tokens per iteration (0 = monolithic prefill)",
-			add:   func(fs *flag.FlagSet, n, u string) { fs.IntVar(&o.cfg.ChunkTokens, n, 0, u) },
+			name: "chunk-size", field: "ChunkTokens",
+			usage:   "chunked-prefill budget in prompt tokens per iteration (0 = monolithic prefill)",
+			add:     func(fs *flag.FlagSet, n, u string) { fs.IntVar(&o.cfg.ChunkTokens, n, 0, u) },
+			rejects: []rejection{{args: []string{"-chunk-size", "-512"}, want: "-chunk-size"}},
 		},
 		{
-			name:  "prefix-share",
+			name: "prefix-share", field: "PrefixSharing",
 			usage: "enable prefix-cache sharing of common prompt prefixes",
 			add:   func(fs *flag.FlagSet, n, u string) { fs.BoolVar(&o.cfg.PrefixSharing, n, false, u) },
 		},
 		{
-			name:  "prefix-groups",
-			usage: "synthetic shared-prefix groups (0 = independent prompts; defaults to 4 with -prefix-share)",
-			add:   func(fs *flag.FlagSet, n, u string) { fs.IntVar(&o.cfg.PrefixGroups, n, 0, u) },
+			name: "prefix-groups", field: "PrefixGroups",
+			usage:   "synthetic shared-prefix groups (0 = independent prompts; defaults to 4 with -prefix-share)",
+			add:     func(fs *flag.FlagSet, n, u string) { fs.IntVar(&o.cfg.PrefixGroups, n, 0, u) },
+			rejects: []rejection{{args: []string{"-prefix-groups", "-2"}, want: "-prefix-groups"}},
 		},
 		{
-			name:  "prefix-frac",
+			name: "prefix-frac", field: "PrefixFrac",
 			usage: "shared fraction of the mean prompt per prefix group, in [0,1) (0 = 0.5 default)",
 			add:   func(fs *flag.FlagSet, n, u string) { fs.Float64Var(&o.cfg.PrefixFrac, n, 0.5, u) },
-			check: func() error {
-				// Prefix groups are in play with -prefix-groups or with
-				// -prefix-share, which defaults them to 4.
-				grouped := o.cfg.PrefixGroups > 0 || o.cfg.PrefixSharing
-				if grouped && (o.cfg.PrefixFrac < 0 || o.cfg.PrefixFrac >= 1) {
-					return fmt.Errorf("-prefix-frac %g outside [0, 1) (0 = 0.5 default)", o.cfg.PrefixFrac)
-				}
-				return nil
-			},
 			rejects: []rejection{
 				{args: []string{"-prefix-share", "-prefix-frac", "1.5"}, want: "-prefix-frac"},
 				{args: []string{"-prefix-groups", "2", "-prefix-frac", "-0.1"}, want: "-prefix-frac"},
 			},
 		},
 		{
-			name:  "replicas",
-			usage: "simulated fleet size behind the load balancer",
-			add:   func(fs *flag.FlagSet, n, u string) { fs.IntVar(&o.cfg.Replicas, n, 1, u) },
+			name: "replicas", field: "Replicas",
+			usage:   "simulated fleet size behind the load balancer",
+			add:     func(fs *flag.FlagSet, n, u string) { fs.IntVar(&o.cfg.Replicas, n, 1, u) },
+			rejects: []rejection{{args: []string{"-replicas", "-1"}, want: "-replicas"}},
 		},
 		{
-			name:    "lb-policy",
+			name: "lb-policy", field: "LBPolicy",
 			usage:   "fleet dispatch policy: round-robin|least-loaded|prefix-affinity (default round-robin)",
 			add:     parsed(&o.cfg.LBPolicy, serve.ParseLBPolicy),
 			rejects: []rejection{{args: []string{"-lb-policy", "random"}, want: "-lb-policy"}},
 		},
 		{
-			name: "topology",
+			name: "topology", field: "Topology",
 			usage: "role-aware fleet topology as comma-separated platform:replicas=role groups " +
 				"(e.g. cgpu:2=prefill,tdx:4=decode splits prefill and decode across the TEE boundary " +
 				"with a priced KV handoff between the stages); replaces -platform and -replicas",
 			add: func(fs *flag.FlagSet, n, u string) { fs.StringVar(&o.cfg.Topology, n, "", u) },
-			check: func() error {
-				if o.cfg.Topology == "" {
-					return nil
-				}
-				groups, err := cllm.ParseTopology(o.cfg.Topology)
-				if err != nil {
-					return fmt.Errorf("-topology: %w", err)
-				}
-				// Role structure (all-unified vs prefill+decode) validates
-				// backend-free, so a lopsided topology fails here rather
-				// than after the first group's session opens.
-				var topo serve.Topology
-				for _, g := range groups {
-					role, err := serve.ParseRole(g.Role)
-					if err != nil {
-						return fmt.Errorf("-topology: %w", err)
-					}
-					topo.Groups = append(topo.Groups, serve.RoleGroup{Role: role, Replicas: g.Replicas})
-				}
-				if _, err := serve.NewFleet(topo); err != nil {
-					return fmt.Errorf("-topology: %w", err)
-				}
-				if o.cfg.Replicas > 1 {
-					return fmt.Errorf("-topology and -replicas are mutually exclusive (the topology fixes the fleet size)")
-				}
-				return nil
-			},
 			rejects: []rejection{
 				{args: []string{"-topology", "cgpu:0=prefill"}, want: "-topology"},
 				{args: []string{"-topology", "tdx=writer"}, want: "-topology"},
@@ -210,15 +181,6 @@ func flagTable(o *options) []flagSpec {
 			usage: "simulate an elastic heterogeneous fleet from -classes (ignores -platform, -in, -out, -prefix-groups and -prefix-frac — " +
 				"the scenario's shape mixes own the request shapes; rejects -replicas, -lb-policy, -topology, -attrib and the fault, admission and retry flags)",
 			add: func(fs *flag.FlagSet, n, u string) { fs.BoolVar(&o.autoscale, n, false, u) },
-			check: func() error {
-				if !o.autoscale {
-					return nil
-				}
-				if err := cllm.CheckElastic(o.cfg.ServeConfig); err != nil {
-					return fmt.Errorf("-autoscale: %w", err)
-				}
-				return nil
-			},
 			rejects: []rejection{
 				{args: []string{"-autoscale", "-fail-mtbf", "60"}, want: "-autoscale"},
 				{args: []string{"-autoscale", "-fail-plan", "30"}, want: "-autoscale"},
@@ -229,7 +191,7 @@ func flagTable(o *options) []flagSpec {
 			},
 		},
 		{
-			name:  "classes",
+			name: "classes", field: "Classes",
 			usage: "autoscale replica classes as platform:max[:min], comma-separated (e.g. tdx:4,cgpu:2)",
 			add:   func(fs *flag.FlagSet, n, u string) { fs.StringVar(&o.classes, n, "tdx:2", u) },
 			check: func() error {
@@ -247,68 +209,44 @@ func flagTable(o *options) []flagSpec {
 			},
 		},
 		{
-			name:  "dispatch",
-			usage: "autoscale dispatch policy: uniform|cost-aware",
-			add:   func(fs *flag.FlagSet, n, u string) { fs.StringVar(&o.cfg.Dispatch, n, "cost-aware", u) },
-			check: func() error {
-				if _, err := autoscale.ParseDispatch(o.cfg.Dispatch); err != nil {
-					return fmt.Errorf("-dispatch: %w", err)
-				}
-				return nil
-			},
+			name: "dispatch", field: "Dispatch",
+			usage:   "autoscale dispatch policy: uniform|cost-aware",
+			add:     func(fs *flag.FlagSet, n, u string) { fs.StringVar(&o.cfg.Dispatch, n, "cost-aware", u) },
 			rejects: []rejection{{args: []string{"-dispatch", "random"}, want: "-dispatch"}},
 		},
 		{
-			name:  "no-cold-start",
+			name: "no-cold-start", field: "NoColdStart",
 			usage: "zero TEE cold starts (counterfactual elasticity baseline)",
 			add:   func(fs *flag.FlagSet, n, u string) { fs.BoolVar(&o.cfg.NoColdStart, n, false, u) },
 		},
 		{
-			name:  "target-util",
-			usage: "autoscaler target utilization in (0,1] (lower = more headroom)",
-			add:   func(fs *flag.FlagSet, n, u string) { fs.Float64Var(&o.cfg.TargetUtil, n, 0.7, u) },
-			check: func() error {
-				if o.cfg.TargetUtil <= 0 || o.cfg.TargetUtil > 1 {
-					return fmt.Errorf("-target-util %g outside (0, 1]", o.cfg.TargetUtil)
-				}
-				return nil
-			},
+			name: "target-util", field: "TargetUtil",
+			usage: "autoscaler target utilization in (0,1] (lower = more headroom) (default 0.7)",
+			add:   nonZero(&o.cfg.TargetUtil, 0.7),
 			rejects: []rejection{
 				{args: []string{"-target-util", "2"}, want: "-target-util"},
 				{args: []string{"-target-util", "0"}, want: "-target-util"},
 			},
 		},
 		{
-			name:  "interval",
-			usage: "autoscaler control period (seconds)",
-			add:   func(fs *flag.FlagSet, n, u string) { fs.Float64Var(&o.cfg.IntervalSec, n, 15, u) },
-			check: func() error {
-				if o.cfg.IntervalSec <= 0 {
-					return fmt.Errorf("-interval %g is not positive; pass a control period in seconds", o.cfg.IntervalSec)
-				}
-				return nil
-			},
+			name: "interval", field: "IntervalSec",
+			usage: "autoscaler control period (seconds) (default 15)",
+			add:   nonZero(&o.cfg.IntervalSec, 15),
 			rejects: []rejection{
 				{args: []string{"-interval", "-5"}, want: "-interval"},
 				{args: []string{"-interval", "0"}, want: "-interval"},
 			},
 		},
 		{
-			name:    "quantile-mode",
+			name: "quantile-mode", field: "QuantileMode",
 			usage:   "latency quantile computation: exact (per-request samples, sorted) or sketch (streaming DDSketch + epoch-sharded simulation — flat memory at any request count) (default exact)",
 			add:     parsed(&o.cfg.QuantileMode, serve.ParseQuantileMode),
 			rejects: []rejection{{args: []string{"-quantile-mode", "approx"}, want: "-quantile-mode"}},
 		},
 		{
-			name:  "sketch-alpha",
+			name: "sketch-alpha", field: "SketchAlpha",
 			usage: "sketch relative error bound in (0,1) (0 = 0.01 default; sketch mode only)",
 			add:   func(fs *flag.FlagSet, n, u string) { fs.Float64Var(&o.cfg.SketchAlpha, n, 0, u) },
-			check: func() error {
-				if o.cfg.SketchAlpha < 0 || o.cfg.SketchAlpha >= 1 {
-					return fmt.Errorf("-sketch-alpha %g outside [0, 1) (0 = 0.01 default)", o.cfg.SketchAlpha)
-				}
-				return nil
-			},
 			rejects: []rejection{
 				{args: []string{"-sketch-alpha", "-0.1"}, want: "-sketch-alpha"},
 				{args: []string{"-sketch-alpha", "1"}, want: "-sketch-alpha"},
@@ -316,15 +254,9 @@ func flagTable(o *options) []flagSpec {
 			},
 		},
 		{
-			name:  "epoch-requests",
-			usage: "arrivals scheduled per simulation epoch (0 = 65536 in sketch mode, unsharded in exact mode)",
-			add:   func(fs *flag.FlagSet, n, u string) { fs.IntVar(&o.cfg.EpochRequests, n, 0, u) },
-			check: func() error {
-				if o.cfg.EpochRequests < 0 {
-					return fmt.Errorf("-epoch-requests %d is negative; pass arrivals per epoch (0 = 65536 in sketch mode, unsharded in exact mode)", o.cfg.EpochRequests)
-				}
-				return nil
-			},
+			name: "epoch-requests", field: "EpochRequests",
+			usage:   "arrivals scheduled per simulation epoch (0 = 65536 in sketch mode, unsharded in exact mode)",
+			add:     func(fs *flag.FlagSet, n, u string) { fs.IntVar(&o.cfg.EpochRequests, n, 0, u) },
 			rejects: []rejection{{args: []string{"-epoch-requests", "-1"}, want: "-epoch-requests"}},
 		},
 		{
@@ -356,7 +288,7 @@ func flagTable(o *options) []flagSpec {
 			},
 		},
 		{
-			name:    "preempt",
+			name: "preempt", field: "PreemptPolicy",
 			usage:   "preemption policy: recompute|swap|auto (swap parks KV in a host swap pool at the backend's swap bandwidth; auto picks the cheaper per preemption) (default recompute)",
 			add:     parsed(&o.cfg.PreemptPolicy, serve.ParsePreemptPolicy),
 			rejects: []rejection{{args: []string{"-preempt", "drop"}, want: "-preempt"}},
@@ -389,19 +321,13 @@ func flagTable(o *options) []flagSpec {
 			add:   func(fs *flag.FlagSet, n, u string) { fs.StringVar(&o.timesOut, n, "", u) },
 		},
 		{
-			name:  "obs-window",
-			usage: "observation time-series window in simulated seconds (0 = 1s default)",
-			add:   func(fs *flag.FlagSet, n, u string) { fs.Float64Var(&o.cfg.ObserveWindowSec, n, 0, u) },
-			check: func() error {
-				if o.cfg.ObserveWindowSec < 0 {
-					return fmt.Errorf("-obs-window %g is negative; pass a window in simulated seconds (0 = 1s default)", o.cfg.ObserveWindowSec)
-				}
-				return nil
-			},
+			name: "obs-window", field: "ObserveWindowSec",
+			usage:   "observation time-series window in simulated seconds (0 = 1s default)",
+			add:     func(fs *flag.FlagSet, n, u string) { fs.Float64Var(&o.cfg.ObserveWindowSec, n, 0, u) },
 			rejects: []rejection{{args: []string{"-obs-window", "-1"}, want: "-obs-window"}},
 		},
 		{
-			name:    "attrib",
+			name: "attrib", field: "Attribution",
 			usage:   "attribute the observed run's latency to phases (queue/prefill/decode/stall/swap/handoff) and price a clear-hardware counterfactual for the per-phase TEE tax; attributes the first platform's base-rate point",
 			add:     func(fs *flag.FlagSet, n, u string) { fs.BoolVar(&o.cfg.Attribution, n, false, u) },
 			rejects: []rejection{{args: []string{"-attrib", "-autoscale"}, want: "-autoscale"}},
@@ -439,40 +365,25 @@ func flagTable(o *options) []flagSpec {
 			add:   func(fs *flag.FlagSet, n, u string) { fs.Float64Var(&o.compareSlack, n, 0.02, u) },
 		},
 		{
-			name:  "demand-alpha",
+			name: "demand-alpha", field: "DemandAlpha",
 			usage: "autoscaler EWMA demand-smoothing factor in (0,1]; 0 or 1 keeps the raw one-window estimator",
 			add:   func(fs *flag.FlagSet, n, u string) { fs.Float64Var(&o.cfg.DemandAlpha, n, 0, u) },
-			check: func() error {
-				if o.cfg.DemandAlpha < 0 || o.cfg.DemandAlpha > 1 {
-					return fmt.Errorf("-demand-alpha %g outside [0, 1] (0 or 1 = raw one-window estimator)", o.cfg.DemandAlpha)
-				}
-				return nil
-			},
 			rejects: []rejection{
 				{args: []string{"-demand-alpha", "3"}, want: "-demand-alpha"},
 				{args: []string{"-demand-alpha", "-0.5"}, want: "-demand-alpha"},
 			},
 		},
 		{
-			name:  "fail-mtbf",
+			name: "fail-mtbf", field: "Faults.MTBFSec",
 			usage: "inject Poisson replica failures with this mean time between failures in seconds (0 = no failures); a crashed replica pays the platform's full TEE cold start before serving again",
 			add:   func(fs *flag.FlagSet, n, u string) { fs.Float64Var(&o.cfg.Faults.MTBFSec, n, 0, u) },
-			check: func() error {
-				if o.cfg.Faults.MTBFSec < 0 {
-					return fmt.Errorf("-fail-mtbf %g is negative; pass a mean time between failures in seconds (0 = no failures)", o.cfg.Faults.MTBFSec)
-				}
-				if o.cfg.Faults.MTBFSec > 0 && len(o.cfg.Faults.Plan) > 0 {
-					return fmt.Errorf("-fail-mtbf and -fail-plan are mutually exclusive (Poisson vs scripted failures)")
-				}
-				return nil
-			},
 			rejects: []rejection{
 				{args: []string{"-fail-mtbf", "-1"}, want: "-fail-mtbf"},
 				{args: []string{"-fail-mtbf", "60", "-fail-plan", "30"}, want: "-fail-mtbf"},
 			},
 		},
 		{
-			name:  "fail-plan",
+			name: "fail-plan", field: "Faults.Plan",
 			usage: "inject scripted failures instead: comma-separated replica@seconds points (bare seconds = replica 0) (default none)",
 			add:   parsed(&o.cfg.Faults.Plan, serve.ParseFailPlan),
 			rejects: []rejection{
@@ -481,67 +392,56 @@ func flagTable(o *options) []flagSpec {
 			},
 		},
 		{
-			name:    "fail-policy",
+			name: "fail-policy", field: "Faults.Policy",
 			usage:   "what a crash does to in-flight requests: requeue (restart on recovery) or lost (consume retry budget or drop) (default requeue)",
 			add:     parsed(&o.cfg.Faults.Policy, serve.ParseFailurePolicy),
 			rejects: []rejection{{args: []string{"-fail-policy", "explode"}, want: "-fail-policy"}},
 		},
 		{
-			name:  "admission",
+			name: "admission", field: "Faults.Admission",
 			usage: "queue admission policy: fifo|deadline|shed (deadline = EDF order with expired-request drops; shed also rejects requests that cannot start before their deadline) (default fifo)",
 			add:   parsed(&o.cfg.Faults.Admission, serve.ParseAdmissionPolicy),
 			rejects: []rejection{
 				{args: []string{"-admission", "lottery"}, want: "-admission"},
 				{args: []string{"-admission", "shed", "-autoscale"}, want: "-autoscale"},
+				{args: []string{"-admission", "shed", "-topology", "cgpu:1=prefill,tdx:1=decode"}, want: "-admission"},
 			},
 		},
 		{
-			name:  "retry-max",
-			usage: "per-request retry budget for shed and failure-lost requests (0 = no retries)",
-			add:   func(fs *flag.FlagSet, n, u string) { fs.IntVar(&o.cfg.Faults.RetryMax, n, 0, u) },
-			check: func() error {
-				if o.cfg.Faults.RetryMax < 0 {
-					return fmt.Errorf("-retry-max %d is negative; pass a per-request retry budget (0 = no retries)", o.cfg.Faults.RetryMax)
-				}
-				return nil
-			},
+			name: "retry-max", field: "Faults.RetryMax",
+			usage:   "per-request retry budget for shed and failure-lost requests (0 = no retries)",
+			add:     func(fs *flag.FlagSet, n, u string) { fs.IntVar(&o.cfg.Faults.RetryMax, n, 0, u) },
 			rejects: []rejection{{args: []string{"-retry-max", "-1"}, want: "-retry-max"}},
 		},
 		{
-			name:  "retry-backoff",
+			name: "retry-backoff", field: "Faults.RetryBackoffSec",
 			usage: "exponential retry backoff base in seconds with deterministic jitter (0 = 1s default; needs -retry-max)",
 			add:   func(fs *flag.FlagSet, n, u string) { fs.Float64Var(&o.cfg.Faults.RetryBackoffSec, n, 0, u) },
-			check: func() error {
-				if o.cfg.Faults.RetryBackoffSec < 0 {
-					return fmt.Errorf("-retry-backoff %g is negative; pass a backoff base in seconds (0 = 1s default)", o.cfg.Faults.RetryBackoffSec)
-				}
-				if o.cfg.Faults.RetryBackoffSec > 0 && o.cfg.Faults.RetryMax == 0 {
-					return fmt.Errorf("-retry-backoff requires -retry-max > 0 (there is nothing to back off without a retry budget)")
-				}
-				return nil
-			},
 			rejects: []rejection{
 				{args: []string{"-retry-max", "1", "-retry-backoff", "-0.5"}, want: "-retry-backoff"},
 				{args: []string{"-retry-backoff", "2"}, want: "-retry-backoff"},
 			},
 		},
 		{
-			name:  "slo-ttft",
-			usage: "TTFT SLO (seconds)",
-			add:   func(fs *flag.FlagSet, n, u string) { fs.Float64Var(&o.cfg.TTFTSLOSec, n, 5, u) },
+			name: "slo-ttft", field: "TTFTSLOSec",
+			usage:   "TTFT SLO (seconds)",
+			add:     func(fs *flag.FlagSet, n, u string) { fs.Float64Var(&o.cfg.TTFTSLOSec, n, 5, u) },
+			rejects: []rejection{{args: []string{"-slo-ttft", "-1"}, want: "-slo-ttft"}},
 		},
 		{
-			name:  "slo-tpot",
-			usage: "TPOT SLO (seconds/token)",
-			add:   func(fs *flag.FlagSet, n, u string) { fs.Float64Var(&o.cfg.TPOTSLOSec, n, 0.5, u) },
+			name: "slo-tpot", field: "TPOTSLOSec",
+			usage:   "TPOT SLO (seconds/token)",
+			add:     func(fs *flag.FlagSet, n, u string) { fs.Float64Var(&o.cfg.TPOTSLOSec, n, 0.5, u) },
+			rejects: []rejection{{args: []string{"-slo-tpot", "-0.5"}, want: "-slo-tpot"}},
 		},
 		{
-			name:  "sockets",
-			usage: "CPU sockets",
-			add:   func(fs *flag.FlagSet, n, u string) { fs.IntVar(&o.cfg.Sockets, n, 1, u) },
+			name: "sockets", field: "Sockets",
+			usage:   "CPU sockets",
+			add:     func(fs *flag.FlagSet, n, u string) { fs.IntVar(&o.cfg.Sockets, n, 1, u) },
+			rejects: []rejection{{args: []string{"-sockets", "-1"}, want: "-sockets"}},
 		},
 		{
-			name:  "seed",
+			name: "seed", field: "Seed",
 			usage: "deterministic seed",
 			add:   func(fs *flag.FlagSet, n, u string) { fs.Int64Var(&o.cfg.Seed, n, 1, u) },
 		},
@@ -554,6 +454,22 @@ func parsed[T any](dst *T, parse func(string) (T, error)) func(fs *flag.FlagSet,
 	return func(fs *flag.FlagSet, name, usage string) {
 		fs.Func(name, usage, func(s string) (err error) {
 			*dst, err = parse(s)
+			return err
+		})
+	}
+}
+
+// nonZero binds a float flag whose default (def) the CLI states: 0 is
+// refused, since the API reads 0 as "use the default" (Autoscale's elastic
+// defaults, the control loop's), not as the value typed. Validate rejects
+// the other out-of-range values.
+func nonZero(dst *float64, def float64) func(fs *flag.FlagSet, name, usage string) {
+	return func(fs *flag.FlagSet, name, usage string) {
+		*dst = def
+		fs.Func(name, usage, func(s string) (err error) {
+			if *dst, err = strconv.ParseFloat(s, 64); err == nil && *dst == 0 {
+				err = errors.New("0 is out of range (omit the flag for the default)")
+			}
 			return err
 		})
 	}
@@ -574,10 +490,13 @@ func registerFlags(fs *flag.FlagSet, table []flagSpec) {
 	}
 }
 
-// checkFlags runs every table entry's validator in declaration order and
-// returns the first failure, so misuse fails fast with a clear message
-// before any simulation runs.
-func checkFlags(table []flagSpec) error {
+// checkFlags validates the parsed flags before any simulation runs: the
+// CLI-only checks in declaration order, then the config through the API's
+// Validate, whose rejection it reports against the flag bound to the
+// field named — or -autoscale for one an elastic run cannot honour.
+// -prefix-share without -prefix-groups defaults the groups to 4 first
+// (sharing without declared groups would never hit).
+func checkFlags(o *options, table []flagSpec) error {
 	for _, s := range table {
 		if s.check == nil {
 			continue
@@ -586,5 +505,35 @@ func checkFlags(table []flagSpec) error {
 			return err
 		}
 	}
-	return nil
+	if o.cfg.PrefixSharing && o.cfg.PrefixGroups == 0 {
+		o.cfg.PrefixGroups = 4
+	}
+	err := o.validate()
+	var ce *cllm.ConfigError
+	switch {
+	case errors.Is(err, cllm.ErrNotElastic):
+		return fmt.Errorf("-autoscale: %w", err)
+	case errors.As(err, &ce):
+		for _, s := range table {
+			if s.field == ce.Field {
+				return fmt.Errorf("-%s: %w", s.name, err)
+			}
+		}
+	}
+	return err
+}
+
+// validate runs the validator of the run main makes: Autoscale's with
+// -autoscale, else Session.Serve's plus Autoscale's on the control-loop
+// flags alone, which are checked in every mode.
+func (o *options) validate() error {
+	if o.autoscale {
+		return o.cfg.Validate()
+	}
+	if err := o.cfg.ServeConfig.Validate(); err != nil {
+		return err
+	}
+	ctl := o.cfg
+	ctl.ServeConfig = cllm.ServeConfig{}
+	return ctl.Validate()
 }

@@ -46,12 +46,9 @@ func main() {
 	registerFlags(flag.CommandLine, specs)
 	flag.Parse()
 
-	if err := checkFlags(specs); err != nil {
+	if err := checkFlags(&o, specs); err != nil {
 		fmt.Fprintf(os.Stderr, "cllm-serve: %v\n", err)
 		os.Exit(1)
-	}
-	if o.cfg.PrefixSharing && o.cfg.PrefixGroups <= 0 {
-		o.cfg.PrefixGroups = 4 // sharing without declared groups would never hit
 	}
 	o.cfg.Observe = o.traceOut != "" || o.metricsOut != "" || o.timesOut != ""
 
@@ -83,12 +80,9 @@ func main() {
 	platList := strings.Split(o.platforms, ",")
 	if o.cfg.Topology != "" {
 		fleetDesc = "topology " + o.cfg.Topology
-		groups, err := cllm.ParseTopology(o.cfg.Topology)
-		if err != nil { // unreachable: checkFlags parsed it already
-			fmt.Fprintf(os.Stderr, "cllm-serve: %v\n", err)
-			os.Exit(1)
-		}
-		platList = []string{groups[0].Platform}
+		// The groups open their own platforms as sub-sessions: the host
+		// session's platform is unused, so one run on any platform will do.
+		platList = []string{"baremetal"}
 	}
 	title := fmt.Sprintf("%s (%s), %d requests per point, %s, chunk %d, share %v, %s, SLO TTFT %.2gs TPOT %.2gs",
 		o.cfg.Model, o.cfg.DType, o.cfg.Requests, load, o.cfg.ChunkTokens, o.cfg.PrefixSharing, fleetDesc, o.cfg.TTFTSLOSec, o.cfg.TPOTSLOSec)
@@ -134,6 +128,9 @@ func main() {
 			cfg.Attribution = wantAttrib && m == 1
 			rep, err := sess.Serve(cfg)
 			if err != nil {
+				if o.cfg.Topology != "" {
+					plat = fleetDesc // the host session's platform is unused
+				}
 				fmt.Fprintf(os.Stderr, "cllm-serve: %s at rate %.2f: %v\n", plat, cfg.RatePerSec, err)
 				os.Exit(1)
 			}

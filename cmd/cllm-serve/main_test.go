@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -22,7 +23,7 @@ func parseAndCheck(args []string) (*options, error) {
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
-	return &o, checkFlags(table)
+	return &o, checkFlags(&o, table)
 }
 
 func TestFlagTableNamesUnique(t *testing.T) {
@@ -130,14 +131,81 @@ func TestFlagRejections(t *testing.T) {
 	}
 }
 
-// TestFlagValidatorsHaveRejections keeps the table honest: a spec that
-// installs a validator must ship at least one rejection example, so the
-// rejection test exercises every validated flag.
+// TestFlagValidatorsHaveRejections keeps the table honest: every field
+// Validate can reject has a flag rejection example, and every CLI-only
+// validator ships one too, so the rejection test exercises every
+// validated flag. A flag's field is found rejectable by probing it with
+// generic bad values through the flag path; each bound field must name a
+// real AutoscaleConfig field, or its rejections would never map back.
 func TestFlagValidatorsHaveRejections(t *testing.T) {
 	var o options
 	for _, spec := range flagTable(&o) {
 		if spec.check != nil && len(spec.rejects) == 0 {
 			t.Errorf("flag -%s has a validator but no rejection examples", spec.name)
 		}
+		if spec.field == "" {
+			continue
+		}
+		if !hasField(reflect.TypeOf(cllm.AutoscaleConfig{}), spec.field) {
+			t.Errorf("flag -%s binds %q, which is not an AutoscaleConfig field", spec.name, spec.field)
+		}
+		for _, v := range []string{"-1", "0", "2", "1.5", "nope"} {
+			_, err := parseAndCheck([]string{"-" + spec.name + "=" + v})
+			var ce *cllm.ConfigError
+			if errors.As(err, &ce) && ce.Field == spec.field && len(spec.rejects) == 0 {
+				t.Errorf("Validate rejects %s (-%s %s: %v) but the flag has no rejection examples", spec.field, spec.name, v, err)
+			}
+		}
+	}
+}
+
+// hasField reports whether the dotted selector path names a field of t.
+func hasField(t reflect.Type, path string) bool {
+	for _, name := range strings.Split(path, ".") {
+		f, ok := t.FieldByName(name)
+		if !ok {
+			return false
+		}
+		t = f.Type
+	}
+	return true
+}
+
+// TestFlagRejectionsMatchAPI: the CLI and the API reject through one
+// validator. For every rejection example that Validate refuses, the same
+// parsed config sent through Session.Serve (or Autoscale, for -autoscale
+// runs and the control-loop fields) fails with exactly the CLI's error
+// minus its flag prefix. Parse errors and CLI-only checks have no config
+// to apply and are skipped.
+func TestFlagRejectionsMatchAPI(t *testing.T) {
+	sess, err := cllm.Open(cllm.Config{Platform: "tdx", Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveType := reflect.TypeOf(cllm.ServeConfig{})
+	var table options
+	compared := 0
+	for _, spec := range flagTable(&table) {
+		for _, rej := range spec.rejects {
+			o, cliErr := parseAndCheck(rej.args)
+			var ce *cllm.ConfigError
+			if o == nil || !errors.As(cliErr, &ce) {
+				continue
+			}
+			var apiErr error
+			if o.autoscale || !hasField(serveType, ce.Field) {
+				_, apiErr = cllm.Autoscale(o.cfg)
+			} else {
+				_, apiErr = sess.Serve(o.cfg.ServeConfig)
+			}
+			_, want, _ := strings.Cut(cliErr.Error(), ": ")
+			if apiErr == nil || apiErr.Error() != want {
+				t.Errorf("args %v: CLI rejects with %q, API returns %v", rej.args, cliErr, apiErr)
+			}
+			compared++
+		}
+	}
+	if compared == 0 {
+		t.Fatal("no rejection example reached Validate")
 	}
 }

@@ -34,8 +34,7 @@ func main() {
 			Scenario:   "bursty",
 			RatePerSec: 0.5,
 			Requests:   160,
-			MaxBatch:   8,
-			TTFTSLOSec: 6,
+			Knobs:      cllm.Knobs{MaxBatch: 8, TTFTSLOSec: 6},
 		},
 		Classes: []cllm.AutoscaleClass{{Platform: "tdx", Min: 1, Max: 4}},
 		Seed:    7,

@@ -71,7 +71,7 @@ func main() {
 	fmt.Println("\nserved fleet check (TDX, 8 req/s, chat workload):")
 	served, err := tdx.Serve(cllm.ServeConfig{
 		Model: "llama2-7b", RatePerSec: 8, Requests: 64,
-		Replicas: 2, LBPolicy: cllm.LeastLoaded, ChunkTokens: 512,
+		Replicas: 2, LBPolicy: cllm.LeastLoaded, Knobs: cllm.Knobs{ChunkTokens: 512},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -22,17 +22,15 @@ func main() {
 	// leading 75% of a 1024-token prompt with its group, at a fleet rate of
 	// 3 req/s. Chunked prefill keeps decode cadence steady.
 	base := cllm.ServeConfig{
-		Model:         "llama2-7b",
-		InputLen:      1024,
-		OutputLen:     32,
-		RatePerSec:    3,
-		Requests:      48,
-		MaxBatch:      16,
-		ChunkTokens:   256,
-		PrefixSharing: true,
-		PrefixGroups:  16,
-		PrefixFrac:    0.75,
-		TTFTSLOSec:    4,
+		Model:      "llama2-7b",
+		InputLen:   1024,
+		OutputLen:  32,
+		RatePerSec: 3,
+		Requests:   48,
+		Knobs: cllm.Knobs{
+			MaxBatch: 16, ChunkTokens: 256, TTFTSLOSec: 4,
+			PrefixSharing: true, PrefixGroups: 16, PrefixFrac: 0.75,
+		},
 	}
 
 	fmt.Println("policy comparison at 4 replicas:")

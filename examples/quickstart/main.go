@@ -59,7 +59,7 @@ func main() {
 	//    bounding decode stalls. Throughput, tail latency and SLO-aware
 	//    cost all emerge from the same modeled TEE mechanisms.
 	served, err := session.Serve(cllm.ServeConfig{
-		Model: "llama2-7b", RatePerSec: 8, Requests: 64, ChunkTokens: 512,
+		Model: "llama2-7b", RatePerSec: 8, Requests: 64, Knobs: cllm.Knobs{ChunkTokens: 512},
 	})
 	if err != nil {
 		log.Fatal(err)

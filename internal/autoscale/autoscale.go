@@ -122,26 +122,33 @@ type Config struct {
 // hysteresis against flapping on burst edges.
 const scaleDownHoldIntervals = 2
 
+// Validate reports the first control-loop knob Run would reject, without
+// running anything (the Serve config is checked by serve.Config.Validate).
+func (c Config) Validate() error { return c.normalize() }
+
 func (c *Config) normalize() error {
-	if c.IntervalSec <= 0 {
+	switch {
+	case c.IntervalSec < 0:
+		return serve.FieldError("IntervalSec", "autoscale: control interval %g is negative (0 selects the 15 s default)", c.IntervalSec)
+	case c.IntervalSec == 0:
 		c.IntervalSec = 15
 	}
 	if c.TargetUtil == 0 {
 		c.TargetUtil = 0.7
 	}
 	if c.TargetUtil < 0 || c.TargetUtil > 1 {
-		return fmt.Errorf("autoscale: target utilization %g outside (0, 1]", c.TargetUtil)
+		return serve.FieldError("TargetUtil", "autoscale: target utilization %g outside (0, 1]", c.TargetUtil)
 	}
 	if c.DemandAlpha == 0 {
 		c.DemandAlpha = 1
 	}
 	if c.DemandAlpha < 0 || c.DemandAlpha > 1 {
-		return fmt.Errorf("autoscale: demand EWMA alpha %g outside (0, 1]", c.DemandAlpha)
+		return serve.FieldError("DemandAlpha", "autoscale: demand EWMA alpha %g outside (0, 1]", c.DemandAlpha)
 	}
 	switch c.Dispatch {
 	case Uniform, CostAware:
 	default:
-		return fmt.Errorf("autoscale: unknown dispatch policy %d", int(c.Dispatch))
+		return serve.FieldError("Dispatch", "autoscale: unknown dispatch policy %d", int(c.Dispatch))
 	}
 	return nil
 }

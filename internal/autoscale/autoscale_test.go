@@ -47,7 +47,9 @@ func testServeConfig(t *testing.T, requests int) serve.Config {
 		Scenario: &sc,
 		Requests: requests,
 		Seed:     1,
-		MaxBatch: 16,
+		Knobs: serve.Knobs{
+			MaxBatch: 16,
+		},
 	}
 }
 

@@ -115,8 +115,8 @@ func runAttribution(o Options) (*Result, error) {
 		name: "cGPU/swap-heavy",
 		be:   serve.Backend{IsGPU: true, GPU: perf.GPURun{GPU: gpu, Platform: tee.CGPU()}},
 		cfg: serve.Config{
-			Workload: wl, Trace: shortTrace, Seed: o.Seed, MaxBatch: 4,
-			PreemptPolicy: serve.PreemptSwap,
+			Workload: wl, Trace: shortTrace, Seed: o.Seed,
+			Knobs: serve.Knobs{MaxBatch: 4, PreemptPolicy: serve.PreemptSwap},
 		},
 	}
 
@@ -136,8 +136,8 @@ func runAttribution(o Options) (*Result, error) {
 		name: "SGX/swap-heavy",
 		be:   serve.Backend{CPU: perf.CPURun{CPU: hw.EMR1(), Platform: sgx, Sockets: 1, AMX: true}},
 		cfg: serve.Config{
-			Workload: wl, Trace: longTrace, Seed: o.Seed, MaxBatch: 8,
-			PreemptPolicy: serve.PreemptSwap,
+			Workload: wl, Trace: longTrace, Seed: o.Seed,
+			Knobs: serve.Knobs{MaxBatch: 8, PreemptPolicy: serve.PreemptSwap},
 		},
 	}
 
@@ -151,7 +151,7 @@ func runAttribution(o Options) (*Result, error) {
 	sgxDecode := attribScenario{
 		name: "SGX/decode-heavy",
 		be:   sgxSwap.be,
-		cfg:  serve.Config{Workload: wl, Trace: decTrace, Seed: o.Seed, MaxBatch: 8},
+		cfg:  serve.Config{Workload: wl, Trace: decTrace, Seed: o.Seed, Knobs: serve.Knobs{MaxBatch: 8}},
 	}
 
 	// TDX near saturation: arrivals outpace a batch-limited server, so
@@ -163,7 +163,7 @@ func runAttribution(o Options) (*Result, error) {
 	tdxSat := attribScenario{
 		name: "TDX/saturated",
 		be:   serve.Backend{CPU: perf.CPURun{CPU: hw.EMR1(), Platform: tee.TDX(), Sockets: 1, AMX: true}},
-		cfg:  serve.Config{Workload: wl, Trace: satTrace, Seed: o.Seed, MaxBatch: 2},
+		cfg:  serve.Config{Workload: wl, Trace: satTrace, Seed: o.Seed, Knobs: serve.Knobs{MaxBatch: 2}},
 	}
 
 	// The cGPU scenario runs twice: attribution artifacts must be

@@ -70,11 +70,10 @@ func runHetero(o Options) (*Result, error) {
 		Requests: 240,
 		Seed:     o.Seed,
 		// Shallow per-replica batches keep the TDX replicas' headroom
-		// bounded so misrouted traffic actually queues there.
-		MaxBatch: 4,
-		// A tight TTFT SLO makes queueing on an overloaded slow replica an
+		// bounded so misrouted traffic actually queues there, and a tight
+		// TTFT SLO makes queueing on an overloaded slow replica an
 		// attainment miss rather than invisible slack.
-		TTFTSLOSec: 1.5,
+		Knobs: serve.Knobs{MaxBatch: 4, TTFTSLOSec: 1.5},
 	}
 	if o.Quick {
 		scfg.Requests = 160
@@ -195,11 +194,10 @@ func runAutoscale(o Options) (*Result, error) {
 		Seed:     o.Seed,
 		// A shallow batch keeps one replica's headroom bounded: deep
 		// batching would quietly absorb any burst and no scaling (hence no
-		// cold start) would ever be exercised.
-		MaxBatch: 4,
-		// A 4 s TTFT SLO gives a warm fleet's reaction lag (one control
-		// interval) room to pass while a 13 s cold start still blows it.
-		TTFTSLOSec: 4,
+		// cold start) would ever be exercised. A 4 s TTFT SLO gives a warm
+		// fleet's reaction lag (one control interval) room to pass while a
+		// 13 s cold start still blows it.
+		Knobs: serve.Knobs{MaxBatch: 4, TTFTSLOSec: 4},
 	}
 	if o.Quick {
 		scfg.Requests = 224

@@ -126,13 +126,11 @@ func runDisaggregated(o Options) (*Result, error) {
 	const requests = 768
 	mkCfg := func(rate float64, inLen, outLen int) serve.Config {
 		return serve.Config{
-			Workload:   trace.Workload{Model: model, Kind: dtype.BF16, InputLen: inLen, OutputLen: outLen},
-			Rate:       rate,
-			Requests:   requests,
-			Seed:       o.Seed,
-			MaxBatch:   32,
-			TTFTSLOSec: 1.0,
-			TPOTSLOSec: 0.25,
+			Workload: trace.Workload{Model: model, Kind: dtype.BF16, InputLen: inLen, OutputLen: outLen},
+			Rate:     rate,
+			Requests: requests,
+			Seed:     o.Seed,
+			Knobs:    serve.Knobs{MaxBatch: 32, TTFTSLOSec: 1.0, TPOTSLOSec: 0.25},
 		}
 	}
 	mkCands := func(specs []struct {

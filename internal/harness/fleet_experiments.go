@@ -53,12 +53,11 @@ func runChunkedPrefill(o Options) (*Result, error) {
 	var tpotP99, ttftP50 []float64
 	for _, chunk := range chunkSizes {
 		rep, err := serve.Run(chunkedBackend(tee.TDX()), serve.Config{
-			Workload:    trace.Workload{Model: mustModel("llama2-7b"), Kind: dtype.BF16, InputLen: 1024, OutputLen: outLen},
-			Rate:        0.35,
-			Requests:    24,
-			Seed:        o.Seed,
-			MaxBatch:    16,
-			ChunkTokens: chunk,
+			Workload: trace.Workload{Model: mustModel("llama2-7b"), Kind: dtype.BF16, InputLen: 1024, OutputLen: outLen},
+			Rate:     0.35,
+			Requests: 24,
+			Seed:     o.Seed,
+			Knobs:    serve.Knobs{MaxBatch: 16, ChunkTokens: chunk},
 		})
 		if err != nil {
 			return nil, err
@@ -135,12 +134,10 @@ func runPrefixCache(o Options) (*Result, error) {
 		var goodput [2]float64
 		for si, share := range []bool{false, true} {
 			rep, err := serve.Run(chunkedBackend(p), serve.Config{
-				Workload:      trace.Workload{Model: mustModel("llama2-7b"), Kind: dtype.BF16},
-				Trace:         tr,
-				Seed:          o.Seed,
-				MaxBatch:      8,
-				PrefixSharing: share,
-				TTFTSLOSec:    60, TPOTSLOSec: 1.0,
+				Workload: trace.Workload{Model: mustModel("llama2-7b"), Kind: dtype.BF16},
+				Trace:    tr,
+				Seed:     o.Seed,
+				Knobs:    serve.Knobs{MaxBatch: 8, PrefixSharing: share, TTFTSLOSec: 60, TPOTSLOSec: 1.0},
 			})
 			if err != nil {
 				return nil, err
@@ -197,16 +194,15 @@ func runFleet(o Options) (*Result, error) {
 		Header: []string{"policy", "goodput(tok/s)", "SLO%", "TTFT p50(s)", "TTFT p99(s)", "hit(tok)", "dispatch"}}
 
 	cfg := serve.Config{
-		Workload:      trace.Workload{Model: mustModel("llama2-7b"), Kind: dtype.BF16, InputLen: 1024, OutputLen: o.tokens(32)},
-		Rate:          3,
-		Requests:      48,
-		Seed:          o.Seed,
-		MaxBatch:      16,
-		ChunkTokens:   256,
-		PrefixSharing: true,
-		PrefixGroups:  16,
-		PrefixFrac:    0.75,
-		TTFTSLOSec:    4, TPOTSLOSec: 0.5,
+		Workload: trace.Workload{Model: mustModel("llama2-7b"), Kind: dtype.BF16, InputLen: 1024, OutputLen: o.tokens(32)},
+		Rate:     3,
+		Requests: 48,
+		Seed:     o.Seed,
+		Knobs: serve.Knobs{
+			MaxBatch: 16, ChunkTokens: 256,
+			PrefixSharing: true, PrefixGroups: 16, PrefixFrac: 0.75,
+			TTFTSLOSec: 4, TPOTSLOSec: 0.5,
+		},
 	}
 	policies := []serve.LBPolicy{serve.RoundRobin, serve.LeastLoaded, serve.PrefixAffinity}
 	// The policy runs are independent simulations over one backend:

@@ -62,7 +62,7 @@ func obsScenario(o Options) (serve.Backend, serve.Config) {
 	tr = append(tr, serve.Request{ID: 16, ArrivalSec: 0.033, InputLen: 4096, OutputLen: 4})
 	cfg := serve.Config{
 		Workload: wl, Trace: tr, Seed: o.Seed,
-		ChunkTokens: 32, PrefixSharing: true, PreemptPolicy: serve.PreemptSwap,
+		Knobs: serve.Knobs{ChunkTokens: 32, PrefixSharing: true, PreemptPolicy: serve.PreemptSwap},
 	}
 	return be, cfg
 }

@@ -63,9 +63,8 @@ func runOverload(o Options) (*Result, error) {
 			// Shallow batches bound the replica's headroom so the burst is a
 			// real overload, and a tight TTFT SLO makes queue time visible as
 			// missed deadlines rather than invisible slack.
-			MaxBatch:   4,
-			TTFTSLOSec: 2,
-			Faults:     serve.FaultConfig{Admission: admission, Plan: plan, RetryMax: retryMax},
+			Knobs: serve.Knobs{MaxBatch: 4, TTFTSLOSec: 2,
+				Faults: serve.FaultConfig{Admission: admission, Plan: plan, RetryMax: retryMax}},
 		}
 	}
 

@@ -55,8 +55,8 @@ func runPreemptPolicies(o Options) (*Result, error) {
 		longTrace[i] = serve.Request{ID: i, ArrivalSec: float64(i) * 0.05, InputLen: 1024, OutputLen: 256}
 	}
 	sgxCfg := serve.Config{
-		Workload: wl, Trace: longTrace, Seed: o.Seed, MaxBatch: 8,
-		TTFTSLOSec: 120, TPOTSLOSec: 2,
+		Workload: wl, Trace: longTrace, Seed: o.Seed,
+		Knobs: serve.Knobs{MaxBatch: 8, TTFTSLOSec: 120, TPOTSLOSec: 2},
 	}
 
 	// cGPU side: a memory-constrained confidential-GPU partition (MIG-style
@@ -72,8 +72,8 @@ func runPreemptPolicies(o Options) (*Result, error) {
 		shortTrace[i] = serve.Request{ID: i, ArrivalSec: float64(i) * 0.01, InputLen: 96, OutputLen: 32}
 	}
 	cgpuCfg := serve.Config{
-		Workload: wl, Trace: shortTrace, Seed: o.Seed, MaxBatch: 8,
-		TTFTSLOSec: 30, TPOTSLOSec: 2,
+		Workload: wl, Trace: shortTrace, Seed: o.Seed,
+		Knobs: serve.Knobs{MaxBatch: 8, TTFTSLOSec: 30, TPOTSLOSec: 2},
 	}
 
 	type side struct {

@@ -51,7 +51,11 @@ func pressureSetup() (serve.Backend, serve.Config) {
 	tr = append(tr, serve.Request{ID: 16, ArrivalSec: 0.033, InputLen: 1024, OutputLen: 4}) // can never fit
 	cfg := serve.Config{
 		Workload: wl, Trace: tr, Seed: 7,
-		ChunkTokens: 32, PrefixSharing: true, PreemptPolicy: serve.PreemptSwap,
+		Knobs: serve.Knobs{
+			ChunkTokens:   32,
+			PrefixSharing: true,
+			PreemptPolicy: serve.PreemptSwap,
+		},
 	}
 	return be, cfg
 }

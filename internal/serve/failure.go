@@ -205,7 +205,7 @@ func (s *scheduler) recoverReplica() {
 	if s.obs != nil {
 		s.event(Event{Kind: EvRecover, ReqID: -1, XferSec: s.faults.recoverySec})
 	}
-	if len(s.cfg.Faults.Plan) == 0 && s.cfg.Faults.MTBFSec > 0 {
+	if s.cfg.Faults.MTBFSec > 0 {
 		s.scheduleNextCrash()
 	}
 	s.kick()

@@ -93,7 +93,7 @@ func TestFailureDefaultConfigByteIdentical(t *testing.T) {
 	w := trace.Workload{Model: m, Kind: dtype.BF16}
 	gb := Backend{IsGPU: true, GPU: perf.GPURun{GPU: hw.H100NVL(), Platform: tee.CGPU()}}
 	gb.GPU.GPU.HBMBytes = int64(trace.WeightFootprint(w)) + 2048*m.KVCacheBytesPerToken(2)
-	cfgS := Config{Workload: w, Scenario: &sc, Requests: 64, Seed: 11, MaxBatch: 8}
+	cfgS := Config{Workload: w, Scenario: &sc, Requests: 64, Seed: 11, Knobs: Knobs{MaxBatch: 8}}
 	repS, err := Run(gb, cfgS)
 	if err != nil {
 		t.Fatal(err)
@@ -281,14 +281,16 @@ func TestRetryTokenConservation(t *testing.T) {
 	cfg := Config{
 		Workload: wl,
 		Trace:    tr,
-		MaxBatch: 4,
-		Seed:     1,
-		Faults: FaultConfig{
-			Plan:            []FailPoint{{TimeSec: c1}, {TimeSec: c2}, {TimeSec: c3}},
-			Policy:          FailLost,
-			RetryMax:        2,
-			RetryBackoffSec: 0.05,
+		Knobs: Knobs{
+			MaxBatch: 4,
+			Faults: FaultConfig{
+				Plan:            []FailPoint{{TimeSec: c1}, {TimeSec: c2}, {TimeSec: c3}},
+				Policy:          FailLost,
+				RetryMax:        2,
+				RetryBackoffSec: 0.05,
+			},
 		},
+		Seed:     1,
 		Observer: tally,
 	}
 	rep, err := Run(be, cfg)
@@ -349,9 +351,11 @@ func TestAdmitDeadlineOrdersEDF(t *testing.T) {
 	cfg := Config{
 		Workload: trace.Workload{Model: tinyModel(), Kind: dtype.BF16},
 		Trace:    tr,
-		MaxBatch: 1,
-		Seed:     1,
-		Faults:   FaultConfig{Admission: AdmitDeadline},
+		Knobs: Knobs{
+			MaxBatch: 1,
+			Faults:   FaultConfig{Admission: AdmitDeadline},
+		},
+		Seed: 1,
 	}
 	rep, order, err := runAudited(cpuBackend(tee.Baremetal()), cfg)
 	if err != nil {
@@ -388,12 +392,14 @@ func TestAdmitDeadlineDropsExpired(t *testing.T) {
 		{ID: 2, ArrivalSec: 2e-3, InputLen: 64, OutputLen: 8, Class: ClassInteractive},
 	}
 	cfg := Config{
-		Workload:   trace.Workload{Model: tinyModel(), Kind: dtype.BF16},
-		Trace:      tr,
-		MaxBatch:   1,
-		Seed:       1,
-		Faults:     FaultConfig{Admission: AdmitDeadline},
-		TTFTSLOSec: 5e-3, // the deadline expires while request 0 monopolizes the batch
+		Workload: trace.Workload{Model: tinyModel(), Kind: dtype.BF16},
+		Trace:    tr,
+		Knobs: Knobs{
+			MaxBatch:   1,
+			Faults:     FaultConfig{Admission: AdmitDeadline},
+			TTFTSLOSec: 5e-3,
+		},
+		Seed: 1, // the deadline expires while request 0 monopolizes the batch
 	}
 	rep, order, err := runAudited(cpuBackend(tee.Baremetal()), cfg)
 	if err != nil {
@@ -423,11 +429,13 @@ func TestShedRetriesThenDrops(t *testing.T) {
 		tr = append(tr, Request{ID: i, ArrivalSec: float64(i) * 1e-3, InputLen: 64, OutputLen: 8, Class: ClassInteractive})
 	}
 	cfg := Config{
-		Workload:   trace.Workload{Model: tinyModel(), Kind: dtype.BF16},
-		Trace:      tr,
-		Seed:       1,
-		Faults:     FaultConfig{Admission: AdmitShed, RetryMax: 1, RetryBackoffSec: 0.01},
-		TTFTSLOSec: 1e-9, // no prefill can ever fit the deadline: every admission sheds
+		Workload: trace.Workload{Model: tinyModel(), Kind: dtype.BF16},
+		Trace:    tr,
+		Seed:     1,
+		Knobs: Knobs{
+			Faults:     FaultConfig{Admission: AdmitShed, RetryMax: 1, RetryBackoffSec: 0.01},
+			TTFTSLOSec: 1e-9,
+		}, // no prefill can ever fit the deadline: every admission sheds
 	}
 	rep, err := Run(cpuBackend(tee.Baremetal()), cfg)
 	if err != nil {

@@ -244,15 +244,10 @@ func (f *Fleet) Run(cfg Config) (*FleetReport, error) {
 	// Work on a copy of the groups: coster building mutates the backends,
 	// and the fleet may be re-run.
 	groups := append([]RoleGroup(nil), f.topo.Groups...)
-	disagg := f.topo.Disaggregated()
-	if disagg {
-		if cfg.Faults.MTBFSec > 0 || len(cfg.Faults.Plan) > 0 {
-			return nil, fmt.Errorf("serve: fault injection is not supported with disaggregated topologies (a crash would strand in-flight handoffs)")
-		}
-		if cfg.Faults.Admission != AdmitFIFO {
-			return nil, fmt.Errorf("serve: admission policy %v is not supported with disaggregated topologies (deadlines do not survive the handoff edge)", cfg.Faults.Admission)
-		}
+	if err := f.topo.CheckFaults(cfg.Faults); err != nil {
+		return nil, err
 	}
+	disagg := f.topo.Disaggregated()
 	for i := range groups {
 		g := &groups[i]
 		if g.Backend.Coster == nil {

@@ -212,10 +212,30 @@ type Config struct {
 	Scenario *workload.Scenario
 	// Seed drives arrivals, length jitter and the step-noise model.
 	Seed int64
-	// MaxBatch caps concurrently running sequences (default 32).
-	MaxBatch int
+	// Knobs are the settings every front end shares (see Knobs).
+	Knobs
 	// BlockTokens is the paged-KV block size in tokens (default 16).
 	BlockTokens int
+	// Observer, when non-nil, receives the per-request lifecycle event
+	// stream and per-round gauge samples (see Observer). Nil — the default —
+	// keeps the scheduler's fast path branch-only and allocation-free. Not
+	// for concurrent runs: see the interface's contract.
+	Observer Observer
+	// ClearCoster, when non-nil alongside Observer, prices every round's
+	// step shapes a second time on the platform's clear-hardware twin (see
+	// tee.Platform.Clear and NewClearStepCoster) and emits the results on
+	// the round event — the counterfactual side of TEE-tax attribution. It
+	// never influences scheduling or timing: the real coster alone drives
+	// the simulation. Ignored when Observer is nil.
+	ClearCoster *perf.StepCoster
+}
+
+// Knobs are the per-replica serving knobs, declared once for the simulator
+// and the public API (cllm.ServeConfig embeds them too). Zero selects each
+// knob's default; Config.Validate rejects a negative or out-of-range one.
+type Knobs struct {
+	// MaxBatch caps concurrently running sequences (default 32).
+	MaxBatch int
 	// ChunkTokens caps new prompt tokens processed per scheduler iteration
 	// (chunked prefill): long prompts are split into budgeted chunks
 	// interleaved with decode steps, bounding the TPOT stall a monolithic
@@ -229,7 +249,7 @@ type Config struct {
 	// request draws one of this many prefix identities. 0 disables.
 	PrefixGroups int
 	// PrefixFrac is the shared fraction of the mean prompt length for
-	// synthetic prefix groups (default 0.5 when PrefixGroups is set).
+	// synthetic prefix groups, in [0, 1) (0 = 0.5 when PrefixGroups is set).
 	PrefixFrac float64
 	// PreemptPolicy selects what a preemption does with the victim's KV
 	// cache: PreemptRecompute (default, vLLM-style full re-prefill),
@@ -260,25 +280,13 @@ type Config struct {
 	// under QuantileExact forces the sharded path (whose output is
 	// byte-identical to monolithic — tests pin this).
 	EpochRequests int
-	// Observer, when non-nil, receives the per-request lifecycle event
-	// stream and per-round gauge samples (see Observer). Nil — the default —
-	// keeps the scheduler's fast path branch-only and allocation-free. Not
-	// for concurrent runs: see the interface's contract.
-	Observer Observer
 	// Faults groups the fault-injection, admission-control and retry knobs
 	// (see FaultConfig).
 	Faults FaultConfig
-	// ClearCoster, when non-nil alongside Observer, prices every round's
-	// step shapes a second time on the platform's clear-hardware twin (see
-	// tee.Platform.Clear and NewClearStepCoster) and emits the results on
-	// the round event — the counterfactual side of TEE-tax attribution. It
-	// never influences scheduling or timing: the real coster alone drives
-	// the simulation. Ignored when Observer is nil.
-	ClearCoster *perf.StepCoster
 }
 
 // FaultConfig groups the serving run's resilience knobs: fault injection,
-// queue-admission policy and the retry budget. It embeds in Config as
+// queue-admission policy and the retry budget. It embeds in Knobs as
 // Faults.
 type FaultConfig struct {
 	// MTBFSec injects replica failures as a Poisson process with this
@@ -290,8 +298,8 @@ type FaultConfig struct {
 	// weight load + TD accept/enclave build + attestation RTT).
 	MTBFSec float64
 	// Plan injects scripted crashes instead: each point names a replica
-	// index and a crash time on the simulated clock. Takes precedence
-	// over MTBFSec. Points hitting an already-down replica are absorbed
+	// index and a crash time on the simulated clock. Mutually exclusive
+	// with MTBFSec. Points hitting an already-down replica are absorbed
 	// by the ongoing recovery.
 	Plan []FailPoint
 	// Policy selects what happens to in-flight requests at a crash:
@@ -309,7 +317,7 @@ type FaultConfig struct {
 	RetryMax int
 	// RetryBackoffSec is the base of the exponential retry backoff
 	// (base × 2^(attempt−1), plus deterministic per-request jitter up to
-	// +50%); 0 defaults to 1s when RetryMax is set.
+	// +50%); 0 defaults to 1s. Setting it needs RetryMax > 0.
 	RetryBackoffSec float64
 }
 
@@ -331,21 +339,64 @@ func (c *Config) maxSteps() int64 {
 	return max(4_000_000, int64(n)*512)
 }
 
-// normalize validates c and fills in its defaults in place. It is
-// idempotent — no default is a sentinel that a second pass would read
-// differently — so fleets, control loops and replicas may re-normalize a
-// config a caller already normalized.
+// ConfigError rejects one field of a config, named by its selector path
+// (e.g. "MaxBatch", "Faults.RetryMax") so a front end can report it
+// against its own spelling of the knob.
+type ConfigError struct {
+	Field string
+	Err   error
+}
+
+func (e *ConfigError) Error() string { return e.Err.Error() }
+func (e *ConfigError) Unwrap() error { return e.Err }
+
+// FieldError returns a *ConfigError naming field, formatted as by
+// fmt.Errorf.
+func FieldError(field, format string, args ...any) error {
+	return &ConfigError{Field: field, Err: fmt.Errorf(format, args...)}
+}
+
+// Validate reports the first field of c a run would reject, without
+// running anything: it normalizes a copy.
+func (c Config) Validate() error { return c.normalize() }
+
+// normalize validates c and fills in its defaults in place. A negative
+// count, length, rate or duration is rejected; zero selects the default.
+// It is idempotent — no default is a sentinel that a second pass would
+// read differently — so fleets, control loops and replicas may
+// re-normalize a config a caller already normalized.
 func (c *Config) normalize() error {
 	if c.Workload.Model.Validate() != nil {
-		return fmt.Errorf("serve: config needs a valid model")
+		return FieldError("Workload.Model", "serve: config needs a valid model")
+	}
+	for _, n := range [...]struct {
+		field, what string
+		v           float64
+	}{
+		{"Requests", "request count", float64(c.Requests)},
+		{"Workload.InputLen", "mean input length", float64(c.Workload.InputLen)},
+		{"Workload.OutputLen", "mean output length", float64(c.Workload.OutputLen)},
+		{"MaxBatch", "batch cap", float64(c.MaxBatch)},
+		{"ChunkTokens", "prefill chunk budget", float64(c.ChunkTokens)},
+		{"PrefixGroups", "prefix group count", float64(c.PrefixGroups)},
+		{"TTFTSLOSec", "TTFT SLO", c.TTFTSLOSec},
+		{"TPOTSLOSec", "TPOT SLO", c.TPOTSLOSec},
+		{"EpochRequests", "epoch size", float64(c.EpochRequests)},
+		{"Faults.MTBFSec", "failure MTBF", c.Faults.MTBFSec},
+		{"Faults.RetryMax", "retry budget", float64(c.Faults.RetryMax)},
+		{"Faults.RetryBackoffSec", "retry backoff base", c.Faults.RetryBackoffSec},
+	} {
+		if n.v < 0 {
+			return FieldError(n.field, "serve: %s %g is negative (0 selects the default)", n.what, n.v)
+		}
 	}
 	switch {
 	case len(c.Trace) > 0:
 	case c.Scenario != nil:
 		if err := c.Scenario.Validate(); err != nil {
-			return err
+			return &ConfigError{Field: "Scenario", Err: err}
 		}
-		if c.Requests <= 0 {
+		if c.Requests == 0 {
 			c.Requests = 64
 		}
 		// The scheduler's mean-length fields feed pool sizing heuristics
@@ -355,94 +406,82 @@ func (c *Config) normalize() error {
 		c.Rate = c.Scenario.Arrivals.MeanRate()
 	default:
 		if c.Rate <= 0 {
-			return fmt.Errorf("serve: arrival rate %g must be positive", c.Rate)
+			return FieldError("Rate", "serve: arrival rate %g must be positive", c.Rate)
 		}
-		if c.Requests <= 0 {
+		if c.Requests == 0 {
 			c.Requests = 64
 		}
-		if c.Workload.InputLen <= 0 {
+		if c.Workload.InputLen == 0 {
 			c.Workload.InputLen = 128
 		}
-		if c.Workload.OutputLen <= 0 {
+		if c.Workload.OutputLen == 0 {
 			c.Workload.OutputLen = 32
 		}
 		if sum := c.Workload.InputLen + c.Workload.OutputLen; sum > c.Workload.Model.ContextLen {
-			return fmt.Errorf("serve: mean request length %d exceeds %s context %d",
+			return FieldError("Workload.InputLen", "serve: mean request length %d exceeds %s context %d",
 				sum, c.Workload.Model.Name, c.Workload.Model.ContextLen)
 		}
 	}
-	if c.MaxBatch <= 0 {
+	if c.MaxBatch == 0 {
 		c.MaxBatch = 32
 	}
 	if c.BlockTokens <= 0 {
 		c.BlockTokens = 16
 	}
-	if c.ChunkTokens < 0 {
-		c.ChunkTokens = 0
-	}
 	switch c.PreemptPolicy {
 	case PreemptRecompute, PreemptSwap, PreemptAuto:
 	default:
-		return fmt.Errorf("serve: unknown preemption policy %d", int(c.PreemptPolicy))
-	}
-	if c.PrefixGroups < 0 {
-		c.PrefixGroups = 0
+		return FieldError("PreemptPolicy", "serve: unknown preemption policy %d", int(c.PreemptPolicy))
 	}
 	if c.PrefixGroups > 0 {
 		switch {
 		case c.PrefixFrac == 0:
 			c.PrefixFrac = 0.5
 		case c.PrefixFrac < 0 || c.PrefixFrac >= 1:
-			return fmt.Errorf("serve: prefix fraction %g outside [0, 1)", c.PrefixFrac)
+			return FieldError("PrefixFrac", "serve: prefix fraction %g outside [0, 1)", c.PrefixFrac)
 		}
 	}
-	if c.TTFTSLOSec <= 0 {
+	if c.TTFTSLOSec == 0 {
 		c.TTFTSLOSec = 5
 	}
-	if c.TPOTSLOSec <= 0 {
+	if c.TPOTSLOSec == 0 {
 		c.TPOTSLOSec = 0.5
 	}
 	switch c.QuantileMode {
 	case QuantileExact, QuantileSketch:
 	default:
-		return fmt.Errorf("serve: unknown quantile mode %d", int(c.QuantileMode))
+		return FieldError("QuantileMode", "serve: unknown quantile mode %d", int(c.QuantileMode))
 	}
 	switch {
 	case c.SketchAlpha == 0:
 		c.SketchAlpha = stats.DefaultSketchAlpha
 	case c.SketchAlpha < 0 || c.SketchAlpha >= 1:
-		return fmt.Errorf("serve: sketch alpha %g outside (0, 1)", c.SketchAlpha)
-	}
-	if c.EpochRequests < 0 {
-		return fmt.Errorf("serve: epoch size %d is negative", c.EpochRequests)
+		return FieldError("SketchAlpha", "serve: sketch alpha %g outside (0, 1)", c.SketchAlpha)
 	}
 	if c.QuantileMode == QuantileSketch && c.EpochRequests == 0 {
 		c.EpochRequests = DefaultEpochRequests
 	}
-	if c.Faults.MTBFSec < 0 {
-		return fmt.Errorf("serve: failure MTBF %g is negative", c.Faults.MTBFSec)
+	if c.Faults.MTBFSec > 0 && len(c.Faults.Plan) > 0 {
+		return FieldError("Faults.MTBFSec", "serve: failure MTBF and fail plan are mutually exclusive (Poisson vs scripted failures)")
 	}
 	for _, fp := range c.Faults.Plan {
 		if fp.Replica < 0 || fp.TimeSec < 0 {
-			return fmt.Errorf("serve: invalid fail-plan point %+v", fp)
+			return FieldError("Faults.Plan", "serve: invalid fail-plan point %+v", fp)
 		}
 	}
 	switch c.Faults.Policy {
 	case FailRequeue, FailLost:
 	default:
-		return fmt.Errorf("serve: unknown failure policy %d", int(c.Faults.Policy))
+		return FieldError("Faults.Policy", "serve: unknown failure policy %d", int(c.Faults.Policy))
 	}
 	switch c.Faults.Admission {
 	case AdmitFIFO, AdmitDeadline, AdmitShed:
 	default:
-		return fmt.Errorf("serve: unknown admission policy %d", int(c.Faults.Admission))
-	}
-	if c.Faults.RetryMax < 0 {
-		return fmt.Errorf("serve: retry budget %d is negative", c.Faults.RetryMax)
+		return FieldError("Faults.Admission", "serve: unknown admission policy %d", int(c.Faults.Admission))
 	}
 	switch {
-	case c.Faults.RetryBackoffSec < 0:
-		return fmt.Errorf("serve: retry backoff base %g is negative", c.Faults.RetryBackoffSec)
+	case c.Faults.RetryBackoffSec > 0 && c.Faults.RetryMax == 0:
+		return FieldError("Faults.RetryBackoffSec", "serve: retry backoff needs a retry budget (RetryMax > 0)")
 	case c.Faults.RetryBackoffSec == 0 && c.Faults.RetryMax > 0:
 		c.Faults.RetryBackoffSec = 1
 	}

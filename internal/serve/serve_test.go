@@ -119,7 +119,7 @@ func TestServeFIFOAdmissionUnderOverload(t *testing.T) {
 	for i := 0; i < 24; i++ {
 		tr = append(tr, Request{ID: i, ArrivalSec: float64(i) * 1e-4, InputLen: 64, OutputLen: 8})
 	}
-	cfg := Config{Workload: trace.Workload{Model: tinyModel(), Kind: dtype.BF16}, Trace: tr, MaxBatch: 4, Seed: 1}
+	cfg := Config{Workload: trace.Workload{Model: tinyModel(), Kind: dtype.BF16}, Trace: tr, Knobs: Knobs{MaxBatch: 4}, Seed: 1}
 	rep, order, err := runAudited(cpuBackend(tee.Baremetal()), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -236,8 +236,12 @@ func TestServeGoodputSaturates(t *testing.T) {
 	goodput := func(rate float64) float64 {
 		cfg := Config{
 			Workload: trace.Workload{Model: mustLookup(t, "llama2-7b"), Kind: dtype.BF16, InputLen: 64, OutputLen: 8},
-			Rate:     rate, Requests: 48, Seed: 1, MaxBatch: 8,
-			TTFTSLOSec: 1.5, TPOTSLOSec: 0.5,
+			Rate:     rate, Requests: 48, Seed: 1,
+			Knobs: Knobs{
+				MaxBatch:   8,
+				TTFTSLOSec: 1.5,
+				TPOTSLOSec: 0.5,
+			},
 		}
 		rep, err := Run(cpuBackend(tee.Baremetal()), cfg)
 		if err != nil {
@@ -272,7 +276,10 @@ func TestServeCostAtSLO(t *testing.T) {
 func TestServeChunkedPrefillInvariants(t *testing.T) {
 	cfg := Config{
 		Workload: trace.Workload{Model: tinyModel(), Kind: dtype.BF16, InputLen: 200, OutputLen: 8},
-		Rate:     20, Requests: 24, Seed: 1, ChunkTokens: 48,
+		Rate:     20, Requests: 24, Seed: 1,
+		Knobs: Knobs{
+			ChunkTokens: 48,
+		},
 	}
 	rep, err := Run(cpuBackend(tee.TDX()), cfg)
 	if err != nil {
@@ -316,7 +323,10 @@ func TestServePrefixSharingExactHits(t *testing.T) {
 			PrefixID: i%2 + 1, PrefixLen: 64})
 	}
 	cfg := Config{Workload: trace.Workload{Model: tinyModel(), Kind: dtype.BF16},
-		Trace: tr, Seed: 1, PrefixSharing: true}
+		Trace: tr, Seed: 1,
+		Knobs: Knobs{
+			PrefixSharing: true,
+		}}
 	rep, err := Run(cpuBackend(tee.Baremetal()), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -364,7 +374,7 @@ func TestServePrefixSharingSurvivesPreemptionAndEviction(t *testing.T) {
 		tr = append(tr, Request{ID: i, ArrivalSec: float64(i) * 0.001, InputLen: 96, OutputLen: 24,
 			PrefixID: i%2 + 1, PrefixLen: 64})
 	}
-	cfg := Config{Workload: wl, Trace: tr, Seed: 3, BlockTokens: 16, PrefixSharing: true}
+	cfg := Config{Workload: wl, Trace: tr, Seed: 3, BlockTokens: 16, Knobs: Knobs{PrefixSharing: true}}
 	rep, err := Run(cpuBackend(p), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -388,7 +398,11 @@ func TestServePrefixSharingSurvivesPreemptionAndEviction(t *testing.T) {
 func TestFleetDeterministicAndDispatch(t *testing.T) {
 	cfg := Config{
 		Workload: trace.Workload{Model: tinyModel(), Kind: dtype.BF16, InputLen: 64, OutputLen: 8},
-		Rate:     40, Requests: 32, Seed: 1, PrefixGroups: 4, PrefixSharing: true,
+		Rate:     40, Requests: 32, Seed: 1,
+		Knobs: Knobs{
+			PrefixGroups:  4,
+			PrefixSharing: true,
+		},
 	}
 	be := cpuBackend(tee.TDX())
 	a, err := RunFleet(be, cfg, FleetConfig{Replicas: 3, Policy: RoundRobin})
@@ -434,7 +448,10 @@ func TestFleetDeterministicAndDispatch(t *testing.T) {
 			PrefixID: 1, PrefixLen: 48})
 	}
 	aff, err := RunFleet(be, Config{Workload: trace.Workload{Model: tinyModel(), Kind: dtype.BF16},
-		Trace: tr, Seed: 1, PrefixSharing: true}, FleetConfig{Replicas: 3, Policy: PrefixAffinity})
+		Trace: tr, Seed: 1,
+		Knobs: Knobs{
+			PrefixSharing: true,
+		}}, FleetConfig{Replicas: 3, Policy: PrefixAffinity})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -126,7 +126,11 @@ func TestSwapWithChunkedPrefillAndSharing(t *testing.T) {
 			PrefixID: i%2 + 1, PrefixLen: 64})
 	}
 	cfg := Config{Workload: wl, Trace: tr, Seed: 3, BlockTokens: 16,
-		PrefixSharing: true, ChunkTokens: 48, PreemptPolicy: PreemptSwap}
+		Knobs: Knobs{
+			PrefixSharing: true,
+			ChunkTokens:   48,
+			PreemptPolicy: PreemptSwap,
+		}}
 	rep, err := Run(cpuBackend(p), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -167,8 +171,12 @@ func TestSwapBeatsRecomputeOnCPUTEE(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		tr = append(tr, Request{ID: i, ArrivalSec: float64(i) * 0.05, InputLen: 256, OutputLen: 256})
 	}
-	cfg := Config{Workload: wl, Trace: tr, Seed: 1, MaxBatch: 8,
-		TTFTSLOSec: 60, TPOTSLOSec: 2}
+	cfg := Config{Workload: wl, Trace: tr, Seed: 1,
+		Knobs: Knobs{
+			MaxBatch:   8,
+			TTFTSLOSec: 60,
+			TPOTSLOSec: 2,
+		}}
 	rec, err := Run(cpuBackend(p), cfg)
 	if err != nil {
 		t.Fatal(err)

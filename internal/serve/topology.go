@@ -90,6 +90,22 @@ func (t Topology) Disaggregated() bool {
 	return false
 }
 
+// CheckFaults rejects the fault knobs a disaggregated topology cannot
+// honour yet: fault injection (a crash would strand in-flight handoffs)
+// and non-FIFO admission (deadlines do not survive the handoff edge).
+func (t Topology) CheckFaults(f FaultConfig) error {
+	switch {
+	case !t.Disaggregated():
+	case f.MTBFSec > 0:
+		return FieldError("Faults.MTBFSec", "serve: fault injection is not supported with disaggregated topologies (a crash would strand in-flight handoffs)")
+	case len(f.Plan) > 0:
+		return FieldError("Faults.Plan", "serve: fault injection is not supported with disaggregated topologies (a crash would strand in-flight handoffs)")
+	case f.Admission != AdmitFIFO:
+		return FieldError("Faults.Admission", "serve: admission policy %v is not supported with disaggregated topologies (deadlines do not survive the handoff edge)", f.Admission)
+	}
+	return nil
+}
+
 // Replicas is the topology's total replica count (after defaulting).
 func (t Topology) Replicas() int {
 	n := 0

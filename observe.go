@@ -31,21 +31,21 @@ type ServeObservation struct {
 }
 
 // buildObservation renders the recorder's stream against the run's
-// aggregate report. With an attribution engine attached, the trace gains
-// the phase/tax counter tracks, the Prometheus snapshot the per-phase
-// histogram families, and PhaseCSV the phase breakdown.
-func buildObservation(rec *obs.Recorder, attrib *obs.Attribution, rep *serve.Report) *ServeObservation {
+// aggregate report, each artifact once. With an attribution engine
+// attached, the trace gains the phase/tax counter tracks, the Prometheus
+// snapshot the per-phase histogram families, and PhaseCSV the phase
+// breakdown of arep, the engine's already-built report.
+func buildObservation(rec *obs.Recorder, attrib *obs.Attribution, arep *obs.AttribReport, rep *serve.Report) *ServeObservation {
 	o := &ServeObservation{
 		Events:         rec.Len(),
 		Windows:        len(rec.Series().Merged()),
-		TraceJSON:      rec.PerfettoTrace(),
+		TraceJSON:      rec.PerfettoTraceWithCounters(attrib),
 		PrometheusText: obs.PrometheusText(rep),
 		TimeseriesCSV:  rec.TimeseriesCSV(),
 	}
 	if attrib != nil {
-		o.TraceJSON = rec.PerfettoTraceWithCounters(attrib)
 		o.PrometheusText = append(o.PrometheusText, attrib.PrometheusText(rep.Platform)...)
-		o.PhaseCSV = attrib.Report(rep.Platform).PhaseCSV()
+		o.PhaseCSV = arep.PhaseCSV()
 	}
 	return o
 }

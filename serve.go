@@ -2,6 +2,7 @@ package cllm
 
 import (
 	"fmt"
+	"strings"
 
 	"cllm/internal/cloud"
 	"cllm/internal/model"
@@ -32,22 +33,9 @@ type ServeConfig struct {
 	Scenario string
 	// Requests is the number of arrivals to simulate (default 64).
 	Requests int
-	// MaxBatch caps concurrent sequences (default 32).
-	MaxBatch int
-	// ChunkTokens caps prompt tokens prefilled per scheduler iteration
-	// (chunked prefill): bounds the decode stall long prompts impose on
-	// in-flight requests at the cost of higher TTFT. 0 keeps monolithic
-	// prefills.
-	ChunkTokens int
-	// PrefixSharing enables block-level prefix-cache sharing: requests
-	// with a common prompt prefix reuse its KV blocks (refcounted, LRU
-	// eviction) instead of recomputing and re-storing them.
-	PrefixSharing bool
-	// PrefixGroups makes synthetic arrivals share prompt prefixes across
-	// this many groups (RAG-style traffic); 0 disables. PrefixFrac is the
-	// shared fraction of the mean prompt (default 0.5 when groups are set).
-	PrefixGroups int
-	PrefixFrac   float64
+	// Knobs are the batching, prefix, preemption, SLO, quantile and fault
+	// knobs (see Knobs), set as fields of ServeConfig.
+	Knobs
 	// Replicas simulates a load-balanced fleet of this size instead of a
 	// single replica (default 1). The offered rate is the fleet rate.
 	Replicas int
@@ -67,33 +55,6 @@ type ServeConfig struct {
 	// Sockets selects the CPU deployment's socket count (default 1; every
 	// core of each socket serves).
 	Sockets int
-	// TTFTSLOSec / TPOTSLOSec are SLO targets (defaults 5s / 0.5s).
-	TTFTSLOSec, TPOTSLOSec float64
-	// PreemptPolicy selects what a KV-pool preemption does with the
-	// victim's cache: PreemptRecompute (the zero value, vLLM-style full
-	// re-prefill), PreemptSwap (park the computed entries in a host swap
-	// pool as large as the device KV pool, at the backend's swap
-	// bandwidth — cGPU pays the encrypted bounce buffer, CPU TEEs a
-	// near-native memcpy — and restore them on resume), or PreemptAuto
-	// (per preemption, whichever the memoized transfer-vs-recompute
-	// estimate prices cheaper).
-	PreemptPolicy PreemptPolicy
-	// QuantileMode selects how latency quantiles are computed:
-	// QuantileExact (the zero value — per-request samples retained and
-	// sorted, byte-identical to prior releases) or QuantileSketch
-	// (streaming DDSketch summaries with a documented relative error bound
-	// and O(1) memory in the request count — the mode that makes
-	// 10⁸-request runs fit in a flat heap).
-	QuantileMode QuantileMode
-	// SketchAlpha is the sketch's relative error bound (0 = default 0.01).
-	// Only meaningful with QuantileSketch.
-	SketchAlpha float64
-	// EpochRequests shards the simulation horizon: arrivals are scheduled
-	// in epochs of this many requests, with scheduler/KV/prefix-cache state
-	// handed warm across the boundary (0 = 65536 in sketch mode, unsharded
-	// in exact mode; setting it explicitly in exact mode forces the sharded
-	// scheduler path, which stays byte-identical to the monolithic one).
-	EpochRequests int
 	// Observe records the run's per-request lifecycle event stream and
 	// windowed time series and attaches the rendered artifacts (Perfetto
 	// trace, Prometheus snapshot, CSV time series) to the report as
@@ -104,10 +65,6 @@ type ServeConfig struct {
 	// run outgrows the window budget, windows coalesce and the width
 	// doubles.
 	ObserveWindowSec float64
-	// Faults groups the fault-injection, admission-control and retry knobs
-	// (see FaultConfig); the zero value injects no faults, admits FIFO and
-	// never retries.
-	Faults FaultConfig
 	// Attribution folds the run's event stream into per-request phase
 	// vectors (queue wait, prefill, decode, preemption stall, swap
 	// transfer — summing exactly to each request's latency) and prices a
@@ -124,6 +81,14 @@ type ServeConfig struct {
 // ServeConfig takes parsed values: a field holds one of the constants
 // below, and the simulator rejects anything else by name.
 type (
+	// Knobs are the per-replica serving knobs ServeConfig embeds. The
+	// simulator's own config embeds the same struct, so each knob is
+	// declared and range-checked once.
+	Knobs = serve.Knobs
+	// ConfigError is every rejection ServeConfig.Validate and
+	// AutoscaleConfig.Validate return: Field names the field at fault by
+	// its selector path (e.g. "MaxBatch", "Faults.RetryMax").
+	ConfigError = serve.ConfigError
 	// LBPolicy is a fleet's dispatch policy.
 	LBPolicy = serve.LBPolicy
 	// PreemptPolicy is what a KV-pool preemption does with the victim's
@@ -200,13 +165,11 @@ type ServeReport struct {
 // every scheduler iteration through the same roofline the single-request
 // Measure path uses.
 func (s *Session) Serve(cfg ServeConfig) (*ServeReport, error) {
-	if cfg.RatePerSec <= 0 {
-		return nil, fmt.Errorf("cllm: serving needs a positive arrival rate, got %g", cfg.RatePerSec)
-	}
-	if err := cfg.LBPolicy.Validate(); err != nil {
+	scfg, err := cfg.lower(s.cfg.Seed)
+	if err != nil {
 		return nil, err
 	}
-	scfg, rec, attrib, err := serveConfig(cfg, s.cfg.Seed)
+	rec, attrib, err := cfg.observe(&scfg)
 	if err != nil {
 		return nil, err
 	}
@@ -240,9 +203,6 @@ func (s *Session) Serve(cfg ServeConfig) (*ServeReport, error) {
 	var topoHourly float64
 	switch {
 	case cfg.Topology != "":
-		if cfg.Replicas > 1 {
-			return nil, fmt.Errorf("cllm: set Replicas or Topology, not both (the topology fixes the fleet size)")
-		}
 		fleet, topoHourly, err = s.runTopology(cfg, scfg)
 		if err != nil {
 			return nil, err
@@ -266,7 +226,7 @@ func (s *Session) Serve(cfg ServeConfig) (*ServeReport, error) {
 		out.Attrib = attrib.Report(rep.Platform)
 	}
 	if rec != nil {
-		out.Observation = buildObservation(rec, attrib, rep)
+		out.Observation = buildObservation(rec, attrib, out.Attrib, rep)
 		rec.Recycle()
 	}
 
@@ -308,63 +268,117 @@ func (s *Session) Serve(cfg ServeConfig) (*ServeReport, error) {
 	return &out, nil
 }
 
-// serveConfig lowers cfg onto the simulator's serve.Config for a run seeded
-// with seed, and attaches the observer cfg's Observe and Attribution ask
-// for: the recorder and attribution engine it returns are nil when off.
-// Session.Serve and Autoscale both build their run config here.
-func serveConfig(cfg ServeConfig, seed int64) (serve.Config, *obs.Recorder, *obs.Attribution, error) {
+// Validate reports the first field Session.Serve would reject, without
+// running anything. RatePerSec is required; otherwise a negative count,
+// length, rate or duration is rejected and zero selects the default.
+func (cfg ServeConfig) Validate() error {
+	_, err := cfg.lower(0)
+	return err
+}
+
+// lower validates cfg and lowers it onto serve.Config for a run seeded
+// with seed: first the fields only this layer has, then serve's own
+// checks on a copy, their field names mapped back onto ServeConfig's.
+func (cfg ServeConfig) lower(seed int64) (serve.Config, error) {
 	var scfg serve.Config
+	switch {
+	case cfg.RatePerSec <= 0:
+		return scfg, serve.FieldError("RatePerSec", "cllm: serving needs a positive arrival rate, got %g", cfg.RatePerSec)
+	case cfg.Replicas < 0:
+		return scfg, serve.FieldError("Replicas", "cllm: replica count %d is negative (0 selects the default)", cfg.Replicas)
+	case cfg.Sockets < 0:
+		return scfg, serve.FieldError("Sockets", "cllm: socket count %d is negative (0 selects the default)", cfg.Sockets)
+	case cfg.ObserveWindowSec < 0:
+		return scfg, serve.FieldError("ObserveWindowSec", "cllm: observation window %g is negative (0 selects the default)", cfg.ObserveWindowSec)
+	}
+	if err := cfg.LBPolicy.Validate(); err != nil {
+		return scfg, &ConfigError{Field: "LBPolicy", Err: err}
+	}
+	if cfg.Topology != "" {
+		_, topo, err := roleGroups(cfg.Topology)
+		if err != nil {
+			return scfg, &ConfigError{Field: "Topology", Err: err}
+		}
+		if cfg.Replicas > 1 {
+			return scfg, serve.FieldError("Topology", "cllm: Topology and Replicas > 1 are mutually exclusive (the topology fixes the fleet size)")
+		}
+		if err := topo.CheckFaults(cfg.Faults); err != nil {
+			return scfg, err
+		}
+	}
 	if cfg.Model == "" {
 		cfg.Model = "llama2-7b"
 	}
 	kind, err := parseDType(cfg.DType)
 	if err != nil {
-		return scfg, nil, nil, err
+		return scfg, &ConfigError{Field: "DType", Err: err}
 	}
 	mcfg, err := model.Lookup(cfg.Model)
 	if err != nil {
-		return scfg, nil, nil, err
+		return scfg, &ConfigError{Field: "Model", Err: err}
 	}
 	var scenario *workload.Scenario
 	if cfg.Scenario != "" {
 		sc, err := workload.ParseScenario(cfg.Scenario, cfg.RatePerSec)
 		if err != nil {
-			return scfg, nil, nil, err
+			return scfg, &ConfigError{Field: "Scenario", Err: err}
 		}
 		scenario = &sc
 	}
 	scfg = serve.Config{
-		Workload:      trace.Workload{Model: mcfg, Kind: kind, InputLen: cfg.InputLen, OutputLen: cfg.OutputLen},
-		Rate:          cfg.RatePerSec,
-		Scenario:      scenario,
-		Requests:      cfg.Requests,
-		Seed:          seed,
-		MaxBatch:      cfg.MaxBatch,
-		ChunkTokens:   cfg.ChunkTokens,
-		PrefixSharing: cfg.PrefixSharing,
-		PrefixGroups:  cfg.PrefixGroups,
-		PrefixFrac:    cfg.PrefixFrac,
-		PreemptPolicy: cfg.PreemptPolicy,
-		TTFTSLOSec:    cfg.TTFTSLOSec,
-		TPOTSLOSec:    cfg.TPOTSLOSec,
-		QuantileMode:  cfg.QuantileMode,
-		SketchAlpha:   cfg.SketchAlpha,
-		EpochRequests: cfg.EpochRequests,
-		Faults:        cfg.Faults,
+		Workload: trace.Workload{Model: mcfg, Kind: kind, InputLen: cfg.InputLen, OutputLen: cfg.OutputLen},
+		Rate:     cfg.RatePerSec,
+		Scenario: scenario,
+		Requests: cfg.Requests,
+		Seed:     seed,
+		Knobs:    cfg.Knobs,
 	}
+	if err := scfg.Validate(); err != nil {
+		if ce, ok := err.(*ConfigError); ok {
+			ce.Field = strings.TrimPrefix(ce.Field, "Workload.")
+		}
+		return scfg, err
+	}
+	return scfg, nil
+}
+
+// observe builds the recorder and attribution engine cfg's Observe and
+// Attribution ask for (nil when off) and chains them onto scfg.
+func (cfg ServeConfig) observe(scfg *serve.Config) (*obs.Recorder, *obs.Attribution, error) {
 	var rec *obs.Recorder
 	if cfg.Observe {
 		rec = obs.NewRecorderWindow(cfg.ObserveWindowSec, 512)
 	}
 	var attrib *obs.Attribution
 	if cfg.Attribution {
+		var err error
 		attrib, err = obs.NewAttributionWindow(cfg.SketchAlpha, true, cfg.ObserveWindowSec, 512)
 		if err != nil {
-			return scfg, nil, nil, err
+			return nil, nil, err
 		}
 	}
 	scfg.Observer = obs.Multi(rec, attrib)
-	return scfg, rec, attrib, nil
+	return rec, attrib, nil
+}
+
+// roleGroups parses a Topology into its groups and the role-aware fleet
+// they describe, without backends, and checks the role structure (all
+// unified, or prefill plus decode) by building that fleet backend-free, so
+// a lopsided topology fails before any group's session opens.
+func roleGroups(topology string) ([]TopologyGroup, serve.Topology, error) {
+	var topo serve.Topology
+	groups, err := ParseTopology(topology)
+	if err != nil {
+		return nil, topo, err
+	}
+	for _, g := range groups {
+		role, _ := serve.ParseRole(g.Role) // ParseTopology checked it
+		topo.Groups = append(topo.Groups, serve.RoleGroup{Role: role, Replicas: g.Replicas})
+	}
+	if _, err := serve.NewFleet(topo); err != nil {
+		return nil, topo, err
+	}
+	return groups, topo, nil
 }
 
 // runTopology builds and runs a role-aware fleet from the -topology
@@ -374,17 +388,12 @@ func serveConfig(cfg ServeConfig, seed int64) (serve.Config, *obs.Recorder, *obs
 // figure is the whole fleet's rent. Backends carry no pre-built coster —
 // Fleet.Run builds one per group, shared by the group's replicas.
 func (s *Session) runTopology(cfg ServeConfig, scfg serve.Config) (*serve.FleetReport, float64, error) {
-	groups, err := ParseTopology(cfg.Topology)
+	groups, topo, err := roleGroups(cfg.Topology)
 	if err != nil {
 		return nil, 0, err
 	}
-	var topo serve.Topology
 	totalHourly := 0.0
-	for _, g := range groups {
-		role, err := serve.ParseRole(g.Role)
-		if err != nil {
-			return nil, 0, err
-		}
+	for i, g := range groups {
 		sub, err := Open(Config{
 			Platform:        g.Platform,
 			System:          s.cfg.System,
@@ -400,7 +409,8 @@ func (s *Session) runTopology(cfg ServeConfig, scfg serve.Config) (*serve.FleetR
 			return nil, 0, err
 		}
 		totalHourly += hourly * float64(g.Replicas)
-		topo.Groups = append(topo.Groups, serve.RoleGroup{Role: role, Backend: sub.backend(cfg), Replicas: g.Replicas, Policy: cfg.LBPolicy})
+		topo.Groups[i].Backend = sub.backend(cfg)
+		topo.Groups[i].Policy = cfg.LBPolicy
 	}
 	f, err := serve.NewFleet(topo)
 	if err != nil {
@@ -460,9 +470,5 @@ func (s *Session) serveHourlyUSD(cfg ServeConfig) (float64, error) {
 	if s.isGPU {
 		return prices.CGPUHour, nil
 	}
-	sockets := cfg.Sockets
-	if sockets <= 0 {
-		sockets = 1
-	}
-	return prices.HourlyCost(cloud.CPUInstance{VCPUs: s.cpu.CoresPerSocket * sockets, MemGiB: 128})
+	return prices.HourlyCost(cloud.CPUInstance{VCPUs: s.cpu.CoresPerSocket * max(cfg.Sockets, 1), MemGiB: 128})
 }

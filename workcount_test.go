@@ -291,7 +291,8 @@ func schedulerRig(observe bool) workRig {
 			if o == nil {
 				return workOutcome{agg: &serveScheduler(tb, s, observe).Report}
 			}
-			scfg, rec, attrib, err := serveConfig(cfg, s.cfg.Seed)
+			scfg := must(cfg.lower(s.cfg.Seed))
+			rec, attrib, err := cfg.observe(&scfg)
 			if err != nil {
 				tb.Fatal(err)
 			}
