@@ -55,12 +55,16 @@ func ParseClasses(s string) ([]AutoscaleClass, error) {
 	return out, nil
 }
 
-// validate rejects a class without a platform or with replica bounds the
-// scaler cannot honour.
+// validate rejects a class without a known platform or with replica
+// bounds the scaler cannot honour.
 func (c AutoscaleClass) validate() error {
-	switch {
-	case c.Platform == "":
+	if c.Platform == "" {
 		return fmt.Errorf("cllm: replica class has an empty platform")
+	}
+	if err := checkPlatform(c.Platform); err != nil {
+		return err
+	}
+	switch {
 	case c.Max < 1:
 		return fmt.Errorf("cllm: class %s has max %d < 1", c.Platform, c.Max)
 	case c.Min < 0:

@@ -14,6 +14,8 @@ package cllm
 import (
 	"crypto/rand"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -115,7 +117,7 @@ func Open(cfg Config) (*Session, error) {
 	case "cb100":
 		s.platform = tee.B100CC()
 	default:
-		return nil, fmt.Errorf("cllm: unknown platform %q (want baremetal|vm|vm-th|vm-nb|tdx|sgx|sev-snp|gpu|cgpu|b100|cb100)", cfg.Platform)
+		return nil, unknownPlatform(cfg.Platform)
 	}
 
 	if s.platform.Protected && !cfg.SkipAttestation {
@@ -124,6 +126,23 @@ func Open(cfg Config) (*Session, error) {
 		}
 	}
 	return s, nil
+}
+
+// platformNames lists the platforms Open builds, besides its aliases ""
+// (baremetal) and "sevsnp".
+var platformNames = []string{"baremetal", "vm", "vm-th", "vm-nb", "tdx", "sgx", "sev-snp", "gpu", "cgpu", "b100", "cb100"}
+
+// checkPlatform rejects a platform name Open does not build, so a
+// validator can refuse it before any session opens.
+func checkPlatform(name string) error {
+	if name == "" || name == "sevsnp" || slices.Contains(platformNames, name) {
+		return nil
+	}
+	return unknownPlatform(name)
+}
+
+func unknownPlatform(name string) error {
+	return fmt.Errorf("cllm: unknown platform %q (want %s)", name, strings.Join(platformNames, "|"))
 }
 
 // attest runs the software attestation protocol: the platform measures the

@@ -7,8 +7,12 @@ import (
 )
 
 func TestOpenPlatforms(t *testing.T) {
-	protected := map[string]bool{"tdx": true, "sgx": true, "cgpu": true, "sev-snp": true, "cb100": true}
-	for _, p := range []string{"baremetal", "vm", "vm-th", "vm-nb", "tdx", "sgx", "sev-snp", "gpu", "cgpu", "b100", "cb100", ""} {
+	protected := map[string]bool{"tdx": true, "sgx": true, "cgpu": true, "sev-snp": true, "sevsnp": true, "cb100": true}
+	// Every name the validators accept must open.
+	for _, p := range append([]string{"", "sevsnp"}, platformNames...) {
+		if err := checkPlatform(p); err != nil {
+			t.Fatalf("checkPlatform(%q): %v", p, err)
+		}
 		s, err := Open(Config{Platform: p, Seed: 1})
 		if err != nil {
 			t.Fatalf("Open(%q): %v", p, err)
@@ -20,8 +24,8 @@ func TestOpenPlatforms(t *testing.T) {
 			t.Errorf("Open(%q) protected but not attested", p)
 		}
 	}
-	if _, err := Open(Config{Platform: "sev"}); err == nil {
-		t.Error("unknown platform opened")
+	if _, err := Open(Config{Platform: "sev"}); err == nil || checkPlatform("sev") == nil || err.Error() != checkPlatform("sev").Error() {
+		t.Errorf("unknown platform: Open returns %v, checkPlatform %v", err, checkPlatform("sev"))
 	}
 	if _, err := Open(Config{Platform: "tdx", System: "XYZ"}); err == nil {
 		t.Error("unknown system opened")

@@ -174,6 +174,7 @@ func flagTable(o *options) []flagSpec {
 				{args: []string{"-topology", "cgpu:1=prefill"}, want: "-topology"},
 				{args: []string{"-topology", "cgpu:1=prefill,tdx:2=decode", "-replicas", "2"}, want: "mutually exclusive"},
 				{args: []string{"-topology", "tdx:2", "-autoscale"}, want: "-autoscale"},
+				{args: []string{"-topology", "foo:1"}, want: "-topology"},
 			},
 		},
 		{
@@ -206,6 +207,7 @@ func flagTable(o *options) []flagSpec {
 				{args: []string{"-classes", "tdx:-1:-2"}, want: "-classes"},
 				{args: []string{"-classes", "tdx:0"}, want: "-classes"},
 				{args: []string{"-classes", ","}, want: "-classes"},
+				{args: []string{"-autoscale", "-classes", "foo:2"}, want: "-classes"},
 			},
 		},
 		{

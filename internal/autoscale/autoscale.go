@@ -487,7 +487,7 @@ func (f *fleet) pick(now float64) *slot {
 			continue
 		}
 		var key [2]float64
-		c := f.classes[s.class]
+		c := &f.classes[s.class]
 		switch f.cfg.Dispatch {
 		case CostAware:
 			// Normalized load first, then dollars per unit capacity: a
@@ -611,7 +611,8 @@ func (f *fleet) tick() {
 func (f *fleet) desiredCounts(needCapacity float64) []int {
 	desired := make([]int, len(f.classes))
 	remaining := needCapacity
-	for i, c := range f.classes {
+	for i := range f.classes {
+		c := &f.classes[i]
 		desired[i] = c.Min
 		remaining -= float64(c.Min) * c.CapacityReqPerSec
 	}
@@ -620,11 +621,11 @@ func (f *fleet) desiredCounts(needCapacity float64) []int {
 		order[i] = i
 	}
 	sort.SliceStable(order, func(a, b int) bool {
-		ca, cb := f.classes[order[a]], f.classes[order[b]]
+		ca, cb := &f.classes[order[a]], &f.classes[order[b]]
 		return ca.HourlyUSD/ca.CapacityReqPerSec < cb.HourlyUSD/cb.CapacityReqPerSec
 	})
 	for _, i := range order {
-		c := f.classes[i]
+		c := &f.classes[i]
 		for remaining > 0 && desired[i] < c.Max {
 			desired[i]++
 			remaining -= c.CapacityReqPerSec

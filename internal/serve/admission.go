@@ -170,16 +170,12 @@ func (r DropReason) String() string {
 // are dropped (deadline-expired; the EDF minimum expiring does not imply
 // the rest did, so the scan repeats). Under AdmitShed a request that could
 // not meet its deadline even admitted alone right now — its own remaining
-// prefill overruns it — is declined instead of served late. Returns nil
-// once the scan drains the queue.
+// prefill overruns it — is declined instead of served late. The queue's
+// deadline index finds each candidate (the first from the front on equal
+// deadlines). Returns nil once the queue drains.
 func (s *scheduler) admitNext(now float64) *reqState {
 	for s.queue.Len() > 0 {
-		best, bestIdx := s.queue.At(0), 0
-		for i := 1; i < s.queue.Len(); i++ {
-			if st := s.queue.At(i); st.deadline < best.deadline {
-				best, bestIdx = st, i
-			}
-		}
+		best, bestIdx := s.queue.Earliest()
 		if now > best.deadline {
 			s.queue.RemoveAt(bestIdx)
 			s.dropQueued(best, DropDeadlineExpired, best.ctxTokens())
@@ -227,7 +223,7 @@ func (s *scheduler) shed(st *reqState) {
 // terminal EvDrop is emitted. The caller has already dequeued it.
 func (s *scheduler) dropQueued(st *reqState, reason DropReason, tokens int) {
 	if st.swapped {
-		s.kv.swapIn(&st.slot) // discard the parked copy
+		s.kv.swapIn(&st.kv) // discard the parked copy
 		st.swapped, st.swappedTokens = false, 0
 	}
 	st.phase = phaseDropped

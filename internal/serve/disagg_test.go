@@ -105,30 +105,31 @@ func TestRunFleetIsUnifiedTopology(t *testing.T) {
 // staged copy, and every request must have returned its KV slot — plus
 // the fleet-level handoff ledger.
 func TestHandoffKVConservationAcrossRoles(t *testing.T) {
-	checked, requests := 0, 0
-	fleetTestHook = func(reps []*scheduler, roles []Role) {
-		for i, s := range reps {
-			if err := s.kv.CheckConservation(); err != nil {
-				t.Errorf("replica %d (%s): %v", i, roles[i], err)
-			}
-			if h := s.kv.Holders(); h != 0 {
-				t.Errorf("replica %d (%s): %d requests still hold KV slots", i, roles[i], h)
-			}
-			for _, st := range s.kept {
-				if st.slot != 0 {
-					t.Errorf("replica %d (%s): request %d ends holding KV slot %d", i, roles[i], st.req.ID, st.slot)
-				}
-				requests++
-			}
-			checked++
-		}
-	}
+	var reps []*scheduler
+	var roles []Role
+	fleetTestHook = func(r []*scheduler, ro []Role) { reps, roles = r, ro }
 	defer func() { fleetTestHook = nil }()
 
 	cfg := tinyConfig(25, 40)
 	cfg.Workload.OutputLen = 16
 	cfg.Trace = fixedLengthTrace(cfg) // exact lengths, so the token ledger is exact arithmetic
 	rep := runDisagg(t, cfg)
+	checked, requests := 0, 0
+	for i, s := range reps {
+		if err := s.kv.CheckConservation(); err != nil {
+			t.Errorf("replica %d (%s): %v", i, roles[i], err)
+		}
+		if h := s.kv.Holders(); h != 0 {
+			t.Errorf("replica %d (%s): %d requests still hold KV slots", i, roles[i], h)
+		}
+		for _, st := range s.kept {
+			if st.kv.slot != 0 {
+				t.Errorf("replica %d (%s): request %d ends holding KV slot %d", i, roles[i], st.req.ID, st.kv.slot)
+			}
+			requests++
+		}
+		checked++
+	}
 	if checked != 3 || requests != 40 {
 		t.Fatalf("conservation hook saw %d replicas and %d requests, want 3 and 40", checked, requests)
 	}
@@ -177,7 +178,7 @@ func TestHandoffIngestRejectsHeldSlot(t *testing.T) {
 	src, dst := p.reps[0], p.reps[1]
 	dst.kv.ConfigureSwapPool(dst.kv.TotalBlocks())
 	r := &reqState{req: Request{ID: 7, InputLen: 64, OutputLen: 8}, phase: phaseHandoff}
-	if !src.kv.grow(&r.slot, r.req.ID, 65) || r.slot == 0 {
+	if !src.kv.grow(&r.kv, r.req.ID, 65) || r.kv.slot == 0 {
 		t.Fatal("prefill replica did not give the request a slot")
 	}
 	d := &handoffDispatcher{eng: p.eng, stage: &stageLB{reps: []*scheduler{dst}}}
@@ -190,12 +191,12 @@ func TestHandoffIngestRejectsHeldSlot(t *testing.T) {
 	}
 
 	// Once the drain has returned the slot, the same request is staged.
-	src.kv.release(&r.slot)
+	src.kv.release(&r.kv)
 	dst.err = nil
 	d.ingest(src, r, 65)
-	if dst.err != nil || dst.rep.HandoffsIn != 1 || dst.rep.HandoffFallbacks != 0 || r.slot == 0 {
+	if dst.err != nil || dst.rep.HandoffsIn != 1 || dst.rep.HandoffFallbacks != 0 || r.kv.slot == 0 {
 		t.Fatalf("ingest after the drain: err %v, %d ingested, %d fallbacks, slot %d",
-			dst.err, dst.rep.HandoffsIn, dst.rep.HandoffFallbacks, r.slot)
+			dst.err, dst.rep.HandoffsIn, dst.rep.HandoffFallbacks, r.kv.slot)
 	}
 }
 

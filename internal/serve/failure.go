@@ -174,7 +174,7 @@ func (s *scheduler) crash() {
 		if !st.swapped {
 			continue
 		}
-		s.kv.swapIn(&st.slot)
+		s.kv.swapIn(&st.kv)
 		st.swapped, st.swappedTokens = false, 0
 		st.prefilled, st.prefillTarget = 0, 0
 	}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
@@ -94,6 +95,73 @@ func TestReqDeque(t *testing.T) {
 	if d.Len() != 0 {
 		t.Fatalf("deque not drained: %d left", d.Len())
 	}
+}
+
+// earliestScan is the deadline index's reference: the front-to-back
+// strict-< scan admission ran before the index existed, so the first of
+// equal deadlines from the front wins.
+func earliestScan(d *reqDeque) (*reqState, int) {
+	if d.Len() == 0 {
+		return nil, -1
+	}
+	best, bestIdx := d.At(0), 0
+	for i := 1; i < d.Len(); i++ {
+		if st := d.At(i); st.deadline < best.deadline {
+			best, bestIdx = st, i
+		}
+	}
+	return best, bestIdx
+}
+
+// TestDeadlineIndexMatchesScan drives an indexed deque through random
+// PushBack, PushFront, PopFront and RemoveAt calls — with few distinct
+// deadlines, so ties are common, and with removed requests rejoining at
+// either end as preempted and retried ones do — and after every call
+// requires Earliest to pick the request and position the scan picks.
+func TestDeadlineIndexMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	d := reqDeque{edf: new(edfIndex)}
+	var out []*reqState // requests outside the queue, free to rejoin
+	for id := 0; id < 64; id++ {
+		out = append(out, &reqState{req: Request{ID: id}})
+	}
+	for step := 0; step < 20000; step++ {
+		switch op := rng.Intn(5); {
+		case (op == 0 || op == 1) && len(out) > 0:
+			k := rng.Intn(len(out))
+			st := out[k]
+			out = append(out[:k], out[k+1:]...)
+			if op == 0 {
+				st.deadline = float64(rng.Intn(8)) // arrival or retry: a new deadline
+				d.PushBack(st)
+			} else {
+				d.PushFront(st) // preemption: the deadline stays
+			}
+		case op == 2 && d.Len() > 0:
+			out = append(out, d.PopFront())
+		case op == 3 && d.Len() > 0:
+			out = append(out, d.RemoveAt(rng.Intn(d.Len())))
+		case op == 4 && d.Len() > 0:
+			// Admission moves the earliest request to the front.
+			_, i := d.Earliest()
+			d.PushFront(d.RemoveAt(i))
+		}
+		want, wantIdx := earliestScan(&d)
+		got, gotIdx := d.Earliest()
+		if got != want || gotIdx != wantIdx {
+			t.Fatalf("step %d: index picks %v at %d, scan %v at %d", step, reqID(got), gotIdx, reqID(want), wantIdx)
+		}
+		if n := len(d.edf.heap); n != d.Len() {
+			t.Fatalf("step %d: heap holds %d requests, queue %d", step, n, d.Len())
+		}
+	}
+}
+
+func reqID(st *reqState) int {
+	if st == nil {
+		return -1
+	}
+	return st.req.ID
 }
 
 // preemptionHeavyConfig is a KV-starved deployment — the EPC caps the pool

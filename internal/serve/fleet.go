@@ -149,10 +149,11 @@ func RunFleet(be Backend, cfg Config, fc FleetConfig) (*FleetReport, error) {
 	return f.Run(cfg)
 }
 
-// fleetTestHook, when non-nil, observes a fleet's schedulers after the
-// engine drains and before reports are assembled. White-box tests assert
-// cross-role invariants here (KV-block conservation over the handoff
-// edge); nil in production, so the hook costs one predictable branch.
+// fleetTestHook, when non-nil, receives a fleet's schedulers and their
+// roles before the run starts. White-box tests keep them to assert
+// invariants during the run (through an observer) or after it (KV-block
+// conservation over the handoff edge); nil in production, so the hook
+// costs one predictable branch.
 var fleetTestHook func(reps []*scheduler, roles []Role)
 
 // stageLB dispatches requests across one stage's replicas — the arrival
@@ -299,11 +300,11 @@ func (f *Fleet) Run(cfg Config) (*FleetReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := p.drive(src, front); err != nil {
-		return nil, err
-	}
 	if fleetTestHook != nil {
 		fleetTestHook(p.reps, roles)
+	}
+	if err := p.drive(src, front); err != nil {
+		return nil, err
 	}
 
 	total := len(p.reps)

@@ -63,7 +63,7 @@ func (d *handoffDispatcher) initiate(src *scheduler, r *reqState) {
 		src.event(Event{Kind: EvHandoff, ReqID: r.req.ID, Tokens: tokens, Bytes: bytes, XferSec: drain + nic})
 	}
 	d.eng.Schedule(sim.Time(drain), func(*sim.Engine) {
-		src.kv.release(&r.slot)
+		src.kv.release(&r.kv)
 		src.kick()
 	})
 	d.eng.Schedule(sim.Time(drain+nic), func(*sim.Engine) {
@@ -85,12 +85,12 @@ func (d *handoffDispatcher) initiate(src *scheduler, r *reqState) {
 func (d *handoffDispatcher) ingest(src *scheduler, r *reqState, tokens int) {
 	j := d.stage.pick(r.req)
 	dst := d.stage.reps[j]
-	if r.slot != 0 {
+	if r.kv.slot != 0 {
 		dst.fail(fmt.Errorf("serve: request %d reaches decode replica %d still holding KV slot %d of prefill replica %d",
-			r.req.ID, dst.replica, r.slot, src.replica))
+			r.req.ID, dst.replica, r.kv.slot, src.replica))
 		return
 	}
-	if dst.kv.swapOut(&r.slot, r.req.ID, tokens) {
+	if dst.kv.swapOut(&r.kv, r.req.ID, tokens) {
 		r.swapped = true
 		r.swappedTokens = tokens
 	} else {

@@ -22,10 +22,10 @@ import "fmt"
 // outlive it).
 //
 // Each request's holding lives in one slot of a dense table. The scheduler
-// keeps every request's slot index in its state and calls the slot
-// methods; the exported int-keyed methods look the request ID up in a map
-// and run the same code. A request is driven through one of the two, not
-// both.
+// keeps every request's kvRef (slot index and coverage) in its state and
+// calls the slot methods; the exported int-keyed methods look the request
+// ID up in a map and run the same code. A request is driven through one of
+// the two, not both.
 type BlockManager struct {
 	blockTokens   int
 	bytesPerToken int64
@@ -66,6 +66,18 @@ type BlockManager struct {
 	// idSlots is DedupSavedTokens' scratch: the batch's IDs resolved to
 	// slots.
 	idSlots []int32
+}
+
+// kvRef is a request's handle on its holding: slot indexes the slot table
+// (0: it holds nothing) and cap is the tokens its held device blocks cover,
+// (pins + private)·blockTokens. Every slot method that changes a holding's
+// device blocks refreshes cap before it returns, and nothing else changes
+// them (eviction and cache flushes reclaim only unpinned blocks), so
+// ctx ≤ cap answers "does the next token fit" without entering the
+// manager.
+type kvRef struct {
+	slot int32
+	cap  int32
 }
 
 // kvHold is one request's holding in the device and swap pools.
@@ -169,36 +181,40 @@ func newBlockManager(budgetBytes int64, blockTokens int, bytesPerToken int64, sh
 }
 
 // take returns the request's holding, first taking a slot for it when it
-// has none (*slot == 0).
-func (m *BlockManager) take(slot *int32, reqID int) *kvHold {
-	if *slot == 0 {
+// has none (ref.slot == 0).
+func (m *BlockManager) take(ref *kvRef, reqID int) *kvHold {
+	if ref.slot == 0 {
 		if n := len(m.freeSlots); n > 0 {
-			*slot = m.freeSlots[n-1]
+			ref.slot = m.freeSlots[n-1]
 			m.freeSlots = m.freeSlots[:n-1]
 		} else {
-			*slot = int32(len(m.slots))
+			ref.slot = int32(len(m.slots))
 			m.slots = append(m.slots, kvHold{})
 		}
-		m.slots[*slot].owner = reqID
+		m.slots[ref.slot].owner = reqID
 	}
-	return &m.slots[*slot]
+	return &m.slots[ref.slot]
 }
 
 // put returns the request's slot once its holding is empty and zeroes
-// *slot.
-func (m *BlockManager) put(slot *int32) {
-	if *slot == 0 || !m.slots[*slot].empty() {
+// ref.slot.
+func (m *BlockManager) put(ref *kvRef) {
+	if ref.slot == 0 || !m.slots[ref.slot].empty() {
 		return
 	}
-	m.freeSlots = append(m.freeSlots, *slot)
-	*slot = 0
+	m.freeSlots = append(m.freeSlots, ref.slot)
+	ref.slot = 0
 }
 
-// rebind records the slot an int-keyed call left reqID holding (was is the
-// slot it held before the call).
-func (m *BlockManager) rebind(reqID int, was, slot int32) {
+// cover returns the tokens a holding's device blocks cover: kvRef.cap.
+func (m *BlockManager) cover(h *kvHold) int32 {
+	return int32((h.pins.n + h.private) * m.blockTokens)
+}
+
+// rebind records the slot an int-keyed call left reqID holding.
+func (m *BlockManager) rebind(reqID int, slot int32) {
 	switch {
-	case slot == was:
+	case slot == m.ids[reqID]:
 	case slot == 0:
 		delete(m.ids, reqID)
 	default:
@@ -238,27 +254,27 @@ func (m *BlockManager) PeakSwapBlocks() int { return m.swapPeak }
 // leading entries, including any span shared prefix blocks also cover, so
 // a later swap-in never depends on cache residency.
 func (m *BlockManager) SwapOut(reqID, tokens int) bool {
-	was := m.ids[reqID]
-	slot := was
-	ok := m.swapOut(&slot, reqID, tokens)
-	m.rebind(reqID, was, slot)
+	ref := kvRef{slot: m.ids[reqID]}
+	ok := m.swapOut(&ref, reqID, tokens)
+	m.rebind(reqID, ref.slot)
 	return ok
 }
 
 // swapOut is SwapOut on the request's slot.
-func (m *BlockManager) swapOut(slot *int32, reqID, tokens int) bool {
+func (m *BlockManager) swapOut(ref *kvRef, reqID, tokens int) bool {
 	if tokens <= 0 {
 		return false
 	}
-	if m.slots[*slot].swap > 0 {
+	if m.slots[ref.slot].swap > 0 {
 		return false // already parked; one swap copy per request
 	}
 	need := m.BlocksFor(tokens)
 	if m.swapUsed+need > m.swapTotal {
 		return false
 	}
-	h := m.take(slot, reqID)
+	h := m.take(ref, reqID)
 	m.unhold(h)
+	ref.cap = 0
 	h.swap = need
 	m.swapUsed += need
 	if m.swapUsed > m.swapPeak {
@@ -272,23 +288,23 @@ func (m *BlockManager) swapOut(slot *int32, reqID, tokens int) bool {
 // how many were freed. Dropping a swapped request uses the same call —
 // the pool does not care whether the copy was restored or discarded.
 func (m *BlockManager) SwapIn(reqID int) int {
-	was := m.ids[reqID]
-	slot := was
-	n := m.swapIn(&slot)
-	m.rebind(reqID, was, slot)
+	ref := kvRef{slot: m.ids[reqID]}
+	n := m.swapIn(&ref)
+	m.rebind(reqID, ref.slot)
 	return n
 }
 
-// swapIn is SwapIn on the request's slot.
-func (m *BlockManager) swapIn(slot *int32) int {
-	h := &m.slots[*slot]
+// swapIn is SwapIn on the request's slot. The parked copy is no device
+// block, so the holding's coverage is unchanged.
+func (m *BlockManager) swapIn(ref *kvRef) int {
+	h := &m.slots[ref.slot]
 	n := h.swap
 	if n == 0 {
 		return 0
 	}
 	h.swap = 0
 	m.swapUsed -= n
-	m.put(slot)
+	m.put(ref)
 	return n
 }
 
@@ -427,25 +443,24 @@ func (m *BlockManager) reserve(n int) bool {
 // scheduler calls creditPrefixStats once the request is actually
 // admitted.
 func (m *BlockManager) AcquirePrefix(reqID int, prefixHash uint64, prefixTokens int) (cachedTokens int, err error) {
-	was := m.ids[reqID]
-	slot := was
-	cachedTokens, err = m.acquirePrefix(&slot, reqID, prefixHash, prefixTokens)
-	m.rebind(reqID, was, slot)
+	ref := kvRef{slot: m.ids[reqID]}
+	cachedTokens, err = m.acquirePrefix(&ref, reqID, prefixHash, prefixTokens)
+	m.rebind(reqID, ref.slot)
 	return cachedTokens, err
 }
 
 // acquirePrefix is AcquirePrefix on the request's slot. It looks the
 // prefix up once, pins the entry's leading blocks and appends the ones not
 // yet published to its slab.
-func (m *BlockManager) acquirePrefix(slot *int32, reqID int, prefixHash uint64, prefixTokens int) (cachedTokens int, err error) {
+func (m *BlockManager) acquirePrefix(ref *kvRef, reqID int, prefixHash uint64, prefixTokens int) (cachedTokens int, err error) {
 	if !m.sharing || prefixTokens < m.blockTokens {
 		return 0, nil
 	}
-	if m.slots[*slot].pins.n > 0 {
+	if m.slots[ref.slot].pins.n > 0 {
 		return 0, fmt.Errorf("serve: request %d acquires a prefix it already holds", reqID)
 	}
 	nBlocks := prefixTokens / m.blockTokens // full blocks only
-	h := m.take(slot, reqID)
+	h := m.take(ref, reqID)
 	e := m.prefixes[prefixHash]
 	n := 0
 	if e != nil {
@@ -480,7 +495,8 @@ func (m *BlockManager) acquirePrefix(slot *int32, reqID int, prefixHash uint64, 
 	if n > 0 {
 		h.pins = pinChain{e: e, n: n}
 	}
-	m.put(slot)
+	ref.cap = m.cover(h)
+	m.put(ref)
 	return cachedTokens, nil
 }
 
@@ -522,27 +538,27 @@ func (m *BlockManager) markComputed(slot int32, tokens int) {
 // the pool could satisfy the request; on false the holding is unchanged
 // (all-or-nothing).
 func (m *BlockManager) Grow(reqID, tokens int) bool {
-	was := m.ids[reqID]
-	slot := was
-	ok := m.grow(&slot, reqID, tokens)
-	m.rebind(reqID, was, slot)
+	ref := kvRef{slot: m.ids[reqID]}
+	ok := m.grow(&ref, reqID, tokens)
+	m.rebind(reqID, ref.slot)
 	return ok
 }
 
 // grow is Grow on the request's slot. A request that already holds a slot
-// reaches its holding by index: no map operation. Most decode rounds find
-// the context still inside the blocks held, which grow answers inline.
-func (m *BlockManager) grow(slot *int32, reqID, tokens int) bool {
-	h := &m.slots[*slot]
+// reaches its holding by index: no map operation. A context still inside
+// the blocks held is answered inline and changes nothing, so a caller whose
+// ref.cap already covers tokens may skip the call.
+func (m *BlockManager) grow(ref *kvRef, reqID, tokens int) bool {
+	h := &m.slots[ref.slot]
 	if tokens <= (h.pins.n+h.private)*m.blockTokens {
 		return true
 	}
-	return m.growBlocks(slot, reqID, tokens)
+	return m.growBlocks(ref, reqID, tokens)
 }
 
 // growBlocks allocates grow's private-block shortfall.
-func (m *BlockManager) growBlocks(slot *int32, reqID, tokens int) bool {
-	h := &m.slots[*slot]
+func (m *BlockManager) growBlocks(ref *kvRef, reqID, tokens int) bool {
+	h := &m.slots[ref.slot]
 	need := m.BlocksFor(tokens) - h.pins.n - h.private
 	if need <= 0 {
 		return true
@@ -551,7 +567,9 @@ func (m *BlockManager) growBlocks(slot *int32, reqID, tokens int) bool {
 		return false
 	}
 	m.free -= need
-	m.take(slot, reqID).private += need
+	h = m.take(ref, reqID)
+	h.private += need
+	ref.cap = m.cover(h)
 	m.notePeak()
 	return true
 }
@@ -562,20 +580,20 @@ func (m *BlockManager) growBlocks(slot *int32, reqID, tokens int) bool {
 // freed immediately if their prefill never completed. A parked swap copy
 // stays parked.
 func (m *BlockManager) Release(reqID int) int {
-	was := m.ids[reqID]
-	slot := was
-	n := m.release(&slot)
-	m.rebind(reqID, was, slot)
+	ref := kvRef{slot: m.ids[reqID]}
+	n := m.release(&ref)
+	m.rebind(reqID, ref.slot)
 	return n
 }
 
 // release is Release on the request's slot.
-func (m *BlockManager) release(slot *int32) int {
-	if *slot == 0 {
+func (m *BlockManager) release(ref *kvRef) int {
+	if ref.slot == 0 {
 		return 0
 	}
-	n := m.unhold(&m.slots[*slot])
-	m.put(slot)
+	n := m.unhold(&m.slots[ref.slot])
+	ref.cap = 0
+	m.put(ref)
 	return n
 }
 

@@ -284,33 +284,42 @@ func (a idAPI) Credit(id, cachedTokens int) { a.creditPrefixStats(a.ids[id], cac
 // slotAPI drives a manager through the slot path, keeping each request's
 // slot itself as the scheduler's reqState does.
 type slotAPI struct {
-	m     *BlockManager
-	slots []int32 // request ID → slot
-	buf   []int32
+	m    *BlockManager
+	refs []kvRef // request ID → handle
+	buf  []int32
 }
 
-func (a *slotAPI) slot(id int) *int32 {
-	for len(a.slots) <= id {
-		a.slots = append(a.slots, 0)
+func (a *slotAPI) slot(id int) *kvRef {
+	for len(a.refs) <= id {
+		a.refs = append(a.refs, kvRef{})
 	}
-	return &a.slots[id]
+	return &a.refs[id]
+}
+
+// checkCap fails unless request id's handle caches its holding's coverage.
+func (a *slotAPI) checkCap(t *testing.T, op string, id int) {
+	t.Helper()
+	ref := a.slot(id)
+	if want := a.m.cover(&a.m.slots[ref.slot]); ref.cap != want {
+		t.Fatalf("%s: request %d handle caches %d covered tokens, holding covers %d", op, id, ref.cap, want)
+	}
 }
 
 func (a *slotAPI) AcquirePrefix(id int, prefixHash uint64, prefixTokens int) (int, error) {
 	return a.m.acquirePrefix(a.slot(id), id, prefixHash, prefixTokens)
 }
-func (a *slotAPI) Credit(id, cachedTokens int) { a.m.creditPrefixStats(*a.slot(id), cachedTokens) }
+func (a *slotAPI) Credit(id, cachedTokens int) { a.m.creditPrefixStats(a.slot(id).slot, cachedTokens) }
 func (a *slotAPI) Grow(id, tokens int) bool    { return a.m.grow(a.slot(id), id, tokens) }
-func (a *slotAPI) MarkComputed(id, tokens int) { a.m.markComputed(*a.slot(id), tokens) }
+func (a *slotAPI) MarkComputed(id, tokens int) { a.m.markComputed(a.slot(id).slot, tokens) }
 func (a *slotAPI) Release(id int) int          { return a.m.release(a.slot(id)) }
 func (a *slotAPI) SwapOut(id, tokens int) bool { return a.m.swapOut(a.slot(id), id, tokens) }
 func (a *slotAPI) SwapIn(id int) int           { return a.m.swapIn(a.slot(id)) }
-func (a *slotAPI) SharedTokens(id int) int     { return a.m.sharedTokens(*a.slot(id)) }
+func (a *slotAPI) SharedTokens(id int) int     { return a.m.sharedTokens(a.slot(id).slot) }
 func (a *slotAPI) FlushCache() int             { return a.m.FlushCache() }
 func (a *slotAPI) DedupSavedTokens(ids []int) int {
 	a.buf = a.buf[:0]
 	for _, id := range ids {
-		a.buf = append(a.buf, *a.slot(id))
+		a.buf = append(a.buf, a.slot(id).slot)
 	}
 	return a.m.dedupSaved(a.buf)
 }
@@ -337,6 +346,7 @@ func (w twinAPI) AcquirePrefix(id int, prefixHash uint64, prefixTokens int) (int
 	c, err := w.byID.AcquirePrefix(id, prefixHash, prefixTokens)
 	c2, err2 := w.slot.AcquirePrefix(id, prefixHash, prefixTokens)
 	same(w.t, "AcquirePrefix error", err == nil, err2 == nil)
+	w.slot.checkCap(w.t, "AcquirePrefix", id)
 	return same(w.t, "AcquirePrefix", c, c2), err
 }
 func (w twinAPI) Credit(id, cachedTokens int) {
@@ -344,6 +354,7 @@ func (w twinAPI) Credit(id, cachedTokens int) {
 	w.slot.Credit(id, cachedTokens)
 }
 func (w twinAPI) Grow(id, tokens int) bool {
+	defer w.slot.checkCap(w.t, "Grow", id)
 	return same(w.t, "Grow", w.byID.Grow(id, tokens), w.slot.Grow(id, tokens))
 }
 func (w twinAPI) MarkComputed(id, tokens int) {
@@ -351,12 +362,17 @@ func (w twinAPI) MarkComputed(id, tokens int) {
 	w.slot.MarkComputed(id, tokens)
 }
 func (w twinAPI) Release(id int) int {
+	defer w.slot.checkCap(w.t, "Release", id)
 	return same(w.t, "Release", w.byID.Release(id), w.slot.Release(id))
 }
 func (w twinAPI) SwapOut(id, tokens int) bool {
+	defer w.slot.checkCap(w.t, "SwapOut", id)
 	return same(w.t, "SwapOut", w.byID.SwapOut(id, tokens), w.slot.SwapOut(id, tokens))
 }
-func (w twinAPI) SwapIn(id int) int { return same(w.t, "SwapIn", w.byID.SwapIn(id), w.slot.SwapIn(id)) }
+func (w twinAPI) SwapIn(id int) int {
+	defer w.slot.checkCap(w.t, "SwapIn", id)
+	return same(w.t, "SwapIn", w.byID.SwapIn(id), w.slot.SwapIn(id))
+}
 func (w twinAPI) SharedTokens(id int) int {
 	return same(w.t, "SharedTokens", w.byID.SharedTokens(id), w.slot.SharedTokens(id))
 }
@@ -817,13 +833,13 @@ func TestDedupSavedTokensZeroAlloc(t *testing.T) {
 // growRig holds rows decoding requests on the slot path, each with ctx
 // tokens of context, as the scheduler holds a warmed decode batch. The
 // pool is large enough never to run out.
-func growRig(tb testing.TB, rows, ctx int) (*BlockManager, []int32, []int) {
+func growRig(tb testing.TB, rows, ctx int) (*BlockManager, []kvRef, []int) {
 	tb.Helper()
 	m, err := newBlockManager(1<<50, 16, 4, false, rows)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	slots, ctxs := make([]int32, rows), make([]int, rows)
+	slots, ctxs := make([]kvRef, rows), make([]int, rows)
 	for i := range slots {
 		ctxs[i] = ctx + 7*i // stagger block boundaries across rows
 		if !m.grow(&slots[i], i, ctxs[i]+1) {
@@ -835,7 +851,7 @@ func growRig(tb testing.TB, rows, ctx int) (*BlockManager, []int32, []int) {
 
 // growRound is one decode round's capacity pass: every row grows by the
 // token it is about to produce.
-func growRound(m *BlockManager, slots []int32, ctxs []int) {
+func growRound(m *BlockManager, slots []kvRef, ctxs []int) {
 	for i := range slots {
 		ctxs[i]++
 		if !m.grow(&slots[i], i, ctxs[i]+1) {

@@ -12,7 +12,7 @@ import (
 )
 
 // phase is a request's lifecycle state.
-type phase int
+type phase uint8
 
 const (
 	phaseWaiting phase = iota
@@ -29,8 +29,7 @@ const (
 
 // reqState tracks one request through the scheduler.
 type reqState struct {
-	req   Request
-	phase phase
+	req Request
 	// generated counts produced output tokens; survives preemption (the
 	// delivered tokens are not un-delivered, the cache is recomputed).
 	generated   int
@@ -45,17 +44,24 @@ type reqState struct {
 	// parked in the host swap pool (swap-to-host preemption);
 	// swappedTokens is how many leading entries the parked copy covers.
 	// Re-admission transfers the copy back instead of recomputing it.
-	// slot indexes the request's holding in its replica's BlockManager
-	// (0: it holds nothing there); it sits in swapped's padding.
-	swapped       bool
-	slot          int32
-	swappedTokens int
 	// admitted marks the first admission (the queue-delay endpoint);
-	// retried requests keep it across re-entries.
-	admitted     bool
-	admittedAt   float64 // first admission time
-	firstTokenAt float64
-	finishedAt   float64
+	// retried requests keep it across re-entries. kv is the request's
+	// handle on its holding in its replica's BlockManager (slot 0: it holds
+	// nothing there) with the tokens its device blocks cover; it and phase
+	// sit in the two flags' padding.
+	swapped  bool
+	admitted bool
+	phase    phase
+	kv       kvRef
+	// qpos and qseq place a queued request in its replica's deadline index
+	// (see edfIndex): its heap position and its queue-order key. FIFO
+	// admission leaves them unused.
+	qpos          int32
+	qseq          int64
+	swappedTokens int
+	admittedAt    float64 // first admission time
+	firstTokenAt  float64
+	finishedAt    float64
 	// deadline is the absolute admission deadline under deadline-aware
 	// admission (renewed per retry attempt); attempt counts retries
 	// consumed from the per-request budget.
@@ -98,11 +104,14 @@ type chunkWork struct {
 // one engine (see RunFleet); each owns its queue, KV pool and noise stream.
 type scheduler struct {
 	cfg    Config
-	be     Backend
 	eng    *sim.Engine
 	noise  *sim.Noise
 	kv     *BlockManager
 	coster *perf.StepCoster
+	// protected is the backend's TEE flag, which widens step noise. It is
+	// all the loop needs of the Backend (the platform label goes on rep at
+	// construction), so the struct is not kept.
+	protected bool
 
 	// obs receives lifecycle events and gauge samples; nil (the default)
 	// disables observation, and every emission site checks that first, so
@@ -115,19 +124,27 @@ type scheduler struct {
 	running   []*reqState // admission order (index 0 = oldest)
 	iterating bool
 
+	// decoding is the decode list: the fully-prefilled rows of running, in
+	// admission order. It persists across rounds and is rebuilt (syncDecoding)
+	// only after decodeStale marks a membership change — an admitted restored
+	// row, a prefill completion, a finish, a handoff or a preemption (crashes
+	// included). prefilling counts the running rows still mid-prefill, so the
+	// continuation pass is skipped outright when none is. A round decodes the
+	// list's first shape.batch rows.
+	decoding    []*reqState
+	prefilling  int
+	decodeStale bool
+
 	// Per-iteration scratch, reused across iterations: the iterating flag
-	// guarantees at most one round is in flight per scheduler, so the slices
-	// built by iterate are stable until finishIteration consumes them.
+	// guarantees at most one round is in flight per scheduler, so what
+	// iterate builds is stable until finishIteration consumes it. shape is
+	// the round's costed shape; swap transfers within one round coalesce
+	// into it, one copy per direction.
 	chunks   []chunkWork
-	decoding []*reqState
+	shape    roundShape
 	slotBuf  []int32
 	finishFn func(*sim.Engine) // cached closure; one alloc per scheduler, not per round
 
-	// The current iteration's swap transfer token accumulators (reset each
-	// round, consumed by iterationTime — transfers within one round
-	// coalesce into one costed copy per direction).
-	swapOutTok int
-	swapInTok  int
 	// producedTot counts every output token produced so far; gauge samples
 	// report it cumulatively so windowed throughput differences cleanly.
 	producedTot int
@@ -219,7 +236,15 @@ func newScheduler(be Backend, cfg Config, eng *sim.Engine, noise *sim.Noise) (*s
 		// The host swap pool is as large as the device pool.
 		kv.ConfigureSwapPool(kv.TotalBlocks())
 	}
-	s := &scheduler{cfg: cfg, be: be, eng: eng, noise: noise, kv: kv, coster: coster, obs: cfg.Observer}
+	s := &scheduler{cfg: cfg, eng: eng, noise: noise, kv: kv, coster: coster, protected: be.protected(), obs: cfg.Observer}
+	s.rep.Platform = be.platformName()
+	// Admission holds running within MaxBatch and the decode list is drawn
+	// from it, so neither ever grows.
+	rows := make([]*reqState, 2*cfg.MaxBatch)
+	s.running, s.decoding = rows[:0:cfg.MaxBatch], rows[cfg.MaxBatch:cfg.MaxBatch]
+	if cfg.Faults.Admission != AdmitFIFO {
+		s.queue.edf = new(edfIndex)
+	}
 	if cfg.ClearCoster != nil && cfg.Observer != nil {
 		if !cfg.ClearCoster.CompatibleWith(cfg.Workload.Model, cfg.Workload.Kind) {
 			return nil, fmt.Errorf("serve: clear coster was built for a different model/datatype than %s/%s",
@@ -492,12 +517,13 @@ func (s *scheduler) kick() {
 //  1. prefill continuation — running sequences mid-prefill consume the
 //     iteration's chunk budget, oldest first;
 //  2. decode capacity — every fully-prefilled sequence must be able to
-//     append one token, preempting the youngest sequence on exhaustion;
+//     append one token, preempting the youngest sequence on exhaustion
+//     (reserveDecode);
 //  3. admission — remaining batch slots and chunk budget admit queued
 //     prompts, reusing shared prefix blocks when sharing is on.
 func (s *scheduler) iterate() {
 	now := float64(s.eng.Now())
-	s.swapOutTok, s.swapInTok = 0, 0
+	s.shape = roundShape{}
 
 	// Chunk budget: new prompt tokens this iteration. 0 = monolithic
 	// (unlimited) prefills.
@@ -507,8 +533,9 @@ func (s *scheduler) iterate() {
 
 	// 1. Prefill continuation pass (oldest first). A sequence that cannot
 	// grow its cache preempts the youngest running sequence, possibly
-	// itself.
-	for i := 0; i < len(s.running); i++ {
+	// itself. Once no running row is mid-prefill the rest would all be
+	// skipped, so the pass stops — at once on most rounds.
+	for i := 0; s.prefilling > 0 && i < len(s.running); i++ {
 		if chunked && budget <= 0 {
 			break
 		}
@@ -529,7 +556,7 @@ func (s *scheduler) iterate() {
 			need++
 		}
 		stalled := false
-		for !s.kv.grow(&r.slot, r.req.ID, need) {
+		for !s.kv.grow(&r.kv, r.req.ID, need) {
 			victim := s.victim()
 			s.preempt(victim, ReasonPrefillStall)
 			chunks = dropChunk(chunks, victim)
@@ -547,32 +574,8 @@ func (s *scheduler) iterate() {
 		}
 	}
 
-	// 2. Decode capacity pass: every fully-prefilled sequence must be able
-	// to append one token. When the pool is exhausted, preempt the youngest
-	// running sequence (vLLM's recompute policy): release its blocks and
-	// requeue it at the front, where it will re-prefill its full context
-	// later (shared prefix blocks may still be cached then).
-	decoding := s.decoding[:0]
-	for i := 0; i < len(s.running); {
-		r := s.running[i]
-		if r.prefilling() {
-			i++
-			continue
-		}
-		if s.kv.grow(&r.slot, r.req.ID, r.ctxTokens()+1) {
-			decoding = append(decoding, r)
-			i++
-			continue
-		}
-		victim := s.victim()
-		s.preempt(victim, ReasonDecodeStall)
-		chunks = dropChunk(chunks, victim)
-		if victim == r {
-			break // r was the youngest; the loop is past every survivor
-		}
-		decoding = decoding[:0]
-		i = 0 // pool changed; re-run the pass from the oldest sequence
-	}
+	// 2. Decode capacity pass.
+	chunks = s.reserveDecode(chunks)
 
 	// 3. Admission pass: fill remaining batch slots while chunk budget and
 	// the pool allow — FIFO by default; deadline-aware policies move the
@@ -611,11 +614,11 @@ func (s *scheduler) iterate() {
 			if pl > target-1 {
 				pl = target - 1
 			}
-			c, err := s.kv.acquirePrefix(&head.slot, head.req.ID, prefixHash(head.req.PrefixID), pl)
+			c, err := s.kv.acquirePrefix(&head.kv, head.req.ID, prefixHash(head.req.PrefixID), pl)
 			if err != nil {
 				s.fail(err)
 				s.iterating = false
-				s.chunks, s.decoding = chunks, decoding
+				s.chunks = chunks
 				return
 			}
 			cached = c
@@ -634,11 +637,11 @@ func (s *scheduler) iterate() {
 		if need == target {
 			need++ // first-token slot (see the continuation pass)
 		}
-		if !s.kv.grow(&head.slot, head.req.ID, need) {
-			s.kv.release(&head.slot) // un-pin the acquired prefix; a swap copy stays parked
+		if !s.kv.grow(&head.kv, head.req.ID, need) {
+			s.kv.release(&head.kv) // un-pin the acquired prefix; a swap copy stays parked
 			break
 		}
-		s.kv.creditPrefixStats(head.slot, cached)
+		s.kv.creditPrefixStats(head.kv.slot, cached)
 		s.queue.PopFront()
 		if !head.admitted {
 			head.admitted = true
@@ -658,19 +661,24 @@ func (s *scheduler) iterate() {
 			// recompute (MarkComputed makes them hits for later sharers).
 			in := restored - cached
 			if in > 0 {
-				s.swapInTok += in
+				s.shape.swapIn += in
 			} else {
 				in = 0
 			}
 			if s.obs != nil {
 				s.swapEvent(EvSwapIn, head.req.ID, in)
 			}
-			s.kv.swapIn(&head.slot)
-			s.kv.markComputed(head.slot, computed)
+			s.kv.swapIn(&head.kv)
+			s.kv.markComputed(head.kv.slot, computed)
 			head.swapped, head.swappedTokens = false, 0
 			s.rep.SwapIns++
 		}
 		s.running = append(s.running, head)
+		if head.prefilling() {
+			s.prefilling++
+		} else {
+			s.decodeStale = true // a fully restored swap copy decodes from next round
+		}
 		if chunk > 0 {
 			chunks = append(chunks, chunkWork{r: head, tokens: chunk, hist: computed})
 			if chunked {
@@ -679,13 +687,13 @@ func (s *scheduler) iterate() {
 		}
 	}
 
-	if len(decoding) == 0 && len(chunks) == 0 && s.swapOutTok == 0 && s.swapInTok == 0 {
+	s.chunks = chunks
+	if s.shape.batch == 0 && len(chunks) == 0 && s.shape.swapOut == 0 && s.shape.swapIn == 0 {
 		// Nothing can make progress now; the next arrival (or nothing)
 		// restarts the loop. With an empty running set the pool's active
 		// blocks are free (cached blocks evict on demand), so a non-fitting
 		// queue head was dropped above — no livelock.
 		s.iterating = false
-		s.chunks, s.decoding = chunks, decoding
 		return
 	}
 
@@ -696,11 +704,10 @@ func (s *scheduler) iterate() {
 	// one decode step share the round. (Stalled decodes keep their grown
 	// block for the next round.)
 	if !chunked && len(chunks) > 0 {
-		decoding = decoding[:0]
+		s.shape.batch, s.shape.ctxSum = 0, 0
 	}
 
-	dur, err := s.iterationTime(decoding, chunks)
-	s.chunks, s.decoding = chunks, decoding
+	dur, err := s.iterationTime(chunks)
 	if err != nil {
 		// A costing failure is a configuration bug (e.g. more sockets than
 		// the CPU has); halt the loop and fail the whole run.
@@ -708,8 +715,61 @@ func (s *scheduler) iterate() {
 		s.iterating = false
 		return
 	}
-	dur = s.noise.Sample(dur, s.be.protected())
+	dur = s.noise.Sample(dur, s.protected)
 	s.eng.Schedule(sim.Time(dur), s.finishFn)
+}
+
+// reserveDecode is the decode capacity pass: every row of the decode list
+// must be able to append one token. A row whose held blocks already cover
+// it (ctx+1 ≤ kv.cap, nearly every round) costs a load and a compare; only
+// a row crossing a block boundary enters the BlockManager. When the pool is
+// exhausted, preempt the youngest running sequence (vLLM's recompute
+// policy): release its blocks and requeue it at the front, where it will
+// re-prefill its full context later (shared prefix blocks may still be
+// cached then). The pool changed, so the pass re-runs from the oldest row.
+// The round's decode batch — a leading run of the list — and its context
+// sum go to s.shape; chunks comes back without the victims' work.
+func (s *scheduler) reserveDecode(chunks []chunkWork) []chunkWork {
+	s.syncDecoding()
+	ctx := 0
+	for i := 0; i < len(s.decoding); {
+		r := s.decoding[i]
+		c := r.ctxTokens()
+		if c+1 <= int(r.kv.cap) || s.kv.grow(&r.kv, r.req.ID, c+1) {
+			ctx += c
+			i++
+			continue
+		}
+		victim := s.victim()
+		s.preempt(victim, ReasonDecodeStall)
+		chunks = dropChunk(chunks, victim)
+		s.syncDecoding()
+		if victim == r {
+			// r stalled itself: the rows before it are this round's batch,
+			// and any after it (a class-ranked victim choice leaves some)
+			// wait a round.
+			s.shape.batch, s.shape.ctxSum = i, ctx
+			return chunks
+		}
+		i, ctx = 0, 0
+	}
+	s.shape.batch, s.shape.ctxSum = len(s.decoding), ctx
+	return chunks
+}
+
+// syncDecoding rebuilds the decode list from the running batch after a
+// membership change.
+func (s *scheduler) syncDecoding() {
+	if !s.decodeStale {
+		return
+	}
+	d := s.decoding[:0]
+	for _, r := range s.running {
+		if !r.prefilling() {
+			d = append(d, r)
+		}
+	}
+	s.decoding, s.decodeStale = d, false
 }
 
 // dropChunk cancels a preempted sequence's chunk work for this iteration.
@@ -722,8 +782,21 @@ func dropChunk(chunks []chunkWork, victim *reqState) []chunkWork {
 	return chunks
 }
 
-// dropRunning removes r from the running batch, keeping admission order.
+// dropRunning removes r from the running batch, keeping admission order,
+// and books the membership change: a row mid-prefill leaves the prefilling
+// count, a decoding row stales the decode list. Dropping the youngest row
+// (the usual preemption victim) is an O(1) pop.
 func (s *scheduler) dropRunning(r *reqState) {
+	if r.prefilling() {
+		s.prefilling--
+	} else {
+		s.decodeStale = true
+	}
+	if n := len(s.running); n > 0 && s.running[n-1] == r {
+		s.running[n-1] = nil // release for GC; append will overwrite
+		s.running = s.running[:n-1]
+		return
+	}
 	for i, cand := range s.running {
 		if cand == r {
 			s.running = append(s.running[:i], s.running[i+1:]...)
@@ -733,34 +806,29 @@ func (s *scheduler) dropRunning(r *reqState) {
 }
 
 // preempt evicts a running sequence from the batch and requeues it at the
-// front. The victim is always the youngest running sequence, i.e. the tail
-// of the admission-ordered running slice — an O(1) pop; dropRunning's scan
-// is a safety net for any other caller. What happens to the victim's KV cache
-// is the preemption policy's call: recompute releases it (vLLM's default),
-// swap parks it in the host swap pool, auto picks whichever the memoized
-// cost model estimates cheaper — with swap falling back to recompute when
-// the pool is full or nothing is computed yet. Either way the victim's
-// device blocks free, so the caller's Grow retry makes progress. reason
-// labels the preemption event with the capacity pass that chose the victim.
+// front. The victim is the youngest running sequence (the youngest of the
+// lowest class under deadline-aware admission, see victim). What happens
+// to the victim's KV cache is the preemption policy's call: recompute
+// releases it (vLLM's default), swap parks it in the host swap pool, auto
+// picks whichever the memoized cost model estimates cheaper — with swap
+// falling back to recompute when the pool is full or nothing is computed
+// yet. Either way the victim's device blocks free, so the caller's Grow
+// retry makes progress. reason labels the preemption event with the
+// capacity pass that chose the victim.
 func (s *scheduler) preempt(r *reqState, reason PreemptReason) {
 	if s.obs != nil {
 		s.event(Event{Kind: EvPreempt, ReqID: r.req.ID, Tokens: r.computedTokens(),
 			Policy: s.cfg.PreemptPolicy, Reason: reason})
 	}
-	if n := len(s.running); n > 0 && s.running[n-1] == r {
-		s.running[n-1] = nil // release for GC; append will overwrite
-		s.running = s.running[:n-1]
-	} else {
-		s.dropRunning(r)
-	}
+	s.dropRunning(r)
 	if reason == ReasonCrash {
 		// The device KV dies with the replica: nothing to park, nothing to
 		// swap — the victim recomputes from scratch.
-		s.kv.release(&r.slot)
+		s.kv.release(&r.kv)
 		r.prefilled = 0
 		r.prefillTarget = 0
 	} else if !s.trySwapOut(r) {
-		s.kv.release(&r.slot)
+		s.kv.release(&r.kv)
 		r.prefilled = 0
 		r.prefillTarget = 0
 	}
@@ -784,7 +852,7 @@ func (s *scheduler) trySwapOut(r *reqState) bool {
 	if s.cfg.PreemptPolicy == PreemptAuto && !s.swapCheaper(r, tokens) {
 		return false
 	}
-	if !s.kv.swapOut(&r.slot, r.req.ID, tokens) {
+	if !s.kv.swapOut(&r.kv, r.req.ID, tokens) {
 		return false // pool full: fall back to recompute
 	}
 	r.swapped = true
@@ -792,7 +860,7 @@ func (s *scheduler) trySwapOut(r *reqState) bool {
 	r.prefilled = 0
 	r.prefillTarget = 0
 	s.rep.SwapOuts++
-	s.swapOutTok += tokens
+	s.shape.swapOut += tokens
 	if s.obs != nil {
 		s.swapEvent(EvSwapOut, r.req.ID, tokens)
 	}
@@ -824,9 +892,12 @@ func (s *scheduler) swapCheaper(r *reqState, tokens int) bool {
 // costed as one batched chunk step at the mean chunk length and mean
 // cached history; KV traffic is linear in totals, so the mean is exact for
 // the memory-bound path, approximate for attention-FLOPs skew (same
-// approximation the decode batch uses).
-func (s *scheduler) iterationTime(decoding []*reqState, chunks []chunkWork) (float64, error) {
-	sh := roundShape{swapOut: s.swapOutTok, swapIn: s.swapInTok}
+// approximation the decode batch uses). The decode batch and swap
+// transfers are already on s.shape; when prefix sharing is on, repeat
+// reads of shared blocks are flagged so the roofline's TLB/enclave working
+// set counts each shared page once.
+func (s *scheduler) iterationTime(chunks []chunkWork) (float64, error) {
+	sh := &s.shape
 	if len(chunks) > 0 {
 		sumTok, sumHist := 0, 0
 		for _, cw := range chunks {
@@ -837,10 +908,15 @@ func (s *scheduler) iterationTime(decoding []*reqState, chunks []chunkWork) (flo
 		sh.chunkTok = (sumTok + len(chunks) - 1) / len(chunks)
 		sh.chunkHist = sumHist / len(chunks)
 	}
-	if len(decoding) > 0 {
-		sh.batch, sh.meanCtx, sh.shared = s.decodeShape(decoding)
+	if sh.batch > 0 && s.cfg.PrefixSharing {
+		slots := s.slotBuf[:0]
+		for _, r := range s.decoding[:sh.batch] {
+			slots = append(slots, r.kv.slot)
+		}
+		s.slotBuf = slots
+		sh.shared = s.kv.dedupSaved(slots)
 	}
-	rc, err := priceRound(s.coster, &sh)
+	rc, err := priceRound(s.coster, sh)
 	if err != nil {
 		return 0, err
 	}
@@ -851,7 +927,7 @@ func (s *scheduler) iterationTime(decoding []*reqState, chunks []chunkWork) (flo
 	if s.obs != nil {
 		s.round = rc
 		if s.attr != nil {
-			if s.attr.round, err = priceRound(s.attr.clear, &sh); err != nil {
+			if s.attr.round, err = priceRound(s.attr.clear, sh); err != nil {
 				return 0, err
 			}
 		}
@@ -861,11 +937,12 @@ func (s *scheduler) iterationTime(decoding []*reqState, chunks []chunkWork) (flo
 
 // roundShape is what one round costs depend on: a batched prefill-chunk
 // step (chunkRows rows of chunkTok new tokens over chunkHist cached ones),
-// a decode step over the running batch, and the round's coalesced
-// swap-out and swap-in copies.
+// a decode step over batch rows whose contexts sum to ctxSum with shared
+// prefix-deduplicated tokens, and the round's coalesced swap-out and
+// swap-in copies.
 type roundShape struct {
 	chunkRows, chunkTok, chunkHist int
-	batch, meanCtx, shared         int
+	batch, ctxSum, shared          int
 	swapOut, swapIn                int
 }
 
@@ -874,9 +951,11 @@ type roundShape struct {
 type roundCost struct{ total, prefill, decode, swap float64 }
 
 // priceRound prices sh on c. total adds prefill, decode, swap-out and
-// swap-in in that order; swap is the two copies' sum. Swap copies move at
-// the backend's swap bandwidth (cGPU's encrypted bounce buffer, a CPU
-// TEE's near-native memcpy).
+// swap-in in that order; swap is the two copies' sum. The decode step is
+// priced at the batch's mean context, rounded up: KV traffic is linear in
+// total context, so the mean is exact for the memory-bound path. Swap
+// copies move at the backend's swap bandwidth (cGPU's encrypted bounce
+// buffer, a CPU TEE's near-native memcpy).
 func priceRound(c *perf.StepCoster, sh *roundShape) (roundCost, error) {
 	var rc roundCost
 	if sh.chunkRows > 0 {
@@ -888,7 +967,7 @@ func priceRound(c *perf.StepCoster, sh *roundShape) (roundCost, error) {
 		rc.total += t
 	}
 	if sh.batch > 0 {
-		t, err := c.DecodeTime(sh.batch, sh.meanCtx, sh.shared)
+		t, err := c.DecodeTime(sh.batch, (sh.ctxSum+sh.batch-1)/sh.batch, sh.shared)
 		if err != nil {
 			return rc, err
 		}
@@ -908,29 +987,6 @@ func priceRound(c *perf.StepCoster, sh *roundShape) (roundCost, error) {
 	return rc, nil
 }
 
-// decodeShape reduces the decode batch to the shape the coster prices: the
-// batch size, the mean context length, and the prefix-shared token count.
-// KV traffic is linear in total context, so costing at the mean context
-// length is exact for the memory-bound path. When prefix sharing is on,
-// repeat reads of shared blocks are flagged so the roofline's TLB/enclave
-// working set counts each shared page once.
-func (s *scheduler) decodeShape(decoding []*reqState) (batch, meanCtx, shared int) {
-	ctx := 0
-	for _, r := range decoding {
-		ctx += r.ctxTokens()
-	}
-	meanCtx = (ctx + len(decoding) - 1) / len(decoding)
-	if s.cfg.PrefixSharing {
-		slots := s.slotBuf[:0]
-		for _, r := range decoding {
-			slots = append(slots, r.slot)
-		}
-		s.slotBuf = slots
-		shared = s.kv.dedupSaved(slots)
-	}
-	return len(decoding), meanCtx, shared
-}
-
 // finishIteration commits the round's prefill progress and token
 // production at its end time. It consumes the scratch slices iterate left
 // on the scheduler — at most one round is ever in flight.
@@ -947,53 +1003,14 @@ func (s *scheduler) finishIteration() {
 		}
 		return
 	}
-	decoding, chunks := s.decoding, s.chunks
 	now := float64(s.eng.Now())
 	s.roundProduced = 0
-	produce := func(r *reqState) {
-		r.generated++
-		s.producedTot++
-		s.roundProduced++
-		if r.firstTokenAt == 0 {
-			r.firstTokenAt = now
-			if s.obs != nil {
-				s.event(Event{Kind: EvFirstToken, ReqID: r.req.ID})
-			}
-		}
-		if s.handoff != nil && r.generated == 1 && r.generated < r.req.OutputLen {
-			// Prefill-role replica: the request stops here with its first
-			// token delivered. It leaves the batch now (its KV blocks stay
-			// held until the source drain completes) and the dispatch layer
-			// prices its handoff after this round's events are emitted.
-			r.phase = phaseHandoff
-			s.dropRunning(r)
-			s.handoff.q = append(s.handoff.q, r)
-			return
-		}
-		if r.generated >= r.req.OutputLen {
-			s.kv.release(&r.slot)
-			r.phase = phaseFinished
-			r.finishedAt = now
-			var m RequestMetrics
-			if s.stream != nil || s.obs != nil {
-				m = outcome(r, s.cfg.TTFTSLOSec, s.cfg.TPOTSLOSec)
-			}
-			if s.stream != nil {
-				s.stream.observe(m)
-				s.rep.count(m, r.req.Class)
-			}
-			s.dropRunning(r)
-			if s.obs != nil {
-				// The report's own verdict: bit-identical to the aggregate's.
-				s.event(Event{Kind: EvFinish, ReqID: r.req.ID, Tokens: r.generated, SLOMet: m.SLOMet})
-			}
-		}
-	}
 	// Prefill chunks commit their progress; a chunk that completes the
 	// prompt produces the request's next token (the first, or — after
-	// preemption — the one the recomputed cache enables). Completed prefix
-	// blocks become cache hits for later sharers.
-	for _, cw := range chunks {
+	// preemption — the one the recomputed cache enables) and moves the row
+	// onto the decode list. Completed prefix blocks become cache hits for
+	// later sharers.
+	for _, cw := range s.chunks {
 		r := cw.r
 		if r.phase != phaseRunning { // preempted mid-round (cannot happen, but be safe)
 			continue
@@ -1002,18 +1019,32 @@ func (s *scheduler) finishIteration() {
 			s.event(Event{Kind: EvPrefillChunk, ReqID: r.req.ID, Tokens: cw.tokens, Hist: cw.hist})
 		}
 		r.prefilled += cw.tokens
-		s.kv.markComputed(r.slot, r.prefilled)
+		s.kv.markComputed(r.kv.slot, r.prefilled)
 		if !r.prefilling() {
-			produce(r)
+			s.prefilling--
+			s.decodeStale = true
+			s.produce(r, now)
 		}
 	}
-	for _, r := range decoding {
-		if r.phase == phaseRunning {
-			produce(r)
+	// The decode batch: a row past its first token that does not finish
+	// this round only counts its token, and the counters are added once;
+	// first tokens, finishes and handoffs go through produce.
+	n := 0
+	for _, r := range s.decoding[:s.shape.batch] {
+		if r.phase != phaseRunning {
+			continue
 		}
+		if r.firstTokenAt != 0 && r.generated+1 < r.req.OutputLen {
+			r.generated++
+			n++
+			continue
+		}
+		s.produce(r, now)
 	}
+	s.producedTot += n
+	s.roundProduced += n
 	if s.obs != nil {
-		ev := Event{Kind: EvDecodeRound, ReqID: -1, Tokens: s.roundProduced, Hist: len(decoding),
+		ev := Event{Kind: EvDecodeRound, ReqID: -1, Tokens: s.roundProduced, Hist: s.shape.batch,
 			PrefillSec: s.round.prefill, DecodeSec: s.round.decode, SwapSec: s.round.swap}
 		if s.attr != nil {
 			ev.ClearPrefillSec, ev.ClearDecodeSec, ev.ClearSwapSec = s.attr.round.prefill, s.attr.round.decode, s.attr.round.swap
@@ -1046,6 +1077,49 @@ func (s *scheduler) finishIteration() {
 	s.kick()
 }
 
+// produce commits one output token of r at now, stamping its first token,
+// and hands a prefill-role replica's request off after that token or
+// retires a request that produced its last.
+func (s *scheduler) produce(r *reqState, now float64) {
+	r.generated++
+	s.producedTot++
+	s.roundProduced++
+	if r.firstTokenAt == 0 {
+		r.firstTokenAt = now
+		if s.obs != nil {
+			s.event(Event{Kind: EvFirstToken, ReqID: r.req.ID})
+		}
+	}
+	if s.handoff != nil && r.generated == 1 && r.generated < r.req.OutputLen {
+		// Prefill-role replica: the request stops here with its first
+		// token delivered. It leaves the batch now (its KV blocks stay
+		// held until the source drain completes) and the dispatch layer
+		// prices its handoff after this round's events are emitted.
+		r.phase = phaseHandoff
+		s.dropRunning(r)
+		s.handoff.q = append(s.handoff.q, r)
+		return
+	}
+	if r.generated >= r.req.OutputLen {
+		s.kv.release(&r.kv)
+		r.phase = phaseFinished
+		r.finishedAt = now
+		var m RequestMetrics
+		if s.stream != nil || s.obs != nil {
+			m = outcome(r, s.cfg.TTFTSLOSec, s.cfg.TPOTSLOSec)
+		}
+		if s.stream != nil {
+			s.stream.observe(m)
+			s.rep.count(m, r.req.Class)
+		}
+		s.dropRunning(r)
+		if s.obs != nil {
+			// The report's own verdict: bit-identical to the aggregate's.
+			s.event(Event{Kind: EvFinish, ReqID: r.req.ID, Tokens: r.generated, SLOMet: m.SLOMet})
+		}
+	}
+}
+
 // report is the one place a Report is built from scheduler state. It
 // starts from a copy of the replica's event ledger (s.rep), adds the KV
 // pool readings and the makespan, and folds the outcome ledger: the
@@ -1058,7 +1132,6 @@ func (s *scheduler) finishIteration() {
 func (s *scheduler) report() *Report {
 	rep := new(Report)
 	*rep = s.rep
-	rep.Platform = s.be.platformName()
 	rep.OfferedRate = offeredRate(s.cfg)
 	rep.MakespanSec = float64(s.eng.Now())
 	if s.faults != nil && s.faults.lastProgress < rep.MakespanSec {

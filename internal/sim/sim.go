@@ -226,7 +226,8 @@ func (e *Engine) Pending() int { return len(e.heap) + len(e.feed) - e.head }
 // Noise generates the latency jitter observed on real systems. TEE runs get
 // extra multiplicative jitter plus rare heavy-tail outliers caused by
 // memory-encryption engine contention, as the paper reports (§III-D:
-// ≈0.64% of samples beyond Z>3 under SGX/TDX).
+// ≈0.64% of samples beyond Z>3 under SGX/TDX). The parameters are fixed at
+// construction: NewNoise derives the jitter's σ from Base and TEEJitter.
 type Noise struct {
 	rng *rand.Rand
 	// Base is the relative stddev of baseline jitter (e.g. 0.01 = 1%).
@@ -237,28 +238,36 @@ type Noise struct {
 	OutlierProb float64
 	// OutlierScale multiplies the sample when an outlier fires.
 	OutlierScale float64
+	// sigma and halfVar are the lognormal's σ and σ²/2, index 0 for clear
+	// runs and 1 under a TEE.
+	sigma, halfVar [2]float64
 }
 
 // NewNoise returns a Noise source seeded deterministically.
 func NewNoise(seed int64, base, teeJitter, outlierProb, outlierScale float64) *Noise {
-	return &Noise{
+	n := &Noise{
 		rng:          rand.New(rand.NewSource(seed)),
 		Base:         base,
 		TEEJitter:    teeJitter,
 		OutlierProb:  outlierProb,
 		OutlierScale: outlierScale,
 	}
+	n.sigma = [2]float64{base, math.Sqrt(base*base + teeJitter*teeJitter)}
+	for i, sigma := range n.sigma {
+		n.halfVar[i] = sigma * sigma / 2
+	}
+	return n
 }
 
 // Sample perturbs the value v. When tee is true the TEE jitter and outlier
 // tail are applied in addition to baseline jitter.
 func (n *Noise) Sample(v float64, tee bool) float64 {
-	sigma := n.Base
+	i := 0
 	if tee {
-		sigma = math.Sqrt(n.Base*n.Base + n.TEEJitter*n.TEEJitter)
+		i = 1
 	}
 	// Lognormal multiplicative jitter keeps samples positive.
-	f := math.Exp(n.rng.NormFloat64()*sigma - sigma*sigma/2)
+	f := math.Exp(n.rng.NormFloat64()*n.sigma[i] - n.halfVar[i])
 	out := v * f
 	if tee && n.rng.Float64() < n.OutlierProb {
 		out *= n.OutlierScale * (1 + n.rng.Float64())

@@ -362,9 +362,10 @@ func (cfg ServeConfig) observe(scfg *serve.Config) (*obs.Recorder, *obs.Attribut
 }
 
 // roleGroups parses a Topology into its groups and the role-aware fleet
-// they describe, without backends, and checks the role structure (all
-// unified, or prefill plus decode) by building that fleet backend-free, so
-// a lopsided topology fails before any group's session opens.
+// they describe, without backends, and checks the platform names and the
+// role structure (all unified, or prefill plus decode) by building that
+// fleet backend-free, so a bad topology fails before any group's session
+// opens.
 func roleGroups(topology string) ([]TopologyGroup, serve.Topology, error) {
 	var topo serve.Topology
 	groups, err := ParseTopology(topology)
@@ -372,6 +373,9 @@ func roleGroups(topology string) ([]TopologyGroup, serve.Topology, error) {
 		return nil, topo, err
 	}
 	for _, g := range groups {
+		if err := checkPlatform(g.Platform); err != nil {
+			return nil, topo, err
+		}
 		role, _ := serve.ParseRole(g.Role) // ParseTopology checked it
 		topo.Groups = append(topo.Groups, serve.RoleGroup{Role: role, Replicas: g.Replicas})
 	}
