@@ -207,7 +207,7 @@ func Autoscale(cfg AutoscaleConfig) (*AutoscaleReport, error) {
 		})
 	}
 	if rec != nil {
-		out.Observation = buildObservation(rec, nil, nil, rep.Aggregate)
+		out.Observation = buildObservation(rec, nil, rep.Aggregate)
 		rec.Recycle()
 	}
 	return out, nil

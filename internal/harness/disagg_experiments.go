@@ -104,7 +104,7 @@ func runDisaggCandidates(o Options, cands []disaggCandidate, cfg serve.Config) (
 			return err
 		}
 		outs[i] = disaggOutcome{cand: cands[i], rep: rep, sloMet: rep.SLOAttainment() >= 1}
-		if usd, err := rep.CostPerMTokTotal(cands[i].hourlyUSD); err == nil {
+		if usd, err := rep.CostPerMTok(cands[i].hourlyUSD); err == nil {
 			outs[i].usdMTok = usd
 		}
 		return nil

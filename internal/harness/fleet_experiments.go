@@ -261,11 +261,10 @@ func runFleet(o Options) (*Result, error) {
 		Detail: fmt.Sprintf("affinity %.1f tok/s vs round-robin %.1f", goodputs[pa], goodputs[rr]),
 	})
 
-	// Fleet sizing by simulation: smallest fleet whose simulated attainment
-	// reaches 95% at the offered rate, replica interference included.
-	// Candidate sizes are speculated on the worker pool; the answer is
-	// byte-identical to the serial search.
-	n, sized, err := serve.SizeFleetForSLO(be, cfg, serve.PrefixAffinity, 0.95, 8, o.workers())
+	// Fleet sizing by simulation: a fleet whose simulated attainment reaches
+	// 95% at the offered rate, replica interference included (the search
+	// assumes attainment monotone in size; see SizeFleetForSLO).
+	n, sized, err := serve.SizeFleetForSLO(be, cfg, serve.PrefixAffinity, 0.95, 8)
 	if err != nil {
 		return nil, err
 	}

@@ -211,29 +211,6 @@ func TestPreemptionKeepsFIFOAdmitOrder(t *testing.T) {
 	}
 }
 
-// TestSizeFleetForSLOWorkersMatchSerial: sizing on 4 workers, which
-// prefetches candidate fleets speculatively, must return the
-// byte-identical size and report the serial (workers=1) search finds.
-func TestSizeFleetForSLOWorkersMatchSerial(t *testing.T) {
-	be := cpuBackend(tee.TDX())
-	cfg := tinyConfig(12, 32)
-	cfg.TTFTSLOSec, cfg.TPOTSLOSec = 2, 0.5
-	nSerial, repSerial, err := SizeFleetForSLO(be, cfg, LeastLoaded, 0.9, 8, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nPar, repPar, err := SizeFleetForSLO(be, cfg, LeastLoaded, 0.9, 8, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nSerial != nPar {
-		t.Fatalf("parallel sizing picked %d replicas, serial %d", nPar, nSerial)
-	}
-	if !reflect.DeepEqual(repSerial, repPar) {
-		t.Fatalf("parallel fleet report differs from serial:\n%+v\nvs\n%+v", repPar.Aggregate, repSerial.Aggregate)
-	}
-}
-
 // TestSharedCosterDoesNotPerturbRuns: a run costing through a pre-warmed
 // shared table equals a run building its own — memoization is invisible in
 // the results.

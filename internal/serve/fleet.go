@@ -3,12 +3,9 @@ package serve
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"strings"
-	"sync"
 
 	"cllm/internal/cloud"
-	"cllm/internal/par"
 	"cllm/internal/stats"
 )
 
@@ -116,20 +113,14 @@ type FleetReport struct {
 // within SLO.
 func (f *FleetReport) SLOAttainment() float64 { return f.Aggregate.SLOAttainment() }
 
-// CostPerMTok prices the simulated fleet directly: all replicas are rented
-// for the whole run while only SLO-compliant tokens count as served. This
-// replaces the single-replica extrapolation (Report.CostAtSLO) with a
-// simulated fleet — queueing interactions between replicas and the load
-// balancer are in the number, not assumed away.
-func (f *FleetReport) CostPerMTok(hourlyPerReplica float64) (float64, error) {
-	return cloud.FleetCostPerMTok(hourlyPerReplica, len(f.PerReplica), f.Aggregate.GoodputTokensPerSec)
-}
-
-// CostPerMTokTotal prices a heterogeneous fleet — a disaggregated topology
-// mixing platforms with different rental rates — from its total hourly
-// rent: the whole fleet is rented for the whole run while only
-// SLO-compliant tokens count as served.
-func (f *FleetReport) CostPerMTokTotal(totalHourlyUSD float64) (float64, error) {
+// CostPerMTok prices the simulated fleet from its total hourly rent (the
+// sum over replicas, so a topology mixing platforms prices correctly):
+// the whole fleet is rented for the whole run while only SLO-compliant
+// tokens count as served. This replaces the single-replica extrapolation
+// (Report.CostAtSLO) with a simulated fleet — queueing interactions
+// between replicas and the load balancer are in the number, not assumed
+// away.
+func (f *FleetReport) CostPerMTok(totalHourlyUSD float64) (float64, error) {
 	return cloud.FleetCostPerMTok(totalHourlyUSD, 1, f.Aggregate.GoodputTokensPerSec)
 }
 
@@ -454,37 +445,31 @@ func MergeReports(offeredRate float64, reps []*Report) *Report {
 	return agg
 }
 
-// SizeFleetForSLO finds the smallest fleet (1..maxReplicas) whose simulated
-// SLO attainment reaches target, returning the size and that fleet's
-// report. This answers the sizing question by simulation — replica
-// interference, dispatch skew and prefix-cache locality included — where
+// SizeFleetForSLO finds a fleet size (1..maxReplicas) whose simulated SLO
+// attainment reaches target, returning the size and that fleet's report.
+// This answers the sizing question by simulation — replica interference,
+// dispatch skew and prefix-cache locality included — where
 // cloud.ReplicasForRate only extrapolates from one replica's rate. It
-// fails if even maxReplicas cannot reach the target. Candidate fleet sizes
-// are evaluated on up to workers concurrent goroutines (workers <= 0 means
-// runtime.NumCPU(); 1 is the serial path), with a byte-identical result at
-// any worker count.
+// fails if even maxReplicas cannot reach the target.
 //
-// Attainment is treated as monotone in the fleet size (more replicas never
-// hurt a load-balanced fleet), so the search probes exponentially
-// (1, 2, 4, ...) until a passing size brackets the answer, then binary
-// searches the bracket — O(log maxReplicas) simulations instead of the
-// linear scan. Parallelism only *prefetches*: candidate runs are memoized
-// and the serial search logic replays over the memo, so the chosen size,
-// the returned report and any error are byte-identical to workers=1 —
-// every candidate simulation is independently seeded from cfg.Seed and
-// RunFleet is deterministic. The speculative ladder and bracket interior
-// cost extra simulations but collapse the sweep's wall clock to about two
-// waves; all candidates share one memoized step-costing table, so most of
-// each speculative run's iteration shapes are table hits.
-func SizeFleetForSLO(be Backend, cfg Config, policy LBPolicy, target float64, maxReplicas, workers int) (int, *FleetReport, error) {
+// The search assumes attainment is monotone in the fleet size: it probes
+// exponentially (1, 2, 4, ..., maxReplicas) until a passing size brackets
+// the answer, then binary searches the bracket — O(log maxReplicas)
+// simulations instead of the linear scan, each size simulated at most
+// once. Where the assumption holds the result is the smallest passing
+// size. Under PrefixAffinity it need not hold — re-hashing prefix groups
+// over more replicas can lower attainment — so the result passes the
+// target but can exceed the smallest passing size when a skipped smaller
+// size passes. Every candidate is seeded from cfg.Seed and they all share
+// one memoized step-costing table. Candidates are side-simulations: cfg's
+// observer and clear-twin coster are dropped, so an attached observer sees
+// none of them.
+func SizeFleetForSLO(be Backend, cfg Config, policy LBPolicy, target float64, maxReplicas int) (int, *FleetReport, error) {
 	if target <= 0 || target > 1 {
 		return 0, nil, fmt.Errorf("serve: SLO attainment target %g outside (0, 1]", target)
 	}
 	if maxReplicas <= 0 {
 		maxReplicas = 16
-	}
-	if workers <= 0 {
-		workers = runtime.NumCPU()
 	}
 	if be.Coster == nil {
 		coster, err := NewStepCoster(be, cfg)
@@ -493,140 +478,41 @@ func SizeFleetForSLO(be Backend, cfg Config, policy LBPolicy, target float64, ma
 		}
 		be.Coster = coster
 	}
-	ev := &fleetEvaluator{be: be, cfg: cfg, policy: policy, workers: workers, memo: map[int]sizeOutcome{}}
-
-	// Exponential probe ladder: first passing size, doubling up to
-	// maxReplicas. The whole ladder is speculated concurrently; the serial
-	// consumption below decides bracket and errors exactly as workers=1.
-	ladder := make([]int, 0, 8)
-	for n := 1; ; n *= 2 {
-		if n > maxReplicas {
-			n = maxReplicas
-		}
-		ladder = append(ladder, n)
-		if n == maxReplicas {
-			break
-		}
-	}
-	ev.prefetch(ladder)
-	lo, hi := 0, 0 // largest known-failing, smallest known-passing
-	for _, n := range ladder {
-		rep, err := ev.eval(n)
+	cfg.Observer, cfg.ClearCoster = nil, nil
+	passes := func(n int) (*FleetReport, bool, error) {
+		rep, err := RunFleet(be, cfg, FleetConfig{Replicas: n, Policy: policy})
 		if err != nil {
-			return 0, nil, err
+			return nil, false, err
 		}
-		if rep.SLOAttainment() >= target {
-			hi = n
-			break
-		}
-		lo = n
-		if n == maxReplicas {
-			return 0, nil, fmt.Errorf("serve: even %d replicas miss %.0f%% SLO attainment", maxReplicas, target*100)
-		}
+		return rep, rep.SLOAttainment() >= target, nil
 	}
 
-	// Binary search (lo, hi]: lo fails, hi passes. Speculate the top levels
-	// of the midpoint tree — every candidate the search can reach in its
-	// first few probes — but never more than ~2×workers of them: the search
-	// only visits O(log(hi-lo)) sizes, so flooding the whole interior would
-	// burn far more simulations than the serial path for wide brackets.
-	if hi-lo > 2 && workers > 1 {
-		type bracket struct{ lo, hi int }
-		frontier := []bracket{{lo, hi}}
-		var cands []int
-		for len(frontier) > 0 && len(cands) < 2*workers {
-			next := frontier[:0:0]
-			for _, b := range frontier {
-				if b.hi-b.lo <= 1 {
-					continue
-				}
-				mid := b.lo + (b.hi-b.lo)/2
-				cands = append(cands, mid)
-				next = append(next, bracket{b.lo, mid}, bracket{mid, b.hi})
-			}
-			frontier = next
+	lo, hi := 0, 0 // largest known-failing, smallest known-passing size
+	var best *FleetReport
+	for n := 1; hi == 0; n = min(2*n, maxReplicas) {
+		rep, ok, err := passes(n)
+		switch {
+		case err != nil:
+			return 0, nil, err
+		case ok:
+			hi, best = n, rep
+		case n == maxReplicas:
+			return 0, nil, fmt.Errorf("serve: even %d replicas miss %.0f%% SLO attainment", maxReplicas, target*100)
+		default:
+			lo = n
 		}
-		ev.prefetch(cands)
 	}
 	for hi-lo > 1 {
 		mid := lo + (hi-lo)/2
-		rep, err := ev.eval(mid)
-		if err != nil {
+		rep, ok, err := passes(mid)
+		switch {
+		case err != nil:
 			return 0, nil, err
-		}
-		if rep.SLOAttainment() >= target {
-			hi = mid
-		} else {
+		case ok:
+			hi, best = mid, rep
+		default:
 			lo = mid
 		}
 	}
-	rep, err := ev.eval(hi)
-	if err != nil {
-		return 0, nil, err
-	}
-	return hi, rep, nil
-}
-
-// sizeOutcome is one memoized candidate evaluation.
-type sizeOutcome struct {
-	rep *FleetReport
-	err error
-}
-
-// fleetEvaluator memoizes RunFleet per candidate size so the search logic
-// can replay serially over results computed in any (possibly concurrent)
-// order.
-type fleetEvaluator struct {
-	be      Backend
-	cfg     Config
-	policy  LBPolicy
-	workers int
-
-	mu   sync.Mutex
-	memo map[int]sizeOutcome
-}
-
-func (e *fleetEvaluator) run(n int) sizeOutcome {
-	rep, err := RunFleet(e.be, e.cfg, FleetConfig{Replicas: n, Policy: e.policy})
-	return sizeOutcome{rep: rep, err: err}
-}
-
-// eval returns the candidate's outcome, computing it on demand.
-func (e *fleetEvaluator) eval(n int) (*FleetReport, error) {
-	e.mu.Lock()
-	out, ok := e.memo[n]
-	e.mu.Unlock()
-	if !ok {
-		out = e.run(n)
-		e.mu.Lock()
-		e.memo[n] = out
-		e.mu.Unlock()
-	}
-	return out.rep, out.err
-}
-
-// prefetch speculatively evaluates candidates on the worker pool. A no-op
-// when serial — the lazy eval path then matches the classic algorithm's
-// work exactly. First store wins on a racing duplicate; both goroutines
-// compute identical outcomes, so the choice is immaterial.
-func (e *fleetEvaluator) prefetch(ns []int) {
-	if e.workers <= 1 {
-		return
-	}
-	_ = par.For(e.workers, len(ns), func(j int) error {
-		n := ns[j]
-		e.mu.Lock()
-		_, done := e.memo[n]
-		e.mu.Unlock()
-		if done {
-			return nil
-		}
-		out := e.run(n)
-		e.mu.Lock()
-		if _, done := e.memo[n]; !done {
-			e.memo[n] = out
-		}
-		e.mu.Unlock()
-		return nil
-	})
+	return hi, best, nil
 }

@@ -212,8 +212,9 @@ type Sample struct {
 // run — including a whole RunFleet sharing one engine — never calls an
 // observer concurrently, and replica interleaving on the shared clock is
 // deterministic, so identical seeds yield identical streams. Do NOT
-// attach one observer to concurrent runs (parallel sweeps,
-// SizeFleetForSLO with workers > 1): those race. Leave Observer nil there.
+// attach one observer to concurrent runs (the harness's parallel sweep
+// cells): those race. Leave Observer nil there. SizeFleetForSLO runs its
+// candidate fleets serially and detaches the observer itself.
 type Observer interface {
 	Event(Event)
 	Sample(Sample)

@@ -1,10 +1,13 @@
 package serve
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
+	"cllm/internal/cloud"
 	"cllm/internal/dtype"
 	"cllm/internal/hw"
 	"cllm/internal/mem"
@@ -475,21 +478,26 @@ func TestFleetCostAndSizing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	usd, err := fr.CostPerMTok(1.0)
+	// Two replicas at $1.50/h each rent for $3/h in total.
+	usd, err := fr.CostPerMTok(3.0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if usd <= 0 {
-		t.Fatalf("fleet cost %.4f $/Mtok", usd)
+	want, err := cloud.FleetCostPerMTok(1.5, 2, fr.Aggregate.GoodputTokensPerSec)
+	if err != nil {
+		t.Fatal(err)
 	}
-	n, sized, err := SizeFleetForSLO(cpuBackend(tee.TDX()), cfg, LeastLoaded, 0.9, 4, 1)
+	if usd <= 0 || usd != want {
+		t.Fatalf("fleet cost %v $/Mtok, want %v", usd, want)
+	}
+	n, sized, err := SizeFleetForSLO(cpuBackend(tee.TDX()), cfg, LeastLoaded, 0.9, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n < 1 || n > 4 || sized.SLOAttainment() < 0.9 {
 		t.Fatalf("sizing: %d replicas at %.2f attainment", n, sized.SLOAttainment())
 	}
-	if _, _, err := SizeFleetForSLO(cpuBackend(tee.TDX()), cfg, LeastLoaded, 1.5, 4, 1); err == nil {
+	if _, _, err := SizeFleetForSLO(cpuBackend(tee.TDX()), cfg, LeastLoaded, 1.5, 4); err == nil {
 		t.Error("impossible attainment target accepted")
 	}
 }
@@ -664,37 +672,96 @@ func TestReplicaMatchesRun(t *testing.T) {
 	}
 }
 
+// sizingConfig is a llama2-7b load that needs five TDX replicas for 90%
+// attainment under both least-loaded and prefix-affinity dispatch, so the
+// sizing search's ladder and bisection both have work to do.
+func sizingConfig(t *testing.T) Config {
+	return Config{
+		Workload: trace.Workload{Model: mustLookup(t, "llama2-7b"), Kind: dtype.BF16, InputLen: 1024, OutputLen: 32},
+		Rate:     6, Requests: 96, Seed: 1,
+		Knobs: Knobs{PrefixGroups: 4, PrefixSharing: true},
+	}
+}
+
+// TestSizeFleetForSLOMatchesLinearScan: the probe-and-bisect search picks
+// the size a linear scan finds and returns that fleet's own report, or
+// the "even N replicas miss" error when no size up to maxReplicas passes.
 func TestSizeFleetForSLOMatchesLinearScan(t *testing.T) {
-	cfg := Config{
-		Workload: trace.Workload{Model: tinyModel(), Kind: dtype.BF16, InputLen: 64, OutputLen: 8},
-		Rate:     30, Requests: 24, Seed: 1,
-	}
 	be := cpuBackend(tee.TDX())
-	const target, maxN = 0.9, 6
-	// Reference: the pre-optimization linear scan.
-	linear := 0
-	for n := 1; n <= maxN; n++ {
-		fr, err := RunFleet(be, cfg, FleetConfig{Replicas: n, Policy: LeastLoaded})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fr.SLOAttainment() >= target {
-			linear = n
-			break
+	impossible := sizingConfig(t)
+	impossible.TTFTSLOSec = 1e-6
+	const target = 0.9
+	cases := []struct {
+		name string
+		cfg  Config
+		maxN int
+		want int // the linear scan's size; 0 when none passes
+	}{
+		{"max1", sizingConfig(t), 1, 0},
+		{"max5", sizingConfig(t), 5, 5},
+		{"max6", sizingConfig(t), 6, 5},
+		{"max8", sizingConfig(t), 8, 5},
+		{"unreachable", impossible, 8, 0},
+	}
+	for _, tc := range cases {
+		for _, policy := range []LBPolicy{LeastLoaded, PrefixAffinity} {
+			t.Run(tc.name+"/"+policy.String(), func(t *testing.T) {
+				var linear *FleetReport
+				for n := 1; n <= tc.maxN && linear == nil; n++ {
+					fr, err := RunFleet(be, tc.cfg, FleetConfig{Replicas: n, Policy: policy})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if fr.SLOAttainment() >= target {
+						linear = fr
+					}
+				}
+				if linear == nil && tc.want != 0 || linear != nil && len(linear.PerReplica) != tc.want {
+					t.Fatalf("linear scan no longer finds %d replicas; the config has drifted", tc.want)
+				}
+				n, fr, err := SizeFleetForSLO(be, tc.cfg, policy, target, tc.maxN)
+				if linear == nil {
+					want := fmt.Sprintf("even %d replicas miss", tc.maxN)
+					if err == nil || !strings.Contains(err.Error(), want) {
+						t.Fatalf("no size reaches the target, got %d replicas, err %v; want %q", n, err, want)
+					}
+					return
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n != len(linear.PerReplica) || !reflect.DeepEqual(fr, linear) {
+					t.Errorf("probe+bisect found %d replicas, linear scan %d", n, len(linear.PerReplica))
+				}
+			})
 		}
 	}
-	if linear == 0 {
-		t.Skip("workload cannot reach target within maxN; pick a gentler rate")
-	}
-	n, fr, err := SizeFleetForSLO(be, cfg, LeastLoaded, target, maxN, 1)
+}
+
+// TestSizeFleetForSLOUnobserved: candidate fleets are side-simulations, so
+// an observer and clear-twin coster passed in see nothing and change
+// nothing.
+func TestSizeFleetForSLOUnobserved(t *testing.T) {
+	be := cpuBackend(tee.TDX())
+	cfg := sizingConfig(t)
+	wantN, want, err := SizeFleetForSLO(be, cfg, LeastLoaded, 0.9, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != linear {
-		t.Errorf("probe+bisect found %d replicas, linear scan %d", n, linear)
+	tally := &eventTally{}
+	cfg.Observer = tally
+	if cfg.ClearCoster, err = NewClearStepCoster(be, cfg); err != nil {
+		t.Fatal(err)
 	}
-	if fr.SLOAttainment() < target {
-		t.Errorf("returned fleet misses target: %.2f", fr.SLOAttainment())
+	n, got, err := SizeFleetForSLO(be, cfg, LeastLoaded, 0.9, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tally.byKind) != 0 {
+		t.Errorf("sizing fed the caller's observer events %v", tally.byKind)
+	}
+	if n != wantN || !reflect.DeepEqual(got, want) {
+		t.Errorf("observed sizing picked %d replicas, unobserved %d, or their reports differ", n, wantN)
 	}
 }
 

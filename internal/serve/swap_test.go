@@ -7,6 +7,7 @@ import (
 
 	"cllm/internal/dtype"
 	"cllm/internal/mem"
+	"cllm/internal/par"
 	"cllm/internal/tee"
 	"cllm/internal/trace"
 )
@@ -198,7 +199,8 @@ func TestSwapBeatsRecomputeOnCPUTEE(t *testing.T) {
 
 // TestAutoPolicyDeterministicAcrossRunsAndWorkers: auto's per-preemption
 // decision comes from the shared memoized coster, so reports must be
-// byte-identical across repeated runs and across sizing worker counts.
+// byte-identical across repeated runs and across concurrent fleets
+// costing through one table (the harness sweeps run cells that way).
 func TestAutoPolicyDeterministicAcrossRunsAndWorkers(t *testing.T) {
 	be, cfg := preemptionHeavyConfig()
 	cfg.PreemptPolicy = PreemptAuto
@@ -219,18 +221,35 @@ func TestAutoPolicyDeterministicAcrossRunsAndWorkers(t *testing.T) {
 		t.Fatalf("auto never swapped on a CPU TEE (%d preemptions)", a.Preemptions)
 	}
 
-	sloCfg := cfg
-	sloCfg.TTFTSLOSec, sloCfg.TPOTSLOSec = 2, 0.5
-	nSerial, repSerial, err := SizeFleetForSLO(be, sloCfg, LeastLoaded, 0.9, 8, 1)
+	fleetCfg := cfg
+	fleetCfg.Rate *= 2
+	fleetCfg.Trace = fixedLengthTrace(fleetCfg)
+	fc := FleetConfig{Replicas: 2, Policy: LeastLoaded}
+	serial, err := RunFleet(be, fleetCfg, fc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nPar, repPar, err := SizeFleetForSLO(be, sloCfg, LeastLoaded, 0.9, 8, 4)
+	if serial.Aggregate.SwapOuts == 0 {
+		t.Fatalf("auto never swapped in the fleet (%d preemptions)", serial.Aggregate.Preemptions)
+	}
+	if be.Coster, err = NewStepCoster(be, fleetCfg); err != nil {
+		t.Fatal(err)
+	}
+	const runs = 8
+	reps := make([]*FleetReport, runs)
+	err = par.For(4, runs, func(j int) error {
+		var err error
+		reps[j], err = RunFleet(be, fleetCfg, fc)
+		return err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nSerial != nPar || !reflect.DeepEqual(repSerial, repPar) {
-		t.Fatalf("auto-policy sizing differs across worker counts: %d vs %d replicas", nSerial, nPar)
+	for j, rep := range reps {
+		if !reflect.DeepEqual(serial, rep) {
+			t.Fatalf("concurrent shared-coster fleet %d diverges from the serial run:\n%+v\nvs\n%+v",
+				j, rep.Aggregate, serial.Aggregate)
+		}
 	}
 }
 

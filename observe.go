@@ -24,18 +24,13 @@ type ServeObservation struct {
 	// TimeseriesCSV is the merged windowed time series (queue depth,
 	// running batch, KV/swap occupancy, prefix hit rate, token rates).
 	TimeseriesCSV []byte
-	// PhaseCSV is the latency-attribution phase breakdown (one row per
-	// phase, plus TEE-tax rows). Nil unless attribution was enabled
-	// alongside observation.
-	PhaseCSV []byte
 }
 
 // buildObservation renders the recorder's stream against the run's
 // aggregate report, each artifact once. With an attribution engine
-// attached, the trace gains the phase/tax counter tracks, the Prometheus
-// snapshot the per-phase histogram families, and PhaseCSV the phase
-// breakdown of arep, the engine's already-built report.
-func buildObservation(rec *obs.Recorder, attrib *obs.Attribution, arep *obs.AttribReport, rep *serve.Report) *ServeObservation {
+// attached, the trace gains the phase/tax counter tracks and the
+// Prometheus snapshot the per-phase histogram families.
+func buildObservation(rec *obs.Recorder, attrib *obs.Attribution, rep *serve.Report) *ServeObservation {
 	o := &ServeObservation{
 		Events:         rec.Len(),
 		Windows:        len(rec.Series().Merged()),
@@ -45,7 +40,6 @@ func buildObservation(rec *obs.Recorder, attrib *obs.Attribution, arep *obs.Attr
 	}
 	if attrib != nil {
 		o.PrometheusText = append(o.PrometheusText, attrib.PrometheusText(rep.Platform)...)
-		o.PhaseCSV = arep.PhaseCSV()
 	}
 	return o
 }

@@ -200,10 +200,10 @@ func (s *Session) Serve(cfg ServeConfig) (*ServeReport, error) {
 
 	var rep *serve.Report
 	var fleet *serve.FleetReport
-	var topoHourly float64
+	var fleetHourly float64
 	switch {
 	case cfg.Topology != "":
-		fleet, topoHourly, err = s.runTopology(cfg, scfg)
+		fleet, fleetHourly, err = s.runTopology(cfg, scfg)
 		if err != nil {
 			return nil, err
 		}
@@ -226,44 +226,36 @@ func (s *Session) Serve(cfg ServeConfig) (*ServeReport, error) {
 		out.Attrib = attrib.Report(rep.Platform)
 	}
 	if rec != nil {
-		out.Observation = buildObservation(rec, attrib, out.Attrib, rep)
+		out.Observation = buildObservation(rec, attrib, rep)
 		rec.Recycle()
 	}
 
-	if cfg.Topology != "" {
-		// A topology fleet mixes rental rates: price the whole fleet from
-		// the per-group sum runTopology computed.
-		out.Replicas = len(fleet.PerReplica)
-		out.LBPolicy = fleet.Policy
-		out.Topology = fleet.Topology
-		out.ReplicasAtSLO = len(fleet.PerReplica)
-		out.FleetHourlyUSD = topoHourly
-		if usd, err := fleet.CostPerMTokTotal(topoHourly); err == nil {
-			out.SLOFeasible = true
-			out.USDPerMTokAtSLO = usd
+	if cfg.Topology == "" {
+		hourly, err := s.serveHourlyUSD(cfg)
+		if err != nil {
+			return nil, err
 		}
-		return &out, nil
-	}
-	hourly, err := s.serveHourlyUSD(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if fleet != nil {
-		out.Replicas = cfg.Replicas
-		out.LBPolicy = fleet.Policy
-		out.ReplicasAtSLO = cfg.Replicas
-		out.FleetHourlyUSD = hourly * float64(cfg.Replicas)
-		if usd, err := fleet.CostPerMTok(hourly); err == nil {
-			out.SLOFeasible = true
-			out.USDPerMTokAtSLO = usd
+		if fleet == nil {
+			if cost, err := rep.CostAtSLO(hourly); err == nil {
+				out.SLOFeasible = true
+				out.ReplicasAtSLO = cost.Replicas
+				out.FleetHourlyUSD = cost.FleetHourlyUSD
+				out.USDPerMTokAtSLO = cost.USDPerMTok
+			}
+			return &out, nil
 		}
-		return &out, nil
+		fleetHourly = hourly * float64(cfg.Replicas)
 	}
-	if cost, err := rep.CostAtSLO(hourly); err == nil {
+	// A simulated fleet is priced from its total rent (a topology mixes
+	// rental rates, so runTopology summed them per group).
+	out.Replicas = len(fleet.PerReplica)
+	out.LBPolicy = fleet.Policy
+	out.Topology = fleet.Topology
+	out.ReplicasAtSLO = out.Replicas
+	out.FleetHourlyUSD = fleetHourly
+	if usd, err := fleet.CostPerMTok(fleetHourly); err == nil {
 		out.SLOFeasible = true
-		out.ReplicasAtSLO = cost.Replicas
-		out.FleetHourlyUSD = cost.FleetHourlyUSD
-		out.USDPerMTokAtSLO = cost.USDPerMTok
+		out.USDPerMTokAtSLO = usd
 	}
 	return &out, nil
 }
