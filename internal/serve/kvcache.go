@@ -426,6 +426,10 @@ func (m *BlockManager) reserve(n int) bool {
 	return true
 }
 
+// available is how many blocks reserve can free up: the free blocks plus
+// the cached ones, all of which eviction can reclaim.
+func (m *BlockManager) available() int { return m.free + m.cached }
+
 // AcquirePrefix pins the request onto the shared blocks of its prompt
 // prefix, publishing blocks that are not cached yet. prefixHash is the
 // chained identity of the prefix content; prefixTokens its length (only

@@ -25,13 +25,20 @@ const (
 	// decode replica's queue (see handoff.go). Terminally it reports as
 	// Unfinished — a handoff cut off by the horizon never completed.
 	phaseHandoff
+	// phaseDecoding marks a running, fully prefilled row on its replica's
+	// decode clock: its generated count is stored as of the clock's
+	// syncTick (see decodeClock). Terminally it reports as Unfinished.
+	phaseDecoding
 )
 
 // reqState tracks one request through the scheduler.
 type reqState struct {
 	req Request
 	// generated counts produced output tokens; survives preemption (the
-	// delivered tokens are not un-delivered, the cache is recomputed).
+	// delivered tokens are not un-delivered, the cache is recomputed). On
+	// a phaseDecoding row it is the count as of the decode clock's
+	// syncTick; only the clock reads it there (the settle rule, see
+	// decodeClock).
 	generated   int
 	preemptions int
 	// prefilled counts prompt tokens whose KV entries exist (computed this
@@ -124,37 +131,19 @@ type scheduler struct {
 	running   []*reqState // admission order (index 0 = oldest)
 	iterating bool
 
-	// decoding is the decode list: the fully-prefilled rows of running, in
-	// admission order. It persists across rounds and is rebuilt (syncDecoding)
-	// only after decodeStale marks a membership change — an admitted restored
-	// row, a prefill completion, a finish, a handoff or a preemption (crashes
-	// included). prefilling counts the running rows still mid-prefill, so the
-	// continuation pass is skipped outright when none is. A round decodes the
-	// list's first shape.batch rows.
-	decoding    []*reqState
-	prefilling  int
-	decodeStale bool
+	// clock holds the decode rows: the fully prefilled running rows, which
+	// each append one token per round. prefilling counts the running rows
+	// still mid-prefill, so the continuation pass is skipped outright when
+	// none is.
+	clock      decodeClock
+	prefilling int
 
-	// Per-iteration scratch, reused across iterations: the iterating flag
-	// guarantees at most one round is in flight per scheduler, so what
-	// iterate builds is stable until finishIteration consumes it. shape is
-	// the round's costed shape; swap transfers within one round coalesce
-	// into it, one copy per direction.
-	chunks   []chunkWork
-	shape    roundShape
-	slotBuf  []int32
+	round    roundState
 	finishFn func(*sim.Engine) // cached closure; one alloc per scheduler, not per round
 
 	// producedTot counts every output token produced so far; gauge samples
 	// report it cumulatively so windowed throughput differences cleanly.
 	producedTot int
-	// roundProduced is the current round's production, consumed by the
-	// per-round decode event (reset in finishIteration).
-	roundProduced int
-	// round holds the in-flight round's raw pre-noise costs (observer runs
-	// only), overwritten by every iterationTime call and consumed by the
-	// round event.
-	round roundCost
 	// The outcome ledger the report is built from (see driver.go): kept
 	// retains the states of every request submitted here, in arrival order;
 	// a lone sketch-mode replica instead streams its outcomes into stream
@@ -238,10 +227,10 @@ func newScheduler(be Backend, cfg Config, eng *sim.Engine, noise *sim.Noise) (*s
 	}
 	s := &scheduler{cfg: cfg, eng: eng, noise: noise, kv: kv, coster: coster, protected: be.protected(), obs: cfg.Observer}
 	s.rep.Platform = be.platformName()
-	// Admission holds running within MaxBatch and the decode list is drawn
+	// Admission holds running within MaxBatch and the clock's rows are drawn
 	// from it, so neither ever grows.
 	rows := make([]*reqState, 2*cfg.MaxBatch)
-	s.running, s.decoding = rows[:0:cfg.MaxBatch], rows[cfg.MaxBatch:cfg.MaxBatch]
+	s.running, s.clock.rows = rows[:0:cfg.MaxBatch], rows[cfg.MaxBatch:cfg.MaxBatch]
 	if cfg.Faults.Admission != AdmitFIFO {
 		s.queue.edf = new(edfIndex)
 	}
@@ -523,13 +512,13 @@ func (s *scheduler) kick() {
 //     prompts, reusing shared prefix blocks when sharing is on.
 func (s *scheduler) iterate() {
 	now := float64(s.eng.Now())
-	s.shape = roundShape{}
+	s.round.shape = roundShape{}
 
 	// Chunk budget: new prompt tokens this iteration. 0 = monolithic
 	// (unlimited) prefills.
 	budget := s.cfg.ChunkTokens
 	chunked := budget > 0
-	chunks := s.chunks[:0]
+	chunks := s.round.chunks[:0]
 
 	// 1. Prefill continuation pass (oldest first). A sequence that cannot
 	// grow its cache preempts the youngest running sequence, possibly
@@ -618,7 +607,7 @@ func (s *scheduler) iterate() {
 			if err != nil {
 				s.fail(err)
 				s.iterating = false
-				s.chunks = chunks
+				s.round.chunks = chunks
 				return
 			}
 			cached = c
@@ -661,7 +650,7 @@ func (s *scheduler) iterate() {
 			// recompute (MarkComputed makes them hits for later sharers).
 			in := restored - cached
 			if in > 0 {
-				s.shape.swapIn += in
+				s.round.shape.swapIn += in
 			} else {
 				in = 0
 			}
@@ -677,7 +666,7 @@ func (s *scheduler) iterate() {
 		if head.prefilling() {
 			s.prefilling++
 		} else {
-			s.decodeStale = true // a fully restored swap copy decodes from next round
+			s.clock.join(head) // a fully restored swap copy decodes from next round
 		}
 		if chunk > 0 {
 			chunks = append(chunks, chunkWork{r: head, tokens: chunk, hist: computed})
@@ -687,8 +676,8 @@ func (s *scheduler) iterate() {
 		}
 	}
 
-	s.chunks = chunks
-	if s.shape.batch == 0 && len(chunks) == 0 && s.shape.swapOut == 0 && s.shape.swapIn == 0 {
+	s.round.chunks = chunks
+	if s.round.shape.batch == 0 && len(chunks) == 0 && s.round.shape.swapOut == 0 && s.round.shape.swapIn == 0 {
 		// Nothing can make progress now; the next arrival (or nothing)
 		// restarts the loop. With an empty running set the pool's active
 		// blocks are free (cached blocks evict on demand), so a non-fitting
@@ -704,7 +693,7 @@ func (s *scheduler) iterate() {
 	// one decode step share the round. (Stalled decodes keep their grown
 	// block for the next round.)
 	if !chunked && len(chunks) > 0 {
-		s.shape.batch, s.shape.ctxSum = 0, 0
+		s.round.shape.batch, s.round.shape.ctxSum = 0, 0
 	}
 
 	dur, err := s.iterationTime(chunks)
@@ -719,57 +708,54 @@ func (s *scheduler) iterate() {
 	s.eng.Schedule(sim.Time(dur), s.finishFn)
 }
 
-// reserveDecode is the decode capacity pass: every row of the decode list
-// must be able to append one token. A row whose held blocks already cover
-// it (ctx+1 ≤ kv.cap, nearly every round) costs a load and a compare; only
-// a row crossing a block boundary enters the BlockManager. When the pool is
-// exhausted, preempt the youngest running sequence (vLLM's recompute
-// policy): release its blocks and requeue it at the front, where it will
-// re-prefill its full context later (shared prefix blocks may still be
-// cached then). The pool changed, so the pass re-runs from the oldest row.
-// The round's decode batch — a leading run of the list — and its context
-// sum go to s.shape; chunks comes back without the victims' work.
+// reserveDecode is the decode capacity pass: every decode row must be able
+// to append one token. A steady round asks the clock (reserveBoundary):
+// only the rows reaching a block boundary this round enter the
+// BlockManager, and the context sum comes from the clock's base. When the
+// pool cannot give each of them its block, the per-row pass runs from
+// settled counts in admission order: a row whose held blocks already cover
+// it (ctx+1 ≤ kv.cap) costs a load and a compare, a row crossing a boundary
+// grows, and on exhaustion the youngest running sequence is preempted
+// (vLLM's recompute policy): its blocks are released and it requeues at the
+// front, where it will re-prefill its full context later (shared prefix
+// blocks may still be cached then). The pool changed, so the pass re-runs
+// from the oldest row. The round's decode batch — a leading run of the
+// decode rows in admission order — and its context sum go to
+// s.round.shape; chunks comes back without the victims' work.
 func (s *scheduler) reserveDecode(chunks []chunkWork) []chunkWork {
-	s.syncDecoding()
-	ctx := 0
-	for i := 0; i < len(s.decoding); {
-		r := s.decoding[i]
-		c := r.ctxTokens()
-		if c+1 <= int(r.kv.cap) || s.kv.grow(&r.kv, r.req.ID, c+1) {
-			ctx += c
+	c := &s.clock
+	sh := &s.round.shape
+	if !perRowTestHook && s.reserveBoundary() {
+		sh.batch, sh.ctxSum = len(c.rows), c.ctxSum()
+		return chunks
+	}
+	c.settle()
+	ctx, i := 0, 0
+	for j := 0; j < len(s.running); j++ {
+		r := s.running[j]
+		if r.phase != phaseDecoding {
+			continue
+		}
+		n := r.ctxTokens()
+		if n+1 <= int(r.kv.cap) || s.kv.grow(&r.kv, r.req.ID, n+1) {
+			ctx += n
 			i++
 			continue
 		}
 		victim := s.victim()
 		s.preempt(victim, ReasonDecodeStall)
 		chunks = dropChunk(chunks, victim)
-		s.syncDecoding()
 		if victim == r {
 			// r stalled itself: the rows before it are this round's batch,
 			// and any after it (a class-ranked victim choice leaves some)
 			// wait a round.
-			s.shape.batch, s.shape.ctxSum = i, ctx
-			return chunks
+			break
 		}
-		i, ctx = 0, 0
+		j, i, ctx = -1, 0, 0
 	}
-	s.shape.batch, s.shape.ctxSum = len(s.decoding), ctx
+	sh.batch, sh.ctxSum = i, ctx
+	c.resort() // rows grew out of the clock's order
 	return chunks
-}
-
-// syncDecoding rebuilds the decode list from the running batch after a
-// membership change.
-func (s *scheduler) syncDecoding() {
-	if !s.decodeStale {
-		return
-	}
-	d := s.decoding[:0]
-	for _, r := range s.running {
-		if !r.prefilling() {
-			d = append(d, r)
-		}
-	}
-	s.decoding, s.decodeStale = d, false
 }
 
 // dropChunk cancels a preempted sequence's chunk work for this iteration.
@@ -784,13 +770,13 @@ func dropChunk(chunks []chunkWork, victim *reqState) []chunkWork {
 
 // dropRunning removes r from the running batch, keeping admission order,
 // and books the membership change: a row mid-prefill leaves the prefilling
-// count, a decoding row stales the decode list. Dropping the youngest row
-// (the usual preemption victim) is an O(1) pop.
+// count, a decode row leaves the clock. Dropping the youngest row (the
+// usual preemption victim) is an O(1) pop.
 func (s *scheduler) dropRunning(r *reqState) {
 	if r.prefilling() {
 		s.prefilling--
 	} else {
-		s.decodeStale = true
+		s.clock.leave(r)
 	}
 	if n := len(s.running); n > 0 && s.running[n-1] == r {
 		s.running[n-1] = nil // release for GC; append will overwrite
@@ -816,6 +802,12 @@ func (s *scheduler) dropRunning(r *reqState) {
 // retry makes progress. reason labels the preemption event with the
 // capacity pass that chose the victim.
 func (s *scheduler) preempt(r *reqState, reason PreemptReason) {
+	if r.phase == phaseDecoding {
+		// The event and the swap-out read its count; resort refreshes
+		// nextDue, which r may have set.
+		s.clock.leave(r)
+		s.clock.resort()
+	}
 	if s.obs != nil {
 		s.event(Event{Kind: EvPreempt, ReqID: r.req.ID, Tokens: r.computedTokens(),
 			Policy: s.cfg.PreemptPolicy, Reason: reason})
@@ -860,7 +852,7 @@ func (s *scheduler) trySwapOut(r *reqState) bool {
 	r.prefilled = 0
 	r.prefillTarget = 0
 	s.rep.SwapOuts++
-	s.shape.swapOut += tokens
+	s.round.shape.swapOut += tokens
 	if s.obs != nil {
 		s.swapEvent(EvSwapOut, r.req.ID, tokens)
 	}
@@ -893,11 +885,11 @@ func (s *scheduler) swapCheaper(r *reqState, tokens int) bool {
 // cached history; KV traffic is linear in totals, so the mean is exact for
 // the memory-bound path, approximate for attention-FLOPs skew (same
 // approximation the decode batch uses). The decode batch and swap
-// transfers are already on s.shape; when prefix sharing is on, repeat
+// transfers are already on s.round.shape; when prefix sharing is on, repeat
 // reads of shared blocks are flagged so the roofline's TLB/enclave working
 // set counts each shared page once.
 func (s *scheduler) iterationTime(chunks []chunkWork) (float64, error) {
-	sh := &s.shape
+	sh := &s.round.shape
 	if len(chunks) > 0 {
 		sumTok, sumHist := 0, 0
 		for _, cw := range chunks {
@@ -909,12 +901,18 @@ func (s *scheduler) iterationTime(chunks []chunkWork) (float64, error) {
 		sh.chunkHist = sumHist / len(chunks)
 	}
 	if sh.batch > 0 && s.cfg.PrefixSharing {
-		slots := s.slotBuf[:0]
-		for _, r := range s.decoding[:sh.batch] {
-			slots = append(slots, r.kv.slot)
+		if sh.batch == len(s.clock.rows) {
+			sh.shared = s.sharedTokens()
+		} else {
+			slots := s.round.slots[:0]
+			for _, r := range s.running {
+				if r.phase == phaseDecoding && len(slots) < sh.batch {
+					slots = append(slots, r.kv.slot)
+				}
+			}
+			s.round.slots = slots
+			sh.shared = s.kv.dedupSaved(slots)
 		}
-		s.slotBuf = slots
-		sh.shared = s.kv.dedupSaved(slots)
 	}
 	rc, err := priceRound(s.coster, sh)
 	if err != nil {
@@ -925,7 +923,7 @@ func (s *scheduler) iterationTime(chunks []chunkWork) (float64, error) {
 	// is priced again on the clear-hardware twin. Neither feeds the engine
 	// clock, so observed runs stay bit-identical to bare ones.
 	if s.obs != nil {
-		s.round = rc
+		s.round.cost = rc
 		if s.attr != nil {
 			if s.attr.round, err = priceRound(s.attr.clear, sh); err != nil {
 				return 0, err
@@ -944,6 +942,22 @@ type roundShape struct {
 	chunkRows, chunkTok, chunkHist int
 	batch, ctxSum, shared          int
 	swapOut, swapIn                int
+}
+
+// roundState is the in-flight round's scratch, reused across rounds: the
+// iterating flag guarantees at most one round is in flight per scheduler,
+// so what iterate builds is stable until finishIteration consumes it.
+// chunks is the round's prefill work and shape its costed shape (swap
+// transfers within one round coalesce into it, one copy per direction);
+// slots is the dedup scratch; produced counts the round's tokens for the
+// round event; cost holds the round's raw pre-noise costs (observer runs
+// only).
+type roundState struct {
+	chunks   []chunkWork
+	shape    roundShape
+	slots    []int32
+	produced int
+	cost     roundCost
 }
 
 // roundCost is a round priced on one coster: its raw (pre-noise) prefill,
@@ -1004,13 +1018,13 @@ func (s *scheduler) finishIteration() {
 		return
 	}
 	now := float64(s.eng.Now())
-	s.roundProduced = 0
+	s.round.produced = 0
 	// Prefill chunks commit their progress; a chunk that completes the
 	// prompt produces the request's next token (the first, or — after
-	// preemption — the one the recomputed cache enables) and moves the row
-	// onto the decode list. Completed prefix blocks become cache hits for
-	// later sharers.
-	for _, cw := range s.chunks {
+	// preemption — the one the recomputed cache enables), and the row joins
+	// the decode clock at the flush below. Completed prefix blocks become
+	// cache hits for later sharers.
+	for _, cw := range s.round.chunks {
 		r := cw.r
 		if r.phase != phaseRunning { // preempted mid-round (cannot happen, but be safe)
 			continue
@@ -1022,30 +1036,23 @@ func (s *scheduler) finishIteration() {
 		s.kv.markComputed(r.kv.slot, r.prefilled)
 		if !r.prefilling() {
 			s.prefilling--
-			s.decodeStale = true
 			s.produce(r, now)
+			if r.phase == phaseRunning {
+				s.clock.join(r)
+			}
 		}
 	}
-	// The decode batch: a row past its first token that does not finish
-	// this round only counts its token, and the counters are added once;
-	// first tokens, finishes and handoffs go through produce.
-	n := 0
-	for _, r := range s.decoding[:s.shape.batch] {
-		if r.phase != phaseRunning {
-			continue
-		}
-		if r.firstTokenAt != 0 && r.generated+1 < r.req.OutputLen {
-			r.generated++
-			n++
-			continue
-		}
-		s.produce(r, now)
-	}
+	// The decode batch: the rows that only count their token are counted
+	// once, here; first tokens, finishes and handoffs go through produce.
+	n := s.commitDecode(now)
 	s.producedTot += n
-	s.roundProduced += n
+	s.round.produced += n
+	if s.clock.pending > 0 {
+		s.clock.flush()
+	}
 	if s.obs != nil {
-		ev := Event{Kind: EvDecodeRound, ReqID: -1, Tokens: s.roundProduced, Hist: s.shape.batch,
-			PrefillSec: s.round.prefill, DecodeSec: s.round.decode, SwapSec: s.round.swap}
+		ev := Event{Kind: EvDecodeRound, ReqID: -1, Tokens: s.round.produced, Hist: s.round.shape.batch,
+			PrefillSec: s.round.cost.prefill, DecodeSec: s.round.cost.decode, SwapSec: s.round.cost.swap}
 		if s.attr != nil {
 			ev.ClearPrefillSec, ev.ClearDecodeSec, ev.ClearSwapSec = s.attr.round.prefill, s.attr.round.decode, s.attr.round.swap
 		}
@@ -1083,7 +1090,7 @@ func (s *scheduler) finishIteration() {
 func (s *scheduler) produce(r *reqState, now float64) {
 	r.generated++
 	s.producedTot++
-	s.roundProduced++
+	s.round.produced++
 	if r.firstTokenAt == 0 {
 		r.firstTokenAt = now
 		if s.obs != nil {
@@ -1130,6 +1137,7 @@ func (s *scheduler) produce(r *reqState, now float64) {
 // rates and quantiles. Call it after the engine has drained (or hit its
 // horizon); calling it again rebuilds the same report.
 func (s *scheduler) report() *Report {
+	s.clock.settle() // rows still decoding at the horizon
 	rep := new(Report)
 	*rep = s.rep
 	rep.OfferedRate = offeredRate(s.cfg)

@@ -13,7 +13,6 @@ package serve
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"cllm/internal/cloud"
@@ -716,20 +715,20 @@ func (r *Report) finish() {
 	r.TPOT = quantiles(xs)
 }
 
+// reportPercentiles are the percentiles a Report's Quantiles carry.
+var reportPercentiles = []float64{50, 95, 99}
+
 // quantiles summarizes a sample set: the mean in sample order, then the
-// interpolated percentiles of stats.PercentileSorted. It sorts xs in place.
+// interpolated percentiles of stats.PercentileSorted, selected rather
+// than sorted. It reorders xs in place.
 func quantiles(xs []float64) Quantiles {
 	if len(xs) == 0 {
 		return Quantiles{}
 	}
 	mean := stats.Mean(xs)
-	sort.Float64s(xs)
-	return Quantiles{
-		Mean: mean,
-		P50:  stats.PercentileSorted(xs, 50),
-		P95:  stats.PercentileSorted(xs, 95),
-		P99:  stats.PercentileSorted(xs, 99),
-	}
+	var q [3]float64
+	stats.SelectPercentiles(xs, reportPercentiles, q[:])
+	return Quantiles{Mean: mean, P50: q[0], P95: q[1], P99: q[2]}
 }
 
 // sketchQuantiles summarizes a streaming sketch in the report's Quantiles

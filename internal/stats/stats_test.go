@@ -1,7 +1,10 @@
 package stats
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -140,5 +143,113 @@ func TestFilterZScoreProperty(t *testing.T) {
 		return StdDev(kept) <= StdDev(clean)
 	}, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// sortedPercentiles is the reference SelectPercentiles is held to: sort a
+// copy, then interpolate each percentile with PercentileSorted.
+func sortedPercentiles(xs, ps []float64) []float64 {
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	out := make([]float64, len(ps))
+	for i, p := range ps {
+		out[i] = PercentileSorted(sorted, p)
+	}
+	return out
+}
+
+// samePercentile reports whether a selected percentile matches the sorted
+// one bit for bit. Two zeros of either sign, and two NaNs, also match:
+// sort.Float64s orders -0 and +0 (and NaNs) as ties, so which of them a
+// rank lands on is not defined by the sort either.
+func samePercentile(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (a == 0 && b == 0) || (a != a && b != b)
+}
+
+// checkSelected compares SelectPercentiles with the sort-based reference
+// on xs, and checks that it leaves xs a permutation of its input.
+func checkSelected(t *testing.T, xs, ps []float64) {
+	t.Helper()
+	want := sortedPercentiles(xs, ps)
+	work := append([]float64(nil), xs...)
+	got := make([]float64, len(ps))
+	SelectPercentiles(work, ps, got)
+	show := fmt.Sprint(xs)
+	if len(xs) > 20 {
+		show = fmt.Sprintf("%d samples from %v", len(xs), xs[:20])
+	}
+	for i := range ps {
+		if !samePercentile(got[i], want[i]) {
+			t.Fatalf("p%g of %s: selected %v, sorted %v", ps[i], show, got[i], want[i])
+		}
+	}
+	a, b := append([]float64(nil), xs...), work
+	sort.Float64s(a)
+	sort.Float64s(b)
+	for i := range a {
+		if !samePercentile(a[i], b[i]) {
+			t.Fatalf("selection of %s left a different multiset", show)
+		}
+	}
+	if len(ps) == 1 {
+		if p := Percentile(xs, ps[0]); !samePercentile(p, want[0]) {
+			t.Fatalf("Percentile(%s, %g) = %v, sorted %v", show, ps[0], p, want[0])
+		}
+	}
+}
+
+// TestSelectPercentilesMatchesSort holds the selection to the sort-based
+// path on small and tied inputs, all-equal runs, NaNs and infinities, and
+// random slices long enough to exercise the partitioning, under the
+// report's percentile set, the extremes, and single percentiles.
+func TestSelectPercentilesMatchesSort(t *testing.T) {
+	pss := [][]float64{
+		{50, 95, 99},
+		{0, 25, 50, 75, 100},
+		{-5, 0.1, 33.3, 99.9, 105},
+		{50}, {95}, {99}, {0}, {100},
+	}
+	inputs := [][]float64{
+		{},
+		{7},
+		{2, 1},
+		{1, 1},
+		{3, 1, 2},
+		{2, 2, 1},
+		{5, 5, 5},
+		{1, 2, 2, 2, 3, 3, 1, 1, 2},
+		{math.Inf(1), 1, math.Inf(-1), 0, math.NaN(), 2, math.NaN()},
+	}
+	for n := 1; n <= 3; n++ {
+		for v := 0; v < 27; v++ {
+			xs := make([]float64, n)
+			for i, w := 0, v; i < n; i, w = i+1, w/3 {
+				xs[i] = float64(w % 3)
+			}
+			inputs = append(inputs, xs)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{13, 100, 1000, 20000} {
+		spread := make([]float64, n)
+		few := make([]float64, n)
+		equal := make([]float64, n)
+		asc := make([]float64, n)
+		for i := range spread {
+			spread[i] = rng.ExpFloat64()
+			few[i] = float64(rng.Intn(4))
+			equal[i] = 0.25
+			asc[i] = float64(i)
+		}
+		desc := make([]float64, n)
+		for i := range desc {
+			desc[i] = float64(n - i)
+		}
+		inputs = append(inputs, spread, few, equal, asc, desc)
+	}
+	for _, xs := range inputs {
+		for _, ps := range pss {
+			checkSelected(t, xs, ps)
+		}
 	}
 }
