@@ -2,6 +2,7 @@ package cllm
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 )
@@ -392,11 +393,11 @@ func TestAutoscalePublicAPI(t *testing.T) {
 	}
 }
 
-// TestValidateNamesRejectedField: a negative count, length or duration,
-// and the cross-field fault rules, fail Session.Serve with a *ConfigError
-// naming the ServeConfig field — the same error Validate returns without
-// running anything — and Autoscale rejects a negative control interval
-// the same way.
+// TestValidateNamesRejectedField: a negative count, length or duration, a
+// non-finite float knob, and the cross-field fault rules, fail
+// Session.Serve with a *ConfigError naming the ServeConfig field — the
+// same error Validate returns without running anything — and Autoscale
+// rejects an out-of-range or non-finite control-loop knob the same way.
 func TestValidateNamesRejectedField(t *testing.T) {
 	sess, err := Open(Config{Platform: "tdx", Seed: 1})
 	if err != nil {
@@ -411,6 +412,10 @@ func TestValidateNamesRejectedField(t *testing.T) {
 		"Replicas":               func(c *ServeConfig) { c.Replicas = -2 },
 		"TTFTSLOSec":             func(c *ServeConfig) { c.TTFTSLOSec = -1 },
 		"ObserveWindowSec":       func(c *ServeConfig) { c.ObserveWindowSec = -1 },
+		"RatePerSec":             func(c *ServeConfig) { c.RatePerSec = math.NaN() },
+		"TPOTSLOSec":             func(c *ServeConfig) { c.TPOTSLOSec = math.Inf(1) },
+		"PrefixFrac":             func(c *ServeConfig) { c.PrefixGroups, c.PrefixFrac = 2, math.NaN() },
+		"SketchAlpha":            func(c *ServeConfig) { c.QuantileMode, c.SketchAlpha = QuantileSketch, math.NaN() },
 		"Faults.MTBFSec":         func(c *ServeConfig) { c.Faults = FaultConfig{MTBFSec: 60, Plan: []FailPoint{{TimeSec: 30}}} },
 		"Faults.RetryBackoffSec": func(c *ServeConfig) { c.Faults.RetryBackoffSec = 2 },
 		"Faults.Admission": func(c *ServeConfig) {
@@ -434,6 +439,9 @@ func TestValidateNamesRejectedField(t *testing.T) {
 		cfg   AutoscaleConfig
 	}{
 		{"IntervalSec", AutoscaleConfig{Classes: []AutoscaleClass{{Platform: "tdx", Max: 1}}, IntervalSec: -5}},
+		{"IntervalSec", AutoscaleConfig{Classes: []AutoscaleClass{{Platform: "tdx", Max: 1}}, IntervalSec: math.NaN()}},
+		{"TargetUtil", AutoscaleConfig{Classes: []AutoscaleClass{{Platform: "tdx", Max: 1}}, TargetUtil: math.NaN()}},
+		{"DemandAlpha", AutoscaleConfig{Classes: []AutoscaleClass{{Platform: "tdx", Max: 1}}, DemandAlpha: math.NaN()}},
 		{"Classes", AutoscaleConfig{Classes: []AutoscaleClass{{Platform: "tdx", Min: 3, Max: 2}}}},
 		{"Classes", AutoscaleConfig{Classes: []AutoscaleClass{{Max: 1}}}},
 	} {
@@ -446,8 +454,9 @@ func TestValidateNamesRejectedField(t *testing.T) {
 }
 
 // TestServeRejectsOutOfRangeKnobs passes each typed policy knob a value
-// outside its declared constants and expects Serve to refuse it by name
-// rather than fall back to some policy.
+// outside its declared constants, and float knobs a NaN or infinity, and
+// expects Serve to refuse it by name rather than fall back to some policy
+// or run on a meaningless value.
 func TestServeRejectsOutOfRangeKnobs(t *testing.T) {
 	sess, err := Open(Config{Platform: "tdx", Seed: 1})
 	if err != nil {
@@ -459,6 +468,10 @@ func TestServeRejectsOutOfRangeKnobs(t *testing.T) {
 		"quantile mode":         func(c *ServeConfig) { c.QuantileMode = 7 },
 		"failure policy":        func(c *ServeConfig) { c.Faults.Policy = 7 },
 		"admission policy":      func(c *ServeConfig) { c.Faults.Admission = 7 },
+		"arrival rate":          func(c *ServeConfig) { c.RatePerSec = math.Inf(1) },
+		"observation window":    func(c *ServeConfig) { c.ObserveWindowSec = math.NaN() },
+		"failure MTBF":          func(c *ServeConfig) { c.Faults.MTBFSec = math.Inf(1) },
+		"retry backoff base":    func(c *ServeConfig) { c.Faults.RetryMax, c.Faults.RetryBackoffSec = 1, math.NaN() },
 	} {
 		for _, replicas := range []int{1, 2} {
 			cfg := ServeConfig{RatePerSec: 4, Requests: 8, Replicas: replicas}

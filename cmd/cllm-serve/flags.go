@@ -90,9 +90,14 @@ func flagTable(o *options) []flagSpec {
 		},
 		{
 			name: "rate", field: "RatePerSec",
-			usage:   "base (mean) arrival rate (requests/s) (default 8)",
-			add:     nonZero(&o.cfg.RatePerSec, 8),
-			rejects: []rejection{{args: []string{"-rate", "0"}, want: "-rate"}},
+			usage: "base (mean) arrival rate (requests/s) (default 8)",
+			add:   nonZero(&o.cfg.RatePerSec, 8),
+			rejects: []rejection{
+				{args: []string{"-rate", "0"}, want: "-rate"},
+				{args: []string{"-rate", "NaN"}, want: "-rate"},
+				{args: []string{"-rate", "Inf"}, want: "-rate"},
+				{args: []string{"-scenario", "diurnal", "-rate", "NaN"}, want: "-rate"},
+			},
 		},
 		{
 			name: "requests", field: "Requests",
@@ -148,6 +153,7 @@ func flagTable(o *options) []flagSpec {
 			rejects: []rejection{
 				{args: []string{"-prefix-share", "-prefix-frac", "1.5"}, want: "-prefix-frac"},
 				{args: []string{"-prefix-groups", "2", "-prefix-frac", "-0.1"}, want: "-prefix-frac"},
+				{args: []string{"-prefix-share", "-prefix-frac", "NaN"}, want: "-prefix-frac"},
 			},
 		},
 		{
@@ -228,6 +234,7 @@ func flagTable(o *options) []flagSpec {
 			rejects: []rejection{
 				{args: []string{"-target-util", "2"}, want: "-target-util"},
 				{args: []string{"-target-util", "0"}, want: "-target-util"},
+				{args: []string{"-target-util", "NaN"}, want: "-target-util"},
 			},
 		},
 		{
@@ -237,6 +244,8 @@ func flagTable(o *options) []flagSpec {
 			rejects: []rejection{
 				{args: []string{"-interval", "-5"}, want: "-interval"},
 				{args: []string{"-interval", "0"}, want: "-interval"},
+				{args: []string{"-autoscale", "-interval", "NaN"}, want: "-interval"},
+				{args: []string{"-interval", "Inf"}, want: "-interval"},
 			},
 		},
 		{
@@ -253,6 +262,7 @@ func flagTable(o *options) []flagSpec {
 				{args: []string{"-sketch-alpha", "-0.1"}, want: "-sketch-alpha"},
 				{args: []string{"-sketch-alpha", "1"}, want: "-sketch-alpha"},
 				{args: []string{"-sketch-alpha", "1.5"}, want: "-sketch-alpha"},
+				{args: []string{"-quantile-mode", "sketch", "-sketch-alpha", "NaN"}, want: "-sketch-alpha"},
 			},
 		},
 		{
@@ -324,9 +334,12 @@ func flagTable(o *options) []flagSpec {
 		},
 		{
 			name: "obs-window", field: "ObserveWindowSec",
-			usage:   "observation time-series window in simulated seconds (0 = 1s default)",
-			add:     func(fs *flag.FlagSet, n, u string) { fs.Float64Var(&o.cfg.ObserveWindowSec, n, 0, u) },
-			rejects: []rejection{{args: []string{"-obs-window", "-1"}, want: "-obs-window"}},
+			usage: "observation time-series window in simulated seconds (0 = 1s default)",
+			add:   func(fs *flag.FlagSet, n, u string) { fs.Float64Var(&o.cfg.ObserveWindowSec, n, 0, u) },
+			rejects: []rejection{
+				{args: []string{"-obs-window", "-1"}, want: "-obs-window"},
+				{args: []string{"-obs-window", "NaN"}, want: "-obs-window"},
+			},
 		},
 		{
 			name: "attrib", field: "Attribution",
@@ -373,6 +386,7 @@ func flagTable(o *options) []flagSpec {
 			rejects: []rejection{
 				{args: []string{"-demand-alpha", "3"}, want: "-demand-alpha"},
 				{args: []string{"-demand-alpha", "-0.5"}, want: "-demand-alpha"},
+				{args: []string{"-demand-alpha", "NaN"}, want: "-demand-alpha"},
 			},
 		},
 		{
@@ -382,6 +396,8 @@ func flagTable(o *options) []flagSpec {
 			rejects: []rejection{
 				{args: []string{"-fail-mtbf", "-1"}, want: "-fail-mtbf"},
 				{args: []string{"-fail-mtbf", "60", "-fail-plan", "30"}, want: "-fail-mtbf"},
+				{args: []string{"-fail-mtbf", "NaN"}, want: "-fail-mtbf"},
+				{args: []string{"-fail-mtbf", "Inf"}, want: "-fail-mtbf"},
 			},
 		},
 		{
@@ -426,9 +442,12 @@ func flagTable(o *options) []flagSpec {
 		},
 		{
 			name: "slo-ttft", field: "TTFTSLOSec",
-			usage:   "TTFT SLO (seconds)",
-			add:     func(fs *flag.FlagSet, n, u string) { fs.Float64Var(&o.cfg.TTFTSLOSec, n, 5, u) },
-			rejects: []rejection{{args: []string{"-slo-ttft", "-1"}, want: "-slo-ttft"}},
+			usage: "TTFT SLO (seconds)",
+			add:   func(fs *flag.FlagSet, n, u string) { fs.Float64Var(&o.cfg.TTFTSLOSec, n, 5, u) },
+			rejects: []rejection{
+				{args: []string{"-slo-ttft", "-1"}, want: "-slo-ttft"},
+				{args: []string{"-slo-ttft", "NaN"}, want: "-slo-ttft"},
+			},
 		},
 		{
 			name: "slo-tpot", field: "TPOTSLOSec",

@@ -128,6 +128,8 @@ func (c Config) Validate() error { return c.normalize() }
 
 func (c *Config) normalize() error {
 	switch {
+	case math.IsNaN(c.IntervalSec) || math.IsInf(c.IntervalSec, 0):
+		return serve.FieldError("IntervalSec", "autoscale: control interval %g is not finite", c.IntervalSec)
 	case c.IntervalSec < 0:
 		return serve.FieldError("IntervalSec", "autoscale: control interval %g is negative (0 selects the 15 s default)", c.IntervalSec)
 	case c.IntervalSec == 0:
@@ -136,13 +138,13 @@ func (c *Config) normalize() error {
 	if c.TargetUtil == 0 {
 		c.TargetUtil = 0.7
 	}
-	if c.TargetUtil < 0 || c.TargetUtil > 1 {
+	if !(c.TargetUtil > 0 && c.TargetUtil <= 1) {
 		return serve.FieldError("TargetUtil", "autoscale: target utilization %g outside (0, 1]", c.TargetUtil)
 	}
 	if c.DemandAlpha == 0 {
 		c.DemandAlpha = 1
 	}
-	if c.DemandAlpha < 0 || c.DemandAlpha > 1 {
+	if !(c.DemandAlpha > 0 && c.DemandAlpha <= 1) {
 		return serve.FieldError("DemandAlpha", "autoscale: demand EWMA alpha %g outside (0, 1]", c.DemandAlpha)
 	}
 	switch c.Dispatch {

@@ -19,6 +19,7 @@ import (
 	"cllm/internal/gramine"
 	"cllm/internal/hw"
 	"cllm/internal/obs"
+	"cllm/internal/par"
 	"cllm/internal/perf"
 	"cllm/internal/serve"
 	"cllm/internal/tee"
@@ -170,7 +171,7 @@ func runAttribution(o Options) (*Result, error) {
 	// deterministic — byte-identical phase CSVs from repeated runs.
 	scenarios := []attribScenario{cgpuSwap, sgxSwap, sgxDecode, tdxSat, cgpuSwap}
 	outs := make([]*attribOutcome, len(scenarios))
-	err = parallelFor(o.workers(), len(scenarios), func(i int) error {
+	err = par.For(o.Workers, len(scenarios), func(i int) error {
 		out, err := runAttrib(scenarios[i])
 		if err != nil {
 			return err

@@ -15,6 +15,7 @@ import (
 	"cllm/internal/cloud"
 	"cllm/internal/dtype"
 	"cllm/internal/hw"
+	"cllm/internal/par"
 	"cllm/internal/perf"
 	"cllm/internal/serve"
 	"cllm/internal/tee"
@@ -87,7 +88,7 @@ func runHetero(o Options) (*Result, error) {
 	cgpuBE := gpuServeBackend(tee.CGPU())
 	bes := []*serve.Backend{&tdxBE, &cgpuBE}
 	caps := make([]float64, len(bes))
-	err = parallelFor(o.workers(), len(bes), func(i int) error {
+	err = par.For(o.Workers, len(bes), func(i int) error {
 		coster, err := serve.NewStepCoster(*bes[i], scfg)
 		if err != nil {
 			return err
@@ -117,7 +118,7 @@ func runHetero(o Options) (*Result, error) {
 	// order.
 	dispatches := []autoscale.Dispatch{autoscale.Uniform, autoscale.CostAware}
 	outs := make([]outcome, len(dispatches))
-	err = parallelFor(o.workers(), len(dispatches), func(i int) error {
+	err = par.For(o.Workers, len(dispatches), func(i int) error {
 		rep, err := autoscale.Run(classes, autoscale.Config{Serve: scfg, Dispatch: dispatches[i], IntervalSec: 10})
 		if err != nil {
 			return err
@@ -249,7 +250,7 @@ func runAutoscale(o Options) (*Result, error) {
 	// count.
 	colds := []float64{0, coldStart}
 	reports := make([]*autoscale.Report, len(colds)*len(sweeps))
-	err = parallelFor(o.workers(), len(reports), func(i int) error {
+	err = par.For(o.Workers, len(reports), func(i int) error {
 		rep, err := run(colds[i/len(sweeps)], sweeps[i%len(sweeps)])
 		if err != nil {
 			return err

@@ -17,6 +17,7 @@ import (
 	"cllm/internal/cloud"
 	"cllm/internal/dtype"
 	"cllm/internal/hw"
+	"cllm/internal/par"
 	"cllm/internal/perf"
 	"cllm/internal/serve"
 	"cllm/internal/tee"
@@ -94,7 +95,7 @@ func prefillDecode(nPre, nDec int) serve.Topology {
 // the merge order is deterministic).
 func runDisaggCandidates(o Options, cands []disaggCandidate, cfg serve.Config) ([]disaggOutcome, error) {
 	outs := make([]disaggOutcome, len(cands))
-	err := parallelFor(o.workers(), len(cands), func(i int) error {
+	err := par.For(o.Workers, len(cands), func(i int) error {
 		fleet, err := serve.NewFleet(cands[i].topo)
 		if err != nil {
 			return err

@@ -12,6 +12,7 @@ import (
 	"cllm/internal/dtype"
 	"cllm/internal/gramine"
 	"cllm/internal/hw"
+	"cllm/internal/par"
 	"cllm/internal/perf"
 	"cllm/internal/serve"
 	"cllm/internal/tee"
@@ -215,7 +216,7 @@ func runFleet(o Options) (*Result, error) {
 	}
 	be.Coster = coster
 	frs := make([]*serve.FleetReport, len(policies))
-	err = parallelFor(o.workers(), len(policies), func(i int) error {
+	err = par.For(o.Workers, len(policies), func(i int) error {
 		fr, err := serve.RunFleet(be, cfg, serve.FleetConfig{Replicas: 4, Policy: policies[i]})
 		if err != nil {
 			return err
@@ -261,9 +262,9 @@ func runFleet(o Options) (*Result, error) {
 		Detail: fmt.Sprintf("affinity %.1f tok/s vs round-robin %.1f", goodputs[pa], goodputs[rr]),
 	})
 
-	// Fleet sizing by simulation: a fleet whose simulated attainment reaches
-	// 95% at the offered rate, replica interference included (the search
-	// assumes attainment monotone in size; see SizeFleetForSLO).
+	// Fleet sizing by simulation: the smallest fleet whose simulated
+	// attainment reaches 95% at the offered rate, replica interference
+	// included.
 	n, sized, err := serve.SizeFleetForSLO(be, cfg, serve.PrefixAffinity, 0.95, 8)
 	if err != nil {
 		return nil, err

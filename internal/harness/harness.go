@@ -11,8 +11,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"cllm/internal/par"
 )
 
 // Options tunes experiment execution.
@@ -22,29 +20,12 @@ type Options struct {
 	// Quick shrinks output-token counts for fast CI runs.
 	Quick bool
 	// Workers bounds concurrent evaluation of an experiment's independent
-	// simulation runs (sweep cells: platform × rate grids, policy sweeps,
-	// candidate fleet sizes). Every run is independently seeded and results
-	// are merged in sweep order, so any worker count renders the identical
-	// Result — the harness test asserts serial/parallel equality. Default
-	// (<= 1) runs everything on the caller's goroutine.
+	// simulation runs (sweep cells: platform × rate grids, policy sweeps).
+	// Every run is independently seeded and results are merged in sweep
+	// order, so any worker count renders the identical Result — the
+	// harness test asserts serial/parallel equality. Default (<= 1) runs
+	// everything on the caller's goroutine.
 	Workers int
-}
-
-// workers resolves the effective worker-pool width (at least 1).
-func (o Options) workers() int {
-	if o.Workers < 1 {
-		return 1
-	}
-	return o.Workers
-}
-
-// parallelFor evaluates fn(0..n-1) on up to workers goroutines and returns
-// the lowest-index error. Each fn must write its outcome into an
-// index-addressed slot owned by the caller, which then consumes the slots
-// in deterministic order — the merge never depends on completion order
-// (see internal/par).
-func parallelFor(workers, n int, fn func(int) error) error {
-	return par.For(workers, n, fn)
 }
 
 // tokens returns the output length to simulate: the paper measures ≥1000

@@ -19,6 +19,7 @@ import (
 	"cllm/internal/mem"
 	"cllm/internal/model"
 	"cllm/internal/obs"
+	"cllm/internal/par"
 	"cllm/internal/perf"
 	"cllm/internal/serve"
 	"cllm/internal/tee"
@@ -97,7 +98,7 @@ func runObservability(o Options) (*Result, error) {
 		{name: "single/b", fleet: 1},
 		{name: "fleet×2", fleet: 2},
 	}
-	err = parallelFor(o.workers(), len(runs), func(i int) error {
+	err = par.For(o.Workers, len(runs), func(i int) error {
 		r := runs[i]
 		c := cfg
 		r.rec = obs.NewRecorderWindow(0.05, 512)

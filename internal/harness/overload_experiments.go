@@ -15,6 +15,7 @@ import (
 	"fmt"
 
 	"cllm/internal/dtype"
+	"cllm/internal/par"
 	"cllm/internal/serve"
 	"cllm/internal/tee"
 	"cllm/internal/trace"
@@ -100,7 +101,7 @@ func runOverload(o Options) (*Result, error) {
 	}
 
 	reps := make([]*serve.Report, len(specs))
-	err = parallelFor(o.workers(), len(specs), func(i int) error {
+	err = par.For(o.Workers, len(specs), func(i int) error {
 		rep, err := serve.Run(specs[i].be, specs[i].cfg)
 		if err != nil {
 			return fmt.Errorf("%s: %w", specs[i].name, err)

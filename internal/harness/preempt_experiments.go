@@ -14,6 +14,7 @@ import (
 	"cllm/internal/dtype"
 	"cllm/internal/gramine"
 	"cllm/internal/hw"
+	"cllm/internal/par"
 	"cllm/internal/perf"
 	"cllm/internal/serve"
 	"cllm/internal/tee"
@@ -96,7 +97,7 @@ func runPreemptPolicies(o Options) (*Result, error) {
 	for i := range reports {
 		reports[i] = make([]*serve.Report, len(preemptPolicies))
 	}
-	err = parallelFor(o.workers(), len(sides)*len(preemptPolicies), func(i int) error {
+	err = par.For(o.Workers, len(sides)*len(preemptPolicies), func(i int) error {
 		si, pi := i/len(preemptPolicies), i%len(preemptPolicies)
 		cfg := sides[si].cfg
 		cfg.PreemptPolicy = preemptPolicies[pi]

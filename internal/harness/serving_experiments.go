@@ -6,6 +6,7 @@ import (
 	"cllm/internal/cloud"
 	"cllm/internal/dtype"
 	"cllm/internal/hw"
+	"cllm/internal/par"
 	"cllm/internal/perf"
 	"cllm/internal/serve"
 	"cllm/internal/tee"
@@ -70,7 +71,7 @@ func runServing(o Options) (*Result, error) {
 	for pi := range reports {
 		reports[pi] = make([]*serve.Report, len(servingRates))
 	}
-	err = parallelFor(o.workers(), len(plats)*len(servingRates), func(i int) error {
+	err = par.For(o.Workers, len(plats)*len(servingRates), func(i int) error {
 		pi, ri := i/len(servingRates), i%len(servingRates)
 		rep, err := serve.Run(backends[pi], cfgFor(servingRates[ri]))
 		if err != nil {

@@ -1,9 +1,9 @@
 // Package par runs bounded pools of independent jobs with a deterministic
-// merge contract. The simulator's sweeps (fleet-sizing candidates,
-// capacity probes, experiment grid cells) are embarrassingly parallel but
-// must produce byte-identical results at any worker count, so the pattern
-// is always the same: every job writes into an index-addressed slot its
-// caller owns, the caller consumes the slots in index order, and the error
+// merge contract. The experiment harness's sweep cells (platform × rate
+// grids, policy sweeps) are embarrassingly parallel but must produce
+// byte-identical results at any worker count, so the pattern is always
+// the same: every job writes into an index-addressed slot its caller
+// owns, the caller consumes the slots in index order, and the error
 // reported is the lowest-index one — never whichever finished first.
 package par
 

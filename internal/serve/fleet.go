@@ -445,25 +445,18 @@ func MergeReports(offeredRate float64, reps []*Report) *Report {
 	return agg
 }
 
-// SizeFleetForSLO finds a fleet size (1..maxReplicas) whose simulated SLO
-// attainment reaches target, returning the size and that fleet's report.
-// This answers the sizing question by simulation — replica interference,
-// dispatch skew and prefix-cache locality included — where
+// SizeFleetForSLO finds the smallest fleet size (1..maxReplicas) whose
+// simulated SLO attainment reaches target, returning the size and that
+// fleet's report. This answers the sizing question by simulation — replica
+// interference, dispatch skew and prefix-cache locality included — where
 // cloud.ReplicasForRate only extrapolates from one replica's rate. It
 // fails if even maxReplicas cannot reach the target.
 //
-// The search assumes attainment is monotone in the fleet size: it probes
-// exponentially (1, 2, 4, ..., maxReplicas) until a passing size brackets
-// the answer, then binary searches the bracket — O(log maxReplicas)
-// simulations instead of the linear scan, each size simulated at most
-// once. Where the assumption holds the result is the smallest passing
-// size. Under PrefixAffinity it need not hold — re-hashing prefix groups
-// over more replicas can lower attainment — so the result passes the
-// target but can exceed the smallest passing size when a skipped smaller
-// size passes. Every candidate is seeded from cfg.Seed and they all share
-// one memoized step-costing table. Candidates are side-simulations: cfg's
-// observer and clear-twin coster are dropped, so an attached observer sees
-// none of them.
+// Sizes are tried in order since attainment need not be monotone in the
+// fleet size (under PrefixAffinity more replicas can lower it). Every
+// candidate is seeded from cfg.Seed and they all share one memoized
+// step-costing table. Candidates are side-simulations: cfg's observer and
+// clear-twin coster are dropped, so an attached observer sees none of them.
 func SizeFleetForSLO(be Backend, cfg Config, policy LBPolicy, target float64, maxReplicas int) (int, *FleetReport, error) {
 	if target <= 0 || target > 1 {
 		return 0, nil, fmt.Errorf("serve: SLO attainment target %g outside (0, 1]", target)
@@ -479,40 +472,14 @@ func SizeFleetForSLO(be Backend, cfg Config, policy LBPolicy, target float64, ma
 		be.Coster = coster
 	}
 	cfg.Observer, cfg.ClearCoster = nil, nil
-	passes := func(n int) (*FleetReport, bool, error) {
+	for n := 1; n <= maxReplicas; n++ {
 		rep, err := RunFleet(be, cfg, FleetConfig{Replicas: n, Policy: policy})
 		if err != nil {
-			return nil, false, err
-		}
-		return rep, rep.SLOAttainment() >= target, nil
-	}
-
-	lo, hi := 0, 0 // largest known-failing, smallest known-passing size
-	var best *FleetReport
-	for n := 1; hi == 0; n = min(2*n, maxReplicas) {
-		rep, ok, err := passes(n)
-		switch {
-		case err != nil:
 			return 0, nil, err
-		case ok:
-			hi, best = n, rep
-		case n == maxReplicas:
-			return 0, nil, fmt.Errorf("serve: even %d replicas miss %.0f%% SLO attainment", maxReplicas, target*100)
-		default:
-			lo = n
+		}
+		if rep.SLOAttainment() >= target {
+			return n, rep, nil
 		}
 	}
-	for hi-lo > 1 {
-		mid := lo + (hi-lo)/2
-		rep, ok, err := passes(mid)
-		switch {
-		case err != nil:
-			return 0, nil, err
-		case ok:
-			hi, best = mid, rep
-		default:
-			lo = mid
-		}
-	}
-	return hi, best, nil
+	return 0, nil, fmt.Errorf("serve: even %d replicas miss %.0f%% SLO attainment", maxReplicas, target*100)
 }

@@ -13,6 +13,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"cllm/internal/cloud"
@@ -385,7 +386,10 @@ func (c *Config) normalize() error {
 		{"Faults.RetryMax", "retry budget", float64(c.Faults.RetryMax)},
 		{"Faults.RetryBackoffSec", "retry backoff base", c.Faults.RetryBackoffSec},
 	} {
-		if n.v < 0 {
+		switch {
+		case math.IsNaN(n.v) || math.IsInf(n.v, 0):
+			return FieldError(n.field, "serve: %s %g is not finite", n.what, n.v)
+		case n.v < 0:
 			return FieldError(n.field, "serve: %s %g is negative (0 selects the default)", n.what, n.v)
 		}
 	}
@@ -404,8 +408,8 @@ func (c *Config) normalize() error {
 		c.Workload.OutputLen = c.Scenario.Mix.MeanOutputLen()
 		c.Rate = c.Scenario.Arrivals.MeanRate()
 	default:
-		if c.Rate <= 0 {
-			return FieldError("Rate", "serve: arrival rate %g must be positive", c.Rate)
+		if !(c.Rate > 0) || math.IsInf(c.Rate, 1) {
+			return FieldError("Rate", "serve: arrival rate %g must be positive and finite", c.Rate)
 		}
 		if c.Requests == 0 {
 			c.Requests = 64
@@ -436,7 +440,7 @@ func (c *Config) normalize() error {
 		switch {
 		case c.PrefixFrac == 0:
 			c.PrefixFrac = 0.5
-		case c.PrefixFrac < 0 || c.PrefixFrac >= 1:
+		case !(c.PrefixFrac >= 0 && c.PrefixFrac < 1):
 			return FieldError("PrefixFrac", "serve: prefix fraction %g outside [0, 1)", c.PrefixFrac)
 		}
 	}
@@ -454,7 +458,7 @@ func (c *Config) normalize() error {
 	switch {
 	case c.SketchAlpha == 0:
 		c.SketchAlpha = stats.DefaultSketchAlpha
-	case c.SketchAlpha < 0 || c.SketchAlpha >= 1:
+	case !(c.SketchAlpha > 0 && c.SketchAlpha < 1):
 		return FieldError("SketchAlpha", "serve: sketch alpha %g outside (0, 1)", c.SketchAlpha)
 	}
 	if c.QuantileMode == QuantileSketch && c.EpochRequests == 0 {

@@ -674,7 +674,7 @@ func TestReplicaMatchesRun(t *testing.T) {
 
 // sizingConfig is a llama2-7b load that needs five TDX replicas for 90%
 // attainment under both least-loaded and prefix-affinity dispatch, so the
-// sizing search's ladder and bisection both have work to do.
+// sizing search fails several sizes before it passes.
 func sizingConfig(t *testing.T) Config {
 	return Config{
 		Workload: trace.Workload{Model: mustLookup(t, "llama2-7b"), Kind: dtype.BF16, InputLen: 1024, OutputLen: 32},
@@ -683,28 +683,36 @@ func sizingConfig(t *testing.T) Config {
 	}
 }
 
-// TestSizeFleetForSLOMatchesLinearScan: the probe-and-bisect search picks
-// the size a linear scan finds and returns that fleet's own report, or
-// the "even N replicas miss" error when no size up to maxReplicas passes.
+// TestSizeFleetForSLOMatchesLinearScan: the search picks the smallest
+// passing size and returns that fleet's own report, or the "even N
+// replicas miss" error when no size up to maxReplicas passes. The
+// nonmonotone case's attainment under PrefixAffinity dips from 3 to 4
+// replicas (0.4375, 0.3854), so a search that skips 3 returns a larger
+// fleet than needed.
 func TestSizeFleetForSLOMatchesLinearScan(t *testing.T) {
 	be := cpuBackend(tee.TDX())
 	impossible := sizingConfig(t)
 	impossible.TTFTSLOSec = 1e-6
-	const target = 0.9
+	dipping := sizingConfig(t)
+	dipping.Rate = 8
+	both := []LBPolicy{LeastLoaded, PrefixAffinity}
 	cases := []struct {
-		name string
-		cfg  Config
-		maxN int
-		want int // the linear scan's size; 0 when none passes
+		name     string
+		cfg      Config
+		policies []LBPolicy
+		target   float64
+		maxN     int
+		want     int // the linear scan's size; 0 when none passes
 	}{
-		{"max1", sizingConfig(t), 1, 0},
-		{"max5", sizingConfig(t), 5, 5},
-		{"max6", sizingConfig(t), 6, 5},
-		{"max8", sizingConfig(t), 8, 5},
-		{"unreachable", impossible, 8, 0},
+		{"max1", sizingConfig(t), both, 0.9, 1, 0},
+		{"max5", sizingConfig(t), both, 0.9, 5, 5},
+		{"max6", sizingConfig(t), both, 0.9, 6, 5},
+		{"max8", sizingConfig(t), both, 0.9, 8, 5},
+		{"unreachable", impossible, both, 0.9, 8, 0},
+		{"nonmonotone", dipping, []LBPolicy{PrefixAffinity}, 0.42, 8, 3},
 	}
 	for _, tc := range cases {
-		for _, policy := range []LBPolicy{LeastLoaded, PrefixAffinity} {
+		for _, policy := range tc.policies {
 			t.Run(tc.name+"/"+policy.String(), func(t *testing.T) {
 				var linear *FleetReport
 				for n := 1; n <= tc.maxN && linear == nil; n++ {
@@ -712,14 +720,14 @@ func TestSizeFleetForSLOMatchesLinearScan(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if fr.SLOAttainment() >= target {
+					if fr.SLOAttainment() >= tc.target {
 						linear = fr
 					}
 				}
 				if linear == nil && tc.want != 0 || linear != nil && len(linear.PerReplica) != tc.want {
 					t.Fatalf("linear scan no longer finds %d replicas; the config has drifted", tc.want)
 				}
-				n, fr, err := SizeFleetForSLO(be, tc.cfg, policy, target, tc.maxN)
+				n, fr, err := SizeFleetForSLO(be, tc.cfg, policy, tc.target, tc.maxN)
 				if linear == nil {
 					want := fmt.Sprintf("even %d replicas miss", tc.maxN)
 					if err == nil || !strings.Contains(err.Error(), want) {
@@ -731,7 +739,7 @@ func TestSizeFleetForSLOMatchesLinearScan(t *testing.T) {
 					t.Fatal(err)
 				}
 				if n != len(linear.PerReplica) || !reflect.DeepEqual(fr, linear) {
-					t.Errorf("probe+bisect found %d replicas, linear scan %d", n, len(linear.PerReplica))
+					t.Errorf("search found %d replicas, linear scan %d", n, len(linear.PerReplica))
 				}
 			})
 		}

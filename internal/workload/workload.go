@@ -376,8 +376,8 @@ func (s Scenario) Validate() error {
 	if s.Arrivals == nil {
 		return fmt.Errorf("workload: scenario needs an arrival process")
 	}
-	if s.Arrivals.MeanRate() <= 0 {
-		return fmt.Errorf("workload: scenario %q has non-positive mean rate %g", s.Arrivals.Name(), s.Arrivals.MeanRate())
+	if r := s.Arrivals.MeanRate(); !(r > 0) || math.IsInf(r, 1) {
+		return fmt.Errorf("workload: scenario %q mean rate %g is not positive and finite", s.Arrivals.Name(), r)
 	}
 	return s.Mix.Validate()
 }
@@ -500,11 +500,10 @@ var mixNames = []string{"chat", "rag", "agentic"}
 // ParseScenario resolves a CLI scenario name at the given mean rate.
 // Accepted forms: an arrival process ("poisson", "bursty", "diurnal",
 // "ramp") with the chat mix, a mix name ("chat", "rag", "agentic") with
-// Poisson arrivals, or "arrivals+mix" (e.g. "diurnal+rag").
+// Poisson arrivals, or "arrivals+mix" (e.g. "diurnal+rag"). The result
+// passes Validate, so a rate that is not positive and finite, or that
+// overflows the arrival process, is rejected.
 func ParseScenario(name string, rate float64) (Scenario, error) {
-	if rate <= 0 {
-		return Scenario{}, fmt.Errorf("workload: scenario %q needs a positive mean rate, got %g", name, rate)
-	}
 	arrival, mixName := "poisson", "chat"
 	parts := strings.Split(strings.ToLower(strings.TrimSpace(name)), "+")
 	switch len(parts) {
@@ -552,5 +551,9 @@ func ParseScenario(name string, rate float64) (Scenario, error) {
 	default:
 		return Scenario{}, fmt.Errorf("workload: unknown mix %q (%s)", mixName, strings.Join(mixNames, "|"))
 	}
-	return Scenario{Arrivals: arr, Mix: mix}, nil
+	sc := Scenario{Arrivals: arr, Mix: mix}
+	if err := sc.Validate(); err != nil {
+		return Scenario{}, err
+	}
+	return sc, nil
 }

@@ -2,6 +2,7 @@ package cllm
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"cllm/internal/cloud"
@@ -274,12 +275,14 @@ func (cfg ServeConfig) Validate() error {
 func (cfg ServeConfig) lower(seed int64) (serve.Config, error) {
 	var scfg serve.Config
 	switch {
-	case cfg.RatePerSec <= 0:
-		return scfg, serve.FieldError("RatePerSec", "cllm: serving needs a positive arrival rate, got %g", cfg.RatePerSec)
+	case !(cfg.RatePerSec > 0) || math.IsInf(cfg.RatePerSec, 1):
+		return scfg, serve.FieldError("RatePerSec", "cllm: serving needs a positive finite arrival rate, got %g", cfg.RatePerSec)
 	case cfg.Replicas < 0:
 		return scfg, serve.FieldError("Replicas", "cllm: replica count %d is negative (0 selects the default)", cfg.Replicas)
 	case cfg.Sockets < 0:
 		return scfg, serve.FieldError("Sockets", "cllm: socket count %d is negative (0 selects the default)", cfg.Sockets)
+	case math.IsNaN(cfg.ObserveWindowSec) || math.IsInf(cfg.ObserveWindowSec, 0):
+		return scfg, serve.FieldError("ObserveWindowSec", "cllm: observation window %g is not finite", cfg.ObserveWindowSec)
 	case cfg.ObserveWindowSec < 0:
 		return scfg, serve.FieldError("ObserveWindowSec", "cllm: observation window %g is negative (0 selects the default)", cfg.ObserveWindowSec)
 	}
