@@ -65,7 +65,7 @@ serve serve-13-trace-attrib -platform tdx -rate 4 -requests 16 -rate-mults 1 -pr
 "$tmp/cllm-trace" -model llama2-7b -dtype bf16 -batch 4 -input 1024 -phase decode >"$out/trace-01-llama2-7b-bf16-decode.txt"
 "$tmp/cllm-trace" -model llama2-70b -dtype int8 -batch 2 -input 512 -phase prefill >"$out/trace-02-llama2-70b-int8-prefill.txt"
 
-for ex in quickstart costplanner fleetsizing autoscaling; do
+for ex in quickstart costplanner fleetsizing autoscaling healthcare finance-rag; do
 	go run "./examples/$ex" >"$out/example-$ex.txt"
 done
 
