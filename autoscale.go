@@ -175,6 +175,11 @@ func Autoscale(cfg AutoscaleConfig) (*AutoscaleReport, error) {
 		if !cfg.NoColdStart {
 			coldStart = autoscale.ColdStartSec(be, acfg.Serve.Workload)
 		}
+		// Build the class's step coster before the capacity probe, so the
+		// probe and every replica of the run share one costing table.
+		if be.Coster, err = serve.NewStepCoster(be, acfg.Serve); err != nil {
+			return nil, err
+		}
 		capacity, err := autoscale.ProbeCapacity(be, acfg.Serve)
 		if err != nil {
 			return nil, err

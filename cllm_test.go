@@ -313,6 +313,32 @@ func TestMeasureDistribution(t *testing.T) {
 	if len(gd.Outliers) > len(d.Outliers) {
 		t.Error("GPU shows more outliers than the CPU TEE")
 	}
+	// The distribution and the summary come from the same run: the mean
+	// matches bit for bit and the outliers are the ones Measure removed,
+	// for every backend; a backend Measure rejects is rejected alike.
+	for _, c := range []struct {
+		w    Workload
+		opts MeasureOptions
+	}{
+		{Workload{Model: "llama2-7b", OutputLen: 200, InputLen: 128}, MeasureOptions{}},
+		{Workload{Model: "llama2-7b", OutputLen: 16}, MeasureOptions{Backend: "HF"}},
+		{Workload{Model: "llama2-7b", OutputLen: 200, InputLen: 128}, MeasureOptions{Backend: "HF"}},
+		{Workload{Model: "llama2-7b", OutputLen: 16}, MeasureOptions{Backend: "TensorRT"}},
+		{Workload{Model: "llama2-7b", OutputLen: 16, DType: "int8"}, MeasureOptions{Backend: "vLLM"}},
+	} {
+		m, merr := s.Measure(c.w, c.opts)
+		d, derr := s.MeasureDistribution(c.w, c.opts)
+		if merr != nil || derr != nil {
+			if merr == nil || derr == nil || merr.Error() != derr.Error() {
+				t.Errorf("%+v %+v: Measure error %v, MeasureDistribution error %v", c.w, c.opts, merr, derr)
+			}
+			continue
+		}
+		if d.Mean != m.MeanTokenLatency || len(d.Outliers) != m.OutliersRemoved {
+			t.Errorf("%+v %+v: distribution mean %v with %d outliers, Measure %v with %d removed",
+				c.w, c.opts, d.Mean, len(d.Outliers), m.MeanTokenLatency, m.OutliersRemoved)
+		}
+	}
 }
 
 func TestParseClasses(t *testing.T) {

@@ -107,9 +107,12 @@ func flagTable(o *options) []flagSpec {
 		},
 		{
 			name: "scenario", field: "Scenario",
-			usage:   "traffic scenario: poisson|bursty|diurnal|ramp, chat|rag|agentic, or arrivals+mix (empty = plain Poisson synthesis)",
-			add:     func(fs *flag.FlagSet, n, u string) { fs.StringVar(&o.cfg.Scenario, n, "", u) },
-			rejects: []rejection{{args: []string{"-scenario", "tsunami"}, want: "-scenario"}},
+			usage: "traffic scenario: poisson|bursty|diurnal|ramp, chat|rag|agentic, or arrivals+mix (empty = plain Poisson synthesis)",
+			add:   func(fs *flag.FlagSet, n, u string) { fs.StringVar(&o.cfg.Scenario, n, "", u) },
+			rejects: []rejection{
+				{args: []string{"-scenario", "tsunami"}, want: "-scenario"},
+				{args: []string{"-scenario", "diurnal", "-rate", "1.5e308"}, want: "-scenario"},
+			},
 		},
 		{
 			name: "in", field: "InputLen",

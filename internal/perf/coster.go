@@ -23,8 +23,8 @@ import (
 // true value through the same code path as CPUStepTime/GPUStepTime, so
 // results are bit-identical to the unmemoized model.
 //
-// A StepCoster is safe for concurrent use (parallel fleet-sizing and
-// autoscale sweeps share one across workers). Each table is a costTable: a
+// A StepCoster is safe for concurrent use (the harness sweeps share one
+// across their parallel cells). Each table is a costTable: a
 // hit takes no lock and writes no shared memory, and only a miss's insert
 // (which at most allocates a page of eight values) takes a mutex. Identical
 // keys always memoize identical float64s, so sharing cannot perturb

@@ -112,24 +112,38 @@ func RunCPU(cfg CPURun) (*Result, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	noise := sim.NewNoise(cfg.Seed, hw.NoiseBase, hw.MemEncryptJitter, hw.OutlierProb, hw.OutlierScale)
-	res := &Result{}
+	return generate(cfg.Workload, NewNoise(false, cfg.Seed), cfg.Platform.Protected,
+		func(st *trace.StepTrace) float64 { return cpuStepTime(&cfg, st) })
+}
 
-	pre, err := trace.PrefillStep(cfg.Workload)
+// NewNoise returns the device noise stream every measured path samples —
+// the single-request runs, each serving replica and the RAG query timing.
+// CPUs take the calibrated base and memory-encryption jitter plus the TEE
+// outlier tail; GPUs jitter at half the base and a quarter of the TEE
+// jitter, with no outliers (H100 leaves HBM clear).
+func NewNoise(isGPU bool, seed int64) *sim.Noise {
+	if isGPU {
+		return sim.NewNoise(seed, hw.NoiseBase/2, hw.MemEncryptJitter/4, 0, 1)
+	}
+	return sim.NewNoise(seed, hw.NoiseBase, hw.MemEncryptJitter, hw.OutlierProb, hw.OutlierScale)
+}
+
+// generate is the generation loop RunCPU and RunGPU share: the prefill
+// step, then OutputLen decode steps, each costed by stepTime. Only decode
+// steps are jittered; TotalSec sums prefill then every decode step in turn.
+func generate(w trace.Workload, noise *sim.Noise, protected bool, stepTime func(*trace.StepTrace) float64) (*Result, error) {
+	pre, err := trace.PrefillStep(w)
 	if err != nil {
 		return nil, err
 	}
-	res.PrefillSec = cpuStepTime(&cfg, &pre)
+	res := &Result{PrefillSec: stepTime(&pre)}
 	res.TotalSec = res.PrefillSec
-
-	w := cfg.Workload
 	for i := 0; i < w.OutputLen; i++ {
 		st, err := trace.DecodeStep(w, w.InputLen+i)
 		if err != nil {
 			return nil, err
 		}
-		t := cpuStepTime(&cfg, &st)
-		t = noise.Sample(t, cfg.Platform.Protected)
+		t := noise.Sample(stepTime(&st), protected)
 		res.TokenLatencies = append(res.TokenLatencies, t)
 		res.TotalSec += t
 		res.Tokens += st.NewTokens
@@ -359,29 +373,8 @@ func RunGPU(cfg GPURun) (*Result, error) {
 	if fit := float64(cfg.GPU.HBMBytes); trace.WeightFootprint(cfg.Workload)+trace.KVCacheBytes(cfg.Workload, cfg.Workload.InputLen+cfg.Workload.OutputLen) > fit {
 		return nil, fmt.Errorf("perf: workload does not fit in %s HBM (%d bytes)", cfg.GPU.Name, cfg.GPU.HBMBytes)
 	}
-	noise := sim.NewNoise(cfg.Seed, hw.NoiseBase/2, hw.MemEncryptJitter/4, 0, 1)
-	res := &Result{}
-
-	pre, err := trace.PrefillStep(cfg.Workload)
-	if err != nil {
-		return nil, err
-	}
-	res.PrefillSec = gpuStepTime(&cfg, &pre)
-	res.TotalSec = res.PrefillSec
-
-	w := cfg.Workload
-	for i := 0; i < w.OutputLen; i++ {
-		st, err := trace.DecodeStep(w, w.InputLen+i)
-		if err != nil {
-			return nil, err
-		}
-		t := gpuStepTime(&cfg, &st)
-		t = noise.Sample(t, cfg.Platform.Protected)
-		res.TokenLatencies = append(res.TokenLatencies, t)
-		res.TotalSec += t
-		res.Tokens += st.NewTokens
-	}
-	return res, nil
+	return generate(cfg.Workload, NewNoise(true, cfg.Seed), cfg.Platform.Protected,
+		func(st *trace.StepTrace) float64 { return gpuStepTime(&cfg, st) })
 }
 
 // gpuStepTime costs one step on the GPU: roofline over tensor cores and HBM,

@@ -6,7 +6,7 @@ import (
 	"cllm/internal/dtype"
 	"cllm/internal/hw"
 	"cllm/internal/mem"
-	"cllm/internal/sim"
+	"cllm/internal/perf"
 	"cllm/internal/tee"
 )
 
@@ -114,7 +114,7 @@ func (t Timing) MeanQueryTime(p *Pipeline, c *Corpus, m Method) (meanSec, ndcg f
 	if err != nil {
 		return 0, 0, err
 	}
-	noise := sim.NewNoise(t.Seed, hw.NoiseBase, hw.MemEncryptJitter, hw.OutlierProb, hw.OutlierScale)
+	noise := perf.NewNoise(false, t.Seed)
 	var sum float64
 	for i := 0; i < n; i++ {
 		sum += noise.Sample(base, t.Platform.Protected)

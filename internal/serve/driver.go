@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 
+	"cllm/internal/perf"
 	"cllm/internal/sim"
 )
 
@@ -119,7 +120,7 @@ func (p *Pool) Add(id int, be Backend, seed int64) error {
 	if !be.IsGPU && be.CPU.Sockets <= 0 {
 		be.CPU.Sockets = 1
 	}
-	s, err := newScheduler(be, p.cfg, p.eng, newNoise(be, seed))
+	s, err := newScheduler(be, p.cfg, p.eng, perf.NewNoise(be.IsGPU, seed))
 	if err != nil {
 		if p.err == nil {
 			p.err = err
@@ -281,32 +282,11 @@ func materialize(cfg Config, rng *rand.Rand) (*arrivalSource, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := checkSorted(cfg); err != nil {
-		return nil, err
-	}
 	src := &arrivalSource{block: make([]reqState, len(reqs))}
 	for i, r := range reqs {
 		src.block[i].req = r
 	}
 	return src, nil
-}
-
-// checkSorted rejects an out-of-order trace in a sharded run: the driver
-// drains the engine up to each epoch's last arrival, which would silently
-// reorder it. Unsharded runs schedule every arrival up front and accept
-// any order: in-order arrivals take the engine's O(1) feed, out-of-order
-// ones its heap, and both fire in time order.
-func checkSorted(cfg Config) error {
-	if cfg.EpochRequests <= 0 {
-		return nil
-	}
-	for i := 1; i < len(cfg.Trace); i++ {
-		if cfg.Trace[i].ArrivalSec < cfg.Trace[i-1].ArrivalSec {
-			return fmt.Errorf("serve: epoch-sharded runs require a trace sorted by arrival time (request %d at %gs after %gs)",
-				cfg.Trace[i].ID, cfg.Trace[i].ArrivalSec, cfg.Trace[i-1].ArrivalSec)
-		}
-	}
-	return nil
 }
 
 // newArrivalSource builds the streaming form of genArrivals over cfg's
@@ -315,12 +295,6 @@ func checkSorted(cfg Config) error {
 func newArrivalSource(cfg Config, rng *rand.Rand) (*arrivalSource, error) {
 	switch {
 	case len(cfg.Trace) > 0:
-		if err := validateTrace(cfg); err != nil {
-			return nil, err
-		}
-		if err := checkSorted(cfg); err != nil {
-			return nil, err
-		}
 		i := 0
 		return &arrivalSource{gen: func() (Request, bool) {
 			if i >= len(cfg.Trace) {

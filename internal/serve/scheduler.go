@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 
-	"cllm/internal/hw"
 	"cllm/internal/perf"
 	"cllm/internal/sim"
 	"cllm/internal/trace"
@@ -315,9 +314,6 @@ func genArrivals(cfg Config, rng *rand.Rand) ([]Request, error) {
 		return scenarioArrivals(cfg, rng)
 	}
 	if len(cfg.Trace) > 0 {
-		if err := validateTrace(cfg); err != nil {
-			return nil, err
-		}
 		return append([]Request(nil), cfg.Trace...), nil
 	}
 	g := newPoissonGen(cfg, rng)
@@ -326,29 +322,6 @@ func genArrivals(cfg Config, rng *rand.Rand) ([]Request, error) {
 		out[i], _ = g.next()
 	}
 	return out, nil
-}
-
-// validateTrace rejects malformed explicit traces (the same checks the
-// batch path always ran, shared with the streaming arrival source).
-func validateTrace(cfg Config) error {
-	seen := make(map[int]bool, len(cfg.Trace))
-	for _, r := range cfg.Trace {
-		if r.InputLen <= 0 || r.OutputLen <= 0 || r.ArrivalSec < 0 {
-			return fmt.Errorf("serve: invalid trace request %+v", r)
-		}
-		if r.PrefixLen < 0 || r.PrefixLen > r.InputLen {
-			return fmt.Errorf("serve: request %d prefix %d outside prompt %d", r.ID, r.PrefixLen, r.InputLen)
-		}
-		if sum := r.InputLen + r.OutputLen; sum > cfg.Workload.Model.ContextLen {
-			return fmt.Errorf("serve: request %d length %d exceeds %s context %d",
-				r.ID, sum, cfg.Workload.Model.Name, cfg.Workload.Model.ContextLen)
-		}
-		if seen[r.ID] {
-			return fmt.Errorf("serve: duplicate request ID %d in trace", r.ID)
-		}
-		seen[r.ID] = true
-	}
-	return nil
 }
 
 // poissonGen synthesizes the Poisson arrival stream one request at a
@@ -1227,16 +1200,6 @@ func outcome(st *reqState, ttftSLO, tpotSLO float64) RequestMetrics {
 	}
 	m.SLOMet = m.TTFT <= ttftSLO && tpotOK
 	return m
-}
-
-// newNoise builds the replica noise stream. Parameters mirror the
-// single-request paths: GPUs jitter less and show no memory-encryption
-// outlier tail (H100 leaves HBM clear).
-func newNoise(be Backend, seed int64) *sim.Noise {
-	if be.IsGPU {
-		return sim.NewNoise(seed, hw.NoiseBase/2, hw.MemEncryptJitter/4, 0, 1)
-	}
-	return sim.NewNoise(seed, hw.NoiseBase, hw.MemEncryptJitter, hw.OutlierProb, hw.OutlierScale)
 }
 
 // Run executes one serving simulation: one replica seeded with cfg.Seed

@@ -488,6 +488,45 @@ func (c *Config) normalize() error {
 	case c.Faults.RetryBackoffSec == 0 && c.Faults.RetryMax > 0:
 		c.Faults.RetryBackoffSec = 1
 	}
+	return c.checkTrace()
+}
+
+// checkTrace rejects a malformed explicit trace: an invalid request, one
+// longer than the model's context, a duplicate ID, or an arrival out of
+// time order in an epoch-sharded run. The sharded driver drains the engine
+// up to each epoch's last arrival, which would silently reorder such a
+// trace; unsharded runs schedule every arrival up front and accept any
+// order: in-order arrivals take the engine's O(1) feed, out-of-order ones
+// its heap, and both fire in time order.
+func (c *Config) checkTrace() error {
+	if len(c.Trace) == 0 {
+		return nil
+	}
+	seen := make(map[int]bool, len(c.Trace))
+	for _, r := range c.Trace {
+		if r.InputLen <= 0 || r.OutputLen <= 0 || r.ArrivalSec < 0 {
+			return FieldError("Trace", "serve: invalid trace request %+v", r)
+		}
+		if r.PrefixLen < 0 || r.PrefixLen > r.InputLen {
+			return FieldError("Trace", "serve: request %d prefix %d outside prompt %d", r.ID, r.PrefixLen, r.InputLen)
+		}
+		if sum := r.InputLen + r.OutputLen; sum > c.Workload.Model.ContextLen {
+			return FieldError("Trace", "serve: request %d length %d exceeds %s context %d",
+				r.ID, sum, c.Workload.Model.Name, c.Workload.Model.ContextLen)
+		}
+		if seen[r.ID] {
+			return FieldError("Trace", "serve: duplicate request ID %d in trace", r.ID)
+		}
+		seen[r.ID] = true
+	}
+	if c.EpochRequests > 0 {
+		for i := 1; i < len(c.Trace); i++ {
+			if c.Trace[i].ArrivalSec < c.Trace[i-1].ArrivalSec {
+				return FieldError("Trace", "serve: epoch-sharded runs require a trace sorted by arrival time (request %d at %gs after %gs)",
+					c.Trace[i].ID, c.Trace[i].ArrivalSec, c.Trace[i-1].ArrivalSec)
+			}
+		}
+	}
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -510,9 +511,23 @@ func TestServeConfigValidation(t *testing.T) {
 	if _, err := Run(be, Config{Workload: trace.Workload{Model: tinyModel(), Kind: dtype.BF16}, Rate: -1}); err == nil {
 		t.Error("negative rate accepted")
 	}
-	dup := []Request{{ID: 1, ArrivalSec: 0, InputLen: 8, OutputLen: 2}, {ID: 1, ArrivalSec: 1, InputLen: 8, OutputLen: 2}}
-	if _, err := Run(be, Config{Workload: trace.Workload{Model: tinyModel(), Kind: dtype.BF16}, Trace: dup}); err == nil {
-		t.Error("duplicate trace IDs accepted")
+	// A malformed trace is a config error: Validate names Trace without
+	// running anything, and Run returns the same error.
+	for name, tr := range map[string][]Request{
+		"duplicate ID":   {{ID: 1, ArrivalSec: 0, InputLen: 8, OutputLen: 2}, {ID: 1, ArrivalSec: 1, InputLen: 8, OutputLen: 2}},
+		"over context":   {{ID: 0, ArrivalSec: 0, InputLen: 2040, OutputLen: 9}},
+		"unsorted shard": {{ID: 0, ArrivalSec: 1, InputLen: 8, OutputLen: 2}, {ID: 1, ArrivalSec: 0.5, InputLen: 8, OutputLen: 2}},
+	} {
+		cfg := Config{Workload: trace.Workload{Model: tinyModel(), Kind: dtype.BF16}, Trace: tr, Knobs: Knobs{EpochRequests: 1}}
+		var ce *ConfigError
+		verr := cfg.Validate()
+		if !errors.As(verr, &ce) || ce.Field != "Trace" {
+			t.Errorf("%s: Validate = %v, want a *ConfigError naming Trace", name, verr)
+			continue
+		}
+		if _, err := Run(be, cfg); err == nil || err.Error() != verr.Error() {
+			t.Errorf("%s: Run err = %v, Validate %v", name, err, verr)
+		}
 	}
 	// An invalid backend must fail the run, not report zeros as data.
 	bad := cpuBackend(tee.Baremetal())

@@ -181,10 +181,10 @@ func (t Topology) String() string {
 }
 
 // Fleet is a validated topology ready to run. NewFleet/Fleet.Run is the
-// single construction path for every multi-replica simulation: RunFleet
-// (one unified group), disaggregated topologies, SizeFleetForSLO's
-// candidate fleets and internal/autoscale's elastic replicas all build
-// their schedulers here.
+// construction path for every fixed multi-replica simulation: RunFleet
+// (one unified group), disaggregated topologies and SizeFleetForSLO's
+// candidate fleets all build their schedulers here. internal/autoscale's
+// elastic replicas are built one at a time through Pool.Add via Drive.
 type Fleet struct {
 	topo Topology
 }

@@ -162,10 +162,13 @@ func (d Diurnal) rateAt(t float64) float64 {
 	return d.Mean * (1 + d.Amplitude*math.Sin(2*math.Pi*t/d.PeriodSec-math.Pi/2))
 }
 
+// peak is the highest instantaneous rate, the thinning envelope.
+func (d Diurnal) peak() float64 { return d.Mean * (1 + d.Amplitude) }
+
 // Stream implements Arrivals by thinning: candidates at the peak rate are
 // accepted with probability rate(t)/peak.
 func (d Diurnal) Stream(rng *rand.Rand) TimeStream {
-	peak := d.Mean * (1 + d.Amplitude)
+	peak := d.peak()
 	t := 0.0
 	return func() float64 {
 		for {
@@ -378,6 +381,11 @@ func (s Scenario) Validate() error {
 	}
 	if r := s.Arrivals.MeanRate(); !(r > 0) || math.IsInf(r, 1) {
 		return fmt.Errorf("workload: scenario %q mean rate %g is not positive and finite", s.Arrivals.Name(), r)
+	}
+	// Thinning draws candidates at the peak rate; an infinite peak never
+	// advances the clock, so the stream would never return.
+	if d, ok := s.Arrivals.(Diurnal); ok && math.IsInf(d.peak(), 0) {
+		return fmt.Errorf("workload: scenario %q peak rate %g is not finite", d.Name(), d.peak())
 	}
 	return s.Mix.Validate()
 }

@@ -208,13 +208,20 @@ func TestParseScenario(t *testing.T) {
 			t.Errorf("ParseScenario(%q) invalid: %v", name, err)
 		}
 	}
-	for _, name := range []string{"nope", "diurnal+nope", "a+b+c"} {
-		if _, err := ParseScenario(name, 3); err == nil {
-			t.Errorf("ParseScenario(%q) accepted", name)
+	for _, c := range []struct {
+		name string
+		rate float64
+	}{
+		{"nope", 3},
+		{"diurnal+nope", 3},
+		{"a+b+c", 3},
+		{"poisson", 0},
+		// The mean is finite but the thinning peak Mean·(1+Amplitude) is not.
+		{"diurnal", 1.5e308},
+	} {
+		if _, err := ParseScenario(c.name, c.rate); err == nil {
+			t.Errorf("ParseScenario(%q, %g) accepted", c.name, c.rate)
 		}
-	}
-	if _, err := ParseScenario("poisson", 0); err == nil {
-		t.Error("zero rate accepted")
 	}
 }
 

@@ -86,9 +86,11 @@ type LatencyDistribution struct {
 	Outliers []float64
 }
 
-// MeasureDistribution runs the workload and returns the full latency
-// distribution instead of summary scalars.
-func (s *Session) MeasureDistribution(w Workload, opts MeasureOptions) (*LatencyDistribution, error) {
+// run executes one generation of the workload on the session's platform —
+// the single path behind Measure and MeasureDistribution. On a CPU the
+// Backend option picks the framework's efficiency and AMX use; the GPU
+// model has no framework axis.
+func (s *Session) run(w Workload, opts MeasureOptions) (*perf.Result, error) {
 	w = w.normalize()
 	kind, err := parseDType(w.DType)
 	if err != nil {
@@ -99,34 +101,51 @@ func (s *Session) MeasureDistribution(w Workload, opts MeasureOptions) (*Latency
 		return nil, err
 	}
 	wl := trace.Workload{Model: cfg, Kind: kind, Batch: w.Batch, Beam: w.Beam, InputLen: w.InputLen, OutputLen: w.OutputLen}
-	var res *perf.Result
 	if s.isGPU {
-		res, err = perf.RunGPU(perf.GPURun{GPU: s.gpu, Platform: s.platform, Workload: wl, Seed: s.cfg.Seed})
-	} else {
-		res, err = perf.RunCPU(perf.CPURun{
-			CPU: s.cpu, Platform: s.platform, Workload: wl,
-			Sockets: opts.Sockets, CoresPerSocket: opts.Cores,
-			AMX: !opts.DisableAMX, Seed: s.cfg.Seed,
-		})
+		return perf.RunGPU(perf.GPURun{GPU: s.gpu, Platform: s.platform, Workload: wl, Seed: s.cfg.Seed})
 	}
+	eff := 1.0
+	amx := !opts.DisableAMX
+	if opts.Backend != "" {
+		b, err := backend.Lookup(opts.Backend)
+		if err != nil {
+			return nil, err
+		}
+		if !b.Supports(kind) {
+			return nil, fmt.Errorf("cllm: backend %s does not support %s", b.Name, kind)
+		}
+		eff = b.Efficiency
+		amx = amx && b.UsesAMX
+	}
+	return perf.RunCPU(perf.CPURun{
+		CPU: s.cpu, Platform: s.platform, Workload: wl,
+		Sockets: opts.Sockets, CoresPerSocket: opts.Cores,
+		AMX: amx, BackendEfficiency: eff, Seed: s.cfg.Seed,
+	})
+}
+
+// MeasureDistribution runs the workload and returns the full latency
+// distribution instead of summary scalars.
+func (s *Session) MeasureDistribution(w Workload, opts MeasureOptions) (*LatencyDistribution, error) {
+	res, err := s.run(w, opts)
 	if err != nil {
 		return nil, err
 	}
 	kept, _ := stats.FilterZScore(res.TokenLatencies, 3)
 	dist := &LatencyDistribution{
-		Samples: append([]float64(nil), res.TokenLatencies...),
+		Samples: res.TokenLatencies,
 		Mean:    stats.Mean(kept),
 		P25:     stats.Percentile(kept, 25),
 		P50:     stats.Percentile(kept, 50),
 		P75:     stats.Percentile(kept, 75),
 	}
-	keptSet := make(map[float64]int)
-	for _, k := range kept {
-		keptSet[k]++
-	}
+	// kept is the samples' in-order subsequence, and equal values share a
+	// Z-score, so no outlier equals a kept value: the samples that do not
+	// match the next kept one are exactly the outliers.
+	next := 0
 	for _, v := range res.TokenLatencies {
-		if keptSet[v] > 0 {
-			keptSet[v]--
+		if next < len(kept) && v == kept[next] {
+			next++
 			continue
 		}
 		dist.Outliers = append(dist.Outliers, v)
@@ -137,40 +156,7 @@ func (s *Session) MeasureDistribution(w Workload, opts MeasureOptions) (*Latency
 // Measure runs the mechanistic performance model for the workload on the
 // session's platform.
 func (s *Session) Measure(w Workload, opts MeasureOptions) (*Measurement, error) {
-	w = w.normalize()
-	kind, err := parseDType(w.DType)
-	if err != nil {
-		return nil, err
-	}
-	cfg, err := model.Lookup(w.Model)
-	if err != nil {
-		return nil, err
-	}
-	wl := trace.Workload{Model: cfg, Kind: kind, Batch: w.Batch, Beam: w.Beam, InputLen: w.InputLen, OutputLen: w.OutputLen}
-
-	var res *perf.Result
-	if s.isGPU {
-		res, err = perf.RunGPU(perf.GPURun{GPU: s.gpu, Platform: s.platform, Workload: wl, Seed: s.cfg.Seed})
-	} else {
-		eff := 1.0
-		amx := !opts.DisableAMX
-		if opts.Backend != "" {
-			b, berr := backend.Lookup(opts.Backend)
-			if berr != nil {
-				return nil, berr
-			}
-			if !b.Supports(kind) {
-				return nil, fmt.Errorf("cllm: backend %s does not support %s", b.Name, kind)
-			}
-			eff = b.Efficiency
-			amx = amx && b.UsesAMX
-		}
-		res, err = perf.RunCPU(perf.CPURun{
-			CPU: s.cpu, Platform: s.platform, Workload: wl,
-			Sockets: opts.Sockets, CoresPerSocket: opts.Cores,
-			AMX: amx, BackendEfficiency: eff, Seed: s.cfg.Seed,
-		})
-	}
+	res, err := s.run(w, opts)
 	if err != nil {
 		return nil, err
 	}
