@@ -158,11 +158,28 @@ func TestMeasureBackends(t *testing.T) {
 	if hf.TokensPerSec >= ipex.TokensPerSec {
 		t.Error("HF should be slower than IPEX")
 	}
-	if _, err := s.Measure(Workload{OutputLen: 8}, MeasureOptions{Backend: "TensorRT"}); err == nil {
-		t.Error("unknown backend accepted")
+	// A GPU session checks the backend just as a CPU session does.
+	g, _ := Open(Config{Platform: "cgpu", Seed: 6})
+	for name, sess := range map[string]*Session{"baremetal": s, "cgpu": g} {
+		if _, err := sess.Measure(Workload{OutputLen: 8}, MeasureOptions{Backend: "TensorRT"}); err == nil {
+			t.Errorf("%s: unknown backend accepted", name)
+		}
+		if _, err := sess.Measure(Workload{DType: "int8", OutputLen: 8}, MeasureOptions{Backend: "vLLM"}); err == nil {
+			t.Errorf("%s: vLLM int8 should be rejected", name)
+		}
 	}
-	if _, err := s.Measure(Workload{DType: "int8", OutputLen: 8}, MeasureOptions{Backend: "vLLM"}); err == nil {
-		t.Error("vLLM int8 should be rejected")
+	// Without a backend the GPU measurement is unchanged, bit for bit.
+	got, err := g.Measure(Workload{OutputLen: 16}, MeasureOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Measurement{
+		TokensPerSec: 78.29448857562194, DecodeTokensPerSec: 89.02460841227618,
+		MeanTokenLatency: 0.011232849184452054, P50TokenLatency: 0.011227441186442352,
+		PrefillSeconds: 0.024631070727757574,
+	}
+	if *got != want {
+		t.Errorf("cgpu measurement %+v, want %+v", *got, want)
 	}
 }
 

@@ -29,6 +29,8 @@ type Class struct {
 	// Name labels the class in reports (e.g. "tdx", "cgpu").
 	Name string
 	// Backend is the hardware/TEE combination replicas of this class run.
+	// Set its Coster (serve.NewStepCoster) to share one costing table
+	// across the class's replicas and its ProbeCapacity measurement.
 	Backend serve.Backend
 	// HourlyUSD is the rental price of one replica.
 	HourlyUSD float64
@@ -43,8 +45,8 @@ type Class struct {
 	Min, Max int
 	// CapacityReqPerSec is one replica's saturated completion rate for the
 	// experiment's request shape, used by cost-aware dispatch weighting
-	// and the target-tracking scaler. Zero means "probe it": Run measures
-	// it with ProbeCapacity before simulating.
+	// and the target-tracking scaler. Measure it with ProbeCapacity; Run
+	// rejects a class without a positive, finite capacity.
 	CapacityReqPerSec float64
 }
 
@@ -274,22 +276,6 @@ func ProbeCapacity(be serve.Backend, scfg serve.Config) (float64, error) {
 	return float64(rep.Completed) / rep.MakespanSec, nil
 }
 
-// probeCapacities fills missing per-class capacities, probing classes
-// one at a time in class order.
-func probeCapacities(cls []Class, cfg Config) error {
-	for i := range cls {
-		if cls[i].CapacityReqPerSec > 0 {
-			continue
-		}
-		cap, err := ProbeCapacity(cls[i].Backend, cfg.Serve)
-		if err != nil {
-			return fmt.Errorf("autoscale: class %s: %w", cls[i].Name, err)
-		}
-		cls[i].CapacityReqPerSec = cap
-	}
-	return nil
-}
-
 // slot is one provisionable replica instance. Its scheduler is built
 // lazily on first activation — a class's Max bounds the fleet, it should
 // not cost Max schedulers' state when the load never needs them.
@@ -345,21 +331,10 @@ func Run(classes []Class, cfg Config) (*Report, error) {
 		if c.ColdStartSec < 0 {
 			return nil, fmt.Errorf("autoscale: class %s cold start %g is negative", c.Name, c.ColdStartSec)
 		}
-		if c.Backend.Coster == nil {
-			// All replicas of a class run the same backend: share one
-			// memoized costing table across its slots (and its capacity
-			// probe below), so a step shape costed anywhere in the fleet is
-			// a table hit everywhere else.
-			coster, err := serve.NewStepCoster(c.Backend, cfg.Serve)
-			if err != nil {
-				return nil, fmt.Errorf("autoscale: class %s: %w", c.Name, err)
-			}
-			c.Backend.Coster = coster
+		if !(c.CapacityReqPerSec > 0) || math.IsInf(c.CapacityReqPerSec, 0) {
+			return nil, fmt.Errorf("autoscale: class %s capacity %g req/s must be positive and finite (measure it with ProbeCapacity)", c.Name, c.CapacityReqPerSec)
 		}
 		totalMin += c.Min
-	}
-	if err := probeCapacities(cls, cfg); err != nil {
-		return nil, err
 	}
 	if totalMin == 0 {
 		// An empty standing fleet would queue the first arrivals behind a

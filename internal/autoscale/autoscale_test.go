@@ -53,6 +53,24 @@ func testServeConfig(t *testing.T, requests int) serve.Config {
 	}
 }
 
+// probed prepares classes as every caller of Run does: each class's
+// backend gets its shared step coster and its capacity from ProbeCapacity.
+func probed(t *testing.T, scfg serve.Config, classes ...Class) []Class {
+	t.Helper()
+	out := append([]Class(nil), classes...)
+	for i := range out {
+		c := &out[i]
+		var err error
+		if c.Backend.Coster, err = serve.NewStepCoster(c.Backend, scfg); err != nil {
+			t.Fatal(err)
+		}
+		if c.CapacityReqPerSec, err = ProbeCapacity(c.Backend, scfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
 func TestColdStartSecMechanisms(t *testing.T) {
 	w := testWorkload(t)
 	bm := ColdStartSec(testBackend(tee.Baremetal()), w)
@@ -101,10 +119,10 @@ func TestProbeCapacityOrdersBackends(t *testing.T) {
 
 func TestRunConservesRequestsAndBills(t *testing.T) {
 	cfg := Config{Serve: testServeConfig(t, 96), IntervalSec: 10, TargetUtil: 0.6}
-	classes := []Class{{
+	classes := probed(t, cfg.Serve, Class{
 		Name: "tdx", Backend: testBackend(tee.TDX()), HourlyUSD: 0.83,
 		ColdStartSec: 12, Min: 1, Max: 4,
-	}}
+	})
 	rep, err := Run(classes, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -147,10 +165,10 @@ func TestRunConservesRequestsAndBills(t *testing.T) {
 
 func TestRunDeterministicUnderSeed(t *testing.T) {
 	cfg := Config{Serve: testServeConfig(t, 48), IntervalSec: 10}
-	classes := []Class{{
+	classes := probed(t, cfg.Serve, Class{
 		Name: "tdx", Backend: testBackend(tee.TDX()), HourlyUSD: 0.83,
 		ColdStartSec: 12, Min: 1, Max: 3,
-	}}
+	})
 	a, err := Run(classes, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -168,10 +186,10 @@ func TestRunDeterministicUnderSeed(t *testing.T) {
 func TestColdStartDegradesAttainment(t *testing.T) {
 	mk := func(coldStart float64) *Report {
 		cfg := Config{Serve: testServeConfig(t, 96), IntervalSec: 10, TargetUtil: 0.8}
-		rep, err := Run([]Class{{
+		rep, err := Run(probed(t, cfg.Serve, Class{
 			Name: "tdx", Backend: testBackend(tee.TDX()), HourlyUSD: 0.83,
 			ColdStartSec: coldStart, Min: 1, Max: 4,
-		}}, cfg)
+		}), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,15 +207,14 @@ func TestColdStartDegradesAttainment(t *testing.T) {
 }
 
 func TestHeterogeneousDispatchPolicies(t *testing.T) {
-	classes := func() []Class {
-		return []Class{
-			{Name: "tdx", Backend: testBackend(tee.TDX()), HourlyUSD: 0.83, Min: 2, Max: 2},
-			{Name: "cgpu", Backend: gpuBackend(tee.CGPU()), HourlyUSD: 6.20, Min: 1, Max: 1},
-		}
-	}
+	scfg := testServeConfig(t, 96)
+	classes := probed(t, scfg,
+		Class{Name: "tdx", Backend: testBackend(tee.TDX()), HourlyUSD: 0.83, Min: 2, Max: 2},
+		Class{Name: "cgpu", Backend: gpuBackend(tee.CGPU()), HourlyUSD: 6.20, Min: 1, Max: 1},
+	)
 	run := func(d Dispatch) *Report {
-		cfg := Config{Serve: testServeConfig(t, 96), Dispatch: d, IntervalSec: 10}
-		rep, err := Run(classes(), cfg)
+		cfg := Config{Serve: scfg, Dispatch: d, IntervalSec: 10}
+		rep, err := Run(classes, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,7 +240,7 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(nil, Config{Serve: scfg}); err == nil {
 		t.Error("empty class list accepted")
 	}
-	bad := []Class{{Name: "x", Backend: testBackend(tee.TDX()), HourlyUSD: 0, Max: 1}}
+	bad := []Class{{Name: "x", Backend: testBackend(tee.TDX()), HourlyUSD: 0, Max: 1, CapacityReqPerSec: 1}}
 	if _, err := Run(bad, Config{Serve: scfg}); err == nil {
 		t.Error("zero hourly price accepted")
 	}
@@ -236,6 +253,14 @@ func TestRunValidation(t *testing.T) {
 	bad[0].ColdStartSec = -1
 	if _, err := Run(bad, Config{Serve: scfg}); err == nil {
 		t.Error("negative cold start accepted")
+	}
+	bad[0].ColdStartSec = 0
+	for _, capacity := range []float64{0, math.NaN(), math.Inf(1)} {
+		bad[0].CapacityReqPerSec = capacity
+		_, err := Run(bad, Config{Serve: scfg})
+		if err == nil || !strings.Contains(err.Error(), "class x") || !strings.Contains(err.Error(), "ProbeCapacity") {
+			t.Errorf("capacity %g: got %v, want an error naming the class and ProbeCapacity", capacity, err)
+		}
 	}
 	if _, err := ParseDispatch("nope"); err == nil {
 		t.Error("unknown dispatch accepted")
@@ -251,10 +276,10 @@ func sgxPlatform() (tee.Platform, error) {
 // explicit 1 are the pure reactive estimator — the whole report must be
 // bit-identical to a run that never heard of smoothing.
 func TestDemandAlphaDefaultBitIdentical(t *testing.T) {
-	classes := []Class{{
+	classes := probed(t, testServeConfig(t, 48), Class{
 		Name: "tdx", Backend: testBackend(tee.TDX()), HourlyUSD: 0.83,
 		ColdStartSec: 12, Min: 1, Max: 3,
-	}}
+	})
 	base, err := Run(classes, Config{Serve: testServeConfig(t, 48), IntervalSec: 10})
 	if err != nil {
 		t.Fatal(err)
@@ -275,11 +300,12 @@ func TestDemandAlphaDefaultBitIdentical(t *testing.T) {
 // from the raw series on a bursty stream.
 func TestDemandAlphaSmoothsDemand(t *testing.T) {
 	const alpha, interval = 0.3, 10.0
-	classes := []Class{{
+	scfg := testServeConfig(t, 96)
+	classes := probed(t, scfg, Class{
 		Name: "tdx", Backend: testBackend(tee.TDX()), HourlyUSD: 0.83,
 		ColdStartSec: 12, Min: 1, Max: 4,
-	}}
-	rep, err := Run(classes, Config{Serve: testServeConfig(t, 96), IntervalSec: interval, DemandAlpha: alpha})
+	})
+	rep, err := Run(classes, Config{Serve: scfg, IntervalSec: interval, DemandAlpha: alpha})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +334,7 @@ func TestDemandAlphaSmoothsDemand(t *testing.T) {
 }
 
 func TestDemandAlphaValidation(t *testing.T) {
-	classes := []Class{{Name: "tdx", Backend: testBackend(tee.TDX()), HourlyUSD: 0.83, Max: 2}}
+	classes := []Class{{Name: "tdx", Backend: testBackend(tee.TDX()), HourlyUSD: 0.83, Max: 2, CapacityReqPerSec: 1}}
 	for _, alpha := range []float64{-0.5, 1.5} {
 		if _, err := Run(classes, Config{Serve: testServeConfig(t, 8), DemandAlpha: alpha}); err == nil {
 			t.Errorf("alpha %g accepted", alpha)
@@ -323,10 +349,10 @@ func TestAutoscaleObserver(t *testing.T) {
 	rec := obs.NewRecorder()
 	scfg := testServeConfig(t, 96)
 	scfg.Observer = rec
-	classes := []Class{{
+	classes := probed(t, scfg, Class{
 		Name: "tdx", Backend: testBackend(tee.TDX()), HourlyUSD: 0.83,
 		ColdStartSec: 1, Min: 2, Max: 4,
-	}}
+	})
 	rep, err := Run(classes, Config{Serve: scfg, IntervalSec: 10, TargetUtil: 0.6})
 	if err != nil {
 		t.Fatal(err)
@@ -355,10 +381,10 @@ func TestAutoscalePhaseConservation(t *testing.T) {
 	}
 	scfg := testServeConfig(t, 96)
 	scfg.Observer = obs.Multi(rec, a)
-	classes := []Class{{
+	classes := probed(t, scfg, Class{
 		Name: "tdx", Backend: testBackend(tee.TDX()), HourlyUSD: 0.83,
 		ColdStartSec: 1, Min: 2, Max: 4,
-	}}
+	})
 	rep, err := Run(classes, Config{Serve: scfg, IntervalSec: 10, TargetUtil: 0.6})
 	if err != nil {
 		t.Fatal(err)
@@ -380,10 +406,10 @@ func TestAutoscalePhaseConservation(t *testing.T) {
 // the whole report — aggregate, windows, usage, billing — byte-identical to
 // the one-epoch run.
 func TestRunEpochInvariance(t *testing.T) {
-	classes := []Class{
-		{Name: "tdx", Backend: testBackend(tee.TDX()), HourlyUSD: 0.83, ColdStartSec: 12, Min: 1, Max: 3},
-		{Name: "cgpu", Backend: gpuBackend(tee.CGPU()), HourlyUSD: 6.20, ColdStartSec: 20, Min: 0, Max: 1},
-	}
+	classes := probed(t, testServeConfig(t, 64),
+		Class{Name: "tdx", Backend: testBackend(tee.TDX()), HourlyUSD: 0.83, ColdStartSec: 12, Min: 1, Max: 3},
+		Class{Name: "cgpu", Backend: gpuBackend(tee.CGPU()), HourlyUSD: 6.20, ColdStartSec: 20, Min: 0, Max: 1},
+	)
 	run := func(epoch int) *Report {
 		scfg := testServeConfig(t, 64)
 		scfg.EpochRequests = epoch

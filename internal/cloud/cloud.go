@@ -124,21 +124,18 @@ func ServingCost(hourlyPerReplica float64, replicas int, offeredTokensPerSec flo
 	return CostPerMTokens(hourlyPerReplica*float64(replicas), offeredTokensPerSec)
 }
 
-// FleetCostPerMTok prices a simulated fleet: `replicas` identical
-// instances at `hourlyPerReplica` whose simulation served
+// FleetCostPerMTok prices a simulated fleet: the whole fleet rents for
+// `hourlyUSD` (the sum over its replicas) and its simulation served
 // `servedTokensPerSec` aggregate SLO-compliant output tokens per second.
 // Unlike ServingCost, the fleet size and the served rate both come from a
 // multi-replica simulation (see internal/serve.RunFleet) rather than from
 // extrapolating one replica's goodput — load-balancer skew, per-replica
 // queueing and prefix-cache locality are in the inputs.
-func FleetCostPerMTok(hourlyPerReplica float64, replicas int, servedTokensPerSec float64) (float64, error) {
-	if replicas <= 0 {
-		return 0, fmt.Errorf("cloud: non-positive replica count %d", replicas)
+func FleetCostPerMTok(hourlyUSD, servedTokensPerSec float64) (float64, error) {
+	if !(hourlyUSD > 0) || math.IsInf(hourlyUSD, 0) {
+		return 0, fmt.Errorf("cloud: fleet hourly price %g must be positive and finite", hourlyUSD)
 	}
-	if !(hourlyPerReplica > 0) || math.IsInf(hourlyPerReplica, 0) {
-		return 0, fmt.Errorf("cloud: replica hourly price %g must be positive and finite", hourlyPerReplica)
-	}
-	return CostPerMTokens(hourlyPerReplica*float64(replicas), servedTokensPerSec)
+	return CostPerMTokens(hourlyUSD, servedTokensPerSec)
 }
 
 // CostPoint is one (vCPUs, throughput, cost) sample of a scaling sweep.

@@ -46,17 +46,14 @@ func TestHourlyCostRejectsBadPrices(t *testing.T) {
 
 func TestFleetCostPerMTokRejectsBadPrices(t *testing.T) {
 	for _, hourly := range []float64{0, -1, math.NaN(), math.Inf(1)} {
-		if cost, err := FleetCostPerMTok(hourly, 2, 100); err == nil {
+		if cost, err := FleetCostPerMTok(hourly, 100); err == nil {
 			t.Errorf("hourly %g priced fleet at %g instead of erroring", hourly, cost)
 		}
 	}
-	if _, err := FleetCostPerMTok(1, 0, 100); err == nil {
-		t.Error("zero replicas priced")
-	}
-	if _, err := FleetCostPerMTok(1, 2, math.NaN()); err == nil {
+	if _, err := FleetCostPerMTok(1, math.NaN()); err == nil {
 		t.Error("NaN served rate priced")
 	}
-	got, err := FleetCostPerMTok(0.36, 2, 200)
+	got, err := FleetCostPerMTok(0.72, 200)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -313,13 +313,7 @@ func newArrivalSource(cfg Config, rng *rand.Rand) (*arrivalSource, error) {
 			if i >= cfg.Requests {
 				return Request{}, false
 			}
-			wr := gen.Next()
-			r := clampToContext(Request{
-				ID: i, ArrivalSec: wr.ArrivalSec,
-				InputLen: wr.InputLen, OutputLen: wr.OutputLen,
-				PrefixID: wr.PrefixID, PrefixLen: wr.PrefixLen,
-				Class: classOfShape(wr.Shape),
-			}, cfg.Workload.Model.ContextLen)
+			r := scenarioRequest(i, gen.Next(), cfg.Workload.Model.ContextLen)
 			i++
 			return r, true
 		}}, nil

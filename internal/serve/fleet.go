@@ -121,7 +121,7 @@ func (f *FleetReport) SLOAttainment() float64 { return f.Aggregate.SLOAttainment
 // between replicas and the load balancer are in the number, not assumed
 // away.
 func (f *FleetReport) CostPerMTok(totalHourlyUSD float64) (float64, error) {
-	return cloud.FleetCostPerMTok(totalHourlyUSD, 1, f.Aggregate.GoodputTokensPerSec)
+	return cloud.FleetCostPerMTok(totalHourlyUSD, f.Aggregate.GoodputTokensPerSec)
 }
 
 // RunFleet simulates cfg's offered load against a fleet of identical
@@ -454,22 +454,17 @@ func MergeReports(offeredRate float64, reps []*Report) *Report {
 //
 // Sizes are tried in order since attainment need not be monotone in the
 // fleet size (under PrefixAffinity more replicas can lower it). Every
-// candidate is seeded from cfg.Seed and they all share one memoized
-// step-costing table. Candidates are side-simulations: cfg's observer and
-// clear-twin coster are dropped, so an attached observer sees none of them.
+// candidate is seeded from cfg.Seed. Set be.Coster (NewStepCoster) to
+// share one memoized step-costing table across the candidates; without it
+// each candidate fleet builds its own. Candidates are side-simulations:
+// cfg's observer and clear-twin coster are dropped, so an attached
+// observer sees none of them.
 func SizeFleetForSLO(be Backend, cfg Config, policy LBPolicy, target float64, maxReplicas int) (int, *FleetReport, error) {
 	if target <= 0 || target > 1 {
 		return 0, nil, fmt.Errorf("serve: SLO attainment target %g outside (0, 1]", target)
 	}
 	if maxReplicas <= 0 {
 		maxReplicas = 16
-	}
-	if be.Coster == nil {
-		coster, err := NewStepCoster(be, cfg)
-		if err != nil {
-			return 0, nil, err
-		}
-		be.Coster = coster
 	}
 	cfg.Observer, cfg.ClearCoster = nil, nil
 	for n := 1; n <= maxReplicas; n++ {

@@ -8,6 +8,7 @@ import (
 	"cllm/internal/perf"
 	"cllm/internal/sim"
 	"cllm/internal/trace"
+	"cllm/internal/workload"
 )
 
 // phase is a request's lifecycle state.
@@ -420,9 +421,19 @@ func clampToContext(r Request, ctx int) Request {
 	return r
 }
 
-// scenarioArrivals adopts a workload scenario's request stream: shapes and
-// times come from the scenario; the context window is enforced by the same
-// clamp the synthetic path uses.
+// scenarioRequest adopts request i of a workload scenario's stream: shape
+// and time come from the scenario; the context window is enforced by the
+// same clamp the synthetic path uses.
+func scenarioRequest(i int, wr workload.Request, ctx int) Request {
+	return clampToContext(Request{
+		ID: i, ArrivalSec: wr.ArrivalSec,
+		InputLen: wr.InputLen, OutputLen: wr.OutputLen,
+		PrefixID: wr.PrefixID, PrefixLen: wr.PrefixLen,
+		Class: classOfShape(wr.Shape),
+	}, ctx)
+}
+
+// scenarioArrivals adopts a workload scenario's whole request stream.
 func scenarioArrivals(cfg Config, rng *rand.Rand) ([]Request, error) {
 	reqs, err := cfg.Scenario.Generate(cfg.Requests, rng)
 	if err != nil {
@@ -430,20 +441,14 @@ func scenarioArrivals(cfg Config, rng *rand.Rand) ([]Request, error) {
 	}
 	out := make([]Request, len(reqs))
 	for i, wr := range reqs {
-		out[i] = clampToContext(Request{
-			ID: i, ArrivalSec: wr.ArrivalSec,
-			InputLen: wr.InputLen, OutputLen: wr.OutputLen,
-			PrefixID: wr.PrefixID, PrefixLen: wr.PrefixLen,
-			Class: classOfShape(wr.Shape),
-		}, cfg.Workload.Model.ContextLen)
+		out[i] = scenarioRequest(i, wr, cfg.Workload.Model.ContextLen)
 	}
 	return out, nil
 }
 
 // Arrivals synthesizes the offered load a configuration describes — trace,
-// scenario, or Poisson — exactly as Run/RunFleet would see it. External
-// control loops (internal/autoscale) use it to dispatch the same stream
-// across a fleet they manage themselves.
+// scenario, or Poisson — exactly as Run/RunFleet would see it. The bench/
+// harness uses it to time arrival synthesis apart from the simulation.
 func Arrivals(cfg Config) ([]Request, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err

@@ -113,8 +113,9 @@ type Backend struct {
 // NewStepCoster builds the memoized per-step costing table for a backend
 // under cfg's model and datatype. Run/RunFleet build one
 // automatically when be.Coster is nil; callers that sweep many runs over
-// one backend (SizeFleetForSLO, autoscalers, benchmark harnesses) should
-// build it once and share it via Backend.Coster.
+// one backend (SizeFleetForSLO's candidates, autoscale classes and their
+// capacity probes, benchmark harnesses) should build it once and share it
+// via Backend.Coster.
 func NewStepCoster(be Backend, cfg Config) (*perf.StepCoster, error) {
 	wl := trace.Workload{Model: cfg.Workload.Model, Kind: cfg.Workload.Kind}
 	if be.IsGPU {

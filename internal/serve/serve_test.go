@@ -484,7 +484,7 @@ func TestFleetCostAndSizing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := cloud.FleetCostPerMTok(1.5, 2, fr.Aggregate.GoodputTokensPerSec)
+	want, err := cloud.CostPerMTokens(2*1.5, fr.Aggregate.GoodputTokensPerSec)
 	if err != nil {
 		t.Fatal(err)
 	}

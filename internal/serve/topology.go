@@ -198,7 +198,3 @@ func NewFleet(topo Topology) (*Fleet, error) {
 	}
 	return &Fleet{topo: cp}, nil
 }
-
-// Topology returns the fleet's validated topology (replica counts
-// defaulted).
-func (f *Fleet) Topology() Topology { return f.topo }

@@ -1,7 +1,7 @@
 // Package workload generates the traffic scenarios the serving simulator
 // consumes: an arrival process (stationary Poisson, bursty MMPP, diurnal
-// sinusoid, ramp, or trace replay) crossed with a request-shape mix (chat,
-// RAG long-prefill, agentic many-turns). The paper measures one request at
+// sinusoid or ramp) crossed with a request-shape mix (chat, RAG
+// long-prefill, agentic many-turns). The paper measures one request at
 // a time on a quiet machine; real confidential deployments face
 // non-stationary load, where the cost of protection includes paying
 // TEE-specific cold starts to track the arrival process (internal/autoscale
@@ -213,52 +213,6 @@ func (r Ramp) Stream(rng *rand.Rand) TimeStream {
 				return t
 			}
 		}
-	}
-}
-
-// Replay replays recorded arrival times (e.g. a production trace). When
-// more arrivals are requested than the trace holds, it tiles the trace
-// end-to-end, preserving its bursts.
-type Replay struct {
-	// TimesSec are the recorded arrival offsets, non-decreasing from 0.
-	TimesSec []float64
-}
-
-// Name implements Arrivals.
-func (r Replay) Name() string { return "replay" }
-
-// MeanRate implements Arrivals.
-func (r Replay) MeanRate() float64 {
-	if len(r.TimesSec) < 2 {
-		return 0
-	}
-	span := r.TimesSec[len(r.TimesSec)-1] - r.TimesSec[0]
-	if span <= 0 {
-		return 0
-	}
-	return float64(len(r.TimesSec)-1) / span
-}
-
-// Stream implements Arrivals, tiling the trace with the mean gap as the
-// seam so the wrapped stream keeps the trace's rate. The rng is unused — a
-// replay is already a fixed sample path.
-func (r Replay) Stream(_ *rand.Rand) TimeStream {
-	if len(r.TimesSec) == 0 {
-		return func() float64 { return 0 }
-	}
-	seam := 1.0
-	if rate := r.MeanRate(); rate > 0 {
-		seam = 1 / rate
-	}
-	i, base, last := 0, 0.0, 0.0
-	return func() float64 {
-		if i == len(r.TimesSec) {
-			i = 0
-			base = last + seam
-		}
-		last = base + r.TimesSec[i] - r.TimesSec[0]
-		i++
-		return last
 	}
 }
 

@@ -108,22 +108,6 @@ func TestRampRateGrows(t *testing.T) {
 	}
 }
 
-func TestReplayTilesTrace(t *testing.T) {
-	rp := Replay{TimesSec: []float64{0, 1, 2, 3}}
-	times := drainTimes(rp.Stream(nil), 10)
-	if len(times) != 10 {
-		t.Fatalf("replay returned %d times", len(times))
-	}
-	for i := 1; i < len(times); i++ {
-		if times[i] < times[i-1] {
-			t.Fatalf("replay times decrease at %d: %v", i, times)
-		}
-	}
-	if got := rp.MeanRate(); math.Abs(got-1) > 1e-9 {
-		t.Errorf("replay mean rate %g, want 1", got)
-	}
-}
-
 func TestDeterministicUnderSeed(t *testing.T) {
 	sc, err := ParseScenario("diurnal+rag", 4)
 	if err != nil {

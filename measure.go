@@ -55,6 +55,7 @@ type MeasureOptions struct {
 	// DisableAMX turns the tile units off (Fig 8's ablation).
 	DisableAMX bool
 	// Backend is the framework profile: IPEX (default), vLLM, HF, Llama.cpp.
+	// A GPU session checks it but does not model it.
 	Backend string
 }
 
@@ -101,9 +102,6 @@ func (s *Session) run(w Workload, opts MeasureOptions) (*perf.Result, error) {
 		return nil, err
 	}
 	wl := trace.Workload{Model: cfg, Kind: kind, Batch: w.Batch, Beam: w.Beam, InputLen: w.InputLen, OutputLen: w.OutputLen}
-	if s.isGPU {
-		return perf.RunGPU(perf.GPURun{GPU: s.gpu, Platform: s.platform, Workload: wl, Seed: s.cfg.Seed})
-	}
 	eff := 1.0
 	amx := !opts.DisableAMX
 	if opts.Backend != "" {
@@ -116,6 +114,11 @@ func (s *Session) run(w Workload, opts MeasureOptions) (*perf.Result, error) {
 		}
 		eff = b.Efficiency
 		amx = amx && b.UsesAMX
+	}
+	if s.isGPU {
+		// The backend is checked on every platform, but the GPU model has
+		// no framework-efficiency or AMX term to apply it to.
+		return perf.RunGPU(perf.GPURun{GPU: s.gpu, Platform: s.platform, Workload: wl, Seed: s.cfg.Seed})
 	}
 	return perf.RunCPU(perf.CPURun{
 		CPU: s.cpu, Platform: s.platform, Workload: wl,
