@@ -126,7 +126,7 @@ func runObservability(o Options) (*Result, error) {
 		traceJSON := r.rec.PerfettoTrace()
 		res.Rows = append(res.Rows, []string{
 			r.name,
-			fmt.Sprintf("%d", len(r.rec.Events())),
+			fmt.Sprintf("%d", r.rec.Len()),
 			fmt.Sprintf("%d", len(r.rec.Series().Merged())),
 			fmt.Sprintf("%d", r.rec.CountKind(serve.EvArrive)),
 			fmt.Sprintf("%d", r.rec.CountKind(serve.EvAdmit)),

@@ -126,6 +126,9 @@ func TestEventLogMatchesReferenceOnOverloadRun(t *testing.T) {
 	if n := len(ref.log.chunks); n < 3 {
 		t.Fatalf("the run spans %d reference chunks, want at least 3", n)
 	}
+	if c, p := len(rec.log.dir.chunks), len(rec.log.dir.pages); c < 3 || p < 3 {
+		t.Fatalf("the run spans %d record chunks and %d float pages, want at least 3 of each", c, p)
+	}
 	want := ref.log.events()
 	if got := rec.Len(); got != len(want) {
 		t.Fatalf("Len = %d, want %d", got, len(want))

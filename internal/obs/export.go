@@ -75,12 +75,11 @@ func (r *Recorder) perfettoTrace(a *Attribution) []byte {
 	// Process metadata first: one named track group per replica seen.
 	seen := map[int]bool{}
 	var replicas []int
-	for i := range r.log.nchunks() {
-		for _, ev := range r.log.segment(i) {
-			if !seen[ev.Replica] {
-				seen[ev.Replica] = true
-				replicas = append(replicas, ev.Replica)
-			}
+	var ev serve.Event
+	for c := r.log.walk(); c.next(&ev); {
+		if !seen[ev.Replica] {
+			seen[ev.Replica] = true
+			replicas = append(replicas, ev.Replica)
 		}
 	}
 	for _, id := range replicas {
@@ -103,136 +102,134 @@ func (r *Recorder) perfettoTrace(a *Attribution) []byte {
 		hasAdmit, hasPreempt, hasHandoff          bool
 	}
 	tracks := map[int]*track{}
-	for i := range r.log.nchunks() {
-		for _, ev := range r.log.segment(i) {
-			switch ev.Kind {
-			case serve.EvCrash, serve.EvRecover:
-				// Per-replica fault events (ReqID -1): process-scoped instants so
-				// the outage brackets every request track of the replica.
-				str(`{"name":`, ev.Kind.String())
-				scratch = append(scratch, `,"cat":"fault","ph":"i","s":"p"`...)
-				num(`,"pid":`, ev.Replica)
-				ts(`,"ts":`, ev.TimeSec)
-				num(`,"args":{"inflight":`, ev.Tokens)
-				scratch = append(scratch, `,"recovery_s":`...)
-				scratch = strconv.AppendFloat(scratch, ev.XferSec, 'g', 6, 64)
-				scratch = append(scratch, "}}"...)
-				flush()
-				continue
-			}
-			t := tracks[ev.ReqID]
-			if t == nil && ev.Kind != serve.EvDecodeRound {
-				t = &track{}
-				tracks[ev.ReqID] = t
-			}
-			switch ev.Kind {
-			case serve.EvArrive:
-				t.arrive = ev.TimeSec
-			case serve.EvAdmit:
-				if !t.hasAdmit {
-					t.hasAdmit = true
-					t.admit = ev.TimeSec
-					span("queued", ev, t.arrive, ev.TimeSec)
-				} else if t.hasHandoff {
-					// Decode-side admission closes the handoff: a span on the
-					// destination track plus the flow arrow's binding end, so
-					// Perfetto draws the transfer between the two replica
-					// tracks. The decode span then starts here.
-					t.hasHandoff = false
-					span("handoff", ev, t.handoff, ev.TimeSec)
-					scratch = append(scratch, `{"name":"kv-handoff","cat":"handoff","ph":"f","bp":"e"`...)
-					num(`,"id":`, ev.ReqID)
-					num(`,"pid":`, ev.Replica)
-					num(`,"tid":`, ev.ReqID)
-					ts(`,"ts":`, ev.TimeSec)
-					scratch = append(scratch, '}')
-					flush()
-					t.firstTok = ev.TimeSec
-				} else if t.hasPreempt {
-					t.hasPreempt = false
-					span("preempted", ev, t.preempt, ev.TimeSec)
-				}
-			case serve.EvFirstToken:
-				span("prefill", ev, t.admit, ev.TimeSec)
-				t.firstTok = ev.TimeSec
-			case serve.EvFinish:
-				span("decode", ev, t.firstTok, ev.TimeSec)
-			case serve.EvDrop:
+	for c := r.log.walk(); c.next(&ev); {
+		switch ev.Kind {
+		case serve.EvCrash, serve.EvRecover:
+			// Per-replica fault events (ReqID -1): process-scoped instants so
+			// the outage brackets every request track of the replica.
+			str(`{"name":`, ev.Kind.String())
+			scratch = append(scratch, `,"cat":"fault","ph":"i","s":"p"`...)
+			num(`,"pid":`, ev.Replica)
+			ts(`,"ts":`, ev.TimeSec)
+			num(`,"args":{"inflight":`, ev.Tokens)
+			scratch = append(scratch, `,"recovery_s":`...)
+			scratch = strconv.AppendFloat(scratch, ev.XferSec, 'g', 6, 64)
+			scratch = append(scratch, "}}"...)
+			flush()
+			continue
+		}
+		t := tracks[ev.ReqID]
+		if t == nil && ev.Kind != serve.EvDecodeRound {
+			t = &track{}
+			tracks[ev.ReqID] = t
+		}
+		switch ev.Kind {
+		case serve.EvArrive:
+			t.arrive = ev.TimeSec
+		case serve.EvAdmit:
+			if !t.hasAdmit {
+				t.hasAdmit = true
+				t.admit = ev.TimeSec
 				span("queued", ev, t.arrive, ev.TimeSec)
-				scratch = append(scratch, `{"name":"drop","cat":"sched","ph":"i","s":"t"`...)
-				num(`,"pid":`, ev.Replica)
-				num(`,"tid":`, ev.ReqID)
-				ts(`,"ts":`, ev.TimeSec)
-				str(`,"args":{"reason":`, ev.Drop.String())
-				num(`,"tokens":`, ev.Tokens)
-				scratch = append(scratch, "}}"...)
-				flush()
-			case serve.EvShed:
-				scratch = append(scratch, `{"name":"shed","cat":"sched","ph":"i","s":"t"`...)
-				num(`,"pid":`, ev.Replica)
-				num(`,"tid":`, ev.ReqID)
-				ts(`,"ts":`, ev.TimeSec)
-				num(`,"args":{"tokens":`, ev.Tokens)
-				scratch = append(scratch, "}}"...)
-				flush()
-			case serve.EvRetry:
-				scratch = append(scratch, `{"name":"retry","cat":"sched","ph":"i","s":"t"`...)
-				num(`,"pid":`, ev.Replica)
-				num(`,"tid":`, ev.ReqID)
-				ts(`,"ts":`, ev.TimeSec)
-				num(`,"args":{"attempt":`, ev.Hist)
-				scratch = append(scratch, "}}"...)
-				flush()
-			case serve.EvPreempt:
-				t.preempt = ev.TimeSec
-				t.hasPreempt = true
-				scratch = append(scratch, `{"name":"preempt","cat":"sched","ph":"i","s":"t"`...)
-				num(`,"pid":`, ev.Replica)
-				num(`,"tid":`, ev.ReqID)
-				ts(`,"ts":`, ev.TimeSec)
-				str(`,"args":{"policy":`, ev.Policy.String())
-				str(`,"reason":`, ev.Reason.String())
-				num(`,"tokens":`, ev.Tokens)
-				scratch = append(scratch, "}}"...)
-				flush()
-			case serve.EvSwapOut, serve.EvSwapIn:
-				str(`{"name":`, ev.Kind.String())
-				scratch = append(scratch, `,"cat":"swap","ph":"i","s":"t"`...)
-				num(`,"pid":`, ev.Replica)
-				num(`,"tid":`, ev.ReqID)
-				ts(`,"ts":`, ev.TimeSec)
-				num(`,"args":{"tokens":`, ev.Tokens)
-				scratch = append(scratch, `,"bytes":`...)
-				scratch = strconv.AppendFloat(scratch, ev.Bytes, 'f', 0, 64)
-				scratch = append(scratch, `,"xfer_ms":`...)
-				scratch = strconv.AppendFloat(scratch, ev.XferSec*1e3, 'g', 6, 64)
-				scratch = append(scratch, "}}"...)
-				flush()
-			case serve.EvHandoff:
-				// Launch instant on the prefill replica's track with the priced
-				// transfer, then the flow arrow's start; the matching binding
-				// end is emitted at the destination's EvAdmit above.
-				t.handoff = ev.TimeSec
-				t.hasHandoff = true
-				scratch = append(scratch, `{"name":"handoff","cat":"handoff","ph":"i","s":"t"`...)
-				num(`,"pid":`, ev.Replica)
-				num(`,"tid":`, ev.ReqID)
-				ts(`,"ts":`, ev.TimeSec)
-				num(`,"args":{"tokens":`, ev.Tokens)
-				scratch = append(scratch, `,"bytes":`...)
-				scratch = strconv.AppendFloat(scratch, ev.Bytes, 'f', 0, 64)
-				scratch = append(scratch, `,"xfer_ms":`...)
-				scratch = strconv.AppendFloat(scratch, ev.XferSec*1e3, 'g', 6, 64)
-				scratch = append(scratch, "}}"...)
-				flush()
-				scratch = append(scratch, `{"name":"kv-handoff","cat":"handoff","ph":"s"`...)
+			} else if t.hasHandoff {
+				// Decode-side admission closes the handoff: a span on the
+				// destination track plus the flow arrow's binding end, so
+				// Perfetto draws the transfer between the two replica
+				// tracks. The decode span then starts here.
+				t.hasHandoff = false
+				span("handoff", ev, t.handoff, ev.TimeSec)
+				scratch = append(scratch, `{"name":"kv-handoff","cat":"handoff","ph":"f","bp":"e"`...)
 				num(`,"id":`, ev.ReqID)
 				num(`,"pid":`, ev.Replica)
 				num(`,"tid":`, ev.ReqID)
 				ts(`,"ts":`, ev.TimeSec)
 				scratch = append(scratch, '}')
 				flush()
+				t.firstTok = ev.TimeSec
+			} else if t.hasPreempt {
+				t.hasPreempt = false
+				span("preempted", ev, t.preempt, ev.TimeSec)
 			}
+		case serve.EvFirstToken:
+			span("prefill", ev, t.admit, ev.TimeSec)
+			t.firstTok = ev.TimeSec
+		case serve.EvFinish:
+			span("decode", ev, t.firstTok, ev.TimeSec)
+		case serve.EvDrop:
+			span("queued", ev, t.arrive, ev.TimeSec)
+			scratch = append(scratch, `{"name":"drop","cat":"sched","ph":"i","s":"t"`...)
+			num(`,"pid":`, ev.Replica)
+			num(`,"tid":`, ev.ReqID)
+			ts(`,"ts":`, ev.TimeSec)
+			str(`,"args":{"reason":`, ev.Drop.String())
+			num(`,"tokens":`, ev.Tokens)
+			scratch = append(scratch, "}}"...)
+			flush()
+		case serve.EvShed:
+			scratch = append(scratch, `{"name":"shed","cat":"sched","ph":"i","s":"t"`...)
+			num(`,"pid":`, ev.Replica)
+			num(`,"tid":`, ev.ReqID)
+			ts(`,"ts":`, ev.TimeSec)
+			num(`,"args":{"tokens":`, ev.Tokens)
+			scratch = append(scratch, "}}"...)
+			flush()
+		case serve.EvRetry:
+			scratch = append(scratch, `{"name":"retry","cat":"sched","ph":"i","s":"t"`...)
+			num(`,"pid":`, ev.Replica)
+			num(`,"tid":`, ev.ReqID)
+			ts(`,"ts":`, ev.TimeSec)
+			num(`,"args":{"attempt":`, ev.Hist)
+			scratch = append(scratch, "}}"...)
+			flush()
+		case serve.EvPreempt:
+			t.preempt = ev.TimeSec
+			t.hasPreempt = true
+			scratch = append(scratch, `{"name":"preempt","cat":"sched","ph":"i","s":"t"`...)
+			num(`,"pid":`, ev.Replica)
+			num(`,"tid":`, ev.ReqID)
+			ts(`,"ts":`, ev.TimeSec)
+			str(`,"args":{"policy":`, ev.Policy.String())
+			str(`,"reason":`, ev.Reason.String())
+			num(`,"tokens":`, ev.Tokens)
+			scratch = append(scratch, "}}"...)
+			flush()
+		case serve.EvSwapOut, serve.EvSwapIn:
+			str(`{"name":`, ev.Kind.String())
+			scratch = append(scratch, `,"cat":"swap","ph":"i","s":"t"`...)
+			num(`,"pid":`, ev.Replica)
+			num(`,"tid":`, ev.ReqID)
+			ts(`,"ts":`, ev.TimeSec)
+			num(`,"args":{"tokens":`, ev.Tokens)
+			scratch = append(scratch, `,"bytes":`...)
+			scratch = strconv.AppendFloat(scratch, ev.Bytes, 'f', 0, 64)
+			scratch = append(scratch, `,"xfer_ms":`...)
+			scratch = strconv.AppendFloat(scratch, ev.XferSec*1e3, 'g', 6, 64)
+			scratch = append(scratch, "}}"...)
+			flush()
+		case serve.EvHandoff:
+			// Launch instant on the prefill replica's track with the priced
+			// transfer, then the flow arrow's start; the matching binding
+			// end is emitted at the destination's EvAdmit above.
+			t.handoff = ev.TimeSec
+			t.hasHandoff = true
+			scratch = append(scratch, `{"name":"handoff","cat":"handoff","ph":"i","s":"t"`...)
+			num(`,"pid":`, ev.Replica)
+			num(`,"tid":`, ev.ReqID)
+			ts(`,"ts":`, ev.TimeSec)
+			num(`,"args":{"tokens":`, ev.Tokens)
+			scratch = append(scratch, `,"bytes":`...)
+			scratch = strconv.AppendFloat(scratch, ev.Bytes, 'f', 0, 64)
+			scratch = append(scratch, `,"xfer_ms":`...)
+			scratch = strconv.AppendFloat(scratch, ev.XferSec*1e3, 'g', 6, 64)
+			scratch = append(scratch, "}}"...)
+			flush()
+			scratch = append(scratch, `{"name":"kv-handoff","cat":"handoff","ph":"s"`...)
+			num(`,"id":`, ev.ReqID)
+			num(`,"pid":`, ev.Replica)
+			num(`,"tid":`, ev.ReqID)
+			ts(`,"ts":`, ev.TimeSec)
+			scratch = append(scratch, '}')
+			flush()
 		}
 	}
 	if a != nil {

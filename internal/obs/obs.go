@@ -17,11 +17,11 @@ import (
 	"cllm/internal/serve"
 )
 
-// Recorders are created per run and discarded; the event log's chunks
-// (eventlog.go) and the window buffers are the only observation-path
-// allocations that scale with run length, so recycled recorders hand them
-// back to package pools for the next run to reuse (sync.Pool sheds them
-// under GC pressure).
+// Recorders are created per run and discarded; the event log's chunks and
+// float pages (eventlog.go) and the window buffers are the only
+// observation-path allocations that scale with run length, so recycled
+// recorders hand them back to package pools for the next run to reuse
+// (sync.Pool sheds them under GC pressure).
 var windowBufPool = sync.Pool{New: func() any {
 	s := make([]Window, 0, 64)
 	return &s
@@ -61,12 +61,11 @@ func NewRecorderWindow(windowSec float64, maxWindows int) *Recorder {
 	return &Recorder{series: &TimeSeries{WindowSec: windowSec, maxWindows: maxWindows}}
 }
 
-// Recycle returns the recorder's event-log chunks and window buffers to
-// the package pools. Call it once, after the last read of Events(),
-// Series() or an export: a one-chunk Events() result and the windows
-// Series() hands out alias the pooled memory and must not be retained (a
-// flattened multi-chunk Events() result is a private copy and may be).
-// The recorder itself must not be used again.
+// Recycle returns the recorder's event-log chunks, float pages and window
+// buffers to the package pools. Call it once, after the last read of
+// Series() or an export: the windows Series() hands out alias the pooled
+// memory and must not be retained. An Events() result is a private copy
+// and may be. The recorder itself must not be used again.
 func (r *Recorder) Recycle() {
 	r.log.release()
 	for _, ws := range r.series.reps {
@@ -86,7 +85,7 @@ func (r *Recorder) Event(ev serve.Event) {
 		}
 		r.good[ev.Replica] += ev.Tokens
 	}
-	r.log.append(ev)
+	r.log.append(&ev)
 }
 
 // Sample folds one gauge snapshot into the windowed series.
@@ -101,30 +100,19 @@ func (r *Recorder) Sample(s serve.Sample) {
 // Len returns the number of recorded events.
 func (r *Recorder) Len() int { return r.log.len() }
 
-// Events returns the recorded stream in emission order (shared slice; do
-// not mutate). A log that fits one chunk is returned in place; a longer
-// one is flattened into a copy on the first call, which later calls reuse
-// (extending it with any events recorded since). Readers that only need
+// Events returns the recorded stream in emission order (shared between
+// calls; do not mutate). The first call decodes the log into a copy that
+// later calls reuse, extending it with any events recorded since. The copy
+// owns its memory, so it stays valid after Recycle. Readers that only need
 // the count or a walk of the stream should use Len, CountKind or the
-// exports, which read the chunks in place.
+// exports, which decode one record at a time.
 func (r *Recorder) Events() []serve.Event { return r.log.events() }
 
 // Series returns the windowed time series.
 func (r *Recorder) Series() *TimeSeries { return r.series }
 
 // CountKind counts recorded events of one kind.
-func (r *Recorder) CountKind(k serve.EventKind) int {
-	n := 0
-	for i := range r.log.nchunks() {
-		seg := r.log.segment(i)
-		for j := range seg {
-			if seg[j].Kind == k {
-				n++
-			}
-		}
-	}
-	return n
-}
+func (r *Recorder) CountKind(k serve.EventKind) int { return r.log.countKind(k) }
 
 // Window aggregates the gauge samples of one aligned time window
 // [StartSec, StartSec+width): instantaneous gauges keep their last value

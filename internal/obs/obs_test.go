@@ -489,7 +489,8 @@ func TestWindowCoalescingEdges(t *testing.T) {
 // leaking prior state into the next recorder.
 func TestRecorderRecycle(t *testing.T) {
 	rec := NewRecorder()
-	record(rec, synthStream(0, 3*chunkEvents+9))
+	recordAll(rec, synthStream(0, 3*chunkRecords+9))
+	recordAll(rec, edgeEvents())
 	rec.Sample(serve.Sample{TimeSec: 0.5, QueueDepth: 3})
 	rec.Recycle()
 	next := NewRecorder()
@@ -497,10 +498,10 @@ func TestRecorderRecycle(t *testing.T) {
 		t.Fatalf("fresh recorder sees %d stale events (Len %d)", len(next.Events()), next.Len())
 	}
 	checkLog(t, next, nil)
-	// Reused chunks hold only the new run's events, across a chunk
-	// boundary and in the partly filled last chunk alike.
-	want := synthStream(50_000, chunkEvents+3)
-	record(next, want)
+	// Reused chunks, pages and escapes hold only the new run's events,
+	// across a chunk boundary and in the partly filled last chunk alike.
+	want := synthStream(50_000, chunkRecords+3)
+	recordAll(next, want)
 	checkLog(t, next, want)
 	next.Sample(serve.Sample{TimeSec: 0.25, QueueDepth: 1})
 	ws := next.Series().Replica(0)
