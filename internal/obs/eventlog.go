@@ -34,11 +34,11 @@ const floatFields = 8
 
 // chunkRecords is the record capacity of one log chunk (128 KiB), and
 // pageFloats the float capacity of one float page (64 KiB). Appending
-// costs the same across a wide range of sizes (zeroing fresh memory
-// dominates), so the sizes trade the allocation count, one per chunk or
-// page (~170 chunks and ~240 pages for a 700k-event run), against the
-// log's only slack, the unfilled tails of its last chunk and last page
-// (under 1% of such a run).
+// costs the same from 1024 to 16384 records per chunk (zeroing fresh
+// memory dominates), so the sizes trade the allocation count, one per
+// chunk or page (~170 chunks and ~140 pages for a 690k-event run),
+// against the log's only slack, the unfilled tails of its last chunk and
+// last page (under 1% of such a run).
 const (
 	chunkRecords = 4096
 	pageFloats   = 8192
@@ -172,19 +172,19 @@ func (l *eventLog) countKind(k serve.EventKind) int {
 // starts one at the first event. rec and fl are the next record's index
 // and its first float's index in the float stream.
 type cursor struct {
-	l       *eventLog
+	d       *logDir
 	rec, fl int
 	n       int // the log's length when the walk began
 }
 
-func (l *eventLog) walk() cursor { return cursor{l: l, n: l.len()} }
+func (l *eventLog) walk() cursor { return cursor{d: l.dir, n: l.len()} }
 
 // next decodes the next event into ev and reports whether there was one.
 func (c *cursor) next(ev *serve.Event) bool {
 	if c.rec == c.n {
 		return false
 	}
-	d := c.l.dir
+	d := c.d
 	r := &d.chunks[c.rec/chunkRecords][c.rec%chunkRecords]
 	c.rec++
 	if r.flags&flagEscape != 0 {
@@ -223,7 +223,7 @@ func (l *eventLog) events() []serve.Event {
 	// Growing past the capacity moves the copy to a fresh array, so an
 	// earlier result keeps its events either way.
 	l.flat = slices.Grow(l.flat, n-from)[:n]
-	c := cursor{l: l, rec: from, fl: l.flatFl, n: n}
+	c := cursor{d: l.dir, rec: from, fl: l.flatFl, n: n}
 	for i := from; i < n; i++ {
 		c.next(&l.flat[i])
 	}
