@@ -18,6 +18,7 @@ import (
 	"math"
 	"sort"
 
+	"cllm/internal/enum"
 	"cllm/internal/serve"
 	"cllm/internal/trace"
 )
@@ -73,27 +74,17 @@ const (
 	CostAware
 )
 
-// String names the policy as the CLI spells it.
-func (d Dispatch) String() string {
-	switch d {
-	case Uniform:
-		return "uniform"
-	case CostAware:
-		return "cost-aware"
-	}
-	return fmt.Sprintf("Dispatch(%d)", int(d))
+var dispatches = enum.Table[Dispatch]{
+	Names:  []string{Uniform: "uniform", CostAware: "cost-aware"},
+	Alias:  map[string]Dispatch{"": Uniform, "cost": CostAware, "ca": CostAware},
+	Prefix: "autoscale", Noun: "dispatch", Type: "Dispatch",
 }
 
+// String names the policy as the CLI spells it.
+func (d Dispatch) String() string { return dispatches.String(d) }
+
 // ParseDispatch resolves a CLI dispatch name.
-func ParseDispatch(s string) (Dispatch, error) {
-	switch s {
-	case "uniform", "":
-		return Uniform, nil
-	case "cost-aware", "cost", "ca":
-		return CostAware, nil
-	}
-	return 0, fmt.Errorf("autoscale: unknown dispatch %q (uniform|cost-aware)", s)
-}
+func ParseDispatch(s string) (Dispatch, error) { return dispatches.Parse(s) }
 
 // Config tunes one autoscaling simulation.
 type Config struct {
@@ -149,10 +140,8 @@ func (c *Config) normalize() error {
 	if !(c.DemandAlpha > 0 && c.DemandAlpha <= 1) {
 		return serve.FieldError("DemandAlpha", "autoscale: demand EWMA alpha %g outside (0, 1]", c.DemandAlpha)
 	}
-	switch c.Dispatch {
-	case Uniform, CostAware:
-	default:
-		return serve.FieldError("Dispatch", "autoscale: unknown dispatch policy %d", int(c.Dispatch))
+	if err := dispatches.Check(c.Dispatch); err != nil {
+		return &serve.ConfigError{Field: "Dispatch", Err: err}
 	}
 	return nil
 }

@@ -262,8 +262,30 @@ func TestRunValidation(t *testing.T) {
 			t.Errorf("capacity %g: got %v, want an error naming the class and ProbeCapacity", capacity, err)
 		}
 	}
-	if _, err := ParseDispatch("nope"); err == nil {
-		t.Error("unknown dispatch accepted")
+	if _, err := ParseDispatch("nope"); err == nil || err.Error() != `autoscale: unknown dispatch "nope" (uniform|cost-aware)` {
+		t.Errorf("ParseDispatch(nope) error = %v", err)
+	}
+	if err := (Config{Dispatch: 2}).Validate(); err == nil || err.Error() != "autoscale: unknown dispatch Dispatch(2)" {
+		t.Errorf("Dispatch(2) validation = %v", err)
+	}
+}
+
+// TestDispatchSpellings pins the dispatch names and aliases the CLI
+// accepts; like the serve parsers, ParseDispatch ignores case and
+// surrounding space.
+func TestDispatchSpellings(t *testing.T) {
+	for in, want := range map[string]Dispatch{
+		"": Uniform, "uniform": Uniform, "cost-aware": CostAware, "cost": CostAware, "ca": CostAware,
+		" Cost-Aware ": CostAware, "UNIFORM": Uniform, "\tCA\n": CostAware,
+	} {
+		if got, err := ParseDispatch(in); err != nil || got != want {
+			t.Errorf("ParseDispatch(%q) = %v, %v; want %v", in, got, err, want)
+		}
+	}
+	for d, want := range map[Dispatch]string{Uniform: "uniform", CostAware: "cost-aware", -1: "Dispatch(-1)", 2: "Dispatch(2)"} {
+		if got := d.String(); got != want {
+			t.Errorf("Dispatch %d prints %q, want %q", int(d), got, want)
+		}
 	}
 }
 

@@ -185,12 +185,12 @@ func runAttribution(o Options) (*Result, error) {
 	cgpuOut, sgxOut, decOut, satOut, cgpuRepeat := outs[0], outs[1], outs[2], outs[3], outs[4]
 
 	for i, out := range outs[:4] {
-		ph := phaseByName(out.arep.Phases)
 		row := []string{scenarios[i].name,
 			fmt.Sprintf("%d", out.arep.Completed),
 			fmt.Sprintf("%.3f", out.arep.LatencyP50Sec)}
-		for _, name := range []string{"queue", "prefill", "decode", "preempt-stall", "swap-transfer"} {
-			row = append(row, fmt.Sprintf("%.1f%%", ph[name].Share*100))
+		// In phase order, less handoff: these unified fleets never hand off.
+		for _, p := range out.arep.Phases[:obs.PhaseHandoff] {
+			row = append(row, fmt.Sprintf("%.1f%%", p.Share*100))
 		}
 		row = append(row,
 			fmt.Sprintf("%.1f%%", out.arep.TaxShareP50*100),

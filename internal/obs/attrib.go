@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"cllm/internal/enum"
 	"cllm/internal/serve"
 	"cllm/internal/stats"
 )
@@ -37,24 +38,14 @@ const (
 	NumPhases
 )
 
-// String names the phase as the exporters spell it.
-func (p Phase) String() string {
-	switch p {
-	case PhaseQueue:
-		return "queue"
-	case PhasePrefill:
-		return "prefill"
-	case PhaseDecode:
-		return "decode"
-	case PhaseStall:
-		return "preempt-stall"
-	case PhaseSwap:
-		return "swap-transfer"
-	case PhaseHandoff:
-		return "handoff"
-	}
-	return fmt.Sprintf("Phase(%d)", int(p))
+var phases = enum.Table[Phase]{
+	Names: []string{PhaseQueue: "queue", PhasePrefill: "prefill", PhaseDecode: "decode",
+		PhaseStall: "preempt-stall", PhaseSwap: "swap-transfer", PhaseHandoff: "handoff"},
+	Type: "Phase",
 }
+
+// String names the phase as the exporters spell it.
+func (p Phase) String() string { return phases.String(p) }
 
 // taxPhases maps the three tax components (prefill, decode, swap — the
 // costed round components; queue and stall are emergent waiting with no

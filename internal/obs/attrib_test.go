@@ -14,6 +14,26 @@ import (
 	"cllm/internal/tee"
 )
 
+// TestPhaseSpellings pins the phase labels the exporters print; the
+// per-phase arrays are sized by NumPhases.
+func TestPhaseSpellings(t *testing.T) {
+	want := []string{PhaseQueue: "queue", PhasePrefill: "prefill", PhaseDecode: "decode",
+		PhaseStall: "preempt-stall", PhaseSwap: "swap-transfer", PhaseHandoff: "handoff"}
+	if len(phases.Names) != int(NumPhases) || len(want) != int(NumPhases) {
+		t.Errorf("%d phases named, %d pinned, NumPhases = %d", len(phases.Names), len(want), NumPhases)
+	}
+	for p, s := range want {
+		if got := Phase(p).String(); got != s {
+			t.Errorf("phase %d prints %q, want %q", p, got, s)
+		}
+	}
+	for p, s := range map[Phase]string{-1: "Phase(-1)", NumPhases: "Phase(6)"} {
+		if got := p.String(); got != s {
+			t.Errorf("phase %d prints %q, want %q", int(p), got, s)
+		}
+	}
+}
+
 func TestSplitRoundExact(t *testing.T) {
 	cases := []struct {
 		d               int64

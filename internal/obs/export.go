@@ -102,6 +102,16 @@ func (r *Recorder) perfettoTrace(a *Attribution) []byte {
 		hasAdmit, hasPreempt, hasHandoff          bool
 	}
 	tracks := map[int]*track{}
+	// instant opens a thread-scoped instant on the current event's request
+	// track, named for its kind.
+	instant := func(cat string) {
+		str(`{"name":`, ev.Kind.String())
+		str(`,"cat":`, cat)
+		scratch = append(scratch, `,"ph":"i","s":"t"`...)
+		num(`,"pid":`, ev.Replica)
+		num(`,"tid":`, ev.ReqID)
+		ts(`,"ts":`, ev.TimeSec)
+	}
 	for c := r.log.walk(); c.next(&ev); {
 		switch ev.Kind {
 		case serve.EvCrash, serve.EvRecover:
@@ -157,48 +167,32 @@ func (r *Recorder) perfettoTrace(a *Attribution) []byte {
 			span("decode", ev, t.firstTok, ev.TimeSec)
 		case serve.EvDrop:
 			span("queued", ev, t.arrive, ev.TimeSec)
-			scratch = append(scratch, `{"name":"drop","cat":"sched","ph":"i","s":"t"`...)
-			num(`,"pid":`, ev.Replica)
-			num(`,"tid":`, ev.ReqID)
-			ts(`,"ts":`, ev.TimeSec)
+			instant("sched")
 			str(`,"args":{"reason":`, ev.Drop.String())
 			num(`,"tokens":`, ev.Tokens)
 			scratch = append(scratch, "}}"...)
 			flush()
 		case serve.EvShed:
-			scratch = append(scratch, `{"name":"shed","cat":"sched","ph":"i","s":"t"`...)
-			num(`,"pid":`, ev.Replica)
-			num(`,"tid":`, ev.ReqID)
-			ts(`,"ts":`, ev.TimeSec)
+			instant("sched")
 			num(`,"args":{"tokens":`, ev.Tokens)
 			scratch = append(scratch, "}}"...)
 			flush()
 		case serve.EvRetry:
-			scratch = append(scratch, `{"name":"retry","cat":"sched","ph":"i","s":"t"`...)
-			num(`,"pid":`, ev.Replica)
-			num(`,"tid":`, ev.ReqID)
-			ts(`,"ts":`, ev.TimeSec)
+			instant("sched")
 			num(`,"args":{"attempt":`, ev.Hist)
 			scratch = append(scratch, "}}"...)
 			flush()
 		case serve.EvPreempt:
 			t.preempt = ev.TimeSec
 			t.hasPreempt = true
-			scratch = append(scratch, `{"name":"preempt","cat":"sched","ph":"i","s":"t"`...)
-			num(`,"pid":`, ev.Replica)
-			num(`,"tid":`, ev.ReqID)
-			ts(`,"ts":`, ev.TimeSec)
+			instant("sched")
 			str(`,"args":{"policy":`, ev.Policy.String())
 			str(`,"reason":`, ev.Reason.String())
 			num(`,"tokens":`, ev.Tokens)
 			scratch = append(scratch, "}}"...)
 			flush()
 		case serve.EvSwapOut, serve.EvSwapIn:
-			str(`{"name":`, ev.Kind.String())
-			scratch = append(scratch, `,"cat":"swap","ph":"i","s":"t"`...)
-			num(`,"pid":`, ev.Replica)
-			num(`,"tid":`, ev.ReqID)
-			ts(`,"ts":`, ev.TimeSec)
+			instant("swap")
 			num(`,"args":{"tokens":`, ev.Tokens)
 			scratch = append(scratch, `,"bytes":`...)
 			scratch = strconv.AppendFloat(scratch, ev.Bytes, 'f', 0, 64)
@@ -212,10 +206,7 @@ func (r *Recorder) perfettoTrace(a *Attribution) []byte {
 			// end is emitted at the destination's EvAdmit above.
 			t.handoff = ev.TimeSec
 			t.hasHandoff = true
-			scratch = append(scratch, `{"name":"handoff","cat":"handoff","ph":"i","s":"t"`...)
-			num(`,"pid":`, ev.Replica)
-			num(`,"tid":`, ev.ReqID)
-			ts(`,"ts":`, ev.TimeSec)
+			instant("handoff")
 			num(`,"args":{"tokens":`, ev.Tokens)
 			scratch = append(scratch, `,"bytes":`...)
 			scratch = strconv.AppendFloat(scratch, ev.Bytes, 'f', 0, 64)

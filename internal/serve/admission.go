@@ -9,8 +9,9 @@ package serve
 // deadline is already infeasible instead of serving it late.
 
 import (
-	"fmt"
 	"strings"
+
+	"cllm/internal/enum"
 )
 
 // AdmissionPolicy selects how the scheduler admits queued requests.
@@ -34,31 +35,17 @@ const (
 	AdmitShed
 )
 
-// String names the policy as the CLI spells it.
-func (p AdmissionPolicy) String() string {
-	switch p {
-	case AdmitFIFO:
-		return "fifo"
-	case AdmitDeadline:
-		return "deadline"
-	case AdmitShed:
-		return "shed"
-	}
-	return fmt.Sprintf("AdmissionPolicy(%d)", int(p))
+var admissionPolicies = enum.Table[AdmissionPolicy]{
+	Names:  []string{AdmitFIFO: "fifo", AdmitDeadline: "deadline", AdmitShed: "shed"},
+	Alias:  map[string]AdmissionPolicy{"": AdmitFIFO, "edf": AdmitDeadline},
+	Prefix: "serve", Noun: "admission policy", Type: "AdmissionPolicy",
 }
 
+// String names the policy as the CLI spells it.
+func (p AdmissionPolicy) String() string { return admissionPolicies.String(p) }
+
 // ParseAdmissionPolicy resolves a CLI admission-policy name.
-func ParseAdmissionPolicy(s string) (AdmissionPolicy, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "fifo", "":
-		return AdmitFIFO, nil
-	case "deadline", "edf":
-		return AdmitDeadline, nil
-	case "shed":
-		return AdmitShed, nil
-	}
-	return 0, fmt.Errorf("serve: unknown admission policy %q (fifo|deadline|shed)", s)
-}
+func ParseAdmissionPolicy(s string) (AdmissionPolicy, error) { return admissionPolicies.Parse(s) }
 
 // RequestClass tiers requests by latency sensitivity. Classes map from the
 // workload mixes' shape names (chat → interactive, rag → standard,
@@ -80,18 +67,13 @@ const (
 	NumClasses = 3
 )
 
-// String names the class as the exporters spell it.
-func (c RequestClass) String() string {
-	switch c {
-	case ClassInteractive:
-		return "interactive"
-	case ClassStandard:
-		return "standard"
-	case ClassBackground:
-		return "background"
-	}
-	return fmt.Sprintf("RequestClass(%d)", int(c))
+var requestClasses = enum.Table[RequestClass]{
+	Names:  []string{ClassStandard: "standard", ClassInteractive: "interactive", ClassBackground: "background"},
+	Prefix: "serve", Noun: "request class", Type: "RequestClass",
 }
+
+// String names the class as the exporters spell it.
+func (c RequestClass) String() string { return requestClasses.String(c) }
 
 // deadlineMult scales the base deadline per class: interactive requests
 // get the base itself, standard 4×, background 16×.
@@ -149,20 +131,14 @@ const (
 	NumDropReasons = 4
 )
 
-// String names the reason as the exporters spell it.
-func (r DropReason) String() string {
-	switch r {
-	case DropKVExhausted:
-		return "kv-exhausted"
-	case DropAdmissionShed:
-		return "admission-shed"
-	case DropDeadlineExpired:
-		return "deadline-expired"
-	case DropFailureLost:
-		return "failure-lost"
-	}
-	return fmt.Sprintf("DropReason(%d)", int(r))
+var dropReasons = enum.Table[DropReason]{
+	Names: []string{DropKVExhausted: "kv-exhausted", DropAdmissionShed: "admission-shed",
+		DropDeadlineExpired: "deadline-expired", DropFailureLost: "failure-lost"},
+	Type: "DropReason",
 }
+
+// String names the reason as the exporters spell it.
+func (r DropReason) String() string { return dropReasons.String(r) }
 
 // admitNext drives deadline-aware admission: the earliest-deadline queued
 // request is moved to the queue front for the FIFO admission machinery to

@@ -34,7 +34,7 @@ func runDisagg(t *testing.T, cfg Config) *FleetReport {
 
 // TestNewFleetRejectsUnknownPolicy checks that a dispatch policy outside
 // the declared constants is refused by name instead of being routed
-// least-loaded.
+// least-loaded, and that an undeclared role is refused the same way.
 func TestNewFleetRejectsUnknownPolicy(t *testing.T) {
 	unified := Unified(cpuBackend(tee.TDX()), FleetConfig{Replicas: 2, Policy: 7})
 	disagg := disaggTopology()
@@ -44,6 +44,11 @@ func TestNewFleetRejectsUnknownPolicy(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "load-balancing policy LBPolicy(7)") {
 			t.Errorf("topology %d: err = %v, want the unknown policy named", i, err)
 		}
+	}
+	disagg = disaggTopology()
+	disagg.Groups[1].Role = 5
+	if _, err := NewFleet(disagg); err == nil || err.Error() != "serve: unknown role Role(5) in topology group 1" {
+		t.Errorf("unknown role: err = %v", err)
 	}
 }
 

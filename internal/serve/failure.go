@@ -18,6 +18,7 @@ import (
 	"strconv"
 	"strings"
 
+	"cllm/internal/enum"
 	"cllm/internal/sim"
 )
 
@@ -36,27 +37,17 @@ const (
 	FailLost
 )
 
-// String names the policy as the CLI spells it.
-func (p FailurePolicy) String() string {
-	switch p {
-	case FailRequeue:
-		return "requeue"
-	case FailLost:
-		return "lost"
-	}
-	return fmt.Sprintf("FailurePolicy(%d)", int(p))
+var failurePolicies = enum.Table[FailurePolicy]{
+	Names:  []string{FailRequeue: "requeue", FailLost: "lost"},
+	Alias:  map[string]FailurePolicy{"": FailRequeue},
+	Prefix: "serve", Noun: "failure policy", Type: "FailurePolicy",
 }
 
+// String names the policy as the CLI spells it.
+func (p FailurePolicy) String() string { return failurePolicies.String(p) }
+
 // ParseFailurePolicy resolves a CLI failure-policy name.
-func ParseFailurePolicy(s string) (FailurePolicy, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "requeue", "":
-		return FailRequeue, nil
-	case "lost":
-		return FailLost, nil
-	}
-	return 0, fmt.Errorf("serve: unknown failure policy %q (requeue|lost)", s)
-}
+func ParseFailurePolicy(s string) (FailurePolicy, error) { return failurePolicies.Parse(s) }
 
 // FailPoint is one scripted crash: replica Replica fails at TimeSec on the
 // simulated clock. Points naming a replica that is already down are

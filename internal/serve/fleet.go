@@ -3,9 +3,9 @@ package serve
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 
 	"cllm/internal/cloud"
+	"cllm/internal/enum"
 	"cllm/internal/stats"
 )
 
@@ -30,46 +30,26 @@ const (
 	PrefixAffinity
 )
 
+var lbPolicies = enum.Table[LBPolicy]{
+	Names:  []string{RoundRobin: "round-robin", LeastLoaded: "least-loaded", PrefixAffinity: "prefix-affinity"},
+	Alias:  map[string]LBPolicy{"": RoundRobin, "rr": RoundRobin, "ll": LeastLoaded, "affinity": PrefixAffinity, "pa": PrefixAffinity},
+	Prefix: "serve", Noun: "load-balancing policy", Type: "LBPolicy",
+}
+
 // affinityOverloadSlack is how many outstanding requests beyond twice the
 // fleet minimum a prefix's home replica may hold before prefix-affinity
 // dispatch abandons cache locality for load balance.
 const affinityOverloadSlack = 4
 
 // String names the policy as the CLI spells it.
-func (p LBPolicy) String() string {
-	switch p {
-	case RoundRobin:
-		return "round-robin"
-	case LeastLoaded:
-		return "least-loaded"
-	case PrefixAffinity:
-		return "prefix-affinity"
-	}
-	return fmt.Sprintf("LBPolicy(%d)", int(p))
-}
+func (p LBPolicy) String() string { return lbPolicies.String(p) }
 
 // ParseLBPolicy resolves a CLI policy name.
-func ParseLBPolicy(s string) (LBPolicy, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "round-robin", "rr", "":
-		return RoundRobin, nil
-	case "least-loaded", "ll":
-		return LeastLoaded, nil
-	case "prefix-affinity", "affinity", "pa":
-		return PrefixAffinity, nil
-	}
-	return 0, fmt.Errorf("serve: unknown load-balancing policy %q (round-robin|least-loaded|prefix-affinity)", s)
-}
+func ParseLBPolicy(s string) (LBPolicy, error) { return lbPolicies.Parse(s) }
 
 // Validate rejects a value outside the declared policies, which dispatch
 // would otherwise route least-loaded without a word.
-func (p LBPolicy) Validate() error {
-	switch p {
-	case RoundRobin, LeastLoaded, PrefixAffinity:
-		return nil
-	}
-	return fmt.Errorf("serve: unknown load-balancing policy %s", p)
-}
+func (p LBPolicy) Validate() error { return lbPolicies.Check(p) }
 
 // FleetConfig describes a multi-replica deployment: N identical replicas
 // of the backend behind a load balancer.

@@ -1,6 +1,6 @@
 package serve
 
-import "fmt"
+import "cllm/internal/enum"
 
 // EventKind labels one scheduler lifecycle event.
 type EventKind uint8
@@ -74,42 +74,16 @@ const (
 	EvHandoff
 )
 
-// String names the kind as the exporters spell it.
-func (k EventKind) String() string {
-	switch k {
-	case EvArrive:
-		return "arrive"
-	case EvAdmit:
-		return "admit"
-	case EvPrefillChunk:
-		return "prefill-chunk"
-	case EvFirstToken:
-		return "first-token"
-	case EvDecodeRound:
-		return "decode-round"
-	case EvPreempt:
-		return "preempt"
-	case EvSwapOut:
-		return "swap-out"
-	case EvSwapIn:
-		return "swap-in"
-	case EvDrop:
-		return "drop"
-	case EvFinish:
-		return "finish"
-	case EvCrash:
-		return "crash"
-	case EvRecover:
-		return "recover"
-	case EvShed:
-		return "shed"
-	case EvRetry:
-		return "retry"
-	case EvHandoff:
-		return "handoff"
-	}
-	return fmt.Sprintf("EventKind(%d)", int(k))
+var eventKinds = enum.Table[EventKind]{
+	Names: []string{EvArrive: "arrive", EvAdmit: "admit", EvPrefillChunk: "prefill-chunk",
+		EvFirstToken: "first-token", EvDecodeRound: "decode-round", EvPreempt: "preempt",
+		EvSwapOut: "swap-out", EvSwapIn: "swap-in", EvDrop: "drop", EvFinish: "finish",
+		EvCrash: "crash", EvRecover: "recover", EvShed: "shed", EvRetry: "retry", EvHandoff: "handoff"},
+	Type: "EventKind",
 }
+
+// String names the kind as the exporters spell it.
+func (k EventKind) String() string { return eventKinds.String(k) }
 
 // PreemptReason says which capacity pass evicted the victim.
 type PreemptReason uint8
@@ -126,20 +100,14 @@ const (
 	ReasonCrash
 )
 
-// String names the reason as the exporters spell it.
-func (r PreemptReason) String() string {
-	switch r {
-	case ReasonNone:
-		return "none"
-	case ReasonPrefillStall:
-		return "prefill-stall"
-	case ReasonDecodeStall:
-		return "decode-stall"
-	case ReasonCrash:
-		return "crash"
-	}
-	return fmt.Sprintf("PreemptReason(%d)", int(r))
+var preemptReasons = enum.Table[PreemptReason]{
+	Names: []string{ReasonNone: "none", ReasonPrefillStall: "prefill-stall",
+		ReasonDecodeStall: "decode-stall", ReasonCrash: "crash"},
+	Type: "PreemptReason",
 }
+
+// String names the reason as the exporters spell it.
+func (r PreemptReason) String() string { return preemptReasons.String(r) }
 
 // Event is one lifecycle event on the deterministic sim clock. It is
 // passed by value — observers must copy what they keep.

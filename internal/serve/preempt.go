@@ -1,9 +1,6 @@
 package serve
 
-import (
-	"fmt"
-	"strings"
-)
+import "cllm/internal/enum"
 
 // PreemptPolicy selects what happens to a sequence's KV cache when the
 // scheduler preempts it under pool exhaustion.
@@ -27,28 +24,14 @@ const (
 	PreemptAuto
 )
 
-// String names the policy as the CLI spells it.
-func (p PreemptPolicy) String() string {
-	switch p {
-	case PreemptRecompute:
-		return "recompute"
-	case PreemptSwap:
-		return "swap"
-	case PreemptAuto:
-		return "auto"
-	}
-	return fmt.Sprintf("PreemptPolicy(%d)", int(p))
+var preemptPolicies = enum.Table[PreemptPolicy]{
+	Names:  []string{PreemptRecompute: "recompute", PreemptSwap: "swap", PreemptAuto: "auto"},
+	Alias:  map[string]PreemptPolicy{"": PreemptRecompute},
+	Prefix: "serve", Noun: "preemption policy", Type: "PreemptPolicy",
 }
 
+// String names the policy as the CLI spells it.
+func (p PreemptPolicy) String() string { return preemptPolicies.String(p) }
+
 // ParsePreemptPolicy resolves a CLI policy name.
-func ParsePreemptPolicy(s string) (PreemptPolicy, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "recompute", "":
-		return PreemptRecompute, nil
-	case "swap":
-		return PreemptSwap, nil
-	case "auto":
-		return PreemptAuto, nil
-	}
-	return 0, fmt.Errorf("serve: unknown preemption policy %q (recompute|swap|auto)", s)
-}
+func ParsePreemptPolicy(s string) (PreemptPolicy, error) { return preemptPolicies.Parse(s) }

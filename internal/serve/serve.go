@@ -14,9 +14,9 @@ package serve
 import (
 	"fmt"
 	"math"
-	"strings"
 
 	"cllm/internal/cloud"
+	"cllm/internal/enum"
 	"cllm/internal/perf"
 	"cllm/internal/stats"
 	"cllm/internal/trace"
@@ -39,27 +39,17 @@ const (
 	QuantileSketch
 )
 
-// String names the mode as the CLI spells it.
-func (m QuantileMode) String() string {
-	switch m {
-	case QuantileExact:
-		return "exact"
-	case QuantileSketch:
-		return "sketch"
-	}
-	return fmt.Sprintf("QuantileMode(%d)", int(m))
+var quantileModes = enum.Table[QuantileMode]{
+	Names:  []string{QuantileExact: "exact", QuantileSketch: "sketch"},
+	Alias:  map[string]QuantileMode{"": QuantileExact},
+	Prefix: "serve", Noun: "quantile mode", Type: "QuantileMode",
 }
 
+// String names the mode as the CLI spells it.
+func (m QuantileMode) String() string { return quantileModes.String(m) }
+
 // ParseQuantileMode resolves a CLI mode name.
-func ParseQuantileMode(s string) (QuantileMode, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "exact", "":
-		return QuantileExact, nil
-	case "sketch":
-		return QuantileSketch, nil
-	}
-	return 0, fmt.Errorf("serve: unknown quantile mode %q (exact|sketch)", s)
-}
+func ParseQuantileMode(s string) (QuantileMode, error) { return quantileModes.Parse(s) }
 
 // DefaultEpochRequests is the arrival-epoch size sketch-mode sharded runs
 // use unless configured: large enough that epoch handoff overhead
@@ -432,10 +422,8 @@ func (c *Config) normalize() error {
 	if c.BlockTokens <= 0 {
 		c.BlockTokens = 16
 	}
-	switch c.PreemptPolicy {
-	case PreemptRecompute, PreemptSwap, PreemptAuto:
-	default:
-		return FieldError("PreemptPolicy", "serve: unknown preemption policy %d", int(c.PreemptPolicy))
+	if err := preemptPolicies.Check(c.PreemptPolicy); err != nil {
+		return &ConfigError{Field: "PreemptPolicy", Err: err}
 	}
 	if c.PrefixGroups > 0 {
 		switch {
@@ -451,10 +439,8 @@ func (c *Config) normalize() error {
 	if c.TPOTSLOSec == 0 {
 		c.TPOTSLOSec = 0.5
 	}
-	switch c.QuantileMode {
-	case QuantileExact, QuantileSketch:
-	default:
-		return FieldError("QuantileMode", "serve: unknown quantile mode %d", int(c.QuantileMode))
+	if err := quantileModes.Check(c.QuantileMode); err != nil {
+		return &ConfigError{Field: "QuantileMode", Err: err}
 	}
 	switch {
 	case c.SketchAlpha == 0:
@@ -473,15 +459,11 @@ func (c *Config) normalize() error {
 			return FieldError("Faults.Plan", "serve: invalid fail-plan point %+v", fp)
 		}
 	}
-	switch c.Faults.Policy {
-	case FailRequeue, FailLost:
-	default:
-		return FieldError("Faults.Policy", "serve: unknown failure policy %d", int(c.Faults.Policy))
+	if err := failurePolicies.Check(c.Faults.Policy); err != nil {
+		return &ConfigError{Field: "Faults.Policy", Err: err}
 	}
-	switch c.Faults.Admission {
-	case AdmitFIFO, AdmitDeadline, AdmitShed:
-	default:
-		return FieldError("Faults.Admission", "serve: unknown admission policy %d", int(c.Faults.Admission))
+	if err := admissionPolicies.Check(c.Faults.Admission); err != nil {
+		return &ConfigError{Field: "Faults.Admission", Err: err}
 	}
 	switch {
 	case c.Faults.RetryBackoffSec > 0 && c.Faults.RetryMax == 0:
@@ -492,20 +474,21 @@ func (c *Config) normalize() error {
 	return c.checkTrace()
 }
 
-// checkTrace rejects a malformed explicit trace: an invalid request, one
-// longer than the model's context, a duplicate ID, or an arrival out of
-// time order in an epoch-sharded run. The sharded driver drains the engine
-// up to each epoch's last arrival, which would silently reorder such a
-// trace; unsharded runs schedule every arrival up front and accept any
-// order: in-order arrivals take the engine's O(1) feed, out-of-order ones
-// its heap, and both fire in time order.
+// checkTrace rejects a malformed explicit trace: an invalid request (a
+// non-positive length, an arrival that is negative or not finite, a class
+// outside the enum), one longer than the model's context, a duplicate ID,
+// or an arrival out of time order in an epoch-sharded run. The sharded
+// driver drains the engine up to each epoch's last arrival, which would
+// silently reorder such a trace; unsharded runs schedule every arrival up
+// front and accept any order: in-order arrivals take the engine's O(1)
+// feed, out-of-order ones its heap, and both fire in time order.
 func (c *Config) checkTrace() error {
 	if len(c.Trace) == 0 {
 		return nil
 	}
 	seen := make(map[int]bool, len(c.Trace))
 	for _, r := range c.Trace {
-		if r.InputLen <= 0 || r.OutputLen <= 0 || r.ArrivalSec < 0 {
+		if r.InputLen <= 0 || r.OutputLen <= 0 || !(r.ArrivalSec >= 0) || math.IsInf(r.ArrivalSec, 1) {
 			return FieldError("Trace", "serve: invalid trace request %+v", r)
 		}
 		if r.PrefixLen < 0 || r.PrefixLen > r.InputLen {
@@ -514,6 +497,9 @@ func (c *Config) checkTrace() error {
 		if sum := r.InputLen + r.OutputLen; sum > c.Workload.Model.ContextLen {
 			return FieldError("Trace", "serve: request %d length %d exceeds %s context %d",
 				r.ID, sum, c.Workload.Model.Name, c.Workload.Model.ContextLen)
+		}
+		if err := requestClasses.Check(r.Class); err != nil {
+			return FieldError("Trace", "%w in trace request %d", err, r.ID)
 		}
 		if seen[r.ID] {
 			return FieldError("Trace", "serve: duplicate request ID %d in trace", r.ID)

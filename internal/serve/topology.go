@@ -3,6 +3,8 @@ package serve
 import (
 	"fmt"
 	"strings"
+
+	"cllm/internal/enum"
 )
 
 // Role says which serving stages a fleet role group runs. A unified group
@@ -25,31 +27,17 @@ const (
 	RoleDecode
 )
 
-// String names the role as the CLI spells it.
-func (r Role) String() string {
-	switch r {
-	case RoleUnified:
-		return "unified"
-	case RolePrefill:
-		return "prefill"
-	case RoleDecode:
-		return "decode"
-	}
-	return fmt.Sprintf("Role(%d)", int(r))
+var roles = enum.Table[Role]{
+	Names:  []string{RoleUnified: "unified", RolePrefill: "prefill", RoleDecode: "decode"},
+	Alias:  map[string]Role{"": RoleUnified},
+	Prefix: "serve", Noun: "role", Type: "Role",
 }
 
+// String names the role as the CLI spells it.
+func (r Role) String() string { return roles.String(r) }
+
 // ParseRole resolves a CLI role name.
-func ParseRole(s string) (Role, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "unified", "":
-		return RoleUnified, nil
-	case "prefill":
-		return RolePrefill, nil
-	case "decode":
-		return RoleDecode, nil
-	}
-	return 0, fmt.Errorf("serve: unknown role %q (unified|prefill|decode)", s)
-}
+func ParseRole(s string) (Role, error) { return roles.Parse(s) }
 
 // RoleGroup is one homogeneous slice of a fleet topology: Replicas copies
 // of Backend serving Role, dispatched to per Policy. Groups of one stage
@@ -125,26 +113,20 @@ func (t *Topology) validate() error {
 	if len(t.Groups) == 0 {
 		return fmt.Errorf("serve: topology needs at least one role group")
 	}
-	var unified, prefill, decode int
+	var groups [RoleDecode + 1]int // indexed by the role checked below
 	for i := range t.Groups {
 		g := &t.Groups[i]
 		if g.Replicas <= 0 {
 			g.Replicas = 1
 		}
-		switch g.Role {
-		case RoleUnified:
-			unified++
-		case RolePrefill:
-			prefill++
-		case RoleDecode:
-			decode++
-		default:
-			return fmt.Errorf("serve: unknown role %d in topology group %d", int(g.Role), i)
+		for _, err := range []error{roles.Check(g.Role), g.Policy.Validate()} {
+			if err != nil {
+				return fmt.Errorf("%w in topology group %d", err, i)
+			}
 		}
-		if err := g.Policy.Validate(); err != nil {
-			return fmt.Errorf("%w in topology group %d", err, i)
-		}
+		groups[g.Role]++
 	}
+	unified, prefill, decode := groups[RoleUnified], groups[RolePrefill], groups[RoleDecode]
 	if unified > 0 && unified != len(t.Groups) {
 		return fmt.Errorf("serve: topology mixes unified and prefill/decode groups (split every group by stage, or none)")
 	}
@@ -152,15 +134,15 @@ func (t *Topology) validate() error {
 		return fmt.Errorf("serve: disaggregated topology needs at least one prefill and one decode group (got %d prefill, %d decode)", prefill, decode)
 	}
 	// One dispatcher per stage: its policy must be unambiguous.
-	for _, role := range []Role{RoleUnified, RolePrefill, RoleDecode} {
+	for role := range groups {
 		var pol LBPolicy
 		seen := false
 		for _, g := range t.Groups {
-			if g.Role != role {
+			if g.Role != Role(role) {
 				continue
 			}
 			if seen && g.Policy != pol {
-				return fmt.Errorf("serve: %s groups disagree on dispatch policy (%s vs %s) — one stage has one dispatcher", role, pol, g.Policy)
+				return fmt.Errorf("serve: %s groups disagree on dispatch policy (%s vs %s) — one stage has one dispatcher", g.Role, pol, g.Policy)
 			}
 			pol, seen = g.Policy, true
 		}
