@@ -160,25 +160,24 @@ func Autoscale(cfg AutoscaleConfig) (*AutoscaleReport, error) {
 		return nil, err
 	}
 
+	// Each class opens as a sub-session of a host carrying only the run's
+	// testbed and seed, exactly as a Session.Serve fleet group does. Its
+	// backend's coster is built before the capacity probe, so the probe and
+	// every replica of the run share one costing table.
+	host := &Session{cfg: Config{System: cfg.System, Seed: cfg.Seed}}
 	classes := make([]autoscale.Class, len(cfg.Classes))
 	for i, ac := range cfg.Classes {
-		sess, err := Open(Config{Platform: ac.Platform, System: cfg.System, Seed: cfg.Seed})
+		_, be, err := host.replica(ac.Platform, cfg.ServeConfig, acfg.Serve)
 		if err != nil {
 			return nil, err
 		}
-		be := sess.backend(cfg.ServeConfig)
-		hourly, err := sess.serveHourlyUSD(cfg.ServeConfig)
+		hourly, err := be.HourlyUSD()
 		if err != nil {
 			return nil, err
 		}
 		coldStart := 0.0
 		if !cfg.NoColdStart {
 			coldStart = autoscale.ColdStartSec(be, acfg.Serve.Workload)
-		}
-		// Build the class's step coster before the capacity probe, so the
-		// probe and every replica of the run share one costing table.
-		if be.Coster, err = serve.NewStepCoster(be, acfg.Serve); err != nil {
-			return nil, err
 		}
 		capacity, err := autoscale.ProbeCapacity(be, acfg.Serve)
 		if err != nil {

@@ -3,6 +3,7 @@ package cllm
 import (
 	"errors"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -547,5 +548,94 @@ func TestServeScenarioPublicAPI(t *testing.T) {
 	}
 	if _, err := sess.Serve(ServeConfig{Scenario: "nope", RatePerSec: 1}); err == nil {
 		t.Error("unknown scenario accepted")
+	}
+}
+
+// TestReplicasIsOneGroupTopology: Replicas: N on a session is the one-group
+// unified topology "<platform>:N" from any host session, so the two
+// spellings of one fleet report identically, attribution and rendered
+// artifacts included.
+func TestReplicasIsOneGroupTopology(t *testing.T) {
+	tdx, err := Open(Config{Platform: "tdx", Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	host, err := Open(Config{Platform: "baremetal", Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []struct{ attrib, observe bool }{{false, false}, {true, false}, {false, true}, {true, true}} {
+		cfg := ServeConfig{RatePerSec: 6, Requests: 24, LBPolicy: LeastLoaded,
+			Attribution: mode.attrib, Observe: mode.observe, Knobs: Knobs{PreemptPolicy: PreemptSwap}}
+		cfg.Replicas = 3
+		want, err := tdx.Serve(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Replicas, cfg.Topology = 0, "tdx:3"
+		got, err := host.Serve(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (want.Attrib != nil) != mode.attrib || (want.Observation != nil) != mode.observe {
+			t.Fatalf("%+v: attrib %v, observation %v attached", mode, want.Attrib != nil, want.Observation != nil)
+		}
+		if want.Replicas != 3 || want.Completed == 0 {
+			t.Fatalf("%+v: fleet of %d replicas completed %d requests", mode, want.Replicas, want.Completed)
+		}
+		for _, f := range []struct {
+			name      string
+			want, got any
+		}{
+			{"Report", want.Report, got.Report},
+			{"Attrib", want.Attrib, got.Attrib},
+			{"Observation", want.Observation, got.Observation},
+			{"Replicas", want.Replicas, got.Replicas},
+			{"LBPolicy", want.LBPolicy, got.LBPolicy},
+			{"FleetHourlyUSD", want.FleetHourlyUSD, got.FleetHourlyUSD},
+			{"USDPerMTokAtSLO", want.USDPerMTokAtSLO, got.USDPerMTokAtSLO},
+		} {
+			if !reflect.DeepEqual(f.want, f.got) {
+				t.Errorf("%+v: %s differs between Replicas: 3 and Topology \"tdx:3\"", mode, f.name)
+			}
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("%+v: reports differ outside the fields above", mode)
+		}
+	}
+}
+
+// TestTopologyAttribution: a topology books TEE tax only against a clear
+// twin. A prefill/decode split on one CPU TEE is clear-costed and pays the
+// paper's CPU-TEE tax (under 10% of latency); a split across platforms
+// has no single clear twin and reports no tax at all.
+func TestTopologyAttribution(t *testing.T) {
+	host, err := Open(Config{Platform: "baremetal", Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := ServeConfig{RatePerSec: 4, Requests: 16, InputLen: 512, Attribution: true}
+	cfg.Topology = "tdx:1=prefill,tdx:2=decode"
+	rep, err := host.Serve(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := rep.Attrib
+	if !a.ClearCosted || len(a.Tax) == 0 || a.TaxTotalSec <= 0 || a.Completed == 0 {
+		t.Fatalf("%s: clear-costed %v, %d tax rows, tax %gs over %d requests; want a clear-costed run with tax",
+			cfg.Topology, a.ClearCosted, len(a.Tax), a.TaxTotalSec, a.Completed)
+	}
+	if a.TaxShareMean >= 0.10 || len(a.Violations) > 0 {
+		t.Errorf("%s: tax share %.3f (want < 0.10), violations %v", cfg.Topology, a.TaxShareMean, a.Violations)
+	}
+
+	cfg.Topology = "cgpu:1=prefill,tdx:1=decode"
+	if rep, err = host.Serve(cfg); err != nil {
+		t.Fatal(err)
+	}
+	a = rep.Attrib
+	if a.ClearCosted || len(a.Tax) > 0 || a.TaxTotalSec != 0 || len(a.Violations) > 0 || a.Completed == 0 {
+		t.Errorf("%s: clear-costed %v, %d tax rows, tax %gs, violations %v over %d requests; want no tax without a clear twin",
+			cfg.Topology, a.ClearCosted, len(a.Tax), a.TaxTotalSec, a.Violations, a.Completed)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -294,12 +295,21 @@ func flagTable(o *options) []flagSpec {
 				if len(o.mults) == 0 {
 					return fmt.Errorf("-rate-mults is empty")
 				}
+				// The artifacts and the attribution record the ×1 point.
+				recorded := o.traceOut+o.metricsOut+o.timesOut != "" || o.cfg.Attribution
+				if recorded && !o.autoscale && !slices.Contains(o.mults, 1) {
+					return fmt.Errorf("-rate-mults %q has no 1, the base-rate point that -trace-out, -metrics-out, -timeseries-out and -attrib record", o.rateMults)
+				}
 				return nil
 			},
 			rejects: []rejection{
 				{args: []string{"-rate-mults", "0.5,-1"}, want: "-rate-mults"},
 				{args: []string{"-rate-mults", "0.5,zero"}, want: "-rate-mults"},
 				{args: []string{"-rate-mults", ","}, want: "-rate-mults"},
+				{args: []string{"-rate-mults", "2", "-trace-out", "x.json"}, want: "-rate-mults"},
+				{args: []string{"-rate-mults", "0.5,2", "-metrics-out", "x.prom"}, want: "-rate-mults"},
+				{args: []string{"-rate-mults", "2", "-timeseries-out", "x.csv"}, want: "-rate-mults"},
+				{args: []string{"-rate-mults", "2", "-attrib"}, want: "-rate-mults"},
 			},
 		},
 		{
@@ -322,17 +332,17 @@ func flagTable(o *options) []flagSpec {
 		},
 		{
 			name:  "trace-out",
-			usage: "write a Chrome trace-event JSON timeline (Perfetto-loadable) of the observed run to this file",
+			usage: "write a Chrome trace-event JSON timeline (Perfetto-loadable) of the first platform's base-rate run (needs 1 in -rate-mults) to this file",
 			add:   func(fs *flag.FlagSet, n, u string) { fs.StringVar(&o.traceOut, n, "", u) },
 		},
 		{
 			name:  "metrics-out",
-			usage: "write a Prometheus text-format snapshot of the observed run to this file",
+			usage: "write a Prometheus text-format snapshot of the first platform's base-rate run (needs 1 in -rate-mults) to this file",
 			add:   func(fs *flag.FlagSet, n, u string) { fs.StringVar(&o.metricsOut, n, "", u) },
 		},
 		{
 			name:  "timeseries-out",
-			usage: "write the windowed CSV time series of the observed run to this file",
+			usage: "write the windowed CSV time series of the first platform's base-rate run (needs 1 in -rate-mults) to this file",
 			add:   func(fs *flag.FlagSet, n, u string) { fs.StringVar(&o.timesOut, n, "", u) },
 		},
 		{
@@ -346,7 +356,7 @@ func flagTable(o *options) []flagSpec {
 		},
 		{
 			name: "attrib", field: "Attribution",
-			usage:   "attribute the observed run's latency to phases (queue/prefill/decode/stall/swap/handoff) and price a clear-hardware counterfactual for the per-phase TEE tax; attributes the first platform's base-rate point",
+			usage:   "attribute the observed run's latency to phases (queue/prefill/decode/stall/swap/handoff) and price a clear-hardware counterfactual for the per-phase TEE tax (a -topology mixing platforms has no single clear twin and reports no tax); attributes the first platform's base-rate run (needs 1 in -rate-mults)",
 			add:     func(fs *flag.FlagSet, n, u string) { fs.BoolVar(&o.cfg.Attribution, n, false, u) },
 			rejects: []rejection{{args: []string{"-attrib", "-autoscale"}, want: "-autoscale"}},
 		},

@@ -10,6 +10,8 @@ import (
 	"testing"
 
 	"cllm"
+	"cllm/internal/autoscale"
+	"cllm/internal/serve"
 )
 
 // parseAndCheck binds a fresh flag table, parses args, and runs the
@@ -207,5 +209,49 @@ func TestFlagRejectionsMatchAPI(t *testing.T) {
 	}
 	if compared == 0 {
 		t.Fatal("no rejection example reached Validate")
+	}
+}
+
+// TestUsageNamesEverySpelling: the usage of each enum flag names every
+// spelling its type declares, so a value added to a spelling table cannot
+// leave -help stale.
+func TestUsageNamesEverySpelling(t *testing.T) {
+	var o options
+	usage := map[string]string{}
+	for _, spec := range flagTable(&o) {
+		usage[spec.name] = spec.usage
+	}
+	for flag, names := range map[string][]string{
+		"lb-policy":     spellings[serve.LBPolicy](),
+		"preempt":       spellings[serve.PreemptPolicy](),
+		"quantile-mode": spellings[serve.QuantileMode](),
+		"fail-policy":   spellings[serve.FailurePolicy](),
+		"admission":     spellings[serve.AdmissionPolicy](),
+		"dispatch":      spellings[autoscale.Dispatch](),
+	} {
+		if len(names) < 2 {
+			t.Errorf("-%s: walked %d spellings %v, want every declared value", flag, len(names), names)
+		}
+		for _, name := range names {
+			if !strings.Contains(usage[flag], name) {
+				t.Errorf("-%s usage %q does not name the spelling %q", flag, usage[flag], name)
+			}
+		}
+	}
+}
+
+// spellings walks an enum's values from 0 until String prints the
+// undeclared form Type(n), returning the declared names in value order.
+func spellings[T interface {
+	~int
+	String() string
+}]() []string {
+	var names []string
+	for v := T(0); ; v++ {
+		s := v.String()
+		if s == fmt.Sprintf("%s(%d)", reflect.TypeOf(v).Name(), int(v)) {
+			return names
+		}
+		names = append(names, s)
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"math"
 
 	"cllm/internal/autoscale"
-	"cllm/internal/cloud"
 	"cllm/internal/dtype"
 	"cllm/internal/hw"
 	"cllm/internal/par"
@@ -53,11 +52,6 @@ func runHetero(o Options) (*Result, error) {
 	res := &Result{ID: "hetero", Title: "Heterogeneous fleet dispatch: cost-aware vs uniform (extension)",
 		Header: []string{"dispatch", "SLO%", "goodput(tok/s)", "$/Mtok", "tdx share", "cgpu share", "TTFT p99(s)"}}
 
-	prices := cloud.DefaultPrices()
-	tdxHourly, err := prices.HourlyCost(cloud.CPUInstance{VCPUs: hw.EMR1().CoresPerSocket, MemGiB: 128})
-	if err != nil {
-		return nil, err
-	}
 	scfg := serve.Config{
 		Workload: trace.Workload{Model: mustModel("llama2-7b"), Kind: dtype.BF16},
 		// The offered rate sits inside the fleet's capacity when routed
@@ -88,7 +82,7 @@ func runHetero(o Options) (*Result, error) {
 	cgpuBE := gpuServeBackend(tee.CGPU())
 	bes := []*serve.Backend{&tdxBE, &cgpuBE}
 	caps := make([]float64, len(bes))
-	err = par.For(o.Workers, len(bes), func(i int) error {
+	err := par.For(o.Workers, len(bes), func(i int) error {
 		coster, err := serve.NewStepCoster(*bes[i], scfg)
 		if err != nil {
 			return err
@@ -104,9 +98,17 @@ func runHetero(o Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	tdxHourly, err := tdxBE.HourlyUSD()
+	if err != nil {
+		return nil, err
+	}
+	cgpuHourly, err := cgpuBE.HourlyUSD()
+	if err != nil {
+		return nil, err
+	}
 	classes := []autoscale.Class{
 		{Name: "tdx", Backend: tdxBE, HourlyUSD: tdxHourly, Min: 2, Max: 2, CapacityReqPerSec: caps[0]},
-		{Name: "cgpu", Backend: cgpuBE, HourlyUSD: prices.CGPUHour, Min: 1, Max: 1, CapacityReqPerSec: caps[1]},
+		{Name: "cgpu", Backend: cgpuBE, HourlyUSD: cgpuHourly, Min: 1, Max: 1, CapacityReqPerSec: caps[1]},
 	}
 
 	type outcome struct {
@@ -203,7 +205,7 @@ func runAutoscale(o Options) (*Result, error) {
 	if o.Quick {
 		scfg.Requests = 224
 	}
-	hourly, err := cloud.DefaultPrices().HourlyCost(cloud.CPUInstance{VCPUs: hw.EMR1().CoresPerSocket, MemGiB: 128})
+	hourly, err := tdxBE.HourlyUSD()
 	if err != nil {
 		return nil, err
 	}

@@ -14,11 +14,8 @@ package harness
 import (
 	"fmt"
 
-	"cllm/internal/cloud"
 	"cllm/internal/dtype"
-	"cllm/internal/hw"
 	"cllm/internal/par"
-	"cllm/internal/perf"
 	"cllm/internal/serve"
 	"cllm/internal/tee"
 	"cllm/internal/trace"
@@ -51,31 +48,6 @@ type disaggOutcome struct {
 	usdMTok float64
 }
 
-// cgpuServeBackend is the confidential-H100 serving backend.
-func cgpuServeBackend() serve.Backend {
-	return serve.Backend{IsGPU: true, GPU: perf.GPURun{GPU: hw.H100NVL(), Platform: tee.CGPU()}}
-}
-
-// disaggHourly prices a topology: cGPU replicas at the confidential-GPU
-// instance rate, CPU-TEE replicas at the calibrated vCPU+memory rate for
-// the testbed's socket.
-func disaggHourly(topo serve.Topology) (float64, error) {
-	prices := cloud.DefaultPrices()
-	cpuHourly, err := prices.HourlyCost(cloud.CPUInstance{VCPUs: hw.EMR1().CoresPerSocket, MemGiB: 128})
-	if err != nil {
-		return 0, err
-	}
-	total := 0.0
-	for _, g := range topo.Groups {
-		per := cpuHourly
-		if g.Backend.IsGPU {
-			per = prices.CGPUHour
-		}
-		total += per * float64(g.Replicas)
-	}
-	return total, nil
-}
-
 // unifiedN is an N-replica homogeneous fleet of the backend.
 func unifiedN(be serve.Backend, n int) serve.Topology {
 	return serve.Unified(be, serve.FleetConfig{Replicas: n, Policy: serve.RoundRobin})
@@ -85,7 +57,7 @@ func unifiedN(be serve.Backend, n int) serve.Topology {
 // nDec TDX decode replicas over the priced KV-handoff edge.
 func prefillDecode(nPre, nDec int) serve.Topology {
 	return serve.Topology{Groups: []serve.RoleGroup{
-		{Role: serve.RolePrefill, Backend: cgpuServeBackend(), Replicas: nPre},
+		{Role: serve.RolePrefill, Backend: gpuServeBackend(tee.CGPU()), Replicas: nPre},
 		{Role: serve.RoleDecode, Backend: chunkedBackend(tee.TDX()), Replicas: nDec},
 	}}
 }
@@ -141,7 +113,7 @@ func runDisaggregated(o Options) (*Result, error) {
 	}) ([]disaggCandidate, error) {
 		cands := make([]disaggCandidate, len(specs))
 		for i, s := range specs {
-			hourly, err := disaggHourly(s.topo)
+			hourly, err := s.topo.HourlyUSD()
 			if err != nil {
 				return nil, err
 			}
@@ -161,9 +133,9 @@ func runDisaggregated(o Options) (*Result, error) {
 		mixed bool
 	}{
 		{"cgpu:1=prefill,tdx:16=decode", prefillDecode(1, 16), true},
-		{"cgpu:1", unifiedN(cgpuServeBackend(), 1), false},
-		{"cgpu:2", unifiedN(cgpuServeBackend(), 2), false},
-		{"cgpu:3", unifiedN(cgpuServeBackend(), 3), false},
+		{"cgpu:1", unifiedN(gpuServeBackend(tee.CGPU()), 1), false},
+		{"cgpu:2", unifiedN(gpuServeBackend(tee.CGPU()), 2), false},
+		{"cgpu:3", unifiedN(gpuServeBackend(tee.CGPU()), 3), false},
 		{"tdx:12", unifiedN(chunkedBackend(tee.TDX()), 12), false},
 	})
 	if err != nil {

@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 
-	"cllm/internal/cloud"
 	"cllm/internal/dtype"
 	"cllm/internal/hw"
 	"cllm/internal/par"
@@ -40,10 +39,6 @@ func runServing(o Options) (*Result, error) {
 		requests = 32
 	}
 	outLen := o.tokens(32)
-	hourly, err := cloud.DefaultPrices().HourlyCost(cloud.CPUInstance{VCPUs: hw.EMR1().CoresPerSocket, MemGiB: 128})
-	if err != nil {
-		return nil, err
-	}
 
 	// The (platform × rate) grid cells are independent simulations: evaluate
 	// them on the worker pool, each platform's cells sharing one memoized
@@ -58,8 +53,12 @@ func runServing(o Options) (*Result, error) {
 		}
 	}
 	backends := make([]serve.Backend, len(plats))
+	hourly := make([]float64, len(plats))
 	for pi, p := range plats {
 		be := serve.Backend{CPU: perf.CPURun{CPU: hw.EMR1(), Platform: p, Sockets: 1, AMX: true}}
+		if hourly[pi], err = be.HourlyUSD(); err != nil {
+			return nil, err
+		}
 		coster, err := serve.NewStepCoster(be, cfgFor(servingRates[0]))
 		if err != nil {
 			return nil, err
@@ -97,7 +96,7 @@ func runServing(o Options) (*Result, error) {
 			tputs[pi] = append(tputs[pi], rep.TokensPerSec)
 			repl, cost := "-", "-"
 			nRepl := 0
-			if c, err := rep.CostAtSLO(hourly); err == nil {
+			if c, err := rep.CostAtSLO(hourly[pi]); err == nil {
 				nRepl = c.Replicas
 				repl = fmt.Sprintf("%d", c.Replicas)
 				cost = fmt.Sprintf("%.2f", c.USDPerMTok)

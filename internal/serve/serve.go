@@ -140,6 +140,18 @@ func NewClearStepCoster(be Backend, cfg Config) (*perf.StepCoster, error) {
 	return NewStepCoster(be, cfg)
 }
 
+// HourlyUSD is one replica's rent at the default price book: a GPU
+// backend rents a confidential-GPU instance; a CPU backend rents every
+// core of each socket it runs (CoresPerSocket × max(Sockets, 1) vCPUs)
+// plus 128 GiB of memory.
+func (b Backend) HourlyUSD() (float64, error) {
+	prices := cloud.DefaultPrices()
+	if b.IsGPU {
+		return prices.CGPUHour, nil
+	}
+	return prices.HourlyCost(cloud.CPUInstance{VCPUs: b.CPU.CPU.CoresPerSocket * max(b.CPU.Sockets, 1), MemGiB: 128})
+}
+
 // platformName returns the TEE platform label of the backend.
 func (b Backend) platformName() string {
 	if b.IsGPU {

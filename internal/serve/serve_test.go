@@ -907,3 +907,50 @@ func TestMergeReportsMatchesFleetRun(t *testing.T) {
 		t.Fatalf("re-merge differs from fleet aggregate:\nfleet %+v\nmerge %+v", fr.Aggregate, again)
 	}
 }
+
+// TestHourlyUSD pins the one rent rule: a GPU replica rents the
+// confidential-GPU instance, a CPU replica every core of each socket it
+// runs plus 128 GiB, and a topology sums its groups, a zero replica count
+// defaulting to 1 as in Topology.Replicas. A backend without cores has no
+// price.
+func TestHourlyUSD(t *testing.T) {
+	prices := cloud.DefaultPrices()
+	gpu := Backend{IsGPU: true, GPU: perf.GPURun{GPU: hw.H100NVL(), Platform: tee.CGPU()}}
+	oneSocket, twoSockets := cpuBackend(tee.TDX()), cpuBackend(tee.TDX())
+	twoSockets.CPU.Sockets = 2
+	topo := Topology{Groups: []RoleGroup{
+		{Role: RolePrefill, Backend: gpu, Replicas: 2},
+		{Role: RoleDecode, Backend: oneSocket},
+	}}
+	cores := hw.EMR1().CoresPerSocket
+	for _, c := range []struct {
+		name  string
+		price func() (float64, error)
+		vcpus int     // rented CPU vCPUs
+		gpus  float64 // rented cGPU instances
+	}{
+		{"cgpu", gpu.HourlyUSD, 0, 1},
+		{"one socket", oneSocket.HourlyUSD, cores, 0},
+		{"two sockets", twoSockets.HourlyUSD, 2 * cores, 0},
+		{"topology", topo.HourlyUSD, cores, 2},
+	} {
+		got, err := c.price()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		want := c.gpus * prices.CGPUHour
+		if c.vcpus > 0 {
+			cpu, err := prices.HourlyCost(cloud.CPUInstance{VCPUs: c.vcpus, MemGiB: 128})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want += cpu
+		}
+		if got != want {
+			t.Errorf("%s rents at %g/h, want %g/h", c.name, got, want)
+		}
+	}
+	if _, err := (Topology{Groups: []RoleGroup{{Backend: Backend{}}}}).HourlyUSD(); err == nil {
+		t.Error("a CPU backend without cores was priced")
+	}
+}

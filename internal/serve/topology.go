@@ -107,6 +107,21 @@ func (t Topology) Replicas() int {
 	return n
 }
 
+// HourlyUSD is the whole fleet's rent: each group's replica rent
+// (Backend.HourlyUSD) times its replica count (after defaulting), summed
+// in group order.
+func (t Topology) HourlyUSD() (float64, error) {
+	total := 0.0
+	for _, g := range t.Groups {
+		per, err := g.Backend.HourlyUSD()
+		if err != nil {
+			return 0, err
+		}
+		total += per * float64(max(g.Replicas, 1))
+	}
+	return total, nil
+}
+
 // validate checks the role structure and normalizes replica counts in
 // place (a group's zero Replicas defaults to 1, mirroring FleetConfig).
 func (t *Topology) validate() error {

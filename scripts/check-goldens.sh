@@ -4,7 +4,8 @@
 # runs a fixed set of argument vectors (fixed-fleet sweeps, fleets, a
 # disaggregated topology, faults, four elastic runs, attribution, deadline
 # admission on a least-loaded fleet, observed runs with and without
-# attribution, two operator traces) plus every example
+# attribution, an attributed one-platform prefill/decode split, two
+# operator traces) plus every example
 # below and `cllm-bench -exp all -quick`, and fails on any byte difference.
 # Every run is deterministic under its seed and takes well under a second.
 #
@@ -59,6 +60,8 @@ serve serve-12-trace -platform tdx -rate 4 -requests 16 -rate-mults 1 -preempt s
 	-trace-out serve-12-trace.json
 serve serve-13-trace-attrib -platform tdx -rate 4 -requests 16 -rate-mults 1 -preempt swap -attrib \
 	-trace-out serve-13-trace-attrib.json -metrics-out serve-13-trace-attrib.prom
+serve serve-14-topology-attrib -topology tdx:1=prefill,tdx:2=decode -rate 4 -requests 16 -in 512 -attrib \
+	-attrib-csv serve-14-topology-attrib.phases.csv
 
 # Operator traces: the per-kind sums and step totals cllm-trace prints are
 # the only CLI output computed from the flat operator list.

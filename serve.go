@@ -5,7 +5,6 @@ import (
 	"math"
 	"strings"
 
-	"cllm/internal/cloud"
 	"cllm/internal/model"
 	"cllm/internal/obs"
 	"cllm/internal/perf"
@@ -39,6 +38,8 @@ type ServeConfig struct {
 	Knobs
 	// Replicas simulates a load-balanced fleet of this size instead of a
 	// single replica (default 1). The offered rate is the fleet rate.
+	// Replicas: N is the one-group unified Topology "<platform>:N" on the
+	// session's platform and reports identically.
 	Replicas int
 	// LBPolicy picks the fleet dispatch policy: RoundRobin (the zero
 	// value), LeastLoaded or PrefixAffinity.
@@ -50,8 +51,10 @@ type ServeConfig struct {
 	// priced KV handoff between the stages (source drain at the prefill
 	// side's swap bandwidth, a NIC transfer, ingest at the decode side).
 	// Each group's platform opens as a sub-session of this one (same
-	// testbed, seed and attestation policy); LBPolicy applies to both
-	// stages. Mutually exclusive with Replicas > 1.
+	// testbed, enclave size, seed and attestation policy; a group naming
+	// the session's own platform uses the session itself) and rents at
+	// that platform's rate; LBPolicy applies to both stages. Mutually
+	// exclusive with Replicas > 1.
 	Topology string
 	// Sockets selects the CPU deployment's socket count (default 1; every
 	// core of each socket serves).
@@ -68,13 +71,17 @@ type ServeConfig struct {
 	ObserveWindowSec float64
 	// Attribution folds the run's event stream into per-request phase
 	// vectors (queue wait, prefill, decode, preemption stall, swap
-	// transfer — summing exactly to each request's latency) and prices a
-	// clear-hardware counterfactual alongside the real run to attribute
-	// the per-phase TEE tax. The result is attached as Attrib; with
-	// Observe also set, the observation artifacts gain the phase CSV,
-	// phase histogram families and Perfetto counter tracks. Memory stays
-	// bounded by in-flight requests, so it composes with sketch mode on
-	// 10⁸-request runs. Off by default.
+	// transfer, KV handoff — summing exactly to each request's latency)
+	// and, when the deployment runs one platform (a lone replica, Replicas
+	// or any Topology whose groups share a platform), prices its
+	// clear-hardware twin alongside the real run to attribute the
+	// per-phase TEE tax. A Topology mixing platforms has no single clear
+	// twin: its report says ClearCosted: false and carries no Tax rows.
+	// The result is attached as Attrib (Attrib.PhaseCSV renders the phase
+	// CSV); with Observe also set, the Prometheus snapshot gains the phase
+	// histogram families and the trace the phase and tax counter tracks.
+	// Memory stays bounded by in-flight requests, so it composes with
+	// sketch mode on 10⁸-request runs. Off by default.
 	Attribution bool
 }
 
@@ -170,93 +177,45 @@ func (s *Session) Serve(cfg ServeConfig) (*ServeReport, error) {
 	if err != nil {
 		return nil, err
 	}
+	be, fleet, hourly, err := s.deploy(cfg, &scfg)
+	if err != nil {
+		return nil, err
+	}
 	rec, attrib, err := cfg.observe(&scfg)
 	if err != nil {
 		return nil, err
 	}
-	be := s.backend(cfg)
-	if cfg.Topology == "" {
-		// Reuse the session's memoized costing table for this deployment
-		// shape: sweeps calling Serve repeatedly re-cost identical iteration
-		// shapes from the table (bit-identical floats; see
-		// serve.Backend.Coster). Topology runs skip the memo — each role
-		// group's backend gets its own table inside Fleet.Run, keyed by
-		// nothing the session cache distinguishes (two CPU TEEs share a
-		// deployment shape but not a cost model).
-		be.Coster, err = s.costerFor(be, scfg, false)
+
+	out := ServeReport{Replicas: 1}
+	if fleet == nil {
+		rep, err := serve.Run(be, scfg)
 		if err != nil {
 			return nil, err
 		}
-		if attrib != nil {
-			// The clear-twin coster shares the session memo too: sweeps
-			// re-price the counterfactual from the same table. A topology
-			// run has no single clear twin (each group would need its own),
-			// so its attribution reports zero TEE tax.
-			scfg.ClearCoster, err = s.costerFor(be, scfg, true)
-			if err != nil {
-				return nil, err
-			}
+		out.Report = *rep
+		if cost, err := rep.CostAtSLO(hourly); err == nil {
+			out.SLOFeasible, out.ReplicasAtSLO = true, cost.Replicas
+			out.FleetHourlyUSD, out.USDPerMTokAtSLO = cost.FleetHourlyUSD, cost.USDPerMTok
+		}
+	} else {
+		// A simulated fleet is priced from its total rent.
+		frep, err := fleet.Run(scfg)
+		if err != nil {
+			return nil, err
+		}
+		out.Report = *frep.Aggregate
+		out.Replicas, out.LBPolicy, out.Topology = len(frep.PerReplica), frep.Policy, frep.Topology
+		out.ReplicasAtSLO, out.FleetHourlyUSD = out.Replicas, hourly
+		if usd, err := frep.CostPerMTok(hourly); err == nil {
+			out.SLOFeasible, out.USDPerMTokAtSLO = true, usd
 		}
 	}
-
-	var rep *serve.Report
-	var fleet *serve.FleetReport
-	var fleetHourly float64
-	switch {
-	case cfg.Topology != "":
-		fleet, fleetHourly, err = s.runTopology(cfg, scfg)
-		if err != nil {
-			return nil, err
-		}
-		rep = fleet.Aggregate
-	case cfg.Replicas > 1:
-		fleet, err = serve.RunFleet(be, scfg, serve.FleetConfig{Replicas: cfg.Replicas, Policy: cfg.LBPolicy})
-		if err != nil {
-			return nil, err
-		}
-		rep = fleet.Aggregate
-	default:
-		rep, err = serve.Run(be, scfg)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	out := ServeReport{Report: *rep, Replicas: 1}
 	if attrib != nil {
-		out.Attrib = attrib.Report(rep.Platform)
+		out.Attrib = attrib.Report(out.Platform)
 	}
 	if rec != nil {
-		out.Observation = buildObservation(rec, attrib, rep)
+		out.Observation = buildObservation(rec, attrib, &out.Report)
 		rec.Recycle()
-	}
-
-	if cfg.Topology == "" {
-		hourly, err := s.serveHourlyUSD(cfg)
-		if err != nil {
-			return nil, err
-		}
-		if fleet == nil {
-			if cost, err := rep.CostAtSLO(hourly); err == nil {
-				out.SLOFeasible = true
-				out.ReplicasAtSLO = cost.Replicas
-				out.FleetHourlyUSD = cost.FleetHourlyUSD
-				out.USDPerMTokAtSLO = cost.USDPerMTok
-			}
-			return &out, nil
-		}
-		fleetHourly = hourly * float64(cfg.Replicas)
-	}
-	// A simulated fleet is priced from its total rent (a topology mixes
-	// rental rates, so runTopology summed them per group).
-	out.Replicas = len(fleet.PerReplica)
-	out.LBPolicy = fleet.Policy
-	out.Topology = fleet.Topology
-	out.ReplicasAtSLO = out.Replicas
-	out.FleetHourlyUSD = fleetHourly
-	if usd, err := fleet.CostPerMTok(fleetHourly); err == nil {
-		out.SLOFeasible = true
-		out.USDPerMTokAtSLO = usd
 	}
 	return &out, nil
 }
@@ -338,7 +297,9 @@ func (cfg ServeConfig) lower(seed int64) (serve.Config, error) {
 }
 
 // observe builds the recorder and attribution engine cfg's Observe and
-// Attribution ask for (nil when off) and chains them onto scfg.
+// Attribution ask for (nil when off) and chains them onto scfg. It runs
+// after deploy: the engine books TEE tax only when deploy attached a
+// clear-twin coster to scfg.
 func (cfg ServeConfig) observe(scfg *serve.Config) (*obs.Recorder, *obs.Attribution, error) {
 	var rec *obs.Recorder
 	if cfg.Observe {
@@ -347,7 +308,7 @@ func (cfg ServeConfig) observe(scfg *serve.Config) (*obs.Recorder, *obs.Attribut
 	var attrib *obs.Attribution
 	if cfg.Attribution {
 		var err error
-		attrib, err = obs.NewAttributionWindow(cfg.SketchAlpha, true, cfg.ObserveWindowSec, 512)
+		attrib, err = obs.NewAttributionWindow(cfg.SketchAlpha, scfg.ClearCoster != nil, cfg.ObserveWindowSec, 512)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -380,43 +341,67 @@ func roleGroups(topology string) ([]TopologyGroup, serve.Topology, error) {
 	return groups, topo, nil
 }
 
-// runTopology builds and runs a role-aware fleet from the -topology
-// syntax. Each group's platform opens as a sub-session of this one (same
-// testbed, enclave size, seed and attestation policy) and contributes
-// Replicas backends at that platform's rental rate; the returned hourly
-// figure is the whole fleet's rent. Backends carry no pre-built coster —
-// Fleet.Run builds one per group, shared by the group's replicas.
-func (s *Session) runTopology(cfg ServeConfig, scfg serve.Config) (*serve.FleetReport, float64, error) {
-	groups, topo, err := roleGroups(cfg.Topology)
-	if err != nil {
-		return nil, 0, err
-	}
-	totalHourly := 0.0
-	for i, g := range groups {
-		sub, err := Open(Config{
-			Platform:        g.Platform,
-			System:          s.cfg.System,
-			EnclaveSize:     s.cfg.EnclaveSize,
-			SkipAttestation: s.cfg.SkipAttestation,
-			Seed:            s.cfg.Seed,
-		})
-		if err != nil {
-			return nil, 0, fmt.Errorf("cllm: topology group %q: %w", g.Platform, err)
+// deploy builds the run's hardware and its rent. One replica runs alone:
+// be is its backend and fleet is nil. Any larger deployment is a
+// role-aware fleet: Replicas: N lowers to the one-group unified topology
+// "<platform>:N", and a Topology names its own groups. Every backend comes
+// from replica, so it carries its session's memoized step coster. With
+// cfg.Attribution set on a deployment that runs one platform, scfg gains
+// that platform's clear-twin coster; a deployment mixing platforms has no
+// single clear twin, so its attribution reports no TEE tax
+// (ClearCosted: false).
+func (s *Session) deploy(cfg ServeConfig, scfg *serve.Config) (be serve.Backend, fleet *serve.Fleet, hourly float64, err error) {
+	sess, single := s, true
+	if cfg.Topology == "" && cfg.Replicas <= 1 {
+		if sess, be, err = s.replica(s.cfg.Platform, cfg, *scfg); err == nil {
+			hourly, err = be.HourlyUSD()
 		}
-		hourly, err := sub.serveHourlyUSD(cfg)
-		if err != nil {
-			return nil, 0, err
+	} else {
+		groups := []TopologyGroup{{Platform: s.cfg.Platform}}
+		topo := serve.Topology{Groups: []serve.RoleGroup{{Replicas: cfg.Replicas}}}
+		if cfg.Topology != "" {
+			if groups, topo, err = roleGroups(cfg.Topology); err != nil {
+				return be, nil, 0, err
+			}
 		}
-		totalHourly += hourly * float64(g.Replicas)
-		topo.Groups[i].Backend = sub.backend(cfg)
-		topo.Groups[i].Policy = cfg.LBPolicy
+		for i, g := range groups {
+			if sess, be, err = s.replica(g.Platform, cfg, *scfg); err != nil {
+				return be, nil, 0, err
+			}
+			topo.Groups[i].Backend, topo.Groups[i].Policy = be, cfg.LBPolicy
+			single = single && g.Platform == groups[0].Platform
+		}
+		if hourly, err = topo.HourlyUSD(); err == nil {
+			fleet, err = serve.NewFleet(topo)
+		}
 	}
-	f, err := serve.NewFleet(topo)
-	if err != nil {
-		return nil, 0, err
+	if err == nil && cfg.Attribution && single {
+		// The clear twin shares the session memo too: sweeps re-price the
+		// counterfactual from the same table.
+		scfg.ClearCoster, err = sess.costerFor(be, *scfg, true)
 	}
-	rep, err := f.Run(scfg)
-	return rep, totalHourly, err
+	return be, fleet, hourly, err
+}
+
+// replica returns one replica's backend on platform p in cfg's deployment,
+// its Coster the memoized table of p's session, and that session: s itself
+// when p is s's platform (so rate sweeps keep the memo), else a
+// sub-session of s on the same testbed, enclave size, seed and attestation
+// policy.
+func (s *Session) replica(p string, cfg ServeConfig, scfg serve.Config) (*Session, serve.Backend, error) {
+	if p != s.cfg.Platform {
+		c := s.cfg
+		c.Platform = p
+		sub, err := Open(c)
+		if err != nil {
+			return nil, serve.Backend{}, fmt.Errorf("cllm: platform %q: %w", p, err)
+		}
+		s = sub
+	}
+	be := s.backend(cfg)
+	var err error
+	be.Coster, err = s.costerFor(be, scfg, false)
+	return s, be, err
 }
 
 // backend returns the serve.Backend for one replica of the session's
@@ -461,13 +446,4 @@ func (s *Session) costerFor(be serve.Backend, scfg serve.Config, clear bool) (*p
 	}
 	s.costers[key] = c
 	return c, nil
-}
-
-// serveHourlyUSD prices one replica of the session's deployment.
-func (s *Session) serveHourlyUSD(cfg ServeConfig) (float64, error) {
-	prices := cloud.DefaultPrices()
-	if s.isGPU {
-		return prices.CGPUHour, nil
-	}
-	return prices.HourlyCost(cloud.CPUInstance{VCPUs: s.cpu.CoresPerSocket * max(cfg.Sockets, 1), MemGiB: 128})
 }

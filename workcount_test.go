@@ -281,8 +281,8 @@ func costerEntries(cs ...*perf.StepCoster) func() int {
 
 // schedulerRig is BenchmarkServeScheduler's run (observe:
 // BenchmarkServeSchedulerObserved's). Its measured runs are the benchmark's
-// own helper; the counting run lowers the same ServeConfig onto the
-// simulator the way Session.Serve does, with the counter chained on.
+// own helper; the counting run lowers and deploys the same ServeConfig
+// the way Session.Serve does, with the counter chained on.
 func schedulerRig(observe bool) workRig {
 	s := must(Open(Config{Platform: "tdx", Seed: 1}))
 	cfg := schedulerConfig(observe)
@@ -292,13 +292,15 @@ func schedulerRig(observe bool) workRig {
 				return workOutcome{agg: &serveScheduler(tb, s, observe).Report}
 			}
 			scfg := must(cfg.lower(s.cfg.Seed))
+			be, _, _, err := s.deploy(cfg, &scfg)
+			if err != nil {
+				tb.Fatal(err)
+			}
 			rec, attrib, err := cfg.observe(&scfg)
 			if err != nil {
 				tb.Fatal(err)
 			}
 			scfg.Observer = obs.Multi(rec, attrib, o)
-			be := s.backend(cfg)
-			be.Coster = must(s.costerFor(be, scfg, false))
 			rep := must(serve.Run(be, scfg))
 			if rec != nil {
 				rec.Recycle()
