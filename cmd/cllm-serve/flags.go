@@ -271,7 +271,7 @@ func flagTable(o *options) []flagSpec {
 		},
 		{
 			name: "epoch-requests", field: "EpochRequests",
-			usage:   "arrivals scheduled per simulation epoch (0 = 65536 in sketch mode, unsharded in exact mode)",
+			usage:   "arrivals scheduled per simulation epoch (0 = 4096, or one epoch for an exact-mode -trace; exact output is the same at any size)",
 			add:     func(fs *flag.FlagSet, n, u string) { fs.IntVar(&o.cfg.EpochRequests, n, 0, u) },
 			rejects: []rejection{{args: []string{"-epoch-requests", "-1"}, want: "-epoch-requests"}},
 		},

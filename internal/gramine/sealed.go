@@ -132,9 +132,3 @@ func (s *Store) Get(path string) ([]byte, error) {
 	}
 	return Unseal(s.key, sealed)
 }
-
-// Raw returns the sealed bytes (what an attacker on the host sees).
-func (s *Store) Raw(path string) ([]byte, bool) {
-	b, ok := s.files[path]
-	return b, ok
-}

@@ -56,9 +56,6 @@ func NewDenseRetriever(store *Store, scale int, seed int64) (*DenseRetriever, er
 	return r, nil
 }
 
-// EmbeddingDim returns the dense vector width.
-func (r *DenseRetriever) EmbeddingDim() int { return r.encoder.Config.HiddenDim }
-
 func (r *DenseRetriever) encode(text string) ([]float32, error) {
 	tokens := r.tok.Encode(text)
 	if len(tokens) > r.maxLen {

@@ -276,7 +276,7 @@ func TestDenseRetrieverBasics(t *testing.T) {
 	if _, err := p.Dense.Search("q", 0); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if p.Dense.EmbeddingDim() <= 0 {
+	if p.Dense.encoder.Config.HiddenDim <= 0 {
 		t.Error("bad embedding dim")
 	}
 	if _, err := NewDenseRetriever(NewStore(), 16, 1); err == nil {

@@ -187,7 +187,7 @@ func (s *scheduler) shed(st *reqState) {
 	if s.obs != nil {
 		s.event(Event{Kind: EvShed, ReqID: st.req.ID, Tokens: st.req.InputLen})
 	}
-	if st.attempt < s.cfg.Faults.RetryMax {
+	if int(st.attempt) < s.cfg.Faults.RetryMax {
 		s.scheduleRetry(st)
 		return
 	}
@@ -204,9 +204,7 @@ func (s *scheduler) dropQueued(st *reqState, reason DropReason, tokens int) {
 	}
 	st.phase = phaseDropped
 	s.rep.DroppedByReason[reason]++
-	if s.stream != nil {
-		s.rep.Dropped++
-	}
+	s.dropped(st)
 	if s.obs != nil {
 		s.event(Event{Kind: EvDrop, ReqID: st.req.ID, Tokens: tokens, Drop: reason})
 	}

@@ -150,7 +150,7 @@ type batchChecker struct {
 type replicaSeen struct {
 	running   []*reqState
 	prefilled []bool // running[i] was fully prefilled
-	attempt   []int
+	attempt   []int32
 	preempted map[int]bool // request IDs preempted since
 }
 
@@ -346,13 +346,12 @@ func serveChecked(t *testing.T, name string, be Backend, cfg Config, disagg bool
 		}
 		chk.reps = p.reps
 		s := p.reps[0]
-		src, err := materialize(cfg, s.noise.RNG())
-		if err != nil {
+		if err := burnArrivals(cfg, s.noise.RNG(), false); err != nil {
 			t.Fatal(err)
 		}
-		s.kept = make([]*reqState, len(src.block))
-		for i := range src.block {
-			s.kept[i] = &src.block[i]
+		src, err := newArrivalSource(cfg, false)
+		if err != nil {
+			t.Fatal(err)
 		}
 		if err := p.drive(src, lone{s}); err != nil {
 			t.Fatal(err)
@@ -495,17 +494,17 @@ func TestReportSettlesTheClock(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := p.reps[0]
-		src, err := materialize(cfg, s.noise.RNG())
+		if err := burnArrivals(cfg, s.noise.RNG(), false); err != nil {
+			t.Fatal(err)
+		}
+		src, err := newArrivalSource(cfg, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		d := lone{s}
-		for i := range src.block {
-			st := &src.block[i]
-			s.kept = append(s.kept, st)
-			p.eng.ScheduleAt(sim.Time(st.req.ArrivalSec), func(*sim.Engine) { d.Dispatch(p, Arrival{st}) })
-		}
-		if _, err := p.eng.RunUntil(sim.Time(src.block[len(src.block)/2].req.ArrivalSec), cfg.maxSteps()); err != nil {
+		p.d = lone{s}
+		cut := p.release(src, p.offered/2+1, 0)
+		p.release(src, p.offered-p.offered/2-1, cut)
+		if _, err := p.eng.RunUntil(sim.Time(cut), cfg.maxSteps()); err != nil {
 			t.Fatal(err)
 		}
 		if !perRow && len(s.clock.rows) == 0 {

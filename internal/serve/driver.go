@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"cllm/internal/perf"
 	"cllm/internal/sim"
+	"cllm/internal/workload"
 )
 
 // This file is the one serving driver every deployment runs through — a
@@ -17,26 +19,33 @@ import (
 //	arrival source → Dispatcher → schedulers on one sim.Engine
 //	               → per-replica outcome ledger → scheduler.report
 //
-// The source releases arrivals one epoch (Config.EpochRequests) at a time:
-// the driver schedules the epoch's arrivals, drains the engine to the
-// epoch's last arrival, and hands the warm scheduler/KV/prefix-cache state
-// to the next epoch. An unsharded run is a single epoch. The dispatcher is
-// consulted once per arrival, never per scheduler round.
+// The source draws arrivals lazily and the driver releases them one epoch
+// (Config.EpochRequests) at a time: it schedules the epoch's arrivals,
+// drains the engine to the epoch's last arrival, and hands the warm
+// scheduler/KV/prefix-cache state to the next epoch. Request states are
+// allocated a block at a time (see release), so a run holds only the
+// blocks of its in-flight requests. The dispatcher is consulted once per
+// arrival, never per scheduler round. A finished request leaves only its outcome behind, in the ledger
+// of the replica that accepted it (see ledger).
 //
 // Determinism contract, pinned by stream_test.go:
 //
 //   - Results are invariant to the epoch size: arrivals are placed with
 //     sim.Engine.ScheduleAt at bit-exact times, so an exact run sharded
 //     into epochs is byte-identical to the unsharded one.
-//   - A lone replica seeds its noise stream with Seed and draws its
-//     arrivals from that stream. In sketch mode it instead burns the
-//     arrival draws out of the noise stream and replays them lazily from a
-//     second RNG seeded identically, so every event time, counter and the
-//     admission order match the exact run bit for bit (for trace and
-//     Poisson loads; scenario streams draw shapes interleaved with times,
-//     a different-but-equally-valid sample path from the same seed).
-//   - Fleet and elastic deployments draw their arrivals from rand(Seed) in
-//     Generate order; fleet replica i seeds its noise with Seed+i·7919+1,
+//   - Arrivals follow workload.Scenario.Generate's draw order (all times,
+//     then all shapes), replayed lazily from rand(Seed) (see
+//     newArrivalSource); Poisson loads draw time and shape per request.
+//   - A lone replica seeds its noise stream with Seed, the seed its
+//     arrivals are drawn with, and burns the arrival draws out of that
+//     stream before its first step (burnArrivals): its step noise starts
+//     where it would if the replica had drawn every arrival from its own
+//     stream up front. A lone sketch-mode replica burns and replays the
+//     streaming Generator's order instead, which interleaves each
+//     request's time and shape draws — a different-but-equally-valid
+//     sample path from the same seed for scenario loads.
+//   - Fleet and elastic deployments draw no arrival from a replica's noise
+//     stream; fleet replica i seeds its noise with Seed+i·7919+1,
 //     autoscale slot k with Seed+k·7919+104729 (see internal/autoscale).
 //   - A dispatcher's Start runs after the first epoch's arrivals are on the
 //     engine, so in a one-epoch run every arrival precedes the first
@@ -68,19 +77,21 @@ type Pool struct {
 	cfg  Config // normalized
 	eng  *sim.Engine
 	reps []*scheduler // by id; nil where an elastic controller built nothing
-	// d routes arrivals; held here so each arrival's closure captures only
-	// the pool and the request state.
+	// d routes arrivals; held here so each epoch's arrival closure captures
+	// only the pool and the epoch's block.
 	d Dispatcher
-	// offered is the run's arrival count (materialized sources only);
-	// dispatched counts arrivals routed to a replica, so the difference is
-	// what an elastic controller still held at the horizon.
+	// offered is the run's arrival count; dispatched counts arrivals
+	// routed to a replica, so the difference is what an elastic controller
+	// still held at the horizon.
 	offered, dispatched int
 	// err records a replica-construction failure during the run; it halts
 	// the driver at the next epoch boundary.
 	err error
 }
 
-func newPool(cfg Config) *Pool { return &Pool{cfg: cfg, eng: sim.NewEngine()} }
+func newPool(cfg Config) *Pool {
+	return &Pool{cfg: cfg, eng: sim.NewEngine(), offered: cfg.arrivalCount()}
+}
 
 // Drive runs cfg's offered load through an external dispatcher on a fresh
 // pool and returns the drained pool for the caller to report on. The
@@ -91,7 +102,7 @@ func Drive(cfg Config, d Dispatcher) (*Pool, error) {
 		return nil, err
 	}
 	p := newPool(cfg)
-	src, err := materialize(cfg, rand.New(rand.NewSource(cfg.Seed)))
+	src, err := newArrivalSource(cfg, false)
 	if err != nil {
 		return nil, err
 	}
@@ -127,7 +138,7 @@ func (p *Pool) Add(id int, be Backend, seed int64) error {
 		}
 		return err
 	}
-	s.replica = id
+	s.pool, s.replica = p, id
 	for len(p.reps) <= id {
 		p.reps = append(p.reps, nil)
 	}
@@ -138,11 +149,11 @@ func (p *Pool) Add(id int, be Backend, seed int64) error {
 // Submit hands an arrival to replica id.
 func (p *Pool) Submit(id int, a Arrival) { p.accept(p.reps[id], a.st) }
 
-// accept routes an arrival to s and records it in s's outcome ledger.
+// accept routes an arrival to s and opens its slot in s's outcome ledger.
 func (p *Pool) accept(s *scheduler, st *reqState) {
 	p.dispatched++
 	s.submitted++
-	s.kept = append(s.kept, st)
+	s.led.open(st, s.replica)
 	s.submit(st)
 }
 
@@ -157,7 +168,8 @@ func (p *Pool) Down(id int) bool { return p.reps[id].down }
 func (p *Pool) Sheds(id int) int { return p.reps[id].rep.Sheds }
 
 // Aggregate merges the reports of the built replicas include selects, in
-// id order; arrivals never dispatched count as unfinished.
+// id order; arrivals never dispatched count as unfinished. Calling it
+// again returns an equal report.
 func (p *Pool) Aggregate(include func(id int) bool) *Report {
 	var reps []*Report
 	for id, s := range p.reps {
@@ -175,43 +187,29 @@ func (p *Pool) merge(reps []*Report) *Report {
 	return agg
 }
 
-// lone dispatches every arrival to a single replica. Its ledger is the
-// arrival block itself (see Run), so nothing is appended here.
+// lone dispatches every arrival to a single replica.
 type lone struct{ s *scheduler }
 
 func (lone) Start(*Pool) error { return nil }
 
-func (d lone) Dispatch(_ *Pool, a Arrival) {
-	d.s.submitted++
-	d.s.submit(a.st)
-}
+func (d lone) Dispatch(p *Pool, a Arrival) { p.accept(d.s, a.st) }
 
 // drive runs the pool: it releases src's arrivals an epoch at a time onto
 // the engine, each routed by d at its instant, drains the engine to the
 // epoch's last arrival, and finally runs the horizon out.
 func (p *Pool) drive(src *arrivalSource, d Dispatcher) error {
+	defer src.close()
 	p.d = d
-	if src.gen == nil {
-		p.offered = len(src.block)
-	}
 	epoch := p.cfg.EpochRequests
 	if epoch <= 0 {
-		epoch = math.MaxInt // unsharded: one epoch
+		epoch = math.MaxInt // an explicit trace's one epoch
 	}
 	lastArrival := 0.0
-	for first := true; ; first = false {
-		n := 0
-		for ; n < epoch; n++ {
-			st := src.next()
-			if st == nil {
-				break
-			}
-			if st.req.ArrivalSec > lastArrival {
-				lastArrival = st.req.ArrivalSec
-			}
-			p.eng.ScheduleAt(sim.Time(st.req.ArrivalSec), func(*sim.Engine) {
-				p.d.Dispatch(p, Arrival{st})
-			})
+	for left, first := p.offered, true; ; first = false {
+		n := min(epoch, left)
+		left -= n
+		if n > 0 {
+			lastArrival = p.release(src, n, lastArrival)
 		}
 		if first {
 			if err := d.Start(p); err != nil {
@@ -225,13 +223,43 @@ func (p *Pool) drive(src *arrivalSource, d Dispatcher) error {
 			return err
 		}
 		for _, s := range p.reps {
-			if s != nil && s.stream != nil {
-				s.stream.rotate()
+			if s != nil && s.led.stream != nil {
+				s.led.stream.rotate()
 			}
 		}
 	}
 	return p.runUntil(lastArrival + horizonSec)
 }
+
+// release schedules src's next n arrivals, each routed by the pool's
+// dispatcher at its instant, and returns the latest arrival time so far.
+// Their states are allocated blockStates at a time, and one closure
+// serves each block's events: the events take consecutive sequence
+// numbers, so the engine's Seq tells which arrival fires.
+func (p *Pool) release(src *arrivalSource, n int, last float64) float64 {
+	for n > 0 {
+		block := make([]reqState, min(n, blockStates))
+		n -= len(block)
+		var first int64
+		fire := func(e *sim.Engine) { p.d.Dispatch(p, Arrival{&block[e.Seq()-first]}) }
+		for i := range block {
+			st := &block[i]
+			st.req = src.next()
+			last = max(last, st.req.ArrivalSec)
+			if seq := p.eng.ScheduleAt(sim.Time(st.req.ArrivalSec), fire); i == 0 {
+				first = seq
+			}
+		}
+	}
+	return last
+}
+
+// blockStates is how many request states release allocates at once. A
+// block stays allocated while any of its requests is queued, running or
+// backing off, so it is kept small (40 KiB): a straggler then holds a
+// little memory, and a run still makes only two allocations per 256
+// arrivals.
+const blockStates = 256
 
 // runUntil advances the engine to t and surfaces the first failure: a
 // replica that could not be built, then any replica whose loop halted,
@@ -251,73 +279,210 @@ func (p *Pool) runUntil(t float64) error {
 	return nil
 }
 
-// arrivalSource yields the offered load as request states in scheduling
-// order: a materialized block (one allocation for the whole run), or a
-// lazily streamed generator whose states are allocated one by one, so a
-// streamed run retains none of them.
-type arrivalSource struct {
-	block []reqState
-	i     int
-	gen   func() (Request, bool)
-}
-
-func (a *arrivalSource) next() *reqState {
-	if a.gen != nil {
-		r, ok := a.gen()
-		if !ok {
-			return nil
+// liveTokens sums the output tokens of replica id's accepted requests that
+// are still queued or running on any replica, settling each decode clock
+// first. A request in a retry's backoff holds none.
+func (p *Pool) liveTokens(id int) int {
+	if p.reps[id].led.live == 0 {
+		return 0
+	}
+	n := 0
+	for _, s := range p.reps {
+		if s == nil {
+			continue
 		}
-		return &reqState{req: r}
+		s.clock.settle()
+		for i := range s.queue.Len() {
+			if st := s.queue.At(i); int(st.owner) == id {
+				n += st.generated
+			}
+		}
+		for _, st := range s.running {
+			if int(st.owner) == id {
+				n += st.generated
+			}
+		}
 	}
-	if a.i == len(a.block) {
-		return nil
-	}
-	a.i++
-	return &a.block[a.i-1]
+	return n
 }
 
-// materialize draws cfg's whole offered load from rng up front.
-func materialize(cfg Config, rng *rand.Rand) (*arrivalSource, error) {
-	reqs, err := genArrivals(cfg, rng)
-	if err != nil {
-		return nil, err
-	}
-	src := &arrivalSource{block: make([]reqState, len(reqs))}
-	for i, r := range reqs {
-		src.block[i].req = r
-	}
-	return src, nil
+// ledger is a replica's outcome ledger: a slot per request it accepted, in
+// arrival order. A request's outcome goes into its slot when it finishes —
+// on whichever replica finishes it: under disaggregation that is a decode
+// replica, while the slot stays with the prefill replica that accepted it
+// — and report folds the slots in order, so a finished request's state is
+// not kept. A lone sketch-mode replica streams its outcomes instead and
+// opens no slots.
+type ledger struct {
+	out []RequestMetrics // by slot: the outcome, once finished
+	tag []uint8          // by slot: 0 until finished, then 1 + its RequestClass
+	// live counts accepted requests not yet finished or dropped; dropped
+	// counts the drops.
+	live, dropped int
+	// tokens counts the output tokens of accepted requests that are not
+	// queued or running on any replica: finished, dropped, discarded by a
+	// retry, or crossing a KV handoff. With liveTokens it is exact mode's
+	// TotalTokens.
+	tokens int
+	// stream is a lone sketch-mode replica's live sketch ledger.
+	stream *streamAccum
 }
 
-// newArrivalSource builds the streaming form of genArrivals over cfg's
-// load: the explicit trace, a scenario generator, or the Poisson
-// synthesizer.
-func newArrivalSource(cfg Config, rng *rand.Rand) (*arrivalSource, error) {
+// open records that the replica owner accepted st.
+func (l *ledger) open(st *reqState, owner int) {
+	st.owner = int32(owner)
+	l.live++
+	if l.stream == nil {
+		st.entry = int32(len(l.out))
+		l.out = append(l.out, RequestMetrics{})
+		l.tag = append(l.tag, 0)
+	}
+}
+
+// fold counts the finished slots into rep in arrival order. It hands each
+// outcome to a (sketch mode) or returns them all (exact mode). Once no
+// slot is live it compacts the ledger in place, so the outcomes are not
+// copied; folding the compacted ledger returns the same again.
+func (l *ledger) fold(rep *Report, a *streamAccum) []RequestMetrics {
+	inPlace := a == nil && l.live == 0
+	var reqs []RequestMetrics
+	switch {
+	case inPlace:
+		reqs = l.out[:0:len(l.out)]
+	case a == nil:
+		reqs = make([]RequestMetrics, 0, len(l.out))
+	}
+	for i, tag := range l.tag {
+		if tag == 0 {
+			continue
+		}
+		m := l.out[i]
+		rep.count(m, RequestClass(tag-1))
+		if a != nil {
+			a.observe(m)
+			continue
+		}
+		if inPlace {
+			l.tag[len(reqs)] = tag
+		}
+		reqs = append(reqs, m)
+	}
+	if inPlace {
+		l.out, l.tag = reqs, l.tag[:len(reqs)]
+	}
+	return reqs
+}
+
+// owner is the replica whose ledger holds r.
+func (s *scheduler) owner(r *reqState) *scheduler { return s.pool.reps[r.owner] }
+
+// finished records r's outcome m in its owner's ledger.
+func (s *scheduler) finished(r *reqState, m RequestMetrics) {
+	o := s.owner(r)
+	o.led.live--
+	o.led.tokens += r.generated
+	if a := o.led.stream; a != nil {
+		a.observe(m)
+		o.rep.count(m, r.req.Class)
+		return
+	}
+	o.led.out[r.entry], o.led.tag[r.entry] = m, 1+uint8(r.req.Class)
+}
+
+// dropped records r's drop in its owner's ledger.
+func (s *scheduler) dropped(r *reqState) {
+	o := s.owner(r)
+	o.led.live--
+	o.led.dropped++
+	o.led.tokens += r.generated
+}
+
+// arrivalSource yields the offered load's requests in arrival order; the
+// driver draws Config.arrivalCount of them.
+type arrivalSource struct {
+	next func() Request
+	// rngs are the source's generators, drawn from rngPool and returned
+	// to it by close.
+	rngs []*rand.Rand
+}
+
+// rngPool recycles the arrival sources' generators from run to run:
+// reseeding one yields the stream a fresh one would, without allocating
+// its 4.9 KB state again.
+var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
+// rng draws a generator seeded with seed for the source to own.
+func (a *arrivalSource) rng(seed int64) *rand.Rand {
+	r := rngPool.Get().(*rand.Rand)
+	r.Seed(seed)
+	a.rngs = append(a.rngs, r)
+	return r
+}
+
+// close returns the source's generators to rngPool; it draws no more.
+func (a *arrivalSource) close() {
+	for _, r := range a.rngs {
+		rngPool.Put(r)
+	}
+	a.next, a.rngs = nil, nil
+}
+
+// newArrivalSource draws cfg's offered load lazily: the explicit trace, a
+// scenario, or the Poisson synthesizer, drawn from rand(Seed). A scenario
+// follows Generate's draw order (Scenario.Replay), or with streamOrder the
+// streaming Generator's; the Poisson synthesizer has one order.
+func newArrivalSource(cfg Config, streamOrder bool) (*arrivalSource, error) {
+	a := new(arrivalSource)
 	switch {
 	case len(cfg.Trace) > 0:
 		i := 0
-		return &arrivalSource{gen: func() (Request, bool) {
-			if i >= len(cfg.Trace) {
-				return Request{}, false
-			}
+		a.next = func() Request {
 			i++
-			return cfg.Trace[i-1], true
-		}}, nil
+			return cfg.Trace[i-1]
+		}
 	case cfg.Scenario != nil:
-		gen, err := cfg.Scenario.Stream(rng)
+		var gen *workload.Generator
+		var err error
+		if streamOrder {
+			gen, err = cfg.Scenario.Stream(a.rng(cfg.Seed))
+		} else {
+			gen, err = cfg.Scenario.Replay(cfg.Requests, a.rng(cfg.Seed), a.rng(cfg.Seed))
+		}
 		if err != nil {
+			a.close()
 			return nil, err
 		}
 		i := 0
-		return &arrivalSource{gen: func() (Request, bool) {
-			if i >= cfg.Requests {
-				return Request{}, false
-			}
-			r := scenarioRequest(i, gen.Next(), cfg.Workload.Model.ContextLen)
+		a.next = func() Request {
 			i++
-			return r, true
-		}}, nil
+			return scenarioRequest(i-1, gen.Next(), cfg.Workload.Model.ContextLen)
+		}
 	default:
-		return &arrivalSource{gen: newPoissonGen(cfg, rng).next}, nil
+		a.next = newPoissonGen(cfg, a.rng(cfg.Seed)).next
 	}
+	return a, nil
+}
+
+// burnArrivals advances rng past exactly the draws newArrivalSource(cfg,
+// streamOrder) makes from its own rand(Seed) over the whole run.
+func burnArrivals(cfg Config, rng *rand.Rand, streamOrder bool) error {
+	switch {
+	case len(cfg.Trace) > 0:
+	case cfg.Scenario != nil && !streamOrder:
+		return cfg.Scenario.Burn(cfg.Requests, rng)
+	case cfg.Scenario != nil:
+		gen, err := cfg.Scenario.Stream(rng)
+		if err != nil {
+			return err
+		}
+		for range cfg.Requests {
+			gen.Next()
+		}
+	default:
+		g := newPoissonGen(cfg, rng)
+		for range cfg.Requests {
+			g.next()
+		}
+	}
+	return nil
 }

@@ -176,7 +176,7 @@ func (s *scheduler) crash() {
 		// failure-lost drop.
 		for ; lost > 0; lost-- {
 			st := s.queue.PopFront()
-			if st.attempt < s.cfg.Faults.RetryMax {
+			if int(st.attempt) < s.cfg.Faults.RetryMax {
 				s.scheduleRetry(st)
 				continue
 			}
@@ -204,14 +204,14 @@ func (s *scheduler) recoverReplica() {
 
 // scheduleRetry re-enters a shed or failure-lost request into the arrival
 // stream after its exponential backoff. The retry restarts from scratch:
-// produced tokens are wasted work (still counted in TotalTokens via
-// wastedTokens) and the computed state is gone. Jitter is deterministic
+// produced tokens are wasted work (still counted in TotalTokens through
+// the owner's ledger) and the computed state is gone. Jitter is deterministic
 // per (request, attempt) — no shared RNG stream, so retries never perturb
 // noise or arrival draws.
 func (s *scheduler) scheduleRetry(st *reqState) {
 	st.attempt++
 	st.phase = phaseWaiting
-	s.wastedTokens += st.generated
+	s.owner(st).led.tokens += st.generated
 	st.generated = 0
 	st.prefilled, st.prefillTarget = 0, 0
 	st.firstTokenAt = 0
@@ -233,7 +233,7 @@ func (s *scheduler) resubmit(st *reqState) {
 		st.deadline = float64(s.eng.Now()) + st.req.Class.deadlineMult()*s.cfg.TTFTSLOSec
 	}
 	if s.obs != nil {
-		s.event(Event{Kind: EvRetry, ReqID: st.req.ID, Tokens: st.req.InputLen, Hist: st.attempt})
+		s.event(Event{Kind: EvRetry, ReqID: st.req.ID, Tokens: st.req.InputLen, Hist: int(st.attempt)})
 	}
 	s.queue.PushBack(st)
 	s.progress()

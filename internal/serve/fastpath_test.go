@@ -43,7 +43,7 @@ func TestSchedulerShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := p.reps[0]
-	src, err := materialize(cfg, s.noise.RNG())
+	src, err := newArrivalSource(cfg, false)
 	if err != nil {
 		t.Fatal(err)
 	}

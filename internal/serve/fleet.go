@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"math/rand"
 
 	"cllm/internal/cloud"
 	"cllm/internal/enum"
@@ -267,7 +266,7 @@ func (f *Fleet) Run(cfg Config) (*FleetReport, error) {
 			}
 		}
 	}
-	src, err := materialize(cfg, rand.New(rand.NewSource(cfg.Seed)))
+	src, err := newArrivalSource(cfg, false)
 	if err != nil {
 		return nil, err
 	}

@@ -56,6 +56,9 @@ func (d *handoffDispatcher) initiate(src *scheduler, r *reqState) {
 		return
 	}
 	nic := hw.NICHandoffSetupSec + bytes/hw.NICBytesPerSec
+	// In transit the request is queued nowhere: its tokens sit in its
+	// owner's ledger until it lands.
+	src.owner(r).led.tokens += r.generated
 	src.rep.HandoffsOut++
 	src.rep.HandoffTokens += tokens
 	src.rep.HandoffBytes += bytes
@@ -83,6 +86,7 @@ func (d *handoffDispatcher) initiate(src *scheduler, r *reqState) {
 // must have returned the request's slot before the decode side takes a
 // new one; a request still holding a slot here fails the run.
 func (d *handoffDispatcher) ingest(src *scheduler, r *reqState, tokens int) {
+	src.owner(r).led.tokens -= r.generated
 	j := d.stage.pick(r.req)
 	dst := d.stage.reps[j]
 	if r.kv.slot != 0 {

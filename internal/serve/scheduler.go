@@ -39,8 +39,11 @@ type reqState struct {
 	// a phaseDecoding row it is the count as of the decode clock's
 	// syncTick; only the clock reads it there (the settle rule, see
 	// decodeClock).
-	generated   int
-	preemptions int
+	generated int
+	// preemptions counts this request's preemptions; entry is its slot in
+	// its owner's outcome ledger (see ledger).
+	preemptions int32
+	entry       int32
 	// prefilled counts prompt tokens whose KV entries exist (computed this
 	// admission or reused from the prefix cache); prefillTarget is where the
 	// current prefill ends (prompt plus any tokens generated before a
@@ -71,9 +74,12 @@ type reqState struct {
 	finishedAt    float64
 	// deadline is the absolute admission deadline under deadline-aware
 	// admission (renewed per retry attempt); attempt counts retries
-	// consumed from the per-request budget.
+	// consumed from the per-request budget. owner is the replica that
+	// accepted the request. The int32 pairs fit where two ints did, so
+	// reqState stays 160 B.
 	deadline float64
-	attempt  int
+	attempt  int32
+	owner    int32
 }
 
 // ctxTokens is the KV-cache footprint the request needs for its next decode
@@ -144,17 +150,13 @@ type scheduler struct {
 	// producedTot counts every output token produced so far; gauge samples
 	// report it cumulatively so windowed throughput differences cleanly.
 	producedTot int
-	// The outcome ledger the report is built from (see driver.go): kept
-	// retains the states of every request submitted here, in arrival order;
-	// a lone sketch-mode replica instead streams its outcomes into stream
-	// (and rep) as they happen and retains nothing. submitted counts the
-	// arrivals handed to this replica.
-	kept      []*reqState
-	stream    *streamAccum
+	// led is the outcome ledger the report is built from (see driver.go);
+	// submitted counts the arrivals handed to this replica. pool is the
+	// deployment the replica runs in, whose replicas' ledgers the requests
+	// it finishes may belong to.
+	led       ledger
 	submitted int
-	// wastedTokens counts tokens a retry discarded; exact-mode TotalTokens
-	// adds them back, since they were produced.
-	wastedTokens int
+	pool      *Pool
 	// down parks the iteration loop while a crashed replica recovers; kick
 	// and the load balancers read it every round, so it stays inline.
 	down bool
@@ -303,33 +305,12 @@ func (s *scheduler) submitHandoff(st *reqState) {
 // Load balancers use it for least-loaded dispatch.
 func (s *scheduler) outstanding() int { return s.queue.Len() + len(s.running) }
 
-// genArrivals returns the offered load: the explicit trace when given, a
-// workload scenario's synthesis when configured, otherwise Poisson arrivals
-// with jittered lengths drawn from rng (so a seed fixes the whole run).
-// With PrefixGroups set, synthetic requests are assigned to a random prefix
-// group each and share the leading PrefixFrac×InputLen tokens within their
-// group (RAG-style workloads: common system prompt and document set,
-// distinct questions).
-func genArrivals(cfg Config, rng *rand.Rand) ([]Request, error) {
-	if len(cfg.Trace) == 0 && cfg.Scenario != nil {
-		return scenarioArrivals(cfg, rng)
-	}
-	if len(cfg.Trace) > 0 {
-		return append([]Request(nil), cfg.Trace...), nil
-	}
-	g := newPoissonGen(cfg, rng)
-	out := make([]Request, cfg.Requests)
-	for i := range out {
-		out[i], _ = g.next()
-	}
-	return out, nil
-}
-
-// poissonGen synthesizes the Poisson arrival stream one request at a
-// time. It draws from rng in exactly the order the historical batch loop
-// did (inter-arrival, then prefix group and suffix jitter or input
-// jitter, then output jitter), so draining it reproduces genArrivals'
-// output bit for bit — the property the epoch-sharded runner relies on.
+// poissonGen synthesizes Poisson arrivals with jittered lengths one
+// request at a time. Per request it draws the inter-arrival, then the
+// prefix group and suffix jitter (or the input jitter), then the output
+// jitter. With PrefixGroups set, each request joins a random prefix group
+// and shares the leading PrefixFrac×InputLen tokens within it (RAG-style
+// workloads: common system prompt and document set, distinct questions).
 type poissonGen struct {
 	cfg       Config
 	rng       *rand.Rand
@@ -365,12 +346,8 @@ func (g *poissonGen) jitter(mean int) int {
 	return n
 }
 
-// next returns the following arrival, or false once cfg.Requests have
-// been drawn.
-func (g *poissonGen) next() (Request, bool) {
-	if g.i >= g.cfg.Requests {
-		return Request{}, false
-	}
+// next draws the following arrival.
+func (g *poissonGen) next() Request {
 	g.t += g.rng.ExpFloat64() / g.cfg.Rate
 	var inLen int
 	r := Request{ID: g.i, ArrivalSec: g.t}
@@ -396,7 +373,7 @@ func (g *poissonGen) next() (Request, bool) {
 	// Upward jitter on means near the context limit must not overflow it.
 	r.InputLen, r.OutputLen = inLen, outLen
 	g.i++
-	return clampToContext(r, g.cfg.Workload.Model.ContextLen), true
+	return clampToContext(r, g.cfg.Workload.Model.ContextLen)
 }
 
 // clampToContext enforces the model context window on a synthesized
@@ -433,27 +410,24 @@ func scenarioRequest(i int, wr workload.Request, ctx int) Request {
 	}, ctx)
 }
 
-// scenarioArrivals adopts a workload scenario's whole request stream.
-func scenarioArrivals(cfg Config, rng *rand.Rand) ([]Request, error) {
-	reqs, err := cfg.Scenario.Generate(cfg.Requests, rng)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Request, len(reqs))
-	for i, wr := range reqs {
-		out[i] = scenarioRequest(i, wr, cfg.Workload.Model.ContextLen)
-	}
-	return out, nil
-}
-
 // Arrivals synthesizes the offered load a configuration describes — trace,
-// scenario, or Poisson — exactly as Run/RunFleet would see it. The bench/
-// harness uses it to time arrival synthesis apart from the simulation.
+// scenario, or Poisson — exactly as a fleet or elastic deployment sees it
+// (and a lone exact-mode replica). The bench/ harness uses it to time
+// arrival synthesis apart from the simulation.
 func Arrivals(cfg Config) ([]Request, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	return genArrivals(cfg, rand.New(rand.NewSource(cfg.Seed)))
+	src, err := newArrivalSource(cfg, false)
+	if err != nil {
+		return nil, err
+	}
+	defer src.close()
+	out := make([]Request, cfg.arrivalCount())
+	for i := range out {
+		out[i] = src.next()
+	}
+	return out, nil
 }
 
 // prefixHash derives the content-identity hash of a request's shared
@@ -763,7 +737,9 @@ func (s *scheduler) dropRunning(r *reqState) {
 	}
 	for i, cand := range s.running {
 		if cand == r {
+			n := len(s.running)
 			s.running = append(s.running[:i], s.running[i+1:]...)
+			s.running[:n][n-1] = nil // the shifted-out copy of the old tail
 			return
 		}
 	}
@@ -1089,14 +1065,8 @@ func (s *scheduler) produce(r *reqState, now float64) {
 		s.kv.release(&r.kv)
 		r.phase = phaseFinished
 		r.finishedAt = now
-		var m RequestMetrics
-		if s.stream != nil || s.obs != nil {
-			m = outcome(r, s.cfg.TTFTSLOSec, s.cfg.TPOTSLOSec)
-		}
-		if s.stream != nil {
-			s.stream.observe(m)
-			s.rep.count(m, r.req.Class)
-		}
+		m := outcome(r, s.cfg.TTFTSLOSec, s.cfg.TPOTSLOSec)
+		s.finished(r, m)
 		s.dropRunning(r)
 		if s.obs != nil {
 			// The report's own verdict: bit-identical to the aggregate's.
@@ -1107,13 +1077,13 @@ func (s *scheduler) produce(r *reqState, now float64) {
 
 // report is the one place a Report is built from scheduler state. It
 // starts from a copy of the replica's event ledger (s.rep), adds the KV
-// pool readings and the makespan, and folds the outcome ledger: the
-// retained states (exact quantiles, or folded into sketches in arrival
-// order under QuantileSketch) or, for a streamed lone replica, the live
-// sketches whose counts are already in the ledger. Each finished request
-// goes through outcome and Report.count, and Report.finish derives the
-// rates and quantiles. Call it after the engine has drained (or hit its
-// horizon); calling it again rebuilds the same report.
+// pool readings and the makespan, and folds the outcome ledger (see
+// ledger): the finished requests' outcomes in arrival order, kept whole
+// (exact quantiles) or folded into sketches under QuantileSketch — or, for
+// a streamed lone replica, the live sketches whose counts are already in
+// s.rep. Report.finish derives the rates and quantiles. Call it after the
+// engine has drained (or hit its horizon); calling it again rebuilds the
+// same report.
 func (s *scheduler) report() *Report {
 	s.clock.settle() // rows still decoding at the horizon
 	rep := new(Report)
@@ -1136,40 +1106,21 @@ func (s *scheduler) report() *Report {
 	rep.SwapPoolBlocks = s.kv.SwapPoolBlocks()
 	rep.PeakSwapBlocksInUse = s.kv.PeakSwapBlocks()
 	rep.SwapBlocksAtEnd = s.kv.SwappedBlocks()
+	rep.Dropped = s.led.dropped
 	if s.cfg.QuantileMode != QuantileSketch {
-		// Tokens a retry discarded were still produced — they stay in the
-		// throughput total (and match the per-round event sums exactly).
-		rep.TotalTokens = s.wastedTokens
-		rep.Requests = make([]RequestMetrics, 0, len(s.kept))
-		for _, st := range s.kept {
-			rep.TotalTokens += st.generated
-			switch st.phase {
-			case phaseDropped:
-				rep.Dropped++
-			case phaseFinished:
-				m := outcome(st, s.cfg.TTFTSLOSec, s.cfg.TPOTSLOSec)
-				rep.Requests = append(rep.Requests, m)
-				rep.count(m, st.req.Class)
-			default:
-				rep.Unfinished++
-			}
-		}
+		// Every token produced for the requests accepted here, wherever it
+		// was produced — tokens a retry discarded included, so the total
+		// matches the per-round event sums exactly.
+		rep.TotalTokens = s.led.tokens + s.pool.liveTokens(s.replica)
+		rep.Requests = s.led.fold(rep, nil)
+		rep.Unfinished = s.submitted - rep.Completed - rep.Dropped
 		rep.finish()
 		return rep
 	}
-	a := s.stream
+	a := s.led.stream
 	if a == nil {
 		a = newStreamAccum(s.cfg.SketchAlpha)
-		for _, st := range s.kept {
-			switch st.phase {
-			case phaseFinished:
-				m := outcome(st, s.cfg.TTFTSLOSec, s.cfg.TPOTSLOSec)
-				a.observe(m)
-				rep.count(m, st.req.Class)
-			case phaseDropped:
-				rep.Dropped++
-			}
-		}
+		s.led.fold(rep, a)
 	}
 	a.rotate()
 	rep.Unfinished = s.submitted - rep.Completed - rep.Dropped
@@ -1196,7 +1147,7 @@ func outcome(st *reqState, ttftSLO, tpotSLO float64) RequestMetrics {
 		Latency:      st.finishedAt - st.req.ArrivalSec,
 		QueueDelay:   st.admittedAt - st.req.ArrivalSec,
 		OutputTokens: st.generated,
-		Preemptions:  st.preemptions,
+		Preemptions:  int(st.preemptions),
 	}
 	tpotOK := true
 	if st.generated > 1 {
@@ -1207,8 +1158,9 @@ func outcome(st *reqState, ttftSLO, tpotSLO float64) RequestMetrics {
 	return m
 }
 
-// Run executes one serving simulation: one replica seeded with cfg.Seed
-// whose arrivals come from its own noise stream (see driver.go).
+// Run executes one serving simulation: one replica whose noise stream is
+// seeded with cfg.Seed, the seed its arrivals are drawn with (see
+// driver.go).
 func Run(be Backend, cfg Config) (*Report, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
@@ -1218,36 +1170,23 @@ func Run(be Backend, cfg Config) (*Report, error) {
 		return nil, err
 	}
 	s := p.reps[0]
-	var src *arrivalSource
-	var err error
-	if cfg.QuantileMode == QuantileSketch {
-		// Burn the arrival-synthesis draws out of the noise stream: the
-		// exact run draws every arrival from the noise RNG before the first
-		// simulated step, so its step-noise samples start that far into
-		// the stream. Draining a throwaway source here, then replaying the
-		// same draws lazily from a second RNG seeded identically, keeps
-		// every event time bit-identical to the exact run while generating
-		// arrivals epoch by epoch.
-		burn, err := newArrivalSource(cfg, s.noise.RNG())
-		if err != nil {
-			return nil, err
-		}
-		for _, ok := burn.gen(); ok; _, ok = burn.gen() {
-		}
-		if src, err = newArrivalSource(cfg, rand.New(rand.NewSource(cfg.Seed))); err != nil {
-			return nil, err
-		}
-		s.stream = newStreamAccum(cfg.SketchAlpha)
+	// Burn the arrival draws out of the noise stream, then replay them
+	// lazily from a second RNG seeded identically: the step noise starts
+	// as far into the stream as if every arrival had been drawn from it
+	// before the first simulated step.
+	streamOrder := cfg.QuantileMode == QuantileSketch
+	if err := burnArrivals(cfg, s.noise.RNG(), streamOrder); err != nil {
+		return nil, err
+	}
+	src, err := newArrivalSource(cfg, streamOrder)
+	if err != nil {
+		return nil, err
+	}
+	if streamOrder {
+		s.led.stream = newStreamAccum(cfg.SketchAlpha)
 	} else {
-		if src, err = materialize(cfg, s.noise.RNG()); err != nil {
-			return nil, err
-		}
-		// The lone replica's ledger is the whole arrival block, in trace
-		// order.
-		s.kept = make([]*reqState, len(src.block))
-		for i := range src.block {
-			s.kept[i] = &src.block[i]
-		}
+		s.led.out = make([]RequestMetrics, 0, p.offered)
+		s.led.tag = make([]uint8, 0, p.offered)
 	}
 	if err := p.drive(src, lone{s}); err != nil {
 		return nil, err

@@ -51,10 +51,12 @@ func (m QuantileMode) String() string { return quantileModes.String(m) }
 // ParseQuantileMode resolves a CLI mode name.
 func ParseQuantileMode(s string) (QuantileMode, error) { return quantileModes.Parse(s) }
 
-// DefaultEpochRequests is the arrival-epoch size sketch-mode sharded runs
-// use unless configured: large enough that epoch handoff overhead
-// vanishes, small enough that per-epoch arrival buffers stay in cache.
-const DefaultEpochRequests = 65536
+// DefaultEpochRequests is the arrival-epoch size runs use unless
+// configured (an explicit trace in exact mode runs as one epoch): large
+// enough that epoch handoff overhead vanishes, small enough that an
+// epoch's block of request states (640 KiB) stays cheap to hold while its
+// last requests finish.
+const DefaultEpochRequests = 4096
 
 // Request is one arrival in the offered load.
 type Request struct {
@@ -268,20 +270,20 @@ type Knobs struct {
 	TTFTSLOSec float64
 	TPOTSLOSec float64
 	// QuantileMode selects the latency summary: QuantileExact (default)
-	// retains per-request samples and is bit-identical to prior behavior;
-	// QuantileSketch streams them into bounded-memory sketches and shards
-	// the simulation into arrival epochs (see EpochRequests).
+	// retains every finished request's outcome (64 B) for exact
+	// quantiles; QuantileSketch streams them into bounded-memory sketches.
 	QuantileMode QuantileMode
 	// SketchAlpha is the sketch's relative-error bound in (0, 1); 0 means
 	// stats.DefaultSketchAlpha (1%). Ignored under QuantileExact.
 	SketchAlpha float64
-	// EpochRequests is the arrival-epoch size for sharded simulation: the
-	// run schedules this many arrivals at a time, drains the engine to the
+	// EpochRequests is the arrival-epoch size: the run draws and
+	// schedules this many arrivals at a time, drains the engine to the
 	// epoch's last arrival, and hands the warm scheduler/KV state to the
-	// next epoch. 0 means DefaultEpochRequests under QuantileSketch and
-	// monolithic execution under QuantileExact; setting it explicitly
-	// under QuantileExact forces the sharded path (whose output is
-	// byte-identical to monolithic — tests pin this).
+	// next epoch, so it holds the request states of a few epochs, not of
+	// the whole run. 0 means DefaultEpochRequests, except that an explicit
+	// Trace under QuantileExact runs as one epoch (a sharded run needs the
+	// trace sorted by arrival time). Exact-mode output is byte-identical
+	// at every epoch size — tests pin this.
 	EpochRequests int
 	// Faults groups the fault-injection, admission-control and retry knobs
 	// (see FaultConfig).
@@ -328,18 +330,22 @@ type FaultConfig struct {
 // unfinished then count as SLO misses.
 const horizonSec = 3600
 
+// arrivalCount is a normalized run's offered request count: the explicit
+// trace's length, otherwise Requests.
+func (c *Config) arrivalCount() int {
+	if len(c.Trace) > 0 {
+		return len(c.Trace)
+	}
+	return c.Requests
+}
+
 // maxSteps bounds a normalized run's engine events as a runaway guard:
 // 4e6, scaled up to 512 events per request. Event volume scales with
 // arrivals (one arrival event plus a bounded number of scheduling rounds
 // per request), so 10⁸-request runs are not killed by a constant cap sized
-// for sweep points. Requests already covers traces too small to matter,
-// and scenario/Poisson runs default it in normalize.
+// for sweep points.
 func (c *Config) maxSteps() int64 {
-	n := c.Requests
-	if len(c.Trace) > n {
-		n = len(c.Trace)
-	}
-	return max(4_000_000, int64(n)*512)
+	return max(4_000_000, int64(c.arrivalCount())*512)
 }
 
 // ConfigError rejects one field of a config, named by its selector path
@@ -460,7 +466,7 @@ func (c *Config) normalize() error {
 	case !(c.SketchAlpha > 0 && c.SketchAlpha < 1):
 		return FieldError("SketchAlpha", "serve: sketch alpha %g outside (0, 1)", c.SketchAlpha)
 	}
-	if c.QuantileMode == QuantileSketch && c.EpochRequests == 0 {
+	if c.EpochRequests == 0 && (c.QuantileMode == QuantileSketch || len(c.Trace) == 0) {
 		c.EpochRequests = DefaultEpochRequests
 	}
 	if c.Faults.MTBFSec > 0 && len(c.Faults.Plan) > 0 {

@@ -3,7 +3,6 @@ package serve
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"os"
 	"reflect"
 	"runtime"
@@ -425,8 +424,8 @@ func TestStreamedConservation(t *testing.T) {
 				t.Fatal(err)
 			}
 			s := p.reps[0]
-			s.stream = newStreamAccum(cfg.SketchAlpha)
-			src, err := newArrivalSource(cfg, rand.New(rand.NewSource(cfg.Seed)))
+			s.led.stream = newStreamAccum(cfg.SketchAlpha)
+			src, err := newArrivalSource(cfg, true)
 			if err != nil {
 				t.Fatal(err)
 			}

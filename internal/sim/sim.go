@@ -36,9 +36,9 @@ func (ev Event) before(other Event) bool {
 //
 //   - the feed, a slice sorted by Event.before and consumed from a head
 //     index. An event that does not sort before the feed's tail is
-//     appended there and later popped from the head, both in O(1). A
-//     run's arrivals, scheduled in time order before the clock starts,
-//     all take this path.
+//     appended there and later popped from the head, both in O(1). An
+//     epoch's arrivals, scheduled in time order when the epoch starts,
+//     take this path, bar the few that precede an event already queued.
 //   - a typed 4-ary min-heap stored by value, which takes every other
 //     event: the round finishes, crashes, retries and handoffs scheduled
 //     behind the feed's tail. It holds about one event per replica, so
@@ -56,6 +56,8 @@ type Engine struct {
 	// more than heapInline events on the heap allocates nothing for it.
 	heap0  [heapInline]Event
 	nextID int64
+	// cur is the sequence number of the event being processed (see Seq).
+	cur int64
 	// Steps counts processed events, a cheap progress/liveness metric.
 	Steps int64
 }
@@ -88,14 +90,23 @@ func (e *Engine) Schedule(delay Time, fn func(*Engine)) {
 // arrivals scheduled mid-run at their exact recorded times: Schedule would
 // compute now + (at − now), which is not bit-identical to at once the
 // clock has advanced, and bit-stable event times are what keeps sharded
-// runs byte-identical to monolithic ones.
-func (e *Engine) ScheduleAt(at Time, fn func(*Engine)) {
+// runs byte-identical to monolithic ones. It returns the event's sequence
+// number (see Seq).
+func (e *Engine) ScheduleAt(at Time, fn func(*Engine)) int64 {
 	if at < e.now {
 		at = e.now
 	}
 	e.nextID++
 	e.push(Event{At: at, Fn: fn, seq: e.nextID})
+	return e.nextID
 }
+
+// Seq is the sequence number of the event being processed. Events
+// scheduled back to back take consecutive numbers, so one callback can
+// serve a run of them, telling them apart by Seq: the serving driver
+// schedules its arrivals that way, with one closure per block of them
+// instead of one per arrival.
+func (e *Engine) Seq() int64 { return e.cur }
 
 // push queues the event. It goes on the feed when it does not sort before
 // the feed's tail: seq rises with every push, so that check alone keeps
@@ -214,7 +225,7 @@ func (e *Engine) RunUntil(horizon Time, maxSteps int64) (remaining int, err erro
 			return e.Pending(), fmt.Errorf("sim: step limit %d reached at t=%g", maxSteps, float64(e.now))
 		}
 		ev := e.pop(fromFeed)
-		e.now = ev.At
+		e.now, e.cur = ev.At, ev.seq
 		e.Steps++
 		ev.Fn(e)
 	}

@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cllm/internal/stats"
@@ -25,6 +26,30 @@ func TestEngineOrdering(t *testing.T) {
 	}
 	if e.Now() != 3 {
 		t.Errorf("Now = %g, want 3", float64(e.Now()))
+	}
+}
+
+// TestEngineSeqIdentifiesEvents: events scheduled back to back take
+// consecutive sequence numbers, and one shared callback tells them apart
+// by Seq whatever order their times fire them in.
+func TestEngineSeqIdentifiesEvents(t *testing.T) {
+	e := NewEngine()
+	at := []Time{0.5, 0.1, 0.3, 0.1}
+	var fired []int
+	var first int64
+	fn := func(e *Engine) { fired = append(fired, int(e.Seq()-first)) }
+	for i, a := range at {
+		if seq := e.ScheduleAt(a, fn); i == 0 {
+			first = seq
+		} else if seq != first+int64(i) {
+			t.Fatalf("event %d took sequence %d, want %d", i, seq, first+int64(i))
+		}
+	}
+	if err := e.Run(-1); err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{1, 3, 2, 0}; !slices.Equal(fired, want) {
+		t.Fatalf("fired %v, want %v", fired, want)
 	}
 }
 

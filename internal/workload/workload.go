@@ -352,7 +352,8 @@ func (s Scenario) Validate() error {
 // shapes. The streaming Generator interleaves the two draws per request;
 // both are valid deterministic sample paths of the same scenario, but
 // they are not the same path, so callers comparing runs bit-for-bit must
-// compare like with like.
+// compare like with like. Replay yields Generate's path with O(1) state,
+// and Burn advances an rng past it without keeping it.
 func (s Scenario) Generate(n int, rng *rand.Rand) ([]Request, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -366,6 +367,39 @@ func (s Scenario) Generate(n int, rng *rand.Rand) ([]Request, error) {
 	return out, nil
 }
 
+// Replay streams Generate(n, rng) one request at a time without
+// materializing it, from two rngs in rng's state (seeded alike): times
+// draws the arrival times, and shapes, first advanced past the n time
+// draws, draws the shapes. Its first n Next calls return Generate's
+// requests bit for bit; later calls leave that path.
+func (s Scenario) Replay(n int, times, shapes *rand.Rand) (*Generator, error) {
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	skip := s.Arrivals.Stream(shapes)
+	for range n {
+		skip()
+	}
+	return &Generator{s: s, ts: s.Arrivals.Stream(times), rng: shapes, totalW: s.Mix.totalWeight()}, nil
+}
+
+// Burn advances rng past exactly the draws Generate(n, rng) makes,
+// keeping none of them.
+func (s Scenario) Burn(n int, rng *rand.Rand) error {
+	if err := s.Validate(); err != nil {
+		return err
+	}
+	ts := s.Arrivals.Stream(rng)
+	for range n {
+		ts()
+	}
+	totalW := s.Mix.totalWeight()
+	for range n {
+		s.shapeRequest(0, rng, totalW)
+	}
+	return nil
+}
+
 // totalWeight sums the mix weights (already validated positive).
 func (m Mix) totalWeight() float64 {
 	w := 0.0
@@ -377,7 +411,8 @@ func (m Mix) totalWeight() float64 {
 
 // shapeRequest draws one request's shape for an arrival at t. The rng
 // draw order per request (shape pick, length jitters, prefix identity) is
-// shared by Generate and Generator.Next.
+// shared by Generate, Burn and Generator.Next; the draws do not depend on
+// t.
 func (s Scenario) shapeRequest(t float64, rng *rand.Rand, totalW float64) Request {
 	sh, si := s.pick(rng, totalW)
 	r := Request{ArrivalSec: t, Shape: sh.Name}

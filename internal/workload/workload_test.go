@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -136,6 +137,47 @@ func TestDeterministicUnderSeed(t *testing.T) {
 	}
 	if same {
 		t.Error("different seeds produced identical streams")
+	}
+}
+
+// TestReplayAndBurnMatchGenerate holds the O(1)-state forms of Generate to
+// it for every arrival process and mix: Replay yields Generate's requests
+// bit for bit, and Burn leaves its rng exactly where Generate leaves one.
+func TestReplayAndBurnMatchGenerate(t *testing.T) {
+	const seed = 11
+	for _, arrival := range arrivalNames {
+		for _, mix := range mixNames {
+			sc, err := ParseScenario(arrival+"+"+mix, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, n := range []int{0, 1, 17, 1000} {
+				name := fmt.Sprintf("%s+%s n=%d", arrival, mix, n)
+				genRNG := rand.New(rand.NewSource(seed))
+				want, err := sc.Generate(n, genRNG)
+				if err != nil {
+					t.Fatal(err)
+				}
+				g, err := sc.Replay(n, rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, w := range want {
+					if got := g.Next(); got != w {
+						t.Fatalf("%s: replayed request %d = %+v, Generate drew %+v", name, i, got, w)
+					}
+				}
+				burnRNG := rand.New(rand.NewSource(seed))
+				if err := sc.Burn(n, burnRNG); err != nil {
+					t.Fatal(err)
+				}
+				for i := range 16 {
+					if a, b := burnRNG.Int63(), genRNG.Int63(); a != b {
+						t.Fatalf("%s: draw %d after Burn is %d, after Generate %d", name, i, a, b)
+					}
+				}
+			}
+		}
 	}
 }
 
