@@ -6,7 +6,8 @@
 # admission on a least-loaded fleet, observed runs with and without
 # attribution, an attributed one-platform prefill/decode split, two
 # operator traces) plus every example
-# below and `cllm-bench -exp all -quick`, and fails on any byte difference.
+# below and `cllm-bench -exp all` in quick and full mode, and fails on any
+# byte difference.
 # Every run is deterministic under its seed and takes well under a second.
 #
 # Usage (from anywhere in the repository):
@@ -73,6 +74,7 @@ for ex in quickstart costplanner fleetsizing autoscaling healthcare finance-rag;
 done
 
 "$tmp/cllm-bench" -exp all -quick >"$out/bench-all-quick.txt"
+"$tmp/cllm-bench" -exp all >"$out/bench-all.txt"
 
 if [ "${1:-}" = "--update" ]; then
 	rm -rf "$golden"
