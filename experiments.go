@@ -38,9 +38,9 @@ type ExperimentReport struct {
 
 // RunExperiment executes one paper artifact reproduction. Quick mode
 // shortens generations for fast runs; seeds are fixed for reproducibility.
-// Experiments whose sweeps contain independent simulation runs spread them
-// over the CPUs; results are merged deterministically, so the report is
-// identical to a serial run (the harness tests assert it).
+// Every experiment spreads its independent simulation runs over the CPUs
+// and merges them in a fixed order, so the report is identical to a
+// serial run (the harness tests assert it for every experiment).
 func RunExperiment(id string, quick bool, seed int64) (*ExperimentReport, error) {
 	e, err := harness.Lookup(id)
 	if err != nil {

@@ -17,10 +17,7 @@ import (
 
 	"cllm/internal/dtype"
 	"cllm/internal/gramine"
-	"cllm/internal/hw"
 	"cllm/internal/obs"
-	"cllm/internal/par"
-	"cllm/internal/perf"
 	"cllm/internal/serve"
 	"cllm/internal/tee"
 	"cllm/internal/trace"
@@ -102,24 +99,19 @@ func runAttribution(o Options) (*Result, error) {
 	perToken := m.KVCacheBytesPerToken(2)
 
 	// cGPU swap-heavy: a MIG-style confidential-GPU slice (weights plus
-	// ~240 KV tokens) under a short-request burst, forced onto the swap
+	// ~800 KV tokens) under a short-request burst, forced onto the swap
 	// path — every preemption round-trips KV through the AES-GCM bounce
 	// buffer at ~12% of PCIe, so the swap-transfer tax towers over the
 	// few-percent compute overheads.
-	gpu := hw.H100NVL()
-	gpu.HBMBytes = weights + 800*perToken
-	shortTrace := make([]serve.Request, 16)
-	for i := range shortTrace {
-		shortTrace[i] = serve.Request{ID: i, ArrivalSec: float64(i) * 0.05, InputLen: 384, OutputLen: 32}
-	}
 	cgpuSwap := attribScenario{
 		name: "cGPU/swap-heavy",
-		be:   serve.Backend{IsGPU: true, GPU: perf.GPURun{GPU: gpu, Platform: tee.CGPU()}},
+		be:   h100(tee.CGPU()),
 		cfg: serve.Config{
-			Workload: wl, Trace: shortTrace, Seed: o.Seed,
+			Workload: wl, Trace: evenTrace(16, 0.05, 384, 32), Seed: o.Seed,
 			Knobs: serve.Knobs{MaxBatch: 4, PreemptPolicy: serve.PreemptSwap},
 		},
 	}
+	cgpuSwap.be.GPU.GPU.HBMBytes = weights + 800*perToken
 
 	// CPU-TEE equivalent of the same pressure: an SGX enclave whose KV
 	// pool preempts constantly, but whose swaps ride the inline memory
@@ -129,15 +121,11 @@ func runAttribution(o Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	longTrace := make([]serve.Request, 24)
-	for i := range longTrace {
-		longTrace[i] = serve.Request{ID: i, ArrivalSec: float64(i) * 0.05, InputLen: 1024, OutputLen: 256}
-	}
 	sgxSwap := attribScenario{
 		name: "SGX/swap-heavy",
-		be:   serve.Backend{CPU: perf.CPURun{CPU: hw.EMR1(), Platform: sgx, Sockets: 1, AMX: true}},
+		be:   emr1(sgx),
 		cfg: serve.Config{
-			Workload: wl, Trace: longTrace, Seed: o.Seed,
+			Workload: wl, Trace: evenTrace(24, 0.05, 1024, 256), Seed: o.Seed,
 			Knobs: serve.Knobs{MaxBatch: 8, PreemptPolicy: serve.PreemptSwap},
 		},
 	}
@@ -145,40 +133,24 @@ func runAttribution(o Options) (*Result, error) {
 	// SGX decode-heavy: short prompts, long generations, no KV pressure —
 	// nearly all attributed time is memory-bandwidth-bound decode, and the
 	// enclave's MemBWFactor makes decode the dominant tax component.
-	decTrace := make([]serve.Request, 8)
-	for i := range decTrace {
-		decTrace[i] = serve.Request{ID: i, ArrivalSec: float64(i) * 0.1, InputLen: 32, OutputLen: o.tokens(512)}
-	}
 	sgxDecode := attribScenario{
 		name: "SGX/decode-heavy",
 		be:   sgxSwap.be,
-		cfg:  serve.Config{Workload: wl, Trace: decTrace, Seed: o.Seed, Knobs: serve.Knobs{MaxBatch: 8}},
+		cfg:  serve.Config{Workload: wl, Trace: evenTrace(8, 0.1, 32, o.tokens(512)), Seed: o.Seed, Knobs: serve.Knobs{MaxBatch: 8}},
 	}
 
 	// TDX near saturation: arrivals outpace a batch-limited server, so
 	// queue wait swamps every other phase — including the TEE tax.
-	satTrace := make([]serve.Request, 32)
-	for i := range satTrace {
-		satTrace[i] = serve.Request{ID: i, ArrivalSec: float64(i) * 0.01, InputLen: 256, OutputLen: 64}
-	}
 	tdxSat := attribScenario{
 		name: "TDX/saturated",
-		be:   serve.Backend{CPU: perf.CPURun{CPU: hw.EMR1(), Platform: tee.TDX(), Sockets: 1, AMX: true}},
-		cfg:  serve.Config{Workload: wl, Trace: satTrace, Seed: o.Seed, Knobs: serve.Knobs{MaxBatch: 2}},
+		be:   emr1(tee.TDX()),
+		cfg:  serve.Config{Workload: wl, Trace: evenTrace(32, 0.01, 256, 64), Seed: o.Seed, Knobs: serve.Knobs{MaxBatch: 2}},
 	}
 
 	// The cGPU scenario runs twice: attribution artifacts must be
 	// deterministic — byte-identical phase CSVs from repeated runs.
 	scenarios := []attribScenario{cgpuSwap, sgxSwap, sgxDecode, tdxSat, cgpuSwap}
-	outs := make([]*attribOutcome, len(scenarios))
-	err = par.For(o.Workers, len(scenarios), func(i int) error {
-		out, err := runAttrib(scenarios[i])
-		if err != nil {
-			return err
-		}
-		outs[i] = out
-		return nil
-	})
+	outs, err := sweep(o, len(scenarios), func(i int) (*attribOutcome, error) { return runAttrib(scenarios[i]) })
 	if err != nil {
 		return nil, err
 	}
@@ -274,18 +246,16 @@ func runAttribution(o Options) (*Result, error) {
 	// The counterfactual is honest: running the protected config on its
 	// clear-hardware twin reproduces the unprotected run byte for byte
 	// (only the platform label differs).
-	clearBE := cgpuSwap.be
-	clearBE.GPU.Platform = tee.CGPU().Clear()
-	bareBE := cgpuSwap.be
-	bareBE.GPU.Platform = tee.GPU()
-	clearRep, err := serve.Run(clearBE, cgpuSwap.cfg)
+	twins := []tee.Platform{tee.CGPU().Clear(), tee.GPU()}
+	twinReps, err := sweep(o, len(twins), func(i int) (*serve.Report, error) {
+		be := cgpuSwap.be
+		be.GPU.Platform = twins[i]
+		return serve.Run(be, cgpuSwap.cfg)
+	})
 	if err != nil {
 		return nil, err
 	}
-	bareRep, err := serve.Run(bareBE, cgpuSwap.cfg)
-	if err != nil {
-		return nil, err
-	}
+	clearRep, bareRep := twinReps[0], twinReps[1]
 	norm := *clearRep
 	norm.Platform = bareRep.Platform
 	res.Checks = append(res.Checks, Check{

@@ -13,9 +13,6 @@ import (
 
 	"cllm/internal/autoscale"
 	"cllm/internal/dtype"
-	"cllm/internal/hw"
-	"cllm/internal/par"
-	"cllm/internal/perf"
 	"cllm/internal/serve"
 	"cllm/internal/tee"
 	"cllm/internal/trace"
@@ -41,11 +38,6 @@ func init() {
 // chat-length prompts, CI-sized generations.
 func heteroChatMix(outLen int) workload.Mix {
 	return workload.Mix{{Name: "chat", Weight: 1, InputLen: 128, OutputLen: outLen, LengthJitter: 0.2}}
-}
-
-// gpuServeBackend is the cGPU serving deployment.
-func gpuServeBackend(p tee.Platform) serve.Backend {
-	return serve.Backend{IsGPU: true, GPU: perf.GPURun{GPU: hw.H100NVL(), Platform: p}}
 }
 
 func runHetero(o Options) (*Result, error) {
@@ -75,29 +67,20 @@ func runHetero(o Options) (*Result, error) {
 	}
 	// Probe once; autoscale.Run copies the class slice, so both policies
 	// can share it. A fixed fleet (Min == Max): the experiment isolates
-	// dispatch, so both policies rent the identical hardware all run. The
-	// two probes are independent simulations — run them on the worker pool,
-	// sharing each backend's costing table with the policy runs below.
-	tdxBE := chunkedBackend(tee.TDX())
-	cgpuBE := gpuServeBackend(tee.CGPU())
-	bes := []*serve.Backend{&tdxBE, &cgpuBE}
-	caps := make([]float64, len(bes))
-	err := par.For(o.Workers, len(bes), func(i int) error {
-		coster, err := serve.NewStepCoster(*bes[i], scfg)
-		if err != nil {
-			return err
+	// dispatch, so both policies rent the identical hardware all run. Each
+	// backend's costing table is shared by its probe and the policy runs.
+	bes := []serve.Backend{emr1(tee.TDX()), h100(tee.CGPU())}
+	var err error
+	for i := range bes {
+		if bes[i], err = costed(bes[i], scfg); err != nil {
+			return nil, err
 		}
-		bes[i].Coster = coster
-		cap, err := autoscale.ProbeCapacity(*bes[i], scfg)
-		if err != nil {
-			return err
-		}
-		caps[i] = cap
-		return nil
-	})
+	}
+	caps, err := sweep(o, len(bes), func(i int) (float64, error) { return autoscale.ProbeCapacity(bes[i], scfg) })
 	if err != nil {
 		return nil, err
 	}
+	tdxBE, cgpuBE := bes[0], bes[1]
 	tdxHourly, err := tdxBE.HourlyUSD()
 	if err != nil {
 		return nil, err
@@ -116,14 +99,12 @@ func runHetero(o Options) (*Result, error) {
 		share                      [2]float64
 	}
 	// Both dispatch policies simulate the identical rented fleet on
-	// independent engines: evaluate them concurrently, merge in policy
-	// order.
+	// independent engines.
 	dispatches := []autoscale.Dispatch{autoscale.Uniform, autoscale.CostAware}
-	outs := make([]outcome, len(dispatches))
-	err = par.For(o.Workers, len(dispatches), func(i int) error {
+	outs, err := sweep(o, len(dispatches), func(i int) (outcome, error) {
 		rep, err := autoscale.Run(classes, autoscale.Config{Serve: scfg, Dispatch: dispatches[i], IntervalSec: 10})
 		if err != nil {
-			return err
+			return outcome{}, err
 		}
 		total := rep.Usage[0].Dispatched + rep.Usage[1].Dispatched
 		out := outcome{
@@ -134,8 +115,7 @@ func runHetero(o Options) (*Result, error) {
 			out.share[0] = float64(rep.Usage[0].Dispatched) / float64(total)
 			out.share[1] = float64(rep.Usage[1].Dispatched) / float64(total)
 		}
-		outs[i] = out
-		return nil
+		return out, nil
 	})
 	if err != nil {
 		return nil, err
@@ -185,7 +165,6 @@ func runAutoscale(o Options) (*Result, error) {
 		Header: []string{"coldstart(s)", "policy(min,util)", "SLO%", "replica-hrs", "cost($)", "coldstarts", "TTFT p99(s)"}}
 
 	const sloTarget = 0.85
-	tdxBE := chunkedBackend(tee.TDX())
 	wl := trace.Workload{Model: mustModel("llama2-7b"), Kind: dtype.BF16}
 	scfg := serve.Config{
 		Workload: wl,
@@ -205,20 +184,19 @@ func runAutoscale(o Options) (*Result, error) {
 	if o.Quick {
 		scfg.Requests = 224
 	}
-	hourly, err := tdxBE.HourlyUSD()
-	if err != nil {
-		return nil, err
-	}
 	// Share one costing table across the probe and the whole policy sweep:
 	// every cell simulates the same backend and workload shape, so the
 	// sweep's later cells run almost entirely on table hits. A hit takes no
 	// lock and writes no shared memory, so the parallel cells do not
 	// contend on the table.
-	coster, err := serve.NewStepCoster(tdxBE, scfg)
+	tdxBE, err := costed(emr1(tee.TDX()), scfg)
 	if err != nil {
 		return nil, err
 	}
-	tdxBE.Coster = coster
+	hourly, err := tdxBE.HourlyUSD()
+	if err != nil {
+		return nil, err
+	}
 	capacity, err := autoscale.ProbeCapacity(tdxBE, scfg)
 	if err != nil {
 		return nil, err
@@ -246,19 +224,11 @@ func runAutoscale(o Options) (*Result, error) {
 		}}, autoscale.Config{Serve: scfg, IntervalSec: 5, TargetUtil: sw.util})
 	}
 
-	// The (cold-start × policy) sweep cells are independent autoscaling
-	// simulations: evaluate the whole grid on the worker pool, then fold
-	// rows and winners in sweep order — identical output at any worker
-	// count.
+	// The (cold-start × policy) cells are independent autoscaling
+	// simulations; rows and winners fold in sweep order.
 	colds := []float64{0, coldStart}
-	reports := make([]*autoscale.Report, len(colds)*len(sweeps))
-	err = par.For(o.Workers, len(reports), func(i int) error {
-		rep, err := run(colds[i/len(sweeps)], sweeps[i%len(sweeps)])
-		if err != nil {
-			return err
-		}
-		reports[i] = rep
-		return nil
+	reports, err := sweep(o, len(colds)*len(sweeps), func(i int) (*autoscale.Report, error) {
+		return run(colds[i/len(sweeps)], sweeps[i%len(sweeps)])
 	})
 	if err != nil {
 		return nil, err

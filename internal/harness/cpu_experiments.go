@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"math"
 
 	"cllm/internal/backend"
 	"cllm/internal/dtype"
@@ -26,14 +27,6 @@ func mustModel(name string) model.Config {
 		panic(err)
 	}
 	return cfg
-}
-
-func runCPU(p tee.Platform, cpu hw.CPU, wl trace.Workload, sockets, cores int, amx bool, eff float64, seed int64) (*perf.Result, error) {
-	return perf.RunCPU(perf.CPURun{
-		CPU: cpu, Platform: p, Workload: wl,
-		Sockets: sockets, CoresPerSocket: cores, AMX: amx,
-		BackendEfficiency: eff, Seed: seed,
-	})
 }
 
 func init() {
@@ -106,15 +99,19 @@ func runFig3(o Options) (*Result, error) {
 		{"HF", dtype.F32, backend.HuggingFace()},
 	}
 	out := o.tokens(128)
-	times := make([]float64, len(cells))
-	for i, c := range cells {
+	times, err := sweep(o, len(cells), func(i int) (float64, error) {
+		c := cells[i]
 		wl := trace.Workload{Model: cfg, Kind: c.kind, Batch: 1, Beam: 1, InputLen: 1024, OutputLen: out}
-		r, err := runCPU(tee.Baremetal(), hw.EMR1(), wl, 1, 0, c.b.UsesAMX, c.b.Efficiency, o.Seed)
+		r, err := perf.RunCPU(perf.CPURun{CPU: hw.EMR1(), Platform: tee.Baremetal(), Workload: wl,
+			Sockets: 1, AMX: c.b.UsesAMX, BackendEfficiency: c.b.Efficiency, Seed: o.Seed})
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
 		// Scale to the full 128-token run for comparability in Quick mode.
-		times[i] = r.PrefillSec + r.MeanTokenLatency()*128
+		return r.PrefillSec + r.MeanTokenLatency()*128, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	for i, c := range cells {
 		res.Rows = append(res.Rows, []string{c.name, c.kind.String(),
@@ -154,6 +151,7 @@ func runFig4(o Options) (*Result, error) {
 		"llama2-7b/int8":  {10.68, 5.43},
 		"llama2-13b/int8": {9.37, 5.19},
 	}
+	plats := []tee.Platform{tee.Baremetal(), tee.VM(tee.VMFullHuge), tee.TDX(), sgx}
 	var tdxT, sgxT, tdxL, sgxL []float64
 	out := o.tokens(64)
 	for _, name := range []string{"llama2-7b", "llama2-13b"} {
@@ -164,20 +162,15 @@ func runFig4(o Options) (*Result, error) {
 			wlT := trace.Workload{Model: cfg, Kind: kind, Batch: 6, Beam: 4, InputLen: 1024, OutputLen: out}
 			// Latency: batch 1, beam 1.
 			wlL := trace.Workload{Model: cfg, Kind: kind, Batch: 1, Beam: 1, InputLen: 1024, OutputLen: out}
-			plats := []tee.Platform{tee.Baremetal(), tee.VM(tee.VMFullHuge), tee.TDX(), sgx}
-			var tputs, lats []float64
-			for _, p := range plats {
-				rT, err := runCPU(p, hw.EMR1(), wlT, 1, 0, true, 1, o.Seed)
-				if err != nil {
-					return nil, err
-				}
-				rL, err := runCPU(p, hw.EMR1(), wlL, 1, 0, true, 1, o.Seed)
-				if err != nil {
-					return nil, err
-				}
-				tputs = append(tputs, rT.DecodeThroughput())
-				lats = append(lats, rL.MeanTokenLatency())
+			rT, err := onCPU(o, hw.EMR1(), wlT, 1, plats...)
+			if err != nil {
+				return nil, err
 			}
+			rL, err := onCPU(o, hw.EMR1(), wlL, 1, plats...)
+			if err != nil {
+				return nil, err
+			}
+			tputs, lats := each(rT, (*perf.Result).DecodeThroughput), each(rL, (*perf.Result).MeanTokenLatency)
 			ovT := func(i int) float64 { return stats.ThroughputOverheadPct(tputs[0], tputs[i]) }
 			ovL := func(i int) float64 { return stats.OverheadPct(lats[0], lats[i]) }
 			res.Rows = append(res.Rows, []string{name, kind.String(), "tput(tok/s)",
@@ -213,16 +206,11 @@ func runFig5(o Options) (*Result, error) {
 	paperLat := map[string][2]float64{"bf16": {21.46, 61.81}, "int8": {14.73, 44.20}}
 	for _, kind := range []dtype.Kind{dtype.BF16, dtype.I8} {
 		wl := trace.Workload{Model: cfg, Kind: kind, Batch: 1, Beam: 1, InputLen: 1024, OutputLen: out}
-		plats := []tee.Platform{tee.VM(tee.VMTransparentHuge), tee.TDX(), tee.VM(tee.VMNoBinding)}
-		var lats, tputs []float64
-		for _, p := range plats {
-			r, err := runCPU(p, hw.EMR1(), wl, 2, 0, true, 1, o.Seed)
-			if err != nil {
-				return nil, err
-			}
-			lats = append(lats, r.MeanTokenLatency())
-			tputs = append(tputs, r.DecodeThroughput())
+		rs, err := onCPU(o, hw.EMR1(), wl, 2, tee.VM(tee.VMTransparentHuge), tee.TDX(), tee.VM(tee.VMNoBinding))
+		if err != nil {
+			return nil, err
 		}
+		lats, tputs := each(rs, (*perf.Result).MeanTokenLatency), each(rs, (*perf.Result).DecodeThroughput)
 		ovL := func(i int) float64 { return stats.OverheadPct(lats[0], lats[i]) }
 		res.Rows = append(res.Rows, []string{kind.String(), "latency(ms)",
 			fmt.Sprintf("%.0f", lats[0]*1e3), pct(ovL(1)), pct(ovL(2)),
@@ -257,15 +245,11 @@ func runFig6(o Options) (*Result, error) {
 		for _, kind := range []dtype.Kind{dtype.BF16, dtype.I8} {
 			key := name + "/" + kind.String()
 			wl := trace.Workload{Model: cfg, Kind: kind, Batch: 6, Beam: 4, InputLen: 1024, OutputLen: out}
-			plats := []tee.Platform{tee.Baremetal(), tee.VM(tee.VMFullHuge), tee.VM(tee.VMTransparentHuge), tee.TDX()}
-			var tputs []float64
-			for _, p := range plats {
-				r, err := runCPU(p, hw.EMR1(), wl, 2, 0, true, 1, o.Seed)
-				if err != nil {
-					return nil, err
-				}
-				tputs = append(tputs, r.DecodeThroughput())
+			rs, err := onCPU(o, hw.EMR1(), wl, 2, tee.Baremetal(), tee.VM(tee.VMFullHuge), tee.VM(tee.VMTransparentHuge), tee.TDX())
+			if err != nil {
+				return nil, err
 			}
+			tputs := each(rs, (*perf.Result).DecodeThroughput)
 			ov := func(i int) float64 { return stats.ThroughputOverheadPct(tputs[0], tputs[i]) }
 			res.Rows = append(res.Rows, []string{name, kind.String(),
 				fmt.Sprintf("%.1f", tputs[0]), pct(ov(1)), pct(ov(2)), pct(ov(3)), pct(paperTDX[key])})
@@ -283,16 +267,14 @@ func runFig7(o Options) (*Result, error) {
 		Header: []string{"layer", "baremetal(us)", "TDX(us)", "overhead", "paper overhead"}}
 	cfg := mustModel("llama2-7b")
 	wl := trace.Workload{Model: cfg, Kind: dtype.BF16, Batch: 4, Beam: 1, InputLen: 128, OutputLen: 128}
-	base, err := perf.DecoderBlockBreakdown(perf.CPURun{
-		CPU: hw.EMR2(), Platform: tee.Baremetal(), Workload: wl, Sockets: 1, AMX: true}, 128)
+	plats := []tee.Platform{tee.Baremetal(), tee.TDX()}
+	blocks, err := sweep(o, len(plats), func(i int) ([]perf.OpCost, error) {
+		return perf.DecoderBlockBreakdown(perf.CPURun{CPU: hw.EMR2(), Platform: plats[i], Workload: wl, Sockets: 1, AMX: true}, 128)
+	})
 	if err != nil {
 		return nil, err
 	}
-	tdx, err := perf.DecoderBlockBreakdown(perf.CPURun{
-		CPU: hw.EMR2(), Platform: tee.TDX(), Workload: wl, Sockets: 1, AMX: true}, 128)
-	if err != nil {
-		return nil, err
-	}
+	base, tdx := blocks[0], blocks[1]
 	paper := map[string]float64{
 		"input_layernorm": 53.94, "self_attn": 9.94, "mha_linear_add": 6.14,
 		"post_attention_layernorm": 10.62, "linear_silu_mul": 4.93, "mlp_linear_add": 6.88,
@@ -335,20 +317,23 @@ func runFig8(o Options) (*Result, error) {
 	batches := []int{1, 8, 32, 128}
 	var noAMXLossBF, noAMXLossI8 []float64
 	var tdxOvAMX, tdxOvNoAMX []float64
+	plats := []tee.Platform{tee.VM(tee.VMFullHuge), tee.TDX()}
 	for _, kind := range []dtype.Kind{dtype.BF16, dtype.I8} {
 		for _, bs := range batches {
 			wl := trace.Workload{Model: cfg, Kind: kind, Batch: bs, Beam: 1, InputLen: 128, OutputLen: out}
-			get := func(p tee.Platform, amx bool) float64 {
-				r, err := runCPU(p, hw.EMR2(), wl, 1, 0, amx, 1, o.Seed)
+			// Cells: VM and TDX with AMX, then both without.
+			tputs, err := sweep(o, 2*len(plats), func(i int) (float64, error) {
+				r, err := perf.RunCPU(perf.CPURun{CPU: hw.EMR2(), Platform: plats[i%len(plats)], Workload: wl,
+					Sockets: 1, AMX: i < len(plats), Seed: o.Seed})
 				if err != nil {
-					panic(err)
+					return 0, err
 				}
-				return r.DecodeThroughput()
+				return r.DecodeThroughput(), nil
+			})
+			if err != nil {
+				return nil, err
 			}
-			vmA := get(tee.VM(tee.VMFullHuge), true)
-			tdxA := get(tee.TDX(), true)
-			vmN := get(tee.VM(tee.VMFullHuge), false)
-			tdxN := get(tee.TDX(), false)
+			vmA, tdxA, vmN, tdxN := tputs[0], tputs[1], tputs[2], tputs[3]
 			res.Rows = append(res.Rows, []string{kind.String(), fmt.Sprintf("%d", bs),
 				fmt.Sprintf("%.1f", vmA), pct(stats.ThroughputOverheadPct(vmA, tdxA)),
 				pct(stats.ThroughputOverheadPct(vmA, vmN)), pct(stats.ThroughputOverheadPct(vmA, tdxN))})
@@ -372,17 +357,10 @@ func runFig8(o Options) (*Result, error) {
 		// ~2%; our mechanistic model keeps the two within a small band but
 		// can tip slightly the other way (see EXPERIMENTS.md).
 		Check{Name: "TDX overhead comparable with and without AMX (Insight 8, |Δ|≤3.5%)",
-			Pass:   absf(stats.Mean(tdxOvAMX)-stats.Mean(tdxOvNoAMX)) <= 3.5,
+			Pass:   math.Abs(stats.Mean(tdxOvAMX)-stats.Mean(tdxOvNoAMX)) <= 3.5,
 			Detail: fmt.Sprintf("TDX overhead with AMX %.2f%% vs without %.2f%%", stats.Mean(tdxOvAMX), stats.Mean(tdxOvNoAMX))},
 	)
 	return res, nil
-}
-
-func absf(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }
 
 func runFig9(o Options) (*Result, error) {
@@ -396,27 +374,16 @@ func runFig9(o Options) (*Result, error) {
 	for _, kind := range []dtype.Kind{dtype.BF16, dtype.I8} {
 		for _, bs := range batches {
 			wl := trace.Workload{Model: cfg, Kind: kind, Batch: bs, Beam: 1, InputLen: 128, OutputLen: out}
-			bm, err := runCPU(tee.Baremetal(), hw.EMR2(), wl, 1, 0, true, 1, o.Seed)
-			if err != nil {
-				return nil, err
-			}
-			vm, err := runCPU(tee.VM(tee.VMFullHuge), hw.EMR2(), wl, 1, 0, true, 1, o.Seed)
-			if err != nil {
-				return nil, err
-			}
-			tdx, err := runCPU(tee.TDX(), hw.EMR2(), wl, 1, 0, true, 1, o.Seed)
+			one, err := onCPU(o, hw.EMR2(), wl, 1, tee.Baremetal(), tee.VM(tee.VMFullHuge), tee.TDX())
 			if err != nil {
 				return nil, err
 			}
 			// Latency on two sockets, as the paper measures.
-			bm2, err := runCPU(tee.Baremetal(), hw.EMR2(), wl, 2, 0, true, 1, o.Seed)
+			two, err := onCPU(o, hw.EMR2(), wl, 2, tee.Baremetal(), tee.TDX())
 			if err != nil {
 				return nil, err
 			}
-			tdx2, err := runCPU(tee.TDX(), hw.EMR2(), wl, 2, 0, true, 1, o.Seed)
-			if err != nil {
-				return nil, err
-			}
+			bm, vm, tdx, bm2, tdx2 := one[0], one[1], one[2], two[0], two[1]
 			ovT := stats.ThroughputOverheadPct(bm.DecodeThroughput(), tdx.DecodeThroughput())
 			res.Rows = append(res.Rows, []string{kind.String(), fmt.Sprintf("%d", bs),
 				fmt.Sprintf("%.1f", bm.DecodeThroughput()),
@@ -455,18 +422,11 @@ func runFig10(o Options) (*Result, error) {
 		var ovs []float64
 		for _, in := range inputs {
 			wl := trace.Workload{Model: cfg, Kind: kind, Batch: 64, Beam: 1, InputLen: in, OutputLen: out}
-			bm, err := runCPU(tee.Baremetal(), hw.EMR2(), wl, 1, 0, true, 1, o.Seed)
+			rs, err := onCPU(o, hw.EMR2(), wl, 1, tee.Baremetal(), tee.VM(tee.VMFullHuge), tee.TDX())
 			if err != nil {
 				return nil, err
 			}
-			vm, err := runCPU(tee.VM(tee.VMFullHuge), hw.EMR2(), wl, 1, 0, true, 1, o.Seed)
-			if err != nil {
-				return nil, err
-			}
-			tdx, err := runCPU(tee.TDX(), hw.EMR2(), wl, 1, 0, true, 1, o.Seed)
-			if err != nil {
-				return nil, err
-			}
+			bm, vm, tdx := rs[0], rs[1], rs[2]
 			ov := stats.ThroughputOverheadPct(bm.Throughput(), tdx.Throughput())
 			ovs = append(ovs, ov)
 			res.Rows = append(res.Rows, []string{kind.String(), fmt.Sprintf("%d", in),

@@ -15,7 +15,6 @@ import (
 	"fmt"
 
 	"cllm/internal/dtype"
-	"cllm/internal/par"
 	"cllm/internal/serve"
 	"cllm/internal/tee"
 	"cllm/internal/trace"
@@ -30,22 +29,21 @@ func init() {
 	})
 }
 
-// disaggCandidate is one fleet shape priced for a regime: a topology plus
-// its total hourly rent (mixed fleets mix rental rates, so the fleet is
-// priced as a whole).
+// disaggCandidate is one fleet shape of a regime; the first candidate of
+// each regime is the disaggregated one under test.
 type disaggCandidate struct {
-	name      string
-	topo      serve.Topology
-	hourlyUSD float64
-	mixed     bool // the disaggregated candidate under test
+	name string
+	topo serve.Topology
 }
 
-// disaggOutcome is one candidate's simulated result.
+// disaggOutcome is one candidate's simulated result, with its total hourly
+// rent (mixed fleets mix rental rates, so the fleet is priced as a whole).
 type disaggOutcome struct {
-	cand    disaggCandidate
-	rep     *serve.FleetReport
-	sloMet  bool
-	usdMTok float64
+	cand      disaggCandidate
+	rep       *serve.FleetReport
+	hourlyUSD float64
+	sloMet    bool
+	usdMTok   float64
 }
 
 // unifiedN is an N-replica homogeneous fleet of the backend.
@@ -57,32 +55,9 @@ func unifiedN(be serve.Backend, n int) serve.Topology {
 // nDec TDX decode replicas over the priced KV-handoff edge.
 func prefillDecode(nPre, nDec int) serve.Topology {
 	return serve.Topology{Groups: []serve.RoleGroup{
-		{Role: serve.RolePrefill, Backend: gpuServeBackend(tee.CGPU()), Replicas: nPre},
-		{Role: serve.RoleDecode, Backend: chunkedBackend(tee.TDX()), Replicas: nDec},
+		{Role: serve.RolePrefill, Backend: h100(tee.CGPU()), Replicas: nPre},
+		{Role: serve.RoleDecode, Backend: emr1(tee.TDX()), Replicas: nDec},
 	}}
-}
-
-// runDisaggCandidates simulates every candidate fleet against one offered
-// load (in parallel under -workers; each run is independently seeded, so
-// the merge order is deterministic).
-func runDisaggCandidates(o Options, cands []disaggCandidate, cfg serve.Config) ([]disaggOutcome, error) {
-	outs := make([]disaggOutcome, len(cands))
-	err := par.For(o.Workers, len(cands), func(i int) error {
-		fleet, err := serve.NewFleet(cands[i].topo)
-		if err != nil {
-			return err
-		}
-		rep, err := fleet.Run(cfg)
-		if err != nil {
-			return err
-		}
-		outs[i] = disaggOutcome{cand: cands[i], rep: rep, sloMet: rep.SLOAttainment() >= 1}
-		if usd, err := rep.CostPerMTok(cands[i].hourlyUSD); err == nil {
-			outs[i].usdMTok = usd
-		}
-		return nil
-	})
-	return outs, err
 }
 
 func runDisaggregated(o Options) (*Result, error) {
@@ -106,65 +81,52 @@ func runDisaggregated(o Options) (*Result, error) {
 			Knobs:    serve.Knobs{MaxBatch: 32, TTFTSLOSec: 1.0, TPOTSLOSec: 0.25},
 		}
 	}
-	mkCands := func(specs []struct {
-		name  string
-		topo  serve.Topology
-		mixed bool
-	}) ([]disaggCandidate, error) {
-		cands := make([]disaggCandidate, len(specs))
-		for i, s := range specs {
-			hourly, err := s.topo.HourlyUSD()
-			if err != nil {
-				return nil, err
-			}
-			cands[i] = disaggCandidate{name: s.name, topo: s.topo, hourlyUSD: hourly, mixed: s.mixed}
-		}
-		return cands, nil
-	}
-
-	type regime struct {
+	regimes := []struct {
 		name  string
 		cfg   serve.Config
 		cands []disaggCandidate
-	}
-	longCands, err := mkCands([]struct {
-		name  string
-		topo  serve.Topology
-		mixed bool
 	}{
-		{"cgpu:1=prefill,tdx:16=decode", prefillDecode(1, 16), true},
-		{"cgpu:1", unifiedN(gpuServeBackend(tee.CGPU()), 1), false},
-		{"cgpu:2", unifiedN(gpuServeBackend(tee.CGPU()), 2), false},
-		{"cgpu:3", unifiedN(gpuServeBackend(tee.CGPU()), 3), false},
-		{"tdx:12", unifiedN(chunkedBackend(tee.TDX()), 12), false},
-	})
-	if err != nil {
-		return nil, err
-	}
-	shortCands, err := mkCands([]struct {
-		name  string
-		topo  serve.Topology
-		mixed bool
-	}{
-		{"cgpu:1=prefill,tdx:1=decode", prefillDecode(1, 1), true},
-		{"tdx:2", unifiedN(chunkedBackend(tee.TDX()), 2), false},
-	})
-	if err != nil {
-		return nil, err
-	}
-	regimes := []regime{
 		// Long-prompt RAG: 3072-token documents, answer-length decode. A
 		// single cGPU saturates on prefill compute at this rate; a CPU TEE
 		// cannot prefill a document inside the TTFT SLO at any fleet size.
-		{"long-rag", mkCfg(9, 3072, 128), longCands},
+		{"long-rag", mkCfg(9, 3072, 128), []disaggCandidate{
+			{"cgpu:1=prefill,tdx:16=decode", prefillDecode(1, 16)},
+			{"cgpu:1", unifiedN(h100(tee.CGPU()), 1)},
+			{"cgpu:2", unifiedN(h100(tee.CGPU()), 2)},
+			{"cgpu:3", unifiedN(h100(tee.CGPU()), 3)},
+			{"tdx:12", unifiedN(emr1(tee.TDX()), 12)},
+		}},
 		// Short context: chat-like turns. Prefill is trivial everywhere,
 		// so the mixed fleet's handoff drain + NIC transfer is pure tax.
-		{"short-chat", mkCfg(8, 64, 32), shortCands},
+		{"short-chat", mkCfg(8, 64, 32), []disaggCandidate{
+			{"cgpu:1=prefill,tdx:1=decode", prefillDecode(1, 1)},
+			{"tdx:2", unifiedN(emr1(tee.TDX()), 2)},
+		}},
 	}
 
 	outcomes := make(map[string][]disaggOutcome, len(regimes))
 	for _, rg := range regimes {
-		outs, err := runDisaggCandidates(o, rg.cands, rg.cfg)
+		// Every candidate is simulated and priced against one offered load.
+		outs, err := sweep(o, len(rg.cands), func(i int) (disaggOutcome, error) {
+			cand := rg.cands[i]
+			hourly, err := cand.topo.HourlyUSD()
+			if err != nil {
+				return disaggOutcome{}, err
+			}
+			fleet, err := serve.NewFleet(cand.topo)
+			if err != nil {
+				return disaggOutcome{}, err
+			}
+			rep, err := fleet.Run(rg.cfg)
+			if err != nil {
+				return disaggOutcome{}, err
+			}
+			out := disaggOutcome{cand: cand, rep: rep, hourlyUSD: hourly, sloMet: rep.SLOAttainment() >= 1}
+			if usd, err := rep.CostPerMTok(hourly); err == nil {
+				out.usdMTok = usd
+			}
+			return out, nil
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -177,7 +139,7 @@ func runDisaggregated(o Options) (*Result, error) {
 			}
 			res.Rows = append(res.Rows, []string{
 				rg.name, out.cand.name,
-				fmt.Sprintf("%.2f", out.cand.hourlyUSD),
+				fmt.Sprintf("%.2f", out.hourlyUSD),
 				fmt.Sprintf("%.0f%%", out.rep.SLOAttainment()*100),
 				fmt.Sprintf("%.3f", a.TTFT.P99),
 				fmt.Sprintf("%.3f", a.TPOT.P99),

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"math"
 
 	"cllm/internal/cloud"
 	"cllm/internal/dtype"
@@ -66,18 +67,11 @@ func runSEV(o Options) (*Result, error) {
 	var tdxOvs, sevOvs []float64
 	for _, kind := range []dtype.Kind{dtype.BF16, dtype.I8} {
 		wl := trace.Workload{Model: cfg, Kind: kind, Batch: 6, Beam: 4, InputLen: 1024, OutputLen: out}
-		bm, err := runCPU(tee.Baremetal(), hw.EMR1(), wl, 1, 0, true, 1, o.Seed)
+		rs, err := onCPU(o, hw.EMR1(), wl, 1, tee.Baremetal(), tee.TDX(), tee.SEVSNP())
 		if err != nil {
 			return nil, err
 		}
-		tdx, err := runCPU(tee.TDX(), hw.EMR1(), wl, 1, 0, true, 1, o.Seed)
-		if err != nil {
-			return nil, err
-		}
-		sev, err := runCPU(tee.SEVSNP(), hw.EMR1(), wl, 1, 0, true, 1, o.Seed)
-		if err != nil {
-			return nil, err
-		}
+		bm, tdx, sev := rs[0], rs[1], rs[2]
 		ovT := stats.ThroughputOverheadPct(bm.DecodeThroughput(), tdx.DecodeThroughput())
 		ovS := stats.ThroughputOverheadPct(bm.DecodeThroughput(), sev.DecodeThroughput())
 		tdxOvs = append(tdxOvs, ovT)
@@ -88,7 +82,7 @@ func runSEV(o Options) (*Result, error) {
 	diff := stats.Mean(tdxOvs) - stats.Mean(sevOvs)
 	res.Checks = append(res.Checks,
 		Check{Name: "SEV-SNP within 3 points of TDX",
-			Pass:   absf(diff) <= 3,
+			Pass:   math.Abs(diff) <= 3,
 			Detail: fmt.Sprintf("TDX %.2f%% vs SEV %.2f%%", stats.Mean(tdxOvs), stats.Mean(sevOvs))},
 		band("SEV-SNP overhead in the VM-TEE band", stats.Mean(sevOvs), 3, 11),
 	)
@@ -103,18 +97,11 @@ func runB100(o Options) (*Result, error) {
 	var b100Ovs, h100Ovs []float64
 	for _, bs := range []int{1, 16, 128} {
 		wl := trace.Workload{Model: cfg, Kind: dtype.BF16, Batch: bs, Beam: 1, InputLen: 128, OutputLen: out}
-		open, err := perf.RunGPU(perf.GPURun{GPU: hw.H100NVL(), Platform: tee.B100(), Workload: wl, Seed: o.Seed})
+		rs, err := onGPU(o, wl, tee.B100(), tee.B100CC(), tee.GPU(), tee.CGPU())
 		if err != nil {
 			return nil, err
 		}
-		cb, err := perf.RunGPU(perf.GPURun{GPU: hw.H100NVL(), Platform: tee.B100CC(), Workload: wl, Seed: o.Seed})
-		if err != nil {
-			return nil, err
-		}
-		g, c, err := runGPUPair(wl, o.Seed)
-		if err != nil {
-			return nil, err
-		}
+		open, cb, g, c := rs[0], rs[1], rs[2], rs[3]
 		ovB := stats.ThroughputOverheadPct(open.DecodeThroughput(), cb.DecodeThroughput())
 		ovH := stats.ThroughputOverheadPct(g.DecodeThroughput(), c.DecodeThroughput())
 		b100Ovs = append(b100Ovs, ovB)
@@ -152,13 +139,9 @@ func runScaleout(o Options) (*Result, error) {
 		{"cB100 (protected NVLink)", scale.Cluster{GPU: hw.H100NVL(), Platform: tee.B100CC(), NGPUs: 2, Scheme: scale.TensorParallel}, scale.TensorParallel},
 		{"GPU cross-node (IPsec)", scale.Cluster{GPU: hw.H100NVL(), Platform: tee.GPU(), NGPUs: 2, Scheme: scale.TensorParallel, CrossNode: true}, scale.TensorParallel},
 	}
-	var tputs []float64
-	for _, r := range rows {
-		tp, err := r.c.DecodeThroughput(wl)
-		if err != nil {
-			return nil, err
-		}
-		tputs = append(tputs, tp)
+	tputs, err := sweep(o, len(rows), func(i int) (float64, error) { return rows[i].c.DecodeThroughput(wl) })
+	if err != nil {
+		return nil, err
 	}
 	for i, r := range rows {
 		res.Rows = append(res.Rows, []string{r.name, r.scheme.String(),
@@ -187,23 +170,24 @@ func runHybrid(o Options) (*Result, error) {
 	cfg := mustModel("llama2-13b")
 	out := o.tokens(16)
 	wl := trace.Workload{Model: cfg, Kind: dtype.BF16, Batch: 4, Beam: 1, InputLen: 256, OutputLen: out}
-	cpuRes, err := runCPU(tee.TDX(), hw.EMR2(), wl, 1, 0, true, 1, o.Seed)
+	cpuRes, err := onCPU(o, hw.EMR2(), wl, 1, tee.TDX())
 	if err != nil {
 		return nil, err
 	}
-	cpuTput := cpuRes.DecodeThroughput()
+	cpuTput := cpuRes[0].DecodeThroughput()
+	fracs := []float64{0, 0.25, 0.5, 0.75}
+	plats := []tee.Platform{tee.GPU(), tee.CGPU()}
+	// Cells: (offload fraction × {GPU, cGPU}).
+	offload, err := sweep(o, len(fracs)*len(plats), func(i int) (float64, error) {
+		h := scale.HybridOffload{GPU: hw.H100NVL(), Platform: plats[i%len(plats)], OffloadFraction: fracs[i/len(plats)]}
+		return h.DecodeThroughput(wl)
+	})
+	if err != nil {
+		return nil, err
+	}
 	var confAtHalf, openAtHalf float64
-	for _, f := range []float64{0, 0.25, 0.5, 0.75} {
-		open := scale.HybridOffload{GPU: hw.H100NVL(), Platform: tee.GPU(), OffloadFraction: f}
-		conf := scale.HybridOffload{GPU: hw.H100NVL(), Platform: tee.CGPU(), OffloadFraction: f}
-		to, err := open.DecodeThroughput(wl)
-		if err != nil {
-			return nil, err
-		}
-		tc, err := conf.DecodeThroughput(wl)
-		if err != nil {
-			return nil, err
-		}
+	for fi, f := range fracs {
+		to, tc := offload[2*fi], offload[2*fi+1]
 		if f == 0.5 {
 			confAtHalf, openAtHalf = tc, to
 		}
@@ -228,14 +212,15 @@ func runSPR(o Options) (*Result, error) {
 	wl := trace.Workload{Model: cfg, Kind: dtype.BF16, Batch: 4, Beam: 1, InputLen: 128, OutputLen: 128}
 	prices := cloud.DefaultPrices()
 
-	emr, err := runCPU(tee.TDX(), hw.EMR2(), wl, 1, 32, true, 1, o.Seed)
+	cpus := []hw.CPU{hw.EMR2(), hw.SPR()}
+	rs, err := sweep(o, len(cpus), func(i int) (*perf.Result, error) {
+		return perf.RunCPU(perf.CPURun{CPU: cpus[i], Platform: tee.TDX(), Workload: wl,
+			Sockets: 1, CoresPerSocket: 32, AMX: true, Seed: o.Seed})
+	})
 	if err != nil {
 		return nil, err
 	}
-	spr, err := runCPU(tee.TDX(), hw.SPR(), wl, 1, 32, true, 1, o.Seed)
-	if err != nil {
-		return nil, err
-	}
+	emr, spr := rs[0], rs[1]
 	emrHourly, err := prices.HourlyCost(cloud.CPUInstance{VCPUs: 32, MemGiB: 128})
 	if err != nil {
 		return nil, err
@@ -265,33 +250,15 @@ func runSPR(o Options) (*Result, error) {
 	return res, nil
 }
 
-// ablationVariant runs TDX with one mechanism reverted to its unprotected
-// behaviour, attributing the total overhead to its sources.
+// runAblation runs TDX with one mechanism at a time reverted to its
+// unprotected behaviour, attributing the total overhead to its sources.
 func runAblation(o Options) (*Result, error) {
 	res := &Result{ID: "ablation", Title: "TDX overhead source decomposition (two sockets, 7B bf16)",
 		Header: []string{"configuration", "tok/s", "overhead", "recovered"}}
 	cfg := mustModel("llama2-7b")
 	out := o.tokens(48)
 	wl := trace.Workload{Model: cfg, Kind: dtype.BF16, Batch: 6, Beam: 4, InputLen: 1024, OutputLen: out}
-	run := func(p tee.Platform) (float64, error) {
-		r, err := runCPU(p, hw.EMR2(), wl, 2, 0, true, 1, o.Seed)
-		if err != nil {
-			return 0, err
-		}
-		return r.DecodeThroughput(), nil
-	}
-	base, err := run(tee.Baremetal())
-	if err != nil {
-		return nil, err
-	}
 	full := tee.TDX()
-	fullTput, err := run(full)
-	if err != nil {
-		return nil, err
-	}
-	fullOv := stats.ThroughputOverheadPct(base, fullTput)
-	res.Rows = append(res.Rows, []string{"TDX (all mechanisms)", fmt.Sprintf("%.1f", fullTput), pct(fullOv), "-"})
-
 	variants := []struct {
 		name string
 		mod  func(tee.Platform) tee.Platform
@@ -307,12 +274,21 @@ func runAblation(o Options) (*Result, error) {
 		{"- virtualization tax", func(p tee.Platform) tee.Platform { p.ComputeTax = 0; return p }},
 		{"- per-op TEE cost", func(p tee.Platform) tee.Platform { p.PerOpCostSec = 0; return p }},
 	}
-	var recovered []float64
+	plats := []tee.Platform{tee.Baremetal(), full}
 	for _, v := range variants {
-		tput, err := run(v.mod(full))
-		if err != nil {
-			return nil, err
-		}
+		plats = append(plats, v.mod(full))
+	}
+	rs, err := onCPU(o, hw.EMR2(), wl, 2, plats...)
+	if err != nil {
+		return nil, err
+	}
+	tputs := each(rs, (*perf.Result).DecodeThroughput)
+	base, fullTput := tputs[0], tputs[1]
+	fullOv := stats.ThroughputOverheadPct(base, fullTput)
+	res.Rows = append(res.Rows, []string{"TDX (all mechanisms)", fmt.Sprintf("%.1f", fullTput), pct(fullOv), "-"})
+	var recovered []float64
+	for i, v := range variants {
+		tput := tputs[i+2]
 		ov := stats.ThroughputOverheadPct(base, tput)
 		rec := fullOv - ov
 		recovered = append(recovered, rec)

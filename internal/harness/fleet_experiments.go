@@ -11,9 +11,6 @@ import (
 
 	"cllm/internal/dtype"
 	"cllm/internal/gramine"
-	"cllm/internal/hw"
-	"cllm/internal/par"
-	"cllm/internal/perf"
 	"cllm/internal/serve"
 	"cllm/internal/tee"
 	"cllm/internal/trace"
@@ -40,33 +37,30 @@ func init() {
 	})
 }
 
-// chunkedBackend is the CPU deployment the chunked/fleet experiments use.
-func chunkedBackend(p tee.Platform) serve.Backend {
-	return serve.Backend{CPU: perf.CPURun{CPU: hw.EMR1(), Platform: p, Sockets: 1, AMX: true}}
-}
-
 func runChunkedPrefill(o Options) (*Result, error) {
 	res := &Result{ID: "chunked", Title: "Chunked prefill vs monolithic at equal load (extension)",
 		Header: []string{"chunk(tok)", "TPOT p99(s)", "TPOT mean(s)", "TTFT p50(s)", "TTFT p99(s)", "SLO%", "completed"}}
 
 	outLen := o.tokens(32)
 	chunkSizes := []int{0, 128, 256}
-	var tpotP99, ttftP50 []float64
-	for _, chunk := range chunkSizes {
-		rep, err := serve.Run(chunkedBackend(tee.TDX()), serve.Config{
+	reps, err := sweep(o, len(chunkSizes), func(i int) (*serve.Report, error) {
+		return serve.Run(emr1(tee.TDX()), serve.Config{
 			Workload: trace.Workload{Model: mustModel("llama2-7b"), Kind: dtype.BF16, InputLen: 1024, OutputLen: outLen},
 			Rate:     0.35,
 			Requests: 24,
 			Seed:     o.Seed,
-			Knobs:    serve.Knobs{MaxBatch: 16, ChunkTokens: chunk},
+			Knobs:    serve.Knobs{MaxBatch: 16, ChunkTokens: chunkSizes[i]},
 		})
-		if err != nil {
-			return nil, err
-		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	var tpotP99, ttftP50 []float64
+	for i, rep := range reps {
 		tpotP99 = append(tpotP99, rep.TPOT.P99)
 		ttftP50 = append(ttftP50, rep.TTFT.P50)
 		res.Rows = append(res.Rows, []string{
-			fmt.Sprintf("%d", chunk),
+			fmt.Sprintf("%d", chunkSizes[i]),
 			fmt.Sprintf("%.4f", rep.TPOT.P99), fmt.Sprintf("%.4f", rep.TPOT.Mean),
 			fmt.Sprintf("%.3f", rep.TTFT.P50), fmt.Sprintf("%.3f", rep.TTFT.P99),
 			fmt.Sprintf("%.0f%%", rep.SLOAttainment()*100),
@@ -100,13 +94,9 @@ func runChunkedPrefill(o Options) (*Result, error) {
 // prefixes ahead of a distinct question, then generates a long answer
 // (decode-heavy, so KV residency — not prefill — is the scarce resource).
 func ragBurstTrace(n, outLen int) []serve.Request {
-	tr := make([]serve.Request, n)
+	tr := evenTrace(n, 0.05, 1024, outLen)
 	for i := range tr {
-		tr[i] = serve.Request{
-			ID: i, ArrivalSec: float64(i) * 0.05,
-			InputLen: 1024, OutputLen: outLen,
-			PrefixID: i%2 + 1, PrefixLen: 832,
-		}
+		tr[i].PrefixID, tr[i].PrefixLen = i%2+1, 832
 	}
 	return tr
 }
@@ -129,28 +119,24 @@ func runPrefixCache(o Options) (*Result, error) {
 	outLen := 256
 	tr := ragBurstTrace(24, outLen)
 
+	// Cells: (platform × {no sharing, sharing}).
+	reps, err := sweep(o, 2*len(plats), func(i int) (*serve.Report, error) {
+		return serve.Run(emr1(plats[i/2]), serve.Config{
+			Workload: trace.Workload{Model: mustModel("llama2-7b"), Kind: dtype.BF16},
+			Trace:    tr,
+			Seed:     o.Seed,
+			Knobs:    serve.Knobs{MaxBatch: 8, PrefixSharing: i%2 == 1, TTFTSLOSec: 60, TPOTSLOSec: 1.0},
+		})
+	})
+	if err != nil {
+		return nil, err
+	}
 	gains := make([]float64, len(plats))
-	var sgxNoSharePreempt, sgxSharePreempt int
 	for pi, p := range plats {
 		var goodput [2]float64
 		for si, share := range []bool{false, true} {
-			rep, err := serve.Run(chunkedBackend(p), serve.Config{
-				Workload: trace.Workload{Model: mustModel("llama2-7b"), Kind: dtype.BF16},
-				Trace:    tr,
-				Seed:     o.Seed,
-				Knobs:    serve.Knobs{MaxBatch: 8, PrefixSharing: share, TTFTSLOSec: 60, TPOTSLOSec: 1.0},
-			})
-			if err != nil {
-				return nil, err
-			}
+			rep := reps[2*pi+si]
 			goodput[si] = rep.GoodputTokensPerSec
-			if p.Name == "SGX" {
-				if share {
-					sgxSharePreempt = rep.Preemptions
-				} else {
-					sgxNoSharePreempt = rep.Preemptions
-				}
-			}
 			res.Rows = append(res.Rows, []string{
 				p.Name, fmt.Sprintf("%v", share),
 				fmt.Sprintf("%.1f", rep.GoodputTokensPerSec), fmt.Sprintf("%.1f", rep.TokensPerSec),
@@ -166,6 +152,7 @@ func runPrefixCache(o Options) (*Result, error) {
 	}
 
 	const bm, tdx, sgxI = 0, 1, 2
+	sgxNoSharePreempt, sgxSharePreempt := reps[2*sgxI].Preemptions, reps[2*sgxI+1].Preemptions
 	for pi, p := range plats {
 		res.Checks = append(res.Checks, Check{
 			Name:   "prefix sharing raises goodput (" + p.Name + ")",
@@ -206,23 +193,13 @@ func runFleet(o Options) (*Result, error) {
 		},
 	}
 	policies := []serve.LBPolicy{serve.RoundRobin, serve.LeastLoaded, serve.PrefixAffinity}
-	// The policy runs are independent simulations over one backend:
-	// evaluate them on the worker pool sharing one costing table, merge in
-	// policy order.
-	be := chunkedBackend(tee.TDX())
-	coster, err := serve.NewStepCoster(be, cfg)
+	// The policy runs share one costing table.
+	be, err := costed(emr1(tee.TDX()), cfg)
 	if err != nil {
 		return nil, err
 	}
-	be.Coster = coster
-	frs := make([]*serve.FleetReport, len(policies))
-	err = par.For(o.Workers, len(policies), func(i int) error {
-		fr, err := serve.RunFleet(be, cfg, serve.FleetConfig{Replicas: 4, Policy: policies[i]})
-		if err != nil {
-			return err
-		}
-		frs[i] = fr
-		return nil
+	frs, err := sweep(o, len(policies), func(i int) (*serve.FleetReport, error) {
+		return serve.RunFleet(be, cfg, serve.FleetConfig{Replicas: 4, Policy: policies[i]})
 	})
 	if err != nil {
 		return nil, err
@@ -246,8 +223,7 @@ func runFleet(o Options) (*Result, error) {
 		})
 	}
 
-	const rr, ll, pa = 0, 1, 2
-	_ = ll
+	const rr, pa = 0, 2
 	res.Checks = append(res.Checks, Check{
 		Name:   "prefix-affinity concentrates cache hits vs round-robin",
 		Pass:   float64(hits[pa]) > 1.5*float64(hits[rr]),

@@ -33,18 +33,6 @@ func init() {
 	})
 }
 
-func runGPUPair(wl trace.Workload, seed int64) (gpu, cgpu *perf.Result, err error) {
-	gpu, err = perf.RunGPU(perf.GPURun{GPU: hw.H100NVL(), Platform: tee.GPU(), Workload: wl, Seed: seed})
-	if err != nil {
-		return nil, nil, err
-	}
-	cgpu, err = perf.RunGPU(perf.GPURun{GPU: hw.H100NVL(), Platform: tee.CGPU(), Workload: wl, Seed: seed})
-	if err != nil {
-		return nil, nil, err
-	}
-	return gpu, cgpu, nil
-}
-
 func runFig11(o Options) (*Result, error) {
 	res := &Result{ID: "fig11", Title: "GPU vs cGPU scaling (Fig 11)",
 		Header: []string{"sweep", "value", "GPU tok/s", "cGPU tok/s", "overhead", "paper"}}
@@ -55,10 +43,11 @@ func runFig11(o Options) (*Result, error) {
 	var batchOv []float64
 	for _, bs := range []int{1, 2, 4, 8, 16, 32, 64, 128, 256, 512} {
 		wl := trace.Workload{Model: cfg, Kind: dtype.BF16, Batch: bs, Beam: 1, InputLen: 128, OutputLen: out}
-		g, c, err := runGPUPair(wl, o.Seed)
+		rs, err := onGPU(o, wl, tee.GPU(), tee.CGPU())
 		if err != nil {
 			return nil, err
 		}
+		g, c := rs[0], rs[1]
 		ov := stats.ThroughputOverheadPct(g.DecodeThroughput(), c.DecodeThroughput())
 		batchOv = append(batchOv, ov)
 		res.Rows = append(res.Rows, []string{"batch", fmt.Sprintf("%d", bs),
@@ -69,10 +58,11 @@ func runFig11(o Options) (*Result, error) {
 	var inputOv []float64
 	for _, in := range []int{128, 256, 512, 1024, 2048} {
 		wl := trace.Workload{Model: cfg, Kind: dtype.BF16, Batch: 4, Beam: 1, InputLen: in, OutputLen: out}
-		g, c, err := runGPUPair(wl, o.Seed)
+		rs, err := onGPU(o, wl, tee.GPU(), tee.CGPU())
 		if err != nil {
 			return nil, err
 		}
+		g, c := rs[0], rs[1]
 		// Input scaling includes prefill (vLLM generation throughput).
 		ov := stats.ThroughputOverheadPct(g.Throughput(), c.Throughput())
 		inputOv = append(inputOv, ov)
@@ -93,38 +83,46 @@ func runFig11(o Options) (*Result, error) {
 	return res, nil
 }
 
-// costSweep runs the Fig 12/13 core: TDX vCPU sweep plus the cGPU point.
-func costSweep(o Options, batch, inputLen int) (points []cloud.CostPoint, cgpuCost float64, err error) {
-	cfg := mustModel("llama2-7b")
+// costPoint runs the Fig 12/13 core at one workload shape: a TDX vCPU
+// sweep and the cGPU, priced per token. It returns the table row (led by
+// label, ending with the paper's value) and the TDX advantage: how much
+// more a token costs on the cGPU than at TDX's cheapest vCPU count.
+func costPoint(o Options, label string, batch, inputLen int, paper float64) (row []string, adv float64, err error) {
 	prices := cloud.DefaultPrices()
 	// Cost experiments always use the full 128-token generation: the paper
 	// measures long generations, and shortening them would overweight
 	// prefill and distort $/Mtok.
-	out := 128
-	wl := trace.Workload{Model: cfg, Kind: dtype.BF16, Batch: batch, Beam: 1, InputLen: inputLen, OutputLen: out}
-	for _, v := range []int{2, 4, 8, 16, 32, 48, 60} {
-		r, err := perf.RunCPU(perf.CPURun{
-			CPU: hw.EMR2(), Platform: tee.TDX(), Workload: wl,
-			Sockets: 1, CoresPerSocket: v, AMX: true, Seed: o.Seed,
-		})
+	wl := trace.Workload{Model: mustModel("llama2-7b"), Kind: dtype.BF16, Batch: batch, Beam: 1, InputLen: inputLen, OutputLen: 128}
+	vcpus := []int{2, 4, 8, 16, 32, 48, 60}
+	points, err := sweep(o, len(vcpus), func(i int) (cloud.CostPoint, error) {
+		v := vcpus[i]
+		r, err := perf.RunCPU(perf.CPURun{CPU: hw.EMR2(), Platform: tee.TDX(), Workload: wl,
+			Sockets: 1, CoresPerSocket: v, AMX: true, Seed: o.Seed})
 		if err != nil {
-			return nil, 0, err
+			return cloud.CostPoint{}, err
 		}
 		c, err := prices.CPUCostPerMTokens(v, r.Throughput())
-		if err != nil {
-			return nil, 0, err
-		}
-		points = append(points, cloud.CostPoint{VCPUs: v, TokensPerSec: r.Throughput(), USDPerMTok: c})
-	}
-	g, err := perf.RunGPU(perf.GPURun{GPU: hw.H100NVL(), Platform: tee.CGPU(), Workload: wl, Seed: o.Seed})
+		return cloud.CostPoint{VCPUs: v, TokensPerSec: r.Throughput(), USDPerMTok: c}, err
+	})
 	if err != nil {
 		return nil, 0, err
 	}
-	cgpuCost, err = prices.CGPUCostPerMTokens(g.Throughput())
+	best, err := cloud.Cheapest(points)
 	if err != nil {
 		return nil, 0, err
 	}
-	return points, cgpuCost, nil
+	g, err := onGPU(o, wl, tee.CGPU())
+	if err != nil {
+		return nil, 0, err
+	}
+	cg, err := prices.CGPUCostPerMTokens(g[0].Throughput())
+	if err != nil {
+		return nil, 0, err
+	}
+	adv = cloud.AdvantagePct(best.USDPerMTok, cg)
+	return []string{label, fmt.Sprintf("%d", best.VCPUs),
+		fmt.Sprintf("%.1f", best.TokensPerSec), fmt.Sprintf("$%.2f", best.USDPerMTok),
+		fmt.Sprintf("$%.2f", cg), pct(adv), pct(paper)}, adv, nil
 }
 
 func runFig12(o Options) (*Result, error) {
@@ -133,19 +131,12 @@ func runFig12(o Options) (*Result, error) {
 	paperAdv := map[int]float64{1: 100.32, 4: 86.04, 16: 61.75, 64: 27.87}
 	var advs []float64
 	for _, bs := range []int{1, 4, 16, 64} {
-		pts, cg, err := costSweep(o, bs, 128)
+		row, adv, err := costPoint(o, fmt.Sprintf("%d", bs), bs, 128, paperAdv[bs])
 		if err != nil {
 			return nil, err
 		}
-		best, err := cloud.Cheapest(pts)
-		if err != nil {
-			return nil, err
-		}
-		adv := cloud.AdvantagePct(best.USDPerMTok, cg)
+		res.Rows = append(res.Rows, row)
 		advs = append(advs, adv)
-		res.Rows = append(res.Rows, []string{fmt.Sprintf("%d", bs), fmt.Sprintf("%d", best.VCPUs),
-			fmt.Sprintf("%.1f", best.TokensPerSec), fmt.Sprintf("$%.2f", best.USDPerMTok),
-			fmt.Sprintf("$%.2f", cg), pct(adv), pct(paperAdv[bs])})
 	}
 	res.Checks = append(res.Checks,
 		band("TDX advantage at batch 1 (paper ≈100%)", advs[0], 50, 170),
@@ -160,25 +151,16 @@ func runFig12(o Options) (*Result, error) {
 func runFig13(o Options) (*Result, error) {
 	res := &Result{ID: "fig13", Title: "vCPU scaling and cost vs cGPU across input sizes (Fig 13)",
 		Header: []string{"input", "best vCPUs", "TDX tok/s", "TDX $/Mtok", "cGPU $/Mtok", "TDX advantage", "paper"}}
+	// Paper convention in Fig 13: negative = TDX more expensive.
 	paperAdv := map[int]float64{256: -10.94, 512: -58.76, 1024: -82.25, 2048: -92.51}
 	var advs []float64
 	for _, in := range []int{256, 512, 1024, 2048} {
-		pts, cg, err := costSweep(o, 4, in)
+		row, adv, err := costPoint(o, fmt.Sprintf("%d", in), 4, in, paperAdv[in])
 		if err != nil {
 			return nil, err
 		}
-		best, err := cloud.Cheapest(pts)
-		if err != nil {
-			return nil, err
-		}
-		// Paper convention in Fig 13: negative = TDX more expensive; they
-		// quote cGPU's advantage relative to TDX, so flip the baseline.
-		adv := -cloud.AdvantagePct(cg, best.USDPerMTok)
+		res.Rows = append(res.Rows, row)
 		advs = append(advs, adv)
-		res.Rows = append(res.Rows, []string{fmt.Sprintf("%d", in), fmt.Sprintf("%d", best.VCPUs),
-			fmt.Sprintf("%.1f", best.TokensPerSec), fmt.Sprintf("$%.2f", best.USDPerMTok),
-			fmt.Sprintf("$%.2f", cg), pct(cloud.AdvantagePct(best.USDPerMTok, cg)), pct(paperAdv[in])})
-		advs[len(advs)-1] = cloud.AdvantagePct(best.USDPerMTok, cg)
 	}
 	res.Checks = append(res.Checks,
 		ordering("CPU advantage collapses with input size",

@@ -19,12 +19,13 @@ type Options struct {
 	Seed int64
 	// Quick shrinks output-token counts for fast CI runs.
 	Quick bool
-	// Workers bounds concurrent evaluation of an experiment's independent
-	// simulation runs (sweep cells: platform × rate grids, policy sweeps).
-	// Every run is independently seeded and results are merged in sweep
-	// order, so any worker count renders the identical Result — the
-	// harness test asserts serial/parallel equality. Default (<= 1) runs
-	// everything on the caller's goroutine.
+	// Workers bounds how many of an experiment's independent simulation
+	// runs (its sweep cells: the platforms of a figure, rate grids,
+	// policy sweeps) run at once. Every run is independently seeded and
+	// results are merged in cell order, so any worker count renders the
+	// identical Result — the harness test asserts serial/parallel
+	// equality for every experiment. Default (<= 1) runs everything on
+	// the caller's goroutine.
 	Workers int
 }
 

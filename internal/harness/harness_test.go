@@ -3,6 +3,7 @@ package harness
 import (
 	"encoding/csv"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -91,17 +92,13 @@ func TestChecksHelpers(t *testing.T) {
 	}
 }
 
-// TestSweepExperimentsParallelMatchSerial: the experiments whose sweeps run
-// on the worker pool must render the identical Result at workers=1 and
-// workers=NumCPU — rows, checks and notes byte for byte.
+// TestSweepExperimentsParallelMatchSerial: every experiment's independent
+// runs go through sweep, so each must render the identical Result at
+// workers=1 and workers=4 — rows, checks and notes byte for byte.
 func TestSweepExperimentsParallelMatchSerial(t *testing.T) {
-	for _, id := range []string{"serving", "fleet", "hetero", "autoscale", "preempt", "obs", "attrib", "overload"} {
-		id := id
-		t.Run(id, func(t *testing.T) {
-			e, err := Lookup(id)
-			if err != nil {
-				t.Fatal(err)
-			}
+	for _, e := range All() {
+		e := e
+		t.Run(e.ID, func(t *testing.T) {
 			serial, err := e.Run(Options{Seed: 1, Quick: true, Workers: 1})
 			if err != nil {
 				t.Fatal(err)
@@ -115,6 +112,26 @@ func TestSweepExperimentsParallelMatchSerial(t *testing.T) {
 					serial.Render(), parallel.Render())
 			}
 		})
+	}
+}
+
+// TestSweepCellOrder: sweep returns results in cell order and the
+// lowest-index error, whatever the worker count.
+func TestSweepCellOrder(t *testing.T) {
+	for _, w := range []int{1, 4} {
+		got, err := sweep(Options{Workers: w}, 5, func(i int) (int, error) { return i * i, nil })
+		if err != nil || !reflect.DeepEqual(got, []int{0, 1, 4, 9, 16}) {
+			t.Fatalf("workers=%d: got %v, %v", w, got, err)
+		}
+		_, err = sweep(Options{Workers: w}, 5, func(i int) (int, error) {
+			if i >= 2 {
+				return 0, fmt.Errorf("cell %d", i)
+			}
+			return i, nil
+		})
+		if err == nil || err.Error() != "cell 2" {
+			t.Fatalf("workers=%d: got error %v, want cell 2", w, err)
+		}
 	}
 }
 

@@ -15,12 +15,9 @@ import (
 	"reflect"
 
 	"cllm/internal/dtype"
-	"cllm/internal/hw"
 	"cllm/internal/mem"
 	"cllm/internal/model"
 	"cllm/internal/obs"
-	"cllm/internal/par"
-	"cllm/internal/perf"
 	"cllm/internal/serve"
 	"cllm/internal/tee"
 	"cllm/internal/trace"
@@ -50,22 +47,17 @@ func obsScenario(o Options) (serve.Backend, serve.Config) {
 	p := tee.Baremetal()
 	p.Name = "tiny-enclave"
 	p.EPC = mem.EPC{Size: weights + 160*perToken, PageInCostFactor: 1}
-	be := serve.Backend{CPU: perf.CPURun{CPU: hw.EMR1(), Platform: p, Sockets: 1, AMX: true}}
 
-	tr := make([]serve.Request, 0, 17)
-	for i := 0; i < 16; i++ {
-		r := serve.Request{ID: i, ArrivalSec: float64(i) * 0.002, InputLen: 64, OutputLen: 32}
-		if i%2 == 0 {
-			r.PrefixID, r.PrefixLen = 1, 32
-		}
-		tr = append(tr, r)
+	tr := evenTrace(16, 0.002, 64, 32)
+	for i := 0; i < len(tr); i += 2 {
+		tr[i].PrefixID, tr[i].PrefixLen = 1, 32
 	}
 	tr = append(tr, serve.Request{ID: 16, ArrivalSec: 0.033, InputLen: 4096, OutputLen: 4})
 	cfg := serve.Config{
 		Workload: wl, Trace: tr, Seed: o.Seed,
 		Knobs: serve.Knobs{ChunkTokens: 32, PrefixSharing: true, PreemptPolicy: serve.PreemptSwap},
 	}
-	return be, cfg
+	return emr1(p), cfg
 }
 
 func runObservability(o Options) (*Result, error) {
@@ -77,50 +69,45 @@ func runObservability(o Options) (*Result, error) {
 
 	be, cfg := obsScenario(o)
 
-	// Baseline without an observer: attaching one must not perturb results.
-	base, err := serve.Run(be, cfg)
-	if err != nil {
-		return nil, err
-	}
-
-	// Three observed runs — two single-replica, one 2-replica fleet — each
-	// with a private recorder, evaluated on the worker pool. Observers are
-	// per-run (never shared across concurrent simulations), so any worker
-	// count records the identical streams.
+	// Cell 0 is the baseline without an observer: attaching one must not
+	// perturb results. Then three observed runs — two single-replica, one
+	// 2-replica fleet — each with a private recorder. Observers are per-run
+	// (never shared across concurrent simulations), so any worker count
+	// records the identical streams.
 	type run struct {
 		name  string
 		fleet int
 		rec   *obs.Recorder
 		rep   *serve.Report
 	}
-	runs := []*run{
+	specs := []run{
+		{name: "bare", fleet: 1},
 		{name: "single/a", fleet: 1},
 		{name: "single/b", fleet: 1},
 		{name: "fleet×2", fleet: 2},
 	}
-	err = par.For(o.Workers, len(runs), func(i int) error {
-		r := runs[i]
-		c := cfg
-		r.rec = obs.NewRecorderWindow(0.05, 512)
-		c.Observer = r.rec
-		if r.fleet > 1 {
-			fr, err := serve.RunFleet(be, c, serve.FleetConfig{Replicas: r.fleet, Policy: serve.RoundRobin})
-			if err != nil {
-				return err
-			}
-			r.rep = fr.Aggregate
-			return nil
+	cells, err := sweep(o, len(specs), func(i int) (run, error) {
+		r, c := specs[i], cfg
+		if i > 0 {
+			r.rec = obs.NewRecorderWindow(0.05, 512)
+			c.Observer = r.rec
 		}
-		rep, err := serve.Run(be, c)
+		if r.fleet == 1 {
+			rep, err := serve.Run(be, c)
+			r.rep = rep
+			return r, err
+		}
+		fr, err := serve.RunFleet(be, c, serve.FleetConfig{Replicas: r.fleet, Policy: serve.RoundRobin})
 		if err != nil {
-			return err
+			return r, err
 		}
-		r.rep = rep
-		return nil
+		r.rep = fr.Aggregate
+		return r, nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	base, runs := cells[0].rep, cells[1:]
 
 	for _, r := range runs {
 		traceJSON := r.rec.PerfettoTrace()

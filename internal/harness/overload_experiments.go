@@ -15,7 +15,6 @@ import (
 	"fmt"
 
 	"cllm/internal/dtype"
-	"cllm/internal/par"
 	"cllm/internal/serve"
 	"cllm/internal/tee"
 	"cllm/internal/trace"
@@ -74,7 +73,7 @@ func runOverload(o Options) (*Result, error) {
 		be   serve.Backend
 		cfg  serve.Config
 	}
-	tdxBE := chunkedBackend(tee.TDX())
+	tdxBE := emr1(tee.TDX())
 	sgx, err := sgxPlatform()
 	if err != nil {
 		return nil, err
@@ -92,22 +91,20 @@ func runOverload(o Options) (*Result, error) {
 		// Recovery pricing: the identical scripted crash on each platform,
 		// measured as the cold-start downtime the report bills for it.
 		{"recovery tdx", tdxBE, mk(workload.Poisson{Rate: baseRate}, serve.AdmitFIFO, []serve.FailPoint{{TimeSec: 10}}, 0)},
-		{"recovery sgx", chunkedBackend(sgx), mk(workload.Poisson{Rate: baseRate}, serve.AdmitFIFO, []serve.FailPoint{{TimeSec: 10}}, 0)},
-		{"recovery cgpu", gpuServeBackend(tee.CGPU()), mk(workload.Poisson{Rate: baseRate}, serve.AdmitFIFO, []serve.FailPoint{{TimeSec: 10}}, 0)},
+		{"recovery sgx", emr1(sgx), mk(workload.Poisson{Rate: baseRate}, serve.AdmitFIFO, []serve.FailPoint{{TimeSec: 10}}, 0)},
+		{"recovery cgpu", h100(tee.CGPU()), mk(workload.Poisson{Rate: baseRate}, serve.AdmitFIFO, []serve.FailPoint{{TimeSec: 10}}, 0)},
 	}
 	// Recovery runs only need the downtime of one crash, not a full sweep.
 	for i := 3; i < len(specs); i++ {
 		specs[i].cfg.Requests = 24
 	}
 
-	reps := make([]*serve.Report, len(specs))
-	err = par.For(o.Workers, len(specs), func(i int) error {
+	reps, err := sweep(o, len(specs), func(i int) (*serve.Report, error) {
 		rep, err := serve.Run(specs[i].be, specs[i].cfg)
 		if err != nil {
-			return fmt.Errorf("%s: %w", specs[i].name, err)
+			return nil, fmt.Errorf("%s: %w", specs[i].name, err)
 		}
-		reps[i] = rep
-		return nil
+		return rep, nil
 	})
 	if err != nil {
 		return nil, err

@@ -13,9 +13,6 @@ import (
 
 	"cllm/internal/dtype"
 	"cllm/internal/gramine"
-	"cllm/internal/hw"
-	"cllm/internal/par"
-	"cllm/internal/perf"
 	"cllm/internal/serve"
 	"cllm/internal/tee"
 	"cllm/internal/trace"
@@ -50,13 +47,8 @@ func runPreemptPolicies(o Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	sgxBE := serve.Backend{CPU: perf.CPURun{CPU: hw.EMR1(), Platform: sgx, Sockets: 1, AMX: true}}
-	longTrace := make([]serve.Request, 24)
-	for i := range longTrace {
-		longTrace[i] = serve.Request{ID: i, ArrivalSec: float64(i) * 0.05, InputLen: 1024, OutputLen: 256}
-	}
 	sgxCfg := serve.Config{
-		Workload: wl, Trace: longTrace, Seed: o.Seed,
+		Workload: wl, Trace: evenTrace(24, 0.05, 1024, 256), Seed: o.Seed,
 		Knobs: serve.Knobs{MaxBatch: 8, TTFTSLOSec: 120, TPOTSLOSec: 2},
 	}
 
@@ -65,15 +57,10 @@ func runPreemptPolicies(o Options) (*Result, error) {
 	// preemptions are frequent but each victim's context is ~130 tokens,
 	// recomputed in milliseconds on tensor cores while a swap round-trips
 	// the encrypted bounce buffer.
-	gpu := hw.H100NVL()
-	gpu.HBMBytes = weights + 240*perToken
-	cgpuBE := serve.Backend{IsGPU: true, GPU: perf.GPURun{GPU: gpu, Platform: tee.CGPU()}}
-	shortTrace := make([]serve.Request, 24)
-	for i := range shortTrace {
-		shortTrace[i] = serve.Request{ID: i, ArrivalSec: float64(i) * 0.01, InputLen: 96, OutputLen: 32}
-	}
+	cgpuBE := h100(tee.CGPU())
+	cgpuBE.GPU.GPU.HBMBytes = weights + 240*perToken
 	cgpuCfg := serve.Config{
-		Workload: wl, Trace: shortTrace, Seed: o.Seed,
+		Workload: wl, Trace: evenTrace(24, 0.01, 96, 32), Seed: o.Seed,
 		Knobs: serve.Knobs{MaxBatch: 8, TTFTSLOSec: 30, TPOTSLOSec: 2},
 	}
 
@@ -82,35 +69,23 @@ func runPreemptPolicies(o Options) (*Result, error) {
 		be   serve.Backend
 		cfg  serve.Config
 	}
-	sides := []side{{"SGX", sgxBE, sgxCfg}, {"cGPU", cgpuBE, cgpuCfg}}
-	// Share one costing table per backend across its three policy runs; the
-	// (side × policy) cells are independent simulations on the worker pool,
-	// merged in sweep order.
+	sides := []side{{"SGX", emr1(sgx), sgxCfg}, {"cGPU", cgpuBE, cgpuCfg}}
+	// Share one costing table per backend across its three policy runs.
 	for i := range sides {
-		coster, err := serve.NewStepCoster(sides[i].be, sides[i].cfg)
-		if err != nil {
+		if sides[i].be, err = costed(sides[i].be, sides[i].cfg); err != nil {
 			return nil, err
 		}
-		sides[i].be.Coster = coster
 	}
-	reports := make([][]*serve.Report, len(sides))
-	for i := range reports {
-		reports[i] = make([]*serve.Report, len(preemptPolicies))
-	}
-	err = par.For(o.Workers, len(sides)*len(preemptPolicies), func(i int) error {
-		si, pi := i/len(preemptPolicies), i%len(preemptPolicies)
-		cfg := sides[si].cfg
-		cfg.PreemptPolicy = preemptPolicies[pi]
-		rep, err := serve.Run(sides[si].be, cfg)
-		if err != nil {
-			return err
-		}
-		reports[si][pi] = rep
-		return nil
+	cells, err := sweep(o, len(sides)*len(preemptPolicies), func(i int) (*serve.Report, error) {
+		sd := sides[i/len(preemptPolicies)]
+		sd.cfg.PreemptPolicy = preemptPolicies[i%len(preemptPolicies)]
+		return serve.Run(sd.be, sd.cfg)
 	})
 	if err != nil {
 		return nil, err
 	}
+	// reports[side][policy]
+	reports := [][]*serve.Report{cells[:len(preemptPolicies)], cells[len(preemptPolicies):]}
 
 	for si, sd := range sides {
 		for pi, pol := range preemptPolicies {

@@ -4,9 +4,6 @@ import (
 	"fmt"
 
 	"cllm/internal/dtype"
-	"cllm/internal/hw"
-	"cllm/internal/par"
-	"cllm/internal/perf"
 	"cllm/internal/serve"
 	"cllm/internal/tee"
 	"cllm/internal/trace"
@@ -40,10 +37,8 @@ func runServing(o Options) (*Result, error) {
 	}
 	outLen := o.tokens(32)
 
-	// The (platform × rate) grid cells are independent simulations: evaluate
-	// them on the worker pool, each platform's cells sharing one memoized
-	// step-costing table, then merge in grid order — the rendered table is
-	// identical at any worker count.
+	// The (platform × rate) grid cells are independent simulations, each
+	// platform's cells sharing one memoized step-costing table.
 	cfgFor := func(rate float64) serve.Config {
 		return serve.Config{
 			Workload: trace.Workload{Model: mustModel("llama2-7b"), Kind: dtype.BF16, InputLen: 128, OutputLen: outLen},
@@ -55,29 +50,15 @@ func runServing(o Options) (*Result, error) {
 	backends := make([]serve.Backend, len(plats))
 	hourly := make([]float64, len(plats))
 	for pi, p := range plats {
-		be := serve.Backend{CPU: perf.CPURun{CPU: hw.EMR1(), Platform: p, Sockets: 1, AMX: true}}
-		if hourly[pi], err = be.HourlyUSD(); err != nil {
+		if backends[pi], err = costed(emr1(p), cfgFor(servingRates[0])); err != nil {
 			return nil, err
 		}
-		coster, err := serve.NewStepCoster(be, cfgFor(servingRates[0]))
-		if err != nil {
+		if hourly[pi], err = backends[pi].HourlyUSD(); err != nil {
 			return nil, err
 		}
-		be.Coster = coster
-		backends[pi] = be
 	}
-	reports := make([][]*serve.Report, len(plats))
-	for pi := range reports {
-		reports[pi] = make([]*serve.Report, len(servingRates))
-	}
-	err = par.For(o.Workers, len(plats)*len(servingRates), func(i int) error {
-		pi, ri := i/len(servingRates), i%len(servingRates)
-		rep, err := serve.Run(backends[pi], cfgFor(servingRates[ri]))
-		if err != nil {
-			return err
-		}
-		reports[pi][ri] = rep
-		return nil
+	reports, err := sweep(o, len(plats)*len(servingRates), func(i int) (*serve.Report, error) {
+		return serve.Run(backends[i/len(servingRates)], cfgFor(servingRates[i%len(servingRates)]))
 	})
 	if err != nil {
 		return nil, err
@@ -90,7 +71,7 @@ func runServing(o Options) (*Result, error) {
 	tputs := make([][]float64, len(plats))
 	for pi, p := range plats {
 		for ri, rate := range servingRates {
-			rep := reports[pi][ri]
+			rep := reports[pi*len(servingRates)+ri]
 			goodputs[pi] = append(goodputs[pi], rep.GoodputTokensPerSec)
 			ttftP99[pi] = append(ttftP99[pi], rep.TTFT.P99)
 			tputs[pi] = append(tputs[pi], rep.TokensPerSec)

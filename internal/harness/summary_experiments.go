@@ -54,23 +54,16 @@ func runFig1(o Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	bm, err := runCPU(tee.Baremetal(), hw.EMR1(), wl, 1, 0, true, 1, o.Seed)
-	if err != nil {
-		return nil, err
-	}
-	sg, err := runCPU(sgx, hw.EMR1(), wl, 1, 0, true, 1, o.Seed)
-	if err != nil {
-		return nil, err
-	}
-	tdx, err := runCPU(tee.TDX(), hw.EMR1(), wl, 1, 0, true, 1, o.Seed)
+	cpu, err := onCPU(o, hw.EMR1(), wl, 1, tee.Baremetal(), sgx, tee.TDX())
 	if err != nil {
 		return nil, err
 	}
 	wlG := trace.Workload{Model: cfg, Kind: dtype.BF16, Batch: 6, Beam: 1, InputLen: 1024, OutputLen: out}
-	g, c, err := runGPUPair(wlG, o.Seed)
+	gpu, err := onGPU(o, wlG, tee.GPU(), tee.CGPU())
 	if err != nil {
 		return nil, err
 	}
+	bm, sg, tdx, g, c := cpu[0], cpu[1], cpu[2], gpu[0], gpu[1]
 	sgxOv := stats.ThroughputOverheadPct(bm.DecodeThroughput(), sg.DecodeThroughput())
 	tdxOv := stats.ThroughputOverheadPct(bm.DecodeThroughput(), tdx.DecodeThroughput())
 	gpuOv := stats.ThroughputOverheadPct(g.DecodeThroughput(), c.DecodeThroughput())
@@ -110,18 +103,19 @@ func runFig14(o Options) (*Result, error) {
 		rag.MethodBM25:         {3.74, 6.47},
 		rag.MethodSBERT:        {3.08, 7.33},
 	}
+	plats := []tee.Platform{tee.Baremetal(), tee.VM(tee.VMFullHuge), tee.TDX()}
 	for _, m := range []rag.Method{rag.MethodBM25Reranked, rag.MethodBM25, rag.MethodSBERT} {
-		var times [3]float64
-		var ndcg float64
-		for i, plat := range []tee.Platform{tee.Baremetal(), tee.VM(tee.VMFullHuge), tee.TDX()} {
-			tm := rag.Timing{CPU: hw.EMR2(), Platform: plat, Cores: 32, Seed: o.Seed}
-			mean, nd, err := tm.MeanQueryTime(pipe, corpus, m)
-			if err != nil {
-				return nil, err
-			}
-			times[i] = mean
-			ndcg = nd
+		// Cells hold {mean query time, nDCG@10}; retrieval quality does
+		// not depend on the platform.
+		runs, err := sweep(o, len(plats), func(i int) ([2]float64, error) {
+			tm := rag.Timing{CPU: hw.EMR2(), Platform: plats[i], Cores: 32, Seed: o.Seed}
+			mean, ndcg, err := tm.MeanQueryTime(pipe, corpus, m)
+			return [2]float64{mean, ndcg}, err
+		})
+		if err != nil {
+			return nil, err
 		}
+		times, ndcg := []float64{runs[0][0], runs[1][0], runs[2][0]}, runs[0][1]
 		vmOv := stats.OverheadPct(times[0], times[1])
 		tdxOv := stats.OverheadPct(times[0], times[2])
 		res.Rows = append(res.Rows, []string{m.String(), fmt.Sprintf("%.3f", ndcg),
@@ -212,15 +206,12 @@ func runOtherModels(o Options) (*Result, error) {
 	for _, n := range names {
 		cfg := mustModel(n)
 		wl := trace.Workload{Model: cfg, Kind: dtype.BF16, Batch: 6, Beam: 4, InputLen: 1024, OutputLen: out}
-		bm, err := runCPU(tee.Baremetal(), hw.EMR1(), wl, 1, 0, true, 1, o.Seed)
+		rs, err := onCPU(o, hw.EMR1(), wl, 1, tee.Baremetal(), tee.TDX())
 		if err != nil {
 			return nil, err
 		}
-		tdx, err := runCPU(tee.TDX(), hw.EMR1(), wl, 1, 0, true, 1, o.Seed)
-		if err != nil {
-			return nil, err
-		}
-		ov := stats.ThroughputOverheadPct(bm.DecodeThroughput(), tdx.DecodeThroughput())
+		bm := rs[0]
+		ov := stats.ThroughputOverheadPct(bm.DecodeThroughput(), rs[1].DecodeThroughput())
 		ovs = append(ovs, ov)
 		res.Rows = append(res.Rows, []string{n, fmt.Sprintf("%.1f", float64(cfg.ParamCount())/1e9),
 			fmt.Sprintf("%.1f", bm.DecodeThroughput()), pct(ov)})
@@ -247,18 +238,11 @@ func runSNC(o Options) (*Result, error) {
 	cfg := mustModel("llama2-7b")
 	out := o.tokens(48)
 	wl := trace.Workload{Model: cfg, Kind: dtype.BF16, Batch: 6, Beam: 4, InputLen: 1024, OutputLen: out}
-	bm, err := runCPU(tee.Baremetal(), hw.EMR2(), wl, 2, 0, true, 1, o.Seed)
+	rs, err := onCPU(o, hw.EMR2(), wl, 2, tee.Baremetal(), tee.TDX(), tee.TDX().WithSNC())
 	if err != nil {
 		return nil, err
 	}
-	tdx, err := runCPU(tee.TDX(), hw.EMR2(), wl, 2, 0, true, 1, o.Seed)
-	if err != nil {
-		return nil, err
-	}
-	snc, err := runCPU(tee.TDX().WithSNC(), hw.EMR2(), wl, 2, 0, true, 1, o.Seed)
-	if err != nil {
-		return nil, err
-	}
+	bm, tdx, snc := rs[0], rs[1], rs[2]
 	ovTDX := stats.ThroughputOverheadPct(bm.DecodeThroughput(), tdx.DecodeThroughput())
 	ovSNC := stats.ThroughputOverheadPct(bm.DecodeThroughput(), snc.DecodeThroughput())
 	res.Rows = append(res.Rows,

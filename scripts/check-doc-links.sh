@@ -1,15 +1,17 @@
 #!/bin/sh
 # check-doc-links.sh — fail if README/docs markdown references local files
 # that don't exist. Scans every tracked .md file for inline links and for
-# backtick-quoted repo paths, skipping URLs and pure anchors. Run from the
-# repository root (CI does).
+# backtick-quoted repo paths, skipping URLs and pure anchors, and every
+# tracked .go file for the .md files it names. Run from the repository
+# root (CI does).
 set -eu
 
 fail=0
 for md in $(git ls-files '*.md' 2>/dev/null || find . -name '*.md' -not -path './.git/*'); do
     dir=$(dirname "$md")
-    # Inline markdown links: [text](target)
-    for target in $(grep -o '](\([^)]*\))' "$md" 2>/dev/null | sed 's/^](//; s/)$//'); do
+    # Inline markdown links: [text](target), outside `code spans` (where
+    # markdown renders no link, e.g. `f[T](x T)`).
+    for target in $(sed 's/`[^`]*`//g' "$md" | grep -o '](\([^)]*\))' | sed 's/^](//; s/)$//'); do
         case "$target" in
         http://*|https://*|mailto:*|\#*) continue ;;
         esac
@@ -28,6 +30,18 @@ for md in $(git ls-files '*.md' 2>/dev/null || find . -name '*.md' -not -path '.
             fail=1
         fi
     done
+done
+
+# Markdown files that Go source names in comments or strings, e.g.
+# "see EXPERIMENTS.md", resolved against the source file's directory or
+# the repository root.
+for ref in $(git ls-files '*.go' | xargs grep -oE '[A-Za-z0-9_./-]+\.md\b' /dev/null | sort -u); do
+    src=${ref%%:*}
+    target=${ref#*:}
+    if [ ! -e "$(dirname "$src")/$target" ] && [ ! -e "$target" ]; then
+        echo "$src: broken path reference: $target" >&2
+        fail=1
+    fi
 done
 
 if [ "$fail" -ne 0 ]; then
