@@ -3,6 +3,7 @@ package cllm
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -126,11 +127,11 @@ type AutoscaleWindow = autoscale.Window
 // AutoscaleReport summarizes an elastic serving run. The embedded
 // ServeReport holds the fleet-wide aggregate (request partition, drop
 // taxonomy, throughput, goodput, latency quantiles, KV, prefix-cache and
-// swap counters, and Observation when AutoscaleConfig.Observe was set).
-// Its fixed-fleet fields stay zero on an elastic report: the deployment
+// swap counters, and Observation and Attrib as in Session.Serve). Its
+// fixed-fleet fields stay zero on an elastic report: the deployment
 // echoes (Replicas, LBPolicy, Topology) and the SLO pricing (SLOFeasible,
 // ReplicasAtSLO, FleetHourlyUSD, USDPerMTokAtSLO) — an elastic fleet is
-// priced by ReplicaHours, CostUSD and USDPerMTok below. Attrib stays nil.
+// priced by ReplicaHours, CostUSD and USDPerMTok below.
 type AutoscaleReport struct {
 	ServeReport
 	Scenario string
@@ -155,10 +156,6 @@ func Autoscale(cfg AutoscaleConfig) (*AutoscaleReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	rec, _, err := cfg.observe(&acfg.Serve)
-	if err != nil {
-		return nil, err
-	}
 
 	// Each class opens as a sub-session of a host carrying only the run's
 	// testbed and seed, exactly as a Session.Serve fleet group does. Its
@@ -166,28 +163,30 @@ func Autoscale(cfg AutoscaleConfig) (*AutoscaleReport, error) {
 	// every replica of the run share one costing table.
 	host := &Session{cfg: Config{System: cfg.System, Seed: cfg.Seed}}
 	classes := make([]autoscale.Class, len(cfg.Classes))
+	var twin *Session
 	for i, ac := range cfg.Classes {
-		_, be, err := host.replica(ac.Platform, cfg.ServeConfig, acfg.Serve)
+		sess, be, err := host.replica(ac.Platform, cfg.ServeConfig, acfg.Serve)
 		if err != nil {
 			return nil, err
 		}
-		hourly, err := be.HourlyUSD()
-		if err != nil {
+		c := autoscale.Class{Name: ac.Platform, Backend: be, Min: ac.Min, Max: ac.Max}
+		if c.HourlyUSD, err = be.HourlyUSD(); err != nil {
 			return nil, err
 		}
-		coldStart := 0.0
 		if !cfg.NoColdStart {
-			coldStart = autoscale.ColdStartSec(be, acfg.Serve.Workload)
+			c.ColdStartSec = autoscale.ColdStartSec(be, acfg.Serve.Workload)
 		}
-		capacity, err := autoscale.ProbeCapacity(be, acfg.Serve)
-		if err != nil {
+		if c.CapacityReqPerSec, err = autoscale.ProbeCapacity(be, acfg.Serve); err != nil {
 			return nil, err
 		}
-		classes[i] = autoscale.Class{
-			Name: ac.Platform, Backend: be, HourlyUSD: hourly,
-			ColdStartSec: coldStart, Min: ac.Min, Max: ac.Max,
-			CapacityReqPerSec: capacity,
-		}
+		classes[i], twin = c, sess
+	}
+	if slices.ContainsFunc(cfg.Classes, func(c AutoscaleClass) bool { return c.Platform != cfg.Classes[0].Platform }) {
+		twin = nil
+	}
+	rec, attrib, err := cfg.observe(&acfg.Serve, twin, classes[len(classes)-1].Backend)
+	if err != nil {
+		return nil, err
 	}
 
 	rep, err := autoscale.Run(classes, acfg)
@@ -210,10 +209,7 @@ func Autoscale(cfg AutoscaleConfig) (*AutoscaleReport, error) {
 			ClassUsage: u, HourlyUSD: classes[i].HourlyUSD, CapacityReqPerSec: classes[i].CapacityReqPerSec,
 		})
 	}
-	if rec != nil {
-		out.Observation = buildObservation(rec, nil, rep.Aggregate)
-		rec.Recycle()
-	}
+	out.attach(rec, attrib)
 	return out, nil
 }
 
@@ -270,8 +266,8 @@ var ErrNotElastic = errors.New("autoscaling does not support")
 // CheckElastic rejects the ServeConfig fields an elastic fleet cannot
 // honour, naming the first one set: Replicas above 1, a non-default
 // LBPolicy and a Topology (the classes size and route the fleet), any
-// Faults setting (the scaler runs failure-free and open-door) and
-// Attribution. AutoscaleConfig.Validate calls it.
+// Faults setting (the scaler runs failure-free and open-door).
+// AutoscaleConfig.Validate calls it.
 func CheckElastic(cfg ServeConfig) error {
 	var field string
 	switch f := cfg.Faults; {
@@ -293,8 +289,6 @@ func CheckElastic(cfg ServeConfig) error {
 		field = "Faults.RetryMax"
 	case f.RetryBackoffSec != 0:
 		field = "Faults.RetryBackoffSec"
-	case cfg.Attribution:
-		field = "Attribution"
 	default:
 		return nil
 	}

@@ -71,7 +71,8 @@ func schedulerConfig(observe bool) ServeConfig {
 }
 
 // serveScheduler runs schedulerConfig once and checks that every request
-// is accounted for and, when observed, that the observation was rendered.
+// is accounted for and, when observed, that the run was recorded; it then
+// releases the recording, as a caller does after its last write.
 func serveScheduler(tb testing.TB, s *Session, observe bool) *ServeReport {
 	tb.Helper()
 	rep, err := s.Serve(schedulerConfig(observe))
@@ -81,8 +82,11 @@ func serveScheduler(tb testing.TB, s *Session, observe bool) *ServeReport {
 	if rep.Completed+rep.Dropped+rep.Unfinished != schedulerRequests {
 		tb.Fatalf("lost requests: %+v", rep)
 	}
-	if observe && (rep.Observation == nil || rep.Observation.Events == 0) {
-		tb.Fatalf("observation missing: %+v", rep)
+	if observe {
+		if rep.Observation == nil || rep.Observation.Events == 0 {
+			tb.Fatalf("observation missing: %+v", rep)
+		}
+		rep.Observation.Release()
 	}
 	return rep
 }

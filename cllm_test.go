@@ -2,10 +2,13 @@ package cllm
 
 import (
 	"errors"
+	"io"
 	"math"
 	"reflect"
 	"strings"
 	"testing"
+
+	"cllm/internal/obs"
 )
 
 func TestOpenPlatforms(t *testing.T) {
@@ -419,7 +422,6 @@ func TestAutoscalePublicAPI(t *testing.T) {
 		"Topology":         func(c *ServeConfig) { c.Topology = "cgpu:1=prefill,tdx:1=decode" },
 		"Faults.Plan":      func(c *ServeConfig) { c.Faults.Plan = []FailPoint{{TimeSec: 30}} },
 		"Faults.Admission": func(c *ServeConfig) { c.Faults.Admission = AdmitShed },
-		"Attribution":      func(c *ServeConfig) { c.Attribution = true },
 	} {
 		cfg := base
 		set(&cfg.ServeConfig)
@@ -589,7 +591,7 @@ func TestReplicasIsOneGroupTopology(t *testing.T) {
 		}{
 			{"Report", want.Report, got.Report},
 			{"Attrib", want.Attrib, got.Attrib},
-			{"Observation", want.Observation, got.Observation},
+			{"Observation", rendered(t, want.Observation), rendered(t, got.Observation)},
 			{"Replicas", want.Replicas, got.Replicas},
 			{"LBPolicy", want.LBPolicy, got.LBPolicy},
 			{"FleetHourlyUSD", want.FleetHourlyUSD, got.FleetHourlyUSD},
@@ -599,8 +601,125 @@ func TestReplicasIsOneGroupTopology(t *testing.T) {
 				t.Errorf("%+v: %s differs between Replicas: 3 and Topology \"tdx:3\"", mode, f.name)
 			}
 		}
+		want.Observation, got.Observation = nil, nil
 		if !reflect.DeepEqual(want, got) {
 			t.Errorf("%+v: reports differ outside the fields above", mode)
+		}
+	}
+}
+
+// observation is what an observation reports: its counts and its rendered
+// artifacts.
+type observation struct {
+	Events, Windows               int
+	Trace, Prometheus, Timeseries string
+}
+
+// rendered writes every artifact of o (nil when o is nil).
+func rendered(t *testing.T, o *ServeObservation) *observation {
+	t.Helper()
+	if o == nil {
+		return nil
+	}
+	r := &observation{Events: o.Events, Windows: o.Windows}
+	for _, a := range []struct {
+		dst   *string
+		write func(io.Writer) error
+	}{{&r.Trace, o.WriteTrace}, {&r.Prometheus, o.WritePrometheus}, {&r.Timeseries, o.WriteTimeseries}} {
+		var b strings.Builder
+		if err := a.write(&b); err != nil {
+			t.Fatal(err)
+		}
+		*a.dst = b.String()
+	}
+	return r
+}
+
+// TestObservationRendersOnWrite: an observation renders each artifact when
+// written, with the obs renderers over the run's own recorder, attribution
+// engine and report, for a fixed run and an elastic one alike; a second
+// write renders the same bytes, and Release hands the recorder back.
+func TestObservationRendersOnWrite(t *testing.T) {
+	sess, err := Open(Config{Platform: "tdx", Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := ServeConfig{RatePerSec: 4, Requests: 16, Observe: true, Attribution: true, Knobs: Knobs{PreemptPolicy: PreemptSwap}}
+	served, err := sess.Serve(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	elastic, err := Autoscale(AutoscaleConfig{ServeConfig: cfg, Seed: 1, Classes: []AutoscaleClass{{Platform: "tdx", Min: 1, Max: 2}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, rep := range map[string]*ServeReport{"Serve": served, "Autoscale": &elastic.ServeReport} {
+		o := rep.Observation
+		if o == nil || o.rep != &rep.Report || o.attrib == nil || o.Events != o.rec.Len() {
+			t.Fatalf("%s: observation %+v does not hold the run's recorder, attribution and report", name, o)
+		}
+		want := observation{
+			Events: o.Events, Windows: len(o.rec.Series().Merged()),
+			Trace:      string(o.rec.PerfettoTraceWithCounters(o.attrib)),
+			Prometheus: string(obs.PrometheusText(&rep.Report)) + string(o.attrib.PrometheusText(rep.Platform)),
+			Timeseries: string(o.rec.TimeseriesCSV()),
+		}
+		if !strings.Contains(want.Trace, `"tee_tax_seconds"`) || !strings.Contains(want.Prometheus, "cllm_phase_latency_seconds_bucket{") {
+			t.Fatalf("%s: the attributed artifacts lack the phase and tax families", name)
+		}
+		for i := range 2 {
+			if got := rendered(t, o); *got != want {
+				t.Errorf("%s: write %d differs from the obs renderers' output", name, i+1)
+			}
+		}
+		o.Release()
+		if o.rec != nil {
+			t.Errorf("%s: Release kept the recorder", name)
+		}
+	}
+}
+
+// TestAutoscaleAttribution: an elastic run attributes like a fixed fleet.
+// Attribution leaves the report as it was and conserves every completed
+// request's phases, and TEE tax is booked only against a clear twin:
+// classes naming one platform have one, classes mixing platforms do not.
+func TestAutoscaleAttribution(t *testing.T) {
+	for _, c := range []struct {
+		classes     []AutoscaleClass
+		clearCosted bool
+	}{
+		{[]AutoscaleClass{{Platform: "tdx", Min: 1, Max: 3}}, true},
+		{[]AutoscaleClass{{Platform: "tdx", Min: 1, Max: 1}, {Platform: "cgpu", Min: 1, Max: 1}}, false},
+	} {
+		cfg := AutoscaleConfig{Seed: 1, Classes: c.classes}
+		want, err := Autoscale(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Attribution = true
+		got, err := Autoscale(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := got.Attrib
+		if a == nil {
+			t.Fatalf("%v: no attribution attached", c.classes)
+		}
+		got.Attrib = nil
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%v: attribution changed the report", c.classes)
+		}
+		if len(a.Violations) > 0 || got.Completed == 0 || int(a.Completed) != got.Completed {
+			t.Errorf("%v: %d violations, attribution finalized %d of %d completed requests",
+				c.classes, len(a.Violations), a.Completed, got.Completed)
+		}
+		switch {
+		case a.ClearCosted != c.clearCosted:
+			t.Errorf("%v: clear-costed %v, want %v", c.classes, a.ClearCosted, c.clearCosted)
+		case c.clearCosted && (len(a.Tax) == 0 || !(a.TaxShareMean > 0 && a.TaxShareMean < 0.10)):
+			t.Errorf("%v: %d tax rows, tax share %.3f; want the CPU-TEE tax (0 to 10%% of latency)", c.classes, len(a.Tax), a.TaxShareMean)
+		case !c.clearCosted && (len(a.Tax) > 0 || a.TaxTotalSec != 0):
+			t.Errorf("%v: %d tax rows, tax %gs; want no tax without a clear twin", c.classes, len(a.Tax), a.TaxTotalSec)
 		}
 	}
 }

@@ -190,7 +190,7 @@ func flagTable(o *options) []flagSpec {
 		{
 			name: "autoscale",
 			usage: "simulate an elastic heterogeneous fleet from -classes (ignores -platform, -in, -out, -prefix-groups and -prefix-frac — " +
-				"the scenario's shape mixes own the request shapes; rejects -replicas, -lb-policy, -topology, -attrib and the fault, admission and retry flags)",
+				"the scenario's shape mixes own the request shapes; rejects -replicas, -lb-policy, -topology and the fault, admission and retry flags)",
 			add: func(fs *flag.FlagSet, n, u string) { fs.BoolVar(&o.autoscale, n, false, u) },
 			rejects: []rejection{
 				{args: []string{"-autoscale", "-fail-mtbf", "60"}, want: "-autoscale"},
@@ -356,9 +356,8 @@ func flagTable(o *options) []flagSpec {
 		},
 		{
 			name: "attrib", field: "Attribution",
-			usage:   "attribute the observed run's latency to phases (queue/prefill/decode/stall/swap/handoff) and price a clear-hardware counterfactual for the per-phase TEE tax (a -topology mixing platforms has no single clear twin and reports no tax); attributes the first platform's base-rate run (needs 1 in -rate-mults)",
-			add:     func(fs *flag.FlagSet, n, u string) { fs.BoolVar(&o.cfg.Attribution, n, false, u) },
-			rejects: []rejection{{args: []string{"-attrib", "-autoscale"}, want: "-autoscale"}},
+			usage: "attribute the observed run's latency to phases (queue/prefill/decode/stall/swap/handoff) and price a clear-hardware counterfactual for the per-phase TEE tax (a -topology or -classes mixing platforms has no single clear twin and reports no tax); attributes the first platform's base-rate run (needs 1 in -rate-mults), or the -autoscale run",
+			add:   func(fs *flag.FlagSet, n, u string) { fs.BoolVar(&o.cfg.Attribution, n, false, u) },
 		},
 		{
 			name:  "attrib-out",

@@ -29,8 +29,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -102,10 +104,9 @@ func main() {
 			"retries", "crashes", "downtime(s)",
 			"handoffs", "handoffs-in", "handoff-fallbacks", "handoff-bytes")
 	}
-	// The export artifacts come from one observed run: the first platform's
-	// base-rate (×1) sweep point. Attribution follows the same rule.
-	wantObserve, wantAttrib := o.cfg.Observe, o.cfg.Attribution
-	var attribRep *obs.AttribReport
+	// The export artifacts and the attribution come from one run: the
+	// first platform's base-rate (×1) sweep point.
+	recorded, record := &cllm.ServeReport{}, true
 	table := &harness.Result{
 		ID:     "serve",
 		Title:  title,
@@ -124,8 +125,8 @@ func main() {
 		for _, m := range o.mults {
 			cfg := o.cfg.ServeConfig
 			cfg.RatePerSec *= m
-			cfg.Observe = wantObserve && m == 1
-			cfg.Attribution = wantAttrib && m == 1
+			base := record && m == 1
+			cfg.Observe, cfg.Attribution = cfg.Observe && base, cfg.Attribution && base
 			rep, err := sess.Serve(cfg)
 			if err != nil {
 				if o.cfg.Topology != "" {
@@ -183,46 +184,55 @@ func main() {
 					fmt.Sprintf("%.4g", rep.HandoffBytes))
 			}
 			table.Rows = append(table.Rows, row)
-			if cfg.Observe {
-				writeArtifacts(rep.Observation, o.traceOut, o.metricsOut, o.timesOut)
-				wantObserve = false
-			}
-			if cfg.Attribution {
-				attribRep = rep.Attrib
-				writeAttrib(attribRep, o.attribOut, o.attribCSV)
-				wantAttrib = false
+			if base {
+				recorded, record = rep, false
 			}
 		}
 	}
 
 	emit(table, o.format)
-	if o.compare != "" {
-		if !compareBaseline(attribRep, o.compare, o.compareSlack, o.format) {
-			os.Exit(1)
-		}
+	writeRecorded(o, recorded)
+}
+
+// writeRecorded writes the recorded run's artifacts and attribution to
+// the files their flags name, releases its recorder, and diffs its
+// attribution against the -compare baseline, exiting 1 on a regression.
+func writeRecorded(o options, rep *cllm.ServeReport) {
+	if ob := rep.Observation; ob != nil {
+		writeFile(o.traceOut, ob.WriteTrace)
+		writeFile(o.metricsOut, ob.WritePrometheus)
+		writeFile(o.timesOut, ob.WriteTimeseries)
+		ob.Release()
+	}
+	if a := rep.Attrib; a != nil {
+		writeFile(o.attribOut, func(w io.Writer) error {
+			enc := json.NewEncoder(w)
+			enc.SetIndent("", "  ")
+			return enc.Encode(a)
+		})
+		writeFile(o.attribCSV, func(w io.Writer) error {
+			_, err := w.Write(a.PhaseCSV())
+			return err
+		})
+	}
+	if o.compare != "" && !compareBaseline(rep.Attrib, o.compare, o.compareSlack, o.format) {
+		os.Exit(1)
 	}
 }
 
-// writeAttrib writes the attribution report JSON and/or phase CSV.
-func writeAttrib(rep *obs.AttribReport, jsonPath, csvPath string) {
-	if rep == nil {
+// writeFile renders one artifact into the file at path, or does nothing
+// when its flag left path empty; a failure exits 1.
+func writeFile(path string, render func(io.Writer) error) {
+	if path == "" {
 		return
 	}
-	if jsonPath != "" {
-		raw, err := json.MarshalIndent(rep, "", "  ")
-		if err == nil {
-			err = os.WriteFile(jsonPath, append(raw, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cllm-serve: %v\n", err)
-			os.Exit(1)
-		}
+	f, err := os.Create(path)
+	if err == nil {
+		err = errors.Join(render(f), f.Close())
 	}
-	if csvPath != "" {
-		if err := os.WriteFile(csvPath, rep.PhaseCSV(), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "cllm-serve: %v\n", err)
-			os.Exit(1)
-		}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "cllm-serve: %v\n", err)
+		os.Exit(1)
 	}
 }
 
@@ -278,30 +288,6 @@ func compareBaseline(cur *obs.AttribReport, baselinePath string, slack float64, 
 	return !regressed
 }
 
-// writeArtifacts writes the observed run's rendered artifacts to the
-// requested paths (empty path = artifact not requested).
-func writeArtifacts(o *cllm.ServeObservation, traceOut, metricsOut, timeseriesOut string) {
-	if o == nil {
-		return
-	}
-	for _, art := range []struct {
-		path string
-		data []byte
-	}{
-		{traceOut, o.TraceJSON},
-		{metricsOut, o.PrometheusText},
-		{timeseriesOut, o.TimeseriesCSV},
-	} {
-		if art.path == "" {
-			continue
-		}
-		if err := os.WriteFile(art.path, art.data, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "cllm-serve: %v\n", err)
-			os.Exit(1)
-		}
-	}
-}
-
 // emit prints a result table in the chosen format.
 func emit(table *harness.Result, format string) {
 	switch format {
@@ -327,7 +313,6 @@ func runAutoscale(o options) {
 		fmt.Fprintf(os.Stderr, "cllm-serve: %v\n", err)
 		os.Exit(1)
 	}
-	writeArtifacts(rep.Observation, o.traceOut, o.metricsOut, o.timesOut)
 
 	offered := rep.Completed + rep.Dropped + rep.Unfinished
 	table := &harness.Result{
@@ -390,4 +375,5 @@ func runAutoscale(o options) {
 		fmt.Sprintf("completed %d, dropped %d, unfinished %d; TTFT p50 %.3fs p99 %.3fs; %d control windows",
 			rep.Completed, rep.Dropped, rep.Unfinished, rep.TTFT.P50, rep.TTFT.P99, len(rep.Windows)))
 	emit(table, o.format)
+	writeRecorded(o, &rep.ServeReport)
 }

@@ -54,6 +54,7 @@ func TestFlagAccepts(t *testing.T) {
 		{"-format", "json", "-attrib", "-attrib-out", "a.json", "-attrib-csv", "a.csv", "-compare", "base.json"},
 		{"-attrib"},
 		{"-autoscale"},
+		{"-autoscale", "-classes", "tdx:1,cgpu:1", "-attrib", "-attrib-out", "a.json", "-attrib-csv", "a.csv", "-compare", "base.json"},
 		{"-fail-mtbf", "120", "-fail-policy", "requeue", "-admission", "shed", "-retry-max", "3", "-retry-backoff", "0.5"},
 		{"-fail-plan", "0@30,1@45.5", "-fail-policy", "lost"},
 		{"-fail-plan", "30"},

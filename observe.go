@@ -1,45 +1,67 @@
 package cllm
 
 import (
+	"io"
+
 	"cllm/internal/obs"
 	"cllm/internal/serve"
 )
 
-// ServeObservation carries a run's rendered observability artifacts,
-// attached to a report when observation is enabled. All three artifacts
-// are timestamped from the deterministic sim clock — identical runs (any
-// worker count) serialize byte-identically.
+// ServeObservation is an observed run, attached to its report: the
+// recorder, the attribution engine when attribution was on, and the
+// report. Each artifact is rendered from the deterministic sim clock when
+// written, so identical runs (any worker count) write identical bytes.
 type ServeObservation struct {
 	// Events is the number of lifecycle events recorded; Windows the
 	// number of merged fleet-wide time-series windows.
 	Events, Windows int
-	// TraceJSON is a Chrome trace-event timeline (load in Perfetto or
-	// chrome://tracing): one process per replica, one track per request,
-	// spans for the queued/preempted/prefill/decode phases and instants
-	// for preemptions, swap transfers and drops.
-	TraceJSON []byte
-	// PrometheusText is a Prometheus text-exposition (0.0.4) snapshot of
-	// the run's aggregate counters, gauges and latency summaries.
-	PrometheusText []byte
-	// TimeseriesCSV is the merged windowed time series (queue depth,
-	// running batch, KV/swap occupancy, prefix hit rate, token rates).
-	TimeseriesCSV []byte
+
+	rec    *obs.Recorder
+	attrib *obs.Attribution
+	rep    *serve.Report
 }
 
-// buildObservation renders the recorder's stream against the run's
-// aggregate report, each artifact once. With an attribution engine
-// attached, the trace gains the phase/tax counter tracks and the
-// Prometheus snapshot the per-phase histogram families.
-func buildObservation(rec *obs.Recorder, attrib *obs.Attribution, rep *serve.Report) *ServeObservation {
-	o := &ServeObservation{
-		Events:         rec.Len(),
-		Windows:        len(rec.Series().Merged()),
-		TraceJSON:      rec.PerfettoTraceWithCounters(attrib),
-		PrometheusText: obs.PrometheusText(rep),
-		TimeseriesCSV:  rec.TimeseriesCSV(),
-	}
+// attach hangs the run's attribution and observation on out.
+func (out *ServeReport) attach(rec *obs.Recorder, attrib *obs.Attribution) {
 	if attrib != nil {
-		o.PrometheusText = append(o.PrometheusText, attrib.PrometheusText(rep.Platform)...)
+		out.Attrib = attrib.Report(out.Platform)
 	}
-	return o
+	if rec != nil {
+		out.Observation = &ServeObservation{Events: rec.Len(), Windows: len(rec.Series().Merged()),
+			rec: rec, attrib: attrib, rep: &out.Report}
+	}
+}
+
+// WriteTrace writes a Chrome trace-event timeline (load in Perfetto or
+// chrome://tracing): one process per replica, one track per request,
+// phase spans and event instants, plus the phase and tax counter tracks
+// when attributed.
+func (o *ServeObservation) WriteTrace(w io.Writer) error {
+	_, err := w.Write(o.rec.PerfettoTraceWithCounters(o.attrib))
+	return err
+}
+
+// WritePrometheus writes a Prometheus text-exposition (0.0.4) snapshot of
+// the report, plus the phase histogram families when attributed.
+func (o *ServeObservation) WritePrometheus(w io.Writer) error {
+	text := obs.PrometheusText(o.rep)
+	if o.attrib != nil {
+		text = append(text, o.attrib.PrometheusText(o.rep.Platform)...)
+	}
+	_, err := w.Write(text)
+	return err
+}
+
+// WriteTimeseries writes the merged windowed time series as CSV (queue
+// depth, running batch, KV/swap occupancy, prefix hit rate, token rates).
+func (o *ServeObservation) WriteTimeseries(w io.Writer) error {
+	_, err := w.Write(o.rec.TimeseriesCSV())
+	return err
+}
+
+// Release returns the recorder's memory to its pools. Call it once, after
+// the last write; an observation never released is garbage-collected.
+func (o *ServeObservation) Release() {
+	o.rec.Recycle()
+	o.rec = nil
 }

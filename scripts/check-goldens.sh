@@ -4,10 +4,10 @@
 # runs a fixed set of argument vectors (fixed-fleet sweeps, fleets, a
 # disaggregated topology, faults, four elastic runs, attribution, deadline
 # admission on a least-loaded fleet, observed runs with and without
-# attribution, an attributed one-platform prefill/decode split, two
-# operator traces) plus every example
-# below and `cllm-bench -exp all` in quick and full mode, and fails on any
-# byte difference.
+# attribution, an attributed one-platform prefill/decode split, an
+# attributed and observed elastic run, two operator traces) plus every
+# example below and `cllm-bench -exp all` in quick and full mode, and fails
+# on any byte difference.
 # Every run is deterministic under its seed and takes well under a second.
 #
 # Usage (from anywhere in the repository):
@@ -63,6 +63,8 @@ serve serve-13-trace-attrib -platform tdx -rate 4 -requests 16 -rate-mults 1 -pr
 	-trace-out serve-13-trace-attrib.json -metrics-out serve-13-trace-attrib.prom
 serve serve-14-topology-attrib -topology tdx:1=prefill,tdx:2=decode -rate 4 -requests 16 -in 512 -attrib \
 	-attrib-csv serve-14-topology-attrib.phases.csv
+serve serve-15-autoscale-attrib -autoscale -classes tdx:2 -attrib \
+	-attrib-csv serve-15-autoscale-attrib.phases.csv -metrics-out serve-15-autoscale-attrib.prom
 
 # Operator traces: the per-kind sums and step totals cllm-trace prints are
 # the only CLI output computed from the flat operator list.

@@ -60,9 +60,10 @@ type ServeConfig struct {
 	// core of each socket serves).
 	Sockets int
 	// Observe records the run's per-request lifecycle event stream and
-	// windowed time series and attaches the rendered artifacts (Perfetto
-	// trace, Prometheus snapshot, CSV time series) to the report as
-	// Observation. Off by default: the disabled path costs nothing.
+	// windowed time series and attaches them to the report as Observation,
+	// which renders the artifacts (Perfetto trace, Prometheus snapshot, CSV
+	// time series) when written. Off by default: the disabled path costs
+	// nothing.
 	Observe bool
 	// ObserveWindowSec is the time-series sampling window in simulated
 	// seconds (0 = default 1 s). Memory stays bounded regardless: when a
@@ -72,11 +73,12 @@ type ServeConfig struct {
 	// Attribution folds the run's event stream into per-request phase
 	// vectors (queue wait, prefill, decode, preemption stall, swap
 	// transfer, KV handoff — summing exactly to each request's latency)
-	// and, when the deployment runs one platform (a lone replica, Replicas
-	// or any Topology whose groups share a platform), prices its
-	// clear-hardware twin alongside the real run to attribute the
-	// per-phase TEE tax. A Topology mixing platforms has no single clear
-	// twin: its report says ClearCosted: false and carries no Tax rows.
+	// and, when the deployment runs one platform (a lone replica,
+	// Replicas, any Topology whose groups share a platform, or Autoscale
+	// classes that do), prices its clear-hardware twin alongside the real
+	// run to attribute the per-phase TEE tax. A deployment mixing
+	// platforms has no single clear twin: its report says
+	// ClearCosted: false and carries no Tax rows.
 	// The result is attached as Attrib (Attrib.PhaseCSV renders the phase
 	// CSV); with Observe also set, the Prometheus snapshot gains the phase
 	// histogram families and the trace the phase and tax counter tracks.
@@ -159,8 +161,8 @@ type ServeReport struct {
 	ReplicasAtSLO   int
 	FleetHourlyUSD  float64
 	USDPerMTokAtSLO float64
-	// Observation holds the rendered observability artifacts (nil unless
-	// ServeConfig.Observe was set).
+	// Observation holds the recorded run and renders its observability
+	// artifacts (nil unless ServeConfig.Observe was set).
 	Observation *ServeObservation
 	// Attrib holds the latency attribution and TEE-tax decomposition (nil
 	// unless ServeConfig.Attribution was set).
@@ -177,11 +179,11 @@ func (s *Session) Serve(cfg ServeConfig) (*ServeReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	be, fleet, hourly, err := s.deploy(cfg, &scfg)
+	be, fleet, hourly, twin, err := s.deploy(cfg, &scfg)
 	if err != nil {
 		return nil, err
 	}
-	rec, attrib, err := cfg.observe(&scfg)
+	rec, attrib, err := cfg.observe(&scfg, twin, be)
 	if err != nil {
 		return nil, err
 	}
@@ -210,13 +212,7 @@ func (s *Session) Serve(cfg ServeConfig) (*ServeReport, error) {
 			out.SLOFeasible, out.USDPerMTokAtSLO = true, usd
 		}
 	}
-	if attrib != nil {
-		out.Attrib = attrib.Report(out.Platform)
-	}
-	if rec != nil {
-		out.Observation = buildObservation(rec, attrib, &out.Report)
-		rec.Recycle()
-	}
+	out.attach(rec, attrib)
 	return &out, nil
 }
 
@@ -297,10 +293,12 @@ func (cfg ServeConfig) lower(seed int64) (serve.Config, error) {
 }
 
 // observe builds the recorder and attribution engine cfg's Observe and
-// Attribution ask for (nil when off) and chains them onto scfg. It runs
-// after deploy: the engine books TEE tax only when deploy attached a
-// clear-twin coster to scfg.
-func (cfg ServeConfig) observe(scfg *serve.Config) (*obs.Recorder, *obs.Attribution, error) {
+// Attribution ask for (nil when off) and chains them onto scfg. twin is
+// be's session when every replica runs be's platform: attribution then
+// books TEE tax against be's clear twin, from twin's memo so sweeps
+// re-price it from one table. A deployment mixing platforms (twin nil)
+// has no single clear twin and reports no tax (ClearCosted: false).
+func (cfg ServeConfig) observe(scfg *serve.Config, twin *Session, be serve.Backend) (*obs.Recorder, *obs.Attribution, error) {
 	var rec *obs.Recorder
 	if cfg.Observe {
 		rec = obs.NewRecorderWindow(cfg.ObserveWindowSec, 512)
@@ -308,8 +306,12 @@ func (cfg ServeConfig) observe(scfg *serve.Config) (*obs.Recorder, *obs.Attribut
 	var attrib *obs.Attribution
 	if cfg.Attribution {
 		var err error
-		attrib, err = obs.NewAttributionWindow(cfg.SketchAlpha, scfg.ClearCoster != nil, cfg.ObserveWindowSec, 512)
-		if err != nil {
+		if twin != nil {
+			if scfg.ClearCoster, err = twin.costerFor(be, *scfg, true); err != nil {
+				return nil, nil, err
+			}
+		}
+		if attrib, err = obs.NewAttributionWindow(cfg.SketchAlpha, twin != nil, cfg.ObserveWindowSec, 512); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -345,12 +347,10 @@ func roleGroups(topology string) ([]TopologyGroup, serve.Topology, error) {
 // be is its backend and fleet is nil. Any larger deployment is a
 // role-aware fleet: Replicas: N lowers to the one-group unified topology
 // "<platform>:N", and a Topology names its own groups. Every backend comes
-// from replica, so it carries its session's memoized step coster. With
-// cfg.Attribution set on a deployment that runs one platform, scfg gains
-// that platform's clear-twin coster; a deployment mixing platforms has no
-// single clear twin, so its attribution reports no TEE tax
-// (ClearCosted: false).
-func (s *Session) deploy(cfg ServeConfig, scfg *serve.Config) (be serve.Backend, fleet *serve.Fleet, hourly float64, err error) {
+// from replica, so it carries its session's memoized step coster. twin is
+// be's session when every replica runs be's platform, else nil (see
+// observe).
+func (s *Session) deploy(cfg ServeConfig, scfg *serve.Config) (be serve.Backend, fleet *serve.Fleet, hourly float64, twin *Session, err error) {
 	sess, single := s, true
 	if cfg.Topology == "" && cfg.Replicas <= 1 {
 		if sess, be, err = s.replica(s.cfg.Platform, cfg, *scfg); err == nil {
@@ -361,12 +361,12 @@ func (s *Session) deploy(cfg ServeConfig, scfg *serve.Config) (be serve.Backend,
 		topo := serve.Topology{Groups: []serve.RoleGroup{{Replicas: cfg.Replicas}}}
 		if cfg.Topology != "" {
 			if groups, topo, err = roleGroups(cfg.Topology); err != nil {
-				return be, nil, 0, err
+				return be, nil, 0, nil, err
 			}
 		}
 		for i, g := range groups {
 			if sess, be, err = s.replica(g.Platform, cfg, *scfg); err != nil {
-				return be, nil, 0, err
+				return be, nil, 0, nil, err
 			}
 			topo.Groups[i].Backend, topo.Groups[i].Policy = be, cfg.LBPolicy
 			single = single && g.Platform == groups[0].Platform
@@ -375,12 +375,10 @@ func (s *Session) deploy(cfg ServeConfig, scfg *serve.Config) (be serve.Backend,
 			fleet, err = serve.NewFleet(topo)
 		}
 	}
-	if err == nil && cfg.Attribution && single {
-		// The clear twin shares the session memo too: sweeps re-price the
-		// counterfactual from the same table.
-		scfg.ClearCoster, err = sess.costerFor(be, *scfg, true)
+	if !single {
+		sess = nil
 	}
-	return be, fleet, hourly, err
+	return be, fleet, hourly, sess, err
 }
 
 // replica returns one replica's backend on platform p in cfg's deployment,

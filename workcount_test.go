@@ -292,11 +292,11 @@ func schedulerRig(observe bool) workRig {
 				return workOutcome{agg: &serveScheduler(tb, s, observe).Report}
 			}
 			scfg := must(cfg.lower(s.cfg.Seed))
-			be, _, _, err := s.deploy(cfg, &scfg)
+			be, _, _, twin, err := s.deploy(cfg, &scfg)
 			if err != nil {
 				tb.Fatal(err)
 			}
-			rec, attrib, err := cfg.observe(&scfg)
+			rec, attrib, err := cfg.observe(&scfg, twin, be)
 			if err != nil {
 				tb.Fatal(err)
 			}
